@@ -4,9 +4,7 @@ through exchange files.
 Exit codes: 0 clean, 1 warnings only, 2 blocking defect or solver failure,
 3 unreadable input.  Output files are written atomically (temp file plus
 rename), so a failed run never leaves a partial file behind.  Units are
-mm / N / MPa throughout.  The FORMPIPE_THREADS environment variable is
-reserved for worker control; the current implementation always runs
-single-threaded, which keeps runs bit-reproducible.
+mm / N / MPa throughout.
 """
 
 from __future__ import annotations
@@ -66,8 +64,12 @@ class PipelineConfig:
     report_format: str = "text"  # text | structured
 
     def __post_init__(self):
-        if self.merge_tol <= 0 or self.pcg_tol <= 0 or self.deform_scale < 0:
-            raise ValueError("tolerances must be positive")
+        if not self.merge_tol >= 0:
+            raise ValueError(f"merge tolerance must be non-negative, got {self.merge_tol:g}")
+        if not 0 < self.pcg_tol < 1:
+            raise ValueError(f"PCG tolerance must lie in (0, 1), got {self.pcg_tol:g}")
+        if not self.deform_scale >= 0:
+            raise ValueError(f"deformation scale must be non-negative, got {self.deform_scale:g}")
         if self.solver not in ("direct", "pcg"):
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.report_format not in ("text", "structured"):
@@ -205,10 +207,10 @@ def cmd_clean(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
 
-    config = PipelineConfig(merge_tol=args.merge_tol, prune_degree=args.prune_degree,
-                            report_format=args.format)
     cells_before = len(model.cells)
     try:
+        config = PipelineConfig(merge_tol=args.merge_tol, prune_degree=args.prune_degree,
+                                report_format=args.format)
         model, reports = run_clean_pipeline(model, config)
     except (ValueError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -233,7 +235,6 @@ def _solve_records(results, stats, config):
         ("solver_iterations", stats.iterations),
         ("solver_relative_residual", repr(stats.relative_residual)),
         ("solver_wall_time_s", repr(stats.wall_time)),
-        ("threads", os.environ.get("FORMPIPE_THREADS", "1")),
         ("self_weight", int(config.self_weight)),
         ("max_u_el", repr(summary.max_u_el)),
         ("max_total_displacement_mm", repr(summary.max_total_displacement)),
@@ -250,17 +251,17 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
 
-    config = PipelineConfig(
-        solver=args.solver,
-        pcg_tol=args.pcg_tol,
-        pcg_max_iter=args.pcg_max_iter,
-        deform_scale=args.deform_scale,
-        self_weight=not args.no_self_weight,
-        report_format=args.format,
-    )
     try:
+        config = PipelineConfig(
+            solver=args.solver,
+            pcg_tol=args.pcg_tol,
+            pcg_max_iter=args.pcg_max_iter,
+            deform_scale=args.deform_scale,
+            self_weight=not args.no_self_weight,
+            report_format=args.format,
+        )
         results, stats = run_solve_pipeline(model, config)
-    except SolverError as exc:
+    except (ValueError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEFECTS
     atomic_write(args.output, write_results_vtk(model, results, config.deform_scale))

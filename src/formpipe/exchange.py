@@ -33,6 +33,7 @@ from .model import (
     RigidLink,
     StructuralModel,
 )
+from .resistance import deformed_geometry
 
 
 class ExchangeFormatError(ValueError):
@@ -546,12 +547,9 @@ def write_results_vtk(model: StructuralModel, results, deform_scale: float = 1.0
     n = len(model.points)
     m = len(model.cells)
     disp = np.asarray(results.displacements, dtype=float)
-    if disp.shape != (n, 6):
-        raise ValueError(f"displacements shape {disp.shape} does not match {n} points")
+    deformed = deformed_geometry(model, disp, deform_scale)
     if len(results.u_el) != m or len(results.exceeded) != m:
         raise ValueError("per-cell result arrays do not match the cell count")
-    if not np.isfinite(deform_scale):
-        raise ValueError("deform_scale must be finite")
 
     points = sorted(model.points, key=lambda p: p.id)
     cells = sorted(model.cells, key=lambda c: c.id)
@@ -566,7 +564,7 @@ def write_results_vtk(model: StructuralModel, results, deform_scale: float = 1.0
     out.append("DATASET POLYDATA")
     out.append(f"POINTS {n} float")
     for p in points:
-        x = p.coords + deform_scale * disp[order[p.id], :3]
+        x = deformed[order[p.id]]
         out.append(f"{_fmt(x[0])} {_fmt(x[1])} {_fmt(x[2])}")
     out.append(f"LINES {m} {3 * m}")
     for c in cells:

@@ -11,12 +11,12 @@ for slender members).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import StructuralModel
+from .solver import cell_properties
 
 ELASTIC_LIMIT = 1.0
 
@@ -29,12 +29,18 @@ class StressState:
     J2: float  # MPa^2
 
 
+def _stresses(end_forces, props):
+    """(sigma, tau, sigma_eq) for end-force rows (..., 6) as (N, Vy, Vz, T, My, Mz);
+    section values in ``props`` broadcast against the leading axes."""
+    f = np.abs(np.asarray(end_forces, dtype=float))
+    sigma = f[..., 0] / props.A + f[..., 4] / props.Wy + f[..., 5] / props.Wz
+    tau = f[..., 3] / props.Wt
+    return sigma, tau, np.sqrt(sigma**2 + 3.0 * tau**2)
+
+
 def stress_state(end_force_row, props) -> StressState:
     """Stress measures for one element end (N, Vy, Vz, T, My, Mz)."""
-    N, _, _, T, My, Mz = (float(v) for v in end_force_row)
-    sigma = abs(N) / props.A + abs(My) / props.Wy + abs(Mz) / props.Wz
-    tau = abs(T) / props.Wt
-    sigma_eq = math.sqrt(sigma**2 + 3.0 * tau**2)
+    sigma, tau, sigma_eq = (float(v) for v in _stresses(end_force_row, props))
     return StressState(sigma_axial=sigma, tau=tau, sigma_eq=sigma_eq, J2=sigma_eq**2 / 3.0)
 
 
@@ -43,7 +49,7 @@ def resistance_ratio(end_forces, props, mat) -> float:
     if mat.Ry <= 0:
         raise ValueError("material yield stress must be positive")
     ef = np.asarray(end_forces, dtype=float).reshape(2, 6)
-    return max(stress_state(row, props).sigma_eq for row in ef) / mat.Ry
+    return float(np.max(_stresses(ef, props)[2])) / mat.Ry
 
 
 def classify(u_el: float, threshold: float = ELASTIC_LIMIT) -> str:
@@ -79,11 +85,10 @@ def build_result_set(
     m = len(model.cells)
     disp = np.asarray(displacements, dtype=float).reshape(n, 6)
     ef = np.asarray(end_forces, dtype=float).reshape(m, 2, 6)
-    u_el = np.zeros(m)
-    for i, cell in enumerate(model.cells):
-        props = model.cross_sections[cell.cs_id].properties
-        mat = model.materials[cell.mat_id]
-        u_el[i] = resistance_ratio(ef[i], props, mat)
+    props = cell_properties(model)
+    if np.any(props.Ry <= 0):
+        raise ValueError("material yield stress must be positive")
+    u_el = np.max(_stresses(ef.transpose(1, 0, 2), props)[2], axis=0) / props.Ry
     exceeded = u_el > ELASTIC_LIMIT
     if n:
         total = np.linalg.norm(disp[:, :3], axis=1)

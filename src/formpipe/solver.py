@@ -5,6 +5,12 @@ and torsion interpolation, no shear deformation) and axial-only trusses.
 Nodal DOFs are ordered (ux, uy, uz, rx, ry, rz); element vectors stack end A
 then end B.
 
+One array kernel computes every element quantity for all cells at once: end
+point indices, local triads (m, 3, 3), local stiffness (m, 12, 12),
+self-weight fixed-end loads and the section and material values, each
+catalog entry evaluated once.  Assembly, force recovery and the resistance
+ratio read these arrays; rotations act as batched 3x3 block products.
+
 Local axes: x runs along the element.  By default local z is the global Z
 projected perpendicular to the element axis; members within 1e-6 of vertical
 fall back to global X as reference.  Rectangle sections may override the rule
@@ -12,16 +18,24 @@ through their reference direction, which then pins the named local axis.
 
 Self-weight enters as a uniform line load rho*g*A with consistent equivalent
 nodal forces; the fixed-end actions are subtracted again during force
-recovery.  Rigid links are eliminated ahead of assembly by expressing slave
-DOFs in terms of their master (the transformation keeps the matrix symmetric
-positive definite), and rotational DOFs of points connected only to trusses
-are suppressed automatically.
+recovery.
+
+Supports, the rotations of points reached only by trusses, and rigid links
+(u_s = u_m + theta_m x r) form one sparse transformation T from the 6n nodal
+slots onto [free; fixed] DOFs.  T^T K_6n T holds the reduced stiffness and
+the reaction rows, and T^T F_6n the two load vectors.  This is master-slave
+elimination (Felippa, Introduction to FEM, MultiFreedom Constraints; Cook et
+al., Concepts and Applications of FEA, section 9); it keeps K symmetric
+positive definite, and K stores no exact zeros.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import cached_property
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,6 +84,12 @@ class SolveStats:
     relative_residual: float
     wall_time: float
 
+    def __post_init__(self):
+        # plain Python numbers, so reports read 1e-10 rather than np.float64(1e-10)
+        self.iterations = int(self.iterations)
+        self.relative_residual = float(self.relative_residual)
+        self.wall_time = float(self.wall_time)
+
 
 @dataclass
 class DofMap:
@@ -84,51 +104,37 @@ class DofMap:
     links: dict  # slave point id -> (master point id, r vector)
     labels: list  # equation index -> (point id, dof name)
 
-    def expansion(self, pi: int, comp: int):
-        """Rows of the constraint transformation for slot (point, comp).
+    @cached_property
+    def transformation(self) -> sp.csr_matrix:
+        """Sparse T, (6n, n_eq + n_fixed), with u_6n = T [u_free; u_fixed].
 
-        Returns [(eq_or_fixed_row, coeff, is_fixed)].  Free and fixed slots
-        map to themselves; slave slots map onto their master's slots via
-        u_s = u_m + theta_m x r.
+        Free and fixed slots map onto their own column; slave slots onto
+        their master's via u_s = u_m + theta_m x r, theta_s = theta_m;
+        inactive slots are empty rows.
         """
-        s = self.state[pi, comp]
-        if s >= 0:
-            return [(int(s), 1.0, False)]
-        if s == _FIXED:
-            return [(int(self.fixed_slot[pi, comp]), 1.0, True)]
-        if s == _INACTIVE:
-            return []
-        pid = self.point_ids[pi]
-        master_pid, r = self.links[pid]
-        mi = self.index_of[master_pid]
-        terms = []
-        if comp < 3:
-            terms.append((mi, comp, 1.0))
-            # (theta x r) component: rotation couplings
-            if comp == 0:
-                terms += [(mi, 4, r[2]), (mi, 5, -r[1])]
-            elif comp == 1:
-                terms += [(mi, 3, -r[2]), (mi, 5, r[0])]
-            else:
-                terms += [(mi, 3, r[1]), (mi, 4, -r[0])]
-        else:
-            terms.append((mi, comp, 1.0))
-        out = []
-        for mpi, mcomp, coeff in terms:
-            if coeff == 0.0:
-                continue
-            ms = self.state[mpi, mcomp]
-            if ms >= 0:
-                out.append((int(ms), coeff, False))
-            elif ms == _FIXED:
-                out.append((int(self.fixed_slot[mpi, mcomp]), coeff, True))
-            elif ms == _INACTIVE:
-                raise SolverError(
-                    f"rigid link master {master_pid} has inactive rotations"
-                )
-            else:
+        n = len(self.point_ids)
+        column = np.where(self.state >= 0, self.state, self.n_eq + self.fixed_slot)
+        column[np.isin(self.state, (_SLAVE, _INACTIVE))] = -1
+        column = column.ravel()
+        own = np.flatnonzero(column >= 0)
+        rows, cols, vals = [own], [column[own]], [np.ones(len(own))]
+        for slave_pid, (master_pid, r) in self.links.items():
+            coupling = np.eye(6)
+            coupling[:3, 3:] = [[0.0, r[2], -r[1]], [-r[2], 0.0, r[0]], [r[1], -r[0], 0.0]]
+            s_comp, m_comp = np.nonzero(coupling)
+            master = self.index_of[master_pid]
+            master_state = self.state[master, m_comp]
+            if np.any(master_state == _SLAVE):
                 raise SolverError(f"rigid link master {master_pid} is itself a slave")
-        return out
+            if np.any(master_state == _INACTIVE):
+                raise SolverError(f"rigid link master {master_pid} has inactive rotations")
+            rows.append(6 * self.index_of[slave_pid] + s_comp)
+            cols.append(column[6 * master + m_comp])
+            vals.append(coupling[s_comp, m_comp])
+        return sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(6 * n, self.n_eq + self.n_fixed),
+        )
 
 
 @dataclass
@@ -150,35 +156,38 @@ class LinearSystem:
     applied_loads: np.ndarray  # (n_points, 6)
 
 
-def element_triad(xa, xb, ref_axis=None, ref_dir=None):
-    """Rows of the local axis triad [ex, ey, ez] for an element a->b."""
-    dx = np.asarray(xb, dtype=float) - np.asarray(xa, dtype=float)
-    L = float(np.linalg.norm(dx))
-    if L == 0.0:
-        raise SolverError("zero-length cell")
-    ex = dx / L
-    if ref_dir is None:
-        ref = np.array([0.0, 0.0, 1.0])
-        if np.linalg.norm(np.cross(ex, ref)) < _VERTICAL_TOL:
-            ref = np.array([1.0, 0.0, 0.0])
-        ref_axis = "z"
-    else:
-        ref = np.asarray(ref_dir, dtype=float)
-        norm = np.linalg.norm(ref)
-        if norm == 0.0:
-            raise SolverError("zero reference direction for element orientation")
-        ref = ref / norm
-    proj = ref - (ref @ ex) * ex
-    norm = np.linalg.norm(proj)
-    if norm < 1e-12:
-        raise SolverError("reference direction is parallel to the element axis")
-    if ref_axis == "y":
-        ey = proj / norm
-        ez = np.cross(ex, ey)
-    else:
-        ez = proj / norm
-        ey = np.cross(ez, ex)
-    return np.array([ex, ey, ez]), L
+class CellProperties(NamedTuple):
+    """Section and material values per cell, each an (m,) array."""
+
+    A: np.ndarray  # mm^2
+    Iy: np.ndarray  # mm^4
+    Iz: np.ndarray  # mm^4
+    J: np.ndarray  # mm^4
+    Wy: np.ndarray  # mm^3
+    Wz: np.ndarray  # mm^3
+    Wt: np.ndarray  # mm^3
+    E: np.ndarray  # MPa
+    G: np.ndarray  # MPa
+    density: np.ndarray  # kg/mm^3
+    Ry: np.ndarray  # MPa
+
+
+def _per_cell(ids, row, width):
+    """Evaluate ``row(catalog_id)`` once per distinct id, spread over the cells."""
+    uniq, inverse = np.unique(np.asarray(ids, dtype=np.int64), return_inverse=True)
+    table = np.array([row(i) for i in uniq.tolist()], dtype=float).reshape(len(uniq), width)
+    return table[inverse]
+
+
+def cell_properties(model: StructuralModel, cells=None) -> CellProperties:
+    """Section and material values of ``cells`` (default: all) as arrays."""
+    cells = model.cells if cells is None else cells
+    sections = _per_cell(
+        [c.cs_id for c in cells], lambda i: astuple(model.cross_sections[i].properties), 7
+    )
+    material = attrgetter("E", "G", "density", "Ry")
+    materials = _per_cell([c.mat_id for c in cells], lambda i: material(model.materials[i]), 4)
+    return CellProperties(*sections.T, *materials.T)
 
 
 def _axis_from_code(code: int) -> np.ndarray:
@@ -190,124 +199,172 @@ def _axis_from_code(code: int) -> np.ndarray:
     return e
 
 
-def _section_reference(model, shape, xa):
-    """Reference axis/direction from a rectangle's orientation spec."""
-    if not isinstance(shape, Rectangle) or shape.ref_axis is None:
-        return None, None
-    code = shape.ref_code
-    if code < 0:
-        return shape.ref_axis, _axis_from_code(code)
-    by_id = model.point_by_id()
-    if code not in by_id:
-        raise SolverError(f"section reference point {code} does not exist")
-    return shape.ref_axis, by_id[code].coords - xa
+def _section_references(model, cells, coords, index, xa):
+    """Per-cell reference directions pinned by rectangle orientation specs.
+
+    Returns (ref (m, 3), pinned (m,), pins_y (m,)); unpinned cells follow
+    the default axis rule.
+    """
+    m = len(cells)
+    ref = np.zeros((m, 3))
+    pinned = np.zeros(m, dtype=bool)
+    pins_y = np.zeros(m, dtype=bool)
+    cs_ids = np.array([c.cs_id for c in cells], dtype=np.int64)
+    for cs_id in np.unique(cs_ids).tolist():
+        shape = model.cross_sections[cs_id].shape
+        if not isinstance(shape, Rectangle) or shape.ref_axis is None:
+            continue
+        sel = cs_ids == cs_id
+        code = shape.ref_code
+        if code < 0:
+            ref[sel] = _axis_from_code(code)
+        elif code in index:
+            ref[sel] = coords[index[code]] - xa[sel]
+        else:
+            raise SolverError(f"section reference point {code} does not exist")
+        pinned[sel] = True
+        pins_y[sel] = shape.ref_axis == "y"
+    return ref, pinned, pins_y
 
 
-def _beam_local_stiffness(E, G, A, Iy, Iz, J, L):
-    k = np.zeros((12, 12))
+def _triads(dx, ref, pinned, pins_y):
+    """Local triads (m, 3, 3), rows [ex, ey, ez], and lengths of elements dx.
+
+    Unpinned elements follow the default axis rule; pinned ones project
+    ``ref`` onto local y where ``pins_y`` is set, else onto local z.
+    """
+    L = np.linalg.norm(dx, axis=1)
+    if np.any(L == 0.0):
+        raise SolverError("zero-length cell")
+    ex = dx / L[:, None]
+    vertical = np.linalg.norm(np.cross(ex, [0.0, 0.0, 1.0]), axis=1) < _VERTICAL_TOL
+    default = np.where(vertical[:, None], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    norm = np.linalg.norm(ref, axis=1)
+    if np.any(pinned & (norm == 0.0)):
+        raise SolverError("zero reference direction for element orientation")
+    ref = np.where(pinned[:, None], ref / np.where(pinned, norm, 1.0)[:, None], default)
+    proj = ref - np.einsum("ij,ij->i", ref, ex)[:, None] * ex
+    norm = np.linalg.norm(proj, axis=1)
+    if np.any(norm < 1e-12):
+        raise SolverError("reference direction is parallel to the element axis")
+    axis = proj / norm[:, None]
+    ey = np.where(pins_y[:, None], axis, np.cross(axis, ex))
+    ez = np.where(pins_y[:, None], np.cross(ex, axis), axis)
+    return np.stack([ex, ey, ez], axis=1), L
+
+
+def element_triad(xa, xb, ref_axis=None, ref_dir=None):
+    """Rows of the local axis triad [ex, ey, ez] for an element a->b."""
+    pinned = ref_dir is not None
+    ref = np.zeros(3) if ref_dir is None else np.asarray(ref_dir, dtype=float)
+    dx = np.asarray(xb, dtype=float) - np.asarray(xa, dtype=float)
+    R, L = _triads(dx[None], ref[None], np.array([pinned]), np.array([pinned and ref_axis == "y"]))
+    return R[0], float(L[0])
+
+
+def _local_stiffness(E, G, A, Iy, Iz, J, L):
+    """Local 12x12 stiffness of each element; trusses pass Iy = Iz = J = 0."""
+    k = np.zeros(np.shape(L) + (12, 12))
     ea = E * A / L
     gj = G * J / L
-    k[0, 0] = k[6, 6] = ea
-    k[0, 6] = k[6, 0] = -ea
-    k[3, 3] = k[9, 9] = gj
-    k[3, 9] = k[9, 3] = -gj
+    k[..., 0, 0] = k[..., 6, 6] = ea
+    k[..., 0, 6] = k[..., 6, 0] = -ea
+    k[..., 3, 3] = k[..., 9, 9] = gj
+    k[..., 3, 9] = k[..., 9, 3] = -gj
     # bending in the x-y plane (v along local y, rotation rz)
     a = 12.0 * E * Iz / L**3
     b = 6.0 * E * Iz / L**2
     c = 4.0 * E * Iz / L
     d = 2.0 * E * Iz / L
-    k[1, 1] = k[7, 7] = a
-    k[1, 7] = k[7, 1] = -a
-    k[1, 5] = k[5, 1] = k[1, 11] = k[11, 1] = b
-    k[5, 7] = k[7, 5] = k[7, 11] = k[11, 7] = -b
-    k[5, 5] = k[11, 11] = c
-    k[5, 11] = k[11, 5] = d
+    k[..., 1, 1] = k[..., 7, 7] = a
+    k[..., 1, 7] = k[..., 7, 1] = -a
+    k[..., 1, 5] = k[..., 5, 1] = k[..., 1, 11] = k[..., 11, 1] = b
+    k[..., 5, 7] = k[..., 7, 5] = k[..., 7, 11] = k[..., 11, 7] = -b
+    k[..., 5, 5] = k[..., 11, 11] = c
+    k[..., 5, 11] = k[..., 11, 5] = d
     # bending in the x-z plane (w along local z, rotation ry = -w')
     a = 12.0 * E * Iy / L**3
     b = 6.0 * E * Iy / L**2
     c = 4.0 * E * Iy / L
     d = 2.0 * E * Iy / L
-    k[2, 2] = k[8, 8] = a
-    k[2, 8] = k[8, 2] = -a
-    k[2, 4] = k[4, 2] = k[2, 10] = k[10, 2] = -b
-    k[4, 8] = k[8, 4] = k[8, 10] = k[10, 8] = b
-    k[4, 4] = k[10, 10] = c
-    k[4, 10] = k[10, 4] = d
+    k[..., 2, 2] = k[..., 8, 8] = a
+    k[..., 2, 8] = k[..., 8, 2] = -a
+    k[..., 2, 4] = k[..., 4, 2] = k[..., 2, 10] = k[..., 10, 2] = -b
+    k[..., 4, 8] = k[..., 8, 4] = k[..., 8, 10] = k[..., 10, 8] = b
+    k[..., 4, 4] = k[..., 10, 10] = c
+    k[..., 4, 10] = k[..., 10, 4] = d
     return k
-
-
-def _truss_local_stiffness(E, A, L):
-    k = np.zeros((12, 12))
-    ea = E * A / L
-    k[0, 0] = k[6, 6] = ea
-    k[0, 6] = k[6, 0] = -ea
-    return k
-
-
-def _expand_rotation(Tl):
-    R = np.zeros((12, 12))
-    for i in range(4):
-        R[3 * i : 3 * i + 3, 3 * i : 3 * i + 3] = Tl
-    return R
 
 
 @dataclass
-class _ElementData:
-    cell_id: int
-    pa: int  # point ids
-    pb: int
-    L: float
-    rotation: np.ndarray  # (12, 12)
-    k_local: np.ndarray
-    f_local: np.ndarray  # consistent equivalent nodal loads, local axes
+class _Elements:
+    """Element arrays over m cells, in cell order."""
+
+    ends: np.ndarray  # (m, 2) int32 point indices
+    R: np.ndarray  # (m, 3, 3) local triads, rows ex, ey, ez
+    k: np.ndarray  # (m, 12, 12) local stiffness
+    f: np.ndarray  # (m, 12) self-weight equivalent nodal loads, local axes
 
 
-def _element_system(model, cell, by_id) -> _ElementData:
-    pa, pb = cell.connectivity
-    xa = by_id[pa].coords
-    xb = by_id[pb].coords
-    cs = model.cross_sections[cell.cs_id]
-    mat = model.materials[cell.mat_id]
-    props = cs.properties
-    ref_axis, ref_dir = _section_reference(model, cs.shape, xa)
-    Tl, L = element_triad(xa, xb, ref_axis, ref_dir)
-    if cell.kind == TRUSS_LINE:
-        k_local = _truss_local_stiffness(mat.E, props.A, L)
-    else:
-        k_local = _beam_local_stiffness(mat.E, mat.G, props.A, props.Iy, props.Iz, props.J, L)
+def _elements(model: StructuralModel, cells=None) -> _Elements:
+    """Element arrays of ``cells`` (default: all) in one pass."""
+    cells = model.cells if cells is None else cells
+    coords = model.coords_array()
+    index = model.point_index()
+    ends = np.array(
+        [index[pid] for c in cells for pid in c.connectivity], dtype=np.int32
+    ).reshape(-1, 2)
+    beam = np.array([c.kind == BEAM_LINE for c in cells], dtype=bool)
+    props = cell_properties(model, cells)
+    xa = coords[ends[:, 0]]
+    R, L = _triads(coords[ends[:, 1]] - xa,
+                   *_section_references(model, cells, coords, index, xa))
+    bending = np.where(beam, 1.0, 0.0)
+    k = _local_stiffness(props.E, props.G, props.A, props.Iy * bending,
+                         props.Iz * bending, props.J * bending, L)
 
-    f_local = np.zeros(12)
-    if model.self_weight_enabled and mat.density > 0.0:
-        q_global = mat.density * props.A * model.gravity * KG_MM_S2_TO_N  # N/mm
-        qx, qy, qz = Tl @ q_global
+    f = np.zeros((len(cells), 12))
+    if model.self_weight_enabled:
+        w = np.where(props.density > 0.0, props.density * props.A, 0.0)
+        q_global = w[:, None] * model.gravity * KG_MM_S2_TO_N  # N/mm
+        qx, qy, qz = (R @ q_global[:, :, None])[:, :, 0].T
         half = L / 2.0
-        f_local[0] = f_local[6] = qx * half
-        f_local[1] = f_local[7] = qy * half
-        f_local[2] = f_local[8] = qz * half
-        if cell.kind == BEAM_LINE:
-            m = L**2 / 12.0
-            f_local[4] = -qz * m
-            f_local[10] = qz * m
-            f_local[5] = qy * m
-            f_local[11] = -qy * m
-    R = _expand_rotation(Tl)
-    return _ElementData(cell.id, pa, pb, L, R, k_local, f_local)
+        f[:, 0] = f[:, 6] = qx * half
+        f[:, 1] = f[:, 7] = qy * half
+        f[:, 2] = f[:, 8] = qz * half
+        moment = np.where(beam, L**2 / 12.0, 0.0)
+        f[:, 4] = -qz * moment
+        f[:, 10] = qz * moment
+        f[:, 5] = qy * moment
+        f[:, 11] = -qy * moment
+    return _Elements(ends=ends, R=R, k=k, f=f)
+
+
+def _global_stiffness(el: _Elements) -> np.ndarray:
+    """R^T k R for each element, (m, 12, 12), as batched 3x3 block products
+    over slices of 1024 elements, so the intermediate k R stays small."""
+    out = np.empty_like(el.k)
+    for s in range(0, len(out), 1024):
+        R = el.R[s : s + 1024]
+        n = len(R)
+        kR = el.k[s : s + n].reshape(n, 12, 4, 3) @ R[:, None]
+        np.matmul(R.transpose(0, 2, 1)[:, None], kR.reshape(n, 4, 3, 12),
+                  out=out[s : s + n].reshape(n, 4, 3, 12))
+    return out
 
 
 def beam_stiffness(model: StructuralModel, cell) -> np.ndarray:
     """Global 12x12 stiffness of a beam cell."""
     if cell.kind != BEAM_LINE:
         raise ValueError("beam_stiffness expects a beam-line cell")
-    ed = _element_system(model, cell, model.point_by_id())
-    return ed.rotation.T @ ed.k_local @ ed.rotation
+    return _global_stiffness(_elements(model, [cell]))[0]
 
 
 def truss_stiffness(model: StructuralModel, cell) -> np.ndarray:
     """Global 12x12 stiffness of a truss cell (rotational rows zero)."""
     if cell.kind != TRUSS_LINE:
         raise ValueError("truss_stiffness expects a truss-line cell")
-    ed = _element_system(model, cell, model.point_by_id())
-    return ed.rotation.T @ ed.k_local @ ed.rotation
+    return _global_stiffness(_elements(model, [cell]))[0]
 
 
 def build_dof_map(model: StructuralModel) -> DofMap:
@@ -332,31 +389,28 @@ def build_dof_map(model: StructuralModel) -> DofMap:
         if slave in {m for m, _ in links.values()}:
             raise SolverError(f"rigid link point {slave} is both master and slave")
 
+    slave = np.array([pid in links for pid in point_ids], dtype=bool)
+    mask = np.array([p.constraint_mask for p in model.points], dtype=bool).reshape(n, 6)
+    constrained_slaves = np.flatnonzero(slave & mask.any(axis=1))
+    if constrained_slaves.size:
+        raise SolverError(
+            f"rigid link slave {point_ids[constrained_slaves[0]]} may not carry "
+            "support constraints"
+        )
+    active = np.ones((n, 6), dtype=bool)
+    active[:, 3:] = np.array([pid in has_beam for pid in point_ids], dtype=bool)[:, None]
+    fixed = mask & ~slave[:, None]
+    free = active & ~mask & ~slave[:, None]
+    n_eq = int(free.sum())
+    n_fixed = int(fixed.sum())
+
     state = np.full((n, 6), _INACTIVE, dtype=np.int64)
+    state[slave] = _SLAVE
+    state[fixed] = _FIXED
+    state[free] = np.arange(n_eq)
     fixed_slot = np.full((n, 6), -1, dtype=np.int64)
-    labels = []
-    n_eq = 0
-    n_fixed = 0
-    for i, p in enumerate(model.points):
-        if p.id in links:
-            if np.any(p.constraint_mask):
-                raise SolverError(
-                    f"rigid link slave {p.id} may not carry support constraints"
-                )
-            state[i, :] = _SLAVE
-            continue
-        rot_active = p.id in has_beam
-        for comp in range(6):
-            if p.constraint_mask[comp]:
-                state[i, comp] = _FIXED
-                fixed_slot[i, comp] = n_fixed
-                n_fixed += 1
-            elif comp >= 3 and not rot_active:
-                state[i, comp] = _INACTIVE
-            else:
-                state[i, comp] = n_eq
-                labels.append((p.id, DOF_NAMES[comp]))
-                n_eq += 1
+    fixed_slot[fixed] = np.arange(n_fixed)
+    labels = [(point_ids[i], DOF_NAMES[comp]) for i, comp in np.argwhere(free).tolist()]
 
     return DofMap(
         point_ids=point_ids,
@@ -391,87 +445,44 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
             )
 
     dm = build_dof_map(model)
-    by_id = model.point_by_id()
-    n_points = len(model.points)
+    T = dm.transformation
+    n_slots = 6 * len(model.points)
 
-    expansions = {}
+    el = _elements(model)
+    m = len(el.ends)
+    dofs = (6 * el.ends[:, :, None] + np.arange(6, dtype=np.int32)).reshape(m, 12)
+    f_global = (el.f.reshape(m, 4, 3) @ el.R).reshape(m, 12)
+    k_global = _global_stiffness(el)
+    del el  # drop each (m, 12, 12) array once used: they dominate assembly memory
+    nonzero = k_global != 0.0
+    rows = np.broadcast_to(dofs[:, :, None], k_global.shape)[nonzero]
+    cols = np.broadcast_to(dofs[:, None, :], k_global.shape)[nonzero]
+    K_slots = sp.csr_matrix((k_global[nonzero], (rows, cols)), shape=(n_slots, n_slots))
+    del k_global, nonzero, rows, cols
 
-    def slot_terms(pid, comp):
-        key = (pid, comp)
-        if key not in expansions:
-            expansions[key] = dm.expansion(dm.index_of[pid], comp)
-        return expansions[key]
+    loads = np.zeros((len(model.points), 6))
+    for i, p in enumerate(model.points):
+        if p.bc_id != 0:
+            loads[i] = model.bcs[p.bc_id].components
+    bad = np.argwhere((loads != 0.0) & (dm.state == _INACTIVE))
+    if len(bad):
+        i, comp = bad[0]
+        raise SolverError(
+            f"moment load on rotation-free point {dm.point_ids[i]} ({DOF_NAMES[comp]})"
+        )
+    applied = np.bincount(dofs.ravel(), weights=f_global.ravel(), minlength=n_slots)
+    applied = applied.reshape(-1, 6) + loads
 
-    rows, cols, vals = [], [], []
-    r_rows, r_cols, r_vals = [], [], []
-    f = np.zeros(dm.n_eq)
-    f_react = np.zeros(dm.n_fixed)
-    applied = np.zeros((n_points, 6))
-
-    def scatter_load(pid, comp, value):
-        for idx, coeff, is_fixed in slot_terms(pid, comp):
-            if is_fixed:
-                f_react[idx] += coeff * value
-            else:
-                f[idx] += coeff * value
-
-    for cell in model.cells:
-        ed = _element_system(model, cell, by_id)
-        k_g = ed.rotation.T @ ed.k_local @ ed.rotation
-        f_g = ed.rotation.T @ ed.f_local
-        slots = [(ed.pa, c) for c in range(6)] + [(ed.pb, c) for c in range(6)]
-        terms = [slot_terms(pid, comp) for pid, comp in slots]
-        for i in range(12):
-            ti = terms[i]
-            if not ti:
-                continue
-            fi = f_g[i]
-            if fi != 0.0:
-                pid, comp = slots[i]
-                applied[dm.index_of[pid], comp] += fi
-                for idx, coeff, is_fixed in ti:
-                    if is_fixed:
-                        f_react[idx] += coeff * fi
-                    else:
-                        f[idx] += coeff * fi
-            for j in range(12):
-                kij = k_g[i, j]
-                if kij == 0.0:
-                    continue
-                for idx_i, ci, fixed_i in ti:
-                    for idx_j, cj, fixed_j in terms[j]:
-                        if fixed_j:
-                            continue  # prescribed values are zero
-                        v = ci * cj * kij
-                        if fixed_i:
-                            r_rows.append(idx_i)
-                            r_cols.append(idx_j)
-                            r_vals.append(v)
-                        else:
-                            rows.append(idx_i)
-                            cols.append(idx_j)
-                            vals.append(v)
-
-    for p in model.points:
-        if p.bc_id == 0:
-            continue
-        comps = model.bcs[p.bc_id].components
-        pi = dm.index_of[p.id]
-        for comp in range(6):
-            value = comps[comp]
-            if value == 0.0:
-                continue
-            if dm.state[pi, comp] == _INACTIVE:
-                raise SolverError(
-                    f"moment load on rotation-free point {p.id} ({DOF_NAMES[comp]})"
-                )
-            applied[pi, comp] += value
-            scatter_load(p.id, comp, value)
-
-    K = sp.coo_matrix((vals, (rows, cols)), shape=(dm.n_eq, dm.n_eq)).tocsr()
-    Kr = sp.coo_matrix((r_vals, (r_rows, r_cols)), shape=(dm.n_fixed, dm.n_eq)).tocsr()
+    # prescribed values are zero, so only the free columns of T enter
+    reduced = (T.T @ (K_slots @ T[:, : dm.n_eq])).tocsr()
+    rhs = T.T @ applied.ravel()
     system = LinearSystem(
-        K=K, f=f, reaction_matrix=Kr, reaction_rhs=f_react, dofmap=dm, applied_loads=applied
+        K=reduced[: dm.n_eq],
+        f=rhs[: dm.n_eq],
+        reaction_matrix=reduced[dm.n_eq :],
+        reaction_rhs=rhs[dm.n_eq :],
+        dofmap=dm,
+        applied_loads=applied,
     )
     return system, dm
 
@@ -669,22 +680,9 @@ def solve_system(system: LinearSystem, method: str = "direct", tol: float = 1e-1
 
 
 def expand_displacements(dm: DofMap, u: np.ndarray) -> np.ndarray:
-    """Per-point 6-DOF displacements from the reduced solution vector."""
-    n = len(dm.point_ids)
-    full = np.zeros((n, 6))
-    for i in range(n):
-        for comp in range(6):
-            s = dm.state[i, comp]
-            if s >= 0:
-                full[i, comp] = u[s]
-    for slave_pid, (master_pid, r) in dm.links.items():
-        si = dm.index_of[slave_pid]
-        mi = dm.index_of[master_pid]
-        um = full[mi]
-        theta = um[3:]
-        full[si, :3] = um[:3] + np.cross(theta, r)
-        full[si, 3:] = theta
-    return full
+    """Per-point 6-DOF displacements T [u; 0] from the reduced solution."""
+    full = np.concatenate([np.asarray(u, dtype=float), np.zeros(dm.n_fixed)])
+    return (dm.transformation @ full).reshape(len(dm.point_ids), 6)
 
 
 def reaction_forces(system: LinearSystem, u: np.ndarray) -> np.ndarray:
@@ -692,11 +690,8 @@ def reaction_forces(system: LinearSystem, u: np.ndarray) -> np.ndarray:
     dm = system.dofmap
     r = system.reaction_matrix @ u - system.reaction_rhs
     out = np.zeros((len(dm.point_ids), 6))
-    for i in range(len(dm.point_ids)):
-        for comp in range(6):
-            slot = dm.fixed_slot[i, comp]
-            if slot >= 0:
-                out[i, comp] = r[slot]
+    fixed = dm.fixed_slot >= 0
+    out[fixed] = r[dm.fixed_slot[fixed]]
     return out
 
 
@@ -706,14 +701,9 @@ def recover_end_forces(model: StructuralModel, displacements: np.ndarray) -> np.
     Computed as k_local u_local minus the self-weight fixed-end actions, so
     each element's end forces balance the load applied along it.
     """
-    by_id = model.point_by_id()
-    index = model.point_index()
+    el = _elements(model)
+    m = len(el.ends)
     disp = np.asarray(displacements, dtype=float)
-    out = np.zeros((len(model.cells), 2, 6))
-    for ci, cell in enumerate(model.cells):
-        ed = _element_system(model, cell, by_id)
-        u_g = np.concatenate([disp[index[ed.pa]], disp[index[ed.pb]]])
-        u_l = ed.rotation @ u_g
-        p = ed.k_local @ u_l - ed.f_local
-        out[ci] = p.reshape(2, 6)
-    return out
+    u_local = disp[el.ends].reshape(m, 4, 3) @ el.R.transpose(0, 2, 1)
+    p = (el.k @ u_local.reshape(m, 12, 1))[:, :, 0] - el.f
+    return p.reshape(m, 2, 6)

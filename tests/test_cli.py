@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import formpipe as fp
@@ -16,6 +18,17 @@ def parse_structured(text):
         key, _, value = line.partition(" ")
         records[key] = value
     return records
+
+
+def is_plain_value(value):
+    """An int, a float or a bare token such as ``pcg-ichol``."""
+    if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.\-]*", value):
+        return True
+    try:
+        float(value)
+    except ValueError:
+        return False
+    return True
 
 
 @pytest.fixture
@@ -231,3 +244,50 @@ class TestComposition:
         assert code == 0
         assert err == ""
         assert out
+
+
+class TestStructuredReport:
+    def test_every_value_parses(self, capsys, tmp_path):
+        occ = fp.arch_occupancy(12, 3, 6, thickness=3.0)
+        src = tmp_path / "lattice.vtp"
+        src.write_text(fp.write_model(fp.gen_sphere_lattice(
+            fp.LatticeSpec(occupancy=occ, splash_fraction=0.02, seed=3))))
+        cleaned = tmp_path / "clean.vtp"
+        code, out, _ = run(capsys, "clean", str(src), str(cleaned), "--format", "structured")
+        assert code == 0
+        reports = [out]
+        for solver in ("direct", "pcg"):
+            code, out, _ = run(capsys, "solve", str(cleaned), str(tmp_path / "r.vtk"),
+                               "--solver", solver, "--format", "structured")
+            assert code == 0
+            reports.append(out)
+        for report in reports:
+            for line in report.strip().splitlines():
+                key, value = line.split(" ")
+                assert is_plain_value(value), line
+
+
+class TestBadOptions:
+    def test_negative_merge_tol(self, capsys, tmp_path, cantilever_file):
+        dst = tmp_path / "never.vtp"
+        code, out, err = run(capsys, "clean", str(cantilever_file), str(dst), "--merge-tol", "-1")
+        assert code == 2
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "merge tolerance" in err
+        assert not dst.exists()
+
+    def test_pcg_tol_outside_unit_interval(self, capsys, tmp_path, cantilever_file):
+        dst = tmp_path / "never.vtk"
+        code, _, err = run(capsys, "solve", str(cantilever_file), str(dst),
+                           "--solver", "pcg", "--pcg-tol", "2")
+        assert code == 2
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert "PCG tolerance" in err
+        assert not dst.exists()
+
+    def test_zero_merge_tol_accepted(self, capsys, tmp_path, cantilever_file):
+        dst = tmp_path / "exact.vtp"
+        code, _, err = run(capsys, "clean", str(cantilever_file), str(dst), "--merge-tol", "0")
+        assert code == 0
+        assert err == ""
+        assert dst.read_text() == cantilever_file.read_text()

@@ -14,10 +14,13 @@ from formpipe.model import (
     GenericSection,
     Material,
     Point,
+    Rectangle,
+    RigidLink,
     StructuralModel,
 )
 from formpipe.solver import (
     ConvergenceError,
+    DofMap,
     MechanismError,
     SolverError,
     _IC0Breakdown,
@@ -25,6 +28,7 @@ from formpipe.solver import (
     _ichol0_with_shifts,
     assemble,
     beam_stiffness,
+    build_dof_map,
     expand_displacements,
     reaction_forces,
     recover_end_forces,
@@ -543,3 +547,153 @@ class TestRigidLinks:
         fp.make_rigid_link(model, master=1, slave=2)
         with pytest.raises(SolverError, match="slave"):
             assemble(model)
+
+
+def mixed_model():
+    """Beams and trusses with rotation-free truss points, a rigid link whose
+    master carries a fixed DOF, rectangles pinned by a global axis and by a
+    point id, nodal loads (one on the slave) and self-weight."""
+    model = StructuralModel()
+    coords = [(0, 0, 0), (0, 0, 1000), (1000, 0, 1000), (1000, 0, 1100),
+              (1500, 0, 0), (500, 500, 500), (1000, 800, 1100)]
+    model.points = [Point(id=10 * i, coords=xyz) for i, xyz in enumerate(coords)]
+    model.points[0].constraint_mask[:] = True
+    model.points[2].constraint_mask[1] = True  # link master: uy fixed
+    model.points[4].constraint_mask[:3] = True  # truss-only pin
+    model.cross_sections[1] = CrossSection(id=1, shape=Circle(diameter=30.0))
+    model.cross_sections[2] = CrossSection(
+        id=2, shape=Rectangle(width=40.0, height=90.0, ref_axis="y", ref_code=-1))
+    model.cross_sections[3] = CrossSection(
+        id=3, shape=Rectangle(width=30.0, height=60.0, ref_axis="z", ref_code=50))
+    model.materials[1] = Material(id=1, E=E_STEEL, nu=0.3, density=7850e-9)
+    model.materials[2] = Material(id=2, E=70e3, nu=0.33, density=2700e-9)
+    model.cells = [
+        Cell(id=0, connectivity=(0, 10), cs_id=2, mat_id=1),
+        Cell(id=1, connectivity=(10, 20), cs_id=3, mat_id=1),
+        Cell(id=2, connectivity=(30, 60), cs_id=1, mat_id=2),
+        Cell(id=3, connectivity=(30, 40), cs_id=1, mat_id=1, kind=TRUSS_LINE),
+        Cell(id=4, connectivity=(50, 0), cs_id=1, mat_id=2, kind=TRUSS_LINE),
+        Cell(id=5, connectivity=(50, 10), cs_id=1, mat_id=2, kind=TRUSS_LINE),
+        Cell(id=6, connectivity=(50, 40), cs_id=1, mat_id=1, kind=TRUSS_LINE),
+    ]
+    loads = {60: (100.0, -200.0, -300.0, 1e4, 0, 0), 50: (0, 0, -500.0, 0, 0, 0),
+             30: (50.0, 0, 0, 0, 0, 2e3)}
+    for bc_id, (pid, comps) in enumerate(loads.items(), start=1):
+        model.bcs[bc_id] = BoundaryConditionEntry(id=bc_id, components=comps)
+        model.points[pid // 10].bc_id = bc_id
+    fp.make_rigid_link(model, master=20, slave=30)
+    return model
+
+
+def dense_reference(model, dm):
+    """Element matrices scattered into 6n slots, textbook self-weight loads and
+    an explicit master-slave matrix C, with u_6n = C [u_free; u_fixed]."""
+    n = len(model.points)
+    index = model.point_index()
+    coords = model.coords_array()
+    K6 = np.zeros((6 * n, 6 * n))
+    F6 = np.zeros(6 * n)
+    for cell in model.cells:
+        k = (truss_stiffness if cell.kind == TRUSS_LINE else beam_stiffness)(model, cell)
+        a, b = (index[pid] for pid in cell.connectivity)
+        dofs = [6 * a + c for c in range(6)] + [6 * b + c for c in range(6)]
+        K6[np.ix_(dofs, dofs)] += k
+        # uniform load q: q L / 2 per end, plus fixed-end moments +-L^2/12 ex x q
+        props = model.cross_sections[cell.cs_id].properties
+        q = model.materials[cell.mat_id].density * props.A * model.gravity * 1e-3
+        dx = coords[b] - coords[a]
+        L = np.linalg.norm(dx)
+        F6[6 * a:6 * a + 3] += q * L / 2.0
+        F6[6 * b:6 * b + 3] += q * L / 2.0
+        if cell.kind != TRUSS_LINE:
+            moment = L**2 / 12.0 * np.cross(dx / L, q)
+            F6[6 * a + 3:6 * a + 6] += moment
+            F6[6 * b + 3:6 * b + 6] -= moment
+    for i, p in enumerate(model.points):
+        if p.bc_id:
+            F6[6 * i:6 * i + 6] += model.bcs[p.bc_id].components
+
+    slaves = {link.slave: link.master for link in model.rigid_links}
+    C = np.zeros((6 * n, dm.n_eq + dm.n_fixed))
+
+    def column(i, comp):
+        s = dm.state[i, comp]
+        return s if s >= 0 else dm.n_eq + dm.fixed_slot[i, comp]
+
+    for i, p in enumerate(model.points):
+        if p.id in slaves:
+            mi = index[slaves[p.id]]
+            r = coords[i] - coords[mi]
+            arm = np.cross(np.eye(3), r).T  # column j: e_j x r
+            for comp in range(6):
+                C[6 * i + comp, column(mi, comp)] = 1.0
+                if comp < 3:
+                    for j in range(3):
+                        C[6 * i + comp, column(mi, 3 + j)] += arm[comp, j]
+        else:
+            for comp in range(6):
+                if p.constraint_mask[comp] or dm.state[i, comp] >= 0:
+                    C[6 * i + comp, column(i, comp)] = 1.0
+    return C.T @ K6 @ C, C.T @ F6, F6.reshape(n, 6)
+
+
+class TestAssemblyReference:
+    def test_mixed_model_matches_dense_reference(self):
+        model = mixed_model()
+        system, dm = assemble(model)
+        # rotations exist exactly at beam ends and linked points
+        inactive = {dm.point_ids[i] for i in np.nonzero((dm.state == -3).any(axis=1))[0]}
+        assert inactive == {40, 50}
+        assert dm.n_fixed == 10 and dm.n_eq == 42 - 10 - 6 - 6  # slots - fixed - slave - inactive
+        full, rhs, applied = dense_reference(model, dm)
+        ne = dm.n_eq
+        scale = np.abs(full).max()
+        for got, want in ((system.K, full[:ne, :ne]), (system.reaction_matrix, full[ne:, :ne])):
+            assert np.abs(got.toarray() - want).max() <= 1e-12 * scale
+        fscale = np.abs(rhs).max()
+        assert np.abs(system.f - rhs[:ne]).max() <= 1e-12 * fscale
+        assert np.abs(system.reaction_rhs - rhs[ne:]).max() <= 1e-12 * fscale
+        assert np.abs(system.applied_loads - applied).max() <= 1e-12 * fscale
+
+    def test_pinned_rectangles_orient_their_axes(self):
+        # translational block of R^T k R has eigenpairs (12 E I / L^3, axis)
+        model = mixed_model()
+        s = 1.0 / math.sqrt(2.0)
+        for cell, ey, ez in ((model.cells[0], (1, 0, 0), (0, 1, 0)),
+                             (model.cells[1], (0, -s, -s), (0, s, -s))):
+            props = model.cross_sections[cell.cs_id].properties
+            block = beam_stiffness(model, cell)[:3, :3]
+            bend = 12.0 * E_STEEL / 1000.0**3
+            assert np.allclose(block @ ey, bend * props.Iz * np.array(ey), rtol=1e-12)
+            assert np.allclose(block @ ez, bend * props.Iy * np.array(ez), rtol=1e-12)
+
+    def test_moment_on_rotation_free_point_refused(self):
+        model = mixed_model()
+        model.bcs[2].components = np.array([0, 0, -500.0, 0, 0, 1.0])
+        with pytest.raises(SolverError, match=r"rotation-free point 50 \(rz\)"):
+            assemble(model)
+
+    def test_chained_link_refused(self):
+        model = mixed_model()
+        model.rigid_links.append(RigidLink(master=30, slave=60))
+        with pytest.raises(SolverError, match="both master and slave"):
+            build_dof_map(model)
+
+    def test_link_master_slots_checked(self):
+        r = np.array([0.0, 0.0, 100.0])
+        slave_master = DofMap(
+            point_ids=[0, 1, 2], index_of={0: 0, 1: 1, 2: 2},
+            state=np.array([[0, 1, 2, 3, 4, 5], [-2] * 6, [-2] * 6]),
+            fixed_slot=np.full((3, 6), -1), n_eq=6, n_fixed=0,
+            links={1: (0, r), 2: (1, r)}, labels=[],
+        )
+        with pytest.raises(SolverError, match="master 1 is itself a slave"):
+            slave_master.transformation
+        no_rotations = DofMap(
+            point_ids=[0, 1], index_of={0: 0, 1: 1},
+            state=np.array([[0, 1, 2, -3, -3, -3], [-2] * 6]),
+            fixed_slot=np.full((2, 6), -1), n_eq=3, n_fixed=0,
+            links={1: (0, r)}, labels=[],
+        )
+        with pytest.raises(SolverError, match="master 0 has inactive rotations"):
+            no_rotations.transformation
