@@ -235,6 +235,11 @@ def _solve_records(results, stats, config):
         ("solver_iterations", stats.iterations),
         ("solver_relative_residual", repr(stats.relative_residual)),
         ("solver_wall_time_s", repr(stats.wall_time)),
+        ("solver_true_residual", repr(stats.true_residual)),
+        ("solver_ordering", stats.ordering),
+        ("solver_ic_shift", repr(stats.ic_shift)),
+        ("solver_factor_nnz", stats.factor_nnz),
+        ("solver_factor_time_s", repr(stats.factor_time)),
         ("self_weight", int(config.self_weight)),
         ("max_u_el", repr(summary.max_u_el)),
         ("max_total_displacement_mm", repr(summary.max_total_displacement)),
@@ -273,6 +278,9 @@ def cmd_solve(args) -> int:
         lines = [
             f"solved with {stats.method}: {stats.iterations} iteration(s), "
             f"residual {stats.relative_residual:.3e}, {stats.wall_time:.3f} s",
+            f"true residual |Ku-f|/|f| = {stats.true_residual:.3e}",
+            f"factor: {stats.factor_nnz} entries, {stats.ordering} ordering, "
+            f"IC(0) shift {stats.ic_shift:g}, {stats.factor_time:.3f} s",
             f"max resistance ratio u_el = {summary.max_u_el:.6g}",
             f"max total displacement = {summary.max_total_displacement:.6g} mm",
             f"elements above the elastic limit: {summary.exceeded_count} of {summary.cell_count}",

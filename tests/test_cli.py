@@ -158,6 +158,14 @@ class TestSolve:
         assert float(rec_p["max_u_el"]) == pytest.approx(float(rec_d["max_u_el"]), rel=1e-6)
         assert rec_p["solver_method"] == "pcg-ichol"
 
+    def test_text_report_shows_solver_diagnostics(self, capsys, tmp_path, cantilever_file):
+        for solver, ordering in (("direct", "MMD_AT_PLUS_A"), ("pcg", "NATURAL")):
+            code, out, _ = run(capsys, "solve", str(cantilever_file),
+                               str(tmp_path / "r.vtk"), "--solver", solver)
+            assert code == 0
+            assert "true residual |Ku-f|/|f| = " in out
+            assert f"{ordering} ordering, IC(0) shift " in out
+
     def test_mechanism_exit_code_and_no_partial_output(self, capsys, tmp_path):
         model = fp.StructuralModel(self_weight_enabled=False)
         model.points = [
@@ -265,6 +273,13 @@ class TestStructuredReport:
             for line in report.strip().splitlines():
                 key, value = line.split(" ")
                 assert is_plain_value(value), line
+        for report, ordering in zip(reports[1:], ("MMD_AT_PLUS_A", "NATURAL")):
+            records = parse_structured(report)
+            assert records["solver_ordering"] == ordering
+            assert float(records["solver_true_residual"]) <= 1e-6
+            assert float(records["solver_ic_shift"]) >= 0.0
+            assert int(records["solver_factor_nnz"]) > 0
+            assert float(records["solver_factor_time_s"]) > 0.0
 
 
 class TestBadOptions:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import formpipe as fp
 from formpipe.model import (
@@ -24,6 +25,7 @@ from formpipe.solver import (
     MechanismError,
     SolverError,
     _IC0Breakdown,
+    _ic0_factor,
     _ichol0,
     _ichol0_with_shifts,
     assemble,
@@ -56,6 +58,18 @@ def bar_model(kind=TRUSS_LINE, length=1000.0, force=(1000.0, 0.0, 0.0)):
     model.materials[1] = Material(id=1, E=E_STEEL, nu=0.2, density=7850e-9)
     model.bcs[1] = BoundaryConditionEntry(id=1, components=tuple(force) + (0.0, 0.0, 0.0))
     model.points[1].bc_id = 1
+    return model
+
+
+@pytest.fixture(scope="module")
+def arch_50x5x24():
+    """The cleaned 50x5x24 arch lattice (seed 0), 6,840 equations."""
+    occ = fp.arch_occupancy(50, 5, 24, thickness=3.5)
+    model = fp.gen_sphere_lattice(fp.LatticeSpec(occupancy=occ, splash_fraction=0.01, seed=0))
+    model, _ = fp.merge_duplicate_nodes(model, tol=1e-6)
+    model, _ = fp.remove_degenerate_cells(model, tol=1e-6)
+    model, _ = fp.remove_detached_components(model)
+    model, _ = fp.prune_dead_arms(model, max_degree=2)
     return model
 
 
@@ -269,6 +283,19 @@ class TestDirectSolver:
         first, second = run(), run()
         assert np.array_equal(first, second)
 
+    def test_symmetric_minimum_degree_beats_colamd_fill(self, arch_50x5x24):
+        system, _ = assemble(arch_50x5x24)
+        assert system.K.shape[0] == 6840
+        K = system.K.tocsc()
+        _, stats = solve_direct(system)
+        assert stats.ordering == "MMD_AT_PLUS_A"
+        assert stats.factor_nnz < spla.splu(K).nnz  # default: COLAMD, partial pivoting
+        first_pass = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                               options={"SymmetricMode": True}).solve(system.f)
+        residual = np.linalg.norm(K @ first_pass - system.f) / np.linalg.norm(system.f)
+        assert residual <= 1e-10
+        assert stats.true_residual == stats.relative_residual <= 1e-10
+
     def test_mechanism_names_offending_dof(self):
         # two collinear trusses: the middle node can translate transversely
         model = StructuralModel(self_weight_enabled=False)
@@ -292,6 +319,27 @@ class TestDirectSolver:
             solve_direct(system)
         assert err.value.point_id == 1
         assert err.value.dof in ("uy", "uz")
+
+
+class TestMechanismLocation:
+    @pytest.mark.parametrize("offset", [(0.0, 0.0, 500.0), (300.0, 200.0, 400.0)])
+    @pytest.mark.parametrize("method", ["direct", "pcg"])
+    def test_mechanism_located_above_dense_cap(self, arch_50x5x24, offset, method):
+        # one dangling truss on a model far above the 1,500-equation dense diagnosis
+        model = arch_50x5x24.copy()
+        top = max(model.points, key=lambda p: p.coords[2])
+        tip = max(p.id for p in model.points) + 1
+        model.points.append(Point(id=tip, coords=tuple(np.asarray(top.coords) + offset)))
+        cell = model.cells[0]
+        model.cells.append(Cell(id=max(c.id for c in model.cells) + 1,
+                                connectivity=(top.id, tip), cs_id=cell.cs_id,
+                                mat_id=cell.mat_id, kind=TRUSS_LINE))
+        system, _ = assemble(model)
+        assert system.K.shape[0] > 1500
+        with pytest.raises(MechanismError, match="mechanism") as err:
+            solve_direct(system) if method == "direct" else solve_pcg_ichol(system)
+        assert err.value.point_id == tip
+        assert err.value.dof in ("ux", "uy", "uz")
 
 
 class TestPcgSolver:
@@ -342,6 +390,43 @@ class TestPcgSolver:
         system, _ = assemble(model)
         with pytest.raises(ConvergenceError):
             solve_pcg_ichol(system, tol=1e-14, max_iter=1)
+
+    def test_repeated_runs_are_bit_identical(self):
+        system, _ = assemble(fp.gen_sphere_lattice(fp.LatticeSpec(nx=4, ny=3, nz=3)))
+        first, _ = solve_pcg_ichol(system)
+        second, _ = solve_pcg_ichol(system)
+        assert np.array_equal(first, second)
+
+    def test_reports_true_residual_and_factor(self):
+        system, _ = assemble(fp.gen_leonardo())
+        u, stats = solve_pcg_ichol(system, tol=1e-10)
+        true = np.linalg.norm(system.K @ u - system.f) / np.linalg.norm(system.f)
+        assert stats.true_residual == pytest.approx(true, rel=1e-12)
+        assert stats.ordering == "NATURAL"
+        assert stats.factor_nnz >= system.K.shape[0]
+        assert 0.0 < stats.factor_time <= stats.wall_time
+        _, shift = _ichol0_with_shifts(system.K.tocsc())
+        assert stats.ic_shift == shift
+
+    @pytest.mark.parametrize("case", ["lattice", "shifted-kershaw"])
+    def test_superlu_apply_equals_dense_solve(self, case):
+        if case == "lattice":
+            K = assemble(fp.gen_sphere_lattice(fp.LatticeSpec(nx=4, ny=3, nz=3)))[0].K
+        else:
+            kershaw = np.array(
+                [[3.0, -2, 0, 2], [-2, 3, -2, 0], [0, -2, 3, -2], [2, 0, -2, 3]]
+            )
+            K = sp.csc_matrix(kershaw + 0.45 * np.eye(4))
+        K = K.tocsc()
+        lu, shift = _ic0_factor(K)
+        L, expected_shift = _ichol0_with_shifts(K)
+        assert shift == expected_shift
+        assert (shift > 0) == (case == "shifted-kershaw")
+        r = np.random.default_rng(1).standard_normal(K.shape[0])
+        z = lu.solve(lu.solve(r), trans="T")
+        L = L.toarray()
+        dense = np.linalg.solve(L @ L.T, r)
+        assert np.linalg.norm(z - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_ic0_equals_cholesky_on_full_pattern(self):
         rng = np.random.default_rng(0)

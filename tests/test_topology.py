@@ -105,11 +105,12 @@ def merge_oracle(coords, tol):
         return i
 
     for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(coords[i] - coords[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+        # all pairs still, one row of distances at a time
+        near = np.flatnonzero(np.linalg.norm(coords[i + 1 :] - coords[i], axis=1) <= tol)
+        for j in (near + i + 1).tolist():
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[rj] = ri
     clusters = {}
     for i in range(n):
         clusters.setdefault(find(i), []).append(i)
