@@ -26,9 +26,7 @@ from .model import (
 from .exchange import ExchangeFormatError, parse_model, write_model, write_results_vtk
 from .topology import (
     RepairReport,
-    Topology,
     TopologyError,
-    build_topology,
     check_support_reachability,
     make_rigid_link,
     merge_duplicate_nodes,

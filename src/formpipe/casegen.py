@@ -25,9 +25,15 @@ from .model import (
     Rectangle,
     StructuralModel,
 )
+from .topology import _component_labels
 
 STEEL = dict(E=210.0e3, nu=0.2, tAlpha=1.2e-5, density=7850.0e-9, Ry=300.0)
 TIMBER = dict(E=11.0e3, nu=0.3, tAlpha=5.0e-6, density=500.0e-9, Ry=24.0)
+
+
+def _require_finite(*values):
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("spec values must be finite")
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,7 @@ class CantileverSpec:
     n_elements: int = 1
 
     def __post_init__(self):
+        _require_finite(self.length, self.diameter, self.tip_force)
         if self.length <= 0 or self.diameter <= 0 or self.n_elements < 1:
             raise ValueError("cantilever spec values must be positive")
 
@@ -91,6 +98,9 @@ class LeonardoSpec:
             raise ValueError("the arch needs at least 3 segments")
         if self.variant not in ("open", "closed", "closed_mobile"):
             raise ValueError(f"unknown variant {self.variant!r}")
+        _require_finite(self.span, self.height, self.beam_width, self.beam_height,
+                        self.roof_dead_load, self.snow_load,
+                        0.0 if self.row_offset is None else self.row_offset)
         if min(self.span, self.height, self.beam_width, self.beam_height) <= 0:
             raise ValueError("arch dimensions must be positive")
 
@@ -191,6 +201,8 @@ class LatticeSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self.ball_diameter, self.E, self.nu, self.A, self.I, self.J,
+                        self.Ry, self.density)
         if not (0.0 <= self.splash_fraction <= 0.1):
             raise ValueError("splash_fraction must lie in [0, 0.1]")
         if self.ball_diameter <= 0:
@@ -223,24 +235,23 @@ def _neighbors(voxel):
 
 
 def _largest_component(voxels: set) -> set:
-    best = set()
-    seen = set()
-    for start in sorted(voxels):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for nb in _neighbors(v):
-                if nb in voxels and nb not in seen:
-                    seen.add(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-        if len(comp) > len(best):
-            best = comp
-    return best
+    """The face-connected component with the most voxels; ties go to the
+    component holding the smallest voxel."""
+    if not voxels:
+        return set()
+    order = np.array(sorted(voxels))
+    # linear keys in a box one voxel larger than the set, so that no face
+    # step wraps onto another row and key order is the sorted voxel order
+    dims = order.max(axis=0) - order.min(axis=0) + 2
+    keys = np.ravel_multi_index((order - order.min(axis=0)).T, dims)
+    edges = []
+    for stride in (dims[1] * dims[2], dims[2], 1):
+        nb = np.searchsorted(keys, keys + stride)
+        hit = keys[np.minimum(nb, len(keys) - 1)] == keys + stride
+        edges.append(np.stack([np.flatnonzero(hit), nb[hit]], axis=1))
+    count, labels = _component_labels(len(keys), np.concatenate(edges))
+    best = np.argmax(np.bincount(labels, minlength=count))
+    return set(map(tuple, order[labels == best].tolist()))
 
 
 def _peel_stable_body(voxels: set, k_base: int, max_degree: int = 2) -> set:

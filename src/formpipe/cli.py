@@ -27,7 +27,7 @@ from .casegen import (
 )
 from .exchange import ExchangeFormatError, parse_model, write_model, write_results_vtk
 from .model import StructuralModel, validate
-from .resistance import build_result_set, summarize
+from .resistance import build_result_set, equilibrium_residual, summarize
 from .solver import (
     SolverError,
     assemble,
@@ -228,7 +228,7 @@ def cmd_clean(args) -> int:
     return EXIT_OK
 
 
-def _solve_records(results, stats, config):
+def _solve_records(results, stats, config, equilibrium):
     summary = summarize(results)
     return [
         ("solver_method", stats.method),
@@ -236,6 +236,7 @@ def _solve_records(results, stats, config):
         ("solver_relative_residual", repr(stats.relative_residual)),
         ("solver_wall_time_s", repr(stats.wall_time)),
         ("solver_true_residual", repr(stats.true_residual)),
+        ("solver_equilibrium_residual", repr(equilibrium)),
         ("solver_ordering", stats.ordering),
         ("solver_ic_shift", repr(stats.ic_shift)),
         ("solver_factor_nnz", stats.factor_nnz),
@@ -271,14 +272,16 @@ def cmd_solve(args) -> int:
         return EXIT_DEFECTS
     atomic_write(args.output, write_results_vtk(model, results, config.deform_scale))
 
+    equilibrium = equilibrium_residual(model, results)
     if config.report_format == "structured":
-        lines = _structured(_solve_records(results, stats, config))
+        lines = _structured(_solve_records(results, stats, config, equilibrium))
     else:
         summary = summarize(results)
         lines = [
             f"solved with {stats.method}: {stats.iterations} iteration(s), "
             f"residual {stats.relative_residual:.3e}, {stats.wall_time:.3f} s",
             f"true residual |Ku-f|/|f| = {stats.true_residual:.3e}",
+            f"equilibrium residual (reactions + loads) = {equilibrium:.3e}",
             f"factor: {stats.factor_nnz} entries, {stats.ordering} ordering, "
             f"IC(0) shift {stats.ic_shift:g}, {stats.factor_time:.3f} s",
             f"max resistance ratio u_el = {summary.max_u_el:.6g}",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -166,12 +166,12 @@ def section_properties(cs) -> SectionProperties:
     """Derive area, second moments, torsion constant and section moduli.
 
     Accepts a CrossSection or a bare shape.  Raises ValueError for
-    non-positive dimensions.
+    dimensions that are not positive (NaN included).
     """
     shape = cs.shape if isinstance(cs, CrossSection) else cs
     if isinstance(shape, Circle):
         d = shape.diameter
-        if d <= 0:
+        if not d > 0:
             raise ValueError("circle diameter must be positive")
         A = math.pi * d**2 / 4.0
         I = math.pi * d**4 / 64.0
@@ -181,7 +181,7 @@ def section_properties(cs) -> SectionProperties:
         return SectionProperties(A=A, Iy=I, Iz=I, J=J, Wy=W, Wz=W, Wt=Wt)
     if isinstance(shape, Rectangle):
         b, h = shape.width, shape.height
-        if b <= 0 or h <= 0:
+        if not (b > 0 and h > 0):
             raise ValueError("rectangle dimensions must be positive")
         A = b * h
         Iz = b * h**3 / 12.0
@@ -192,7 +192,7 @@ def section_properties(cs) -> SectionProperties:
         return SectionProperties(A=A, Iy=Iy, Iz=Iz, J=J, Wy=Wy, Wz=Wz, Wt=Wt)
     if isinstance(shape, GenericSection):
         vals = (shape.A, shape.Iy, shape.Iz, shape.J, shape.Wy, shape.Wz, shape.Wt)
-        if any(v <= 0 for v in vals):
+        if not all(v > 0 for v in vals):
             raise ValueError("generic section properties must be positive")
         return SectionProperties(*vals)
     raise TypeError(f"unsupported section shape {type(shape).__name__}")
@@ -306,9 +306,11 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     """Consistency check; reports findings without mutating the model.
 
     Blocking defects (``ok=False``): dangling id references, non-finite
-    values, duplicate ids and conflicting rigid links.  Degenerate cells,
-    never-referenced catalog entries and points referenced by no cell are
-    warnings only.
+    values, catalog values a solve cannot use (section dimensions or
+    properties that are not positive and finite, E or Ry not positive and
+    finite, nu or density not finite), duplicate ids and conflicting rigid
+    links.  Degenerate cells, never-referenced catalog entries and points
+    referenced by no cell are warnings only.
     """
     defects = []
     warnings = []
@@ -366,6 +368,20 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
                 )
             else:
                 used_bc.add(p.bc_id)
+
+    for cs_id in sorted(model.cross_sections):
+        try:
+            props = section_properties(model.cross_sections[cs_id])
+            if not all(math.isfinite(v) for v in astuple(props)):
+                raise ValueError("section properties must be finite")
+        except ValueError as exc:
+            defects.append(Finding("invalid-catalog", f"cross-section {cs_id}: {exc}"))
+    for mat_id in sorted(model.materials):
+        mat = model.materials[mat_id]
+        if not all(math.isfinite(v) for v in (mat.E, mat.nu, mat.density, mat.Ry)):
+            defects.append(Finding("invalid-catalog", f"material {mat_id} has non-finite values"))
+        elif not (mat.E > 0 and mat.Ry > 0):
+            defects.append(Finding("invalid-catalog", f"material {mat_id} needs positive E and Ry"))
 
     for bc in model.bcs.values():
         if not np.all(np.isfinite(bc.components)):

@@ -107,6 +107,25 @@ def build_result_set(
     )
 
 
+def equilibrium_residual(model: StructuralModel, results: ResultSet) -> float:
+    """Global balance of reactions plus applied loads: the force and the
+    moment about the origin, relative to the applied force resultant (the
+    moment also over the model's extent).  Self-balancing loads fall back to
+    the sum of the load magnitudes as the reference."""
+    xyz = model.coords_array()
+    total = results.reactions + results.applied_loads
+    force = total[:, :3].sum(axis=0)
+    moment = (np.cross(xyz, total[:, :3]) + total[:, 3:]).sum(axis=0)
+    extent = (float(np.linalg.norm(np.ptp(xyz, axis=0))) if len(xyz) else 0.0) or 1.0
+    loads = results.applied_loads
+    reference = np.linalg.norm(loads[:, :3].sum(axis=0)) or (
+        np.linalg.norm(loads[:, :3], axis=1).sum()
+        + np.linalg.norm(loads[:, 3:], axis=1).sum() / extent
+    )
+    residual = max(np.linalg.norm(force), np.linalg.norm(moment) / extent)
+    return float(residual / reference) if reference else float(residual)
+
+
 @dataclass(frozen=True)
 class Summary:
     max_u_el: float

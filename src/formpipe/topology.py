@@ -8,24 +8,19 @@ they keep original entity ids so the reports stay traceable.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .model import DEFAULT_MERGE_TOL, RigidLink, StructuralModel
 
 
 class TopologyError(ValueError):
     """Raised when a repair operation cannot be applied."""
-
-
-@dataclass
-class Topology:
-    """Vertex-to-cell incidence and the cell adjacency graph."""
-
-    vertex_to_cells: dict
-    cell_adjacency: dict
 
 
 @dataclass
@@ -55,91 +50,51 @@ class UnsupportedComponent:
     fixed_dof_count: int
 
 
-def build_topology(model: StructuralModel) -> Topology:
-    """Assemble incidence and adjacency over the model's cells."""
-    vertex_to_cells = {p.id: [] for p in model.points}
-    for c in model.cells:
-        for pid in set(c.connectivity):
-            vertex_to_cells[pid].append(c.id)
-    cell_adjacency = {}
-    for c in model.cells:
-        neigh = set()
-        for pid in c.connectivity:
-            neigh.update(vertex_to_cells[pid])
-        neigh.discard(c.id)
-        cell_adjacency[c.id] = sorted(neigh)
-    return Topology(vertex_to_cells=vertex_to_cells, cell_adjacency=cell_adjacency)
+# Sweep axis: one fixed unit vector normal to no lattice plane, so grid-like
+# models do not project many points onto one value.
+_SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
+def _close_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
+    """(m, 2) index pairs i != j with squared distance <= tol**2.
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _close_pairs(coords: np.ndarray, tol: float):
-    """Index pairs (i, j), i < j, with Euclidean distance <= tol.
-
-    Spatial hash with cell size tol; for tol == 0 only exactly coincident
-    points pair up.
+    Sort-and-sweep along ``_SWEEP_AXIS``: since |d . axis| <= |d|, every close
+    pair lies within ``tol`` in projection.  The window is widened by a few
+    ulps of the largest coordinate so that rounding in the projections never
+    drops a pair; the distance test then decides exactly.
     """
-    n = coords.shape[0]
-    pairs = []
+    n = len(coords)
     if n < 2:
-        return pairs
-    if tol == 0.0:
-        buckets = {}
-        for i in range(n):
-            buckets.setdefault(tuple(coords[i]), []).append(i)
-        for group in buckets.values():
-            base = group[0]
-            pairs.extend((base, other) for other in group[1:])
-        return pairs
-    max_abs = float(np.max(np.abs(coords))) if n else 0.0
-    if max_abs / tol > 2.0**62:  # hash keys would overflow; fall back to all pairs
-        tol2 = tol * tol
-        for i in range(n):
-            d = coords[i + 1 :] - coords[i]
-            close = np.nonzero(np.einsum("ij,ij->i", d, d) <= tol2)[0]
-            pairs.extend((i, i + 1 + int(j)) for j in close)
-        return pairs
-    keys = np.floor(coords / tol).astype(np.int64)
-    buckets = {}
-    for i in range(n):
-        buckets.setdefault(tuple(keys[i]), []).append(i)
-    tol2 = tol * tol
-    offsets = [
-        (dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
-    ]
-    for key, group in buckets.items():
-        candidates = []
-        for off in offsets:
-            nb = (key[0] + off[0], key[1] + off[1], key[2] + off[2])
-            if nb >= key:  # visit each bucket pair once
-                candidates.extend(buckets.get(nb, []) if nb != key else [])
-        for ai in range(len(group)):
-            i = group[ai]
-            for j in group[ai + 1 :]:
-                d = coords[i] - coords[j]
-                if d @ d <= tol2:
-                    pairs.append((min(i, j), max(i, j)))
-            for j in candidates:
-                d = coords[i] - coords[j]
-                if d @ d <= tol2:
-                    pairs.append((min(i, j), max(i, j)))
-    return pairs
+        return np.zeros((0, 2), dtype=np.intp)
+    proj = coords @ _SWEEP_AXIS
+    order = np.argsort(proj, kind="stable")
+    swept = proj[order]
+    # non-finite coordinates sort to the ends and must not widen every window
+    scale = np.max(np.abs(coords), where=np.isfinite(coords), initial=0.0)
+    reach = tol + 32.0 * np.spacing(scale)
+    width = np.searchsorted(swept, swept + reach, side="right") - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), width)
+    # offset of each candidate inside its point's window, 1-based
+    step = np.arange(1, len(first) + 1) - np.repeat(np.cumsum(width) - width, width)
+    i, j = order[first], order[first + step]
+    d = coords[i] - coords[j]
+    close = np.einsum("ij,ij->i", d, d) <= tol * tol
+    return np.stack([i[close], j[close]], axis=1)
+
+
+def _component_labels(n: int, edges: np.ndarray):
+    """(count, labels) of the connected components of ``n`` points joined by
+    an (m, 2) edge array of point indices.  Labels number the components in
+    the order of their lowest point index."""
+    graph = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
+def _lowest(labels: np.ndarray, count: int, values: np.ndarray) -> np.ndarray:
+    """Smallest value per component."""
+    low = np.full(count, np.iinfo(np.int64).max, dtype=np.int64)
+    np.minimum.at(low, labels, values)
+    return low
 
 
 def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL):
@@ -151,49 +106,35 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
     """
     if tol < 0:
         raise ValueError("merge tolerance must be non-negative")
-    coords = model.coords_array()
-    ids = [p.id for p in model.points]
-    uf = _UnionFind(range(len(ids)))
-    for i, j in _close_pairs(coords, tol):
-        uf.union(i, j)
-
-    clusters = {}
-    for i in range(len(ids)):
-        clusters.setdefault(uf.find(i), []).append(i)
-
+    ids = np.array([p.id for p in model.points], dtype=np.int64)
+    count, labels = _component_labels(len(ids), _close_pairs(model.coords_array(), tol))
     report = RepairReport()
-    remap = {}
-    survivors = set()
-    for members in clusters.values():
-        members_ids = sorted(ids[i] for i in members)
-        survivor = members_ids[0]
-        survivors.add(survivor)
-        for pid in members_ids:
-            remap[pid] = survivor
-        for pid in members_ids[1:]:
-            report.merged_point_pairs.append((survivor, pid))
-
-    if not report.merged_point_pairs:
+    if count == len(ids):
         return model, report
-    report.merged_point_pairs.sort()
 
-    by_id = model.point_by_id()
-    for members in clusters.values():
-        if len(members) < 2:
-            continue
-        members_ids = sorted(ids[i] for i in members)
-        target = by_id[members_ids[0]]
-        bc_ids = {by_id[pid].bc_id for pid in members_ids} - {0}
-        if len(bc_ids) > 1:
-            raise TopologyError(
-                f"cannot merge points {members_ids}: conflicting load ids {sorted(bc_ids)}"
-            )
-        for pid in members_ids[1:]:
-            target.constraint_mask |= by_id[pid].constraint_mask
-        if bc_ids:
-            target.bc_id = bc_ids.pop()
+    survivor = _lowest(labels, count, ids)[labels]
+    moved = survivor != ids
+    report.merged_point_pairs = sorted(zip(survivor[moved].tolist(), ids[moved].tolist()))
 
-    model.points = [p for p in model.points if p.id in survivors]
+    loads = np.array([p.bc_id for p in model.points], dtype=np.int64)
+    loaded = loads != 0
+    cluster_load = np.zeros(count, dtype=np.int64)
+    cluster_load[labels[loaded]] = loads[loaded]
+    clash = loaded & (cluster_load[labels] != loads)
+    if clash.any():
+        members = labels == labels[clash].min()
+        raise TopologyError(
+            f"cannot merge points {np.sort(ids[members]).tolist()}: conflicting "
+            f"load ids {np.unique(loads[members & loaded]).tolist()}"
+        )
+    masks = np.zeros((count, 6), dtype=bool)
+    np.logical_or.at(masks, labels, np.array([p.constraint_mask for p in model.points]))
+
+    model.points = [p for p, gone in zip(model.points, moved) if not gone]
+    for p, label in zip(model.points, labels[~moved].tolist()):
+        p.constraint_mask |= masks[label]
+        p.bc_id = int(cluster_load[label])
+    remap = dict(zip(ids.tolist(), survivor.tolist()))
     for c in model.cells:
         c.connectivity = (remap[c.connectivity[0]], remap[c.connectivity[1]])
 
@@ -250,35 +191,17 @@ def remove_degenerate_cells(model: StructuralModel, tol: float = DEFAULT_MERGE_T
 
 
 def _components(model: StructuralModel):
-    """Connected components over point ids; rigid links count as connections,
-    isolated points form their own component."""
-    adjacency = {p.id: [] for p in model.points}
-    for c in model.cells:
-        a, b = c.connectivity
-        if a != b:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-    for link in model.rigid_links:
-        if link.master in adjacency and link.slave in adjacency:
-            adjacency[link.master].append(link.slave)
-            adjacency[link.slave].append(link.master)
-    seen = set()
-    comps = []
-    for p in model.points:
-        if p.id in seen:
-            continue
-        comp = set()
-        queue = deque([p.id])
-        seen.add(p.id)
-        while queue:
-            pid = queue.popleft()
-            comp.add(pid)
-            for nb in adjacency[pid]:
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        comps.append(comp)
-    return comps
+    """Point ids, component count and label per point, and the first-end
+    point index of every cell.  Rigid links count as connections, isolated
+    points form their own component."""
+    ids = np.array([p.id for p in model.points], dtype=np.int64)
+    index = model.point_index()
+    pairs = [c.connectivity for c in model.cells] + [
+        (l.master, l.slave) for l in model.rigid_links if l.master in index and l.slave in index
+    ]
+    edges = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
+    count, labels = _component_labels(len(ids), edges)
+    return ids, count, labels, edges[: len(model.cells), 0]
 
 
 def remove_detached_components(model: StructuralModel):
@@ -289,30 +212,24 @@ def remove_detached_components(model: StructuralModel):
     """
     if not model.points:
         raise TopologyError("cannot locate the main body of an empty model")
-    comps = _components(model)
+    ids, count, labels, first_ends = _components(model)
     report = RepairReport()
-    if len(comps) == 1:
+    if count == 1:
         return model, report
 
     n_before = len(model.cells)
-    comp_of = {}
-    for idx, comp in enumerate(comps):
-        for pid in comp:
-            comp_of[pid] = idx
-    cells_in = [0] * len(comps)
-    for c in model.cells:
-        cells_in[comp_of[c.connectivity[0]]] += 1
-    counts = [(cells_in[i], min(comp), comp) for i, comp in enumerate(comps)]
-    main = max(counts, key=lambda t: (t[0], -t[1]))
-    keep = main[2]
-    for n_cells, rep, comp in sorted(counts, key=lambda t: t[1]):
-        if comp is main[2]:
-            continue
-        report.removed_components.append((n_cells, rep))
-    model.points = [p for p in model.points if p.id in keep]
-    model.cells = [c for c in model.cells if c.connectivity[0] in keep]
+    cells_in = np.bincount(labels[first_ends], minlength=count)
+    lowest_id = _lowest(labels, count, ids)
+    main = np.lexsort((lowest_id, -cells_in))[0]
+    report.removed_components = [
+        (int(cells_in[k]), int(lowest_id[k])) for k in np.argsort(lowest_id) if k != main
+    ]
+    keep = labels == main
+    kept_ids = set(ids[keep].tolist())
+    model.points = [p for p, k in zip(model.points, keep) if k]
+    model.cells = [c for c, k in zip(model.cells, keep[first_ends]) if k]
     model.rigid_links = [
-        l for l in model.rigid_links if l.master in keep and l.slave in keep
+        l for l in model.rigid_links if l.master in kept_ids and l.slave in kept_ids
     ]
     removed = n_before - len(model.cells)
     report.element_removal_fraction = removed / n_before if n_before else 0.0
@@ -407,14 +324,20 @@ def check_support_reachability(model: StructuralModel):
     Genuine local mechanisms beyond this count survive until factorization,
     which reports the offending DOF.
     """
-    findings = []
-    by_id = model.point_by_id()
-    for comp in _components(model):
-        fixed = sum(int(np.sum(by_id[pid].constraint_mask)) for pid in comp)
-        if fixed < 6:
-            findings.append(
-                UnsupportedComponent(point_ids=sorted(comp), fixed_dof_count=fixed)
-            )
+    ids, count, labels, _ = _components(model)
+    masks = np.array([p.constraint_mask for p in model.points], dtype=bool).reshape(-1, 6)
+    fixed = np.bincount(labels, weights=masks.sum(axis=1), minlength=count)
+    # members of each component as one run of ascending ids
+    members = ids[np.lexsort((ids, labels))]
+    sizes = np.bincount(labels, minlength=count)
+    starts = np.cumsum(sizes) - sizes
+    findings = [
+        UnsupportedComponent(
+            point_ids=members[starts[k] : starts[k] + sizes[k]].tolist(),
+            fixed_dof_count=int(fixed[k]),
+        )
+        for k in np.flatnonzero(fixed < 6)
+    ]
     findings.sort(key=lambda f: f.point_ids[0])
     return findings
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import formpipe as fp
+from formpipe.casegen import _largest_component
 from formpipe.model import Circle, validate
 
 from conftest import assert_models_equal
@@ -101,6 +102,25 @@ class TestLeonardoGenerator:
             fp.LeonardoSpec(variant="bogus")
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fp.CantileverSpec(diameter=float("inf")),
+        lambda: fp.CantileverSpec(length=float("nan")),
+        lambda: fp.CantileverSpec(tip_force=float("nan")),
+        lambda: fp.LeonardoSpec(span=float("inf")),
+        lambda: fp.LeonardoSpec(snow_load=float("nan")),
+        lambda: fp.LeonardoSpec(row_offset=float("inf")),
+        lambda: fp.LatticeSpec(ball_diameter=float("inf")),
+        lambda: fp.LatticeSpec(E=float("nan")),
+        lambda: fp.LatticeSpec(density=float("inf")),
+    ],
+)
+def test_non_finite_spec_values_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 class TestLatticeGenerator:
     def test_two_voxel_lattice(self):
         model = fp.gen_sphere_lattice(fp.LatticeSpec(nx=2, ny=1, nz=1))
@@ -162,3 +182,46 @@ class TestLatticeGenerator:
             ),
         ):
             assert validate(model).ok
+
+
+def largest_component_oracle(voxels):
+    """Breadth-first search from each unseen voxel in sorted order; a later
+    component replaces the best only when strictly larger."""
+    best, seen = set(), set()
+    for start in sorted(voxels):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        seen.add(start)
+        while frontier:
+            i, j, k = frontier.pop()
+            for nb in ((i + 1, j, k), (i - 1, j, k), (i, j + 1, k), (i, j - 1, k),
+                       (i, j, k + 1), (i, j, k - 1)):
+                if nb in voxels and nb not in seen:
+                    seen.add(nb)
+                    comp.add(nb)
+                    frontier.append(nb)
+        if len(comp) > len(best):
+            best = comp
+    return best
+
+
+class TestLargestComponent:
+    def test_tie_goes_to_the_component_with_the_smallest_voxel(self):
+        rod = {(0, 0, 5), (0, 0, 6), (0, 0, 7)}
+        ell = {(3, 0, 0), (4, 0, 0), (4, 1, 0)}
+        diagonal = {(9, 9, 9), (10, 10, 10), (11, 11, 11)}  # edge-only contacts: 3 singletons
+        voxels = rod | ell | diagonal
+        assert _largest_component(voxels) == rod == largest_component_oracle(voxels)
+        assert _largest_component(ell | diagonal) == ell
+        assert _largest_component(set()) == set()
+
+    def test_matches_bfs_oracle_on_random_voxel_sets(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            extent = int(rng.integers(1, 6))
+            voxels = {
+                tuple(int(v) for v in rng.integers(-extent, extent, size=3))
+                for _ in range(int(rng.integers(1, 40)))
+            }
+            assert _largest_component(voxels) == largest_component_oracle(voxels)

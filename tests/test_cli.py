@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -70,6 +73,19 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 2
         assert "unsupported-component" in out
+
+
+    def test_non_finite_section_blocks(self, capsys, tmp_path):
+        model = fp.gen_cantilever()
+        model.cross_sections[2] = fp.CrossSection(id=2, shape=fp.Circle(diameter=float("inf")))
+        path = tmp_path / "inf.vtp"
+        path.write_text(fp.write_model(model))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 2
+        assert "defect [invalid-catalog]: cross-section 2: section properties must be finite" in out
+        code, _, err = run(capsys, "solve", str(path), str(tmp_path / "never.vtk"))
+        assert code == 2
+        assert err.startswith("error: model does not validate") and "Warning" not in err
 
 
 class TestClean:
@@ -164,6 +180,7 @@ class TestSolve:
                                str(tmp_path / "r.vtk"), "--solver", solver)
             assert code == 0
             assert "true residual |Ku-f|/|f| = " in out
+            assert "equilibrium residual (reactions + loads) = " in out
             assert f"{ordering} ordering, IC(0) shift " in out
 
     def test_mechanism_exit_code_and_no_partial_output(self, capsys, tmp_path):
@@ -216,6 +233,14 @@ class TestGen:
             _, out, _ = run(capsys, "solve", str(src), str(dst), "--format", "structured")
             disps[variant] = float(parse_structured(out)["max_total_displacement_mm"])
         assert disps["open"] > disps["closed"]
+
+    @pytest.mark.parametrize("option, value", [("--diameter", "inf"), ("--length", "nan")])
+    def test_non_finite_spec_exit_code(self, capsys, tmp_path, option, value):
+        dst = tmp_path / "never.vtp"
+        code, _, err = run(capsys, "gen", "cantilever", str(dst), option, value)
+        assert code == 2
+        assert err == "error: spec values must be finite\n"
+        assert not dst.exists()
 
     def test_bad_spec_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "gen", "leonardo", str(tmp_path / "x.vtp"),
@@ -277,6 +302,7 @@ class TestStructuredReport:
             records = parse_structured(report)
             assert records["solver_ordering"] == ordering
             assert float(records["solver_true_residual"]) <= 1e-6
+            assert 0.0 <= float(records["solver_equilibrium_residual"]) <= 1e-9
             assert float(records["solver_ic_shift"]) >= 0.0
             assert int(records["solver_factor_nnz"]) > 0
             assert float(records["solver_factor_time_s"]) > 0.0
@@ -306,3 +332,13 @@ class TestBadOptions:
         assert code == 0
         assert err == ""
         assert dst.read_text() == cantilever_file.read_text()
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    """``scipy.spatial`` adds over 0.1 s to every process that imports it, and no
+    command needs it."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
+    probe = "import sys, formpipe.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -62,7 +62,14 @@ class TestSectionProperties:
 
     @pytest.mark.parametrize(
         "shape",
-        [Circle(diameter=0.0), Circle(diameter=-2.0), Rectangle(width=0.0, height=1.0)],
+        [
+            Circle(diameter=0.0),
+            Circle(diameter=-2.0),
+            Circle(diameter=math.nan),
+            Rectangle(width=0.0, height=1.0),
+            Rectangle(width=math.nan, height=1.0),
+            GenericSection(A=math.nan, Iy=1.0, Iz=1.0, J=1.0, Wy=1.0, Wz=1.0, Wt=1.0),
+        ],
     )
     def test_nonpositive_dimensions_rejected(self, shape):
         with pytest.raises(ValueError):
@@ -134,6 +141,41 @@ class TestValidate:
         report = validate(model)
         assert not report.ok
         assert report.by_kind("non-finite")
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            (Circle(diameter=math.inf), "cross-section 1: section properties must be finite"),
+            (Circle(diameter=math.nan), "cross-section 1: circle diameter must be positive"),
+            (Rectangle(width=-1.0, height=2.0),
+             "cross-section 1: rectangle dimensions must be positive"),
+        ],
+    )
+    def test_unusable_section_blocks(self, shape, message):
+        model = _two_point_model()
+        model.cross_sections[1] = CrossSection(id=1, shape=shape)
+        report = validate(model)
+        assert not report.ok
+        assert [f.message for f in report.by_kind("invalid-catalog")] == [message]
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (dict(E=math.inf), "material 1 has non-finite values"),
+            (dict(nu=math.nan), "material 1 has non-finite values"),
+            (dict(density=math.nan), "material 1 has non-finite values"),
+            (dict(Ry=math.nan), "material 1 has non-finite values"),
+            (dict(E=0.0), "material 1 needs positive E and Ry"),
+            (dict(Ry=-300.0), "material 1 needs positive E and Ry"),
+        ],
+    )
+    def test_unusable_material_blocks(self, values, message):
+        model = _two_point_model()
+        for key, value in values.items():
+            setattr(model.materials[1], key, value)
+        report = validate(model)
+        assert not report.ok
+        assert [f.message for f in report.by_kind("invalid-catalog")] == [message]
 
     def test_degenerate_cell_is_warning_only(self):
         model = _two_point_model()

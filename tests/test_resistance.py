@@ -10,6 +10,7 @@ from formpipe.model import Circle, Material, section_properties
 from formpipe.resistance import (
     classify,
     deformed_geometry,
+    equilibrium_residual,
     resistance_ratio,
     stress_state,
     summarize,
@@ -121,6 +122,35 @@ class TestSummarize:
         summary = summarize(results)
         assert summary.max_u_el == pytest.approx(0.7)
         assert summary.exceeded_count == 0
+
+
+class TestEquilibriumResidual:
+    def test_solved_models_balance(self):
+        for model in (fp.gen_cantilever(fp.CantileverSpec(n_elements=4)), fp.gen_leonardo()):
+            for method in ("direct", "pcg"):
+                assert equilibrium_residual(model, solve(model, method)) < 1e-9
+
+    def test_missing_reactions_leave_the_whole_load_unbalanced(self):
+        model = fp.gen_cantilever()
+        results = solve(model)
+        results.reactions[:] = 0.0
+        assert equilibrium_residual(model, results) == pytest.approx(1.0, rel=1e-12)
+
+    def test_self_balancing_loads_use_the_load_magnitudes(self):
+        # a couple of two opposite 10 N forces 1000 mm apart, nothing reacting:
+        # net force 0, net moment 1e4 N mm over an extent of 1000 mm
+        model = fp.gen_cantilever()
+        results = solve(model)
+        results.reactions[:] = 0.0
+        results.applied_loads[:] = 0.0
+        results.applied_loads[0, 2] = 10.0
+        results.applied_loads[1, 2] = -10.0
+        assert equilibrium_residual(model, results) == pytest.approx(10.0 / 20.0, rel=1e-12)
+
+    def test_unloaded_model_is_zero(self):
+        model = fp.gen_cantilever(fp.CantileverSpec(tip_force=0.0))
+        model.self_weight_enabled = False
+        assert equilibrium_residual(model, solve(model)) == 0.0
 
 
 class TestDeformedGeometry:

@@ -19,7 +19,6 @@ from formpipe.model import (
 )
 from formpipe.topology import (
     TopologyError,
-    build_topology,
     check_support_reachability,
     make_rigid_link,
     merge_duplicate_nodes,
@@ -48,45 +47,6 @@ def simple_model(coords, cells, masks=None, bc_points=()):
         for pid in bc_points:
             model.points[pid].bc_id = 1
     return model
-
-
-# ---------------------------------------------------------------- topology
-
-
-class TestBuildTopology:
-    def test_cantilever_incidence(self):
-        model = simple_model([(0, 0, 0), (1000, 0, 0)], [(0, 1)])
-        topo = build_topology(model)
-        assert topo.vertex_to_cells[0] == [0]
-        assert topo.vertex_to_cells[1] == [0]
-        assert topo.cell_adjacency[0] == []
-
-    def test_empty_model(self):
-        topo = build_topology(StructuralModel())
-        assert topo.vertex_to_cells == {}
-        assert topo.cell_adjacency == {}
-
-    def test_chain_adjacency(self):
-        model = simple_model(
-            [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)], [(0, 1), (1, 2), (2, 3)]
-        )
-        topo = build_topology(model)
-        assert topo.cell_adjacency[1] == [0, 2]
-        assert topo.cell_adjacency[0] == [1]
-
-    @given(seed=st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=20, deadline=None)
-    def test_adjacency_symmetric_and_incidence_consistent(self, seed):
-        rng = np.random.default_rng(seed)
-        model = random_model(rng, n_points=int(rng.integers(3, 40)))
-        topo = build_topology(model)
-        for cid, neighbours in topo.cell_adjacency.items():
-            for other in neighbours:
-                assert cid in topo.cell_adjacency[other]
-        by_id = {c.id: c for c in model.cells}
-        for pid, cells in topo.vertex_to_cells.items():
-            for cid in cells:
-                assert pid in by_id[cid].connectivity
 
 
 # ---------------------------------------------------------------- merging
@@ -195,6 +155,58 @@ class TestMergeDuplicateNodes:
         assert report.merged_point_pairs == [(0, 1)]
         assert [p.id for p in model.points] == [0, 2, 3]
 
+    # sort-and-sweep edge cases: the sweep projects on (1, sqrt 2, sqrt 3)/sqrt 6
+    AXIS = np.array([1.0, np.sqrt(2.0), np.sqrt(3.0)]) / np.sqrt(6.0)
+
+    def assert_matches_oracle(self, coords, tol):
+        coords = np.asarray(coords, dtype=float)
+        expected = merge_oracle(coords, tol)
+        model = simple_model(coords, [])
+        merged, report = merge_duplicate_nodes(model, tol=tol)
+        assert [p.id for p in merged.points] == sorted(set(expected.values()))
+        assert report.merged_point_pairs == sorted(
+            (survivor, member) for member, survivor in expected.items() if member != survivor
+        )
+        return report
+
+    def plane_normal_to_axis(self, rng, n, span):
+        basis = np.linalg.svd(self.AXIS[None, :])[2][1:]  # two unit vectors normal to it
+        return 5.0 * self.AXIS + rng.uniform(-span, span, size=(n, 2)) @ basis
+
+    def test_points_on_a_plane_normal_to_the_sweep_axis(self):
+        # every projection ties, so each window holds the whole model
+        rng = np.random.default_rng(7)
+        coords = self.plane_normal_to_axis(rng, 150, 4.0)
+        proj = coords @ self.AXIS
+        assert np.ptp(proj) < 1e-12
+        report = self.assert_matches_oracle(coords, 0.45)
+        assert report.merged_point_pairs
+
+    def test_zero_tolerance_with_shared_projections(self):
+        rng = np.random.default_rng(8)
+        coords = self.plane_normal_to_axis(rng, 40, 3.0)
+        coords = np.concatenate([coords, coords[rng.choice(40, size=12)]])
+        coords = coords[rng.permutation(len(coords))]
+        report = self.assert_matches_oracle(coords, 0.0)
+        assert len(report.merged_point_pairs) == len(coords) - len(np.unique(coords, axis=0))
+
+    def test_rounding_margin_near_1e6_mm(self):
+        # pairs a hair under tol apart along the sweep axis, where the
+        # projections round by a sizeable fraction of tol = 1e-9 mm
+        rng = np.random.default_rng(9)
+        tol = 1e-9
+        base = 1.0e6 + 10.0 * np.arange(200)[:, None] + rng.uniform(0.0, 1.0, size=(200, 3))
+        partner = base + self.AXIS * tol * rng.uniform(0.9, 1.0, size=(200, 1))
+        coords = np.concatenate([base, partner])
+        report = self.assert_matches_oracle(coords, tol)
+        assert len(report.merged_point_pairs) > 100
+
+    def test_non_finite_points_merge_with_nothing(self):
+        coords = [(0, 0, 0), (np.nan, 0, 0), (0, 0, 1e-9), (np.inf, 0, 0), (np.inf, 0, 0)]
+        with np.errstate(invalid="ignore"):  # inf - inf
+            report = self.assert_matches_oracle(coords, 1e-6)
+        assert report.merged_point_pairs == [(0, 2)]
+
     def test_result_independent_of_point_ordering(self):
         rng = np.random.default_rng(11)
         model = random_model(rng, n_points=40, span=4.0)
@@ -299,6 +311,62 @@ class TestRemoveDetachedComponents:
         expect_keep = max(counts)[2]
         model, _ = remove_detached_components(model)
         assert {p.id for p in model.points} == expect_keep
+
+
+def linked_random_model(rng):
+    """Random model with a few rigid links, and a copy of it in which every
+    link is one more cell, so that bfs_components_oracle sees the links."""
+    model = random_model(rng, n_points=int(rng.integers(4, 80)))
+    model.cells = model.cells[: int(rng.integers(1, len(model.cells) + 1))]
+    for _ in range(int(rng.integers(1, 8))):
+        master, slave = (int(v) for v in rng.choice(len(model.points), 2, replace=False))
+        try:
+            make_rigid_link(model, master=master, slave=slave)
+        except TopologyError:
+            pass
+    linked = model.copy()
+    for k, link in enumerate(model.rigid_links):
+        linked.cells.append(Cell(id=10_000 + k, connectivity=(link.master, link.slave),
+                                 cs_id=1, mat_id=1))
+    return model, linked
+
+
+class TestComponentsWithRigidLinks:
+    @given(seed=st.integers(min_value=0, max_value=5000))
+    @settings(max_examples=30, deadline=None)
+    def test_detached_removal_matches_bfs_oracle(self, seed):
+        model, linked = linked_random_model(np.random.default_rng(seed))
+        comps = bfs_components_oracle(linked)
+        counts = []
+        for comp in comps:
+            n_cells = sum(1 for c in model.cells if c.connectivity[0] in comp)
+            counts.append((n_cells, -min(comp), comp))
+        keep = max(counts)[2]
+        expected_removed = sorted(
+            ((n, -neg_rep) for n, neg_rep, comp in counts if comp is not keep),
+            key=lambda t: t[1],
+        )
+        model, report = remove_detached_components(model)
+        assert {p.id for p in model.points} == keep
+        assert report.removed_components == expected_removed
+        assert all(l.master in keep and l.slave in keep for l in model.rigid_links)
+        assert len(model.rigid_links) == sum(
+            1 for c in linked.cells if c.id >= 10_000 and c.connectivity[0] in keep
+        )
+
+    @given(seed=st.integers(min_value=0, max_value=5000))
+    @settings(max_examples=30, deadline=None)
+    def test_support_reachability_matches_bfs_oracle(self, seed):
+        model, linked = linked_random_model(np.random.default_rng(seed))
+        by_id = model.point_by_id()
+        expected = []
+        for comp in bfs_components_oracle(linked):
+            fixed = sum(int(by_id[pid].constraint_mask.sum()) for pid in comp)
+            if fixed < 6:
+                expected.append((sorted(comp), fixed))
+        expected.sort()
+        found = check_support_reachability(model)
+        assert [(f.point_ids, f.fixed_dof_count) for f in found] == expected
 
 
 # ------------------------------------------------------------- arm pruning
