@@ -120,8 +120,18 @@ def run_solve_pipeline(model: StructuralModel, config: PipelineConfig):
     return results, stats
 
 
-def _emit(lines, stream=None):
-    print("\n".join(lines), file=stream or sys.stdout)
+def _emit(lines):
+    """Print report lines to stdout.  A reader that has gone away (a closed
+    pipe) silences the rest of the output, and the command goes on to its
+    own exit code."""
+    try:
+        print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # later writes, and the flush at exit, go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _structured(records) -> list:
@@ -329,7 +339,7 @@ def cmd_gen(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEFECTS
     atomic_write(args.output, write_model(model))
-    print(f"wrote {args.case} model: {len(model.points)} points, {len(model.cells)} cells")
+    _emit([f"wrote {args.case} model: {len(model.points)} points, {len(model.cells)} cells"])
     return EXIT_OK
 
 

@@ -45,37 +45,18 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _require_ascii(elem):
+def _values(elem, n, dtype, what) -> np.ndarray:
+    """The whitespace-separated tokens of an ascii DataArray as an array of
+    ``dtype``; ``n`` is the expected count, None accepts any."""
     fmt = elem.get("format")
     if fmt != "ascii":
-        raise ExchangeFormatError(
-            f"only ascii data arrays are supported, got format={fmt!r}"
-        )
-
-
-def _tokens(elem) -> list:
-    return (elem.text or "").split()
-
-
-def _floats(elem, n, what) -> np.ndarray:
-    _require_ascii(elem)
-    toks = _tokens(elem)
-    if len(toks) != n:
+        raise ExchangeFormatError(f"only ascii data arrays are supported, got format={fmt!r}")
+    toks = (elem.text or "").split()
+    if n is not None and len(toks) != n:
         raise ExchangeFormatError(f"{what}: expected {n} values, got {len(toks)}")
     try:
-        return np.array([float(t) for t in toks])
-    except ValueError as exc:
-        raise ExchangeFormatError(f"{what}: {exc}") from exc
-
-
-def _ints(elem, n, what) -> list:
-    _require_ascii(elem)
-    toks = _tokens(elem)
-    if len(toks) != n:
-        raise ExchangeFormatError(f"{what}: expected {n} values, got {len(toks)}")
-    try:
-        return [int(t) for t in toks]
-    except ValueError as exc:
+        return np.array(toks, dtype=dtype)
+    except (ValueError, OverflowError) as exc:
         raise ExchangeFormatError(f"{what}: {exc}") from exc
 
 
@@ -87,47 +68,54 @@ class _ItemReader:
         self.pos = 0
         self.what = what
 
-    def take(self):
-        if self.pos >= len(self.toks):
-            raise ExchangeFormatError(f"unparseable catalog item ({self.what}): truncated")
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def take_int(self):
-        tok = self.take()
-        try:
-            return int(tok)
-        except ValueError:
-            raise ExchangeFormatError(
-                f"unparseable catalog item ({self.what}): expected integer, got {tok!r}"
-            ) from None
-
-    def take_float(self):
-        tok = self.take()
-        try:
-            return float(tok)
-        except ValueError:
-            raise ExchangeFormatError(
-                f"unparseable catalog item ({self.what}): expected number, got {tok!r}"
-            ) from None
+    def error(self, message):
+        return ExchangeFormatError(f"unparseable catalog item ({self.what}): {message}")
 
     def exhausted(self):
         return self.pos >= len(self.toks)
 
+    def take(self):
+        if self.exhausted():
+            raise self.error("truncated")
+        self.pos += 1
+        return self.toks[self.pos - 1]
 
-def _read_keyed(reader, known):
-    """Walk ``key value`` pairs; known keys parse as floats, unknown keys are
-    preserved verbatim.  Returns (values, extra)."""
-    values = {}
-    extra = []
-    while not reader.exhausted():
-        key = reader.take()
-        if key in known:
-            values[key] = reader.take_float()
-        else:
-            extra.append((key, reader.take()))
-    return values, tuple(extra)
+    def _take_as(self, kind, name):
+        tok = self.take()
+        try:
+            return kind(tok)
+        except ValueError:
+            raise self.error(f"expected {name}, got {tok!r}") from None
+
+    def take_int(self):
+        return self._take_as(int, "integer")
+
+    def take_float(self):
+        return self._take_as(float, "number")
+
+    def keyed(self, known, ref_node=False):
+        """Walk ``key value`` pairs to the end: known keys parse as floats,
+        ``refNode`` (where allowed) takes an axis and a code, unknown keys
+        are kept verbatim.  Returns (values, extra)."""
+        values = {}
+        extra = []
+        while not self.exhausted():
+            key = self.take()
+            if key in known:
+                values[key] = self.take_float()
+            elif key == "refNode" and ref_node:
+                axis, code = self.take(), self.take_int()
+                if axis not in ("y", "z"):
+                    raise self.error(f"refNode axis {axis!r}")
+                values[key] = (axis, code)
+            else:
+                extra.append((key, self.take()))
+        return values, tuple(extra)
+
+
+# keyed values of Generic sections and of materials, in the order they are written
+_GENERIC_KEYS = ("A", "Iy", "Iz", "J", "Wy", "Wz", "Wt")
+_MATERIAL_KEYS = ("E", "nu", "tAlpha", "density", "Ry")
 
 
 def _parse_cross_section(text):
@@ -135,46 +123,25 @@ def _parse_cross_section(text):
     cs_id = reader.take_int()
     kind = reader.take()
     if kind == "Circle":
-        values, extra = _read_keyed(reader, {"width"})
+        values, extra = reader.keyed({"width"})
         if "width" not in values:
-            raise ExchangeFormatError("unparseable catalog item (cross-section): Circle needs width")
-        return CrossSection(id=cs_id, shape=Circle(diameter=values["width"]), extra=extra)
-    if kind == "Rectangle":
-        values = {}
-        extra = []
-        ref_axis = None
-        ref_code = None
-        while not reader.exhausted():
-            key = reader.take()
-            if key in ("width", "height"):
-                values[key] = reader.take_float()
-            elif key == "refNode":
-                ref_axis = reader.take()
-                ref_code = reader.take_int()
-                if ref_axis not in ("y", "z"):
-                    raise ExchangeFormatError(
-                        f"unparseable catalog item (cross-section): refNode axis {ref_axis!r}"
-                    )
-            else:
-                extra.append((key, reader.take()))
+            raise reader.error("Circle needs width")
+        shape = Circle(diameter=values["width"])
+    elif kind == "Rectangle":
+        values, extra = reader.keyed({"width", "height"}, ref_node=True)
         if "width" not in values or "height" not in values:
-            raise ExchangeFormatError(
-                "unparseable catalog item (cross-section): Rectangle needs width and height"
-            )
-        shape = Rectangle(
-            width=values["width"], height=values["height"], ref_axis=ref_axis, ref_code=ref_code
-        )
-        return CrossSection(id=cs_id, shape=shape, extra=tuple(extra))
-    if kind == "Generic":
-        keys = {"A", "Iy", "Iz", "J", "Wy", "Wz", "Wt"}
-        values, extra = _read_keyed(reader, keys)
-        missing = keys - values.keys()
+            raise reader.error("Rectangle needs width and height")
+        ref_axis, ref_code = values.get("refNode", (None, None))
+        shape = Rectangle(values["width"], values["height"], ref_axis, ref_code)
+    elif kind == "Generic":
+        values, extra = reader.keyed(_GENERIC_KEYS)
+        missing = set(_GENERIC_KEYS) - values.keys()
         if missing:
-            raise ExchangeFormatError(
-                f"unparseable catalog item (cross-section): Generic missing {sorted(missing)}"
-            )
-        return CrossSection(id=cs_id, shape=GenericSection(**values), extra=extra)
-    raise ExchangeFormatError(f"unparseable catalog item (cross-section): kind {kind!r}")
+            raise reader.error(f"Generic missing {sorted(missing)}")
+        shape = GenericSection(**values)
+    else:
+        raise reader.error(f"kind {kind!r}")
+    return CrossSection(id=cs_id, shape=shape, extra=extra)
 
 
 def _parse_material(text):
@@ -182,21 +149,11 @@ def _parse_material(text):
     mat_id = reader.take_int()
     kind = reader.take()
     if kind != "IsoLinEl":
-        raise ExchangeFormatError(f"unparseable catalog item (material): kind {kind!r}")
-    values, extra = _read_keyed(reader, {"E", "nu", "tAlpha", "density", "Ry"})
+        raise reader.error(f"kind {kind!r}")
+    values, extra = reader.keyed(_MATERIAL_KEYS)
     if "E" not in values or "nu" not in values:
-        raise ExchangeFormatError("unparseable catalog item (material): needs E and nu")
-    mat = Material(
-        id=mat_id,
-        E=values["E"],
-        nu=values["nu"],
-        tAlpha=values.get("tAlpha", 0.0),
-        density=values.get("density", 0.0),
-        extra=extra,
-    )
-    if "Ry" in values:
-        mat.Ry = values["Ry"]
-    return mat
+        raise reader.error("needs E and nu")
+    return Material(id=mat_id, extra=extra, **values)
 
 
 def _parse_bc(text):
@@ -204,20 +161,15 @@ def _parse_bc(text):
     bc_id = reader.take_int()
     kind = reader.take()
     if kind != "NodalLoad":
-        raise ExchangeFormatError(f"unparseable catalog item (boundary condition): kind {kind!r}")
-    key = reader.take()
-    if key != "components":
-        raise ExchangeFormatError("unparseable catalog item (boundary condition): expected 'components'")
+        raise reader.error(f"kind {kind!r}")
+    if reader.take() != "components":
+        raise reader.error("expected 'components'")
     count = reader.take_int()
     if count != 6:
-        raise ExchangeFormatError(
-            f"unparseable catalog item (boundary condition): expected 6 components, got {count}"
-        )
-    comps = np.array([reader.take_float() for _ in range(6)])
-    extra = []
-    while not reader.exhausted():
-        extra.append((reader.take(), reader.take()))
-    return BoundaryConditionEntry(id=bc_id, components=comps, extra=tuple(extra))
+        raise reader.error(f"expected 6 components, got {count}")
+    components = [reader.take_float() for _ in range(6)]
+    _, extra = reader.keyed(())
+    return BoundaryConditionEntry(id=bc_id, components=components, extra=extra)
 
 
 def _parse_rigid_link(text):
@@ -225,25 +177,70 @@ def _parse_rigid_link(text):
     reader.take_int()  # ordinal, ignored
     kind = reader.take()
     if kind != "RigidLink":
-        raise ExchangeFormatError(f"unparseable catalog item (rigid link): kind {kind!r}")
-    master = slave = None
+        raise reader.error(f"kind {kind!r}")
+    ends = {}
     offset = None
     while not reader.exhausted():
         key = reader.take()
-        if key == "master":
-            master = reader.take_int()
-        elif key == "slave":
-            slave = reader.take_int()
+        if key in ("master", "slave"):
+            ends[key] = reader.take_int()
         elif key == "offset":
-            offset = np.array([reader.take_float() for _ in range(3)])
+            offset = [reader.take_float() for _ in range(3)]
         else:
-            raise ExchangeFormatError(f"unparseable catalog item (rigid link): key {key!r}")
-    if master is None or slave is None:
-        raise ExchangeFormatError("unparseable catalog item (rigid link): needs master and slave")
-    return RigidLink(master=master, slave=slave, offset=offset)
+            raise reader.error(f"key {key!r}")
+    if len(ends) < 2:
+        raise reader.error("needs master and slave")
+    return RigidLink(offset=offset, **ends)
+
+
+def _keyed_parts(entry, keys) -> list:
+    return [tok for key in keys for tok in (key, _fmt(getattr(entry, key)))]
+
+
+def _cs_item(cs: CrossSection) -> list:
+    shape = cs.shape
+    if isinstance(shape, Circle):
+        return ["Circle", "width", _fmt(shape.diameter)]
+    if isinstance(shape, Rectangle):
+        parts = ["Rectangle", "width", _fmt(shape.width), "height", _fmt(shape.height)]
+        if shape.ref_axis is not None:
+            parts += ["refNode", shape.ref_axis, str(shape.ref_code)]
+        return parts
+    if isinstance(shape, GenericSection):
+        return ["Generic"] + _keyed_parts(shape, _GENERIC_KEYS)
+    raise ExchangeFormatError(f"cannot serialize section shape {type(shape).__name__}")
+
+
+def _mat_item(mat: Material) -> list:
+    return ["IsoLinEl"] + _keyed_parts(mat, _MATERIAL_KEYS)
+
+
+def _bc_item(bc: BoundaryConditionEntry) -> list:
+    return ["NodalLoad", "components", "6"] + [_fmt(c) for c in bc.components]
+
+
+def _link_item(link: RigidLink) -> list:
+    parts = ["RigidLink", "master", str(link.master), "slave", str(link.slave)]
+    if link.offset is not None:
+        parts += ["offset"] + [_fmt(v) for v in link.offset]
+    return parts
+
+
+# The catalogs of the Characteristics section, in file order: tag, model
+# attribute, item reader and item writer.  Dict catalogs are keyed by the
+# leading id of each item; rigid links are a list whose items lead with an
+# ordinal and are written only when there are any.
+_CATALOGS = (
+    ("CROSS-SECTIONS", "cross_sections", _parse_cross_section, _cs_item),
+    ("MATERIALS", "materials", _parse_material, _mat_item),
+    ("BOUNDARY_CONDITIONS", "bcs", _parse_bc, _bc_item),
+    ("RIGID_LINKS", "rigid_links", _parse_rigid_link, _link_item),
+)
 
 
 def _catalog_items(section, what):
+    if section is None:
+        return []
     declared = section.get("Number")
     items = section.findall("item")
     if declared is not None:
@@ -252,10 +249,33 @@ def _catalog_items(section, what):
         except ValueError:
             raise ExchangeFormatError(f"{what}: bad Number attribute {declared!r}") from None
         if n != len(items):
-            raise ExchangeFormatError(
-                f"{what}: declared Number={n} but found {len(items)} items"
-            )
+            raise ExchangeFormatError(f"{what}: declared Number={n} but found {len(items)} items")
     return [(it.text or "") for it in items]
+
+
+def _named_arrays(piece, tag) -> list:
+    """(Name, DataArray) pairs of one section of the Piece, in file order."""
+    section = piece.find(tag)
+    return [] if section is None else [(da.get("Name"), da) for da in section.findall("DataArray")]
+
+
+def _check_lines(offsets, n_conn):
+    """Offsets must run 2, 4, ..., n_conn: raise for the first cell that
+    breaks this, then for a connectivity array of another length."""
+    bad = np.flatnonzero((np.diff(offsets, prepend=0) != 2) | (offsets > n_conn))
+    if bad.size:
+        step = int(offsets[bad[0]]) - 2 * int(bad[0])  # every earlier cell spans two vertices
+        if step <= 0:
+            raise ExchangeFormatError("offsets must be strictly increasing")
+        if step != 2:
+            raise ExchangeFormatError(
+                f"unknown cell kind: cell with {step} vertices (only 2-node lines)"
+            )
+        raise ExchangeFormatError("offsets run past the end of the connectivity array")
+    if 2 * len(offsets) != n_conn:
+        raise ExchangeFormatError(
+            f"connectivity length {n_conn} does not match final offset {2 * len(offsets)}"
+        )
 
 
 def parse_model(text: str) -> StructuralModel:
@@ -281,7 +301,7 @@ def parse_model(text: str) -> StructuralModel:
         raise ExchangeFormatError("missing PolyData/Piece element")
     for bad in ("Verts", "Strips", "Polys"):
         elem = piece.find(bad)
-        if elem is not None and any(_tokens(a) for a in elem):
+        if elem is not None and any((a.text or "").split() for a in elem):
             raise ExchangeFormatError(f"unknown cell kind: {bad} geometry is not supported")
 
     try:
@@ -297,88 +317,59 @@ def parse_model(text: str) -> StructuralModel:
     if points_elem is not None:
         da = points_elem.find("DataArray")
         if da is not None:
-            coords = _floats(da, 3 * n_points, "point coordinates").reshape(-1, 3)
+            coords = _values(da, 3 * n_points, float, "point coordinates").reshape(-1, 3)
     if coords.shape[0] != n_points:
         raise ExchangeFormatError(
             f"point coordinates: expected {n_points} points, got {coords.shape[0]}"
         )
 
-    connectivity = []
-    offsets = []
-    lines_elem = piece.find("Lines")
-    if lines_elem is not None:
-        for da in lines_elem.findall("DataArray"):
-            name = da.get("Name")
-            if name == "connectivity":
-                _require_ascii(da)
-                connectivity = _ints(da, len(_tokens(da)), "connectivity")
-            elif name == "offsets":
-                _require_ascii(da)
-                offsets = _ints(da, len(_tokens(da)), "offsets")
+    connectivity = np.zeros(0, dtype=np.int64)
+    offsets = np.zeros(0, dtype=np.int64)
+    for name, da in _named_arrays(piece, "Lines"):
+        if name == "connectivity":
+            connectivity = _values(da, None, np.int64, "connectivity")
+        elif name == "offsets":
+            offsets = _values(da, None, np.int64, "offsets")
     if len(offsets) != n_lines:
         raise ExchangeFormatError(f"offsets: expected {n_lines} entries, got {len(offsets)}")
-    prev = 0
-    conn_pairs = []
-    for off in offsets:
-        if off <= prev:
-            raise ExchangeFormatError("offsets must be strictly increasing")
-        if off - prev != 2:
-            raise ExchangeFormatError(
-                f"unknown cell kind: cell with {off - prev} vertices (only 2-node lines)"
-            )
-        if off > len(connectivity):
-            raise ExchangeFormatError("offsets run past the end of the connectivity array")
-        conn_pairs.append((connectivity[prev], connectivity[prev + 1]))
-        prev = off
-    if prev != len(connectivity):
-        raise ExchangeFormatError(
-            f"connectivity length {len(connectivity)} does not match final offset {prev}"
-        )
+    _check_lines(offsets, len(connectivity))
 
     masks = np.zeros((n_points, 6), dtype=bool)
     bc_ids = [0] * n_points
-    point_data = piece.find("PointData")
-    if point_data is not None:
-        for da in point_data.findall("DataArray"):
-            name = da.get("Name")
-            if name == "Boundary_Conditions":
-                ncomp = da.get("NumOfComp") or da.get("NumberOfComponents")
-                try:
-                    if ncomp is not None and int(ncomp) != 6:
-                        raise ExchangeFormatError("Boundary_Conditions must carry 6 components")
-                except ValueError as exc:
-                    raise ExchangeFormatError(f"bad component count {ncomp!r}") from exc
-                vals = _ints(da, 6 * n_points, "Boundary_Conditions")
-                masks = np.array(vals, dtype=bool).reshape(-1, 6)
-            elif name == "ID_BOUNDARY_CONDITION":
-                bc_ids = _ints(da, n_points, "ID_BOUNDARY_CONDITION")
+    for name, da in _named_arrays(piece, "PointData"):
+        if name == "Boundary_Conditions":
+            ncomp = da.get("NumOfComp") or da.get("NumberOfComponents")
+            try:
+                count = 6 if ncomp is None else int(ncomp)
+            except ValueError as exc:
+                raise ExchangeFormatError(f"bad component count {ncomp!r}") from exc
+            if count != 6:
+                raise ExchangeFormatError("Boundary_Conditions must carry 6 components")
+            masks = _values(da, 6 * n_points, np.int64, "Boundary_Conditions").reshape(-1, 6) != 0
+        elif name == "ID_BOUNDARY_CONDITION":
+            bc_ids = _values(da, n_points, np.int64, "ID_BOUNDARY_CONDITION").tolist()
 
-    cs_ids = [0] * n_lines
-    mat_ids = [0] * n_lines
-    kinds = [0] * n_lines
-    cell_data = piece.find("CellData")
-    if cell_data is not None:
-        for da in cell_data.findall("DataArray"):
-            name = da.get("Name")
-            if name == "ID_CROSS-SECTION":
-                cs_ids = _ints(da, n_lines, "ID_CROSS-SECTION")
-            elif name == "ID_MATERIAL":
-                mat_ids = _ints(da, n_lines, "ID_MATERIAL")
-            elif name == "ELEMENT_TYPE":
-                kinds = _ints(da, n_lines, "ELEMENT_TYPE")
-    elif n_lines > 0:
+    if n_lines > 0 and piece.find("CellData") is None:
         raise ExchangeFormatError("missing CellData with ID_CROSS-SECTION / ID_MATERIAL")
+    columns = {"ID_CROSS-SECTION": [0] * n_lines, "ID_MATERIAL": [0] * n_lines,
+               "ELEMENT_TYPE": [0] * n_lines}
+    for name, da in _named_arrays(piece, "CellData"):
+        if name in columns:
+            columns[name] = _values(da, n_lines, np.int64, name).tolist()
 
+    pairs = connectivity.reshape(-1, 2)
+    outside = np.flatnonzero(((pairs < 0) | (pairs >= n_points)).any(axis=1))
+    if outside.size:
+        raise ExchangeFormatError(f"cell {outside[0]} references point outside 0..{n_points - 1}")
     model = StructuralModel()
     model.points = [
         Point(id=i, coords=coords[i], constraint_mask=masks[i], bc_id=bc_ids[i])
         for i in range(n_points)
     ]
-    for i, (a, b) in enumerate(conn_pairs):
-        if not (0 <= a < n_points and 0 <= b < n_points):
-            raise ExchangeFormatError(f"cell {i} references point outside 0..{n_points - 1}")
-        kind = TRUSS_LINE if kinds[i] else BEAM_LINE
-        model.cells.append(Cell(id=i, connectivity=(a, b), cs_id=cs_ids[i], mat_id=mat_ids[i], kind=kind))
+    model.cells = [
+        Cell(id=i, connectivity=(a, b), cs_id=cs, mat_id=mat, kind=TRUSS_LINE if t else BEAM_LINE)
+        for i, (a, b, cs, mat, t) in enumerate(zip(*pairs.T.tolist(), *columns.values()))
+    ]
 
     appended = root.find("AppendedData")
     chars = appended.find("Characteristics") if appended is not None else None
@@ -388,68 +379,43 @@ def parse_model(text: str) -> StructuralModel:
             items = comment_sec.findall("item")
             if items:
                 model.comment = " ".join((items[0].text or "").split())
-        cs_sec = chars.find("CROSS-SECTIONS")
-        if cs_sec is not None:
-            for item in _catalog_items(cs_sec, "CROSS-SECTIONS"):
-                cs = _parse_cross_section(item)
-                model.cross_sections[cs.id] = cs
-        mat_sec = chars.find("MATERIALS")
-        if mat_sec is not None:
-            for item in _catalog_items(mat_sec, "MATERIALS"):
-                mat = _parse_material(item)
-                model.materials[mat.id] = mat
-        bc_sec = chars.find("BOUNDARY_CONDITIONS")
-        if bc_sec is not None:
-            for item in _catalog_items(bc_sec, "BOUNDARY_CONDITIONS"):
-                bc = _parse_bc(item)
-                model.bcs[bc.id] = bc
-        link_sec = chars.find("RIGID_LINKS")
-        if link_sec is not None:
-            for item in _catalog_items(link_sec, "RIGID_LINKS"):
-                model.rigid_links.append(_parse_rigid_link(item))
+        for tag, attr, read, _ in _CATALOGS:
+            entries = [read(item) for item in _catalog_items(chars.find(tag), tag)]
+            catalog = getattr(model, attr)
+            if isinstance(catalog, dict):
+                catalog.update((entry.id, entry) for entry in entries)
+            else:
+                catalog.extend(entries)
 
     return model
 
 
-def _cs_item(cs: CrossSection) -> str:
-    shape = cs.shape
-    if isinstance(shape, Circle):
-        parts = [str(cs.id), "Circle", "width", _fmt(shape.diameter)]
-    elif isinstance(shape, Rectangle):
-        parts = [str(cs.id), "Rectangle", "width", _fmt(shape.width), "height", _fmt(shape.height)]
-        if shape.ref_axis is not None:
-            parts += ["refNode", shape.ref_axis, str(shape.ref_code)]
-    elif isinstance(shape, GenericSection):
-        parts = [str(cs.id), "Generic"]
-        for key in ("A", "Iy", "Iz", "J", "Wy", "Wz", "Wt"):
-            parts += [key, _fmt(getattr(shape, key))]
-    else:
-        raise ExchangeFormatError(f"cannot serialize section shape {type(shape).__name__}")
-    for key, raw in cs.extra:
-        parts += [key, raw]
-    return " ".join(parts)
+def _rows(values, indent: str = "") -> list:
+    """One text row per entry of a 1-D array, or per row of a 2-D array with
+    single spaces between values; floats in ``_fmt`` form."""
+    values = np.asarray(values)
+    fmt = _fmt if values.dtype.kind == "f" else str
+    columns = values.T.tolist() if values.ndim == 2 else [values.tolist()]
+    return [indent + " ".join(row) for row in zip(*(map(fmt, col) for col in columns))]
 
 
-def _mat_item(mat: Material) -> str:
-    parts = [
-        str(mat.id), "IsoLinEl",
-        "E", _fmt(mat.E),
-        "nu", _fmt(mat.nu),
-        "tAlpha", _fmt(mat.tAlpha),
-        "density", _fmt(mat.density),
-        "Ry", _fmt(mat.Ry),
-    ]
-    for key, raw in mat.extra:
-        parts += [key, raw]
-    return " ".join(parts)
+def _data_array(attrs: str, values) -> list:
+    return [f"        <DataArray {attrs}>", *_rows(values, " " * 10), "        </DataArray>"]
 
 
-def _bc_item(bc: BoundaryConditionEntry) -> str:
-    parts = [str(bc.id), "NodalLoad", "components", "6"]
-    parts += [_fmt(c) for c in bc.components]
-    for key, raw in bc.extra:
-        parts += [key, raw]
-    return " ".join(parts)
+def _ordered(model: StructuralModel):
+    """The wire order: list indices of the points and of the cells in
+    ascending id order, and each cell's two ends as point positions in it."""
+    ids = np.array([p.id for p in model.points], dtype=np.int64)
+    point_order = np.argsort(ids, kind="stable")
+    cell_order = np.argsort([c.id for c in model.cells], kind="stable")
+    ends = np.array([model.cells[i].connectivity for i in cell_order], np.int64).reshape(-1, 2)
+    sorted_ids = ids[point_order]
+    # the last of equal ids, as a dict from id to position would give
+    pos = np.searchsorted(sorted_ids, ends, side="right") - 1
+    if np.any(pos < 0) or np.any(sorted_ids[pos] != ends):
+        raise ValueError("cells reference points that are not in the model")
+    return point_order, cell_order, pos
 
 
 def write_model(model: StructuralModel) -> str:
@@ -459,85 +425,49 @@ def write_model(model: StructuralModel) -> str:
     id), so identical models produce byte-identical documents.  Floats use
     the shortest round-tripping decimal form.
     """
-    points = sorted(model.points, key=lambda p: p.id)
-    cells = sorted(model.cells, key=lambda c: c.id)
-    pos = {p.id: i for i, p in enumerate(points)}
+    point_order, cell_order, ends = _ordered(model)
+    points = [model.points[i] for i in point_order]
+    cells = [model.cells[i] for i in cell_order]
+    masks = np.array([p.constraint_mask for p in points], dtype=np.int8).reshape(-1, 6)
+    array = 'format="ascii" type="Int32" Name='
 
-    out = []
-    out.append('<VTKFile type="PolyData" version="0.1" byte_order="LittleEndian">')
-    out.append("  <PolyData>")
-    out.append(f'    <Piece NumberOfPoints="{len(points)}" NumberOfLines="{len(cells)}">')
-    out.append("      <Points>")
-    out.append('        <DataArray type="Float32" NumberOfComponents="3" format="ascii">')
-    for p in points:
-        out.append(f"          {_fmt(p.coords[0])} {_fmt(p.coords[1])} {_fmt(p.coords[2])}")
-    out.append("        </DataArray>")
-    out.append("      </Points>")
-    out.append("      <Lines>")
-    out.append('        <DataArray format="ascii" type="Int32" Name="connectivity">')
-    for c in cells:
-        out.append(f"          {pos[c.connectivity[0]]} {pos[c.connectivity[1]]}")
-    out.append("        </DataArray>")
-    out.append('        <DataArray format="ascii" type="Int32" Name="offsets">')
-    for i in range(len(cells)):
-        out.append(f"          {2 * (i + 1)}")
-    out.append("        </DataArray>")
-    out.append("      </Lines>")
-    out.append("      <PointData>")
-    out.append('        <DataArray format="ascii" type="Int32" Name="Boundary_Conditions" NumOfComp="6">')
-    for p in points:
-        out.append("          " + " ".join(str(int(v)) for v in p.constraint_mask))
-    out.append("        </DataArray>")
-    out.append('        <DataArray format="ascii" type="Int32" Name="ID_BOUNDARY_CONDITION">')
-    for p in points:
-        out.append(f"          {p.bc_id}")
-    out.append("        </DataArray>")
-    out.append("      </PointData>")
-    out.append("      <CellData>")
-    out.append('        <DataArray format="ascii" type="Int32" Name="ID_CROSS-SECTION">')
-    for c in cells:
-        out.append(f"          {c.cs_id}")
-    out.append("        </DataArray>")
-    out.append('        <DataArray format="ascii" type="Int32" Name="ID_MATERIAL">')
-    for c in cells:
-        out.append(f"          {c.mat_id}")
-    out.append("        </DataArray>")
-    if any(c.kind == TRUSS_LINE for c in cells):
-        out.append('        <DataArray format="ascii" type="Int32" Name="ELEMENT_TYPE">')
-        for c in cells:
-            out.append(f"          {1 if c.kind == TRUSS_LINE else 0}")
-        out.append("        </DataArray>")
-    out.append("      </CellData>")
-    out.append("    </Piece>")
-    out.append("  </PolyData>")
-    out.append("  <AppendedData>")
-    out.append("    _")
+    out = ['<VTKFile type="PolyData" version="0.1" byte_order="LittleEndian">', "  <PolyData>",
+           f'    <Piece NumberOfPoints="{len(points)}" NumberOfLines="{len(cells)}">',
+           "      <Points>"]
+    out += _data_array('type="Float32" NumberOfComponents="3" format="ascii"',
+                       model.coords_array()[point_order])
+    out += ["      </Points>", "      <Lines>"]
+    out += _data_array(array + '"connectivity"', ends)
+    out += _data_array(array + '"offsets"', np.arange(2, 2 * len(cells) + 1, 2))
+    out += ["      </Lines>", "      <PointData>"]
+    out += _data_array(array + '"Boundary_Conditions" NumOfComp="6"', masks)
+    out += _data_array(array + '"ID_BOUNDARY_CONDITION"', [p.bc_id for p in points])
+    out += ["      </PointData>", "      <CellData>"]
+    out += _data_array(array + '"ID_CROSS-SECTION"', [c.cs_id for c in cells])
+    out += _data_array(array + '"ID_MATERIAL"', [c.mat_id for c in cells])
+    truss = [int(c.kind == TRUSS_LINE) for c in cells]
+    if any(truss):
+        out += _data_array(array + '"ELEMENT_TYPE"', truss)
+    out += ["      </CellData>", "    </Piece>", "  </PolyData>", "  <AppendedData>", "    _"]
     out.append("    <Characteristics>")
-    comment = " ".join(model.comment.split())
-    out.append(f"      <COMMENT> <item> {escape(comment)} </item> </COMMENT>")
-    out.append(f'      <CROSS-SECTIONS Number="{len(model.cross_sections)}">')
-    for cs_id in sorted(model.cross_sections):
-        out.append(f"        <item> {escape(_cs_item(model.cross_sections[cs_id]))} </item>")
-    out.append("      </CROSS-SECTIONS>")
-    out.append(f'      <MATERIALS Number="{len(model.materials)}">')
-    for mat_id in sorted(model.materials):
-        out.append(f"        <item> {escape(_mat_item(model.materials[mat_id]))} </item>")
-    out.append("      </MATERIALS>")
-    out.append(f'      <BOUNDARY_CONDITIONS Number="{len(model.bcs)}">')
-    for bc_id in sorted(model.bcs):
-        out.append(f"        <item> {escape(_bc_item(model.bcs[bc_id]))} </item>")
-    out.append("      </BOUNDARY_CONDITIONS>")
-    if model.rigid_links:
-        out.append(f'      <RIGID_LINKS Number="{len(model.rigid_links)}">')
-        for i, link in enumerate(model.rigid_links):
-            parts = [str(i + 1), "RigidLink", "master", str(link.master), "slave", str(link.slave)]
-            if link.offset is not None:
-                parts += ["offset"] + [_fmt(v) for v in link.offset]
-            out.append(f"        <item> {' '.join(parts)} </item>")
-        out.append("      </RIGID_LINKS>")
-    out.append("    </Characteristics>")
-    out.append("  </AppendedData>")
-    out.append("</VTKFile>")
+    comment = escape(" ".join(model.comment.split()))
+    out.append(f"      <COMMENT> <item> {comment} </item> </COMMENT>")
+    for tag, attr, _, write in _CATALOGS:
+        catalog = getattr(model, attr)
+        if isinstance(catalog, dict):
+            entries = [(catalog[key].id, catalog[key]) for key in sorted(catalog)]
+        elif catalog:
+            entries = list(enumerate(catalog, 1))
+        else:
+            continue
+        out.append(f'      <{tag} Number="{len(entries)}">')
+        for lead, entry in entries:
+            parts = [str(lead)] + write(entry)
+            for key, raw in getattr(entry, "extra", ()):
+                parts += [key, raw]
+            out.append(f"        <item> {escape(' '.join(parts))} </item>")
+        out.append(f"      </{tag}>")
+    out += ["    </Characteristics>", "  </AppendedData>", "</VTKFile>"]
     return "\n".join(out) + "\n"
 
 
@@ -550,37 +480,17 @@ def write_results_vtk(model: StructuralModel, results, deform_scale: float = 1.0
     deformed = deformed_geometry(model, disp, deform_scale)
     if len(results.u_el) != m or len(results.exceeded) != m:
         raise ValueError("per-cell result arrays do not match the cell count")
+    point_order, cell_order, ends = _ordered(model)
 
-    points = sorted(model.points, key=lambda p: p.id)
-    cells = sorted(model.cells, key=lambda c: c.id)
-    pos = {p.id: i for i, p in enumerate(points)}
-    order = {p.id: i for i, p in enumerate(model.points)}
-    cell_order = {c.id: i for i, c in enumerate(model.cells)}
-
-    out = []
-    out.append("# vtk DataFile Version 3.0")
-    out.append(" ".join(model.comment.split()) or "formpipe results")
-    out.append("ASCII")
-    out.append("DATASET POLYDATA")
-    out.append(f"POINTS {n} float")
-    for p in points:
-        x = deformed[order[p.id]]
-        out.append(f"{_fmt(x[0])} {_fmt(x[1])} {_fmt(x[2])}")
+    out = ["# vtk DataFile Version 3.0", " ".join(model.comment.split()) or "formpipe results",
+           "ASCII", "DATASET POLYDATA", f"POINTS {n} float"]
+    out += _rows(deformed[point_order])
     out.append(f"LINES {m} {3 * m}")
-    for c in cells:
-        out.append(f"2 {pos[c.connectivity[0]]} {pos[c.connectivity[1]]}")
-    out.append(f"POINT_DATA {n}")
-    out.append("VECTORS displacement float")
-    for p in points:
-        u = disp[order[p.id], :3]
-        out.append(f"{_fmt(u[0])} {_fmt(u[1])} {_fmt(u[2])}")
-    out.append(f"CELL_DATA {m}")
-    out.append("SCALARS resistance_ratio float 1")
-    out.append("LOOKUP_TABLE default")
-    for c in cells:
-        out.append(_fmt(results.u_el[cell_order[c.id]]))
-    out.append("SCALARS exceeded int 1")
-    out.append("LOOKUP_TABLE default")
-    for c in cells:
-        out.append(str(int(bool(results.exceeded[cell_order[c.id]]))))
+    out += _rows(np.column_stack([np.full(m, 2), ends]))
+    out += [f"POINT_DATA {n}", "VECTORS displacement float"]
+    out += _rows(disp[point_order, :3])
+    out += [f"CELL_DATA {m}", "SCALARS resistance_ratio float 1", "LOOKUP_TABLE default"]
+    out += _rows(np.asarray(results.u_el, dtype=float)[cell_order])
+    out += ["SCALARS exceeded int 1", "LOOKUP_TABLE default"]
+    out += _rows(np.asarray(results.exceeded, dtype=bool)[cell_order].astype(np.int8))
     return "\n".join(out) + "\n"

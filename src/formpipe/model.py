@@ -286,6 +286,19 @@ class StructuralModel:
         return copy.deepcopy(self)
 
 
+def cell_lengths(model: StructuralModel) -> np.ndarray:
+    """Length of every cell, in list order, from one batched dot product
+    (the same rounding as ``np.linalg.norm`` of each end difference).  A
+    cell with a missing end point gets NaN, which no tolerance test passes."""
+    index = model.point_index()
+    ends = np.fromiter((index.get(pid, -1) for c in model.cells for pid in c.connectivity),
+                       dtype=np.intp, count=2 * len(model.cells)).reshape(-1, 2)
+    # index -1 picks the appended NaN row
+    coords = np.array([p.coords for p in model.points] + [np.full(3, np.nan)])
+    d = coords[ends[:, 0]] - coords[ends[:, 1]]
+    return np.sqrt(np.vecdot(d, d))
+
+
 @dataclass(frozen=True)
 class Finding:
     kind: str
@@ -312,6 +325,7 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     links.  Degenerate cells, never-referenced catalog entries and points
     referenced by no cell are warnings only.
     """
+    short = (cell_lengths(model) <= tol).tolist()
     defects = []
     warnings = []
 
@@ -329,7 +343,7 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     used_points = set()
     used_cs = set()
     used_mat = set()
-    for c in model.cells:
+    for c, is_short in zip(model.cells, short):
         if c.id in seen_cids:
             defects.append(Finding("duplicate-id", f"duplicate cell id {c.id}"))
         seen_cids.add(c.id)
@@ -352,12 +366,8 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
             )
         else:
             used_mat.add(c.mat_id)
-        a, b = c.connectivity
-        if a in by_id and b in by_id:
-            if np.linalg.norm(by_id[a].coords - by_id[b].coords) <= tol:
-                warnings.append(
-                    Finding("degenerate-cell", f"cell {c.id} shorter than merge tolerance")
-                )
+        if is_short:
+            warnings.append(Finding("degenerate-cell", f"cell {c.id} shorter than merge tolerance"))
 
     used_bc = set()
     for p in model.points:

@@ -541,33 +541,33 @@ def _raise_local_mechanism(system: LinearSystem):
 
 
 def _diagnose_singular(system: LinearSystem):
-    """Name the point and DOF of a mechanism: first a check of each point's
-    diagonal block, then, up to 1,500 equations, the first DOF where a dense
-    symmetric factorization loses positivity."""
+    """Name the point and DOF of a mechanism, whatever the model size: first
+    a check of each point's diagonal block, then four steps of inverse
+    iteration from a vector of ones on one SuperLU factor of K + sigma I,
+    sigma = 1e-10 max diag K.  A Rayleigh quotient x'Kx of at most 1e-12
+    max diag K shows a null vector; the DOF that moves most in it is named.
+    Returns when no mechanism shows, so the caller raises its own error."""
     _raise_local_mechanism(system)
-    n = system.K.shape[0]
-    if n > 1500:
-        raise MechanismError(
-            "stiffness matrix is singular (kinematic mechanism); no point block is "
-            "singular and the system is too large for pivot diagnosis"
-        )
-    A = system.K.toarray().copy()
-    scale = float(np.max(np.abs(np.diag(A)))) or 1.0
-    tol = 1e-12 * scale
-    L = np.zeros_like(A)
-    for j in range(n):
-        d = A[j, j] - L[j, :j] @ L[j, :j]
-        if d <= tol:
-            pid, dof = system.dofmap.labels[j]
-            raise MechanismError(
-                f"zero pivot at point {pid} dof {dof}: local kinematic mechanism",
-                point_id=pid,
-                dof=dof,
-            )
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            L[j + 1 :, j] = (A[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    raise MechanismError("direct solve failed although all pivots are positive")
+    K = system.K.tocsc()
+    scale = float(np.max(np.abs(K.diagonal()))) or 1.0
+    try:
+        lu = _splu_symmetric(K + 1e-10 * scale * sp.identity(K.shape[0], format="csc"),
+                             _DIRECT_ORDERING)
+    except RuntimeError:
+        return
+    x = np.ones(K.shape[0])
+    for _ in range(4):
+        x = lu.solve(x)
+        x /= np.linalg.norm(x)
+    if not float(x @ (K @ x)) <= 1e-12 * scale:
+        return
+    pid, dof = system.dofmap.labels[int(np.argmax(np.abs(x)))]
+    raise MechanismError(
+        f"singular stiffness matrix, null vector largest at point {pid} dof {dof}: "
+        "kinematic mechanism",
+        point_id=pid,
+        dof=dof,
+    )
 
 
 def _splu_symmetric(A: sp.csc_matrix, ordering: str):
@@ -601,22 +601,24 @@ def solve_direct(system: LinearSystem, residual_tol: float = _DIRECT_RESIDUAL_TO
         lu = _splu_symmetric(system.K.tocsc(), ordering)
         factor_time = time.perf_counter() - t0
         u = lu.solve(system.f)
-    except (RuntimeError, ValueError):
+    except (RuntimeError, ValueError) as exc:
         _diagnose_singular(system)
-        raise  # unreachable; diagnosis always raises
+        raise SolverError(f"direct factorization failed: {exc}") from exc
     factor = dict(ordering=ordering, factor_nnz=lu.nnz, factor_time=factor_time)
     if fnorm == 0.0:
         return np.zeros(n), SolveStats("direct", 0, 0.0, time.perf_counter() - t0, **factor)
     if not np.all(np.isfinite(u)):
         _diagnose_singular(system)
+        raise SolverError("direct solve gave non-finite displacements")
     res = _true_residual(system, u, fnorm)
     for _ in range(2):
         if res <= residual_tol:
             break
         u = u + lu.solve(system.f - system.K @ u)
         res = _true_residual(system, u, fnorm)
-    if res > residual_tol or not np.isfinite(res):
+    if not res <= residual_tol:
         _diagnose_singular(system)
+        raise SolverError(f"direct solve residual {res:.3e} above {residual_tol:g}")
     return u, SolveStats("direct", 0, res, time.perf_counter() - t0, true_residual=res, **factor)
 
 
@@ -722,7 +724,7 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = 1e-10, max_iter: int | No
     try:
         lu, shift = _ic0_factor(system.K)
     except SolverError:
-        _raise_local_mechanism(system)
+        _diagnose_singular(system)
         raise
     factor = dict(ordering=ordering, ic_shift=shift, factor_nnz=lu.nnz,
                   factor_time=time.perf_counter() - t0)
@@ -743,7 +745,7 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = 1e-10, max_iter: int | No
         Ap = K @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0 or not np.isfinite(pAp):
-            _raise_local_mechanism(system)
+            _diagnose_singular(system)
             raise SolverError("PCG breakdown: matrix is not positive definite")
         alpha = rz / pAp
         x += alpha * p

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .model import DEFAULT_MERGE_TOL, RigidLink, StructuralModel
+from .model import DEFAULT_MERGE_TOL, RigidLink, StructuralModel, cell_lengths
 
 
 class TopologyError(ValueError):
@@ -56,6 +56,36 @@ _SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
 
 
 def _close_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
+    """(m, 2) index pairs within ``tol`` of each other, enough to join every
+    cluster of such points into one connected component.
+
+    Exact duplicate coordinates are collapsed first: each copy pairs with
+    the first point at its position only, so m grows linearly with the
+    number of copies.  The distinct positions go through the sweep.
+    """
+    if len(coords) < 2:
+        return np.zeros((0, 2), dtype=np.intp)
+    copies = _exact_copies(coords)
+    distinct = np.ones(len(coords), dtype=bool)
+    distinct[copies[:, 1]] = False
+    distinct = np.flatnonzero(distinct)
+    return np.concatenate([copies, distinct[_swept_pairs(coords[distinct], tol)]])
+
+
+def _exact_copies(coords: np.ndarray) -> np.ndarray:
+    """(k, 2) pairs (first, copy) from one lexsort: every point whose finite
+    coordinates equal those of an earlier point in sorted order, paired with
+    the first point at that position.  NaN and inf rows never repeat."""
+    n = len(coords)
+    order = np.lexsort(coords.T[::-1])
+    ranked = coords[order]
+    copy = np.zeros(n, dtype=bool)
+    copy[1:] = (ranked[1:] == ranked[:-1]).all(axis=1) & np.isfinite(ranked[1:]).all(axis=1)
+    first = order[np.maximum.accumulate(np.where(copy, 0, np.arange(n)))]
+    return np.stack([first[copy], order[copy]], axis=1)
+
+
+def _swept_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
     """(m, 2) index pairs i != j with squared distance <= tol**2.
 
     Sort-and-sweep along ``_SWEEP_AXIS``: since |d . axis| <= |d|, every close
@@ -77,7 +107,8 @@ def _close_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
     # offset of each candidate inside its point's window, 1-based
     step = np.arange(1, len(first) + 1) - np.repeat(np.cumsum(width) - width, width)
     i, j = order[first], order[first + step]
-    d = coords[i] - coords[j]
+    d = coords[i]
+    d -= coords[j]
     close = np.einsum("ij,ij->i", d, d) <= tol * tol
     return np.stack([i[close], j[close]], axis=1)
 
@@ -161,30 +192,28 @@ def remove_degenerate_cells(model: StructuralModel, tol: float = DEFAULT_MERGE_T
     """
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    by_id = model.point_by_id()
     report = RepairReport()
     n_before = len(model.cells)
+    ids = np.array([c.id for c in model.cells], dtype=np.int64)
+    ends = np.sort(np.array([c.connectivity for c in model.cells], dtype=np.int64)
+                   .reshape(-1, 2), axis=1)
+    degenerate = (ends[:, 0] == ends[:, 1]) | (cell_lengths(model) <= tol)
+    report.removed_degenerate_cells = ids[degenerate].tolist()
 
-    kept = []
-    for c in model.cells:
-        a, b = c.connectivity
-        if a == b or np.linalg.norm(by_id[a].coords - by_id[b].coords) <= tol:
-            report.removed_degenerate_cells.append(c.id)
-        else:
-            kept.append(c)
+    # the other cells by ascending id, then by end pair: a stable sort keeps
+    # the lowest id first among equal pairs
+    by_id = np.flatnonzero(~degenerate)
+    by_id = by_id[np.argsort(ids[by_id], kind="stable")]
+    pairs = ends[by_id]
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    repeat = np.zeros(len(order), dtype=bool)
+    repeat[1:] = (pairs[order[1:]] == pairs[order[:-1]]).all(axis=1)
+    duplicate = by_id[np.sort(order[repeat])]
+    report.removed_duplicate_cells = ids[duplicate].tolist()
 
-    seen = {}
-    survivors = []
-    for c in sorted(kept, key=lambda c: c.id):
-        key = frozenset(c.connectivity)
-        if key in seen:
-            report.removed_duplicate_cells.append(c.id)
-        else:
-            seen[key] = c.id
-            survivors.append(c)
-    order = {c.id: i for i, c in enumerate(model.cells)}
-    survivors.sort(key=lambda c: order[c.id])
-    model.cells = survivors
+    gone = degenerate.copy()
+    gone[duplicate] = True
+    model.cells = [c for c, g in zip(model.cells, gone.tolist()) if not g]
     removed = n_before - len(model.cells)
     report.element_removal_fraction = removed / n_before if n_before else 0.0
     return model, report

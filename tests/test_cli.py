@@ -63,6 +63,17 @@ class TestCheck:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["check", "clean", "solve"])
+    def test_id_outside_int64_unreadable(self, capsys, tmp_path, cantilever_file, command):
+        path = tmp_path / "huge.vtp"
+        column = 'Name="ID_CROSS-SECTION">\n          2'
+        path.write_text(cantilever_file.read_text().replace(column, column + "0" * 19))
+        argv = [command, str(path)] + ([str(tmp_path / "out")] if command != "check" else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ID_CROSS-SECTION: ")
+
     def test_floating_component_blocks(self, capsys, tmp_path):
         model = fp.gen_cantilever()
         model.points.append(fp.Point(id=2, coords=(0, 500.0, 0)))
@@ -342,3 +353,49 @@ def test_cli_import_leaves_scipy_spatial_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+class TestClosedStdout:
+    """A reader that closes its end of the pipe early (``formpipe ... | head``)
+    must not turn a finished command into a traceback."""
+
+    @staticmethod
+    def run_into_closed_pipe(*argv):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run([sys.executable, "-m", "formpipe.cli", *argv], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+
+    def test_check_keeps_its_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "splash.vtp"
+        fp.cli.atomic_write(str(path), fp.write_model(fp.gen_sphere_lattice(
+            fp.LatticeSpec(nx=6, ny=3, nz=4, splash_fraction=0.05, seed=2))))
+        expected, _, _ = run(capsys, "check", str(path))
+        assert expected == 2  # splash clusters float unsupported
+        proc = self.run_into_closed_pipe("check", str(path))
+        assert proc.stderr == b""
+        assert proc.returncode == expected
+
+    def test_clean_writes_its_files(self, capsys, tmp_path, cantilever_file):
+        ref, ref_report = tmp_path / "ref.vtp", tmp_path / "ref.txt"
+        code, _, _ = run(capsys, "clean", str(cantilever_file), str(ref),
+                         "--report", str(ref_report))
+        assert code == 0
+        dst, report = tmp_path / "out.vtp", tmp_path / "out.txt"
+        proc = self.run_into_closed_pipe("clean", str(cantilever_file), str(dst),
+                                         "--report", str(report))
+        assert proc.stderr == b""
+        assert proc.returncode == 0
+        assert dst.read_bytes() == ref.read_bytes()
+        assert report.read_bytes() == ref_report.read_bytes()
+
+    def test_gen_reports_success(self, tmp_path):
+        dst = tmp_path / "cantilever.vtp"
+        proc = self.run_into_closed_pipe("gen", "cantilever", str(dst))
+        assert proc.stderr == b""
+        assert proc.returncode == 0
+        assert dst.read_text() == fp.write_model(fp.gen_cantilever())

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,18 +13,20 @@ from formpipe.exchange import (
 )
 from formpipe.model import (
     TRUSS_LINE,
+    BoundaryConditionEntry,
     Cell,
     Circle,
     CrossSection,
+    GenericSection,
     Material,
     Point,
     Rectangle,
     RigidLink,
     StructuralModel,
 )
-from formpipe.resistance import build_result_set
+from formpipe.resistance import ResultSet, build_result_set
 
-from conftest import assert_models_equal, random_model
+from conftest import DATA_DIR, assert_models_equal, random_model
 
 
 class TestParseReferenceDocument:
@@ -290,3 +294,123 @@ class TestResultsWriter:
         results.displacements = results.displacements[:1]
         with pytest.raises(ValueError):
             write_results_vtk(model, results, deform_scale=1.0)
+
+
+def golden_model():
+    """One model with every feature the writer serializes: id gaps, lists in
+    shuffled order, a Rectangle with refNode, a truss, rigid links with and
+    without offset, catalog extras (one needing escapes) and a comment that
+    needs whitespace folding and escapes."""
+    model = StructuralModel(comment="golden  mixed\nmodel <a&b>")
+    points = [
+        (14, (1000.0, 0.0, 250.0), [0, 0, 0, 0, 0, 0], 7),
+        (3, (0.0, 0.0, 0.0), [1, 1, 1, 1, 1, 1], 0),
+        (9, (500.0, 1 / 3, -2.5e-7), [0, 1, 0, 0, 0, 0], 0),
+        (22, (1000.0, 120.0, 250.0), [0, 0, 0, 0, 0, 0], 2),
+        (5, (0.0, 1200.0, 1e6 / 7), [1, 1, 1, 0, 0, 0], 0),
+    ]
+    model.points = [Point(id=i, coords=x, constraint_mask=m, bc_id=b) for i, x, m, b in points]
+    model.cells = [
+        Cell(id=40, connectivity=(9, 14), cs_id=6, mat_id=2),
+        Cell(id=2, connectivity=(3, 9), cs_id=6, mat_id=2),
+        Cell(id=17, connectivity=(5, 9), cs_id=1, mat_id=4, kind=TRUSS_LINE),
+        Cell(id=11, connectivity=(14, 5), cs_id=3, mat_id=4),
+    ]
+    model.cross_sections = {
+        6: CrossSection(id=6, shape=Rectangle(width=80.0, height=120.5, ref_axis="z",
+                                              ref_code=22), extra=(("finish", "raw"),)),
+        1: CrossSection(id=1, shape=Circle(diameter=12.7)),
+        3: CrossSection(id=3, shape=GenericSection(A=150.0, Iy=4.0e4, Iz=3.0e4, J=7.0e4,
+                                                    Wy=1.6e3, Wz=1.3e3, Wt=3.0e3),
+                        extra=(("source", "test"), ("grade", "S<355>"))),
+    }
+    model.materials = {
+        4: Material(id=4, E=210000.0, nu=0.3, tAlpha=1.2e-5, density=7.85e-6, Ry=355.0),
+        2: Material(id=2, E=11000.0, nu=0.25, density=4.5e-7, extra=(("species", "oak"),)),
+    }
+    model.bcs = {
+        7: BoundaryConditionEntry(id=7, components=(0.0, -264.777, 0.0, 0.0, 0.0, 1e5)),
+        2: BoundaryConditionEntry(id=2, components=(1.5, 0.0, -3.0, 0.0, 0.1, 0.0),
+                                  extra=(("case", "wind"),)),
+    }
+    model.rigid_links = [
+        RigidLink(master=14, slave=22, offset=(0.0, 120.0, 0.0)),
+        RigidLink(master=9, slave=3),
+    ]
+    return model
+
+
+def golden_results(model):
+    """Fixed per-point and per-cell values in the model's list order."""
+    n, m = len(model.points), len(model.cells)
+    disp = (np.arange(6 * n, dtype=float).reshape(n, 6) - 7.0) / 3.0e3
+    u_el = np.array([0.25, 1.0, 1.0 + 1e-9, 0.1])
+    return ResultSet(
+        displacements=disp, end_forces=np.zeros((m, 2, 6)), u_el=u_el, exceeded=u_el > 1.0,
+        max_u_el=float(u_el.max()), max_total_displacement=0.0,
+        reactions=np.zeros((n, 6)), applied_loads=np.zeros((n, 6)),
+    )
+
+
+def read_data(name):
+    with open(os.path.join(DATA_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+class TestGoldenFiles:
+    """Writer output pinned byte for byte (files written before the writers
+    were rebuilt on shared array helpers)."""
+
+    def test_model_file(self):
+        assert write_model(golden_model()) == read_data("golden_mixed.vtp")
+
+    def test_results_file(self):
+        model = golden_model()
+        text = write_results_vtk(model, golden_results(model), deform_scale=2.5)
+        assert text == read_data("golden_mixed_results.vtk")
+
+    def test_model_file_is_a_fixed_point(self):
+        text = read_data("golden_mixed.vtp")
+        assert write_model(parse_model(text)) == text
+
+
+class TestDataArrayErrors:
+    @pytest.mark.parametrize("ncomp, message", [
+        ("5", "Boundary_Conditions must carry 6 components"),
+        ("six", "bad component count 'six'"),
+    ])
+    def test_boundary_condition_component_count(self, reference_cantilever_text, ncomp, message):
+        broken = reference_cantilever_text.replace('NumOfComp="6"', f'NumOfComp="{ncomp}"')
+        with pytest.raises(ExchangeFormatError) as err:
+            parse_model(broken)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("token", ["9223372036854775808", "-99999999999999999999"])
+    def test_integer_outside_int64_names_its_array(self, token):
+        text = read_data("golden_mixed.vtp").replace(
+            'Name="ID_MATERIAL">\n          2', f'Name="ID_MATERIAL">\n          {token}')
+        with pytest.raises(ExchangeFormatError, match="^ID_MATERIAL: "):
+            parse_model(text)
+
+    @pytest.mark.parametrize("offsets, message", [
+        ("2 2 6 8", "offsets must be strictly increasing"),
+        ("2 5 6 8", "unknown cell kind: cell with 3 vertices (only 2-node lines)"),
+        ("2 4 6 10", "unknown cell kind: cell with 4 vertices (only 2-node lines)"),
+        ("2 4 6 8", None),
+    ])
+    def test_first_failing_offset_is_reported(self, offsets, message):
+        text = read_data("golden_mixed.vtp").replace(
+            "\n          2\n          4\n          6\n          8\n", f"\n {offsets}\n")
+        if message is None:
+            assert len(parse_model(text).cells) == 4
+            return
+        with pytest.raises(ExchangeFormatError) as err:
+            parse_model(text)
+        assert str(err.value) == message
+
+    def test_offsets_past_connectivity(self):
+        text = read_data("golden_mixed.vtp").replace(
+            "\n          2 3\n", "\n          2\n")
+        with pytest.raises(ExchangeFormatError) as err:
+            parse_model(text)
+        assert str(err.value) == "offsets run past the end of the connectivity array"

@@ -25,6 +25,7 @@ from formpipe.solver import (
     MechanismError,
     SolverError,
     _IC0Breakdown,
+    _diagnose_singular,
     _ic0_factor,
     _ichol0,
     _ichol0_with_shifts,
@@ -325,7 +326,7 @@ class TestMechanismLocation:
     @pytest.mark.parametrize("offset", [(0.0, 0.0, 500.0), (300.0, 200.0, 400.0)])
     @pytest.mark.parametrize("method", ["direct", "pcg"])
     def test_mechanism_located_above_dense_cap(self, arch_50x5x24, offset, method):
-        # one dangling truss on a model far above the 1,500-equation dense diagnosis
+        # one dangling truss on a 6,840-equation model: a singular point block
         model = arch_50x5x24.copy()
         top = max(model.points, key=lambda p: p.coords[2])
         tip = max(p.id for p in model.points) + 1
@@ -340,6 +341,43 @@ class TestMechanismLocation:
             solve_direct(system) if method == "direct" else solve_pcg_ichol(system)
         assert err.value.point_id == tip
         assert err.value.dof in ("ux", "uy", "uz")
+
+
+def line_pinned_lattice():
+    """40x3x3 lattice whose only supports pin the translations of the points
+    on the x axis, so it can spin about that line; 2,040 equations."""
+    model = fp.gen_sphere_lattice(fp.LatticeSpec(nx=40, ny=3, nz=3))
+    on_line = set()
+    for p in model.points:
+        p.constraint_mask[:] = False
+        if p.coords[1] == 0.0 and p.coords[2] == 0.0:
+            p.constraint_mask[:3] = True
+            on_line.add(p.id)
+    return model, on_line
+
+
+class TestGlobalMechanism:
+    @pytest.mark.parametrize("method", ["direct", "pcg"])
+    def test_spin_about_support_line_located(self, method):
+        model, on_line = line_pinned_lattice()
+        system, _ = assemble(model)
+        assert system.K.shape[0] == 2040
+        with pytest.raises(MechanismError, match="mechanism") as err:
+            solve_direct(system) if method == "direct" else solve_pcg_ichol(system)
+        assert err.value.point_id is not None
+        assert err.value.point_id not in on_line
+        assert err.value.dof in ("ux", "uy", "uz")
+
+    def test_no_point_block_is_singular(self):
+        # the mechanism is global: the per-point block check alone finds nothing
+        from formpipe.solver import _raise_local_mechanism
+
+        system, _ = assemble(line_pinned_lattice()[0])
+        _raise_local_mechanism(system)
+
+    def test_well_posed_lattice_shows_no_mechanism(self):
+        system, _ = assemble(fp.gen_sphere_lattice(fp.LatticeSpec(nx=40, ny=3, nz=3)))
+        _diagnose_singular(system)  # returns without raising
 
 
 class TestPcgSolver:

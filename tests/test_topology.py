@@ -217,6 +217,31 @@ class TestMergeDuplicateNodes:
         merged_b, _ = merge_duplicate_nodes(shuffled, tol=0.5)
         assert sorted(p.id for p in merged_a.points) == sorted(p.id for p in merged_b.points)
 
+    def test_coincident_points_give_linearly_many_pairs(self):
+        from formpipe.topology import _close_pairs
+
+        coords = np.tile([[120.0, -3.5, 7.25]], (2000, 1))
+        pairs = _close_pairs(coords, 0.01)
+        assert len(pairs) == 1999  # not 2000 * 1999 / 2
+        model, report = merge_duplicate_nodes(simple_model(coords, []), tol=0.01)
+        assert [p.id for p in model.points] == [0]
+        assert report.merged_point_pairs == [(0, i) for i in range(1, 2000)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicates_mixed_with_near_points(self, seed):
+        # exact copies of some points, others moved by less than tol, and
+        # copies of those: every kind of link the oracle sees
+        rng = np.random.default_rng(seed)
+        tol = 0.3
+        base = rng.uniform(-4.0, 4.0, size=(60, 3))
+        near = base[rng.choice(60, size=20)] + rng.uniform(-0.17, 0.17, size=(20, 3))
+        coords = np.concatenate([base, near])
+        coords = np.concatenate([coords, coords[rng.choice(len(coords), size=40)]])
+        coords = coords[rng.permutation(len(coords))]
+        assert len(np.unique(coords, axis=0)) < len(coords)
+        self.assert_matches_oracle(coords, tol)
+        self.assert_matches_oracle(coords, 0.0)
+
 
 # ------------------------------------------------------- degenerate removal
 
