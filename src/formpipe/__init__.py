@@ -34,23 +34,6 @@ from .topology import (
     remove_degenerate_cells,
     remove_detached_components,
 )
-from .solver import (
-    ConvergenceError,
-    DofMap,
-    LinearSystem,
-    MechanismError,
-    SolveStats,
-    SolverError,
-    assemble,
-    beam_stiffness,
-    expand_displacements,
-    reaction_forces,
-    recover_end_forces,
-    solve_direct,
-    solve_pcg_ichol,
-    solve_system,
-    truss_stiffness,
-)
 from .resistance import (
     ResultSet,
     StressState,
@@ -74,3 +57,21 @@ from .casegen import (
 )
 
 __version__ = "0.1.0"
+
+# The solver loads scipy, the bulk of import time, so its names load on first use (PEP 562).
+_SOLVER_NAMES = (
+    "ConvergenceError", "DofMap", "LinearSystem", "MechanismError", "SolveStats", "SolverError",
+    "assemble", "beam_stiffness", "expand_displacements", "reaction_forces", "recover_end_forces",
+    "solve_direct", "solve_pcg_ichol", "solve_system", "truss_stiffness",
+)
+
+
+def __getattr__(name):
+    if name not in _SOLVER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import solver
+    return getattr(solver, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SOLVER_NAMES))

@@ -1,10 +1,10 @@
 """Command-line pipeline: check, clean, solve and gen subcommands composing
 through exchange files.
 
-Exit codes: 0 clean, 1 warnings only, 2 blocking defect or solver failure,
-3 unreadable input.  Output files are written atomically (temp file plus
-rename), so a failed run never leaves a partial file behind.  Units are
-mm / N / MPa throughout.
+Exit codes: 0 clean, 1 warnings only, 2 blocking defect, solver failure or
+unwritable output, 3 unreadable input.  Output files are written atomically
+(temp file plus rename), so a failed run never leaves a partial file behind.
+Units are mm / N / MPa throughout.
 """
 
 from __future__ import annotations
@@ -28,14 +28,6 @@ from .casegen import (
 from .exchange import ExchangeFormatError, parse_model, write_model, write_results_vtk
 from .model import StructuralModel, validate
 from .resistance import build_result_set, equilibrium_residual, summarize
-from .solver import (
-    SolverError,
-    assemble,
-    expand_displacements,
-    reaction_forces,
-    recover_end_forces,
-    solve_system,
-)
 from .topology import (
     check_support_reachability,
     merge_duplicate_nodes,
@@ -76,18 +68,25 @@ class PipelineConfig:
             raise ValueError(f"unknown report format {self.report_format!r}")
 
 
+class OutputError(OSError):
+    """An output file that cannot be written; the message names its path."""
+
+
 def atomic_write(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so failures leave nothing."""
+    """Write via a sibling temp file and rename, so failures leave nothing.
+    Raises OutputError when the file cannot be written."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".formpipe-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".formpipe-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def run_clean_pipeline(model: StructuralModel, config: PipelineConfig):
@@ -106,14 +105,15 @@ def run_clean_pipeline(model: StructuralModel, config: PipelineConfig):
 
 def run_solve_pipeline(model: StructuralModel, config: PipelineConfig):
     """Assemble, solve, recover forces and post-process into a ResultSet."""
+    from . import solver  # loads scipy, which no other command needs
     model.self_weight_enabled = config.self_weight
-    system, dofmap = assemble(model)
-    u, stats = solve_system(
+    system, dofmap = solver.assemble(model)
+    u, stats = solver.solve_system(
         system, method=config.solver, tol=config.pcg_tol, max_iter=config.pcg_max_iter
     )
-    disp = expand_displacements(dofmap, u)
-    forces = recover_end_forces(model, disp)
-    reactions = reaction_forces(system, u)
+    disp = solver.expand_displacements(dofmap, u)
+    forces = solver.recover_end_forces(model, disp)
+    reactions = solver.reaction_forces(system, u)
     results = build_result_set(
         model, disp, forces, reactions=reactions, applied_loads=system.applied_loads
     )
@@ -222,7 +222,7 @@ def cmd_clean(args) -> int:
         config = PipelineConfig(merge_tol=args.merge_tol, prune_degree=args.prune_degree,
                                 report_format=args.format)
         model, reports = run_clean_pipeline(model, config)
-    except (ValueError, SolverError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEFECTS
     cells_after = len(model.cells)
@@ -260,6 +260,7 @@ def _solve_records(results, stats, config, equilibrium):
 
 
 def cmd_solve(args) -> int:
+    from .solver import SolverError
     try:
         with open(args.input, encoding="utf-8") as handle:
             model = parse_model(handle.read())
@@ -403,7 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DEFECTS
 
 
 if __name__ == "__main__":

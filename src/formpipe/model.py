@@ -11,6 +11,8 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import astuple, dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -299,6 +301,40 @@ def cell_lengths(model: StructuralModel) -> np.ndarray:
     return np.sqrt(np.vecdot(d, d))
 
 
+class CellProperties(NamedTuple):
+    """Section and material values per cell, each an (m,) array."""
+
+    A: np.ndarray  # mm^2
+    Iy: np.ndarray  # mm^4
+    Iz: np.ndarray  # mm^4
+    J: np.ndarray  # mm^4
+    Wy: np.ndarray  # mm^3
+    Wz: np.ndarray  # mm^3
+    Wt: np.ndarray  # mm^3
+    E: np.ndarray  # MPa
+    G: np.ndarray  # MPa
+    density: np.ndarray  # kg/mm^3
+    Ry: np.ndarray  # MPa
+
+
+def _per_cell(ids, row, width):
+    """Evaluate ``row(catalog_id)`` once per distinct id, spread over the cells."""
+    uniq, inverse = np.unique(np.asarray(ids, dtype=np.int64), return_inverse=True)
+    table = np.array([row(i) for i in uniq.tolist()], dtype=float).reshape(len(uniq), width)
+    return table[inverse]
+
+
+def cell_properties(model: StructuralModel, cells=None) -> CellProperties:
+    """Section and material values of ``cells`` (default: all) as arrays."""
+    cells = model.cells if cells is None else cells
+    sections = _per_cell(
+        [c.cs_id for c in cells], lambda i: astuple(model.cross_sections[i].properties), 7
+    )
+    material = attrgetter("E", "G", "density", "Ry")
+    materials = _per_cell([c.mat_id for c in cells], lambda i: material(model.materials[i]), 4)
+    return CellProperties(*sections.T, *materials.T)
+
+
 @dataclass(frozen=True)
 class Finding:
     kind: str
@@ -330,11 +366,12 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     warnings = []
 
     seen_pids = set()
-    for p in model.points:
+    finite = np.isfinite(model.coords_array()).all(axis=1).tolist()
+    for p, is_finite in zip(model.points, finite):
         if p.id in seen_pids:
             defects.append(Finding("duplicate-id", f"duplicate point id {p.id}"))
         seen_pids.add(p.id)
-        if not np.all(np.isfinite(p.coords)):
+        if not is_finite:
             defects.append(Finding("non-finite", f"point {p.id} has non-finite coordinates"))
 
     by_id = {p.id: p for p in model.points}

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StructuralModel
-from .solver import cell_properties
+from .model import StructuralModel, cell_properties
 
 ELASTIC_LIMIT = 1.0
 

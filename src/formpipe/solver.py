@@ -32,10 +32,8 @@ positive definite, and K stores no exact zeros.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +46,7 @@ from .model import (
     Rectangle,
     StructuralModel,
     TRUSS_LINE,
+    cell_properties,
     validate,
 )
 from .topology import check_support_reachability, resolve_link_offset
@@ -173,40 +172,6 @@ class LinearSystem:
     reaction_rhs: np.ndarray
     dofmap: DofMap
     applied_loads: np.ndarray  # (n_points, 6)
-
-
-class CellProperties(NamedTuple):
-    """Section and material values per cell, each an (m,) array."""
-
-    A: np.ndarray  # mm^2
-    Iy: np.ndarray  # mm^4
-    Iz: np.ndarray  # mm^4
-    J: np.ndarray  # mm^4
-    Wy: np.ndarray  # mm^3
-    Wz: np.ndarray  # mm^3
-    Wt: np.ndarray  # mm^3
-    E: np.ndarray  # MPa
-    G: np.ndarray  # MPa
-    density: np.ndarray  # kg/mm^3
-    Ry: np.ndarray  # MPa
-
-
-def _per_cell(ids, row, width):
-    """Evaluate ``row(catalog_id)`` once per distinct id, spread over the cells."""
-    uniq, inverse = np.unique(np.asarray(ids, dtype=np.int64), return_inverse=True)
-    table = np.array([row(i) for i in uniq.tolist()], dtype=float).reshape(len(uniq), width)
-    return table[inverse]
-
-
-def cell_properties(model: StructuralModel, cells=None) -> CellProperties:
-    """Section and material values of ``cells`` (default: all) as arrays."""
-    cells = model.cells if cells is None else cells
-    sections = _per_cell(
-        [c.cs_id for c in cells], lambda i: astuple(model.cross_sections[i].properties), 7
-    )
-    material = attrgetter("E", "G", "density", "Ry")
-    materials = _per_cell([c.mat_id for c in cells], lambda i: material(model.materials[i]), 4)
-    return CellProperties(*sections.T, *materials.T)
 
 
 def _axis_from_code(code: int) -> np.ndarray:

@@ -13,8 +13,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .model import DEFAULT_MERGE_TOL, RigidLink, StructuralModel, cell_lengths
 
@@ -116,9 +114,17 @@ def _swept_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
 def _component_labels(n: int, edges: np.ndarray):
     """(count, labels) of the connected components of ``n`` points joined by
     an (m, 2) edge array of point indices.  Labels number the components in
-    the order of their lowest point index."""
-    graph = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
-    return connected_components(graph, directed=False)
+    the order of their lowest point index: min-label hooking with full pointer
+    jumping (Shiloach & Vishkin 1982) makes each root its tree's lowest index."""
+    parent = np.arange(n)
+    a, b = edges.T
+    while (joins := parent[a] != parent[b]).any():
+        ra, rb = parent[a[joins]], parent[b[joins]]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
+    roots, labels = np.unique(parent, return_inverse=True)
+    return len(roots), labels
 
 
 def _lowest(labels: np.ndarray, count: int, values: np.ndarray) -> np.ndarray:

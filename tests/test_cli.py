@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -345,14 +346,57 @@ class TestBadOptions:
         assert dst.read_text() == cantilever_file.read_text()
 
 
-def test_cli_import_leaves_scipy_spatial_out():
-    """``scipy.spatial`` adds over 0.1 s to every process that imports it, and no
-    command needs it."""
+_IMPORT_PROBE = """
+import json, os, sys
+os.chdir(sys.argv[1])
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+import formpipe.cli
+seen = {"import": scipy_loaded()}
+for argv in (["gen", "lattice", "m.vtp", "--nx", "4", "--ny", "3", "--nz", "3"],
+             ["check", "m.vtp"], ["clean", "m.vtp", "c.vtp"]):
+    formpipe.cli.main(argv)
+    seen[argv[0]] = scipy_loaded()
+formpipe.cli.main(["solve", "c.vtp", "r.vtk"])
+seen["solve"] = "scipy.sparse.linalg" in sys.modules
+import formpipe
+from formpipe import SolverError, solve_direct
+seen["same"] = SolverError is formpipe.solver.SolverError and solve_direct is formpipe.solver.solve_direct
+seen["dir"] = "solve_direct" in dir(formpipe)
+print(json.dumps(seen))
+"""
+
+
+def test_cli_import_leaves_scipy_spatial_out(tmp_path):
+    """Only ``solve`` and the solver API load scipy: importing it costs more
+    than the rest of a ``check``, ``clean`` or ``gen`` run.  The solver names
+    stay importable from the package, as the same objects."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
-    probe = "import sys, formpipe.cli; print('scipy.spatial' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    seen = json.loads(out.strip().splitlines()[-1])
+    assert seen == {"import": [], "gen": [], "check": [], "clean": [],
+                    "solve": True, "same": True, "dir": True}
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["gen", "cantilever", "{out}"], "{out}"),
+    (["clean", "{model}", "{out}"], "{out}"),
+    (["clean", "{model}", "{tmp}/ok.vtp", "--report", "{out}"], "{out}"),
+    (["solve", "{model}", "{out}"], "{out}"),
+    (["solve", "{model}", "{tmp}/ok.vtk", "--report", "{out}"], "{out}"),
+    (["solve", "{model}", "{tmp}"], "{tmp}"),
+], ids=["gen", "clean", "clean-report", "solve", "solve-report", "solve-into-directory"])
+def test_unwritable_output_is_one_error_line(capsys, tmp_path, cantilever_file, argv, written):
+    """An output or report path in a missing directory, or naming a directory,
+    exits 2 with one line naming the path and leaves no temp file behind."""
+    names = dict(model=cantilever_file, out=tmp_path / "missing" / "out", tmp=tmp_path)
+    code, _, err = run(capsys, *(arg.format(**names) for arg in argv))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {written.format(**names)}: ")
+    assert len(err.splitlines()) == 1
+    assert not list(tmp_path.rglob(".formpipe-*"))
+    assert not (tmp_path / "missing").exists()
 
 
 class TestClosedStdout:

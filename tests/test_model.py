@@ -138,9 +138,14 @@ class TestValidate:
     def test_nonfinite_coordinates(self):
         model = _two_point_model()
         model.points[1].coords[0] = np.nan
+        model.points.append(Point(id=0, coords=(0, np.inf, 0)))
         report = validate(model)
         assert not report.ok
-        assert report.by_kind("non-finite")
+        assert [f.message for f in report.defects] == [
+            "point 1 has non-finite coordinates",
+            "duplicate point id 0",
+            "point 0 has non-finite coordinates",
+        ]
 
     @pytest.mark.parametrize(
         "shape, message",

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from formpipe.model import (
     BoundaryConditionEntry,
@@ -19,6 +21,7 @@ from formpipe.model import (
 )
 from formpipe.topology import (
     TopologyError,
+    _component_labels,
     check_support_reachability,
     make_rigid_link,
     merge_duplicate_nodes,
@@ -301,6 +304,55 @@ def bfs_components_oracle(model):
                     frontier.append(nb)
         comps.append(comp)
     return comps
+
+
+def _path(order):
+    return np.stack([order[:-1], order[1:]], axis=1)
+
+
+def _comb(n):
+    """A path over the upper half of the indices with a two-point tooth of
+    low indices hanging from every spine point."""
+    half = n // 2
+    spine = np.arange(half, n)
+    teeth = np.arange(len(spine))
+    return np.concatenate([_path(spine), np.stack([spine, teeth], axis=1),
+                           np.stack([teeth[1:], teeth[:-1]], axis=1)[::2]])
+
+
+def _zigzag(n):
+    """The path 0, n-1, 1, n-2, ...: every hop crosses the index range."""
+    order = np.empty(n, dtype=np.intp)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+    return _path(order)
+
+
+_GRAPHS = {
+    "shuffled-path": lambda rng, n: _path(rng.permutation(n)),
+    "reversed-path": lambda rng, n: _path(np.arange(n)[::-1]),
+    "zigzag-path": lambda rng, n: _zigzag(n),
+    "comb": lambda rng, n: _comb(n),
+    "random-sparse": lambda rng, n: rng.integers(0, n, size=(n * 3 // 4, 2)),
+    "isolated-points": lambda rng, n: rng.integers(0, n // 10, size=(n // 20, 2)) * 10,
+    "no-edges": lambda rng, n: np.zeros((0, 2), dtype=np.intp),
+    "loops-and-repeats": lambda rng, n: np.concatenate([
+        np.repeat(np.arange(n)[:, None], 2, axis=1)[::3],
+        np.tile(rng.integers(0, n, size=(n // 4, 2)), (3, 1))]),
+}
+
+
+@pytest.mark.parametrize("graph", list(_GRAPHS))
+def test_component_labels_match_csgraph(graph):
+    """Counts and labels (components numbered by their lowest index) equal
+    those of ``scipy.sparse.csgraph.connected_components``."""
+    n = 2001
+    edges = _GRAPHS[graph](np.random.default_rng(7), n)
+    matrix = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
+    count, labels = _component_labels(n, edges)
+    expect_count, expect_labels = connected_components(matrix, directed=False)
+    assert count == expect_count
+    assert np.array_equal(labels, expect_labels)
 
 
 class TestRemoveDetachedComponents:
