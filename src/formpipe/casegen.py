@@ -17,15 +17,17 @@ import numpy as np
 from .model import (
     BoundaryConditionEntry,
     Cell,
+    CellTable,
     Circle,
     CrossSection,
     GenericSection,
     Material,
     Point,
+    PointTable,
     Rectangle,
     StructuralModel,
 )
-from .topology import _component_labels
+from .topology import _component_labels, _peel
 
 STEEL = dict(E=210.0e3, nu=0.2, tAlpha=1.2e-5, density=7850.0e-9, Ry=300.0)
 TIMBER = dict(E=11.0e3, nu=0.3, tAlpha=5.0e-6, density=500.0e-9, Ry=24.0)
@@ -146,9 +148,7 @@ def gen_leonardo(spec: LeonardoSpec = LeonardoSpec()) -> StructuralModel:
 
     load = spec.roof_dead_load + spec.snow_load
     if load != 0.0:
-        model.bcs[1] = BoundaryConditionEntry(
-            id=1, components=(0.0, 0.0, -load, 0.0, 0.0, 0.0)
-        )
+        model.bcs[1] = BoundaryConditionEntry(id=1, components=(0.0, 0.0, -load, 0.0, 0.0, 0.0))
         for j in range(2, n_sta - 2, 2):  # top-chord stations, supports excluded
             model.points[j].bc_id = 1
     return model
@@ -160,16 +160,10 @@ def full_block_occupancy(nx: int, ny: int, nz: int) -> np.ndarray:
 
 def arch_occupancy(nx: int, ny: int, nz: int, thickness: float = 3.0) -> np.ndarray:
     """Arch-shaped vault: an annular segment in the x-z plane swept along y."""
-    occ = np.zeros((nx, ny, nz), dtype=bool)
     cx = (nx - 1) / 2.0
     outer = min(cx, float(nz - 1))
-    inner = outer - thickness
-    for i in range(nx):
-        for k in range(nz):
-            r = math.hypot(i - cx, k)
-            if inner <= r <= outer:
-                occ[i, :, k] = True
-    return occ
+    r = np.array([[math.hypot(i - cx, k) for k in range(nz)] for i in range(nx)]).reshape(nx, 1, nz)
+    return np.broadcast_to((outer - thickness <= r) & (r <= outer), (nx, ny, nz)).copy()
 
 
 @dataclass(frozen=True)
@@ -216,16 +210,11 @@ def _resolve_occupancy(spec: LatticeSpec) -> set:
     if spec.occupancy is None:
         occ = full_block_occupancy(spec.nx, spec.ny, spec.nz)
     elif callable(spec.occupancy):
-        occ = np.array(
-            [
-                [[bool(spec.occupancy(i, j, k)) for k in range(spec.nz)] for j in range(spec.ny)]
-                for i in range(spec.nx)
-            ],
-            dtype=bool,
-        )
+        shape = (spec.nx, spec.ny, spec.nz)
+        occ = np.array([bool(spec.occupancy(*v)) for v in np.ndindex(shape)]).reshape(shape)
     else:
         occ = np.asarray(spec.occupancy, dtype=bool)
-    return {tuple(int(v) for v in idx) for idx in np.argwhere(occ)}
+    return set(map(tuple, np.argwhere(occ).tolist()))
 
 
 def _neighbors(voxel):
@@ -234,50 +223,36 @@ def _neighbors(voxel):
         yield (i + di, j + dj, k + dk)
 
 
+def _face_pairs(order: np.ndarray) -> np.ndarray:
+    """(k, 2) rows of face-adjacent voxels in the sorted (n, 3) voxel array
+    ``order``: each voxel with its +x, +y and +z neighbours, in that order."""
+    # linear keys in a box one voxel larger than the set, so that no face
+    # step wraps onto another row and key order is the sorted voxel order
+    dims = order.max(axis=0) - order.min(axis=0) + 2
+    keys = np.ravel_multi_index((order - order.min(axis=0)).T, dims)
+    target = keys[:, None] + [dims[1] * dims[2], dims[2], 1]
+    nb = np.searchsorted(keys, target)
+    row, step = np.nonzero(keys[np.minimum(nb, len(keys) - 1)] == target)
+    return np.stack([row, nb[row, step]], axis=1)
+
+
 def _largest_component(voxels: set) -> set:
     """The face-connected component with the most voxels; ties go to the
     component holding the smallest voxel."""
     if not voxels:
         return set()
     order = np.array(sorted(voxels))
-    # linear keys in a box one voxel larger than the set, so that no face
-    # step wraps onto another row and key order is the sorted voxel order
-    dims = order.max(axis=0) - order.min(axis=0) + 2
-    keys = np.ravel_multi_index((order - order.min(axis=0)).T, dims)
-    edges = []
-    for stride in (dims[1] * dims[2], dims[2], 1):
-        nb = np.searchsorted(keys, keys + stride)
-        hit = keys[np.minimum(nb, len(keys) - 1)] == keys + stride
-        edges.append(np.stack([np.flatnonzero(hit), nb[hit]], axis=1))
-    count, labels = _component_labels(len(keys), np.concatenate(edges))
+    count, labels = _component_labels(len(order), _face_pairs(order))
     best = np.argmax(np.bincount(labels, minlength=count))
     return set(map(tuple, order[labels == best].tolist()))
 
 
-def _peel_stable_body(voxels: set, k_base: int, max_degree: int = 2) -> set:
+def _peel_stable_body(voxels: set, k_base: int) -> set:
     """Remove voxels the dead-arm peel would take, so injected arms are the
     only pendant material.  Base-plane voxels are protected like supports."""
-    body = set(voxels)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(body):
-            if v[2] == k_base:
-                continue
-            deg = sum(1 for nb in _neighbors(v) if nb in body)
-            if deg <= max_degree:
-                body.discard(v)
-                changed = True
-    return body
-
-
-def _count_cells(voxels: set) -> int:
-    return sum(
-        1
-        for v in voxels
-        for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        if (v[0] + d[0], v[1] + d[1], v[2] + d[2]) in voxels
-    )
+    order = np.array(sorted(voxels))
+    alive, _ = _peel(len(order), _face_pairs(order), order[:, 2] == k_base, 2)
+    return set(map(tuple, order[alive].tolist()))
 
 
 def _inject_defects(body: set, spec: LatticeSpec, rng) -> set:
@@ -286,7 +261,7 @@ def _inject_defects(body: set, spec: LatticeSpec, rng) -> set:
     touches only its chain predecessor, so removal recovers exactly."""
     occupied = set(body)
     junk_cells = 0
-    body_cells = _count_cells(body)
+    body_cells = len(_face_pairs(np.array(sorted(body))))
     k_min = min(v[2] for v in body)
     body_list = sorted(body)
     lo = np.array(body_list).min(axis=0) - 5
@@ -359,26 +334,15 @@ def gen_sphere_lattice(spec: LatticeSpec = LatticeSpec()) -> StructuralModel:
     else:
         k_base = min(v[2] for v in voxels)
 
-    order = sorted(voxels)
-    index = {v: i for i, v in enumerate(order)}
+    order = np.array(sorted(voxels))
+    ends = _face_pairs(order)
     d = spec.ball_diameter
-
-    model = StructuralModel(comment="generated - sphere lattice")
-    for i, v in enumerate(order):
-        p = Point(id=i, coords=(v[0] * d, v[1] * d, v[2] * d))
-        if v[2] == k_base:
-            p.constraint_mask[:] = True
-        model.points.append(p)
-
-    cid = 0
-    for v in order:
-        for step in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-            nb = (v[0] + step[0], v[1] + step[1], v[2] + step[2])
-            if nb in voxels:
-                model.cells.append(
-                    Cell(id=cid, connectivity=(index[v], index[nb]), cs_id=1, mat_id=1)
-                )
-                cid += 1
+    base = np.repeat(order[:, 2:] == k_base, 6, axis=1)
+    model = StructuralModel(
+        comment="generated - sphere lattice",
+        points=PointTable(np.arange(len(order)), order * d, base),
+        cells=CellTable(np.arange(len(ends)), ends, np.ones(len(ends)), np.ones(len(ends))),
+    )
 
     radius = d / 2.0
     model.cross_sections[1] = CrossSection(
@@ -393,7 +357,5 @@ def gen_sphere_lattice(spec: LatticeSpec = LatticeSpec()) -> StructuralModel:
             Wt=spec.J / radius,
         ),
     )
-    model.materials[1] = Material(
-        id=1, E=spec.E, nu=spec.nu, density=spec.density, Ry=spec.Ry
-    )
+    model.materials[1] = Material(id=1, E=spec.E, nu=spec.nu, density=spec.density, Ry=spec.Ry)
     return model

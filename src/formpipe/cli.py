@@ -68,18 +68,38 @@ class PipelineConfig:
             raise ValueError(f"unknown report format {self.report_format!r}")
 
 
-class OutputError(OSError):
+class CommandError(Exception):
+    """Ends a command with ``code`` and a one-line ``error:`` message."""
+
+    def __init__(self, message, code=EXIT_DEFECTS):
+        super().__init__(message)
+        self.code = code
+
+
+class OutputError(CommandError):
     """An output file that cannot be written; the message names its path."""
+
+
+def _read_model(path: str) -> StructuralModel:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse_model(handle.read())
+    except (OSError, ExchangeFormatError) as exc:
+        raise CommandError(exc, EXIT_UNREADABLE) from exc
 
 
 def atomic_write(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so failures leave nothing.
-    Raises OutputError when the file cannot be written."""
+    The file gets the mode ``open`` would give it under the umask.  Raises
+    OutputError when the file cannot be written."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".formpipe-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except OSError as exc:
@@ -140,65 +160,48 @@ def _structured(records) -> list:
     return out
 
 
+# Per repair report list: structured record key and text summary
+_REPAIRS = (
+    ("merged_point_pairs", "merged_pairs", "{} point pair(s) merged"),
+    ("removed_degenerate_cells", "removed_degenerate", "{} degenerate cell(s) removed"),
+    ("removed_duplicate_cells", "removed_duplicates", "{} duplicate cell(s) removed"),
+    ("removed_components", "removed_components",
+     "{} detached component(s) removed (cells: {sizes})"),
+    ("pruned_arm_points", "pruned_points", "{} arm point(s) pruned"),
+)
+
+
 def _clean_records(reports, cells_before, cells_after):
     records = []
     for name, rep in reports:
-        records.append((f"{name}.merged_pairs", len(rep.merged_point_pairs)))
-        records.append((f"{name}.removed_degenerate", len(rep.removed_degenerate_cells)))
-        records.append((f"{name}.removed_duplicates", len(rep.removed_duplicate_cells)))
-        records.append((f"{name}.removed_components", len(rep.removed_components)))
-        records.append((f"{name}.pruned_points", len(rep.pruned_arm_points)))
+        records += [(f"{name}.{key}", len(getattr(rep, attr))) for attr, key, _ in _REPAIRS]
         records.append((f"{name}.element_removal_fraction", repr(rep.element_removal_fraction)))
     total = (cells_before - cells_after) / cells_before if cells_before else 0.0
-    records.append(("cells_before", cells_before))
-    records.append(("cells_after", cells_after))
-    records.append(("total_element_removal_fraction", repr(total)))
-    return records
+    return records + [("cells_before", cells_before), ("cells_after", cells_after),
+                      ("total_element_removal_fraction", repr(total))]
 
 
 def _clean_text(reports, cells_before, cells_after):
     lines = []
     for name, rep in reports:
-        if rep.is_empty():
-            lines.append(f"{name}: no changes")
-            continue
-        parts = []
-        if rep.merged_point_pairs:
-            parts.append(f"{len(rep.merged_point_pairs)} point pair(s) merged")
-        if rep.removed_degenerate_cells:
-            parts.append(f"{len(rep.removed_degenerate_cells)} degenerate cell(s) removed")
-        if rep.removed_duplicate_cells:
-            parts.append(f"{len(rep.removed_duplicate_cells)} duplicate cell(s) removed")
-        if rep.removed_components:
-            sizes = ", ".join(str(n) for n, _ in rep.removed_components)
-            parts.append(f"{len(rep.removed_components)} detached component(s) removed (cells: {sizes})")
-        if rep.pruned_arm_points:
-            parts.append(f"{len(rep.pruned_arm_points)} arm point(s) pruned")
-        lines.append(f"{name}: " + "; ".join(parts))
+        sizes = ", ".join(str(n) for n, _ in rep.removed_components)
+        parts = [text.format(len(getattr(rep, attr)), sizes=sizes)
+                 for attr, _, text in _REPAIRS if getattr(rep, attr)]
+        lines.append(f"{name}: " + ("; ".join(parts) or "no changes"))
     lines.append(f"cells: {cells_before} -> {cells_after}")
     return lines
 
 
 def cmd_check(args) -> int:
-    try:
-        with open(args.input, encoding="utf-8") as handle:
-            model = parse_model(handle.read())
-    except (OSError, ExchangeFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+    model = _read_model(args.input)
 
     report = validate(model)
     unsupported = check_support_reachability(model) if report.ok else []
-    lines = []
-    for finding in report.defects:
-        lines.append(f"defect [{finding.kind}]: {finding.message}")
-    for finding in report.warnings:
-        lines.append(f"warning [{finding.kind}]: {finding.message}")
+    lines = [f"defect [{f.kind}]: {f.message}" for f in report.defects]
+    lines += [f"warning [{f.kind}]: {f.message}" for f in report.warnings]
     for comp in unsupported:
-        lines.append(
-            f"defect [unsupported-component]: points {comp.point_ids[:8]} carry "
-            f"{comp.fixed_dof_count} fixed DOFs (< 6)"
-        )
+        lines.append(f"defect [unsupported-component]: points {comp.point_ids[:8]} carry "
+                     f"{comp.fixed_dof_count} fixed DOFs (< 6)")
     if not lines:
         lines.append("model is clean")
     _emit(lines)
@@ -210,12 +213,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_clean(args) -> int:
-    try:
-        with open(args.input, encoding="utf-8") as handle:
-            model = parse_model(handle.read())
-    except (OSError, ExchangeFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+    model = _read_model(args.input)
 
     cells_before = len(model.cells)
     try:
@@ -223,8 +221,7 @@ def cmd_clean(args) -> int:
                                 report_format=args.format)
         model, reports = run_clean_pipeline(model, config)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEFECTS
+        raise CommandError(exc) from exc
     cells_after = len(model.cells)
     atomic_write(args.output, write_model(model))
 
@@ -246,6 +243,7 @@ def _solve_records(results, stats, config, equilibrium):
         ("solver_relative_residual", repr(stats.relative_residual)),
         ("solver_wall_time_s", repr(stats.wall_time)),
         ("solver_true_residual", repr(stats.true_residual)),
+        ("solver_backward_error", repr(stats.backward_error)),
         ("solver_equilibrium_residual", repr(equilibrium)),
         ("solver_ordering", stats.ordering),
         ("solver_ic_shift", repr(stats.ic_shift)),
@@ -261,26 +259,15 @@ def _solve_records(results, stats, config, equilibrium):
 
 def cmd_solve(args) -> int:
     from .solver import SolverError
-    try:
-        with open(args.input, encoding="utf-8") as handle:
-            model = parse_model(handle.read())
-    except (OSError, ExchangeFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREADABLE
+    model = _read_model(args.input)
 
     try:
-        config = PipelineConfig(
-            solver=args.solver,
-            pcg_tol=args.pcg_tol,
-            pcg_max_iter=args.pcg_max_iter,
-            deform_scale=args.deform_scale,
-            self_weight=not args.no_self_weight,
-            report_format=args.format,
-        )
+        config = PipelineConfig(solver=args.solver, pcg_tol=args.pcg_tol,
+                                pcg_max_iter=args.pcg_max_iter, deform_scale=args.deform_scale,
+                                self_weight=not args.no_self_weight, report_format=args.format)
         results, stats = run_solve_pipeline(model, config)
     except (ValueError, SolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEFECTS
+        raise CommandError(exc) from exc
     atomic_write(args.output, write_results_vtk(model, results, config.deform_scale))
 
     equilibrium = equilibrium_residual(model, results)
@@ -292,6 +279,7 @@ def cmd_solve(args) -> int:
             f"solved with {stats.method}: {stats.iterations} iteration(s), "
             f"residual {stats.relative_residual:.3e}, {stats.wall_time:.3f} s",
             f"true residual |Ku-f|/|f| = {stats.true_residual:.3e}",
+            f"backward error |Ku-f|/(|K||u|+|f|) = {stats.backward_error:.3e}",
             f"equilibrium residual (reactions + loads) = {equilibrium:.3e}",
             f"factor: {stats.factor_nnz} entries, {stats.ordering} ordering, "
             f"IC(0) shift {stats.ic_shift:g}, {stats.factor_time:.3f} s",
@@ -308,37 +296,21 @@ def cmd_solve(args) -> int:
 def cmd_gen(args) -> int:
     try:
         if args.case == "cantilever":
-            spec = CantileverSpec(
-                length=args.length,
-                diameter=args.diameter,
-                tip_force=args.tip_force,
-                n_elements=args.n_elements,
-            )
-            model = gen_cantilever(spec)
+            model = gen_cantilever(CantileverSpec(length=args.length, diameter=args.diameter,
+                                                  tip_force=args.tip_force,
+                                                  n_elements=args.n_elements))
         elif args.case == "leonardo":
-            spec = LeonardoSpec(
-                span=args.span,
-                height=args.height,
-                n_segments=args.n_segments,
-                variant=args.variant,
-            )
-            model = gen_leonardo(spec)
+            model = gen_leonardo(LeonardoSpec(span=args.span, height=args.height,
+                                              n_segments=args.n_segments, variant=args.variant))
         else:
             occupancy = None
             if args.shape == "arch":
                 occupancy = arch_occupancy(args.nx, args.ny, args.nz, thickness=args.thickness)
-            spec = LatticeSpec(
-                occupancy=occupancy,
-                nx=args.nx,
-                ny=args.ny,
-                nz=args.nz,
-                splash_fraction=args.splash_fraction,
-                seed=args.seed,
-            )
-            model = gen_sphere_lattice(spec)
+            model = gen_sphere_lattice(LatticeSpec(
+                occupancy=occupancy, nx=args.nx, ny=args.ny, nz=args.nz,
+                splash_fraction=args.splash_fraction, seed=args.seed))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEFECTS
+        raise CommandError(exc) from exc
     atomic_write(args.output, write_model(model))
     _emit([f"wrote {args.case} model: {len(model.points)} points, {len(model.cells)} cells"])
     return EXIT_OK
@@ -373,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--pcg-tol", type=float, default=1e-10)
     p_solve.add_argument("--pcg-max-iter", type=int, default=None)
     p_solve.add_argument("--deform-scale", type=float, default=1.0)
-    p_solve.add_argument("--no-self-weight", action="store_true",
-                         help="skip gravity line loads")
+    p_solve.add_argument("--no-self-weight", action="store_true", help="skip gravity line loads")
     p_solve.add_argument("--report", default=None, help="also write the summary to this path")
     p_solve.add_argument("--format", choices=("text", "structured"), default="text")
     p_solve.set_defaults(func=cmd_solve)
@@ -389,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--span", type=float, default=35000.0)
     p_gen.add_argument("--height", type=float, default=13000.0)
     p_gen.add_argument("--n-segments", type=int, default=7)
-    p_gen.add_argument("--variant", choices=("open", "closed", "closed_mobile"),
-                       default="closed")
+    p_gen.add_argument("--variant", choices=("open", "closed", "closed_mobile"), default="closed")
     p_gen.add_argument("--nx", type=int, default=5)
     p_gen.add_argument("--ny", type=int, default=5)
     p_gen.add_argument("--nz", type=int, default=5)
@@ -406,9 +376,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OutputError as exc:
+    except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEFECTS
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -20,15 +20,13 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .model import (
-    BEAM_LINE,
-    TRUSS_LINE,
     BoundaryConditionEntry,
-    Cell,
+    CellTable,
     Circle,
     CrossSection,
     GenericSection,
     Material,
-    Point,
+    PointTable,
     Rectangle,
     RigidLink,
     StructuralModel,
@@ -80,18 +78,14 @@ class _ItemReader:
         self.pos += 1
         return self.toks[self.pos - 1]
 
-    def _take_as(self, kind, name):
+    def take_as(self, kind):
+        """The next token as an int or a float."""
         tok = self.take()
         try:
             return kind(tok)
         except ValueError:
+            name = "integer" if kind is int else "number"
             raise self.error(f"expected {name}, got {tok!r}") from None
-
-    def take_int(self):
-        return self._take_as(int, "integer")
-
-    def take_float(self):
-        return self._take_as(float, "number")
 
     def keyed(self, known, ref_node=False):
         """Walk ``key value`` pairs to the end: known keys parse as floats,
@@ -102,9 +96,9 @@ class _ItemReader:
         while not self.exhausted():
             key = self.take()
             if key in known:
-                values[key] = self.take_float()
+                values[key] = self.take_as(float)
             elif key == "refNode" and ref_node:
-                axis, code = self.take(), self.take_int()
+                axis, code = self.take(), self.take_as(int)
                 if axis not in ("y", "z"):
                     raise self.error(f"refNode axis {axis!r}")
                 values[key] = (axis, code)
@@ -120,7 +114,7 @@ _MATERIAL_KEYS = ("E", "nu", "tAlpha", "density", "Ry")
 
 def _parse_cross_section(text):
     reader = _ItemReader(text, "cross-section")
-    cs_id = reader.take_int()
+    cs_id = reader.take_as(int)
     kind = reader.take()
     if kind == "Circle":
         values, extra = reader.keyed({"width"})
@@ -146,7 +140,7 @@ def _parse_cross_section(text):
 
 def _parse_material(text):
     reader = _ItemReader(text, "material")
-    mat_id = reader.take_int()
+    mat_id = reader.take_as(int)
     kind = reader.take()
     if kind != "IsoLinEl":
         raise reader.error(f"kind {kind!r}")
@@ -158,23 +152,23 @@ def _parse_material(text):
 
 def _parse_bc(text):
     reader = _ItemReader(text, "boundary condition")
-    bc_id = reader.take_int()
+    bc_id = reader.take_as(int)
     kind = reader.take()
     if kind != "NodalLoad":
         raise reader.error(f"kind {kind!r}")
     if reader.take() != "components":
         raise reader.error("expected 'components'")
-    count = reader.take_int()
+    count = reader.take_as(int)
     if count != 6:
         raise reader.error(f"expected 6 components, got {count}")
-    components = [reader.take_float() for _ in range(6)]
+    components = [reader.take_as(float) for _ in range(6)]
     _, extra = reader.keyed(())
     return BoundaryConditionEntry(id=bc_id, components=components, extra=extra)
 
 
 def _parse_rigid_link(text):
     reader = _ItemReader(text, "rigid link")
-    reader.take_int()  # ordinal, ignored
+    reader.take_as(int)  # ordinal, ignored
     kind = reader.take()
     if kind != "RigidLink":
         raise reader.error(f"kind {kind!r}")
@@ -183,9 +177,9 @@ def _parse_rigid_link(text):
     while not reader.exhausted():
         key = reader.take()
         if key in ("master", "slave"):
-            ends[key] = reader.take_int()
+            ends[key] = reader.take_as(int)
         elif key == "offset":
-            offset = [reader.take_float() for _ in range(3)]
+            offset = [reader.take_as(float) for _ in range(3)]
         else:
             raise reader.error(f"key {key!r}")
     if len(ends) < 2:
@@ -268,14 +262,12 @@ def _check_lines(offsets, n_conn):
         if step <= 0:
             raise ExchangeFormatError("offsets must be strictly increasing")
         if step != 2:
-            raise ExchangeFormatError(
-                f"unknown cell kind: cell with {step} vertices (only 2-node lines)"
-            )
+            raise ExchangeFormatError(f"unknown cell kind: cell with {step} vertices "
+                                      "(only 2-node lines)")
         raise ExchangeFormatError("offsets run past the end of the connectivity array")
     if 2 * len(offsets) != n_conn:
-        raise ExchangeFormatError(
-            f"connectivity length {n_conn} does not match final offset {2 * len(offsets)}"
-        )
+        raise ExchangeFormatError(f"connectivity length {n_conn} does not match final offset "
+                                  f"{2 * len(offsets)}")
 
 
 def parse_model(text: str) -> StructuralModel:
@@ -319,9 +311,8 @@ def parse_model(text: str) -> StructuralModel:
         if da is not None:
             coords = _values(da, 3 * n_points, float, "point coordinates").reshape(-1, 3)
     if coords.shape[0] != n_points:
-        raise ExchangeFormatError(
-            f"point coordinates: expected {n_points} points, got {coords.shape[0]}"
-        )
+        raise ExchangeFormatError(f"point coordinates: expected {n_points} points, "
+                                  f"got {coords.shape[0]}")
 
     connectivity = np.zeros(0, dtype=np.int64)
     offsets = np.zeros(0, dtype=np.int64)
@@ -335,7 +326,7 @@ def parse_model(text: str) -> StructuralModel:
     _check_lines(offsets, len(connectivity))
 
     masks = np.zeros((n_points, 6), dtype=bool)
-    bc_ids = [0] * n_points
+    bc_ids = np.zeros(n_points, dtype=np.int64)
     for name, da in _named_arrays(piece, "PointData"):
         if name == "Boundary_Conditions":
             ncomp = da.get("NumOfComp") or da.get("NumberOfComponents")
@@ -347,29 +338,25 @@ def parse_model(text: str) -> StructuralModel:
                 raise ExchangeFormatError("Boundary_Conditions must carry 6 components")
             masks = _values(da, 6 * n_points, np.int64, "Boundary_Conditions").reshape(-1, 6) != 0
         elif name == "ID_BOUNDARY_CONDITION":
-            bc_ids = _values(da, n_points, np.int64, "ID_BOUNDARY_CONDITION").tolist()
+            bc_ids = _values(da, n_points, np.int64, "ID_BOUNDARY_CONDITION")
 
     if n_lines > 0 and piece.find("CellData") is None:
         raise ExchangeFormatError("missing CellData with ID_CROSS-SECTION / ID_MATERIAL")
-    columns = {"ID_CROSS-SECTION": [0] * n_lines, "ID_MATERIAL": [0] * n_lines,
-               "ELEMENT_TYPE": [0] * n_lines}
+    columns = dict.fromkeys(("ID_CROSS-SECTION", "ID_MATERIAL", "ELEMENT_TYPE"),
+                            np.zeros(n_lines, dtype=np.int64))
     for name, da in _named_arrays(piece, "CellData"):
         if name in columns:
-            columns[name] = _values(da, n_lines, np.int64, name).tolist()
+            columns[name] = _values(da, n_lines, np.int64, name)
 
     pairs = connectivity.reshape(-1, 2)
     outside = np.flatnonzero(((pairs < 0) | (pairs >= n_points)).any(axis=1))
     if outside.size:
         raise ExchangeFormatError(f"cell {outside[0]} references point outside 0..{n_points - 1}")
-    model = StructuralModel()
-    model.points = [
-        Point(id=i, coords=coords[i], constraint_mask=masks[i], bc_id=bc_ids[i])
-        for i in range(n_points)
-    ]
-    model.cells = [
-        Cell(id=i, connectivity=(a, b), cs_id=cs, mat_id=mat, kind=TRUSS_LINE if t else BEAM_LINE)
-        for i, (a, b, cs, mat, t) in enumerate(zip(*pairs.T.tolist(), *columns.values()))
-    ]
+    model = StructuralModel(
+        points=PointTable(np.arange(n_points), coords, masks, bc_ids),
+        cells=CellTable(np.arange(n_lines), pairs, columns["ID_CROSS-SECTION"],
+                        columns["ID_MATERIAL"], columns["ELEMENT_TYPE"] != 0),
+    )
 
     appended = root.find("AppendedData")
     chars = appended.find("Characteristics") if appended is not None else None
@@ -391,12 +378,15 @@ def parse_model(text: str) -> StructuralModel:
 
 
 def _rows(values, indent: str = "") -> list:
-    """One text row per entry of a 1-D array, or per row of a 2-D array with
-    single spaces between values; floats in ``_fmt`` form."""
+    """The text rows of a 1-D array, one per entry, or of a 2-D array, one per
+    row with single spaces between values, as one block in a list (empty for
+    no rows); floats in ``_fmt`` form, since %r of a Python float is repr."""
     values = np.asarray(values)
-    fmt = _fmt if values.dtype.kind == "f" else str
-    columns = values.T.tolist() if values.ndim == 2 else [values.tolist()]
-    return [indent + " ".join(row) for row in zip(*(map(fmt, col) for col in columns))]
+    if not values.size:
+        return []
+    width = values.shape[1] if values.ndim == 2 else 1
+    row = indent + " ".join(["%r" if values.dtype.kind == "f" else "%d"] * width)
+    return ["\n".join([row] * (values.size // width)) % tuple(values.ravel().tolist())]
 
 
 def _data_array(attrs: str, values) -> list:
@@ -404,12 +394,12 @@ def _data_array(attrs: str, values) -> list:
 
 
 def _ordered(model: StructuralModel):
-    """The wire order: list indices of the points and of the cells in
-    ascending id order, and each cell's two ends as point positions in it."""
-    ids = np.array([p.id for p in model.points], dtype=np.int64)
+    """The wire order: rows of the points and of the cells in ascending id
+    order, and each cell's two ends as point positions in it."""
+    ids = model.points.ids
     point_order = np.argsort(ids, kind="stable")
-    cell_order = np.argsort([c.id for c in model.cells], kind="stable")
-    ends = np.array([model.cells[i].connectivity for i in cell_order], np.int64).reshape(-1, 2)
+    cell_order = np.argsort(model.cells.ids, kind="stable")
+    ends = model.cells.ends[cell_order]
     sorted_ids = ids[point_order]
     # the last of equal ids, as a dict from id to position would give
     pos = np.searchsorted(sorted_ids, ends, side="right") - 1
@@ -426,28 +416,24 @@ def write_model(model: StructuralModel) -> str:
     the shortest round-tripping decimal form.
     """
     point_order, cell_order, ends = _ordered(model)
-    points = [model.points[i] for i in point_order]
-    cells = [model.cells[i] for i in cell_order]
-    masks = np.array([p.constraint_mask for p in points], dtype=np.int8).reshape(-1, 6)
+    points, cells = model.points.take(point_order), model.cells.take(cell_order)
     array = 'format="ascii" type="Int32" Name='
 
     out = ['<VTKFile type="PolyData" version="0.1" byte_order="LittleEndian">', "  <PolyData>",
            f'    <Piece NumberOfPoints="{len(points)}" NumberOfLines="{len(cells)}">',
            "      <Points>"]
-    out += _data_array('type="Float32" NumberOfComponents="3" format="ascii"',
-                       model.coords_array()[point_order])
+    out += _data_array('type="Float32" NumberOfComponents="3" format="ascii"', points.coords)
     out += ["      </Points>", "      <Lines>"]
     out += _data_array(array + '"connectivity"', ends)
     out += _data_array(array + '"offsets"', np.arange(2, 2 * len(cells) + 1, 2))
     out += ["      </Lines>", "      <PointData>"]
-    out += _data_array(array + '"Boundary_Conditions" NumOfComp="6"', masks)
-    out += _data_array(array + '"ID_BOUNDARY_CONDITION"', [p.bc_id for p in points])
+    out += _data_array(array + '"Boundary_Conditions" NumOfComp="6"', points.masks.view(np.int8))
+    out += _data_array(array + '"ID_BOUNDARY_CONDITION"', points.bc_ids)
     out += ["      </PointData>", "      <CellData>"]
-    out += _data_array(array + '"ID_CROSS-SECTION"', [c.cs_id for c in cells])
-    out += _data_array(array + '"ID_MATERIAL"', [c.mat_id for c in cells])
-    truss = [int(c.kind == TRUSS_LINE) for c in cells]
-    if any(truss):
-        out += _data_array(array + '"ELEMENT_TYPE"', truss)
+    out += _data_array(array + '"ID_CROSS-SECTION"', cells.cs_ids)
+    out += _data_array(array + '"ID_MATERIAL"', cells.mat_ids)
+    if cells.truss.any():
+        out += _data_array(array + '"ELEMENT_TYPE"', cells.truss.view(np.int8))
     out += ["      </CellData>", "    </Piece>", "  </PolyData>", "  <AppendedData>", "    _"]
     out.append("    <Characteristics>")
     comment = escape(" ".join(model.comment.split()))

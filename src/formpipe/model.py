@@ -9,6 +9,7 @@ acceleration in mm/s^2 gives a force in mN, hence ``KG_MM_S2_TO_N``.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import astuple, dataclass, field
 from operator import attrgetter
@@ -35,14 +36,43 @@ DOF_NAMES = ("ux", "uy", "uz", "rx", "ry", "rz")
 
 
 def _vec(values, length, name):
-    a = np.asarray(values, dtype=float)
+    a = np.array(values, dtype=float)
     if a.shape != (length,):
         raise ValueError(f"{name} must be a {length}-vector, got shape {a.shape}")
     return a
 
 
-@dataclass(eq=False)
-class Point:
+class _View:
+    """One row of a table.  A view made by its constructor holds its row on
+    its own, each column a one-element list, until it is appended to a model."""
+
+    __slots__ = ("_t", "_i")
+
+    def _set(self, k, value):
+        self._t._cols[k][self._i] = value
+
+    def as_table(self):
+        """A one-row table holding a copy of this row."""
+        return self._t.take([self._i])
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+
+def _own_row(view, table_type, *values):
+    view._t, view._i = object.__new__(table_type), 0
+    view._t._cols, view._t._n = [[v] for v in values], 1
+
+
+def _mask(value):
+    mask = np.array(value, dtype=bool)
+    if mask.shape != (6,):
+        raise ValueError("constraint_mask must have 6 entries")
+    return mask
+
+
+class Point(_View):
     """A model vertex with support mask and optional nodal-load reference.
 
     ``constraint_mask`` orders DOFs as (ux, uy, uz, rx, ry, rz); True = fixed.
@@ -50,38 +80,155 @@ class Point:
     boundary-condition catalog.
     """
 
-    id: int
-    coords: np.ndarray
-    constraint_mask: np.ndarray = field(
-        default_factory=lambda: np.zeros(6, dtype=bool)
-    )
-    bc_id: int = 0
+    __slots__ = ()
+    _FIELDS = ("id", "coords", "constraint_mask", "bc_id")
 
-    def __post_init__(self):
-        self.coords = _vec(self.coords, 3, "coords")
-        mask = np.asarray(self.constraint_mask, dtype=bool).copy()
-        if mask.shape != (6,):
-            raise ValueError("constraint_mask must have 6 entries")
-        self.constraint_mask = mask
+    def __init__(self, id, coords, constraint_mask=None, bc_id=0):
+        mask = np.zeros(6, dtype=bool) if constraint_mask is None else _mask(constraint_mask)
+        _own_row(self, PointTable, int(id), _vec(coords, 3, "coords"), mask, int(bc_id))
+
+    id = property(lambda self: int(self._t._cols[0][self._i]), lambda self, v: self._set(0, v))
+    coords = property(lambda self: self._t._cols[1][self._i],
+                      lambda self, v: self._set(1, _vec(v, 3, "coords")))
+    constraint_mask = property(lambda self: self._t._cols[2][self._i],
+                               lambda self, v: self._set(2, _mask(v)))
+    bc_id = property(lambda self: int(self._t._cols[3][self._i]), lambda self, v: self._set(3, v))
 
 
-@dataclass(eq=False)
-class Cell:
+def _pair(connectivity):
+    conn = tuple(map(int, connectivity))
+    if len(conn) != 2:
+        raise ValueError("line cells take exactly two point ids")
+    return conn
+
+
+def _is_truss(kind):
+    if kind not in CELL_KINDS:
+        raise ValueError(f"unknown cell kind {kind!r}")
+    return kind == TRUSS_LINE
+
+
+class Cell(_View):
     """A 2-node line element referencing section and material catalog ids."""
 
-    id: int
-    connectivity: tuple
-    cs_id: int
-    mat_id: int
-    kind: str = BEAM_LINE
+    __slots__ = ()
+    _FIELDS = ("id", "connectivity", "cs_id", "mat_id", "kind")
 
-    def __post_init__(self):
-        conn = tuple(int(p) for p in self.connectivity)
-        if len(conn) != 2:
-            raise ValueError("line cells take exactly two point ids")
-        self.connectivity = conn
-        if self.kind not in CELL_KINDS:
-            raise ValueError(f"unknown cell kind {self.kind!r}")
+    def __init__(self, id, connectivity, cs_id, mat_id, kind=BEAM_LINE):
+        ends = _pair(connectivity)
+        _own_row(self, CellTable, int(id), ends, int(cs_id), int(mat_id), _is_truss(kind))
+
+    id = property(lambda self: int(self._t._cols[0][self._i]), lambda self, v: self._set(0, v))
+    connectivity = property(lambda self: tuple(self._t._cols[1][self._i].tolist()),
+                            lambda self, v: self._set(1, _pair(v)))
+    cs_id = property(lambda self: int(self._t._cols[2][self._i]), lambda self, v: self._set(2, v))
+    mat_id = property(lambda self: int(self._t._cols[3][self._i]), lambda self, v: self._set(3, v))
+    kind = property(lambda self: TRUSS_LINE if self._t._cols[4][self._i] else BEAM_LINE,
+                    lambda self, v: self._set(4, _is_truss(v)))
+
+
+class _Table:
+    """Equal-length columns, the storage behind a model's points or cells.
+    ``table[i]`` is a row view: its attribute writes, and in-place writes to
+    its arrays, land in the columns until the table grows.  ``append`` copies
+    a view's row in, amortised O(1), and rebinds the view to it."""
+
+    __slots__ = ("_n", "_cols")
+    _COLUMNS = ()  # (dtype, row shape) per column; columns left out are zero
+
+    def __init__(self, *columns):
+        n = len(columns[0])
+        self._cols, self._n = [], n
+        for value, (dtype, shape) in itertools.zip_longest(columns, self._COLUMNS):
+            col = np.zeros((n,) + shape, dtype) if value is None else np.array(value, dtype)
+            if col.shape != (n,) + shape:
+                raise ValueError(f"column of shape {col.shape}, expected {(n,) + shape}")
+            self._cols.append(col)
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, key):
+        rows = range(self._n)[key]
+        if isinstance(rows, range):
+            return [self[i] for i in rows]
+        view = object.__new__(self._VIEW)
+        view._t, view._i = self, rows
+        return view
+
+    def append(self, view):
+        """Copy ``view``'s row to the end and rebind ``view`` to it."""
+        if not isinstance(view, self._VIEW):
+            raise TypeError(f"expected a {self._VIEW.__name__}, got {type(view).__name__}")
+        n = self._n
+        if n == len(self._cols[0]):
+            for k, col in enumerate(self._cols):
+                self._cols[k] = np.empty((2 * n + 8,) + col.shape[1:], col.dtype)
+                self._cols[k][:n] = col[:n]
+        for dst, src in zip(self._cols, view._t._cols):
+            dst[n] = src[view._i]
+        self._n = n + 1
+        view._t, view._i = self, n
+
+    def pop(self, index=-1):
+        """Remove a row; the returned view holds a copy of it."""
+        view = self[index]
+        i, n = view._i, self._n
+        view._t, view._i = self.take([i]), 0
+        for col in self._cols:
+            col[i : n - 1] = col[i + 1 : n]
+        self._n = n - 1
+        return view
+
+    def take(self, rows):
+        """A new table of copies of the given rows: an index array, a boolean mask or a slice."""
+        rows = np.arange(self._n)[rows]  # fancy indexing copies, a slice would not
+        table = object.__new__(type(self))
+        table._cols = [np.asarray(col[: self._n], dtype)[rows]
+                       for col, (dtype, _) in zip(self._cols, self._COLUMNS)]
+        table._n = len(table._cols[0])
+        return table
+
+
+def _column(k, doc):
+    return property(lambda self: self._cols[k][: self._n], doc=doc)
+
+
+class PointTable(_Table):
+    """Point columns: ids (n,), coords (n, 3), support masks (n, 6) and load ids (n,)."""
+
+    __slots__ = ()
+    _COLUMNS = ((np.int64, ()), (np.float64, (3,)), (np.bool_, (6,)), (np.int64, ()))
+    _VIEW = Point
+    ids = _column(0, "point ids")
+    coords = _column(1, "coordinates, (n, 3)")
+    masks = _column(2, "constraint masks, (n, 6), True = fixed")
+    bc_ids = _column(3, "nodal-load ids, 0 = none")
+
+    def positions(self, ids) -> np.ndarray:
+        """Row of each of ``ids`` (the last of equal ids, as a dict from id to
+        row would give), -1 where no point has that id."""
+        ids, own = np.asarray(ids, dtype=np.int64), self.ids
+        if not len(own):
+            return np.full(ids.shape, -1)
+        sort = np.any(own[1:] <= own[:-1])
+        order = np.argsort(own, kind="stable") if sort else np.arange(len(own))
+        pos = np.searchsorted(own[order], ids, side="right") - 1
+        return np.where((pos >= 0) & (own[order[pos]] == ids), order[pos], -1)
+
+
+class CellTable(_Table):
+    """Cell columns: ids (m,), end point ids (m, 2), section and material ids
+    (m,) and the truss flag (m,), False for beams."""
+
+    __slots__ = ()
+    _COLUMNS = ((np.int64, ()), (np.int64, (2,)), (np.int64, ()), (np.int64, ()), (np.bool_, ()))
+    _VIEW = Cell
+    ids = _column(0, "cell ids")
+    ends = _column(1, "end point ids, (m, 2)")
+    cs_ids = _column(2, "cross-section ids")
+    mat_ids = _column(3, "material ids")
+    truss = _column(4, "True for truss cells, False for beams")
 
 
 @dataclass(frozen=True)
@@ -110,24 +257,14 @@ class Rectangle:
 
 
 @dataclass(frozen=True)
-class GenericSection:
-    """Section given directly by its resultant properties.
+class SectionProperties:
+    """Area, second moments, torsion constant and section moduli.
 
-    Used for homogenized members whose stiffness and strength come from
-    experiments rather than a geometric shape.
+    As a section shape (``GenericSection``) it gives the values directly:
+    homogenized members whose stiffness and strength come from experiments
+    rather than a geometric shape.
     """
 
-    A: float
-    Iy: float
-    Iz: float
-    J: float
-    Wy: float
-    Wz: float
-    Wt: float
-
-
-@dataclass(frozen=True)
-class SectionProperties:
     A: float  # mm^2
     Iy: float  # mm^4
     Iz: float  # mm^4
@@ -135,6 +272,9 @@ class SectionProperties:
     Wy: float  # mm^3
     Wz: float  # mm^3
     Wt: float  # mm^3
+
+
+GenericSection = SectionProperties
 
 
 @dataclass(eq=False)
@@ -193,10 +333,9 @@ def section_properties(cs) -> SectionProperties:
         J, Wt = _rectangle_torsion(b, h)
         return SectionProperties(A=A, Iy=Iy, Iz=Iz, J=J, Wy=Wy, Wz=Wz, Wt=Wt)
     if isinstance(shape, GenericSection):
-        vals = (shape.A, shape.Iy, shape.Iz, shape.J, shape.Wy, shape.Wz, shape.Wt)
-        if not all(v > 0 for v in vals):
+        if not all(v > 0 for v in astuple(shape)):
             raise ValueError("generic section properties must be positive")
-        return SectionProperties(*vals)
+        return shape
     raise TypeError(f"unsupported section shape {type(shape).__name__}")
 
 
@@ -259,9 +398,14 @@ def default_gravity() -> np.ndarray:
 
 @dataclass(eq=False)
 class StructuralModel:
+    """Points and cells, as columns behind the ``points``/``cells`` sequence
+    views, plus the catalogs, rigid links and the solver-side gravity
+    settings.  Assigning a list of views to ``points`` or ``cells`` copies
+    their rows into a new table and rebinds the views to them."""
+
     comment: str = ""
-    points: list = field(default_factory=list)
-    cells: list = field(default_factory=list)
+    points: PointTable = ()
+    cells: CellTable = ()
     cross_sections: dict = field(default_factory=dict)
     materials: dict = field(default_factory=dict)
     bcs: dict = field(default_factory=dict)
@@ -272,31 +416,39 @@ class StructuralModel:
     def __post_init__(self):
         self.gravity = _vec(self.gravity, 3, "gravity")
 
+    def __setattr__(self, name, value):
+        table = {"points": PointTable, "cells": CellTable}.get(name)
+        if table is not None and not isinstance(value, table):
+            views, value = value, table(())
+            for view in views:
+                value.append(view)
+        object.__setattr__(self, name, value)
+
     def point_index(self) -> dict:
         """Map point id -> position in ``points``."""
-        return {p.id: i for i, p in enumerate(self.points)}
+        return dict(zip(self.points.ids.tolist(), range(len(self.points))))
 
     def point_by_id(self) -> dict:
         return {p.id: p for p in self.points}
 
     def coords_array(self) -> np.ndarray:
-        if not self.points:
-            return np.zeros((0, 3))
-        return np.array([p.coords for p in self.points])
+        return self.points.coords.copy()
 
     def copy(self) -> "StructuralModel":
-        return copy.deepcopy(self)
+        """An independent copy: the columns as array copies, the catalogs deep-copied."""
+        catalogs = copy.deepcopy((self.cross_sections, self.materials, self.bcs, self.rigid_links))
+        points, cells = self.points.take(slice(None)), self.cells.take(slice(None))
+        return StructuralModel(self.comment, points, cells, *catalogs, self.gravity,
+                               self.self_weight_enabled)
 
 
 def cell_lengths(model: StructuralModel) -> np.ndarray:
-    """Length of every cell, in list order, from one batched dot product
+    """Length of every cell, in table order, from one batched dot product
     (the same rounding as ``np.linalg.norm`` of each end difference).  A
     cell with a missing end point gets NaN, which no tolerance test passes."""
-    index = model.point_index()
-    ends = np.fromiter((index.get(pid, -1) for c in model.cells for pid in c.connectivity),
-                       dtype=np.intp, count=2 * len(model.cells)).reshape(-1, 2)
-    # index -1 picks the appended NaN row
-    coords = np.array([p.coords for p in model.points] + [np.full(3, np.nan)])
+    ends = model.points.positions(model.cells.ends)
+    # row -1 picks the appended NaN row
+    coords = np.concatenate([model.points.coords, np.full((1, 3), np.nan)])
     d = coords[ends[:, 0]] - coords[ends[:, 1]]
     return np.sqrt(np.vecdot(d, d))
 
@@ -317,21 +469,19 @@ class CellProperties(NamedTuple):
     Ry: np.ndarray  # MPa
 
 
-def _per_cell(ids, row, width):
-    """Evaluate ``row(catalog_id)`` once per distinct id, spread over the cells."""
+def per_id(ids, row, width):
+    """Evaluate ``row(catalog_id)`` once per distinct id, spread over the rows."""
     uniq, inverse = np.unique(np.asarray(ids, dtype=np.int64), return_inverse=True)
     table = np.array([row(i) for i in uniq.tolist()], dtype=float).reshape(len(uniq), width)
     return table[inverse]
 
 
-def cell_properties(model: StructuralModel, cells=None) -> CellProperties:
+def cell_properties(model: StructuralModel, cells: CellTable | None = None) -> CellProperties:
     """Section and material values of ``cells`` (default: all) as arrays."""
     cells = model.cells if cells is None else cells
-    sections = _per_cell(
-        [c.cs_id for c in cells], lambda i: astuple(model.cross_sections[i].properties), 7
-    )
+    sections = per_id(cells.cs_ids, lambda i: astuple(model.cross_sections[i].properties), 7)
     material = attrgetter("E", "G", "density", "Ry")
-    materials = _per_cell([c.mat_id for c in cells], lambda i: material(model.materials[i]), 4)
+    materials = per_id(cells.mat_ids, lambda i: material(model.materials[i]), 4)
     return CellProperties(*sections.T, *materials.T)
 
 
@@ -351,6 +501,29 @@ class ValidationReport:
         return [f for f in self.defects + self.warnings if f.kind == kind]
 
 
+def _repeats(ids: np.ndarray) -> np.ndarray:
+    """True where an id already occurred at an earlier position."""
+    first = np.zeros(len(ids), dtype=bool)
+    first[np.unique(ids, return_index=True)[1]] = True
+    return ~first
+
+
+def _row_findings(checks, *columns) -> list:
+    """Findings for the rows that fail any of ``checks``, (failed mask, kind,
+    message) triples, in row order and within a row in check order.  The
+    message formats the row's values of ``columns`` as {0}, {1}, ..."""
+    failed = np.array([mask for mask, _, _ in checks], dtype=bool).reshape(len(checks), -1)
+    rows = np.flatnonzero(failed.any(axis=0))
+    values = np.column_stack(columns)[rows].tolist()
+    return [Finding(kind, message.format(*row_values))
+            for row, row_values in zip(rows, values)
+            for (_, kind, message), hit in zip(checks, failed[:, row]) if hit]
+
+
+def _missing(ids: np.ndarray, catalog: dict) -> np.ndarray:
+    return ~np.isin(ids, np.fromiter(catalog, dtype=np.int64, count=len(catalog)))
+
+
 def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> ValidationReport:
     """Consistency check; reports findings without mutating the model.
 
@@ -361,60 +534,32 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     links.  Degenerate cells, never-referenced catalog entries and points
     referenced by no cell are warnings only.
     """
-    short = (cell_lengths(model) <= tol).tolist()
-    defects = []
-    warnings = []
-
-    seen_pids = set()
-    finite = np.isfinite(model.coords_array()).all(axis=1).tolist()
-    for p, is_finite in zip(model.points, finite):
-        if p.id in seen_pids:
-            defects.append(Finding("duplicate-id", f"duplicate point id {p.id}"))
-        seen_pids.add(p.id)
-        if not is_finite:
-            defects.append(Finding("non-finite", f"point {p.id} has non-finite coordinates"))
-
-    by_id = {p.id: p for p in model.points}
-
-    seen_cids = set()
-    used_points = set()
-    used_cs = set()
-    used_mat = set()
-    for c, is_short in zip(model.cells, short):
-        if c.id in seen_cids:
-            defects.append(Finding("duplicate-id", f"duplicate cell id {c.id}"))
-        seen_cids.add(c.id)
-        for pid in c.connectivity:
-            if pid not in by_id:
-                defects.append(
-                    Finding("dangling-reference", f"cell {c.id} references missing point {pid}")
-                )
-            else:
-                used_points.add(pid)
-        if c.cs_id not in model.cross_sections:
-            defects.append(
-                Finding("dangling-reference", f"cell {c.id} references missing cross-section {c.cs_id}")
-            )
-        else:
-            used_cs.add(c.cs_id)
-        if c.mat_id not in model.materials:
-            defects.append(
-                Finding("dangling-reference", f"cell {c.id} references missing material {c.mat_id}")
-            )
-        else:
-            used_mat.add(c.mat_id)
-        if is_short:
-            warnings.append(Finding("degenerate-cell", f"cell {c.id} shorter than merge tolerance"))
-
-    used_bc = set()
-    for p in model.points:
-        if p.bc_id != 0:
-            if p.bc_id not in model.bcs:
-                defects.append(
-                    Finding("dangling-reference", f"point {p.id} references missing load {p.bc_id}")
-                )
-            else:
-                used_bc.add(p.bc_id)
+    points, cells = model.points, model.cells
+    pids, ends, bc_ids = points.ids, cells.ends, points.bc_ids
+    no_point = ~np.isin(ends, pids)
+    no_cs = _missing(cells.cs_ids, model.cross_sections)
+    no_mat = _missing(cells.mat_ids, model.materials)
+    no_bc = (bc_ids != 0) & _missing(bc_ids, model.bcs)
+    defects = _row_findings([
+        (_repeats(pids), "duplicate-id", "duplicate point id {0}"),
+        (~np.isfinite(points.coords).all(axis=1), "non-finite",
+         "point {0} has non-finite coordinates"),
+    ], pids)
+    defects += _row_findings([
+        (_repeats(cells.ids), "duplicate-id", "duplicate cell id {0}"),
+        (no_point[:, 0], "dangling-reference", "cell {0} references missing point {1}"),
+        (no_point[:, 1], "dangling-reference", "cell {0} references missing point {2}"),
+        (no_cs, "dangling-reference", "cell {0} references missing cross-section {3}"),
+        (no_mat, "dangling-reference", "cell {0} references missing material {4}"),
+    ], cells.ids, ends, cells.cs_ids, cells.mat_ids)
+    warnings = _row_findings(
+        [(cell_lengths(model) <= tol, "degenerate-cell", "cell {0} shorter than merge tolerance")],
+        cells.ids)
+    defects += _row_findings(
+        [(no_bc, "dangling-reference", "point {0} references missing load {1}")], pids, bc_ids)
+    used_cs = set(cells.cs_ids[~no_cs].tolist())
+    used_mat = set(cells.mat_ids[~no_mat].tolist())
+    used_bc = set(bc_ids[(bc_ids != 0) & ~no_bc].tolist())
 
     for cs_id in sorted(model.cross_sections):
         try:
@@ -434,38 +579,27 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
         if not np.all(np.isfinite(bc.components)):
             defects.append(Finding("non-finite", f"load {bc.id} has non-finite components"))
 
-    slaves = set()
-    masters = set()
-    for link in model.rigid_links:
-        for pid, role in ((link.master, "master"), (link.slave, "slave")):
-            if pid not in by_id:
-                defects.append(
-                    Finding("dangling-reference", f"rigid link {role} references missing point {pid}")
-                )
-        if link.master == link.slave:
-            defects.append(Finding("rigid-link-conflict", f"rigid link with master == slave {link.master}"))
-        if link.slave in slaves:
-            defects.append(Finding("rigid-link-conflict", f"point {link.slave} is slave of two links"))
-        slaves.add(link.slave)
-        masters.add(link.master)
-        if link.offset is not None and not np.all(np.isfinite(link.offset)):
-            defects.append(Finding("non-finite", f"rigid link offset for slave {link.slave} not finite"))
-    chained = slaves & masters
-    for pid in sorted(chained):
+    links = model.rigid_links
+    masters = np.array([l.master for l in links], dtype=np.int64)
+    slaves = np.array([l.slave for l in links], dtype=np.int64)
+    bad_offset = [l.offset is not None and not np.all(np.isfinite(l.offset)) for l in links]
+    defects += _row_findings([
+        (~np.isin(masters, pids), "dangling-reference",
+         "rigid link master references missing point {0}"),
+        (~np.isin(slaves, pids), "dangling-reference",
+         "rigid link slave references missing point {1}"),
+        (masters == slaves, "rigid-link-conflict", "rigid link with master == slave {0}"),
+        (_repeats(slaves), "rigid-link-conflict", "point {1} is slave of two links"),
+        (bad_offset, "non-finite", "rigid link offset for slave {1} not finite"),
+    ], masters, slaves)
+    for pid in sorted(set(slaves.tolist()) & set(masters.tolist())):
         defects.append(Finding("rigid-link-conflict", f"point {pid} is both master and slave"))
 
-    for cs_id in sorted(model.cross_sections):
-        if cs_id not in used_cs:
-            warnings.append(Finding("unreferenced-catalog", f"cross-section {cs_id} never referenced"))
-    for mat_id in sorted(model.materials):
-        if mat_id not in used_mat:
-            warnings.append(Finding("unreferenced-catalog", f"material {mat_id} never referenced"))
-    for bc_id in sorted(model.bcs):
-        if bc_id not in used_bc:
-            warnings.append(Finding("unreferenced-catalog", f"load {bc_id} never referenced"))
-
-    for p in model.points:
-        if p.id not in used_points:
-            warnings.append(Finding("unused-point", f"point {p.id} referenced by no cell"))
-
+    for what, catalog, used in (("cross-section", model.cross_sections, used_cs),
+                                ("material", model.materials, used_mat),
+                                ("load", model.bcs, used_bc)):
+        warnings += [Finding("unreferenced-catalog", f"{what} {key} never referenced")
+                     for key in sorted(catalog) if key not in used]
+    warnings += _row_findings(
+        [(~np.isin(pids, ends), "unused-point", "point {0} referenced by no cell")], pids)
     return ValidationReport(ok=not defects, defects=defects, warnings=warnings)

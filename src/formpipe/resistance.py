@@ -88,22 +88,10 @@ def build_result_set(
     if np.any(props.Ry <= 0):
         raise ValueError("material yield stress must be positive")
     u_el = np.max(_stresses(ef.transpose(1, 0, 2), props)[2], axis=0) / props.Ry
-    exceeded = u_el > ELASTIC_LIMIT
-    if n:
-        total = np.linalg.norm(disp[:, :3], axis=1)
-        max_disp = float(np.max(total))
-    else:
-        max_disp = 0.0
-    return ResultSet(
-        displacements=disp,
-        end_forces=ef,
-        u_el=u_el,
-        exceeded=exceeded,
-        max_u_el=float(np.max(u_el)) if m else 0.0,
-        max_total_displacement=max_disp,
-        reactions=np.zeros((n, 6)) if reactions is None else np.asarray(reactions, dtype=float),
-        applied_loads=np.zeros((n, 6)) if applied_loads is None else np.asarray(applied_loads, dtype=float),
-    )
+    loads = [np.zeros((n, 6)) if v is None else np.asarray(v, dtype=float)
+             for v in (reactions, applied_loads)]
+    return ResultSet(disp, ef, u_el, u_el > ELASTIC_LIMIT, float(u_el.max(initial=0.0)),
+                     float(np.linalg.norm(disp[:, :3], axis=1).max(initial=0.0)), *loads)
 
 
 def equilibrium_residual(model: StructuralModel, results: ResultSet) -> float:
@@ -111,7 +99,7 @@ def equilibrium_residual(model: StructuralModel, results: ResultSet) -> float:
     moment about the origin, relative to the applied force resultant (the
     moment also over the model's extent).  Self-balancing loads fall back to
     the sum of the load magnitudes as the reference."""
-    xyz = model.coords_array()
+    xyz = model.points.coords
     total = results.reactions + results.applied_loads
     force = total[:, :3].sum(axis=0)
     moment = (np.cross(xyz, total[:, :3]) + total[:, 3:]).sum(axis=0)
@@ -135,12 +123,8 @@ class Summary:
 
 def summarize(results: ResultSet) -> Summary:
     """Headline numbers: peak ratio, peak displacement magnitude, exceedances."""
-    return Summary(
-        max_u_el=results.max_u_el,
-        max_total_displacement=results.max_total_displacement,
-        exceeded_count=int(np.count_nonzero(results.exceeded)),
-        cell_count=len(results.u_el),
-    )
+    return Summary(results.max_u_el, results.max_total_displacement,
+                   int(np.count_nonzero(results.exceeded)), len(results.u_el))
 
 
 def deformed_geometry(model: StructuralModel, displacements, scale: float) -> np.ndarray:
@@ -148,7 +132,7 @@ def deformed_geometry(model: StructuralModel, displacements, scale: float) -> np
     if not np.isfinite(scale):
         raise ValueError("deformation scale must be finite")
     disp = np.asarray(displacements, dtype=float)
-    coords = model.coords_array()
+    coords = model.points.coords
     if disp.shape != (coords.shape[0], 6):
         raise ValueError("displacement array does not match the point count")
     return coords + scale * disp[:, :3]

@@ -9,12 +9,11 @@ they keep original entity ids so the reports stay traceable.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import DEFAULT_MERGE_TOL, RigidLink, StructuralModel, cell_lengths
+from .model import DEFAULT_MERGE_TOL, PointTable, RigidLink, StructuralModel, cell_lengths
 
 
 class TopologyError(ValueError):
@@ -33,13 +32,7 @@ class RepairReport:
     element_removal_fraction: float = 0.0
 
     def is_empty(self) -> bool:
-        return not (
-            self.merged_point_pairs
-            or self.removed_degenerate_cells
-            or self.removed_duplicate_cells
-            or self.removed_components
-            or self.pruned_arm_points
-        )
+        return not any(getattr(self, f.name) for f in fields(self) if f.type == "list")
 
 
 @dataclass
@@ -134,6 +127,15 @@ def _lowest(labels: np.ndarray, count: int, values: np.ndarray) -> np.ndarray:
     return low
 
 
+def _end_rows(model: StructuralModel) -> np.ndarray:
+    """(m, 2) point rows of the cell ends; raises TopologyError for an end
+    that names no point."""
+    rows = model.points.positions(model.cells.ends)
+    if np.any(rows < 0):
+        raise TopologyError("cells reference points that are not in the model")
+    return rows
+
+
 def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL):
     """Merge points lying within ``tol`` of each other (transitive closure).
 
@@ -143,8 +145,9 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
     """
     if tol < 0:
         raise ValueError("merge tolerance must be non-negative")
-    ids = np.array([p.id for p in model.points], dtype=np.int64)
-    count, labels = _component_labels(len(ids), _close_pairs(model.coords_array(), tol))
+    points = model.points
+    ids = points.ids
+    count, labels = _component_labels(len(ids), _close_pairs(points.coords, tol))
     report = RepairReport()
     if count == len(ids):
         return model, report
@@ -153,7 +156,7 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
     moved = survivor != ids
     report.merged_point_pairs = sorted(zip(survivor[moved].tolist(), ids[moved].tolist()))
 
-    loads = np.array([p.bc_id for p in model.points], dtype=np.int64)
+    loads = points.bc_ids
     loaded = loads != 0
     cluster_load = np.zeros(count, dtype=np.int64)
     cluster_load[labels[loaded]] = loads[loaded]
@@ -165,16 +168,13 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
             f"load ids {np.unique(loads[members & loaded]).tolist()}"
         )
     masks = np.zeros((count, 6), dtype=bool)
-    np.logical_or.at(masks, labels, np.array([p.constraint_mask for p in model.points]))
+    np.logical_or.at(masks, labels, points.masks)
 
-    model.points = [p for p, gone in zip(model.points, moved) if not gone]
-    for p, label in zip(model.points, labels[~moved].tolist()):
-        p.constraint_mask |= masks[label]
-        p.bc_id = int(cluster_load[label])
-    remap = dict(zip(ids.tolist(), survivor.tolist()))
-    for c in model.cells:
-        c.connectivity = (remap[c.connectivity[0]], remap[c.connectivity[1]])
+    model.cells.ends[:] = survivor[_end_rows(model)]
+    kept = labels[~moved]
+    model.points = PointTable(ids[~moved], points.coords[~moved], masks[kept], cluster_load[kept])
 
+    remap = dict(zip(ids.tolist(), survivor.tolist())) if model.rigid_links else {}
     kept_links = []
     seen_slaves = set()
     for link in model.rigid_links:
@@ -200,9 +200,8 @@ def remove_degenerate_cells(model: StructuralModel, tol: float = DEFAULT_MERGE_T
         raise ValueError("tolerance must be non-negative")
     report = RepairReport()
     n_before = len(model.cells)
-    ids = np.array([c.id for c in model.cells], dtype=np.int64)
-    ends = np.sort(np.array([c.connectivity for c in model.cells], dtype=np.int64)
-                   .reshape(-1, 2), axis=1)
+    ids = model.cells.ids
+    ends = np.sort(model.cells.ends, axis=1)
     degenerate = (ends[:, 0] == ends[:, 1]) | (cell_lengths(model) <= tol)
     report.removed_degenerate_cells = ids[degenerate].tolist()
 
@@ -217,26 +216,23 @@ def remove_degenerate_cells(model: StructuralModel, tol: float = DEFAULT_MERGE_T
     duplicate = by_id[np.sort(order[repeat])]
     report.removed_duplicate_cells = ids[duplicate].tolist()
 
-    gone = degenerate.copy()
-    gone[duplicate] = True
-    model.cells = [c for c, g in zip(model.cells, gone.tolist()) if not g]
+    degenerate[duplicate] = True  # now every cell that goes
+    model.cells = model.cells.take(~degenerate)
     removed = n_before - len(model.cells)
     report.element_removal_fraction = removed / n_before if n_before else 0.0
     return model, report
 
 
 def _components(model: StructuralModel):
-    """Point ids, component count and label per point, and the first-end
-    point index of every cell.  Rigid links count as connections, isolated
-    points form their own component."""
-    ids = np.array([p.id for p in model.points], dtype=np.int64)
-    index = model.point_index()
-    pairs = [c.connectivity for c in model.cells] + [
-        (l.master, l.slave) for l in model.rigid_links if l.master in index and l.slave in index
-    ]
-    edges = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
-    count, labels = _component_labels(len(ids), edges)
-    return ids, count, labels, edges[: len(model.cells), 0]
+    """Component count and label per point, and the first-end point row of
+    every cell.  Rigid links count as connections, isolated points form
+    their own component."""
+    ends = _end_rows(model)
+    links = model.points.positions(
+        np.array([(l.master, l.slave) for l in model.rigid_links], dtype=np.int64).reshape(-1, 2))
+    edges = np.concatenate([ends, links[(links >= 0).all(axis=1)]])
+    count, labels = _component_labels(len(model.points), edges)
+    return count, labels, ends[:, 0]
 
 
 def remove_detached_components(model: StructuralModel):
@@ -245,13 +241,14 @@ def remove_detached_components(model: StructuralModel):
     Ties break towards the component containing the lowest point id.  The
     report lists removed components as (cell count, representative point).
     """
-    if not model.points:
+    if not len(model.points):
         raise TopologyError("cannot locate the main body of an empty model")
-    ids, count, labels, first_ends = _components(model)
+    count, labels, first_ends = _components(model)
     report = RepairReport()
     if count == 1:
         return model, report
 
+    ids = model.points.ids
     n_before = len(model.cells)
     cells_in = np.bincount(labels[first_ends], minlength=count)
     lowest_id = _lowest(labels, count, ids)
@@ -260,95 +257,84 @@ def remove_detached_components(model: StructuralModel):
         (int(cells_in[k]), int(lowest_id[k])) for k in np.argsort(lowest_id) if k != main
     ]
     keep = labels == main
-    kept_ids = set(ids[keep].tolist())
-    model.points = [p for p, k in zip(model.points, keep) if k]
-    model.cells = [c for c, k in zip(model.cells, keep[first_ends]) if k]
-    model.rigid_links = [
-        l for l in model.rigid_links if l.master in kept_ids and l.slave in kept_ids
-    ]
+    model.points = model.points.take(keep)
+    model.cells = model.cells.take(keep[first_ends])
+    kept = set(ids[keep].tolist())
+    model.rigid_links = [l for l in model.rigid_links if l.master in kept and l.slave in kept]
     removed = n_before - len(model.cells)
     report.element_removal_fraction = removed / n_before if n_before else 0.0
     return model, report
 
 
-def protected_points(model: StructuralModel) -> set:
-    """Points that pruning must never remove: supported or loaded ones."""
-    return {
-        p.id
-        for p in model.points
-        if p.bc_id != 0 or bool(np.any(p.constraint_mask))
-    }
+def protected_points(model: StructuralModel) -> np.ndarray:
+    """Mask of the points that pruning must never remove: supported or loaded ones."""
+    return (model.points.bc_ids != 0) | model.points.masks.any(axis=1)
 
 
-def prune_dead_arms(
-    model: StructuralModel,
-    max_degree: int = 2,
-    protected: set | None = None,
-):
+def _peel(n: int, ends: np.ndarray, protected: np.ndarray, max_degree: int):
+    """Surviving points and cells after peeling: rounds that delete every
+    unprotected point with at most ``max_degree`` live incident cells, with
+    those cells, each round looking only at the points the last one
+    touched.  A cell joining a point to itself counts once."""
+    m = len(ends)
+    a, b = ends.T
+    loop = a == b
+    # the incident cells of each point as one run of ``incident``
+    at = np.concatenate([a, b[~loop]])
+    incident = np.concatenate([np.arange(m), np.flatnonzero(~loop)])[np.argsort(at, kind="stable")]
+    run = np.bincount(at, minlength=n)
+    start = np.cumsum(run) - run
+    degree = run.copy()
+    point_alive = np.ones(n, dtype=bool)
+    cell_alive = np.ones(m, dtype=bool)
+    frontier = np.arange(n)
+    while True:
+        peel = frontier[point_alive[frontier] & ~protected[frontier]
+                        & (degree[frontier] <= max_degree)]
+        if not peel.size:
+            return point_alive, cell_alive
+        point_alive[peel] = False
+        lengths = run[peel]
+        offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        cells = np.unique(incident[np.repeat(start[peel], lengths) + offsets])
+        cells = cells[cell_alive[cells]]
+        cell_alive[cells] = False
+        other = ends[cells].ravel()
+        other = other[point_alive[other]]
+        np.subtract.at(degree, other, 1)
+        frontier = np.unique(other)
+
+
+def prune_dead_arms(model: StructuralModel, max_degree: int = 2, protected: set | None = None):
     """Peel away thin arms: repeatedly delete unprotected points with at most
     ``max_degree`` incident cells, together with those cells, to a fixpoint.
 
-    The fixpoint is order-independent (degrees only drop as points go), so a
-    one-at-a-time recomputation gives the same survivors.  Raises
-    TopologyError if peeling would empty the model.
+    The fixpoint is order-independent (degrees only drop as points go), so
+    peeling in rounds gives the same survivors as one point at a time.
+    Raises TopologyError if peeling would empty the model.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
+    ids = model.points.ids
     if protected is None:
-        protected = protected_points(model)
-
-    incident = {p.id: set() for p in model.points}
-    for c in model.cells:
-        a, b = c.connectivity
-        incident[a].add(c.id)
-        if b != a:
-            incident[b].add(c.id)
-    cell_by_id = {c.id: c for c in model.cells}
-
-    removed_points = set()
-    removed_cells = set()
-    queue = deque(
-        pid
-        for pid, cells in incident.items()
-        if pid not in protected and len(cells) <= max_degree
-    )
-    while queue:
-        pid = queue.popleft()
-        if pid in removed_points or pid in protected:
-            continue
-        if len(incident[pid]) > max_degree:
-            continue
-        removed_points.add(pid)
-        for cid in list(incident[pid]):
-            if cid in removed_cells:
-                continue
-            removed_cells.add(cid)
-            for other in cell_by_id[cid].connectivity:
-                if other == pid or other in removed_points:
-                    continue
-                incident[other].discard(cid)
-                if other not in protected and len(incident[other]) <= max_degree:
-                    queue.append(other)
-        incident[pid] = set()
-
-    if removed_points and len(removed_points) == len(model.points):
-        raise TopologyError("pruning would empty the model")
+        keep = protected_points(model)
+    else:
+        keep = np.isin(ids, np.fromiter(protected, dtype=np.int64, count=len(protected)))
+    point_alive, cell_alive = _peel(len(ids), _end_rows(model), keep, max_degree)
 
     report = RepairReport()
-    if not removed_points:
+    if point_alive.all():
         return model, report
+    if not point_alive.any():
+        raise TopologyError("pruning would empty the model")
     n_before = len(model.cells)
-    report.pruned_arm_points = sorted(removed_points)
-    model.points = [p for p in model.points if p.id not in removed_points]
-    model.cells = [c for c in model.cells if c.id not in removed_cells]
-    model.rigid_links = [
-        l
-        for l in model.rigid_links
-        if l.master not in removed_points and l.slave not in removed_points
-    ]
-    report.element_removal_fraction = (
-        len(removed_cells) / n_before if n_before else 0.0
-    )
+    report.pruned_arm_points = np.sort(ids[~point_alive]).tolist()
+    model.points = model.points.take(point_alive)
+    model.cells = model.cells.take(cell_alive)
+    kept = set(ids[point_alive].tolist())
+    model.rigid_links = [l for l in model.rigid_links if l.master in kept and l.slave in kept]
+    removed = n_before - len(model.cells)
+    report.element_removal_fraction = removed / n_before if n_before else 0.0
     return model, report
 
 
@@ -359,9 +345,9 @@ def check_support_reachability(model: StructuralModel):
     Genuine local mechanisms beyond this count survive until factorization,
     which reports the offending DOF.
     """
-    ids, count, labels, _ = _components(model)
-    masks = np.array([p.constraint_mask for p in model.points], dtype=bool).reshape(-1, 6)
-    fixed = np.bincount(labels, weights=masks.sum(axis=1), minlength=count)
+    count, labels, _ = _components(model)
+    ids = model.points.ids
+    fixed = np.bincount(labels, weights=model.points.masks.sum(axis=1), minlength=count)
     # members of each component as one run of ascending ids
     members = ids[np.lexsort((ids, labels))]
     sizes = np.bincount(labels, minlength=count)
@@ -377,19 +363,13 @@ def check_support_reachability(model: StructuralModel):
     return findings
 
 
-def make_rigid_link(
-    model: StructuralModel,
-    master: int,
-    slave: int,
-    offset=None,
-) -> StructuralModel:
+def make_rigid_link(model: StructuralModel, master: int, slave: int, offset=None):
     """Register a rigid arm tying the slave's DOFs to the master's.
 
     Links are single-level: a master may own several slaves, but a slave may
     not act as master (and vice versa), which rules out constraint cycles.
     """
-    by_id = model.point_by_id()
-    if master not in by_id or slave not in by_id:
+    if np.any(model.points.positions([master, slave]) < 0):
         raise TopologyError(f"rigid link references missing point ({master}, {slave})")
     if master == slave:
         raise TopologyError("rigid link master and slave must differ")
@@ -410,5 +390,6 @@ def resolve_link_offset(model: StructuralModel, link: RigidLink) -> np.ndarray:
     """Arm vector r for a link; falls back to the point positions."""
     if link.offset is not None:
         return np.asarray(link.offset, dtype=float)
-    by_id = model.point_by_id()
-    return by_id[link.slave].coords - by_id[link.master].coords
+    slave, master = model.points.positions([link.slave, link.master])
+    coords = model.points.coords
+    return coords[slave] - coords[master]

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import formpipe as fp
@@ -443,3 +444,43 @@ class TestClosedStdout:
         assert proc.stderr == b""
         assert proc.returncode == 0
         assert dst.read_text() == fp.write_model(fp.gen_cantilever())
+
+
+def test_output_files_honour_the_umask(capsys, tmp_path):
+    """Written files get the mode a plain open() would give them, not the
+    owner-only mode of the temp file they are renamed from."""
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "gen", "cantilever", str(tmp_path / "c.vtp"))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert (tmp_path / "c.vtp").stat().st_mode & 0o777 == 0o644
+
+
+def test_direct_solve_accepted_at_the_residual_floor(capsys, tmp_path):
+    """The smallest seed-0 arch lattice (thickness 3.5, nx = 2 nz) whose
+    relative residual cannot get below 1e-10: computing K u - f rounds at
+    about that level.  The direct solve is accepted on its backward error
+    and agrees with PCG."""
+    model, cleaned = tmp_path / "arch.vtp", tmp_path / "clean.vtp"
+    assert run(capsys, "gen", "lattice", str(model), "--nx", "106", "--ny", "2", "--nz", "53",
+               "--shape", "arch", "--thickness", "3.5", "--splash-fraction", "0.01")[0] == 0
+    assert run(capsys, "clean", str(model), str(cleaned))[0] == 0
+    fields = {}
+    for solver in ("direct", "pcg"):
+        code, out, err = run(capsys, "solve", str(cleaned), str(tmp_path / f"{solver}.vtk"),
+                             "--solver", solver, "--format", "structured")
+        assert (code, err) == (0, "")
+        fields[solver] = parse_structured(out)
+        assert float(fields[solver]["solver_backward_error"]) < 1e-13
+    assert float(fields["direct"]["solver_true_residual"]) > 1e-10
+    direct, pcg = (_displacements(tmp_path / f"{s}.vtk") for s in ("direct", "pcg"))
+    assert np.abs(direct - pcg).max() <= 1e-6 * np.abs(direct).max()
+
+
+def _displacements(path):
+    lines = path.read_text().splitlines()
+    n = int(next(line for line in lines if line.startswith("POINT_DATA")).split()[1])
+    start = lines.index("VECTORS displacement float") + 1
+    return np.loadtxt(lines[start : start + n])

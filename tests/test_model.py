@@ -5,18 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formpipe as fp
+from formpipe.cli import PipelineConfig, run_clean_pipeline
 from formpipe.model import (
+    TRUSS_LINE,
     Cell,
+    _Table,
+    CellTable,
     Circle,
     CrossSection,
     GenericSection,
     Material,
     Point,
+    PointTable,
     Rectangle,
     StructuralModel,
     section_properties,
     validate,
 )
+
+from conftest import random_model
 
 
 class TestSectionProperties:
@@ -223,3 +231,132 @@ class TestValidate:
         for cell in model.cells:
             assert model.cross_sections[cell.cs_id].properties.A > 0
             assert model.materials[cell.mat_id].E > 0
+
+
+def _line_soup(seed=0):
+    """A small lattice exploded into a shuffled line soup: every cell gets
+    its own two jittered endpoints, carrying its nodes' masks and loads."""
+    rng = np.random.default_rng(seed)
+    lattice = fp.gen_sphere_lattice(fp.LatticeSpec(nx=4, ny=3, nz=3, splash_fraction=0.05,
+                                                   seed=seed))
+    cells, points = lattice.cells, lattice.points
+    order = rng.permutation(len(cells))
+    ends = points.positions(cells.ends[order]).ravel()
+    n = len(ends)
+    soup = fp.StructuralModel(
+        comment="soup", cross_sections=lattice.cross_sections, materials=lattice.materials,
+        points=PointTable(np.arange(n), points.coords[ends] + rng.uniform(-1e-3, 1e-3, (n, 3)),
+                          points.masks[ends], points.bc_ids[ends]),
+        cells=CellTable(np.arange(n // 2), np.arange(n).reshape(-1, 2), cells.cs_ids[order],
+                        cells.mat_ids[order], cells.truss[order]))
+    return fp.write_model(soup)
+
+
+def test_check_and_clean_build_no_row_objects(monkeypatch):
+    """Parse, validate, support check, the repair passes and the writer work
+    on the columns: none of them makes a Point or Cell, or a row view."""
+    text = _line_soup()
+    made = []
+
+    def counted(cls, method):
+        def wrapper(self, *args, **kwargs):
+            made.append(cls.__name__)
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(cls, method.__name__, wrapper)
+
+    counted(Point, Point.__init__)
+    counted(Cell, Cell.__init__)
+    counted(_Table, _Table.__getitem__)  # where row views come from
+    model = fp.parse_model(text)
+    n_soup = len(model.points)
+    assert validate(model).ok
+    assert fp.check_support_reachability(model)  # every segment floats on its own
+    cleaned, _ = run_clean_pipeline(model, PipelineConfig(merge_tol=0.01))
+    fp.write_model(cleaned)
+    assert not made
+    assert len(cleaned.points) < n_soup / 3  # the soup did merge
+    cleaned.points.append(Point(id=-1, coords=(0, 0, 0)))
+    assert made == ["Point"]  # the counter counts
+    assert cleaned.points[-1].id == -1 and made == ["Point", "_Table"]
+
+
+class TestViews:
+    def test_attribute_and_mask_writes_reach_the_columns(self):
+        model = _two_point_model()
+        model.points[1].bc_id = 7
+        model.points[0].constraint_mask[:] = True
+        model.points[1].coords[2] = 5.0
+        model.cells[0].kind = TRUSS_LINE
+        model.cells[0].connectivity = (1, 0)
+        assert model.points.bc_ids.tolist() == [0, 7]
+        assert model.points.masks.tolist() == [[True] * 6, [False] * 6]
+        assert model.points.coords[1].tolist() == [1000.0, 0.0, 5.0]
+        assert model.cells.truss.tolist() == [True]
+        assert model.cells.ends.tolist() == [[1, 0]]
+
+    def test_appended_point_stays_bound_to_the_model(self):
+        model = _two_point_model()
+        p = Point(id=5, coords=(1, 2, 3))
+        model.points.append(p)
+        p.bc_id = 2
+        p.constraint_mask[1] = True
+        p.coords = (4, 5, 6)
+        assert (model.points[-1].bc_id, model.points.masks[-1].tolist()) == (
+            2, [False, True, False, False, False, False])
+        assert model.points.coords[-1].tolist() == [4.0, 5.0, 6.0]
+
+    def test_standalone_rows_validate(self):
+        with pytest.raises(ValueError, match="coords must be a 3-vector"):
+            Point(id=0, coords=(0, 0))
+        with pytest.raises(ValueError, match="constraint_mask must have 6 entries"):
+            Point(id=0, coords=(0, 0, 0), constraint_mask=[True])
+        with pytest.raises(ValueError, match="exactly two point ids"):
+            Cell(id=0, connectivity=(0, 1, 2), cs_id=1, mat_id=1)
+        with pytest.raises(ValueError, match="unknown cell kind"):
+            Cell(id=0, connectivity=(0, 1), cs_id=1, mat_id=1, kind="shell")
+
+    def test_copy_is_independent(self):
+        model = _two_point_model()
+        model.rigid_links.append(fp.RigidLink(master=0, slave=1))
+        dup = model.copy()
+        dup.points[0].coords[0] = 9.0
+        dup.points[1].constraint_mask[:] = True
+        dup.cells[0].cs_id = 4
+        dup.materials[1].E = 1.0
+        dup.rigid_links[0].slave = 0
+        dup.points.append(Point(id=2, coords=(0, 0, 1)))
+        assert model.points.coords[0].tolist() == [0.0, 0.0, 0.0]
+        assert not model.points.masks.any()
+        assert (model.cells[0].cs_id, model.materials[1].E) == (1, 210e3)
+        assert (model.rigid_links[0].slave, len(model.points)) == (1, 2)
+
+    def test_reordered_own_views_keep_their_rows(self):
+        rng = np.random.default_rng(4)
+        model = random_model(rng, n_points=30)
+        before = {p.id: (p.coords.tolist(), p.constraint_mask.tolist(), p.bc_id)
+                  for p in model.points}
+        order = rng.permutation(len(model.points))
+        model.points = [model.points[i] for i in order]
+        assert model.points.ids.tolist() == order.tolist()
+        assert {p.id: (p.coords.tolist(), p.constraint_mask.tolist(), p.bc_id)
+                for p in model.points} == before
+        model.cells = model.cells[::-1]
+        assert model.cells.ids.tolist() == list(range(len(model.cells)))[::-1]
+
+    def test_slices_and_pop(self):
+        model = _two_point_model()
+        assert [p.id for p in model.points[::-1]] == [1, 0]
+        popped = model.points.pop(0)
+        assert (popped.id, len(model.points), model.points[0].id) == (0, 1, 1)
+        popped.bc_id = 3  # a copy: the model no longer holds it
+        assert model.points.bc_ids.tolist() == [0]
+        with pytest.raises(IndexError):
+            model.points[1]
+
+    def test_repeated_clean_is_bit_identical(self):
+        text = _line_soup(seed=3)
+        outputs = set()
+        for _ in range(3):
+            cleaned, _ = run_clean_pipeline(fp.parse_model(text), PipelineConfig(merge_tol=0.01))
+            outputs.add(fp.write_model(cleaned))
+        assert len(outputs) == 1
