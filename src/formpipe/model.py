@@ -119,7 +119,7 @@ class Cell(_View):
         _own_row(self, CellTable, int(id), ends, int(cs_id), int(mat_id), _is_truss(kind))
 
     id = property(lambda self: int(self._t._cols[0][self._i]), lambda self, v: self._set(0, v))
-    connectivity = property(lambda self: tuple(self._t._cols[1][self._i].tolist()),
+    connectivity = property(lambda self: tuple(map(int, self._t._cols[1][self._i])),
                             lambda self, v: self._set(1, _pair(v)))
     cs_id = property(lambda self: int(self._t._cols[2][self._i]), lambda self, v: self._set(2, v))
     mat_id = property(lambda self: int(self._t._cols[3][self._i]), lambda self, v: self._set(3, v))

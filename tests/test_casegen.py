@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import formpipe as fp
-from formpipe.casegen import _largest_component
+from formpipe.casegen import _largest_component, _peel_stable_body
 from formpipe.model import Circle, validate
 
 from conftest import assert_models_equal
@@ -225,3 +225,28 @@ class TestLargestComponent:
                 for _ in range(int(rng.integers(1, 40)))
             }
             assert _largest_component(voxels) == largest_component_oracle(voxels)
+
+
+def peel_stable_body_oracle(voxels, k_base, max_degree=2):
+    """Sweep the voxels in sorted order, dropping any off the base plane with
+    at most ``max_degree`` face neighbours, until a sweep changes nothing."""
+    body = set(voxels)
+    changed = True
+    while changed:
+        changed = False
+        for i, j, k in sorted(body):
+            if k == k_base:
+                continue
+            steps = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+            if sum((i + a, j + b, k + c) in body for a, b, c in steps) <= max_degree:
+                body.discard((i, j, k))
+                changed = True
+    return body
+
+
+def test_peel_stable_body_matches_sweep_oracle():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        voxels = set(map(tuple, rng.integers(0, 5, size=(int(rng.integers(1, 90)), 3)).tolist()))
+        k_base = min(v[2] for v in voxels)
+        assert _peel_stable_body(voxels, k_base) == peel_stable_body_oracle(voxels, k_base)

@@ -305,6 +305,14 @@ class TestViews:
             2, [False, True, False, False, False, False])
         assert model.points.coords[-1].tolist() == [4.0, 5.0, 6.0]
 
+    def test_standalone_rows_read_back(self):
+        p = Point(id=3, coords=[1, 2, 3], constraint_mask=[1, 0, 0, 0, 0, 0], bc_id=2)
+        c = Cell(id=4, connectivity=np.array([5, 6]), cs_id=1, mat_id=2, kind=TRUSS_LINE)
+        assert (p.id, p.coords.tolist(), p.constraint_mask.tolist(), p.bc_id) == (
+            3, [1.0, 2.0, 3.0], [True] + [False] * 5, 2)
+        assert (c.id, c.connectivity, c.cs_id, c.mat_id, c.kind) == (4, (5, 6), 1, 2, TRUSS_LINE)
+        assert repr(c) == "Cell(id=4, connectivity=(5, 6), cs_id=1, mat_id=2, kind='truss-line')"
+
     def test_standalone_rows_validate(self):
         with pytest.raises(ValueError, match="coords must be a 3-vector"):
             Point(id=0, coords=(0, 0))
@@ -360,3 +368,59 @@ class TestViews:
             cleaned, _ = run_clean_pipeline(fp.parse_model(text), PipelineConfig(merge_tol=0.01))
             outputs.add(fp.write_model(cleaned))
         assert len(outputs) == 1
+
+
+def row_findings_oracle(model, tol):
+    """The per-point and per-cell findings, one object at a time, in the
+    order validate reports them: (defects, warnings) as messages."""
+    defects, warnings, seen, used = [], [], set(), set()
+    ids = {p.id for p in model.points}
+    for p in model.points:
+        if p.id in seen:
+            defects.append(f"duplicate point id {p.id}")
+        seen.add(p.id)
+        if not np.isfinite(p.coords).all():
+            defects.append(f"point {p.id} has non-finite coordinates")
+    seen = set()
+    by_id = {p.id: p for p in model.points}
+    for c in model.cells:
+        if c.id in seen:
+            defects.append(f"duplicate cell id {c.id}")
+        seen.add(c.id)
+        for pid in c.connectivity:
+            if pid in ids:
+                used.add(pid)
+            else:
+                defects.append(f"cell {c.id} references missing point {pid}")
+        if c.cs_id not in model.cross_sections:
+            defects.append(f"cell {c.id} references missing cross-section {c.cs_id}")
+        if c.mat_id not in model.materials:
+            defects.append(f"cell {c.id} references missing material {c.mat_id}")
+        a, b = (by_id.get(pid) for pid in c.connectivity)
+        if a is not None and b is not None and np.linalg.norm(a.coords - b.coords) <= tol:
+            warnings.append(f"cell {c.id} shorter than merge tolerance")
+    defects += [f"point {p.id} references missing load {p.bc_id}" for p in model.points
+                if p.bc_id != 0 and p.bc_id not in model.bcs]
+    warnings += [f"point {p.id} referenced by no cell" for p in model.points if p.id not in used]
+    return defects, warnings
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_validate_matches_one_object_at_a_time_oracle(seed):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, n_points=int(rng.integers(2, 40)), span=5.0)
+    n, m = len(model.points), len(model.cells)
+    for _ in range(int(rng.integers(0, 4))):  # duplicate ids, bad values, dangling references
+        model.points[int(rng.integers(n))].id = int(rng.integers(n))
+        model.points[int(rng.integers(n))].coords[int(rng.integers(3))] = np.nan
+        model.points[int(rng.integers(n))].bc_id = int(rng.integers(0, 5))
+        cell = model.cells[int(rng.integers(m))]
+        cell.connectivity = (cell.connectivity[0], int(rng.integers(n + 3)))
+        model.cells[int(rng.integers(m))].id = int(rng.integers(m))
+        model.cells[int(rng.integers(m))].cs_id = int(rng.integers(1, 7))
+        model.cells[int(rng.integers(m))].mat_id = int(rng.integers(1, 4))
+        model.points.append(Point(id=n + 10, coords=model.points[0].coords + 1e-7))
+    report = validate(model, tol=0.5)
+    defects, warnings = row_findings_oracle(model, 0.5)
+    assert [f.message for f in report.defects] == defects
+    assert [f.message for f in report.warnings if f.kind != "unreferenced-catalog"] == warnings
