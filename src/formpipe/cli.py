@@ -76,10 +76,6 @@ class CommandError(Exception):
         self.code = code
 
 
-class OutputError(CommandError):
-    """An output file that cannot be written; the message names its path."""
-
-
 def _read_model(path: str) -> StructuralModel:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -91,7 +87,7 @@ def _read_model(path: str) -> StructuralModel:
 def atomic_write(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so failures leave nothing.
     The file gets the mode ``open`` would give it under the umask.  Raises
-    OutputError when the file cannot be written."""
+    CommandError, naming the path, when the file cannot be written."""
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
@@ -103,7 +99,7 @@ def atomic_write(path: str, text: str) -> None:
             handle.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise CommandError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)

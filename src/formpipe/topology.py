@@ -390,6 +390,7 @@ def resolve_link_offset(model: StructuralModel, link: RigidLink) -> np.ndarray:
     """Arm vector r for a link; falls back to the point positions."""
     if link.offset is not None:
         return np.asarray(link.offset, dtype=float)
-    slave, master = model.points.positions([link.slave, link.master])
-    coords = model.points.coords
-    return coords[slave] - coords[master]
+    rows = model.points.positions([link.slave, link.master])
+    if np.any(rows < 0):
+        raise TopologyError(f"rigid link references missing point ({link.master}, {link.slave})")
+    return np.subtract(*model.points.coords[rows])
