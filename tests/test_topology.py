@@ -601,6 +601,13 @@ class TestMakeRigidLink:
         with pytest.raises(TopologyError):
             make_rigid_link(model, master=1, slave=1)
 
+    def test_offset_of_a_link_to_a_missing_point_raises(self):
+        model = simple_model([(0, 0, 0), (10, 0, 0), (10, 100, 0)], [(0, 1)])
+        make_rigid_link(model, master=1, slave=2)
+        model.points.pop(2)
+        with pytest.raises(TopologyError, match="missing point"):
+            resolve_link_offset(model, model.rigid_links[0])
+
 
 # ---------------------------------------------------------------- pipeline
 
