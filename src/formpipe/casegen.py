@@ -179,7 +179,7 @@ class LatticeSpec:
     repair runs recover them exactly.
     """
 
-    occupancy: object = None  # bool ndarray, predicate (i,j,k)->bool, or None for a full block
+    occupancy: np.ndarray | None = None  # 3-D bool voxel grid; None: an nx*ny*nz block
     nx: int = 5
     ny: int = 5
     nz: int = 5
@@ -209,11 +209,10 @@ _FACE_DIRS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1
 def _resolve_occupancy(spec: LatticeSpec) -> set:
     if spec.occupancy is None:
         occ = full_block_occupancy(spec.nx, spec.ny, spec.nz)
-    elif callable(spec.occupancy):
-        shape = (spec.nx, spec.ny, spec.nz)
-        occ = np.array([bool(spec.occupancy(*v)) for v in np.ndindex(shape)]).reshape(shape)
     else:
         occ = np.asarray(spec.occupancy, dtype=bool)
+    if occ.ndim != 3:
+        raise ValueError(f"occupancy must be a 3-D boolean array, got {occ.ndim} dimension(s)")
     return set(map(tuple, np.argwhere(occ).tolist()))
 
 

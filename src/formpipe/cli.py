@@ -43,6 +43,10 @@ EXIT_WARNINGS = 1
 EXIT_DEFECTS = 2
 EXIT_UNREADABLE = 3
 
+# ``check`` lists this many unsupported components, then counts the rest: a
+# line soup floats every segment on its own
+_LISTED_COMPONENTS = 20
+
 
 @dataclass
 class PipelineConfig:
@@ -195,9 +199,12 @@ def cmd_check(args) -> int:
     unsupported = check_support_reachability(model) if report.ok else []
     lines = [f"defect [{f.kind}]: {f.message}" for f in report.defects]
     lines += [f"warning [{f.kind}]: {f.message}" for f in report.warnings]
-    for comp in unsupported:
+    for comp in unsupported[:_LISTED_COMPONENTS]:
         lines.append(f"defect [unsupported-component]: points {comp.point_ids[:8]} carry "
                      f"{comp.fixed_dof_count} fixed DOFs (< 6)")
+    if len(unsupported) > _LISTED_COMPONENTS:
+        lines.append(f"defect [unsupported-component]: {len(unsupported) - _LISTED_COMPONENTS} "
+                     "more component(s) carry fewer than 6 fixed DOFs")
     if not lines:
         lines.append("model is clean")
     _emit(lines)

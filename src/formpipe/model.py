@@ -524,15 +524,42 @@ def _missing(ids: np.ndarray, catalog: dict) -> np.ndarray:
     return ~np.isin(ids, np.fromiter(catalog, dtype=np.int64, count=len(catalog)))
 
 
+def link_ends(links) -> np.ndarray:
+    """(k, 2) master and slave point ids of rigid links."""
+    return np.array([(l.master, l.slave) for l in links], dtype=np.int64).reshape(-1, 2)
+
+
+def rigid_link_findings(links, point_ids) -> list:
+    """The rigid-link rule, the one place it is written: each link joins two
+    distinct points among ``point_ids``, an offset it carries is finite, no
+    point is slave of two links and none is both master and slave, so links
+    never chain.  Returns the findings in link order, then the points that
+    are both master and slave by id."""
+    masters, slaves = link_ends(links).T
+    bad_offset = [l.offset is not None and not np.all(np.isfinite(l.offset)) for l in links]
+    findings = _row_findings([
+        (~np.isin(masters, point_ids), "dangling-reference",
+         "rigid link master references missing point {0}"),
+        (~np.isin(slaves, point_ids), "dangling-reference",
+         "rigid link slave references missing point {1}"),
+        (masters == slaves, "rigid-link-conflict", "rigid link with master == slave {0}"),
+        (_repeats(slaves), "rigid-link-conflict", "point {1} is slave of two links"),
+        (bad_offset, "non-finite", "rigid link offset for slave {1} not finite"),
+    ], masters, slaves)
+    return findings + [Finding("rigid-link-conflict", f"point {pid} is both master and slave")
+                       for pid in np.intersect1d(slaves, masters).tolist()]
+
+
 def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> ValidationReport:
     """Consistency check; reports findings without mutating the model.
 
     Blocking defects (``ok=False``): dangling id references, non-finite
     values, catalog values a solve cannot use (section dimensions or
     properties that are not positive and finite, E or Ry not positive and
-    finite, nu or density not finite), duplicate ids and conflicting rigid
-    links.  Degenerate cells, never-referenced catalog entries and points
-    referenced by no cell are warnings only.
+    finite, nu or density not finite), duplicate ids and rigid links that
+    break the rule of ``rigid_link_findings``.  Degenerate cells,
+    never-referenced catalog entries and points referenced by no cell are
+    warnings only.
     """
     points, cells = model.points, model.cells
     pids, ends, bc_ids = points.ids, cells.ends, points.bc_ids
@@ -579,21 +606,7 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
         if not np.all(np.isfinite(bc.components)):
             defects.append(Finding("non-finite", f"load {bc.id} has non-finite components"))
 
-    links = model.rigid_links
-    masters = np.array([l.master for l in links], dtype=np.int64)
-    slaves = np.array([l.slave for l in links], dtype=np.int64)
-    bad_offset = [l.offset is not None and not np.all(np.isfinite(l.offset)) for l in links]
-    defects += _row_findings([
-        (~np.isin(masters, pids), "dangling-reference",
-         "rigid link master references missing point {0}"),
-        (~np.isin(slaves, pids), "dangling-reference",
-         "rigid link slave references missing point {1}"),
-        (masters == slaves, "rigid-link-conflict", "rigid link with master == slave {0}"),
-        (_repeats(slaves), "rigid-link-conflict", "point {1} is slave of two links"),
-        (bad_offset, "non-finite", "rigid link offset for slave {1} not finite"),
-    ], masters, slaves)
-    for pid in sorted(set(slaves.tolist()) & set(masters.tolist())):
-        defects.append(Finding("rigid-link-conflict", f"point {pid} is both master and slave"))
+    defects += rigid_link_findings(model.rigid_links, pids)
 
     for what, catalog, used in (("cross-section", model.cross_sections, used_cs),
                                 ("material", model.materials, used_mat),

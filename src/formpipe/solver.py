@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,9 +48,11 @@ from .model import (
     TRUSS_LINE,
     per_id,
     cell_properties,
+    link_ends,
+    rigid_link_findings,
     validate,
 )
-from .topology import check_support_reachability, resolve_link_offset
+from .topology import check_support_reachability
 
 _VERTICAL_TOL = 1e-6
 # Direct solves refine towards the residual target and are accepted on the
@@ -115,48 +116,18 @@ class SolveStats:
 
 @dataclass
 class DofMap:
-    """Per-point slot states: free (equation index), fixed, slave or inactive."""
+    """Equation numbering of the 6n nodal slots and the constraint
+    transformation it defines.  ``state`` marks each slot free (its
+    equation index), fixed, slave or inactive; equations run over the free
+    slots in point order, then DOF order."""
 
-    point_ids: list
-    index_of: dict
+    point_ids: np.ndarray  # (n,) point id of each row
     state: np.ndarray  # (n, 6) int: >=0 equation index, else _FIXED/_SLAVE/_INACTIVE
     fixed_slot: np.ndarray  # (n, 6) int: >=0 reaction row, -1 otherwise
     n_eq: int
     n_fixed: int
-    links: dict  # slave point id -> (master point id, r vector)
-    labels: list  # equation index -> (point id, dof name)
-
-    @cached_property
-    def transformation(self) -> sp.csr_matrix:
-        """Sparse T, (6n, n_eq + n_fixed), with u_6n = T [u_free; u_fixed].
-
-        Free and fixed slots map onto their own column; slave slots onto
-        their master's via u_s = u_m + theta_m x r, theta_s = theta_m;
-        inactive slots are empty rows.
-        """
-        n = len(self.point_ids)
-        column = np.where(self.state >= 0, self.state, self.n_eq + self.fixed_slot)
-        column[np.isin(self.state, (_SLAVE, _INACTIVE))] = -1
-        column = column.ravel()
-        own = np.flatnonzero(column >= 0)
-        rows, cols, vals = [own], [column[own]], [np.ones(len(own))]
-        for slave_pid, (master_pid, r) in self.links.items():
-            coupling = np.eye(6)
-            coupling[:3, 3:] = [[0.0, r[2], -r[1]], [-r[2], 0.0, r[0]], [r[1], -r[0], 0.0]]
-            s_comp, m_comp = np.nonzero(coupling)
-            master = self.index_of[master_pid]
-            master_state = self.state[master, m_comp]
-            if np.any(master_state == _SLAVE):
-                raise SolverError(f"rigid link master {master_pid} is itself a slave")
-            if np.any(master_state == _INACTIVE):
-                raise SolverError(f"rigid link master {master_pid} has inactive rotations")
-            rows.append(6 * self.index_of[slave_pid] + s_comp)
-            cols.append(column[6 * master + m_comp])
-            vals.append(coupling[s_comp, m_comp])
-        return sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(6 * n, self.n_eq + self.n_fixed),
-        )
+    # T, (6n, n_eq + n_fixed), u_6n = T [u_free; u_fixed]
+    transformation: sp.csr_matrix
 
 
 @dataclass
@@ -353,29 +324,34 @@ def truss_stiffness(model: StructuralModel, cell) -> np.ndarray:
 
 
 def build_dof_map(model: StructuralModel) -> DofMap:
-    points = model.points
-    n = len(points)
-    point_ids = points.ids.tolist()
-    index_of = dict(zip(point_ids, range(n)))
+    """Number the slots and build T.
 
-    links = {}
-    for link in model.rigid_links:
-        if link.master not in index_of or link.slave not in index_of:
-            raise SolverError("rigid link references a missing point")
-        links[link.slave] = (link.master, resolve_link_offset(model, link))
-    for slave in links:
-        if slave in {m for m, _ in links.values()}:
-            raise SolverError(f"rigid link point {slave} is both master and slave")
+    Free and fixed slots map onto their own column of T; slave slots onto
+    their master's through u_s = u_m + theta_m x r, theta_s = theta_m, with
+    r the link's offset or else the slave's position less the master's;
+    inactive slots are empty rows.  Raises SolverError for links that break
+    the rigid-link rule and for slaves that carry supports.
+    """
+    points, links = model.points, model.rigid_links
+    findings = rigid_link_findings(links, points.ids)
+    if findings:
+        raise SolverError(findings[0].message)
+    n = len(points)
+    # (k, 2) point rows of each link's master and slave, and its arm r
+    linked = points.positions(link_ends(links))
+    arms = points.coords[linked[:, 1]] - points.coords[linked[:, 0]]
+    given = np.array([l.offset is not None for l in links], dtype=bool)
+    arms[given] = np.reshape([l.offset for l in links if l.offset is not None], (-1, 3))
 
     # rotations are active at beam ends and at rigid-link ends
-    linked = [pid for s, (m, _) in links.items() for pid in (m, s)]
-    rotates = np.isin(points.ids, np.concatenate([model.cells.ends[~model.cells.truss].ravel(),
-                                                  np.array(linked, dtype=np.int64)]))
-    slave = np.isin(points.ids, np.fromiter(links, dtype=np.int64, count=len(links)))
+    rotates = np.isin(points.ids, model.cells.ends[~model.cells.truss])
+    rotates[linked.ravel()] = True
+    slave = np.zeros(n, dtype=bool)
+    slave[linked[:, 1]] = True
     mask = points.masks
     constrained = np.flatnonzero(slave & mask.any(axis=1))
     if constrained.size:
-        raise SolverError(f"rigid link slave {point_ids[constrained[0]]} may not carry "
+        raise SolverError(f"rigid link slave {points.ids[constrained[0]]} may not carry "
                           "support constraints")
     active = np.ones((n, 6), dtype=bool)
     active[:, 3:] = rotates[:, None]
@@ -390,9 +366,20 @@ def build_dof_map(model: StructuralModel) -> DofMap:
     state[free] = np.arange(n_eq)
     fixed_slot = np.full((n, 6), -1, dtype=np.int64)
     fixed_slot[fixed] = np.arange(n_fixed)
-    labels = [(point_ids[i], DOF_NAMES[comp]) for i, comp in np.argwhere(free).tolist()]
 
-    return DofMap(point_ids, index_of, state, fixed_slot, n_eq, n_fixed, links, labels)
+    column = np.where(free, state, np.where(fixed, n_eq + fixed_slot, -1)).ravel()
+    own = np.flatnonzero(column >= 0)
+    coupling = np.tile(np.eye(6), (len(links), 1, 1))
+    # column j of the translation-rotation block is e_j x r
+    coupling[:, :3, 3:] = np.cross(np.eye(3), arms[:, None]).transpose(0, 2, 1)
+    link, s_comp, m_comp = np.nonzero(coupling)
+    T = sp.csr_matrix(
+        (np.concatenate([np.ones(len(own)), coupling[link, s_comp, m_comp]]),
+         (np.concatenate([own, 6 * linked[link, 1] + s_comp]),
+          np.concatenate([column[own], column[6 * linked[link, 0] + m_comp]]))),
+        shape=(6 * n, n_eq + n_fixed),
+    )
+    return DofMap(points.ids.copy(), state, fixed_slot, n_eq, n_fixed, T)
 
 
 def assemble(model: StructuralModel, *, check_supports: bool = True):
@@ -472,7 +459,7 @@ def _raise_local_mechanism(system: LinearSystem):
     if singular.size:
         i = int(singular[0])
         null = np.linalg.eigh(blocks[i])[1][:, 0]
-        pid, dof = dm.point_ids[i], DOF_NAMES[int(np.argmax(np.abs(null) * free[i]))]
+        pid, dof = int(dm.point_ids[i]), DOF_NAMES[int(np.argmax(np.abs(null) * free[i]))]
         raise MechanismError(f"singular stiffness block at point {pid} dof {dof}: local "
                              "kinematic mechanism", point_id=pid, dof=dof)
 
@@ -498,7 +485,10 @@ def _diagnose_singular(system: LinearSystem):
         x /= np.linalg.norm(x)
     if not float(x @ (K @ x)) <= 1e-12 * scale:
         return
-    pid, dof = system.dofmap.labels[int(np.argmax(np.abs(x)))]
+    dm = system.dofmap
+    point, comp = np.nonzero(dm.state >= 0)  # per equation, in equation order
+    eq = int(np.argmax(np.abs(x)))
+    pid, dof = int(dm.point_ids[point[eq]]), DOF_NAMES[comp[eq]]
     raise MechanismError(f"singular stiffness matrix, null vector largest at point {pid} dof "
                          f"{dof}: kinematic mechanism", point_id=pid, dof=dof)
 
@@ -521,7 +511,7 @@ def _inf_norm(K: sp.spmatrix) -> float:
     return float(abs(K).sum(axis=1).max()) if K.shape[0] else 0.0
 
 
-def solve_direct(system: LinearSystem, backward_tol: float = _DIRECT_BACKWARD_TOL):
+def solve_direct(system: LinearSystem):
     """Sparse direct solve, accepted on its normwise backward error.
 
     SuperLU factors K in symmetric mode with minimum degree ordering on
@@ -529,7 +519,7 @@ def solve_direct(system: LinearSystem, backward_tol: float = _DIRECT_BACKWARD_TO
     Definite Systems).  While the relative residual is above 1e-10, rounds
     of iterative refinement run as long as each lowers the backward error,
     which, unlike that residual, has no rounding floor that grows with size.
-    The solve is accepted at a backward error of at most ``backward_tol``
+    The solve is accepted at a backward error of at most 1e-13
     (Higham, Accuracy and Stability of Numerical Algorithms, section 7.1)
     unless u shows K singular to working precision; a rejected or singular
     solve triggers a diagnosis naming the offending point and DOF.
@@ -567,10 +557,10 @@ def solve_direct(system: LinearSystem, backward_tol: float = _DIRECT_BACKWARD_TO
     # ||K|| ||u|| / ||f|| bounds cond(K) from below: at 1/eps K is singular to
     # working precision, and a small backward error then proves nothing
     cond = knorm * np.linalg.norm(u, np.inf) / np.linalg.norm(system.f, np.inf)
-    if not (eta <= backward_tol and cond < 1.0 / np.finfo(float).eps):
+    if not (eta <= _DIRECT_BACKWARD_TOL and cond < 1.0 / np.finfo(float).eps):
         _diagnose_singular(system)
         raise SolverError(f"direct solve rejected: backward error {eta:.3e} (at most "
-                          f"{backward_tol:g}), condition at least {cond:.1e}")
+                          f"{_DIRECT_BACKWARD_TOL:g}), condition at least {cond:.1e}")
     return u, SolveStats("direct", 0, res, time.perf_counter() - t0, true_residual=res,
                          backward_error=eta, **factor)
 
@@ -717,7 +707,7 @@ def solve_system(system: LinearSystem, method: str = "direct", tol: float = 1e-1
                  max_iter: int | None = None):
     if method == "direct":
         return solve_direct(system)
-    if method in ("pcg", "pcg-ichol"):
+    if method == "pcg":
         return solve_pcg_ichol(system, tol=tol, max_iter=max_iter)
     raise ValueError(f"unknown solver method {method!r}")
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import DEFAULT_MERGE_TOL, PointTable, RigidLink, StructuralModel, cell_lengths
+from .model import (DEFAULT_MERGE_TOL, PointTable, RigidLink, StructuralModel, cell_lengths,
+                    link_ends, rigid_link_findings)
 
 
 class TopologyError(ValueError):
@@ -127,6 +128,13 @@ def _lowest(labels: np.ndarray, count: int, values: np.ndarray) -> np.ndarray:
     return low
 
 
+def _raise_broken_links(links, point_ids):
+    """Raise TopologyError with the first break of the rigid-link rule."""
+    findings = rigid_link_findings(links, point_ids)
+    if findings:
+        raise TopologyError(findings[0].message)
+
+
 def _end_rows(model: StructuralModel) -> np.ndarray:
     """(m, 2) point rows of the cell ends; raises TopologyError for an end
     that names no point."""
@@ -141,7 +149,8 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
 
     The lowest id in each cluster survives and keeps its coordinates; cell
     connectivity and rigid links are rewired, constraint masks OR-combine.
-    Raises TopologyError when merged points carry distinct nonzero load ids.
+    Raises TopologyError when merged points carry distinct nonzero load ids,
+    or when the rewired links break the rigid-link rule.
     """
     if tol < 0:
         raise ValueError("merge tolerance must be non-negative")
@@ -167,26 +176,33 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
             f"cannot merge points {np.sort(ids[members]).tolist()}: conflicting "
             f"load ids {np.unique(loads[members & loaded]).tolist()}"
         )
+    ends = link_ends(model.rigid_links)
+    rows = points.positions(ends)
+    ends = np.where(rows >= 0, survivor[rows], ends).tolist()
+    # a link whose ends merged into one point constrains nothing
+    links = [RigidLink(master=m, slave=s, offset=l.offset)
+             for l, (m, s) in zip(model.rigid_links, ends) if m != s]
+    _raise_broken_links(links, ids[~moved])
+
     masks = np.zeros((count, 6), dtype=bool)
     np.logical_or.at(masks, labels, points.masks)
-
     model.cells.ends[:] = survivor[_end_rows(model)]
     kept = labels[~moved]
     model.points = PointTable(ids[~moved], points.coords[~moved], masks[kept], cluster_load[kept])
+    model.rigid_links = links
+    return model, report
 
-    remap = dict(zip(ids.tolist(), survivor.tolist())) if model.rigid_links else {}
-    kept_links = []
-    seen_slaves = set()
-    for link in model.rigid_links:
-        master = remap.get(link.master, link.master)
-        slave = remap.get(link.slave, link.slave)
-        if master == slave:
-            continue  # collapsed by the merge, constraint became trivial
-        if slave in seen_slaves:
-            raise TopologyError(f"merge leaves point {slave} slave of two rigid links")
-        seen_slaves.add(slave)
-        kept_links.append(RigidLink(master=master, slave=slave, offset=link.offset))
-    model.rigid_links = kept_links
+
+def _keep(model: StructuralModel, report: RepairReport, points: np.ndarray, cells: np.ndarray):
+    """Keep the points and cells under the two masks, and the rigid links
+    with no end among the points that leave; records the fraction of cells
+    removed in ``report``."""
+    n_before = len(model.cells)
+    gone = np.isin(link_ends(model.rigid_links), model.points.ids[~points]).any(axis=1)
+    model.rigid_links = [l for l, g in zip(model.rigid_links, gone) if not g]
+    model.points = model.points.take(points)
+    model.cells = model.cells.take(cells)
+    report.element_removal_fraction = (n_before - len(model.cells)) / n_before if n_before else 0.0
     return model, report
 
 
@@ -199,7 +215,6 @@ def remove_degenerate_cells(model: StructuralModel, tol: float = DEFAULT_MERGE_T
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
     report = RepairReport()
-    n_before = len(model.cells)
     ids = model.cells.ids
     ends = np.sort(model.cells.ends, axis=1)
     degenerate = (ends[:, 0] == ends[:, 1]) | (cell_lengths(model) <= tol)
@@ -217,10 +232,7 @@ def remove_degenerate_cells(model: StructuralModel, tol: float = DEFAULT_MERGE_T
     report.removed_duplicate_cells = ids[duplicate].tolist()
 
     degenerate[duplicate] = True  # now every cell that goes
-    model.cells = model.cells.take(~degenerate)
-    removed = n_before - len(model.cells)
-    report.element_removal_fraction = removed / n_before if n_before else 0.0
-    return model, report
+    return _keep(model, report, np.ones(len(model.points), dtype=bool), ~degenerate)
 
 
 def _components(model: StructuralModel):
@@ -228,8 +240,7 @@ def _components(model: StructuralModel):
     every cell.  Rigid links count as connections, isolated points form
     their own component."""
     ends = _end_rows(model)
-    links = model.points.positions(
-        np.array([(l.master, l.slave) for l in model.rigid_links], dtype=np.int64).reshape(-1, 2))
+    links = model.points.positions(link_ends(model.rigid_links))
     edges = np.concatenate([ends, links[(links >= 0).all(axis=1)]])
     count, labels = _component_labels(len(model.points), edges)
     return count, labels, ends[:, 0]
@@ -249,7 +260,6 @@ def remove_detached_components(model: StructuralModel):
         return model, report
 
     ids = model.points.ids
-    n_before = len(model.cells)
     cells_in = np.bincount(labels[first_ends], minlength=count)
     lowest_id = _lowest(labels, count, ids)
     main = np.lexsort((lowest_id, -cells_in))[0]
@@ -257,13 +267,7 @@ def remove_detached_components(model: StructuralModel):
         (int(cells_in[k]), int(lowest_id[k])) for k in np.argsort(lowest_id) if k != main
     ]
     keep = labels == main
-    model.points = model.points.take(keep)
-    model.cells = model.cells.take(keep[first_ends])
-    kept = set(ids[keep].tolist())
-    model.rigid_links = [l for l in model.rigid_links if l.master in kept and l.slave in kept]
-    removed = n_before - len(model.cells)
-    report.element_removal_fraction = removed / n_before if n_before else 0.0
-    return model, report
+    return _keep(model, report, keep, keep[first_ends])
 
 
 def protected_points(model: StructuralModel) -> np.ndarray:
@@ -305,9 +309,10 @@ def _peel(n: int, ends: np.ndarray, protected: np.ndarray, max_degree: int):
         frontier = np.unique(other)
 
 
-def prune_dead_arms(model: StructuralModel, max_degree: int = 2, protected: set | None = None):
-    """Peel away thin arms: repeatedly delete unprotected points with at most
+def prune_dead_arms(model: StructuralModel, max_degree: int = 2):
+    """Peel away thin arms: repeatedly delete points with at most
     ``max_degree`` incident cells, together with those cells, to a fixpoint.
+    Supported and loaded points (``protected_points``) stay.
 
     The fixpoint is order-independent (degrees only drop as points go), so
     peeling in rounds gives the same survivors as one point at a time.
@@ -316,26 +321,16 @@ def prune_dead_arms(model: StructuralModel, max_degree: int = 2, protected: set 
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
     ids = model.points.ids
-    if protected is None:
-        keep = protected_points(model)
-    else:
-        keep = np.isin(ids, np.fromiter(protected, dtype=np.int64, count=len(protected)))
-    point_alive, cell_alive = _peel(len(ids), _end_rows(model), keep, max_degree)
+    protected = protected_points(model)
+    point_alive, cell_alive = _peel(len(ids), _end_rows(model), protected, max_degree)
 
     report = RepairReport()
     if point_alive.all():
         return model, report
     if not point_alive.any():
         raise TopologyError("pruning would empty the model")
-    n_before = len(model.cells)
     report.pruned_arm_points = np.sort(ids[~point_alive]).tolist()
-    model.points = model.points.take(point_alive)
-    model.cells = model.cells.take(cell_alive)
-    kept = set(ids[point_alive].tolist())
-    model.rigid_links = [l for l in model.rigid_links if l.master in kept and l.slave in kept]
-    removed = n_before - len(model.cells)
-    report.element_removal_fraction = removed / n_before if n_before else 0.0
-    return model, report
+    return _keep(model, report, point_alive, cell_alive)
 
 
 def check_support_reachability(model: StructuralModel):
@@ -368,29 +363,10 @@ def make_rigid_link(model: StructuralModel, master: int, slave: int, offset=None
 
     Links are single-level: a master may own several slaves, but a slave may
     not act as master (and vice versa), which rules out constraint cycles.
+    Raises TopologyError when the links with the new one would break the
+    rigid-link rule (``rigid_link_findings``).
     """
-    if np.any(model.points.positions([master, slave]) < 0):
-        raise TopologyError(f"rigid link references missing point ({master}, {slave})")
-    if master == slave:
-        raise TopologyError("rigid link master and slave must differ")
-    for link in model.rigid_links:
-        if link.slave == slave:
-            raise TopologyError(f"point {slave} is already slave of a rigid link")
-        if link.master == slave or link.slave == master:
-            raise TopologyError("rigid links may not chain (slave used as master)")
-    if offset is not None:
-        offset = np.asarray(offset, dtype=float)
-        if offset.shape != (3,) or not np.all(np.isfinite(offset)):
-            raise TopologyError("rigid link offset must be a finite 3-vector")
-    model.rigid_links.append(RigidLink(master=master, slave=slave, offset=offset))
+    link = RigidLink(master=master, slave=slave, offset=offset)
+    _raise_broken_links(model.rigid_links + [link], model.points.ids)
+    model.rigid_links.append(link)
     return model
-
-
-def resolve_link_offset(model: StructuralModel, link: RigidLink) -> np.ndarray:
-    """Arm vector r for a link; falls back to the point positions."""
-    if link.offset is not None:
-        return np.asarray(link.offset, dtype=float)
-    rows = model.points.positions([link.slave, link.master])
-    if np.any(rows < 0):
-        raise TopologyError(f"rigid link references missing point ({link.master}, {link.slave})")
-    return np.subtract(*model.points.coords[rows])

@@ -87,6 +87,23 @@ class TestCheck:
         assert code == 2
         assert "unsupported-component" in out
 
+    def test_unsupported_components_listed_then_counted(self, capsys, tmp_path):
+        model = fp.gen_cantilever()
+        for k in range(25):
+            model.points.append(fp.Point(id=2 + 2 * k, coords=(0, 500.0, 100.0 * k)))
+            model.points.append(fp.Point(id=3 + 2 * k, coords=(50.0, 500.0, 100.0 * k)))
+            model.cells.append(fp.Cell(id=1 + k, connectivity=(2 + 2 * k, 3 + 2 * k),
+                                       cs_id=2, mat_id=1))
+        path = tmp_path / "floating.vtp"
+        path.write_text(fp.write_model(model))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 2
+        lines = [l for l in out.splitlines() if "unsupported-component" in l]
+        assert len(lines) == 21
+        assert lines[0].startswith("defect [unsupported-component]: points [2, 3] carry 0")
+        assert lines[19].startswith("defect [unsupported-component]: points [40, 41] carry 0")
+        assert lines[20] == ("defect [unsupported-component]: 5 more component(s) carry "
+                             "fewer than 6 fixed DOFs")
 
     def test_non_finite_section_blocks(self, capsys, tmp_path):
         model = fp.gen_cantilever()
@@ -150,6 +167,22 @@ class TestClean:
             fp.LatticeSpec(occupancy=occ, splash_fraction=1e-12, seed=1)
         ).cells.__len__()) / len(dirty.cells)
         assert total == pytest.approx(injected, abs=0.005)
+
+    def test_merge_that_chains_rigid_links_refused(self, capsys, tmp_path):
+        # tip point 1 and point 2 coincide: links 0->1 and 2->3 would chain
+        model = fp.gen_cantilever()
+        model.points.append(fp.Point(id=2, coords=(1000.0, 0.0, 0.0)))
+        model.points.append(fp.Point(id=3, coords=(1000.0, 0.0, 100.0)))
+        model.cells.append(fp.Cell(id=1, connectivity=(2, 3), cs_id=2, mat_id=1))
+        fp.make_rigid_link(model, master=0, slave=1)
+        fp.make_rigid_link(model, master=2, slave=3)
+        src, dst = tmp_path / "links.vtp", tmp_path / "out.vtp"
+        src.write_text(fp.write_model(model))
+        code, out, err = run(capsys, "clean", str(src), str(dst))
+        assert code == 2
+        assert out == ""
+        assert err == "error: point 1 is both master and slave\n"
+        assert not dst.exists()
 
     def test_report_file_written(self, capsys, tmp_path, cantilever_file):
         dst = tmp_path / "out.vtp"

@@ -155,6 +155,24 @@ class TestValidate:
             "point 0 has non-finite coordinates",
         ]
 
+    def test_rigid_link_rule(self):
+        model = _two_point_model()
+        model.points.append(Point(id=2, coords=(0, 0, 500)))
+        model.rigid_links = [fp.RigidLink(0, 1), fp.RigidLink(1, 2), fp.RigidLink(0, 2),
+                             fp.RigidLink(9, 8), fp.RigidLink(2, 2),
+                             fp.RigidLink(0, 1, offset=(np.nan, 0.0, 0.0))]
+        assert [(f.kind, f.message) for f in validate(model).defects] == [
+            ("rigid-link-conflict", "point 2 is slave of two links"),
+            ("dangling-reference", "rigid link master references missing point 9"),
+            ("dangling-reference", "rigid link slave references missing point 8"),
+            ("rigid-link-conflict", "rigid link with master == slave 2"),
+            ("rigid-link-conflict", "point 2 is slave of two links"),
+            ("rigid-link-conflict", "point 1 is slave of two links"),
+            ("non-finite", "rigid link offset for slave 1 not finite"),
+            ("rigid-link-conflict", "point 1 is both master and slave"),
+            ("rigid-link-conflict", "point 2 is both master and slave"),
+        ]
+
     @pytest.mark.parametrize(
         "shape, message",
         [

@@ -229,14 +229,12 @@ class TestDirectSolver:
         from formpipe.solver import DofMap, LinearSystem
 
         dm = DofMap(
-            point_ids=[0],
-            index_of={0: 0},
+            point_ids=np.array([0]),
             state=np.array([[0, -1, -1, -1, -1, -1]]),
             fixed_slot=np.array([[-1, 0, 1, 2, 3, 4]]),
             n_eq=1,
             n_fixed=5,
-            links={},
-            labels=[(0, "ux")],
+            transformation=sp.identity(6, format="csr"),
         )
         system = LinearSystem(
             K=sp.csr_matrix(np.array([[2.0]])),
@@ -385,14 +383,12 @@ class TestPcgSolver:
         from formpipe.solver import DofMap, LinearSystem
 
         dm = DofMap(
-            point_ids=[0],
-            index_of={0: 0},
+            point_ids=np.array([0]),
             state=np.array([[0, 1, -1, -1, -1, -1]]),
             fixed_slot=np.full((1, 6), -1),
             n_eq=2,
             n_fixed=0,
-            links={},
-            labels=[(0, "ux"), (0, "uy")],
+            transformation=sp.eye(6, 2, format="csr"),
         )
         system = LinearSystem(
             K=sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]])),
@@ -710,7 +706,8 @@ def mixed_model():
 
 def dense_reference(model, dm):
     """Element matrices scattered into 6n slots, textbook self-weight loads and
-    an explicit master-slave matrix C, with u_6n = C [u_free; u_fixed]."""
+    an explicit master-slave matrix C, with u_6n = C [u_free; u_fixed].
+    Returns C^T K C, C^T F, the per-point loads F and C."""
     n = len(model.points)
     index = model.point_index()
     coords = model.coords_array()
@@ -736,7 +733,7 @@ def dense_reference(model, dm):
         if p.bc_id:
             F6[6 * i:6 * i + 6] += model.bcs[p.bc_id].components
 
-    slaves = {link.slave: link.master for link in model.rigid_links}
+    slaves = {link.slave: link for link in model.rigid_links}
     C = np.zeros((6 * n, dm.n_eq + dm.n_fixed))
 
     def column(i, comp):
@@ -745,8 +742,9 @@ def dense_reference(model, dm):
 
     for i, p in enumerate(model.points):
         if p.id in slaves:
-            mi = index[slaves[p.id]]
-            r = coords[i] - coords[mi]
+            link = slaves[p.id]
+            mi = index[link.master]
+            r = coords[i] - coords[mi] if link.offset is None else link.offset
             arm = np.cross(np.eye(3), r).T  # column j: e_j x r
             for comp in range(6):
                 C[6 * i + comp, column(mi, comp)] = 1.0
@@ -757,7 +755,7 @@ def dense_reference(model, dm):
             for comp in range(6):
                 if p.constraint_mask[comp] or dm.state[i, comp] >= 0:
                     C[6 * i + comp, column(i, comp)] = 1.0
-    return C.T @ K6 @ C, C.T @ F6, F6.reshape(n, 6)
+    return C.T @ K6 @ C, C.T @ F6, F6.reshape(n, 6), C
 
 
 class TestAssemblyReference:
@@ -768,7 +766,8 @@ class TestAssemblyReference:
         inactive = {dm.point_ids[i] for i in np.nonzero((dm.state == -3).any(axis=1))[0]}
         assert inactive == {40, 50}
         assert dm.n_fixed == 10 and dm.n_eq == 42 - 10 - 6 - 6  # slots - fixed - slave - inactive
-        full, rhs, applied = dense_reference(model, dm)
+        full, rhs, applied, C = dense_reference(model, dm)
+        assert np.array_equal(dm.transformation.toarray(), C)
         ne = dm.n_eq
         scale = np.abs(full).max()
         for got, want in ((system.K, full[:ne, :ne]), (system.reaction_matrix, full[ne:, :ne])):
@@ -802,21 +801,22 @@ class TestAssemblyReference:
         with pytest.raises(SolverError, match="both master and slave"):
             build_dof_map(model)
 
-    def test_link_master_slots_checked(self):
-        r = np.array([0.0, 0.0, 100.0])
-        slave_master = DofMap(
-            point_ids=[0, 1, 2], index_of={0: 0, 1: 1, 2: 2},
-            state=np.array([[0, 1, 2, 3, 4, 5], [-2] * 6, [-2] * 6]),
-            fixed_slot=np.full((3, 6), -1), n_eq=6, n_fixed=0,
-            links={1: (0, r), 2: (1, r)}, labels=[],
-        )
-        with pytest.raises(SolverError, match="master 1 is itself a slave"):
-            slave_master.transformation
-        no_rotations = DofMap(
-            point_ids=[0, 1], index_of={0: 0, 1: 1},
-            state=np.array([[0, 1, 2, -3, -3, -3], [-2] * 6]),
-            fixed_slot=np.full((2, 6), -1), n_eq=3, n_fixed=0,
-            links={1: (0, r)}, labels=[],
-        )
-        with pytest.raises(SolverError, match="master 0 has inactive rotations"):
-            no_rotations.transformation
+    def test_repeated_slave_refused(self):
+        model = mixed_model()
+        model.rigid_links.append(RigidLink(master=10, slave=30))
+        with pytest.raises(SolverError, match="point 30 is slave of two links"):
+            build_dof_map(model)
+
+    def test_given_offsets_enter_the_transformation(self):
+        # a second slave of point 20, tied by an arm that differs from the
+        # positions, with a negative zero that must not enter T
+        model = mixed_model()
+        model.points.append(Point(id=70, coords=(900.0, 0.0, 1000.0)))
+        model.cells.append(Cell(id=7, connectivity=(70, 60), cs_id=1, mat_id=1))
+        model.rigid_links.append(RigidLink(master=20, slave=70, offset=(-0.0, 35.0, -80.0)))
+        system, dm = assemble(model)
+        full, _, _, C = dense_reference(model, dm)
+        assert np.array_equal(dm.transformation.toarray(), C)
+        assert dm.transformation.nnz == np.count_nonzero(C)
+        ne = dm.n_eq
+        assert np.abs(system.K.toarray() - full[:ne, :ne]).max() <= 1e-12 * np.abs(full).max()

@@ -16,6 +16,7 @@ from formpipe.model import (
     CrossSection,
     Material,
     Point,
+    RigidLink,
     StructuralModel,
     validate,
 )
@@ -28,7 +29,6 @@ from formpipe.topology import (
     prune_dead_arms,
     remove_degenerate_cells,
     remove_detached_components,
-    resolve_link_offset,
 )
 
 from conftest import random_model
@@ -105,6 +105,23 @@ class TestMergeDuplicateNodes:
         model.points[1].bc_id = 2
         with pytest.raises(TopologyError, match="conflicting"):
             merge_duplicate_nodes(model, tol=1e-6)
+
+    def test_links_follow_the_survivors(self):
+        # 1 merges into 0: link 1->2 becomes 0->2, link 0->1 collapses and goes
+        model = simple_model([(0, 0, 0), (0, 0, 0), (9, 0, 0), (9, 9, 0)], [(0, 2), (2, 3)])
+        make_rigid_link(model, master=1, slave=2)
+        model.rigid_links.append(RigidLink(master=0, slave=1))
+        model, _ = merge_duplicate_nodes(model, tol=1e-6)
+        assert [(l.master, l.slave) for l in model.rigid_links] == [(0, 2)]
+
+    def test_merge_that_chains_links_raises(self):
+        # 1 and 2 merge: links 0->1 and 2->3 would make point 1 master and slave
+        model = simple_model([(0, 0, 0), (9, 0, 0), (9, 0, 0), (9, 9, 0)], [(0, 1), (2, 3)])
+        make_rigid_link(model, master=0, slave=1)
+        make_rigid_link(model, master=2, slave=3)
+        with pytest.raises(TopologyError, match="point 1 is both master and slave"):
+            merge_duplicate_nodes(model, tol=1e-6)
+        assert len(model.points) == 4  # refused before any change
 
     def test_compatible_loads_keep_the_nonzero_one(self):
         model = simple_model([(0, 0, 0), (0, 0, 0), (9, 9, 9)], [(0, 2), (1, 2)],
@@ -581,32 +598,36 @@ class TestMakeRigidLink:
     def test_register_and_auto_offset(self):
         model = simple_model([(0, 0, 0), (10, 0, 0), (10, 100, 0)], [(0, 1)])
         make_rigid_link(model, master=1, slave=2)
-        r = resolve_link_offset(model, model.rigid_links[0])
-        assert np.linalg.norm(r) == pytest.approx(100.0)
+        make_rigid_link(model, master=1, slave=0, offset=(-10.0, 0.0, 0.0))
+        links = [(l.master, l.slave, l.offset) for l in model.rigid_links]
+        assert links[0] == (1, 2, None)  # the arm follows the positions at assembly
+        assert links[1][:2] == (1, 0) and links[1][2].tolist() == [-10.0, 0.0, 0.0]
 
     def test_duplicate_slave_rejected(self):
         model = simple_model([(0, 0, 0), (10, 0, 0), (20, 0, 0)], [(0, 1)])
         make_rigid_link(model, master=0, slave=2)
-        with pytest.raises(TopologyError):
+        with pytest.raises(TopologyError, match="point 2 is slave of two links"):
             make_rigid_link(model, master=1, slave=2)
 
     def test_chained_links_rejected(self):
         model = simple_model([(0, 0, 0), (10, 0, 0), (20, 0, 0)], [(0, 1)])
         make_rigid_link(model, master=0, slave=1)
-        with pytest.raises(TopologyError, match="chain"):
+        with pytest.raises(TopologyError, match="point 1 is both master and slave"):
             make_rigid_link(model, master=1, slave=2)
+        assert len(model.rigid_links) == 1
 
     def test_self_link_rejected(self):
         model = simple_model([(0, 0, 0), (10, 0, 0)], [(0, 1)])
         with pytest.raises(TopologyError):
             make_rigid_link(model, master=1, slave=1)
 
-    def test_offset_of_a_link_to_a_missing_point_raises(self):
-        model = simple_model([(0, 0, 0), (10, 0, 0), (10, 100, 0)], [(0, 1)])
-        make_rigid_link(model, master=1, slave=2)
-        model.points.pop(2)
-        with pytest.raises(TopologyError, match="missing point"):
-            resolve_link_offset(model, model.rigid_links[0])
+    def test_missing_point_and_bad_offset_rejected(self):
+        model = simple_model([(0, 0, 0), (10, 0, 0)], [(0, 1)])
+        with pytest.raises(TopologyError, match="slave references missing point 7"):
+            make_rigid_link(model, master=1, slave=7)
+        with pytest.raises(TopologyError, match="offset for slave 0 not finite"):
+            make_rigid_link(model, master=1, slave=0, offset=(0.0, np.inf, 0.0))
+        assert model.rigid_links == []
 
 
 # ---------------------------------------------------------------- pipeline
