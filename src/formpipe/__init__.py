@@ -45,33 +45,28 @@ from .resistance import (
     stress_state,
     summarize,
 )
-from .casegen import (
-    CantileverSpec,
-    LatticeSpec,
-    LeonardoSpec,
-    arch_occupancy,
-    full_block_occupancy,
-    gen_cantilever,
-    gen_leonardo,
-    gen_sphere_lattice,
-)
 
 __version__ = "0.1.0"
 
-# The solver loads scipy, the bulk of import time, so its names load on first use (PEP 562).
-_SOLVER_NAMES = (
+# Names whose modules only some commands need load on first use (PEP 562):
+# the solver loads scipy, the bulk of import time, and only ``gen`` builds cases.
+_LAZY = dict.fromkeys((
     "ConvergenceError", "DofMap", "LinearSystem", "MechanismError", "SolveStats", "SolverError",
     "assemble", "beam_stiffness", "expand_displacements", "reaction_forces", "recover_end_forces",
     "solve_direct", "solve_pcg_ichol", "solve_system", "truss_stiffness",
-)
+), "solver") | dict.fromkeys((
+    "CantileverSpec", "LatticeSpec", "LeonardoSpec", "arch_occupancy", "full_block_occupancy",
+    "gen_cantilever", "gen_leonardo", "gen_sphere_lattice",
+), "casegen")
 
 
 def __getattr__(name):
-    if name not in _SOLVER_NAMES:
+    module = _LAZY.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import solver
-    return getattr(solver, name)
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_SOLVER_NAMES))
+    return sorted(set(globals()) | set(_LAZY))

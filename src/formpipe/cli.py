@@ -16,15 +16,6 @@ import tempfile
 from dataclasses import dataclass
 
 from . import __version__
-from .casegen import (
-    CantileverSpec,
-    LatticeSpec,
-    LeonardoSpec,
-    arch_occupancy,
-    gen_cantilever,
-    gen_leonardo,
-    gen_sphere_lattice,
-)
 from .exchange import ExchangeFormatError, parse_model, write_model, write_results_vtk
 from .model import StructuralModel, validate
 from .resistance import build_result_set, equilibrium_residual, summarize
@@ -223,10 +214,11 @@ def cmd_clean(args) -> int:
         config = PipelineConfig(merge_tol=args.merge_tol, prune_degree=args.prune_degree,
                                 report_format=args.format)
         model, reports = run_clean_pipeline(model, config)
+        text = write_model(model)
     except ValueError as exc:
         raise CommandError(exc) from exc
     cells_after = len(model.cells)
-    atomic_write(args.output, write_model(model))
+    atomic_write(args.output, text)
 
     if config.report_format == "structured":
         lines = _structured(_clean_records(reports, cells_before, cells_after))
@@ -297,6 +289,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .casegen import (CantileverSpec, LatticeSpec, LeonardoSpec, arch_occupancy,
+                          gen_cantilever, gen_leonardo, gen_sphere_lattice)
     try:
         if args.case == "cantilever":
             model = gen_cantilever(CantileverSpec(length=args.length, diameter=args.diameter,

@@ -15,7 +15,7 @@ are solver-side settings and are not serialized.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from xml.sax.saxutils import escape
+from dataclasses import replace
 
 import numpy as np
 
@@ -30,12 +30,19 @@ from .model import (
     Rectangle,
     RigidLink,
     StructuralModel,
+    link_ends,
 )
 from .resistance import deformed_geometry
 
 
 class ExchangeFormatError(ValueError):
     """Raised for malformed or out-of-contract exchange documents."""
+
+
+def escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, as ``xml.sax.saxutils.escape``
+    writes them; that module imports urllib and the networking stdlib."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(x) -> str:
@@ -393,19 +400,46 @@ def _data_array(attrs: str, values) -> list:
     return [f"        <DataArray {attrs}>", *_rows(values, " " * 10), "        </DataArray>"]
 
 
+def _positions(sorted_ids, ids, message) -> np.ndarray:
+    """Wire positions of point ``ids`` among the ``sorted_ids`` of the written
+    points; the last of equal ids, as a dict from id to position would give.
+    Raises ValueError with ``message`` for an id that is not among them."""
+    pos = np.searchsorted(sorted_ids, ids, side="right") - 1
+    if np.any(pos < 0) or np.any(sorted_ids[pos] != ids):
+        raise ValueError(message)
+    return pos
+
+
 def _ordered(model: StructuralModel):
     """The wire order: rows of the points and of the cells in ascending id
-    order, and each cell's two ends as point positions in it."""
-    ids = model.points.ids
-    point_order = np.argsort(ids, kind="stable")
+    order, each cell's two ends as point positions in it, and the sorted
+    point ids."""
+    point_order = np.argsort(model.points.ids, kind="stable")
     cell_order = np.argsort(model.cells.ids, kind="stable")
-    ends = model.cells.ends[cell_order]
-    sorted_ids = ids[point_order]
-    # the last of equal ids, as a dict from id to position would give
-    pos = np.searchsorted(sorted_ids, ends, side="right") - 1
-    if np.any(pos < 0) or np.any(sorted_ids[pos] != ends):
-        raise ValueError("cells reference points that are not in the model")
-    return point_order, cell_order, pos
+    sorted_ids = model.points.ids[point_order]
+    ends = _positions(sorted_ids, model.cells.ends[cell_order],
+                      "cells reference points that are not in the model")
+    return point_order, cell_order, ends, sorted_ids
+
+
+def _wire_catalogs(model: StructuralModel, sorted_ids) -> dict:
+    """The catalogs by model attribute, with the point ids they hold (rigid
+    link ends, a Rectangle's non-negative refNode code) as wire positions,
+    since ``parse_model`` gives the points dense ids in file order."""
+    links = model.rigid_links
+    if links:
+        ends = _positions(sorted_ids, link_ends(links),
+                          "rigid links reference points that are not in the model")
+        links = [replace(link, master=m, slave=s) for link, (m, s) in zip(links, ends.tolist())]
+    sections = dict(model.cross_sections)
+    for key, cs in model.cross_sections.items():
+        shape = cs.shape
+        if isinstance(shape, Rectangle) and shape.ref_axis is not None and shape.ref_code >= 0:
+            code = _positions(sorted_ids, shape.ref_code, f"cross-section {cs.id} references "
+                              f"point {shape.ref_code}, which is not in the model")
+            sections[key] = replace(cs, shape=replace(shape, ref_code=int(code)))
+    return {"cross_sections": sections, "materials": model.materials, "bcs": model.bcs,
+            "rigid_links": links}
 
 
 def write_model(model: StructuralModel) -> str:
@@ -415,8 +449,9 @@ def write_model(model: StructuralModel) -> str:
     id), so identical models produce byte-identical documents.  Floats use
     the shortest round-tripping decimal form.
     """
-    point_order, cell_order, ends = _ordered(model)
+    point_order, cell_order, ends, sorted_ids = _ordered(model)
     points, cells = model.points.take(point_order), model.cells.take(cell_order)
+    catalogs = _wire_catalogs(model, sorted_ids)
     array = 'format="ascii" type="Int32" Name='
 
     out = ['<VTKFile type="PolyData" version="0.1" byte_order="LittleEndian">', "  <PolyData>",
@@ -439,7 +474,7 @@ def write_model(model: StructuralModel) -> str:
     comment = escape(" ".join(model.comment.split()))
     out.append(f"      <COMMENT> <item> {comment} </item> </COMMENT>")
     for tag, attr, _, write in _CATALOGS:
-        catalog = getattr(model, attr)
+        catalog = catalogs[attr]
         if isinstance(catalog, dict):
             entries = [(catalog[key].id, catalog[key]) for key in sorted(catalog)]
         elif catalog:
@@ -466,7 +501,7 @@ def write_results_vtk(model: StructuralModel, results, deform_scale: float = 1.0
     deformed = deformed_geometry(model, disp, deform_scale)
     if len(results.u_el) != m or len(results.exceeded) != m:
         raise ValueError("per-cell result arrays do not match the cell count")
-    point_order, cell_order, ends = _ordered(model)
+    point_order, cell_order, ends, _ = _ordered(model)
 
     out = ["# vtk DataFile Version 3.0", " ".join(model.comment.split()) or "formpipe results",
            "ASCII", "DATASET POLYDATA", f"POINTS {n} float"]

@@ -184,6 +184,19 @@ class TestClean:
         assert err == "error: point 1 is both master and slave\n"
         assert not dst.exists()
 
+    def test_dropped_section_reference_point_refused(self, capsys, tmp_path):
+        # the free point that orients the rectangle floats, so clean removes it
+        model = fp.gen_cantilever()
+        model.points.append(fp.Point(id=2, coords=(0.0, 0.0, 1000.0)))
+        model.cross_sections[2] = fp.CrossSection(id=2, shape=fp.Rectangle(20.0, 30.0, "z", 2))
+        src, dst = tmp_path / "ref.vtp", tmp_path / "out.vtp"
+        src.write_text(fp.write_model(model))
+        code, out, err = run(capsys, "clean", str(src), str(dst))
+        assert code == 2
+        assert out == ""
+        assert err == "error: cross-section 2 references point 2, which is not in the model\n"
+        assert not dst.exists()
+
     def test_report_file_written(self, capsys, tmp_path, cantilever_file):
         dst = tmp_path / "out.vtp"
         report = tmp_path / "report.txt"
@@ -383,34 +396,47 @@ class TestBadOptions:
 _IMPORT_PROBE = """
 import json, os, sys
 os.chdir(sys.argv[1])
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
+def loaded():
+    return {"scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+            "network": [m for m in ("urllib.request", "http.client", "email.parser", "ssl")
+                        if m in sys.modules],
+            "casegen": "formpipe.casegen" in sys.modules}
 import formpipe.cli
-seen = {"import": scipy_loaded()}
-for argv in (["gen", "lattice", "m.vtp", "--nx", "4", "--ny", "3", "--nz", "3"],
-             ["check", "m.vtp"], ["clean", "m.vtp", "c.vtp"]):
+seen = {"import": loaded()}
+for argv in json.loads(sys.argv[2]):
     formpipe.cli.main(argv)
-    seen[argv[0]] = scipy_loaded()
-formpipe.cli.main(["solve", "c.vtp", "r.vtk"])
-seen["solve"] = "scipy.sparse.linalg" in sys.modules
+    seen[argv[0]] = loaded()
 import formpipe
 from formpipe import SolverError, solve_direct
-seen["same"] = SolverError is formpipe.solver.SolverError and solve_direct is formpipe.solver.solve_direct
-seen["dir"] = "solve_direct" in dir(formpipe)
+seen["same"] = (SolverError is formpipe.solver.SolverError
+                and solve_direct is formpipe.solver.solve_direct
+                and formpipe.gen_cantilever is formpipe.casegen.gen_cantilever)
+seen["dir"] = {"solve_direct", "LatticeSpec"} <= set(dir(formpipe))
 print(json.dumps(seen))
 """
 
 
 def test_cli_import_leaves_scipy_spatial_out(tmp_path):
-    """Only ``solve`` and the solver API load scipy: importing it costs more
-    than the rest of a ``check``, ``clean`` or ``gen`` run.  The solver names
-    stay importable from the package, as the same objects."""
+    """Each command loads only the modules it uses: only ``solve`` and the
+    solver API load scipy, only ``gen`` loads casegen, and none loads the
+    networking stdlib.  Importing them costs more than the rest of a
+    ``check``, ``clean`` or ``gen`` run.  The lazy names stay importable from
+    the package, as the same objects."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
-    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    seen = json.loads(out.strip().splitlines()[-1])
-    assert seen == {"import": [], "gen": [], "check": [], "clean": [],
-                    "solve": True, "same": True, "dir": True}
+
+    def probe(*commands):
+        out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path),
+                              json.dumps(commands)], env=env, capture_output=True, text=True,
+                             check=True).stdout
+        return json.loads(out.strip().splitlines()[-1])
+
+    bare = {"scipy": [], "network": [], "casegen": False}
+    seen = probe(["gen", "lattice", "m.vtp", "--nx", "4", "--ny", "3", "--nz", "3"])
+    assert seen == {"import": bare, "gen": dict(bare, casegen=True), "same": True, "dir": True}
+    seen = probe(["check", "m.vtp"], ["clean", "m.vtp", "c.vtp"], ["solve", "c.vtp", "r.vtk"])
+    assert "scipy.sparse.linalg" in seen["solve"].pop("scipy")
+    assert seen == {"import": bare, "check": bare, "clean": bare,
+                    "solve": {"network": [], "casegen": False}, "same": True, "dir": True}
 
 
 @pytest.mark.parametrize("argv, written", [

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import formpipe as fp
 from formpipe.exchange import (
     ExchangeFormatError,
+    escape,
     parse_model,
     write_model,
     write_results_vtk,
@@ -23,6 +25,7 @@ from formpipe.model import (
     Rectangle,
     RigidLink,
     StructuralModel,
+    validate,
 )
 from formpipe.resistance import ResultSet, build_result_set
 
@@ -241,6 +244,77 @@ class TestWriter:
         again = parse_model(text)
         assert_models_equal(model, again)
         assert write_model(again) == text
+
+    def test_markup_characters_round_trip(self):
+        model = StructuralModel(comment="a & b < c > d &amp; e")
+        model.cross_sections[1] = CrossSection(id=1, shape=Circle(diameter=10.0),
+                                               extra=(("note", "x&y<z>&lt;"),))
+        text = write_model(model)
+        assert "a &amp; b &lt; c &gt; d &amp;amp; e" in text
+        again = parse_model(text)
+        assert again.comment == model.comment
+        assert again.cross_sections[1].extra == (("note", "x&y<z>&lt;"),)
+
+
+@pytest.mark.parametrize("text", ["a & b", "<tag>", "x > y", "&amp;", 'say "hi"', "it's",
+                                  "plain text", "", "&<>&&<<>>"])
+def test_escape_matches_saxutils(text):
+    from xml.sax.saxutils import escape as oracle
+
+    assert escape(text) == oracle(text)
+
+
+def tied_coordinates(model):
+    """Coordinates of the points that rigid links and Rectangle refNode codes
+    name, looked up by id."""
+    coords = {int(i): tuple(x) for i, x in zip(model.points.ids, model.points.coords.tolist())}
+    links = [(coords[l.master], coords[l.slave]) for l in model.rigid_links]
+    refs = {key: coords[cs.shape.ref_code] for key, cs in model.cross_sections.items()
+            if isinstance(cs.shape, Rectangle) and cs.shape.ref_code is not None
+            and cs.shape.ref_code >= 0}
+    return links, refs
+
+
+class TestPointReferencesRenumbered:
+    """The wire gives points dense ids 0..n-1, so the ids that rigid links and
+    Rectangle refNode codes hold are written as point positions."""
+
+    def test_merged_cantilever_with_a_link(self):
+        model = fp.gen_cantilever()
+        model.points.append(Point(id=2, coords=(1000.0, 0.0, 0.0)))  # duplicate tip
+        for pid, x in ((3, (1000.0, 0.0, 500.0)), (4, (1000.0, 0.0, 900.0)),
+                       (5, (1000.0, 300.0, 500.0))):
+            model.points.append(Point(id=pid, coords=x))
+        for cid, ends in ((1, (2, 3)), (2, (3, 4)), (3, (4, 5))):
+            model.cells.append(Cell(id=cid, connectivity=ends, cs_id=2, mat_id=1))
+        model.rigid_links.append(RigidLink(master=3, slave=5))
+        merged, _ = fp.merge_duplicate_nodes(model)
+        assert merged.points.ids.tolist() == [0, 1, 3, 4, 5]
+        again = parse_model(write_model(merged))
+        assert validate(again).defects == []
+        assert tied_coordinates(again) == tied_coordinates(merged)
+        assert [(l.master, l.slave) for l in again.rigid_links] == [(2, 4)]
+
+    def test_rectangle_reference_point(self):
+        model = golden_model()
+        again = parse_model(write_model(model))
+        assert validate(again).defects == []
+        assert again.cross_sections[6].shape.ref_code == 4
+        assert tied_coordinates(again) == tied_coordinates(model)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.rigid_links.append(RigidLink(master=14, slave=8)),
+         "rigid links reference points that are not in the model"),
+        (lambda m: m.cross_sections.update({7: CrossSection(id=7, shape=Rectangle(
+            width=1.0, height=2.0, ref_axis="y", ref_code=10))}),
+         "cross-section 7 references point 10, which is not in the model"),
+    ])
+    def test_reference_to_a_missing_point_refused(self, edit, message):
+        model = golden_model()
+        edit(model)
+        with pytest.raises(ValueError) as err:
+            write_model(model)
+        assert str(err.value) == message
 
 
 class TestResultsWriter:
