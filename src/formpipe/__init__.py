@@ -52,8 +52,8 @@ __version__ = "0.1.0"
 # the solver loads scipy, the bulk of import time, and only ``gen`` builds cases.
 _LAZY = dict.fromkeys((
     "ConvergenceError", "DofMap", "LinearSystem", "MechanismError", "SolveStats", "SolverError",
-    "assemble", "beam_stiffness", "expand_displacements", "reaction_forces", "recover_end_forces",
-    "solve_direct", "solve_pcg_ichol", "solve_system", "truss_stiffness",
+    "assemble", "element_stiffness", "expand_displacements", "reaction_forces",
+    "recover_end_forces", "solve_direct", "solve_pcg_ichol", "solve_system",
 ), "solver") | dict.fromkeys((
     "CantileverSpec", "LatticeSpec", "LeonardoSpec", "arch_occupancy", "full_block_occupancy",
     "gen_cantilever", "gen_leonardo", "gen_sphere_lattice",

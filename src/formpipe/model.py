@@ -51,10 +51,6 @@ class _View:
     def _set(self, k, value):
         self._t._cols[k][self._i] = value
 
-    def as_table(self):
-        """A one-row table holding a copy of this row."""
-        return self._t.take([self._i])
-
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
         return f"{type(self).__name__}({fields})"
@@ -476,9 +472,9 @@ def per_id(ids, row, width):
     return table[inverse]
 
 
-def cell_properties(model: StructuralModel, cells: CellTable | None = None) -> CellProperties:
-    """Section and material values of ``cells`` (default: all) as arrays."""
-    cells = model.cells if cells is None else cells
+def cell_properties(model: StructuralModel) -> CellProperties:
+    """Section and material values of every cell as arrays."""
+    cells = model.cells
     sections = per_id(cells.cs_ids, lambda i: astuple(model.cross_sections[i].properties), 7)
     material = attrgetter("E", "G", "density", "Ry")
     materials = per_id(cells.mat_ids, lambda i: material(model.materials[i]), 4)
@@ -555,8 +551,9 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
 
     Blocking defects (``ok=False``): dangling id references, non-finite
     values, catalog values a solve cannot use (section dimensions or
-    properties that are not positive and finite, E or Ry not positive and
-    finite, nu or density not finite), duplicate ids and rigid links that
+    properties that are not positive and finite, a Rectangle's negative
+    axis code outside -1..-3, E or Ry not positive and finite, nu or
+    density not finite), duplicate ids and rigid links that
     break the rule of ``rigid_link_findings``.  Degenerate cells,
     never-referenced catalog entries and points referenced by no cell are
     warnings only.
@@ -589,12 +586,21 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     used_bc = set(bc_ids[(bc_ids != 0) & ~no_bc].tolist())
 
     for cs_id in sorted(model.cross_sections):
+        shape = model.cross_sections[cs_id].shape
         try:
-            props = section_properties(model.cross_sections[cs_id])
+            props = section_properties(shape)
             if not all(math.isfinite(v) for v in astuple(props)):
                 raise ValueError("section properties must be finite")
         except ValueError as exc:
             defects.append(Finding("invalid-catalog", f"cross-section {cs_id}: {exc}"))
+        if isinstance(shape, Rectangle) and shape.ref_axis is not None:
+            code = shape.ref_code
+            if code < -3:
+                defects.append(Finding("invalid-catalog",
+                                       f"cross-section {cs_id}: bad global axis code {code}"))
+            elif code >= 0 and code not in pids:
+                defects.append(Finding("dangling-reference",
+                                       f"cross-section {cs_id} references missing point {code}"))
     for mat_id in sorted(model.materials):
         mat = model.materials[mat_id]
         if not all(math.isfinite(v) for v in (mat.E, mat.nu, mat.density, mat.Ry)):

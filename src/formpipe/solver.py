@@ -32,20 +32,17 @@ positive definite, and K stores no exact zeros.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .model import (
-    BEAM_LINE,
     DOF_NAMES,
     KG_MM_S2_TO_N,
-    CellTable,
     Rectangle,
     StructuralModel,
-    TRUSS_LINE,
     per_id,
     cell_properties,
     link_ends,
@@ -106,12 +103,6 @@ class SolveStats:
     # included; lu.L.nnz + lu.U.nnz would copy the factor out to count them
     factor_nnz: int = 0
     factor_time: float = 0.0
-
-    def __post_init__(self):
-        # plain Python numbers, so reports read 1e-10 rather than np.float64(1e-10)
-        for f in fields(self):
-            if f.type in ("int", "float"):
-                setattr(self, f.name, {"int": int, "float": float}[f.type](getattr(self, f.name)))
 
 
 @dataclass
@@ -264,15 +255,14 @@ class _Elements:
     f: np.ndarray  # (m, 12) self-weight equivalent nodal loads, local axes
 
 
-def _elements(model: StructuralModel, cells: CellTable | None = None) -> _Elements:
-    """Element arrays of ``cells`` (default: all) in one pass."""
-    cells = model.cells if cells is None else cells
-    coords = model.points.coords
+def _elements(model: StructuralModel) -> _Elements:
+    """Element arrays of every cell in one pass."""
+    cells, coords = model.cells, model.points.coords
     ends = model.points.positions(cells.ends).astype(np.int32)
     if np.any(ends < 0):
         raise SolverError("cells reference points that are not in the model")
     beam = ~cells.truss
-    props = cell_properties(model, cells)
+    props = cell_properties(model)
     xa = coords[ends[:, 0]]
     R, L = _triads(coords[ends[:, 1]] - xa, *_section_references(model, cells.cs_ids, xa))
     bending = np.where(beam, 1.0, 0.0)
@@ -309,18 +299,10 @@ def _global_stiffness(el: _Elements) -> np.ndarray:
     return out
 
 
-def beam_stiffness(model: StructuralModel, cell) -> np.ndarray:
-    """Global 12x12 stiffness of a beam cell."""
-    if cell.kind != BEAM_LINE:
-        raise ValueError("beam_stiffness expects a beam-line cell")
-    return _global_stiffness(_elements(model, cell.as_table()))[0]
-
-
-def truss_stiffness(model: StructuralModel, cell) -> np.ndarray:
-    """Global 12x12 stiffness of a truss cell (rotational rows zero)."""
-    if cell.kind != TRUSS_LINE:
-        raise ValueError("truss_stiffness expects a truss-line cell")
-    return _global_stiffness(_elements(model, cell.as_table()))[0]
+def element_stiffness(model: StructuralModel) -> np.ndarray:
+    """Global 12x12 stiffness of every cell, (m, 12, 12) in cell order; the
+    rotational rows and columns of a truss are zero."""
+    return _global_stiffness(_elements(model))
 
 
 def build_dof_map(model: StructuralModel) -> DofMap:
@@ -433,58 +415,26 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     return LinearSystem(reduced[:n_eq], rhs[:n_eq], reduced[n_eq:], rhs[n_eq:], dm, applied), dm
 
 
-def _raise_local_mechanism(system: LinearSystem):
-    """Raise MechanismError at the first point whose free diagonal block of
-    K is numerically singular, naming the DOF that moves most in the
-    block's null vector.
-
-    K is positive semidefinite, so a singular principal block proves a
-    mechanism: the block's null vector, zero elsewhere, costs no energy.
-    This catches local mechanisms such as dangling or collinear trusses in
-    O(nnz), whatever the model size.
-    """
-    dm = system.dofmap
-    free = dm.state >= 0
-    point, comp = np.nonzero(free)  # per equation, in equation order
-    K = system.K.tocoo()
-    same = point[K.row] == point[K.col]
-    blocks = np.zeros((len(dm.point_ids), 6, 6))
-    blocks[point[K.row[same]], comp[K.row[same]], comp[K.col[same]]] = K.data[same]
-    # slots without an equation get the block's largest diagonal, so only free DOFs count
-    diag = np.abs(np.diagonal(blocks, axis1=1, axis2=2)).max(axis=1)
-    pad = np.arange(6)
-    blocks[:, pad, pad] += np.where(free, 0.0, np.where(diag > 0.0, diag, 1.0)[:, None])
-    eigs = np.linalg.eigvalsh(blocks)
-    singular = np.flatnonzero(free.any(axis=1) & (eigs[:, 0] <= 1e-12 * eigs[:, -1]))
-    if singular.size:
-        i = int(singular[0])
-        null = np.linalg.eigh(blocks[i])[1][:, 0]
-        pid, dof = int(dm.point_ids[i]), DOF_NAMES[int(np.argmax(np.abs(null) * free[i]))]
-        raise MechanismError(f"singular stiffness block at point {pid} dof {dof}: local "
-                             "kinematic mechanism", point_id=pid, dof=dof)
-
-
-def _diagnose_singular(system: LinearSystem):
-    """Name the point and DOF of a mechanism, whatever the model size: first
-    a check of each point's diagonal block, then four steps of inverse
-    iteration from a vector of ones on one SuperLU factor of K + sigma I,
-    sigma = 1e-10 max diag K.  A Rayleigh quotient x'Kx of at most 1e-12
-    max diag K shows a null vector; the DOF that moves most in it is named.
-    Returns when no mechanism shows, so the caller raises its own error."""
-    _raise_local_mechanism(system)
+def _fail(system: LinearSystem, message: str):
+    """The one exit of a failed solve.  Raises MechanismError naming the
+    point and DOF of a mechanism, whatever the model size, else
+    SolverError(message).  Four steps of inverse iteration run from a vector
+    of ones on one SuperLU factor of K + sigma I, sigma = 1e-10 max diag K;
+    a Rayleigh quotient x'Kx of at most 1e-12 max diag K shows a null
+    vector, and the DOF that moves most in it is named."""
     K = system.K.tocsc()
     scale = float(np.max(np.abs(K.diagonal()))) or 1.0
     try:
         lu = _splu_symmetric(K + 1e-10 * scale * sp.identity(K.shape[0], format="csc"),
                              _DIRECT_ORDERING)
     except RuntimeError:
-        return
+        raise SolverError(message)
     x = np.ones(K.shape[0])
     for _ in range(4):
         x = lu.solve(x)
         x /= np.linalg.norm(x)
     if not float(x @ (K @ x)) <= 1e-12 * scale:
-        return
+        raise SolverError(message)
     dm = system.dofmap
     point, comp = np.nonzero(dm.state >= 0)  # per equation, in equation order
     eq = int(np.argmax(np.abs(x)))
@@ -536,14 +486,12 @@ def solve_direct(system: LinearSystem):
         factor_time = time.perf_counter() - t0
         u = lu.solve(system.f)
     except (RuntimeError, ValueError) as exc:
-        _diagnose_singular(system)
-        raise SolverError(f"direct factorization failed: {exc}") from exc
+        _fail(system, f"direct factorization failed: {exc}")
     factor = dict(ordering=ordering, factor_nnz=lu.nnz, factor_time=factor_time)
     if fnorm == 0.0:
         return np.zeros(n), SolveStats("direct", 0, 0.0, time.perf_counter() - t0, **factor)
     if not np.all(np.isfinite(u)):
-        _diagnose_singular(system)
-        raise SolverError("direct solve gave non-finite displacements")
+        _fail(system, "direct solve gave non-finite displacements")
     knorm = _inf_norm(system.K)
     res, eta = _residuals(system, u, fnorm, knorm)
     for _ in range(_MAX_REFINEMENTS):
@@ -558,9 +506,8 @@ def solve_direct(system: LinearSystem):
     # working precision, and a small backward error then proves nothing
     cond = knorm * np.linalg.norm(u, np.inf) / np.linalg.norm(system.f, np.inf)
     if not (eta <= _DIRECT_BACKWARD_TOL and cond < 1.0 / np.finfo(float).eps):
-        _diagnose_singular(system)
-        raise SolverError(f"direct solve rejected: backward error {eta:.3e} (at most "
-                          f"{_DIRECT_BACKWARD_TOL:g}), condition at least {cond:.1e}")
+        _fail(system, f"direct solve rejected: backward error {eta:.3e} (at most "
+              f"{_DIRECT_BACKWARD_TOL:g}), condition at least {cond:.1e}")
     return u, SolveStats("direct", 0, res, time.perf_counter() - t0, true_residual=res,
                          backward_error=eta, **factor)
 
@@ -573,7 +520,9 @@ def _ichol0(K: sp.csc_matrix, shift: float = 0.0):
     """Zero-fill incomplete Cholesky on the lower-triangular pattern of K.
 
     Returns L (csc) with K ~ L L^T on the pattern of K.  Raises
-    _IC0Breakdown when a pivot loses positivity.
+    _IC0Breakdown when a pivot loses positivity, and SolverError at a
+    missing diagonal, which no diagonal shift can mend: K stores no zeros,
+    and a shift lands only on stored diagonal entries.
     """
     A = sp.tril(K, format="csc")
     n = A.shape[0]
@@ -582,7 +531,7 @@ def _ichol0(K: sp.csc_matrix, shift: float = 0.0):
     for j in range(n):
         start, end = indptr[j], indptr[j + 1]
         if start == end or indices[start] != j:
-            raise _IC0Breakdown(f"missing diagonal at {j}")
+            raise SolverError(f"incomplete Cholesky: missing diagonal at {j}")
         rowj = rows[j]
         ajj = data[start] + shift
         s = ajj - sum(v * v for v in rowj.values())
@@ -608,8 +557,8 @@ def _ichol0(K: sp.csc_matrix, shift: float = 0.0):
 def _ichol0_with_shifts(K: sp.csc_matrix):
     """IC(0) with the diagonal-shift retry policy.
 
-    On breakdown, add sigma = 1e-3 * mean(diag) and refactor, doubling the
-    shift up to three times before giving up.
+    On a pivot breakdown, add sigma = 1e-3 * mean(diag) and refactor,
+    doubling the shift up to three times before giving up.
     """
     diag_mean = float(np.mean(K.diagonal())) or 1.0
     shifts = [0.0] + [1e-3 * diag_mean * 2.0**k for k in range(4)]
@@ -658,9 +607,8 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = 1e-10, max_iter: int | No
 
     try:
         lu, shift = _ic0_factor(system.K)
-    except SolverError:
-        _diagnose_singular(system)
-        raise
+    except SolverError as exc:
+        _fail(system, str(exc))
     factor = dict(ordering=ordering, ic_shift=shift, factor_nnz=lu.nnz,
                   factor_time=time.perf_counter() - t0)
 
@@ -680,14 +628,13 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = 1e-10, max_iter: int | No
         Ap = K @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0 or not np.isfinite(pAp):
-            _diagnose_singular(system)
-            raise SolverError("PCG breakdown: matrix is not positive definite")
+            _fail(system, "PCG breakdown: matrix is not positive definite")
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         z = precondition(r)
         rz_new = float(r @ z)
-        relres = np.sqrt(max(rz_new, 0.0)) / denom
+        relres = float(np.sqrt(max(rz_new, 0.0)) / denom)
         iterations = k
         if relres <= tol:
             break

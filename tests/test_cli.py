@@ -117,6 +117,22 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error: model does not validate") and "Warning" not in err
 
+    @pytest.mark.parametrize("ref, line", [
+        ("500", "defect [dangling-reference]: cross-section 2 references missing point 500"),
+        ("-4", "defect [invalid-catalog]: cross-section 2: bad global axis code -4"),
+    ])
+    def test_bad_section_reference_blocks(self, capsys, tmp_path, ref, line):
+        model = fp.gen_cantilever(fp.CantileverSpec(n_elements=2))
+        model.cross_sections[2] = fp.CrossSection(id=2, shape=fp.Rectangle(20.0, 30.0, "z", -3))
+        path = tmp_path / "ref.vtp"
+        path.write_text(fp.write_model(model).replace("refNode z -3", f"refNode z {ref}"))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 2
+        assert line in out.splitlines()
+        code, _, err = run(capsys, "solve", str(path), str(tmp_path / "never.vtk"))
+        assert code == 2
+        assert err.startswith("error: model does not validate")
+
 
 class TestClean:
     def test_duplicate_node_fixture(self, capsys, tmp_path):

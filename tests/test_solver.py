@@ -25,19 +25,18 @@ from formpipe.solver import (
     MechanismError,
     SolverError,
     _IC0Breakdown,
-    _diagnose_singular,
+    _fail,
     _ic0_factor,
     _ichol0,
     _ichol0_with_shifts,
     assemble,
-    beam_stiffness,
     build_dof_map,
+    element_stiffness,
     expand_displacements,
     reaction_forces,
     recover_end_forces,
     solve_direct,
     solve_pcg_ichol,
-    truss_stiffness,
 )
 
 E_STEEL = 210.0e3
@@ -74,6 +73,28 @@ def arch_50x5x24():
     return model
 
 
+def collinear_trusses():
+    """Two collinear trusses between fixed ends: the middle point 1 can
+    translate transversely, so its uy and uz carry no stiffness at all."""
+    model = StructuralModel(self_weight_enabled=False)
+    model.points = [
+        Point(id=0, coords=(0, 0, 0)),
+        Point(id=1, coords=(1000, 0, 0)),
+        Point(id=2, coords=(2000, 0, 0)),
+    ]
+    model.points[0].constraint_mask[:] = True
+    model.points[2].constraint_mask[:] = True
+    for i in range(2):
+        model.cells.append(
+            Cell(id=i, connectivity=(i, i + 1), cs_id=1, mat_id=1, kind=TRUSS_LINE)
+        )
+    model.cross_sections[1] = CrossSection(id=1, shape=Circle(diameter=20.0))
+    model.materials[1] = Material(id=1, E=E_STEEL, nu=0.2)
+    model.bcs[1] = BoundaryConditionEntry(id=1, components=(1000.0, 0, 0, 0, 0, 0))
+    model.points[1].bc_id = 1
+    return model
+
+
 def solve_model(model, method="direct", **kw):
     system, dm = assemble(model)
     u, stats = (
@@ -100,7 +121,7 @@ class TestElementStiffness:
 
     def test_beam_matrix_has_six_rigid_body_modes(self):
         model = fp.gen_cantilever()
-        k = beam_stiffness(model, model.cells[0])
+        k = element_stiffness(model)[0]
         assert np.allclose(k, k.T, atol=1e-9 * np.abs(k).max())
         eigs = np.abs(np.linalg.eigvalsh(k))
         near_zero = np.sum(eigs <= 1e-9 * eigs.max())
@@ -114,7 +135,7 @@ class TestElementStiffness:
             id=1, shape=GenericSection(A=1.0, Iy=1, Iz=1, J=1, Wy=1, Wz=1, Wt=1)
         )
         model.materials[1] = Material(id=1, E=1.0, nu=0.3)
-        k = truss_stiffness(model, model.cells[0])
+        k = element_stiffness(model)[0]
         assert k[0, 0] == pytest.approx(1.0)
         assert k[0, 6] == pytest.approx(-1.0)
         assert k[6, 6] == pytest.approx(1.0)
@@ -130,7 +151,7 @@ class TestElementStiffness:
             id=1, shape=GenericSection(A=2.0, Iy=1, Iz=1, J=1, Wy=1, Wz=1, Wt=1)
         )
         model.materials[1] = Material(id=1, E=3.0, nu=0.3)
-        k = truss_stiffness(model, model.cells[0])
+        k = element_stiffness(model)[0]
         L = math.sqrt(2.0)
         c = np.array([1.0, 1.0, 0.0]) / L
         block = (2.0 * 3.0 / L) * np.outer(c, c)
@@ -295,27 +316,11 @@ class TestDirectSolver:
         assert residual <= 1e-10
         assert stats.true_residual == stats.relative_residual <= 1e-10
 
-    def test_mechanism_names_offending_dof(self):
-        # two collinear trusses: the middle node can translate transversely
-        model = StructuralModel(self_weight_enabled=False)
-        model.points = [
-            Point(id=0, coords=(0, 0, 0)),
-            Point(id=1, coords=(1000, 0, 0)),
-            Point(id=2, coords=(2000, 0, 0)),
-        ]
-        model.points[0].constraint_mask[:] = True
-        model.points[2].constraint_mask[:] = True
-        for i in range(2):
-            model.cells.append(
-                Cell(id=i, connectivity=(i, i + 1), cs_id=1, mat_id=1, kind=TRUSS_LINE)
-            )
-        model.cross_sections[1] = CrossSection(id=1, shape=Circle(diameter=20.0))
-        model.materials[1] = Material(id=1, E=E_STEEL, nu=0.2)
-        model.bcs[1] = BoundaryConditionEntry(id=1, components=(1000.0, 0, 0, 0, 0, 0))
-        model.points[1].bc_id = 1
-        system, _ = assemble(model)
-        with pytest.raises(MechanismError) as err:
-            solve_direct(system)
+    @pytest.mark.parametrize("method", ["direct", "pcg"])
+    def test_mechanism_names_offending_dof(self, method):
+        system, _ = assemble(collinear_trusses())
+        with pytest.raises(MechanismError, match="mechanism") as err:
+            solve_direct(system) if method == "direct" else solve_pcg_ichol(system)
         assert err.value.point_id == 1
         assert err.value.dof in ("uy", "uz")
 
@@ -366,16 +371,11 @@ class TestGlobalMechanism:
         assert err.value.point_id not in on_line
         assert err.value.dof in ("ux", "uy", "uz")
 
-    def test_no_point_block_is_singular(self):
-        # the mechanism is global: the per-point block check alone finds nothing
-        from formpipe.solver import _raise_local_mechanism
-
-        system, _ = assemble(line_pinned_lattice()[0])
-        _raise_local_mechanism(system)
-
     def test_well_posed_lattice_shows_no_mechanism(self):
         system, _ = assemble(fp.gen_sphere_lattice(fp.LatticeSpec(nx=40, ny=3, nz=3)))
-        _diagnose_singular(system)  # returns without raising
+        with pytest.raises(SolverError, match="^no mechanism here$") as err:
+            _fail(system, "no mechanism here")
+        assert type(err.value) is SolverError
 
 
 class TestPcgSolver:
@@ -485,6 +485,23 @@ class TestPcgSolver:
             _ichol0(sp.csc_matrix(rescued))
         L, shift = _ichol0_with_shifts(sp.csc_matrix(rescued))
         assert shift > 0
+
+    def test_missing_diagonal_gives_up_at_once(self, monkeypatch):
+        # no shift reaches a diagonal entry that K does not store
+        from formpipe import solver
+
+        calls = []
+
+        def counted(K, shift=0.0):
+            calls.append(shift)
+            return _ichol0(K, shift)
+
+        monkeypatch.setattr(solver, "_ichol0", counted)
+        system, _ = assemble(collinear_trusses())
+        assert np.any(system.K.diagonal() == 0.0)
+        with pytest.raises(MechanismError):
+            solve_pcg_ichol(system)
+        assert calls == [0.0]
 
 
 class TestForcesAndEquilibrium:
@@ -713,8 +730,7 @@ def dense_reference(model, dm):
     coords = model.coords_array()
     K6 = np.zeros((6 * n, 6 * n))
     F6 = np.zeros(6 * n)
-    for cell in model.cells:
-        k = (truss_stiffness if cell.kind == TRUSS_LINE else beam_stiffness)(model, cell)
+    for cell, k in zip(model.cells, element_stiffness(model)):
         a, b = (index[pid] for pid in cell.connectivity)
         dofs = [6 * a + c for c in range(6)] + [6 * b + c for c in range(6)]
         K6[np.ix_(dofs, dofs)] += k
@@ -781,10 +797,10 @@ class TestAssemblyReference:
         # translational block of R^T k R has eigenpairs (12 E I / L^3, axis)
         model = mixed_model()
         s = 1.0 / math.sqrt(2.0)
-        for cell, ey, ez in ((model.cells[0], (1, 0, 0), (0, 1, 0)),
-                             (model.cells[1], (0, -s, -s), (0, s, -s))):
-            props = model.cross_sections[cell.cs_id].properties
-            block = beam_stiffness(model, cell)[:3, :3]
+        stiffness = element_stiffness(model)
+        for i, ey, ez in ((0, (1, 0, 0), (0, 1, 0)), (1, (0, -s, -s), (0, s, -s))):
+            props = model.cross_sections[model.cells[i].cs_id].properties
+            block = stiffness[i][:3, :3]
             bend = 12.0 * E_STEEL / 1000.0**3
             assert np.allclose(block @ ey, bend * props.Iz * np.array(ey), rtol=1e-12)
             assert np.allclose(block @ ez, bend * props.Iy * np.array(ez), rtol=1e-12)
