@@ -36,13 +36,10 @@ from .topology import (
 )
 from .resistance import (
     ResultSet,
-    StressState,
     Summary,
     build_result_set,
     classify,
     deformed_geometry,
-    resistance_ratio,
-    stress_state,
     summarize,
 )
 
@@ -53,7 +50,7 @@ __version__ = "0.1.0"
 _LAZY = dict.fromkeys((
     "ConvergenceError", "DofMap", "LinearSystem", "MechanismError", "SolveStats", "SolverError",
     "assemble", "element_stiffness", "expand_displacements", "reaction_forces",
-    "recover_end_forces", "solve_direct", "solve_pcg_ichol", "solve_system",
+    "recover_end_forces", "solve_direct", "solve_pcg_ichol",
 ), "solver") | dict.fromkeys((
     "CantileverSpec", "LatticeSpec", "LeonardoSpec", "arch_occupancy", "full_block_occupancy",
     "gen_cantilever", "gen_leonardo", "gen_sphere_lattice",

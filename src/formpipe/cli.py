@@ -41,26 +41,19 @@ _LISTED_COMPONENTS = 20
 
 @dataclass
 class PipelineConfig:
+    """Settings of the clean and solve pipelines.  The functions that use a
+    value check it, except ``solver``, which only the pipeline reads."""
+
     merge_tol: float = 1e-6  # mm
     prune_degree: int = 2
     solver: str = "direct"  # direct | pcg
     pcg_tol: float = 1e-10
     pcg_max_iter: int | None = None
-    deform_scale: float = 1.0
     self_weight: bool = True
-    report_format: str = "text"  # text | structured
 
     def __post_init__(self):
-        if not self.merge_tol >= 0:
-            raise ValueError(f"merge tolerance must be non-negative, got {self.merge_tol:g}")
-        if not 0 < self.pcg_tol < 1:
-            raise ValueError(f"PCG tolerance must lie in (0, 1), got {self.pcg_tol:g}")
-        if not self.deform_scale >= 0:
-            raise ValueError(f"deformation scale must be non-negative, got {self.deform_scale:g}")
         if self.solver not in ("direct", "pcg"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.report_format not in ("text", "structured"):
-            raise ValueError(f"unknown report format {self.report_format!r}")
 
 
 class CommandError(Exception):
@@ -119,9 +112,10 @@ def run_solve_pipeline(model: StructuralModel, config: PipelineConfig):
     from . import solver  # loads scipy, which no other command needs
     model.self_weight_enabled = config.self_weight
     system, dofmap = solver.assemble(model)
-    u, stats = solver.solve_system(
-        system, method=config.solver, tol=config.pcg_tol, max_iter=config.pcg_max_iter
-    )
+    if config.solver == "pcg":
+        u, stats = solver.solve_pcg_ichol(system, tol=config.pcg_tol, max_iter=config.pcg_max_iter)
+    else:
+        u, stats = solver.solve_direct(system)
     disp = solver.expand_displacements(dofmap, u)
     forces = solver.recover_end_forces(model, disp)
     reactions = solver.reaction_forces(system, u)
@@ -211,8 +205,7 @@ def cmd_clean(args) -> int:
 
     cells_before = len(model.cells)
     try:
-        config = PipelineConfig(merge_tol=args.merge_tol, prune_degree=args.prune_degree,
-                                report_format=args.format)
+        config = PipelineConfig(merge_tol=args.merge_tol, prune_degree=args.prune_degree)
         model, reports = run_clean_pipeline(model, config)
         text = write_model(model)
     except ValueError as exc:
@@ -220,7 +213,7 @@ def cmd_clean(args) -> int:
     cells_after = len(model.cells)
     atomic_write(args.output, text)
 
-    if config.report_format == "structured":
+    if args.format == "structured":
         lines = _structured(_clean_records(reports, cells_before, cells_after))
     else:
         lines = _clean_text(reports, cells_before, cells_after)
@@ -258,15 +251,15 @@ def cmd_solve(args) -> int:
 
     try:
         config = PipelineConfig(solver=args.solver, pcg_tol=args.pcg_tol,
-                                pcg_max_iter=args.pcg_max_iter, deform_scale=args.deform_scale,
-                                self_weight=not args.no_self_weight, report_format=args.format)
+                                pcg_max_iter=args.pcg_max_iter, self_weight=not args.no_self_weight)
         results, stats = run_solve_pipeline(model, config)
+        text = write_results_vtk(model, results, args.deform_scale)
     except (ValueError, SolverError) as exc:
         raise CommandError(exc) from exc
-    atomic_write(args.output, write_results_vtk(model, results, config.deform_scale))
+    atomic_write(args.output, text)
 
     equilibrium = equilibrium_residual(model, results)
-    if config.report_format == "structured":
+    if args.format == "structured":
         lines = _structured(_solve_records(results, stats, config, equilibrium))
     else:
         summary = summarize(results)

@@ -22,6 +22,10 @@ KG_MM_S2_TO_N = 1.0e-3
 
 STANDARD_GRAVITY_MM_S2 = 9806.65
 
+# the acceleration self-weight acts with, global -Z; shared, so read-only
+GRAVITY = np.array([0.0, 0.0, -STANDARD_GRAVITY_MM_S2])
+GRAVITY.flags.writeable = False
+
 # below fabrication scale, above double-precision noise at metre-range coordinates
 DEFAULT_MERGE_TOL = 1e-6
 
@@ -165,16 +169,6 @@ class _Table:
             dst[n] = src[view._i]
         self._n = n + 1
         view._t, view._i = self, n
-
-    def pop(self, index=-1):
-        """Remove a row; the returned view holds a copy of it."""
-        view = self[index]
-        i, n = view._i, self._n
-        view._t, view._i = self.take([i]), 0
-        for col in self._cols:
-            col[i : n - 1] = col[i + 1 : n]
-        self._n = n - 1
-        return view
 
     def take(self, rows):
         """A new table of copies of the given rows: an index array, a boolean mask or a slice."""
@@ -388,15 +382,11 @@ class RigidLink:
             self.offset = _vec(self.offset, 3, "offset")
 
 
-def default_gravity() -> np.ndarray:
-    return np.array([0.0, 0.0, -STANDARD_GRAVITY_MM_S2])
-
-
 @dataclass(eq=False)
 class StructuralModel:
     """Points and cells, as columns behind the ``points``/``cells`` sequence
-    views, plus the catalogs, rigid links and the solver-side gravity
-    settings.  Assigning a list of views to ``points`` or ``cells`` copies
+    views, plus the catalogs, rigid links and the solver-side self-weight
+    flag.  Assigning a list of views to ``points`` or ``cells`` copies
     their rows into a new table and rebinds the views to them."""
 
     comment: str = ""
@@ -406,11 +396,7 @@ class StructuralModel:
     materials: dict = field(default_factory=dict)
     bcs: dict = field(default_factory=dict)
     rigid_links: list = field(default_factory=list)
-    gravity: np.ndarray = field(default_factory=default_gravity)
     self_weight_enabled: bool = True
-
-    def __post_init__(self):
-        self.gravity = _vec(self.gravity, 3, "gravity")
 
     def __setattr__(self, name, value):
         table = {"points": PointTable, "cells": CellTable}.get(name)
@@ -424,9 +410,6 @@ class StructuralModel:
         """Map point id -> position in ``points``."""
         return dict(zip(self.points.ids.tolist(), range(len(self.points))))
 
-    def point_by_id(self) -> dict:
-        return {p.id: p for p in self.points}
-
     def coords_array(self) -> np.ndarray:
         return self.points.coords.copy()
 
@@ -434,8 +417,7 @@ class StructuralModel:
         """An independent copy: the columns as array copies, the catalogs deep-copied."""
         catalogs = copy.deepcopy((self.cross_sections, self.materials, self.bcs, self.rigid_links))
         points, cells = self.points.take(slice(None)), self.cells.take(slice(None))
-        return StructuralModel(self.comment, points, cells, *catalogs, self.gravity,
-                               self.self_weight_enabled)
+        return StructuralModel(self.comment, points, cells, *catalogs, self.self_weight_enabled)
 
 
 def cell_lengths(model: StructuralModel) -> np.ndarray:
@@ -493,9 +475,6 @@ class ValidationReport:
     defects: list
     warnings: list
 
-    def by_kind(self, kind: str) -> list:
-        return [f for f in self.defects + self.warnings if f.kind == kind]
-
 
 def _repeats(ids: np.ndarray) -> np.ndarray:
     """True where an id already occurred at an earlier position."""
@@ -523,6 +502,20 @@ def _missing(ids: np.ndarray, catalog: dict) -> np.ndarray:
 def link_ends(links) -> np.ndarray:
     """(k, 2) master and slave point ids of rigid links."""
     return np.array([(l.master, l.slave) for l in links], dtype=np.int64).reshape(-1, 2)
+
+
+def orientation_points(model: StructuralModel) -> np.ndarray:
+    """Mask of the points that only aim sections: named by a Rectangle's
+    point-id ``refNode``, unloaded, and the end of no cell or rigid link.
+    They are not structure: they get no equations and need no support."""
+    shapes = [cs.shape for cs in model.cross_sections.values()]
+    codes = [s.ref_code for s in shapes
+             if isinstance(s, Rectangle) and s.ref_axis is not None and s.ref_code >= 0]
+    ids = model.points.ids
+    if not codes:
+        return np.zeros(len(ids), dtype=bool)
+    used = np.concatenate([model.cells.ends.ravel(), link_ends(model.rigid_links).ravel()])
+    return np.isin(ids, codes) & ~np.isin(ids, used) & (model.points.bc_ids == 0)
 
 
 def rigid_link_findings(links, point_ids) -> list:
@@ -555,8 +548,8 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     axis code outside -1..-3, E or Ry not positive and finite, nu or
     density not finite), duplicate ids and rigid links that
     break the rule of ``rigid_link_findings``.  Degenerate cells,
-    never-referenced catalog entries and points referenced by no cell are
-    warnings only.
+    never-referenced catalog entries and points referenced by no cell,
+    ``orientation_points`` aside, are warnings only.
     """
     points, cells = model.points, model.cells
     pids, ends, bc_ids = points.ids, cells.ends, points.bc_ids
@@ -619,6 +612,6 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
                                 ("load", model.bcs, used_bc)):
         warnings += [Finding("unreferenced-catalog", f"{what} {key} never referenced")
                      for key in sorted(catalog) if key not in used]
-    warnings += _row_findings(
-        [(~np.isin(pids, ends), "unused-point", "point {0} referenced by no cell")], pids)
+    unused = ~np.isin(pids, ends) & ~orientation_points(model)
+    warnings += _row_findings([(unused, "unused-point", "point {0} referenced by no cell")], pids)
     return ValidationReport(ok=not defects, defects=defects, warnings=warnings)

@@ -20,42 +20,11 @@ from .model import StructuralModel, cell_properties
 ELASTIC_LIMIT = 1.0
 
 
-@dataclass(frozen=True)
-class StressState:
-    sigma_axial: float  # MPa
-    tau: float  # MPa
-    sigma_eq: float  # MPa
-    J2: float  # MPa^2
-
-
-def _stresses(end_forces, props):
-    """(sigma, tau, sigma_eq) for end-force rows (..., 6) as (N, Vy, Vz, T, My, Mz);
-    section values in ``props`` broadcast against the leading axes."""
-    f = np.abs(np.asarray(end_forces, dtype=float))
-    sigma = f[..., 0] / props.A + f[..., 4] / props.Wy + f[..., 5] / props.Wz
-    tau = f[..., 3] / props.Wt
-    return sigma, tau, np.sqrt(sigma**2 + 3.0 * tau**2)
-
-
-def stress_state(end_force_row, props) -> StressState:
-    """Stress measures for one element end (N, Vy, Vz, T, My, Mz)."""
-    sigma, tau, sigma_eq = (float(v) for v in _stresses(end_force_row, props))
-    return StressState(sigma_axial=sigma, tau=tau, sigma_eq=sigma_eq, J2=sigma_eq**2 / 3.0)
-
-
-def resistance_ratio(end_forces, props, mat) -> float:
-    """Max over both element ends of sigma_eq / Ry."""
-    if mat.Ry <= 0:
-        raise ValueError("material yield stress must be positive")
-    ef = np.asarray(end_forces, dtype=float).reshape(2, 6)
-    return float(np.max(_stresses(ef, props)[2])) / mat.Ry
-
-
-def classify(u_el: float, threshold: float = ELASTIC_LIMIT) -> str:
-    """'exceeded' for ratios strictly above the threshold, else 'ok'."""
+def classify(u_el: float) -> str:
+    """'exceeded' for ratios strictly above ``ELASTIC_LIMIT``, else 'ok'."""
     if u_el < 0:
         raise ValueError("resistance ratio cannot be negative")
-    return "exceeded" if u_el > threshold else "ok"
+    return "exceeded" if u_el > ELASTIC_LIMIT else "ok"
 
 
 @dataclass(eq=False)
@@ -87,7 +56,10 @@ def build_result_set(
     props = cell_properties(model)
     if np.any(props.Ry <= 0):
         raise ValueError("material yield stress must be positive")
-    u_el = np.max(_stresses(ef.transpose(1, 0, 2), props)[2], axis=0) / props.Ry
+    f = np.abs(ef.transpose(1, 0, 2))  # (2, m, 6): both ends against the (m,) section values
+    sigma = f[..., 0] / props.A + f[..., 4] / props.Wy + f[..., 5] / props.Wz
+    tau = f[..., 3] / props.Wt
+    u_el = np.max(np.sqrt(sigma**2 + 3.0 * tau**2), axis=0) / props.Ry
     loads = [np.zeros((n, 6)) if v is None else np.asarray(v, dtype=float)
              for v in (reactions, applied_loads)]
     return ResultSet(disp, ef, u_el, u_el > ELASTIC_LIMIT, float(u_el.max(initial=0.0)),
@@ -129,8 +101,8 @@ def summarize(results: ResultSet) -> Summary:
 
 def deformed_geometry(model: StructuralModel, displacements, scale: float) -> np.ndarray:
     """Point coordinates displaced by scale times the translation field."""
-    if not np.isfinite(scale):
-        raise ValueError("deformation scale must be finite")
+    if not 0 <= scale < np.inf:
+        raise ValueError(f"deformation scale must be finite and non-negative, got {scale:g}")
     disp = np.asarray(displacements, dtype=float)
     coords = model.points.coords
     if disp.shape != (coords.shape[0], 6):

@@ -40,12 +40,14 @@ import scipy.sparse.linalg as spla
 
 from .model import (
     DOF_NAMES,
+    GRAVITY,
     KG_MM_S2_TO_N,
     Rectangle,
     StructuralModel,
     per_id,
     cell_properties,
     link_ends,
+    orientation_points,
     rigid_link_findings,
     validate,
 )
@@ -202,15 +204,6 @@ def _triads(dx, ref, pinned, pins_y):
     return np.stack([ex, ey, ez], axis=1), L
 
 
-def element_triad(xa, xb, ref_axis=None, ref_dir=None):
-    """Rows of the local axis triad [ex, ey, ez] for an element a->b."""
-    pinned = ref_dir is not None
-    ref = np.zeros(3) if ref_dir is None else np.asarray(ref_dir, dtype=float)
-    dx = np.asarray(xb, dtype=float) - np.asarray(xa, dtype=float)
-    R, L = _triads(dx[None], ref[None], np.array([pinned]), np.array([pinned and ref_axis == "y"]))
-    return R[0], float(L[0])
-
-
 def _local_stiffness(E, G, A, Iy, Iz, J, L):
     """Local 12x12 stiffness of each element; trusses pass Iy = Iz = J = 0."""
     k = np.zeros(np.shape(L) + (12, 12))
@@ -272,7 +265,7 @@ def _elements(model: StructuralModel) -> _Elements:
     f = np.zeros((len(cells), 12))
     if model.self_weight_enabled:
         w = np.where(props.density > 0.0, props.density * props.A, 0.0)
-        q_global = w[:, None] * model.gravity * KG_MM_S2_TO_N  # N/mm
+        q_global = w[:, None] * GRAVITY * KG_MM_S2_TO_N  # N/mm
         qx, qy, qz = (R @ q_global[:, :, None])[:, :, 0].T
         half = L / 2.0
         f[:, 0] = f[:, 6] = qx * half
@@ -311,8 +304,9 @@ def build_dof_map(model: StructuralModel) -> DofMap:
     Free and fixed slots map onto their own column of T; slave slots onto
     their master's through u_s = u_m + theta_m x r, theta_s = theta_m, with
     r the link's offset or else the slave's position less the master's;
-    inactive slots are empty rows.  Raises SolverError for links that break
-    the rigid-link rule and for slaves that carry supports.
+    inactive slots, those of ``orientation_points`` included, are empty
+    rows.  Raises SolverError for links that break the rigid-link rule and
+    for slaves that carry supports.
     """
     points, links = model.points, model.rigid_links
     findings = rigid_link_findings(links, points.ids)
@@ -337,6 +331,7 @@ def build_dof_map(model: StructuralModel) -> DofMap:
                           "support constraints")
     active = np.ones((n, 6), dtype=bool)
     active[:, 3:] = rotates[:, None]
+    active[orientation_points(model)] = False
     fixed = mask & ~slave[:, None]
     free = active & ~mask & ~slave[:, None]
     n_eq = int(free.sum())
@@ -592,8 +587,10 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = 1e-10, max_iter: int | No
     measured against the initial one; raises ConvergenceError if max_iter
     (default 10 * n_eq) is exhausted.
     """
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"PCG tolerance must lie in (0, 1), got {tol:g}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"PCG iteration limit must be at least 1, got {max_iter}")
     t0 = time.perf_counter()
     n = system.K.shape[0]
     ordering = _IC0_ORDERING
@@ -648,15 +645,6 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = 1e-10, max_iter: int | No
     res, eta = _residuals(system, x, bnorm, _inf_norm(K))
     return x, SolveStats("pcg-ichol", iterations, relres, time.perf_counter() - t0,
                          true_residual=res, backward_error=eta, **factor)
-
-
-def solve_system(system: LinearSystem, method: str = "direct", tol: float = 1e-10,
-                 max_iter: int | None = None):
-    if method == "direct":
-        return solve_direct(system)
-    if method == "pcg":
-        return solve_pcg_ichol(system, tol=tol, max_iter=max_iter)
-    raise ValueError(f"unknown solver method {method!r}")
 
 
 def expand_displacements(dm: DofMap, u: np.ndarray) -> np.ndarray:

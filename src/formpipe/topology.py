@@ -9,12 +9,12 @@ they keep original entity ids so the reports stay traceable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import (DEFAULT_MERGE_TOL, PointTable, RigidLink, StructuralModel, cell_lengths,
-                    link_ends, rigid_link_findings)
+                    link_ends, orientation_points, rigid_link_findings)
 
 
 class TopologyError(ValueError):
@@ -31,9 +31,6 @@ class RepairReport:
     removed_components: list = field(default_factory=list)  # (cell count, representative point)
     pruned_arm_points: list = field(default_factory=list)
     element_removal_fraction: float = 0.0
-
-    def is_empty(self) -> bool:
-        return not any(getattr(self, f.name) for f in fields(self) if f.type == "list")
 
 
 @dataclass
@@ -152,8 +149,8 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
     Raises TopologyError when merged points carry distinct nonzero load ids,
     or when the rewired links break the rigid-link rule.
     """
-    if tol < 0:
-        raise ValueError("merge tolerance must be non-negative")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"merge tolerance must be finite and non-negative, got {tol:g}")
     points = model.points
     ids = points.ids
     count, labels = _component_labels(len(ids), _close_pairs(points.coords, tol))
@@ -212,8 +209,8 @@ def remove_degenerate_cells(model: StructuralModel, tol: float = DEFAULT_MERGE_T
     Of several cells joining the same unordered point pair the one with the
     lowest id survives.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"degenerate-cell tolerance must be finite and non-negative, got {tol:g}")
     report = RepairReport()
     ids = model.cells.ids
     ends = np.sort(model.cells.ends, axis=1)
@@ -236,43 +233,48 @@ def remove_degenerate_cells(model: StructuralModel, tol: float = DEFAULT_MERGE_T
 
 
 def _components(model: StructuralModel):
-    """Component count and label per point, and the first-end point row of
-    every cell.  Rigid links count as connections, isolated points form
-    their own component."""
+    """Component count and label per point, the first-end point row of every
+    cell, and the mask of the components that are structure.  Rigid links
+    count as connections, isolated points form their own component, and an
+    ``orientation_points`` one is not structure."""
     ends = _end_rows(model)
     links = model.points.positions(link_ends(model.rigid_links))
     edges = np.concatenate([ends, links[(links >= 0).all(axis=1)]])
     count, labels = _component_labels(len(model.points), edges)
-    return count, labels, ends[:, 0]
+    structure = np.ones(count, dtype=bool)
+    structure[labels[orientation_points(model)]] = False
+    return count, labels, ends[:, 0], structure
 
 
 def remove_detached_components(model: StructuralModel):
-    """Keep only the connected component with the most cells.
+    """Keep only the connected component with the most cells, and the
+    ``orientation_points``, which are neither removed nor reported.
 
     Ties break towards the component containing the lowest point id.  The
     report lists removed components as (cell count, representative point).
     """
     if not len(model.points):
         raise TopologyError("cannot locate the main body of an empty model")
-    count, labels, first_ends = _components(model)
+    count, labels, first_ends, structure = _components(model)
     report = RepairReport()
-    if count == 1:
+    if np.count_nonzero(structure) <= 1:
         return model, report
 
     ids = model.points.ids
     cells_in = np.bincount(labels[first_ends], minlength=count)
     lowest_id = _lowest(labels, count, ids)
-    main = np.lexsort((lowest_id, -cells_in))[0]
-    report.removed_components = [
-        (int(cells_in[k]), int(lowest_id[k])) for k in np.argsort(lowest_id) if k != main
-    ]
-    keep = labels == main
+    main = np.lexsort((lowest_id, -cells_in, ~structure))[0]
+    report.removed_components = [(int(cells_in[k]), int(lowest_id[k]))
+                                 for k in np.argsort(lowest_id) if k != main and structure[k]]
+    keep = (labels == main) | ~structure[labels]
     return _keep(model, report, keep, keep[first_ends])
 
 
 def protected_points(model: StructuralModel) -> np.ndarray:
-    """Mask of the points that pruning must never remove: supported or loaded ones."""
-    return (model.points.bc_ids != 0) | model.points.masks.any(axis=1)
+    """Mask of the points that pruning must never remove: supported or
+    loaded ones, and the ``orientation_points``."""
+    points = model.points
+    return (points.bc_ids != 0) | points.masks.any(axis=1) | orientation_points(model)
 
 
 def _peel(n: int, ends: np.ndarray, protected: np.ndarray, max_degree: int):
@@ -338,9 +340,9 @@ def check_support_reachability(model: StructuralModel):
     body (fewer than 6 fixed DOFs, which covers fully unsupported ones).
 
     Genuine local mechanisms beyond this count survive until factorization,
-    which reports the offending DOF.
+    which reports the offending DOF.  ``orientation_points`` are exempt.
     """
-    count, labels, _ = _components(model)
+    count, labels, _, structure = _components(model)
     ids = model.points.ids
     fixed = np.bincount(labels, weights=model.points.masks.sum(axis=1), minlength=count)
     # members of each component as one run of ascending ids
@@ -352,7 +354,7 @@ def check_support_reachability(model: StructuralModel):
             point_ids=members[starts[k] : starts[k] + sizes[k]].tolist(),
             fixed_dof_count=int(fixed[k]),
         )
-        for k in np.flatnonzero(fixed < 6)
+        for k in np.flatnonzero((fixed < 6) & structure)
     ]
     findings.sort(key=lambda f: f.point_ids[0])
     return findings

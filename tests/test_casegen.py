@@ -10,7 +10,7 @@ from conftest import assert_models_equal
 
 def solve(model, method="direct"):
     system, dm = fp.assemble(model)
-    u, _ = fp.solve_system(system, method=method)
+    u, _ = fp.solve_pcg_ichol(system) if method == "pcg" else fp.solve_direct(system)
     disp = fp.expand_displacements(dm, u)
     forces = fp.recover_end_forces(model, disp)
     reactions = fp.reaction_forces(system, u)
@@ -126,9 +126,8 @@ class TestLatticeGenerator:
         model = fp.gen_sphere_lattice(fp.LatticeSpec(nx=2, ny=1, nz=1))
         assert len(model.points) == 2
         assert len(model.cells) == 1
-        a, b = model.cells[0].connectivity
-        by_id = model.point_by_id()
-        length = np.linalg.norm(by_id[a].coords - by_id[b].coords)
+        a, b = model.points.positions(model.cells.ends[0])
+        length = np.linalg.norm(model.points.coords[a] - model.points.coords[b])
         assert length == pytest.approx(47.0)
 
     def test_full_block_counts(self):

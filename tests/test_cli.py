@@ -200,18 +200,34 @@ class TestClean:
         assert err == "error: point 1 is both master and slave\n"
         assert not dst.exists()
 
-    def test_dropped_section_reference_point_refused(self, capsys, tmp_path):
-        # the free point that orients the rectangle floats, so clean removes it
+    def test_free_section_reference_point_kept(self, capsys, tmp_path):
+        # a free point that only aims the rectangle is not structure: check
+        # passes it, clean keeps it, and solve gives the axis-code aim's answer
         model = fp.gen_cantilever()
+        model.cross_sections[2] = fp.CrossSection(id=2, shape=fp.Rectangle(20.0, 30.0, "z", -3))
+        by_axis = tmp_path / "axis.vtp"
+        by_axis.write_text(fp.write_model(model))
         model.points.append(fp.Point(id=2, coords=(0.0, 0.0, 1000.0)))
         model.cross_sections[2] = fp.CrossSection(id=2, shape=fp.Rectangle(20.0, 30.0, "z", 2))
         src, dst = tmp_path / "ref.vtp", tmp_path / "out.vtp"
         src.write_text(fp.write_model(model))
-        code, out, err = run(capsys, "clean", str(src), str(dst))
-        assert code == 2
-        assert out == ""
-        assert err == "error: cross-section 2 references point 2, which is not in the model\n"
-        assert not dst.exists()
+        assert run(capsys, "check", str(src)) == (0, "model is clean\n", "")
+        code, out, err = run(capsys, "clean", str(src), str(dst), "--format", "structured")
+        assert (code, err) == (0, "")
+        records = parse_structured(out)
+        assert records["remove_detached_components.removed_components"] == "0"
+        assert records["prune_dead_arms.pruned_points"] == "0"
+        assert dst.read_text() == src.read_text()
+        solved = []
+        for path in (dst, by_axis):
+            code, out, err = run(capsys, "solve", str(path), str(tmp_path / "r.vtk"),
+                                 "--format", "structured")
+            assert (code, err) == (0, "")
+            solved.append(parse_structured(out))
+        aimed, axis = solved
+        assert float(aimed["max_u_el"]) == pytest.approx(0.4797861, rel=1e-6)
+        for key in ("max_u_el", "max_total_displacement_mm"):
+            assert float(aimed[key]) == pytest.approx(float(axis[key]), rel=1e-12)
 
     def test_report_file_written(self, capsys, tmp_path, cantilever_file):
         dst = tmp_path / "out.vtp"
@@ -399,6 +415,27 @@ class TestBadOptions:
         assert code == 2
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert "PCG tolerance" in err
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("command, options, message", [
+        ("clean", ["--merge-tol", "inf"], "merge tolerance must be finite and non-negative, got inf"),
+        ("clean", ["--merge-tol", "nan"], "merge tolerance must be finite and non-negative, got nan"),
+        ("solve", ["--deform-scale", "inf"],
+         "deformation scale must be finite and non-negative, got inf"),
+        ("solve", ["--deform-scale", "-2"],
+         "deformation scale must be finite and non-negative, got -2"),
+        ("solve", ["--solver", "pcg", "--pcg-max-iter", "-5"],
+         "PCG iteration limit must be at least 1, got -5"),
+        ("solve", ["--solver", "pcg", "--pcg-max-iter", "0"],
+         "PCG iteration limit must be at least 1, got 0"),
+    ], ids=["merge-tol-inf", "merge-tol-nan", "deform-scale-inf", "deform-scale-negative",
+            "pcg-max-iter-negative", "pcg-max-iter-zero"])
+    def test_value_checked_where_used(self, capsys, tmp_path, cantilever_file, command, options,
+                                      message):
+        # the function that uses the value checks it: exit 2, one error line, no file
+        dst = tmp_path / "never"
+        code, out, err = run(capsys, command, str(cantilever_file), str(dst), *options)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not dst.exists()
 
     def test_zero_merge_tol_accepted(self, capsys, tmp_path, cantilever_file):

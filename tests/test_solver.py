@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 import formpipe as fp
 from formpipe.model import (
+    GRAVITY,
     TRUSS_LINE,
     BoundaryConditionEntry,
     Cell,
@@ -29,6 +30,7 @@ from formpipe.solver import (
     _ic0_factor,
     _ichol0,
     _ichol0_with_shifts,
+    _triads,
     assemble,
     build_dof_map,
     element_stiffness,
@@ -188,6 +190,14 @@ class TestAssembly:
         model.self_weight_enabled = False
         _, dm = assemble(model)
         assert dm.n_eq == 6
+
+    def test_orientation_point_gets_no_equations(self):
+        model = fp.gen_cantilever()
+        model.points.append(Point(id=2, coords=(0.0, 0.0, 1000.0)))
+        model.cross_sections[2] = CrossSection(id=2, shape=Rectangle(20.0, 30.0, "z", 2))
+        _, dm = assemble(model)
+        assert dm.n_eq == 6
+        assert dm.transformation[12:].nnz == 0
 
     def test_self_weight_resultant(self):
         model = fp.gen_cantilever()
@@ -537,23 +547,18 @@ class TestForcesAndEquilibrium:
         model = fp.gen_leonardo()
         _, _, _, disp, _ = solve_model(model)
         forces = recover_end_forces(model, disp)
-        by_id = model.point_by_id()
-        w_scale = 0.0
+        coords, ends = model.points.coords, model.points.positions(model.cells.ends)
+        dx = coords[ends[:, 1]] - coords[ends[:, 0]]
+        unpinned = np.zeros(len(dx), dtype=bool)  # the arch's sections follow the axis rule
+        R, L = _triads(dx, np.zeros_like(dx), unpinned, unpinned)
         for idx, cell in enumerate(model.cells):
-            pa, pb = cell.connectivity
-            xa, xb = by_id[pa].coords, by_id[pb].coords
-            L = np.linalg.norm(xb - xa)
             props = model.cross_sections[cell.cs_id].properties
             mat = model.materials[cell.mat_id]
-            q = mat.density * props.A * model.gravity * 1e-3  # N/mm global
-            total = q * L
-            from formpipe.solver import element_triad
-
-            Tl, _ = element_triad(xa, xb)
+            total = mat.density * props.A * GRAVITY * 1e-3 * L[idx]  # N, global
             p = forces[idx]
             force_sum_local = p[0, :3] + p[1, :3]
-            residual = force_sum_local + Tl @ total
-            scale = max(np.abs(p[:, :3]).max(), np.abs(Tl @ total).max())
+            residual = force_sum_local + R[idx] @ total
+            scale = max(np.abs(p[:, :3]).max(), np.abs(R[idx] @ total).max())
             assert np.abs(residual).max() <= 1e-8 * scale
 
     def test_global_equilibrium(self):
@@ -638,8 +643,7 @@ class TestRigidLinks:
             if linked:
                 fp.make_rigid_link(model, master=1, slave=2)
             else:
-                model.points.pop(2)
-                model.points[2].id = 3
+                model.points = model.points.take([0, 1, 3])
             return model
 
         merged = bracket(linked=False)
@@ -736,7 +740,7 @@ def dense_reference(model, dm):
         K6[np.ix_(dofs, dofs)] += k
         # uniform load q: q L / 2 per end, plus fixed-end moments +-L^2/12 ex x q
         props = model.cross_sections[cell.cs_id].properties
-        q = model.materials[cell.mat_id].density * props.A * model.gravity * 1e-3
+        q = model.materials[cell.mat_id].density * props.A * GRAVITY * 1e-3
         dx = coords[b] - coords[a]
         L = np.linalg.norm(dx)
         F6[6 * a:6 * a + 3] += q * L / 2.0

@@ -2,6 +2,8 @@
 oracle: pairwise union-find for merging, BFS labelling for detached
 components, one-at-a-time degree recomputation for arm pruning."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,11 +18,14 @@ from formpipe.model import (
     CrossSection,
     Material,
     Point,
+    Rectangle,
     RigidLink,
     StructuralModel,
+    orientation_points,
     validate,
 )
 from formpipe.topology import (
+    RepairReport,
     TopologyError,
     _component_labels,
     check_support_reachability,
@@ -266,6 +271,14 @@ class TestMergeDuplicateNodes:
 # ------------------------------------------------------- degenerate removal
 
 
+@pytest.mark.parametrize("repair", [merge_duplicate_nodes, remove_degenerate_cells])
+@pytest.mark.parametrize("tol", [-1.0, math.inf, math.nan])
+def test_tolerance_must_be_finite_and_non_negative(repair, tol):
+    model = simple_model([(0, 0, 0), (5, 0, 0)], [(0, 1)])
+    with pytest.raises(ValueError, match="must be finite and non-negative"):
+        repair(model, tol=tol)
+
+
 class TestRemoveDegenerateCells:
     def test_collapsed_cell_removed(self):
         model = simple_model([(0, 0, 0), (5, 0, 0)], [(0, 0), (0, 1)])
@@ -285,11 +298,11 @@ class TestRemoveDegenerateCells:
         tol = 0.4
         model, _ = merge_duplicate_nodes(model, tol=tol)
         model, _ = remove_degenerate_cells(model, tol=tol)
-        by_id = model.point_by_id()
+        index, coords = model.point_index(), model.points.coords
         seen = set()
         for c in model.cells:
             a, b = c.connectivity
-            assert np.linalg.norm(by_id[a].coords - by_id[b].coords) > tol
+            assert np.linalg.norm(coords[index[a]] - coords[index[b]]) > tol
             key = frozenset((a, b))
             assert key not in seen
             seen.add(key)
@@ -452,10 +465,10 @@ class TestComponentsWithRigidLinks:
     @settings(max_examples=30, deadline=None)
     def test_support_reachability_matches_bfs_oracle(self, seed):
         model, linked = linked_random_model(np.random.default_rng(seed))
-        by_id = model.point_by_id()
+        index, masks = model.point_index(), model.points.masks
         expected = []
         for comp in bfs_components_oracle(linked):
-            fixed = sum(int(by_id[pid].constraint_mask.sum()) for pid in comp)
+            fixed = sum(int(masks[index[pid]].sum()) for pid in comp)
             if fixed < 6:
                 expected.append((sorted(comp), fixed))
         expected.sort()
@@ -591,6 +604,35 @@ class TestSupportReachability:
         assert findings[0].fixed_dof_count == 3
 
 
+def aimed_cantilever():
+    """A fixed, tip-loaded cantilever whose rectangle is aimed at the free
+    point 2, plus the isolated point 3 that nothing references."""
+    model = simple_model([(0, 0, 0), (1000, 0, 0), (0, 0, 1000), (0, 500, 0)], [(0, 1)],
+                         masks={0: [True] * 6}, bc_points=(1,))
+    model.cross_sections[1] = CrossSection(id=1, shape=Rectangle(20.0, 30.0, "z", 2))
+    return model
+
+
+class TestOrientationPoints:
+    def test_mask(self):
+        model = aimed_cantilever()
+        assert orientation_points(model).tolist() == [False, False, True, False]
+        model.points[2].bc_id = 1  # a loaded point is structure
+        assert not orientation_points(model).any()
+
+    def test_not_structure(self):
+        model = aimed_cantilever()
+        warnings = [f.message for f in validate(model).warnings]
+        assert warnings == ["point 3 referenced by no cell"]
+        assert [f.point_ids for f in check_support_reachability(model)] == [[3]]
+        model, report = remove_detached_components(model)
+        assert report.removed_components == [(0, 3)]
+        assert model.points.ids.tolist() == [0, 1, 2]
+        model, report = prune_dead_arms(model, max_degree=2)
+        assert model.points.ids.tolist() == [0, 1, 2]
+        assert report.pruned_arm_points == []
+
+
 # -------------------------------------------------------------- rigid links
 
 
@@ -695,7 +737,7 @@ class TestPipelineProperties:
             lambda m: prune_dead_arms(m, max_degree=2),
         ):
             model, report = op(model)
-            assert report.is_empty()
+            assert report == RepairReport()
 
     @given(seed=st.integers(min_value=0, max_value=2000))
     @settings(max_examples=25, deadline=None)
