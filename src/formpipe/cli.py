@@ -234,7 +234,6 @@ def _solve_records(results, stats, config, equilibrium):
         ("solver_backward_error", repr(stats.backward_error)),
         ("solver_equilibrium_residual", repr(equilibrium)),
         ("solver_ordering", stats.ordering),
-        ("solver_ic_shift", repr(stats.ic_shift)),
         ("solver_factor_nnz", stats.factor_nnz),
         ("solver_factor_time_s", repr(stats.factor_time)),
         ("self_weight", int(config.self_weight)),
@@ -270,7 +269,7 @@ def cmd_solve(args) -> int:
             f"backward error |Ku-f|/(|K||u|+|f|) = {stats.backward_error:.3e}",
             f"equilibrium residual (reactions + loads) = {equilibrium:.3e}",
             f"factor: {stats.factor_nnz} entries, {stats.ordering} ordering, "
-            f"IC(0) shift {stats.ic_shift:g}, {stats.factor_time:.3f} s",
+            f"{stats.factor_time:.3f} s",
             f"max resistance ratio u_el = {summary.max_u_el:.6g}",
             f"max total displacement = {summary.max_total_displacement:.6g} mm",
             f"elements above the elastic limit: {summary.exceeded_count} of {summary.cell_count}",

@@ -504,27 +504,43 @@ def link_ends(links) -> np.ndarray:
     return np.array([(l.master, l.slave) for l in links], dtype=np.int64).reshape(-1, 2)
 
 
+def point_aims(model: StructuralModel) -> list:
+    """The cross-sections whose Rectangle ``refNode`` names a point id."""
+    return [cs for cs in model.cross_sections.values()
+            if isinstance(cs.shape, Rectangle) and cs.shape.ref_axis is not None
+            and cs.shape.ref_code >= 0]
+
+
+def aim_points(model: StructuralModel) -> np.ndarray:
+    """Mask of the points that a Rectangle's point-id ``refNode`` names."""
+    return np.isin(model.points.ids, [cs.shape.ref_code for cs in point_aims(model)])
+
+
+def used_points(model: StructuralModel) -> np.ndarray:
+    """Mask of the points that are the end of a cell or a rigid link."""
+    ends = np.concatenate([model.cells.ends.ravel(), link_ends(model.rigid_links).ravel()])
+    return np.isin(model.points.ids, ends)
+
+
 def orientation_points(model: StructuralModel) -> np.ndarray:
-    """Mask of the points that only aim sections: named by a Rectangle's
-    point-id ``refNode``, unloaded, and the end of no cell or rigid link.
-    They are not structure: they get no equations and need no support."""
-    shapes = [cs.shape for cs in model.cross_sections.values()]
-    codes = [s.ref_code for s in shapes
-             if isinstance(s, Rectangle) and s.ref_axis is not None and s.ref_code >= 0]
-    ids = model.points.ids
-    if not codes:
-        return np.zeros(len(ids), dtype=bool)
-    used = np.concatenate([model.cells.ends.ravel(), link_ends(model.rigid_links).ravel()])
-    return np.isin(ids, codes) & ~np.isin(ids, used) & (model.points.bc_ids == 0)
+    """Mask of the points that only aim sections: the ``aim_points`` that
+    are unloaded and the end of no cell or rigid link.  They are not
+    structure: they get no equations and need no support."""
+    aims = aim_points(model)
+    if not aims.any():
+        return aims
+    return aims & ~used_points(model) & (model.points.bc_ids == 0)
 
 
-def rigid_link_findings(links, point_ids) -> list:
+def rigid_link_findings(links, points: PointTable) -> list:
     """The rigid-link rule, the one place it is written: each link joins two
-    distinct points among ``point_ids``, an offset it carries is finite, no
-    point is slave of two links and none is both master and slave, so links
-    never chain.  Returns the findings in link order, then the points that
-    are both master and slave by id."""
+    distinct points of ``points``, an offset it carries is finite, no point
+    is slave of two links, a slave carries no support and no point is both
+    master and slave, so links never chain.  Returns the findings in link
+    order, then the points that are both master and slave by id."""
     masters, slaves = link_ends(links).T
+    point_ids = points.ids
+    supported = point_ids[points.masks.any(axis=1)]
     bad_offset = [l.offset is not None and not np.all(np.isfinite(l.offset)) for l in links]
     findings = _row_findings([
         (~np.isin(masters, point_ids), "dangling-reference",
@@ -533,6 +549,8 @@ def rigid_link_findings(links, point_ids) -> list:
          "rigid link slave references missing point {1}"),
         (masters == slaves, "rigid-link-conflict", "rigid link with master == slave {0}"),
         (_repeats(slaves), "rigid-link-conflict", "point {1} is slave of two links"),
+        (np.isin(slaves, supported), "rigid-link-conflict",
+         "rigid link slave {1} may not carry support constraints"),
         (bad_offset, "non-finite", "rigid link offset for slave {1} not finite"),
     ], masters, slaves)
     return findings + [Finding("rigid-link-conflict", f"point {pid} is both master and slave")
@@ -548,8 +566,8 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     axis code outside -1..-3, E or Ry not positive and finite, nu or
     density not finite), duplicate ids and rigid links that
     break the rule of ``rigid_link_findings``.  Degenerate cells,
-    never-referenced catalog entries and points referenced by no cell,
-    ``orientation_points`` aside, are warnings only.
+    never-referenced catalog entries and points that no cell or rigid link
+    uses, ``orientation_points`` aside, are warnings only.
     """
     points, cells = model.points, model.cells
     pids, ends, bc_ids = points.ids, cells.ends, points.bc_ids
@@ -605,13 +623,13 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
         if not np.all(np.isfinite(bc.components)):
             defects.append(Finding("non-finite", f"load {bc.id} has non-finite components"))
 
-    defects += rigid_link_findings(model.rigid_links, pids)
+    defects += rigid_link_findings(model.rigid_links, points)
 
     for what, catalog, used in (("cross-section", model.cross_sections, used_cs),
                                 ("material", model.materials, used_mat),
                                 ("load", model.bcs, used_bc)):
         warnings += [Finding("unreferenced-catalog", f"{what} {key} never referenced")
                      for key in sorted(catalog) if key not in used]
-    unused = ~np.isin(pids, ends) & ~orientation_points(model)
+    unused = ~used_points(model) & ~orientation_points(model)
     warnings += _row_findings([(unused, "unused-point", "point {0} referenced by no cell")], pids)
     return ValidationReport(ok=not defects, defects=defects, warnings=warnings)

@@ -9,12 +9,13 @@ they keep original entity ids so the reports stay traceable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import (DEFAULT_MERGE_TOL, PointTable, RigidLink, StructuralModel, cell_lengths,
-                    link_ends, orientation_points, rigid_link_findings)
+from .model import (DEFAULT_MERGE_TOL, PointTable, RigidLink, StructuralModel, aim_points,
+                    cell_lengths, link_ends, orientation_points, point_aims,
+                    rigid_link_findings)
 
 
 class TopologyError(ValueError):
@@ -125,9 +126,9 @@ def _lowest(labels: np.ndarray, count: int, values: np.ndarray) -> np.ndarray:
     return low
 
 
-def _raise_broken_links(links, point_ids):
+def _raise_broken_links(links, points: PointTable):
     """Raise TopologyError with the first break of the rigid-link rule."""
-    findings = rigid_link_findings(links, point_ids)
+    findings = rigid_link_findings(links, points)
     if findings:
         raise TopologyError(findings[0].message)
 
@@ -145,9 +146,10 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
     """Merge points lying within ``tol`` of each other (transitive closure).
 
     The lowest id in each cluster survives and keeps its coordinates; cell
-    connectivity and rigid links are rewired, constraint masks OR-combine.
-    Raises TopologyError when merged points carry distinct nonzero load ids,
-    or when the rewired links break the rigid-link rule.
+    connectivity, rigid links and a Rectangle's point-id ``refNode`` are
+    rewired, constraint masks OR-combine.  Raises TopologyError when merged
+    points carry distinct nonzero load ids, or when the rewired links and
+    masks break the rigid-link rule.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"merge tolerance must be finite and non-negative, got {tol:g}")
@@ -179,13 +181,18 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
     # a link whose ends merged into one point constrains nothing
     links = [RigidLink(master=m, slave=s, offset=l.offset)
              for l, (m, s) in zip(model.rigid_links, ends) if m != s]
-    _raise_broken_links(links, ids[~moved])
-
     masks = np.zeros((count, 6), dtype=bool)
     np.logical_or.at(masks, labels, points.masks)
-    model.cells.ends[:] = survivor[_end_rows(model)]
     kept = labels[~moved]
-    model.points = PointTable(ids[~moved], points.coords[~moved], masks[kept], cluster_load[kept])
+    merged = PointTable(ids[~moved], points.coords[~moved], masks[kept], cluster_load[kept])
+    _raise_broken_links(links, merged)
+
+    model.cells.ends[:] = survivor[_end_rows(model)]
+    for cs in point_aims(model):
+        row = points.positions([cs.shape.ref_code])[0]
+        if row >= 0:
+            cs.shape = replace(cs.shape, ref_code=int(survivor[row]))
+    model.points = merged
     model.rigid_links = links
     return model, report
 
@@ -248,7 +255,9 @@ def _components(model: StructuralModel):
 
 def remove_detached_components(model: StructuralModel):
     """Keep only the connected component with the most cells, and the
-    ``orientation_points``, which are neither removed nor reported.
+    ``orientation_points``, which are neither removed nor reported.  A
+    point of a removed component that a Rectangle's ``refNode`` names stays
+    as a bare orientation point: without its cells, links and load.
 
     Ties break towards the component containing the lowest point id.  The
     report lists removed components as (cell count, representative point).
@@ -267,14 +276,20 @@ def remove_detached_components(model: StructuralModel):
     report.removed_components = [(int(cells_in[k]), int(lowest_id[k]))
                                  for k in np.argsort(lowest_id) if k != main and structure[k]]
     keep = (labels == main) | ~structure[labels]
-    return _keep(model, report, keep, keep[first_ends])
+    aims = aim_points(model) & ~keep
+    model.points.bc_ids[aims] = 0
+    # links leave with their component, even where both ends are kept aims
+    gone = np.isin(link_ends(model.rigid_links), ids[~keep]).any(axis=1)
+    model.rigid_links = [l for l, g in zip(model.rigid_links, gone) if not g]
+    return _keep(model, report, keep | aims, keep[first_ends])
 
 
 def protected_points(model: StructuralModel) -> np.ndarray:
     """Mask of the points that pruning must never remove: supported or
-    loaded ones, and the ``orientation_points``."""
+    loaded ones, rigid-link ends and the ``aim_points``."""
     points = model.points
-    return (points.bc_ids != 0) | points.masks.any(axis=1) | orientation_points(model)
+    return ((points.bc_ids != 0) | points.masks.any(axis=1)
+            | np.isin(points.ids, link_ends(model.rigid_links)) | aim_points(model))
 
 
 def _peel(n: int, ends: np.ndarray, protected: np.ndarray, max_degree: int):
@@ -314,7 +329,7 @@ def _peel(n: int, ends: np.ndarray, protected: np.ndarray, max_degree: int):
 def prune_dead_arms(model: StructuralModel, max_degree: int = 2):
     """Peel away thin arms: repeatedly delete points with at most
     ``max_degree`` incident cells, together with those cells, to a fixpoint.
-    Supported and loaded points (``protected_points``) stay.
+    The ``protected_points`` stay; one whose cells all go stays on its own.
 
     The fixpoint is order-independent (degrees only drop as points go), so
     peeling in rounds gives the same survivors as one point at a time.
@@ -369,6 +384,6 @@ def make_rigid_link(model: StructuralModel, master: int, slave: int, offset=None
     rigid-link rule (``rigid_link_findings``).
     """
     link = RigidLink(master=master, slave=slave, offset=offset)
-    _raise_broken_links(model.rigid_links + [link], model.points.ids)
+    _raise_broken_links(model.rigid_links + [link], model.points)
     model.rigid_links.append(link)
     return model

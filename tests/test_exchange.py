@@ -377,9 +377,9 @@ def golden_model():
     needs whitespace folding and escapes."""
     model = StructuralModel(comment="golden  mixed\nmodel <a&b>")
     points = [
-        (14, (1000.0, 0.0, 250.0), [0, 0, 0, 0, 0, 0], 7),
+        (14, (1000.0, 0.0, 250.0), [0, 1, 0, 0, 0, 0], 7),
         (3, (0.0, 0.0, 0.0), [1, 1, 1, 1, 1, 1], 0),
-        (9, (500.0, 1 / 3, -2.5e-7), [0, 1, 0, 0, 0, 0], 0),
+        (9, (500.0, 1 / 3, -2.5e-7), [0, 0, 0, 0, 0, 0], 0),
         (22, (1000.0, 120.0, 250.0), [0, 0, 0, 0, 0, 0], 2),
         (5, (0.0, 1200.0, 1e6 / 7), [1, 1, 1, 0, 0, 0], 0),
     ]
@@ -409,7 +409,7 @@ def golden_model():
     }
     model.rigid_links = [
         RigidLink(master=14, slave=22, offset=(0.0, 120.0, 0.0)),
-        RigidLink(master=9, slave=3),
+        RigidLink(master=3, slave=9),
     ]
     return model
 

@@ -20,6 +20,7 @@ from formpipe.model import (
     PointTable,
     Rectangle,
     StructuralModel,
+    ValidationReport,
     section_properties,
     validate,
 )
@@ -176,6 +177,15 @@ class TestValidate:
             ("rigid-link-conflict", "point 1 is both master and slave"),
             ("rigid-link-conflict", "point 2 is both master and slave"),
         ]
+
+    def test_link_end_is_used_and_slave_carries_no_support(self):
+        model = _two_point_model()
+        model.points.append(Point(id=2, coords=(1000, 50, 0)))
+        model.rigid_links = [fp.RigidLink(1, 2)]
+        assert validate(model) == ValidationReport(ok=True, defects=[], warnings=[])
+        model.points[2].constraint_mask[0] = True
+        assert [(f.kind, f.message) for f in validate(model).defects] == [
+            ("rigid-link-conflict", "rigid link slave 2 may not carry support constraints")]
 
     @pytest.mark.parametrize(
         "shape, message",

@@ -25,11 +25,9 @@ from formpipe.solver import (
     DofMap,
     MechanismError,
     SolverError,
-    _IC0Breakdown,
+    LinearSystem,
     _fail,
-    _ic0_factor,
-    _ichol0,
-    _ichol0_with_shifts,
+    _sgs_preconditioner,
     _triads,
     assemble,
     build_dof_map,
@@ -388,26 +386,38 @@ class TestGlobalMechanism:
         assert type(err.value) is SolverError
 
 
+def bare_system(K, f):
+    """A LinearSystem of the SPD matrix K and load f with no model behind it;
+    its DOF map numbers the equations over the slots of the first points."""
+    n = K.shape[0]
+    points = -(-n // 6)
+    state = np.full(6 * points, -3)
+    state[:n] = np.arange(n)
+    dm = DofMap(
+        point_ids=np.arange(points),
+        state=state.reshape(points, 6),
+        fixed_slot=np.full((points, 6), -1),
+        n_eq=n,
+        n_fixed=0,
+        transformation=sp.eye(6 * points, n, format="csr"),
+    )
+    return LinearSystem(
+        K=sp.csr_matrix(K),
+        f=np.asarray(f, dtype=float),
+        reaction_matrix=sp.csr_matrix((0, n)),
+        reaction_rhs=np.zeros(0),
+        dofmap=dm,
+        applied_loads=np.zeros((points, 6)),
+    )
+
+
+# SPD matrix famous for breaking down incomplete Cholesky
+KERSHAW = np.array([[3.0, -2, 0, 2], [-2, 3, -2, 0], [0, -2, 3, -2], [2, 0, -2, 3]])
+
+
 class TestPcgSolver:
     def test_small_system_converges_fast(self):
-        from formpipe.solver import DofMap, LinearSystem
-
-        dm = DofMap(
-            point_ids=np.array([0]),
-            state=np.array([[0, 1, -1, -1, -1, -1]]),
-            fixed_slot=np.full((1, 6), -1),
-            n_eq=2,
-            n_fixed=0,
-            transformation=sp.eye(6, 2, format="csr"),
-        )
-        system = LinearSystem(
-            K=sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]])),
-            f=np.array([1.0, 2.0]),
-            reaction_matrix=sp.csr_matrix((0, 2)),
-            reaction_rhs=np.zeros(0),
-            dofmap=dm,
-            applied_loads=np.zeros((1, 6)),
-        )
+        system = bare_system(np.array([[4.0, 1.0], [1.0, 3.0]]), [1.0, 2.0])
         u, stats = solve_pcg_ichol(system, tol=1e-12)
         assert stats.iterations <= 2
         assert np.allclose(system.K.toarray() @ u, system.f, rtol=1e-10)
@@ -419,7 +429,7 @@ class TestPcgSolver:
         up, stats = solve_pcg_ichol(system, tol=1e-10)
         assert np.linalg.norm(up - ud) / np.linalg.norm(ud) <= 1e-8
         assert stats.relative_residual <= 1e-10
-        assert stats.method == "pcg-ichol"
+        assert stats.method == "pcg-sgs"
 
     def test_matches_direct_on_frame_and_lattice(self):
         for model in (fp.gen_leonardo(),
@@ -449,69 +459,37 @@ class TestPcgSolver:
         assert stats.ordering == "NATURAL"
         assert stats.factor_nnz >= system.K.shape[0]
         assert 0.0 < stats.factor_time <= stats.wall_time
-        _, shift = _ichol0_with_shifts(system.K.tocsc())
-        assert stats.ic_shift == shift
 
     @pytest.mark.parametrize("case", ["lattice", "shifted-kershaw"])
     def test_superlu_apply_equals_dense_solve(self, case):
         if case == "lattice":
             K = assemble(fp.gen_sphere_lattice(fp.LatticeSpec(nx=4, ny=3, nz=3)))[0].K
         else:
-            kershaw = np.array(
-                [[3.0, -2, 0, 2], [-2, 3, -2, 0], [0, -2, 3, -2], [2, 0, -2, 3]]
-            )
-            K = sp.csc_matrix(kershaw + 0.45 * np.eye(4))
-        K = K.tocsc()
-        lu, shift = _ic0_factor(K)
-        L, expected_shift = _ichol0_with_shifts(K)
-        assert shift == expected_shift
-        assert (shift > 0) == (case == "shifted-kershaw")
+            K = sp.csr_matrix(KERSHAW + 0.45 * np.eye(4))
+        apply, _ = _sgs_preconditioner(K)
+        DL = np.tril(K.toarray())
+        M = DL @ np.diag(1.0 / K.diagonal()) @ DL.T
         r = np.random.default_rng(1).standard_normal(K.shape[0])
-        z = lu.solve(lu.solve(r), trans="T")
-        L = L.toarray()
-        dense = np.linalg.solve(L @ L.T, r)
-        assert np.linalg.norm(z - dense) <= 1e-12 * np.linalg.norm(dense)
+        dense = np.linalg.solve(M, r)
+        assert np.linalg.norm(apply(r) - dense) <= 1e-12 * np.linalg.norm(dense)
 
-    def test_ic0_equals_cholesky_on_full_pattern(self):
-        rng = np.random.default_rng(0)
-        B = rng.standard_normal((6, 6))
-        A = B @ B.T + 6.0 * np.eye(6)
-        L = _ichol0(sp.csc_matrix(A)).toarray()
-        assert np.allclose(L, np.linalg.cholesky(A), atol=1e-10)
+    def test_kershaw_solves_without_shift(self):
+        assert np.linalg.eigvalsh(KERSHAW).min() > 0
+        f = np.array([1.0, -2.0, 3.0, 0.5])
+        u, stats = solve_pcg_ichol(bare_system(KERSHAW, f), tol=1e-12)
+        dense = np.linalg.solve(KERSHAW, f)
+        assert np.linalg.norm(u - dense) <= 1e-10 * np.linalg.norm(dense)
+        assert stats.iterations <= 4
 
-    def test_ic0_breakdown_and_shift_policy(self):
-        # SPD matrix famous for IC(0) breakdown
-        kershaw = np.array(
-            [[3.0, -2, 0, 2], [-2, 3, -2, 0], [0, -2, 3, -2], [2, 0, -2, 3]]
-        )
-        assert np.linalg.eigvalsh(kershaw).min() > 0
-        with pytest.raises(_IC0Breakdown):
-            _ichol0(sp.csc_matrix(kershaw))
-        with pytest.raises(SolverError, match="shifts"):
-            _ichol0_with_shifts(sp.csc_matrix(kershaw))
-        # a marginal breakdown is rescued by the doubling shift ladder
-        rescued = kershaw + 0.45 * np.eye(4)
-        with pytest.raises(_IC0Breakdown):
-            _ichol0(sp.csc_matrix(rescued))
-        L, shift = _ichol0_with_shifts(sp.csc_matrix(rescued))
-        assert shift > 0
-
-    def test_missing_diagonal_gives_up_at_once(self, monkeypatch):
-        # no shift reaches a diagonal entry that K does not store
-        from formpipe import solver
-
-        calls = []
-
-        def counted(K, shift=0.0):
-            calls.append(shift)
-            return _ichol0(K, shift)
-
-        monkeypatch.setattr(solver, "_ichol0", counted)
+    def test_missing_diagonal_gives_up_at_once(self):
+        # K stores no zeros, so the collinear trusses' free uy and uz have
+        # no diagonal entry, and SuperLU refuses tril(K)
         system, _ = assemble(collinear_trusses())
         assert np.any(system.K.diagonal() == 0.0)
+        with pytest.raises(RuntimeError):
+            _sgs_preconditioner(system.K)
         with pytest.raises(MechanismError):
             solve_pcg_ichol(system)
-        assert calls == [0.0]
 
 
 class TestForcesAndEquilibrium:
@@ -684,9 +662,13 @@ class TestRigidLinks:
         model = fp.gen_cantilever()
         model.points.append(Point(id=2, coords=(500.0, 50.0, 0.0)))
         model.points[2].constraint_mask[0] = True
-        fp.make_rigid_link(model, master=1, slave=2)
-        with pytest.raises(SolverError, match="slave"):
-            assemble(model)
+        message = "rigid link slave 2 may not carry support constraints"
+        with pytest.raises(fp.TopologyError, match=f"^{message}$"):
+            fp.make_rigid_link(model, master=1, slave=2)
+        model.rigid_links.append(RigidLink(master=1, slave=2))
+        assert [f.message for f in fp.validate(model).defects] == [message]
+        with pytest.raises(SolverError, match=f"^{message}$"):
+            build_dof_map(model)
 
 
 def mixed_model():

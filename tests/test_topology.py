@@ -91,6 +91,23 @@ def merge_oracle(coords, tol):
 
 
 class TestMergeDuplicateNodes:
+    def test_merge_that_supports_a_slave_refused(self):
+        # the supported point 3 lies on the slave 2, and masks OR-combine
+        model = simple_model([(0, 0, 0), (1000, 0, 0), (1000, 50, 0), (1000, 50, 1e-9)],
+                             [(0, 1)], masks={0: [True] * 6, 3: [True] + [False] * 5})
+        make_rigid_link(model, master=1, slave=2)
+        with pytest.raises(TopologyError,
+                           match="^rigid link slave 2 may not carry support constraints$"):
+            merge_duplicate_nodes(model)
+
+    def test_section_aim_follows_its_survivor(self):
+        model = simple_model([(0, 0, 0), (1000, 0, 0), (0, 0, 500), (0, 0, 500)], [(0, 1)],
+                             masks={0: [True] * 6})
+        model.cross_sections[1] = CrossSection(id=1, shape=Rectangle(20.0, 30.0, "z", 3))
+        model, report = merge_duplicate_nodes(model)
+        assert report.merged_point_pairs == [(2, 3)]
+        assert model.cross_sections[1].shape == Rectangle(20.0, 30.0, "z", 2)
+
     def test_basic_merge(self):
         model = simple_model(
             [(0, 0, 0), (0, 0, 1e-9), (1000, 0, 0)], [(1, 2)], masks={0: [True] * 6}
@@ -620,6 +637,26 @@ class TestOrientationPoints:
         model.points[2].bc_id = 1  # a loaded point is structure
         assert not orientation_points(model).any()
 
+    def test_aims_survive_prune_and_detached_removal(self):
+        # point 2 aims the rectangle from the tip of the arm 1-4-2, point 6
+        # from the detached, loaded piece 5-6
+        model = simple_model([(0, 0, 0), (1000, 0, 0), (1000, 0, 500), (0, 500, 0),
+                              (1000, 0, 250), (0, 0, 800), (0, 0, 1000)],
+                             [(0, 1), (3, 1), (1, 4), (4, 2), (5, 6)],
+                             masks={0: [True] * 6, 3: [True] * 6}, bc_points=(1, 6))
+        model.cross_sections[1] = CrossSection(id=1, shape=Rectangle(20.0, 30.0, "z", 2))
+        model.cross_sections[2] = CrossSection(id=2, shape=Rectangle(20.0, 30.0, "z", 6))
+        model.cells[1].cs_id = 2  # the strut 3-1
+        model, report = remove_detached_components(model)
+        assert report.removed_components == [(1, 5)]
+        assert model.points.ids.tolist() == [0, 1, 2, 3, 4, 6]
+        assert model.points.bc_ids.tolist() == [0, 1, 0, 0, 0, 0]
+        model, report = prune_dead_arms(model, max_degree=2)
+        assert report.pruned_arm_points == [4]
+        assert model.points.ids.tolist() == [0, 1, 2, 3, 6]
+        assert orientation_points(model).tolist() == [False, False, True, False, True]
+        assert validate(model).defects == validate(model).warnings == []
+
     def test_not_structure(self):
         model = aimed_cantilever()
         warnings = [f.message for f in validate(model).warnings]
@@ -670,6 +707,16 @@ class TestMakeRigidLink:
         with pytest.raises(TopologyError, match="offset for slave 0 not finite"):
             make_rigid_link(model, master=1, slave=0, offset=(0.0, np.inf, 0.0))
         assert model.rigid_links == []
+
+
+    def test_supported_slave_rejected(self):
+        model = simple_model([(0, 0, 0), (10, 0, 0), (10, 100, 0)], [(0, 1)],
+                             masks={2: [True] + [False] * 5})
+        with pytest.raises(TopologyError,
+                           match="^rigid link slave 2 may not carry support constraints$"):
+            make_rigid_link(model, master=1, slave=2)
+        make_rigid_link(model, master=2, slave=1)  # a master may carry supports
+        assert [(l.master, l.slave) for l in model.rigid_links] == [(2, 1)]
 
 
 # ---------------------------------------------------------------- pipeline
