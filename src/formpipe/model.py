@@ -563,8 +563,8 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     Blocking defects (``ok=False``): dangling id references, non-finite
     values, catalog values a solve cannot use (section dimensions or
     properties that are not positive and finite, a Rectangle's negative
-    axis code outside -1..-3, E or Ry not positive and finite, nu or
-    density not finite), duplicate ids and rigid links that
+    axis code outside -1..-3, E or Ry not positive and finite, nu outside
+    -1 < nu <= 0.5, density not finite), duplicate ids and rigid links that
     break the rule of ``rigid_link_findings``.  Degenerate cells,
     never-referenced catalog entries and points that no cell or rigid link
     uses, ``orientation_points`` aside, are warnings only.
@@ -618,6 +618,8 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
             defects.append(Finding("invalid-catalog", f"material {mat_id} has non-finite values"))
         elif not (mat.E > 0 and mat.Ry > 0):
             defects.append(Finding("invalid-catalog", f"material {mat_id} needs positive E and Ry"))
+        elif not -1.0 < mat.nu <= 0.5:  # else G = E / (2 (1 + nu)) is not positive
+            defects.append(Finding("invalid-catalog", f"material {mat_id} needs -1 < nu <= 0.5"))
 
     for bc in model.bcs.values():
         if not np.all(np.isfinite(bc.components)):

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .model import (
     DOF_NAMES,
@@ -59,7 +58,7 @@ _VERTICAL_TOL = 1e-6
 _REFINE_RESIDUAL = 1e-10
 _DIRECT_BACKWARD_TOL = 1e-13
 _MAX_REFINEMENTS = 5
-_DIRECT_ORDERING = "MMD_AT_PLUS_A"
+_DIRECT_ORDERING = "BFS_LEVELS"
 _SGS_ORDERING = "NATURAL"  # tril(K) is already triangular
 
 _FIXED = -1
@@ -90,7 +89,9 @@ class SolveStats:
     measure (the true residual for direct, the preconditioned one for PCG);
     ``true_residual`` is ||K u - f|| / ||f|| for both, ``backward_error``
     the normwise ||K u - f||_inf / (||K||_inf ||u||_inf + ||f||_inf).  The factor entries
-    describe the SuperLU factor: of K for direct, of tril(K) for PCG."""
+    describe the factor a solve runs on: for direct, the level-set block
+    Cholesky factor of K (``_LevelCholesky``); for PCG, the SuperLU factor
+    of tril(K)."""
 
     method: str
     iterations: int
@@ -98,9 +99,10 @@ class SolveStats:
     wall_time: float
     true_residual: float = 0.0
     backward_error: float = 0.0
-    ordering: str = "none"  # SuperLU column ordering token
-    # entries SuperLU stores for L and U, the zeros inside its supernodes
-    # included; lu.L.nnz + lu.U.nnz would copy the factor out to count them
+    ordering: str = "none"  # BFS_LEVELS for direct, SuperLU's NATURAL for PCG
+    # stored entries: for direct, the dense blocks L_i^-1 and C_i of every
+    # level; for PCG, what SuperLU stores for L and U, the zeros inside its
+    # supernodes included (lu.L.nnz + lu.U.nnz would copy the factor out)
     factor_nnz: int = 0
     factor_time: float = 0.0
 
@@ -351,12 +353,14 @@ def build_dof_map(model: StructuralModel) -> DofMap:
     return DofMap(points.ids.copy(), state, fixed_slot, n_eq, n_fixed, T)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, by name
 def assemble(model: StructuralModel, *, check_supports: bool = True):
     """Assemble the reduced stiffness and load vector.
 
     Requires a model that validates cleanly; with ``check_supports`` every
-    connected component must also carry at least six fixed DOFs.  Returns
-    ``(LinearSystem, DofMap)``.
+    connected component must also carry at least six fixed DOFs.  Finite
+    inputs can still overflow: a stiffness or load vector whose norm is not
+    finite raises SolverError.  Returns ``(LinearSystem, DofMap)``.
     """
     report = validate(model)
     if not report.ok:
@@ -398,27 +402,165 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     # prescribed values are zero, so only the free columns of T enter
     reduced = (T.T @ (K_slots @ T[:, : dm.n_eq])).tocsr()
     rhs = T.T @ applied.ravel()
+    if not np.isfinite(_inf_norm(reduced)):
+        raise SolverError("stiffness matrix overflows double precision")
+    if not np.isfinite(np.linalg.norm(rhs)):
+        raise SolverError("load vector overflows double precision")
     n_eq = dm.n_eq
     return LinearSystem(reduced[:n_eq], rhs[:n_eq], reduced[n_eq:], rhs[n_eq:], dm, applied), dm
 
 
+def _bfs_levels(indptr, indices, start, seen, stamp):
+    """Breadth-first level sets of the graph (indptr, indices) from
+    ``start``, each an ascending index array.  ``seen`` marks the visited
+    vertices with ``stamp``, so each search needs no fresh array."""
+    seen[start] = stamp
+    front = np.array([start])
+    levels = []
+    while front.size:
+        levels.append(front)
+        begin = indptr[front]
+        count = indptr[front + 1] - begin
+        ends = np.cumsum(count)
+        nbrs = indices[np.arange(ends[-1]) + np.repeat(begin - ends + count, count)]
+        front = np.unique(nbrs[seen[nbrs] != stamp])
+        seen[front] = stamp
+    return levels
+
+
+def _level_sets(K: sp.csr_matrix):
+    """Breadth-first level sets of K's graph, one component after another.
+
+    Each component is searched from a pseudo-peripheral vertex (Gibbs,
+    Poole & Stockmeyer 1976): from its lowest vertex, restart at a vertex of
+    least degree in the last level while that adds levels.  Every level then
+    couples only to its neighbours, so K is block tridiagonal in the
+    returned order.  Returns the list of levels in elimination order.
+    """
+    n = K.shape[0]
+    indptr, indices = K.indptr, K.indices
+    degree = np.diff(indptr)
+    seen = np.full(n, -1)
+    unplaced = np.ones(n, dtype=bool)
+    order = []
+    stamp = start = 0
+    while unplaced[start]:
+        levels = _bfs_levels(indptr, indices, start, seen, stamp)
+        while True:
+            stamp += 1
+            last = levels[-1]
+            trial = _bfs_levels(indptr, indices, int(last[np.argmin(degree[last])]), seen, stamp)
+            if len(trial) <= len(levels):
+                break
+            levels = trial
+        order += levels
+        unplaced[np.concatenate(levels)] = False
+        stamp += 1
+        start += int(np.argmax(unplaced[start:]))
+    return order
+
+
+def _tril_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of the lower triangular L by halves, inv([[A, 0], [B, C]]) =
+    [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: its flops run in matrix products,
+    a third of what np.linalg.inv's general LU spends."""
+    n = len(L)
+    if n <= 32:
+        return np.linalg.inv(L)
+    h = n // 2
+    out = np.zeros_like(L)
+    out[:h, :h] = _tril_inverse(L[:h, :h])
+    out[h:, h:] = _tril_inverse(L[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (L[h:, :h] @ out[:h, :h]))
+    return out
+
+
+class _LevelCholesky:
+    """Block Cholesky factor K = L L^T over breadth-first level sets.
+
+    In level order K is block tridiagonal with diagonal blocks A_i and
+    coupling blocks B_i (level i+1 against level i); L is block lower
+    bidiagonal (George & Liu, Computer Solution of Large Sparse Positive
+    Definite Systems, ch. 4 and 6).  Level by level, L_i is the Cholesky
+    factor of A_i - C_{i-1} C_{i-1}^T and C_i = B_i L_i^-T.  Each level
+    keeps L_i^-1, so both triangular solves are dense matrix-vector
+    products; every flop runs in numpy's LAPACK and BLAS.  Levels of
+    separate components meet in a zero coupling block.  Raises
+    np.linalg.LinAlgError unless K is positive definite to working
+    precision.  ``nnz`` counts the stored entries: the dense square
+    L_i^-1 and C_i of every level.
+    """
+
+    def __init__(self, K: sp.csr_matrix):
+        levels = _level_sets(K)
+        self.perm = np.concatenate(levels)
+        width = np.array([len(lv) for lv in levels])
+        n, count = len(self.perm), len(levels)
+        level = np.empty(n, dtype=np.int64)
+        level[self.perm] = np.repeat(np.arange(count), width)
+        local = np.empty(n, dtype=np.int64)
+        local[self.perm] = np.arange(n) - np.repeat(np.cumsum(width) - width, width)
+        # one flat buffer each for the diagonal and the coupling blocks,
+        # scattered by bincount, which also sums any duplicate entries
+        diag_at = np.concatenate([[0], np.cumsum(width**2)])
+        coupling_at = np.concatenate([[0], np.cumsum(width[1:] * width[:-1])])
+        rows = np.repeat(np.arange(n), np.diff(K.indptr))
+        lr, lc = level[rows], level[K.indices]
+        at = lr == lc
+        diag = np.bincount(diag_at[lr[at]] + local[rows[at]] * width[lr[at]]
+                           + local[K.indices[at]], K.data[at], diag_at[-1])
+        at = lr == lc + 1
+        coupling = np.bincount(coupling_at[lc[at]] + local[rows[at]] * width[lc[at]]
+                               + local[K.indices[at]], K.data[at], coupling_at[-1])
+        self.inv = [diag[diag_at[i] : diag_at[i + 1]].reshape(w, w) for i, w in enumerate(width)]
+        self.coupling = [coupling[coupling_at[i] : coupling_at[i + 1]].reshape(width[i + 1], w)
+                         for i, w in enumerate(width[:-1])]
+        self.nnz = len(diag) + len(coupling)
+        for i, A in enumerate(self.inv):
+            if i:
+                C = self.coupling[i - 1]
+                A -= C @ C.T
+            A[...] = _tril_inverse(np.linalg.cholesky(A))
+            if i < count - 1:
+                self.coupling[i][...] = self.coupling[i] @ A.T
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """K^-1 b: forward through the levels, then back."""
+        y = np.split(b[self.perm], np.cumsum([len(A) for A in self.inv])[:-1])
+        for i, Linv in enumerate(self.inv):
+            if i:
+                y[i] = y[i] - self.coupling[i - 1] @ y[i - 1]
+            y[i] = Linv @ y[i]
+        for i in range(len(y) - 1, -1, -1):
+            if i < len(y) - 1:
+                y[i] = y[i] - self.coupling[i].T @ y[i + 1]
+            y[i] = self.inv[i].T @ y[i]
+        u = np.empty_like(b)
+        u[self.perm] = np.concatenate(y)
+        return u
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _fail(system: LinearSystem, message: str):
     """The one exit of a failed solve.  Raises MechanismError naming the
     point and DOF of a mechanism, whatever the model size, else
     SolverError(message).  Four steps of inverse iteration run from a vector
-    of ones on one SuperLU factor of K + sigma I, sigma = 1e-10 max diag K;
-    a Rayleigh quotient x'Kx of at most 1e-12 max diag K shows a null
-    vector, and the DOF that moves most in it is named."""
-    K = system.K.tocsc()
+    of ones on the level-set block Cholesky factor of K + sigma I,
+    sigma = 1e-10 max diag K; a Rayleigh quotient x'Kx of at most
+    1e-12 max diag K shows a null vector, and the DOF that moves most in it
+    is named.  A K with non-finite entries, or one whose shifted factor
+    fails, has no such diagnosis and ends in SolverError(message)."""
+    K = system.K
+    if not np.isfinite(K.data).all():
+        raise SolverError(message)
     scale = float(np.max(np.abs(K.diagonal()))) or 1.0
     try:
-        lu = _splu_symmetric(K + 1e-10 * scale * sp.identity(K.shape[0], format="csc"),
-                             _DIRECT_ORDERING)
-    except RuntimeError:
+        factor = _LevelCholesky(K + 1e-10 * scale * sp.identity(K.shape[0], format="csr"))
+    except np.linalg.LinAlgError:
         raise SolverError(message)
     x = np.ones(K.shape[0])
     for _ in range(4):
-        x = lu.solve(x)
+        x = factor.solve(x)
         x /= np.linalg.norm(x)
     if not float(x @ (K @ x)) <= 1e-12 * scale:
         raise SolverError(message)
@@ -428,12 +570,6 @@ def _fail(system: LinearSystem, message: str):
     pid, dof = int(dm.point_ids[point[eq]]), DOF_NAMES[comp[eq]]
     raise MechanismError(f"singular stiffness matrix, null vector largest at point {pid} dof "
                          f"{dof}: kinematic mechanism", point_id=pid, dof=dof)
-
-
-def _splu_symmetric(A: sp.csc_matrix, ordering: str):
-    """SuperLU in symmetric mode: diagonal pivots, the column ordering
-    ``ordering`` applied to the rows as well."""
-    return spla.splu(A, permc_spec=ordering, diag_pivot_thresh=0, options={"SymmetricMode": True})
 
 
 def _residuals(system: LinearSystem, u: np.ndarray, fnorm: float, knorm: float):
@@ -448,18 +584,19 @@ def _inf_norm(K: sp.spmatrix) -> float:
     return float(abs(K).sum(axis=1).max()) if K.shape[0] else 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan fail the acceptance test
 def solve_direct(system: LinearSystem):
     """Sparse direct solve, accepted on its normwise backward error.
 
-    SuperLU factors K in symmetric mode with minimum degree ordering on
-    A^T + A (George & Liu, Computer Solution of Large Sparse Positive
-    Definite Systems).  While the relative residual is above 1e-10, rounds
-    of iterative refinement run as long as each lowers the backward error,
-    which, unlike that residual, has no rounding floor that grows with size.
-    The solve is accepted at a backward error of at most 1e-13
-    (Higham, Accuracy and Stability of Numerical Algorithms, section 7.1)
-    unless u shows K singular to working precision; a rejected or singular
-    solve triggers a diagnosis naming the offending point and DOF.
+    K is factored by ``_LevelCholesky``, a block Cholesky over the
+    breadth-first level sets of its graph.  While the relative residual is
+    above 1e-10, rounds of iterative refinement run as long as each lowers
+    the backward error, which, unlike that residual, has no rounding floor
+    that grows with size.  The solve is accepted at a backward error of at
+    most 1e-13 (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 7.1) unless u shows K singular to working precision; a failed
+    factor, a rejected or a singular solve triggers a diagnosis naming the
+    offending point and DOF.
     """
     t0 = time.perf_counter()
     n = system.K.shape[0]
@@ -469,12 +606,12 @@ def solve_direct(system: LinearSystem):
                                        ordering=ordering)
     fnorm = float(np.linalg.norm(system.f))
     try:
-        lu = _splu_symmetric(system.K.tocsc(), ordering)
-        factor_time = time.perf_counter() - t0
-        u = lu.solve(system.f)
-    except (RuntimeError, ValueError) as exc:
+        chol = _LevelCholesky(system.K)
+    except np.linalg.LinAlgError as exc:
         _fail(system, f"direct factorization failed: {exc}")
-    factor = dict(ordering=ordering, factor_nnz=lu.nnz, factor_time=factor_time)
+    factor_time = time.perf_counter() - t0
+    u = chol.solve(system.f)
+    factor = dict(ordering=ordering, factor_nnz=chol.nnz, factor_time=factor_time)
     if fnorm == 0.0:
         return np.zeros(n), SolveStats("direct", 0, 0.0, time.perf_counter() - t0, **factor)
     if not np.all(np.isfinite(u)):
@@ -484,7 +621,7 @@ def solve_direct(system: LinearSystem):
     for _ in range(_MAX_REFINEMENTS):
         if res <= _REFINE_RESIDUAL:
             break
-        refined = u + lu.solve(system.f - system.K @ u)
+        refined = u + chol.solve(system.f - system.K @ u)
         refined_res, refined_eta = _residuals(system, refined, fnorm, knorm)
         if not refined_eta < eta:
             break
@@ -501,9 +638,14 @@ def solve_direct(system: LinearSystem):
 
 def _sgs_preconditioner(K: sp.spmatrix):
     """The apply r -> M^-1 r of symmetric Gauss-Seidel, and the SuperLU
-    factor of tril(K) it runs on.  SuperLU raises RuntimeError at a zero or
-    missing diagonal entry."""
-    lu = _splu_symmetric(sp.tril(K, format="csc"), _SGS_ORDERING)
+    factor of tril(K) it runs on: symmetric mode, diagonal pivots, natural
+    order, so SuperLU keeps the triangle as it is.  SuperLU raises
+    RuntimeError at a zero or missing diagonal entry.  Only PCG uses
+    SuperLU, so only PCG imports scipy.sparse.linalg."""
+    import scipy.sparse.linalg as spla
+
+    lu = spla.splu(sp.tril(K, format="csc"), permc_spec=_SGS_ORDERING, diag_pivot_thresh=0,
+                   options={"SymmetricMode": True})
     d = K.diagonal()
     return (lambda r: lu.solve(d * lu.solve(r), trans="T")), lu
 

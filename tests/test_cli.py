@@ -385,7 +385,7 @@ class TestSolve:
         assert rec_p["solver_method"] == "pcg-sgs"
 
     def test_text_report_shows_solver_diagnostics(self, capsys, tmp_path, cantilever_file):
-        for solver, ordering in (("direct", "MMD_AT_PLUS_A"), ("pcg", "NATURAL")):
+        for solver, ordering in (("direct", "BFS_LEVELS"), ("pcg", "NATURAL")):
             code, out, _ = run(capsys, "solve", str(cantilever_file),
                                str(tmp_path / "r.vtk"), "--solver", solver)
             assert code == 0
@@ -508,7 +508,7 @@ class TestStructuredReport:
             for line in report.strip().splitlines():
                 key, value = line.split(" ")
                 assert is_plain_value(value), line
-        for report, ordering in zip(reports[1:], ("MMD_AT_PLUS_A", "NATURAL")):
+        for report, ordering in zip(reports[1:], ("BFS_LEVELS", "NATURAL")):
             records = parse_structured(report)
             assert records["solver_ordering"] == ordering
             assert float(records["solver_true_residual"]) <= 1e-6
@@ -574,9 +574,9 @@ def loaded():
             "casegen": "formpipe.casegen" in sys.modules}
 import formpipe.cli
 seen = {"import": loaded()}
-for argv in json.loads(sys.argv[2]):
+for name, argv in json.loads(sys.argv[2]):
     formpipe.cli.main(argv)
-    seen[argv[0]] = loaded()
+    seen[name] = loaded()
 import formpipe
 from formpipe import SolverError, solve_direct
 seen["same"] = (SolverError is formpipe.solver.SolverError
@@ -589,25 +589,32 @@ print(json.dumps(seen))
 
 def test_cli_import_leaves_scipy_spatial_out(tmp_path):
     """Each command loads only the modules it uses: only ``solve`` and the
-    solver API load scipy, only ``gen`` loads casegen, and none loads the
-    networking stdlib.  Importing them costs more than the rest of a
-    ``check``, ``clean`` or ``gen`` run.  The lazy names stay importable from
-    the package, as the same objects."""
+    solver API load scipy, only ``solve --solver pcg`` loads
+    scipy.sparse.linalg for SuperLU, only ``gen`` loads casegen, and none
+    loads the networking stdlib.  Importing them costs more than the rest of
+    a ``check``, ``clean`` or ``gen`` run.  The lazy names stay importable
+    from the package, as the same objects."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
 
-    def probe(*commands):
+    def probe(*commands):  # (name, argv) pairs
         out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path),
                               json.dumps(commands)], env=env, capture_output=True, text=True,
                              check=True).stdout
         return json.loads(out.strip().splitlines()[-1])
 
     bare = {"scipy": [], "network": [], "casegen": False}
-    seen = probe(["gen", "lattice", "m.vtp", "--nx", "4", "--ny", "3", "--nz", "3"])
+    seen = probe(("gen", ["gen", "lattice", "m.vtp", "--nx", "4", "--ny", "3", "--nz", "3"]))
     assert seen == {"import": bare, "gen": dict(bare, casegen=True), "same": True, "dir": True}
-    seen = probe(["check", "m.vtp"], ["clean", "m.vtp", "c.vtp"], ["solve", "c.vtp", "r.vtk"])
-    assert "scipy.sparse.linalg" in seen["solve"].pop("scipy")
-    assert seen == {"import": bare, "check": bare, "clean": bare,
-                    "solve": {"network": [], "casegen": False}, "same": True, "dir": True}
+    seen = probe(("check", ["check", "m.vtp"]), ("clean", ["clean", "m.vtp", "c.vtp"]),
+                 ("solve", ["solve", "c.vtp", "r.vtk"]),
+                 ("solve --solver pcg", ["solve", "c.vtp", "p.vtk", "--solver", "pcg"]))
+    direct, pcg = seen["solve"].pop("scipy"), seen["solve --solver pcg"].pop("scipy")
+    assert "scipy.sparse" in direct
+    assert "scipy.sparse.linalg" not in direct
+    assert "scipy.sparse.linalg" in pcg
+    solved = {"network": [], "casegen": False}
+    assert seen == {"import": bare, "check": bare, "clean": bare, "solve": solved,
+                    "solve --solver pcg": solved, "same": True, "dir": True}
 
 
 @pytest.mark.parametrize("argv, written", [
@@ -628,6 +635,39 @@ def test_unwritable_output_is_one_error_line(capsys, tmp_path, cantilever_file, 
     assert len(err.splitlines()) == 1
     assert not list(tmp_path.rglob(".formpipe-*"))
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("nu", ["-1.0", "-1.5", "0.6"])
+def test_poisson_ratio_out_of_range_is_a_defect(capsys, tmp_path, cantilever_file, nu):
+    """nu = -1 divides G = E / (2 (1 + nu)) by zero, and nu < -1 makes G and
+    K indefinite: both stop at ``check`` and at ``solve``."""
+    src = tmp_path / "nu.vtp"
+    text = cantilever_file.read_text()
+    assert " nu 0.2 " in text
+    src.write_text(text.replace(" nu 0.2 ", f" nu {nu} "))
+    message = "material 1 needs -1 < nu <= 0.5"
+    code, out, _ = run(capsys, "check", str(src))
+    assert (code, out) == (2, f"defect [invalid-catalog]: {message}\n")
+    code, out, err = run(capsys, "solve", str(src), str(tmp_path / "r.vtk"))
+    assert (code, out) == (2, "")
+    assert err == f"error: model does not validate (1 defects; first: {message})\n"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (" E 210000.0 ", " E 1e308 ", "stiffness matrix overflows double precision"),
+    (" -264.777 ", " 1e308 ", "load vector overflows double precision"),
+], ids=["modulus", "load"])
+def test_overflowing_input_is_one_error_line(tmp_path, cantilever_file, old, new, message):
+    """Finite inputs whose stiffness or load overflows end in one named
+    error line, with no numpy warning on stderr before it."""
+    src = tmp_path / "big.vtp"
+    text = cantilever_file.read_text()
+    assert old in text
+    src.write_text(text.replace(old, new))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "formpipe.cli", "solve", str(src),
+                           str(tmp_path / "r.vtk")], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 class TestClosedStdout:

@@ -212,6 +212,9 @@ class TestValidate:
             (dict(Ry=math.nan), "material 1 has non-finite values"),
             (dict(E=0.0), "material 1 needs positive E and Ry"),
             (dict(Ry=-300.0), "material 1 needs positive E and Ry"),
+            (dict(nu=-1.0), "material 1 needs -1 < nu <= 0.5"),
+            (dict(nu=-1.5), "material 1 needs -1 < nu <= 0.5"),
+            (dict(nu=0.5000001), "material 1 needs -1 < nu <= 0.5"),
         ],
     )
     def test_unusable_material_blocks(self, values, message):
@@ -221,6 +224,12 @@ class TestValidate:
         report = validate(model)
         assert not report.ok
         assert [f.message for f in of_kind(report, "invalid-catalog")] == [message]
+
+    @pytest.mark.parametrize("nu", [0.5, 0.0, -0.99])
+    def test_poisson_ratio_within_bounds_is_clean(self, nu):
+        model = _two_point_model()
+        model.materials[1].nu = nu
+        assert not of_kind(validate(model), "invalid-catalog")
 
     def test_degenerate_cell_is_warning_only(self):
         model = _two_point_model()

@@ -26,7 +26,9 @@ from formpipe.solver import (
     MechanismError,
     SolverError,
     LinearSystem,
+    _LevelCholesky,
     _fail,
+    _level_sets,
     _sgs_preconditioner,
     _triads,
     assemble,
@@ -311,18 +313,76 @@ class TestDirectSolver:
         first, second = run(), run()
         assert np.array_equal(first, second)
 
-    def test_symmetric_minimum_degree_beats_colamd_fill(self, arch_50x5x24):
+    def test_level_factor_agrees_with_superlu(self, arch_50x5x24):
+        # SuperLU, which direct solves no longer use, serves as the oracle
         system, _ = assemble(arch_50x5x24)
         assert system.K.shape[0] == 6840
-        K = system.K.tocsc()
-        _, stats = solve_direct(system)
-        assert stats.ordering == "MMD_AT_PLUS_A"
-        assert stats.factor_nnz < spla.splu(K).nnz  # default: COLAMD, partial pivoting
-        first_pass = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                               options={"SymmetricMode": True}).solve(system.f)
-        residual = np.linalg.norm(K @ first_pass - system.f) / np.linalg.norm(system.f)
-        assert residual <= 1e-10
+        u, stats = solve_direct(system)
+        assert stats.ordering == "BFS_LEVELS"
+        reference = spla.splu(system.K.tocsc()).solve(system.f)
+        assert np.abs(u - reference).max() <= 1e-9 * np.abs(reference).max()
         assert stats.true_residual == stats.relative_residual <= 1e-10
+        assert stats.backward_error <= 1e-13
+        width = np.array([len(level) for level in _level_sets(system.K)])
+        assert stats.factor_nnz == np.sum(width**2) + np.sum(width[1:] * width[:-1])
+        again, _ = solve_direct(system)
+        assert np.array_equal(u, again)
+
+    def test_levels_make_k_block_tridiagonal(self, arch_50x5x24):
+        K = assemble(arch_50x5x24)[0].K
+        levels = _level_sets(K)
+        order = np.concatenate(levels)
+        assert np.array_equal(np.sort(order), np.arange(K.shape[0]))
+        level = np.empty(K.shape[0], dtype=int)
+        level[order] = np.repeat(np.arange(len(levels)), [len(lv) for lv in levels])
+        coo = K.tocoo()
+        assert np.abs(level[coo.row] - level[coo.col]).max() == 1
+
+    def test_level_factor_matches_dense_solve_across_components(self):
+        # a path, a star, a dense clique and two lone vertices, interleaved
+        rng = np.random.default_rng(3)
+        n = 60
+        A = np.zeros((n, n))
+        path, star, clique = np.arange(0, 40, 2), np.arange(1, 30, 2), np.arange(41, 58)
+        A[path[:-1], path[1:]] = rng.uniform(-1, 1, len(path) - 1)
+        A[star[0], star[1:]] = rng.uniform(-1, 1, len(star) - 1)
+        A[np.ix_(clique, clique)] = np.triu(rng.uniform(-1, 1, (len(clique),) * 2), 1)
+        A += A.T
+        A[np.diag_indices(n)] = np.abs(A).sum(axis=1) + 1.0
+        K = sp.csr_matrix(A)
+        assert len(_level_sets(K)) > 20
+        b = rng.standard_normal(n)
+        dense = np.linalg.solve(A, b)
+        assert np.abs(_LevelCholesky(K).solve(b) - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_separate_structures_solve_as_each_alone(self):
+        a = fp.gen_sphere_lattice(fp.LatticeSpec(nx=4, ny=3, nz=3))
+        b = fp.gen_sphere_lattice(fp.LatticeSpec(nx=3, ny=2, nz=4))
+        both = a.copy()
+        first_id = int(a.points.ids.max()) + 1
+        for p in b.points:
+            both.points.append(Point(id=p.id + first_id, coords=p.coords + (0.0, 5000.0, 0.0),
+                                     constraint_mask=p.constraint_mask, bc_id=p.bc_id))
+        cell_id = int(a.cells.ids.max()) + 1
+        for c in b.cells:
+            both.cells.append(Cell(id=c.id + cell_id, connectivity=np.add(c.connectivity, first_id),
+                                   cs_id=c.cs_id, mat_id=c.mat_id, kind=c.kind))
+        _, _, _, disp, _ = solve_model(both)
+        for part, rows in ((a, slice(0, len(a.points))), (b, slice(len(a.points), None))):
+            alone = solve_model(part)[3]
+            assert np.abs(disp[rows] - alone).max() <= 1e-9 * np.abs(alone).max()
+
+    def test_indefinite_matrix_is_refused(self):
+        system = bare_system(np.array([[1.0, 2.0], [2.0, 1.0]]), [1.0, 0.0])
+        with pytest.raises(SolverError, match="^direct factorization failed") as err:
+            solve_direct(system)
+        assert type(err.value) is SolverError
+
+    def test_non_finite_matrix_fails_by_name(self):
+        system = bare_system(np.array([[np.inf, 1.0], [1.0, 2.0]]), [1.0, 0.0])
+        with pytest.raises(SolverError, match="^no diagnosis$") as err:
+            _fail(system, "no diagnosis")
+        assert type(err.value) is SolverError
 
     @pytest.mark.parametrize("method", ["direct", "pcg"])
     def test_mechanism_names_offending_dof(self, method):
