@@ -338,8 +338,16 @@ class TestDirectSolver:
         coo = K.tocoo()
         assert np.abs(level[coo.row] - level[coo.col]).max() == 1
 
+    def test_level_search_starts_at_a_path_end(self):
+        # a path numbered from its middle: from vertex 0 it has 4 levels, from an end 7
+        path = [5, 3, 1, 0, 2, 4, 6]
+        A = 4.0 * np.eye(7)
+        A[path[:-1], path[1:]] = A[path[1:], path[:-1]] = -1.0
+        levels = _level_sets(sp.csr_matrix(A))
+        assert [lv.tolist() for lv in levels] in ([[p] for p in path], [[p] for p in path[::-1]])
+
     def test_level_factor_matches_dense_solve_across_components(self):
-        # a path, a star, a dense clique and two lone vertices, interleaved
+        # a path, a star, a dense clique and lone vertices, interleaved
         rng = np.random.default_rng(3)
         n = 60
         A = np.zeros((n, n))
