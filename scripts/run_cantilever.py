@@ -5,13 +5,13 @@ their closed-form values."""
 import math
 
 import formpipe as fp
-from formpipe.cli import PipelineConfig, run_solve_pipeline
+from formpipe.cli import run_solve_pipeline
 
 
 def main():
     spec = fp.CantileverSpec()
     model = fp.gen_cantilever(spec)
-    results, stats = run_solve_pipeline(model, PipelineConfig())
+    results, stats = run_solve_pipeline(model)
 
     A = math.pi * spec.diameter**2 / 4.0
     I = math.pi * spec.diameter**4 / 64.0

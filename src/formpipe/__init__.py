@@ -34,14 +34,7 @@ from .topology import (
     remove_degenerate_cells,
     remove_detached_components,
 )
-from .resistance import (
-    ResultSet,
-    Summary,
-    build_result_set,
-    classify,
-    deformed_geometry,
-    summarize,
-)
+from .resistance import ResultSet, build_result_set, classify, deformed_geometry
 
 __version__ = "0.1.0"
 

@@ -13,13 +13,13 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 from . import __version__
 from .exchange import ExchangeFormatError, parse_model, write_model, write_results_vtk
-from .model import StructuralModel, validate
-from .resistance import build_result_set, equilibrium_residual, summarize
+from .model import DEFAULT_MERGE_TOL, DEFAULT_PCG_TOL, StructuralModel, validate
+from .resistance import build_result_set, equilibrium_residual
 from .topology import (
+    DEFAULT_PRUNE_DEGREE,
     check_support_reachability,
     merge_duplicate_nodes,
     prune_dead_arms,
@@ -37,23 +37,6 @@ EXIT_UNREADABLE = 3
 # ``check`` lists this many unsupported components, then counts the rest: a
 # line soup floats every segment on its own
 _LISTED_COMPONENTS = 20
-
-
-@dataclass
-class PipelineConfig:
-    """Settings of the clean and solve pipelines.  The functions that use a
-    value check it, except ``solver``, which only the pipeline reads."""
-
-    merge_tol: float = 1e-6  # mm
-    prune_degree: int = 2
-    solver: str = "direct"  # direct | pcg
-    pcg_tol: float = 1e-10
-    pcg_max_iter: int | None = None
-    self_weight: bool = True
-
-    def __post_init__(self):
-        if self.solver not in ("direct", "pcg"):
-            raise ValueError(f"unknown solver {self.solver!r}")
 
 
 class CommandError(Exception):
@@ -93,32 +76,38 @@ def atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def run_clean_pipeline(model: StructuralModel, config: PipelineConfig):
-    """merge -> degenerate removal -> detached removal -> dead-arm prune."""
+def run_clean_pipeline(model: StructuralModel, *, merge_tol=DEFAULT_MERGE_TOL,
+                       prune_degree=DEFAULT_PRUNE_DEGREE):
+    """merge -> degenerate removal -> detached removal -> dead-arm prune.
+    The function that uses a value checks it."""
     reports = []
-    model, rep = merge_duplicate_nodes(model, tol=config.merge_tol)
+    model, rep = merge_duplicate_nodes(model, tol=merge_tol)
     reports.append(("merge_duplicate_nodes", rep))
-    model, rep = remove_degenerate_cells(model, tol=config.merge_tol)
+    model, rep = remove_degenerate_cells(model, tol=merge_tol)
     reports.append(("remove_degenerate_cells", rep))
     model, rep = remove_detached_components(model)
     reports.append(("remove_detached_components", rep))
-    model, rep = prune_dead_arms(model, max_degree=config.prune_degree)
+    model, rep = prune_dead_arms(model, max_degree=prune_degree)
     reports.append(("prune_dead_arms", rep))
     return model, reports
 
 
-def run_solve_pipeline(model: StructuralModel, config: PipelineConfig):
-    """Assemble, solve, recover forces and post-process into a ResultSet."""
-    from . import solver  # loads scipy, which no other command needs
-    model.self_weight_enabled = config.self_weight
-    system, dofmap = solver.assemble(model)
-    if config.solver == "pcg":
-        u, stats = solver.solve_pcg_ichol(system, tol=config.pcg_tol, max_iter=config.pcg_max_iter)
+def run_solve_pipeline(model: StructuralModel, *, solver="direct", pcg_tol=DEFAULT_PCG_TOL,
+                       pcg_max_iter=None):
+    """Assemble, solve (``solver`` is direct or pcg), recover forces and
+    post-process into a ResultSet.  Self-weight acts when the model's
+    ``self_weight_enabled`` is set."""
+    if solver not in ("direct", "pcg"):
+        raise ValueError(f"unknown solver {solver!r}")
+    from . import solver as statics  # loads scipy, which no other command needs
+    system, dofmap = statics.assemble(model)
+    if solver == "pcg":
+        u, stats = statics.solve_pcg_ichol(system, tol=pcg_tol, max_iter=pcg_max_iter)
     else:
-        u, stats = solver.solve_direct(system)
-    disp = solver.expand_displacements(dofmap, u)
-    forces = solver.recover_end_forces(model, disp)
-    reactions = solver.reaction_forces(system, u)
+        u, stats = statics.solve_direct(system)
+    disp = statics.expand_displacements(dofmap, u)
+    forces = statics.recover_end_forces(model, disp)
+    reactions = statics.reaction_forces(system, u)
     results = build_result_set(
         model, disp, forces, reactions=reactions, applied_loads=system.applied_loads
     )
@@ -205,8 +194,8 @@ def cmd_clean(args) -> int:
 
     cells_before = len(model.cells)
     try:
-        config = PipelineConfig(merge_tol=args.merge_tol, prune_degree=args.prune_degree)
-        model, reports = run_clean_pipeline(model, config)
+        model, reports = run_clean_pipeline(model, merge_tol=args.merge_tol,
+                                            prune_degree=args.prune_degree)
         text = write_model(model)
     except ValueError as exc:
         raise CommandError(exc) from exc
@@ -223,8 +212,7 @@ def cmd_clean(args) -> int:
     return EXIT_OK
 
 
-def _solve_records(results, stats, config, equilibrium):
-    summary = summarize(results)
+def _solve_records(model, results, stats, equilibrium):
     return [
         ("solver_method", stats.method),
         ("solver_iterations", stats.iterations),
@@ -236,22 +224,22 @@ def _solve_records(results, stats, config, equilibrium):
         ("solver_ordering", stats.ordering),
         ("solver_factor_nnz", stats.factor_nnz),
         ("solver_factor_time_s", repr(stats.factor_time)),
-        ("self_weight", int(config.self_weight)),
-        ("max_u_el", repr(summary.max_u_el)),
-        ("max_total_displacement_mm", repr(summary.max_total_displacement)),
-        ("exceeded_count", summary.exceeded_count),
-        ("cell_count", summary.cell_count),
+        ("self_weight", int(model.self_weight_enabled)),
+        ("max_u_el", repr(results.max_u_el)),
+        ("max_total_displacement_mm", repr(results.max_total_displacement)),
+        ("exceeded_count", int(results.exceeded.sum())),
+        ("cell_count", len(results.u_el)),
     ]
 
 
 def cmd_solve(args) -> int:
     from .solver import SolverError
     model = _read_model(args.input)
+    model.self_weight_enabled = not args.no_self_weight
 
     try:
-        config = PipelineConfig(solver=args.solver, pcg_tol=args.pcg_tol,
-                                pcg_max_iter=args.pcg_max_iter, self_weight=not args.no_self_weight)
-        results, stats = run_solve_pipeline(model, config)
+        results, stats = run_solve_pipeline(model, solver=args.solver, pcg_tol=args.pcg_tol,
+                                            pcg_max_iter=args.pcg_max_iter)
         text = write_results_vtk(model, results, args.deform_scale)
     except (ValueError, SolverError) as exc:
         raise CommandError(exc) from exc
@@ -259,9 +247,8 @@ def cmd_solve(args) -> int:
 
     equilibrium = equilibrium_residual(model, results)
     if args.format == "structured":
-        lines = _structured(_solve_records(results, stats, config, equilibrium))
+        lines = _structured(_solve_records(model, results, stats, equilibrium))
     else:
-        summary = summarize(results)
         lines = [
             f"solved with {stats.method}: {stats.iterations} iteration(s), "
             f"residual {stats.relative_residual:.3e}, {stats.wall_time:.3f} s",
@@ -270,9 +257,10 @@ def cmd_solve(args) -> int:
             f"equilibrium residual (reactions + loads) = {equilibrium:.3e}",
             f"factor: {stats.factor_nnz} entries, {stats.ordering} ordering, "
             f"{stats.factor_time:.3f} s",
-            f"max resistance ratio u_el = {summary.max_u_el:.6g}",
-            f"max total displacement = {summary.max_total_displacement:.6g} mm",
-            f"elements above the elastic limit: {summary.exceeded_count} of {summary.cell_count}",
+            f"max resistance ratio u_el = {results.max_u_el:.6g}",
+            f"max total displacement = {results.max_total_displacement:.6g} mm",
+            f"elements above the elastic limit: {int(results.exceeded.sum())} "
+            f"of {len(results.u_el)}",
         ]
     _emit(lines)
     if args.report:
@@ -320,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_clean = sub.add_parser("clean", help="run the topology repair pipeline")
     p_clean.add_argument("input")
     p_clean.add_argument("output")
-    p_clean.add_argument("--merge-tol", type=float, default=1e-6, help="merge tolerance in mm")
-    p_clean.add_argument("--prune-degree", type=int, default=2,
+    p_clean.add_argument("--merge-tol", type=float, default=DEFAULT_MERGE_TOL,
+                         help="merge tolerance in mm")
+    p_clean.add_argument("--prune-degree", type=int, default=DEFAULT_PRUNE_DEGREE,
                          help="max incident cells for dead-arm peeling")
     p_clean.add_argument("--report", default=None, help="also write the report to this path")
     p_clean.add_argument("--format", choices=("text", "structured"), default="text")
@@ -331,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("input")
     p_solve.add_argument("output", help="legacy VTK results file")
     p_solve.add_argument("--solver", choices=("direct", "pcg"), default="direct")
-    p_solve.add_argument("--pcg-tol", type=float, default=1e-10)
+    p_solve.add_argument("--pcg-tol", type=float, default=DEFAULT_PCG_TOL)
     p_solve.add_argument("--pcg-max-iter", type=int, default=None)
     p_solve.add_argument("--deform-scale", type=float, default=1.0)
     p_solve.add_argument("--no-self-weight", action="store_true", help="skip gravity line loads")

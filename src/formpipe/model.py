@@ -29,6 +29,10 @@ GRAVITY.flags.writeable = False
 # below fabrication scale, above double-precision noise at metre-range coordinates
 DEFAULT_MERGE_TOL = 1e-6
 
+# relative preconditioned residual at which PCG stops; here, not in the
+# solver, so that the CLI can name it without loading scipy
+DEFAULT_PCG_TOL = 1e-10
+
 # built-in steel preset yield stress (MPa); used when a material does not carry Ry
 DEFAULT_YIELD_STRESS = 300.0
 
@@ -273,10 +277,6 @@ class CrossSection:
     shape: object
     extra: tuple = ()  # unknown catalog keys, preserved verbatim as (key, raw) pairs
 
-    @property
-    def properties(self) -> SectionProperties:
-        return section_properties(self)
-
 
 def _rectangle_torsion(width, height):
     """St. Venant constants for a solid rectangle (Roark's closed forms).
@@ -294,13 +294,11 @@ def _rectangle_torsion(width, height):
     return J, Wt
 
 
-def section_properties(cs) -> SectionProperties:
-    """Derive area, second moments, torsion constant and section moduli.
-
-    Accepts a CrossSection or a bare shape.  Raises ValueError for
-    dimensions that are not positive (NaN included).
+def section_properties(shape) -> SectionProperties:
+    """Derive area, second moments, torsion constant and section moduli of a
+    section shape.  Raises ValueError for dimensions that are not positive
+    (NaN included).
     """
-    shape = cs.shape if isinstance(cs, CrossSection) else cs
     if isinstance(shape, Circle):
         d = shape.diameter
         if not d > 0:
@@ -454,13 +452,23 @@ def per_id(ids, row, width):
     return table[inverse]
 
 
-def cell_properties(model: StructuralModel) -> CellProperties:
-    """Section and material values of every cell as arrays."""
-    cells = model.cells
-    sections = per_id(cells.cs_ids, lambda i: astuple(model.cross_sections[i].properties), 7)
+def cell_properties(model: StructuralModel, rows=slice(None)) -> CellProperties:
+    """Section and material values of every cell, or of the cell ``rows``
+    (a mask or an index array), as arrays."""
+    cells, cs = model.cells, model.cross_sections
+    sections = per_id(cells.cs_ids[rows], lambda i: astuple(section_properties(cs[i].shape)), 7)
     material = attrgetter("E", "G", "density", "Ry")
-    materials = per_id(cells.mat_ids, lambda i: material(model.materials[i]), 4)
+    materials = per_id(cells.mat_ids[rows], lambda i: material(model.materials[i]), 4)
     return CellProperties(*sections.T, *materials.T)
+
+
+def stiffness_terms(E, G, A, Iy, Iz, J, L) -> tuple:
+    """The distinct entries of each local element stiffness, rounded as the
+    solver assembles them: EA/L, GJ/L, then 12EI/L^3, 6EI/L^2, 4EI/L and
+    2EI/L with Iz (bending in the local x-y plane) and with Iy (x-z)."""
+    bending = [(12.0 * E * I / L**3, 6.0 * E * I / L**2, 4.0 * E * I / L, 2.0 * E * I / L)
+               for I in (Iz, Iy)]
+    return (E * A / L, G * J / L, *bending[0], *bending[1])
 
 
 @dataclass(frozen=True)
@@ -557,6 +565,7 @@ def rigid_link_findings(links, points: PointTable) -> list:
                        for pid in np.intersect1d(slaves, masters).tolist()]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows is reported as a finding
 def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> ValidationReport:
     """Consistency check; reports findings without mutating the model.
 
@@ -564,8 +573,11 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     values, catalog values a solve cannot use (section dimensions or
     properties that are not positive and finite, a Rectangle's negative
     axis code outside -1..-3, E or Ry not positive and finite, nu outside
-    -1 < nu <= 0.5, density not finite), duplicate ids and rigid links that
-    break the rule of ``rigid_link_findings``.  Degenerate cells,
+    -1 < nu <= 0.5, density not finite), duplicate ids, rigid links that
+    break the rule of ``rigid_link_findings``, loads whose norm overflows
+    double precision and cell stiffness terms (``stiffness_terms``) that
+    do; those terms are bounded when the points, cells and catalogs show
+    no other defect.  Degenerate cells,
     never-referenced catalog entries and points that no cell or rigid link
     uses, ``orientation_points`` aside, are warnings only.
     """
@@ -587,9 +599,9 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
         (no_cs, "dangling-reference", "cell {0} references missing cross-section {3}"),
         (no_mat, "dangling-reference", "cell {0} references missing material {4}"),
     ], cells.ids, ends, cells.cs_ids, cells.mat_ids)
+    lengths = cell_lengths(model)
     warnings = _row_findings(
-        [(cell_lengths(model) <= tol, "degenerate-cell", "cell {0} shorter than merge tolerance")],
-        cells.ids)
+        [(lengths <= tol, "degenerate-cell", "cell {0} shorter than merge tolerance")], cells.ids)
     defects += _row_findings(
         [(no_bc, "dangling-reference", "point {0} references missing load {1}")], pids, bc_ids)
     used_cs = set(cells.cs_ids[~no_cs].tolist())
@@ -620,10 +632,20 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
             defects.append(Finding("invalid-catalog", f"material {mat_id} needs positive E and Ry"))
         elif not -1.0 < mat.nu <= 0.5:  # else G = E / (2 (1 + nu)) is not positive
             defects.append(Finding("invalid-catalog", f"material {mat_id} needs -1 < nu <= 0.5"))
+    if not defects:  # the terms need every reference and catalog value sound
+        solvable = lengths > tol
+        props, beam = cell_properties(model, solvable), ~cells.truss[solvable]
+        terms = stiffness_terms(props.E, props.G, props.A, props.Iy * beam, props.Iz * beam,
+                                props.J * beam, lengths[solvable])
+        defects += _row_findings([(~np.isfinite(terms).all(axis=0), "overflow",
+                                   "cell {0} stiffness overflows double precision")],
+                                 cells.ids[solvable])
 
     for bc in model.bcs.values():
         if not np.all(np.isfinite(bc.components)):
             defects.append(Finding("non-finite", f"load {bc.id} has non-finite components"))
+        elif not np.isfinite(np.linalg.norm(bc.components)):
+            defects.append(Finding("overflow", f"load {bc.id} overflows double precision"))
 
     defects += rigid_link_findings(model.rigid_links, points)
 

@@ -85,20 +85,6 @@ def equilibrium_residual(model: StructuralModel, results: ResultSet) -> float:
     return float(residual / reference) if reference else float(residual)
 
 
-@dataclass(frozen=True)
-class Summary:
-    max_u_el: float
-    max_total_displacement: float
-    exceeded_count: int
-    cell_count: int
-
-
-def summarize(results: ResultSet) -> Summary:
-    """Headline numbers: peak ratio, peak displacement magnitude, exceedances."""
-    return Summary(results.max_u_el, results.max_total_displacement,
-                   int(np.count_nonzero(results.exceeded)), len(results.u_el))
-
-
 def deformed_geometry(model: StructuralModel, displacements, scale: float) -> np.ndarray:
     """Point coordinates displaced by scale times the translation field."""
     if not 0 <= scale < np.inf:

@@ -38,6 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .model import (
+    DEFAULT_PCG_TOL,
     DOF_NAMES,
     GRAVITY,
     KG_MM_S2_TO_N,
@@ -48,6 +49,7 @@ from .model import (
     link_ends,
     orientation_points,
     rigid_link_findings,
+    stiffness_terms,
     validate,
 )
 from .topology import check_support_reachability
@@ -207,17 +209,13 @@ def _triads(dx, ref, pinned, pins_y):
 def _local_stiffness(E, G, A, Iy, Iz, J, L):
     """Local 12x12 stiffness of each element; trusses pass Iy = Iz = J = 0."""
     k = np.zeros(np.shape(L) + (12, 12))
-    ea = E * A / L
-    gj = G * J / L
+    ea, gj, *bending = stiffness_terms(E, G, A, Iy, Iz, J, L)
     k[..., 0, 0] = k[..., 6, 6] = ea
     k[..., 0, 6] = k[..., 6, 0] = -ea
     k[..., 3, 3] = k[..., 9, 9] = gj
     k[..., 3, 9] = k[..., 9, 3] = -gj
     # bending in the x-y plane (v along local y, rotation rz)
-    a = 12.0 * E * Iz / L**3
-    b = 6.0 * E * Iz / L**2
-    c = 4.0 * E * Iz / L
-    d = 2.0 * E * Iz / L
+    a, b, c, d = bending[:4]
     k[..., 1, 1] = k[..., 7, 7] = a
     k[..., 1, 7] = k[..., 7, 1] = -a
     k[..., 1, 5] = k[..., 5, 1] = k[..., 1, 11] = k[..., 11, 1] = b
@@ -225,10 +223,7 @@ def _local_stiffness(E, G, A, Iy, Iz, J, L):
     k[..., 5, 5] = k[..., 11, 11] = c
     k[..., 5, 11] = k[..., 11, 5] = d
     # bending in the x-z plane (w along local z, rotation ry = -w')
-    a = 12.0 * E * Iy / L**3
-    b = 6.0 * E * Iy / L**2
-    c = 4.0 * E * Iy / L
-    d = 2.0 * E * Iy / L
+    a, b, c, d = bending[4:]
     k[..., 2, 2] = k[..., 8, 8] = a
     k[..., 2, 8] = k[..., 8, 2] = -a
     k[..., 2, 4] = k[..., 4, 2] = k[..., 2, 10] = k[..., 10, 2] = -b
@@ -358,14 +353,16 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     """Assemble the reduced stiffness and load vector.
 
     Requires a model that validates cleanly; with ``check_supports`` every
-    connected component must also carry at least six fixed DOFs.  Finite
-    inputs can still overflow: a stiffness or load vector whose norm is not
-    finite raises SolverError.  Returns ``(LinearSystem, DofMap)``.
+    connected component must also carry at least six fixed DOFs.  The
+    ``overflow`` findings of ``validate`` are left to the check here, which
+    also sees the sums of assembly: a stiffness or load vector whose norm
+    is not finite raises SolverError naming it.  Returns
+    ``(LinearSystem, DofMap)``.
     """
-    report = validate(model)
-    if not report.ok:
-        first = report.defects[0].message
-        raise SolverError(f"model does not validate ({len(report.defects)} defects; first: {first})")
+    defects = [f for f in validate(model).defects if f.kind != "overflow"]
+    if defects:
+        first = defects[0].message
+        raise SolverError(f"model does not validate ({len(defects)} defects; first: {first})")
     unsupported = check_support_reachability(model) if check_supports else []
     if unsupported:
         worst = unsupported[0]
@@ -494,34 +491,18 @@ class _LevelCholesky:
     def __init__(self, K: sp.csr_matrix):
         levels = _level_sets(K)
         self.perm = np.concatenate(levels)
-        width = np.array([len(lv) for lv in levels])
-        n, count = len(self.perm), len(levels)
-        level = np.empty(n, dtype=np.int64)
-        level[self.perm] = np.repeat(np.arange(count), width)
-        local = np.empty(n, dtype=np.int64)
-        local[self.perm] = np.arange(n) - np.repeat(np.cumsum(width) - width, width)
-        # one flat buffer each for the diagonal and the coupling blocks,
-        # scattered by bincount, which also sums any duplicate entries
-        diag_at = np.concatenate([[0], np.cumsum(width**2)])
-        coupling_at = np.concatenate([[0], np.cumsum(width[1:] * width[:-1])])
-        rows = np.repeat(np.arange(n), np.diff(K.indptr))
-        lr, lc = level[rows], level[K.indices]
-        at = lr == lc
-        diag = np.bincount(diag_at[lr[at]] + local[rows[at]] * width[lr[at]]
-                           + local[K.indices[at]], K.data[at], diag_at[-1])
-        at = lr == lc + 1
-        coupling = np.bincount(coupling_at[lc[at]] + local[rows[at]] * width[lc[at]]
-                               + local[K.indices[at]], K.data[at], coupling_at[-1])
-        self.inv = [diag[diag_at[i] : diag_at[i + 1]].reshape(w, w) for i, w in enumerate(width)]
-        self.coupling = [coupling[coupling_at[i] : coupling_at[i + 1]].reshape(width[i + 1], w)
-                         for i, w in enumerate(width[:-1])]
-        self.nnz = len(diag) + len(coupling)
+        at = np.cumsum([0] + [len(lv) for lv in levels])
+        # K in level order; its dense slices are the diagonal and coupling blocks
+        P = K[self.perm][:, self.perm]
+        self.inv = [P[s:e, s:e].toarray() for s, e in zip(at[:-1], at[1:])]
+        self.coupling = [P[e:f, s:e].toarray() for s, e, f in zip(at[:-2], at[1:-1], at[2:])]
+        self.nnz = sum(block.size for block in self.inv + self.coupling)
         for i, A in enumerate(self.inv):
             if i:
                 C = self.coupling[i - 1]
                 A -= C @ C.T
             A[...] = _tril_inverse(np.linalg.cholesky(A))
-            if i < count - 1:
+            if i < len(self.coupling):
                 self.coupling[i][...] = self.coupling[i] @ A.T
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -541,35 +522,40 @@ class _LevelCholesky:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _fail(system: LinearSystem, message: str):
-    """The one exit of a failed solve.  Raises MechanismError naming the
-    point and DOF of a mechanism, whatever the model size, else
-    SolverError(message).  Four steps of inverse iteration run from a vector
-    of ones on the level-set block Cholesky factor of K + sigma I,
-    sigma = 1e-10 max diag K; a Rayleigh quotient x'Kx of at most
-    1e-12 max diag K shows a null vector, and the DOF that moves most in it
-    is named.  A K with non-finite entries, or one whose shifted factor
-    fails, has no such diagnosis and ends in SolverError(message)."""
+def _mechanism(system: LinearSystem) -> MechanismError | None:
+    """The mechanism of K as a MechanismError naming its point and DOF,
+    whatever the model size, or None.  Four steps of inverse iteration run
+    from a vector of ones on the level-set block Cholesky factor of
+    K + sigma I, sigma = 1e-10 max diag K; a Rayleigh quotient x'Kx of at
+    most 1e-12 max diag K shows a null vector, and the DOF that moves most
+    in it is named.  An empty K, one with non-finite entries and one whose
+    shifted factor fails give None: they have no such diagnosis."""
     K = system.K
-    if not np.isfinite(K.data).all():
-        raise SolverError(message)
+    if not (K.shape[0] and np.isfinite(K.data).all()):
+        return None
     scale = float(np.max(np.abs(K.diagonal()))) or 1.0
     try:
         factor = _LevelCholesky(K + 1e-10 * scale * sp.identity(K.shape[0], format="csr"))
     except np.linalg.LinAlgError:
-        raise SolverError(message)
+        return None
     x = np.ones(K.shape[0])
     for _ in range(4):
         x = factor.solve(x)
         x /= np.linalg.norm(x)
     if not float(x @ (K @ x)) <= 1e-12 * scale:
-        raise SolverError(message)
+        return None
     dm = system.dofmap
     point, comp = np.nonzero(dm.state >= 0)  # per equation, in equation order
     eq = int(np.argmax(np.abs(x)))
     pid, dof = int(dm.point_ids[point[eq]]), DOF_NAMES[comp[eq]]
-    raise MechanismError(f"singular stiffness matrix, null vector largest at point {pid} dof "
-                         f"{dof}: kinematic mechanism", point_id=pid, dof=dof)
+    return MechanismError(f"singular stiffness matrix, null vector largest at point {pid} dof "
+                          f"{dof}: kinematic mechanism", point_id=pid, dof=dof)
+
+
+def _fail(system: LinearSystem, message: str):
+    """The one exit of a failed solve: the MechanismError of ``_mechanism``
+    when K has a mechanism, else SolverError(message)."""
+    raise _mechanism(system) or SolverError(message)
 
 
 def _residuals(system: LinearSystem, u: np.ndarray, fnorm: float, knorm: float):
@@ -650,7 +636,8 @@ def _sgs_preconditioner(K: sp.spmatrix):
     return (lambda r: lu.solve(d * lu.solve(r), trans="T")), lu
 
 
-def solve_pcg_ichol(system: LinearSystem, tol: float = 1e-10, max_iter: int | None = None):
+def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
+                    max_iter: int | None = None):
     """Conjugate gradients preconditioned by symmetric Gauss-Seidel.
 
     M = (D + L) D^-1 (D + L)^T, with D + L = tril(K) and D = diag(K), is
@@ -679,6 +666,9 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = 1e-10, max_iter: int | No
     b = system.f
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:  # an empty system included
+        mechanism = _mechanism(system)  # u = 0 is then one solution of many
+        if mechanism is not None:
+            raise mechanism
         return np.zeros(n), SolveStats("pcg-sgs", 0, 0.0, time.perf_counter() - t0,
                                        ordering=ordering)
 

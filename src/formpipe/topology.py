@@ -17,6 +17,9 @@ from .model import (DEFAULT_MERGE_TOL, PointTable, RigidLink, StructuralModel, a
                     cell_lengths, link_ends, orientation_points, point_aims,
                     rigid_link_findings)
 
+# peel points with at most two incident cells: the dead arms of lattice-like models
+DEFAULT_PRUNE_DEGREE = 2
+
 
 class TopologyError(ValueError):
     """Raised when a repair operation cannot be applied."""
@@ -326,7 +329,7 @@ def _peel(n: int, ends: np.ndarray, protected: np.ndarray, max_degree: int):
         frontier = np.unique(other)
 
 
-def prune_dead_arms(model: StructuralModel, max_degree: int = 2):
+def prune_dead_arms(model: StructuralModel, max_degree: int = DEFAULT_PRUNE_DEGREE):
     """Peel away thin arms: repeatedly delete points with at most
     ``max_degree`` incident cells, together with those cells, to a fixpoint.
     The ``protected_points`` stay; one whose cells all go stays on its own.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import formpipe as fp
-from formpipe.cli import PipelineConfig, run_solve_pipeline
+from formpipe.cli import run_solve_pipeline
 from formpipe.topology import TopologyError
 
 from conftest import assert_models_equal, random_model
@@ -24,9 +24,7 @@ def _report(number, label):
 
 
 def solve(model, method="direct"):
-    cfg = PipelineConfig(solver="pcg" if method == "pcg" else "direct",
-                         self_weight=model.self_weight_enabled)
-    return run_solve_pipeline(model, cfg)
+    return run_solve_pipeline(model, solver="pcg" if method == "pcg" else "direct")
 
 
 def test_acceptance_1_cantilever_resistance_ratio():

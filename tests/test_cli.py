@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import formpipe as fp
-from formpipe.cli import PipelineConfig, main, run_clean_pipeline, run_solve_pipeline
+from formpipe.cli import main, run_clean_pipeline, run_solve_pipeline
 
 from conftest import random_model
 
@@ -351,7 +351,7 @@ def test_what_clean_writes_check_accepts(seed, merge_tol):
     # clean either refuses with a TopologyError or writes a model without defects
     model = linked_aimed_model(np.random.default_rng(seed))
     try:
-        cleaned, _ = run_clean_pipeline(model, PipelineConfig(merge_tol=merge_tol))
+        cleaned, _ = run_clean_pipeline(model, merge_tol=merge_tol)
     except fp.TopologyError:
         return
     report = fp.validate(fp.parse_model(fp.write_model(cleaned)))
@@ -418,6 +418,29 @@ class TestSolve:
         assert "mechanism" in err
         assert not dst.exists()
 
+    @pytest.mark.parametrize("solver", ["direct", "pcg"])
+    @pytest.mark.parametrize("mechanism", [True, False], ids=["mechanism", "sound"])
+    def test_zero_load_mechanism_named_by_both_solvers(self, capsys, tmp_path, solver, mechanism):
+        """u = 0 solves a zero load, but only a sound model has no other
+        solution: both solvers name the mechanism of a truss chain whose
+        middle point is free across it, and both solve the cantilever."""
+        model = fp.gen_cantilever(fp.CantileverSpec(n_elements=2, tip_force=0.0))
+        if mechanism:
+            model.cells.truss[:] = True
+            model.points[2].constraint_mask[:] = True
+        src, dst = tmp_path / "zero.vtp", tmp_path / "r.vtk"
+        src.write_text(fp.write_model(model))
+        code, out, err = run(capsys, "solve", str(src), str(dst), "--no-self-weight",
+                             "--solver", solver)
+        if mechanism:
+            assert (code, out) == (2, "")
+            assert err == ("error: singular stiffness matrix, null vector largest at point 1 "
+                           "dof uy: kinematic mechanism\n")
+            assert not dst.exists()
+        else:
+            assert (code, err) == (0, "")
+            assert "max total displacement = 0 mm" in out
+
     def test_unreadable_input(self, capsys, tmp_path):
         src = tmp_path / "junk.vtp"
         src.write_text("not xml at all")
@@ -475,8 +498,8 @@ class TestComposition:
         assert code == 0
         file_records = parse_structured(out)
 
-        in_proc_model, _ = run_clean_pipeline(fp.gen_sphere_lattice(spec), PipelineConfig())
-        in_results, _ = run_solve_pipeline(in_proc_model, PipelineConfig())
+        in_proc_model, _ = run_clean_pipeline(fp.gen_sphere_lattice(spec))
+        in_results, _ = run_solve_pipeline(in_proc_model)
         assert float(file_records["max_u_el"]) == in_results.max_u_el
         assert float(file_records["max_total_displacement_mm"]) == pytest.approx(
             in_results.max_total_displacement, rel=0, abs=0
@@ -487,6 +510,17 @@ class TestComposition:
         assert code == 0
         assert err == ""
         assert out
+
+    def test_solve_pipeline_reads_self_weight_from_the_model(self):
+        weightless = fp.gen_cantilever()
+        weightless.self_weight_enabled = False
+        results, _ = run_solve_pipeline(weightless)
+        assert weightless.self_weight_enabled is False
+        assert results.max_u_el < run_solve_pipeline(fp.gen_cantilever())[0].max_u_el
+
+    def test_solve_pipeline_refuses_an_unknown_solver(self):
+        with pytest.raises(ValueError, match="^unknown solver 'cg'$"):
+            run_solve_pipeline(fp.gen_cantilever(), solver="cg")
 
 
 class TestStructuredReport:
@@ -653,18 +687,25 @@ def test_poisson_ratio_out_of_range_is_a_defect(capsys, tmp_path, cantilever_fil
     assert err == f"error: model does not validate (1 defects; first: {message})\n"
 
 
-@pytest.mark.parametrize("old, new, message", [
-    (" E 210000.0 ", " E 1e308 ", "stiffness matrix overflows double precision"),
-    (" -264.777 ", " 1e308 ", "load vector overflows double precision"),
+@pytest.mark.parametrize("old, new, defect, message", [
+    (" E 210000.0 ", " E 1e308 ", "cell 0 stiffness overflows double precision",
+     "stiffness matrix overflows double precision"),
+    (" -264.777 ", " 1e308 ", "load 1 overflows double precision",
+     "load vector overflows double precision"),
 ], ids=["modulus", "load"])
-def test_overflowing_input_is_one_error_line(tmp_path, cantilever_file, old, new, message):
-    """Finite inputs whose stiffness or load overflows end in one named
-    error line, with no numpy warning on stderr before it."""
+def test_overflowing_input_is_one_error_line(tmp_path, cantilever_file, old, new, defect,
+                                             message):
+    """Finite inputs whose stiffness or load overflows are a defect to
+    ``check`` and end ``solve`` in one named error line, with no numpy
+    warning on stderr before either."""
     src = tmp_path / "big.vtp"
     text = cantilever_file.read_text()
     assert old in text
     src.write_text(text.replace(old, new))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "formpipe.cli", "check", str(src)], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, f"defect [overflow]: {defect}\n", "")
     proc = subprocess.run([sys.executable, "-m", "formpipe.cli", "solve", str(src),
                            str(tmp_path / "r.vtk")], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import formpipe as fp
-from formpipe.cli import PipelineConfig, run_clean_pipeline
+from formpipe.cli import run_clean_pipeline
 from formpipe.model import (
     TRUSS_LINE,
     Cell,
@@ -225,6 +225,29 @@ class TestValidate:
         assert not report.ok
         assert [f.message for f in of_kind(report, "invalid-catalog")] == [message]
 
+    def test_overflowing_stiffness_term_blocks(self):
+        # 4 E I / L overflows; E A / L, all a truss has, does not
+        model = _two_point_model()
+        model.materials[1].E = 1e305
+        messages = [f.message for f in of_kind(validate(model), "overflow")]
+        assert messages == ["cell 0 stiffness overflows double precision"]
+        model.cells.truss[0] = True
+        assert validate(model).ok
+
+    def test_overflowing_load_blocks(self):
+        model = _two_point_model()
+        model.bcs[1] = fp.BoundaryConditionEntry(id=1, components=(1e150, 0, 0, 0, 0, 0))
+        model.points[1].bc_id = 1
+        assert validate(model).ok
+        model.bcs[1].components[2] = 1e200  # its square overflows
+        messages = [f.message for f in of_kind(validate(model), "overflow")]
+        assert messages == ["load 1 overflows double precision"]
+
+    def test_unusable_material_is_not_also_an_overflow(self):
+        model = _two_point_model()
+        model.materials[1].nu = -1.0  # G = E / 0
+        assert [f.kind for f in validate(model).defects] == ["invalid-catalog"]
+
     @pytest.mark.parametrize("nu", [0.5, 0.0, -0.99])
     def test_poisson_ratio_within_bounds_is_clean(self, nu):
         model = _two_point_model()
@@ -270,7 +293,7 @@ class TestValidate:
         model = _two_point_model()
         assert validate(model).ok
         for cell in model.cells:
-            assert model.cross_sections[cell.cs_id].properties.A > 0
+            assert section_properties(model.cross_sections[cell.cs_id].shape).A > 0
             assert model.materials[cell.mat_id].E > 0
 
 
@@ -312,7 +335,7 @@ def test_check_and_clean_build_no_row_objects(monkeypatch):
     n_soup = len(model.points)
     assert validate(model).ok
     assert fp.check_support_reachability(model)  # every segment floats on its own
-    cleaned, _ = run_clean_pipeline(model, PipelineConfig(merge_tol=0.01))
+    cleaned, _ = run_clean_pipeline(model, merge_tol=0.01)
     fp.write_model(cleaned)
     assert not made
     assert len(cleaned.points) < n_soup / 3  # the soup did merge
@@ -403,7 +426,7 @@ class TestViews:
         text = _line_soup(seed=3)
         outputs = set()
         for _ in range(3):
-            cleaned, _ = run_clean_pipeline(fp.parse_model(text), PipelineConfig(merge_tol=0.01))
+            cleaned, _ = run_clean_pipeline(fp.parse_model(text), merge_tol=0.01)
             outputs.add(fp.write_model(cleaned))
         assert len(outputs) == 1
 

@@ -19,6 +19,7 @@ from formpipe.model import (
     Rectangle,
     RigidLink,
     StructuralModel,
+    section_properties,
 )
 from formpipe.solver import (
     ConvergenceError,
@@ -598,7 +599,7 @@ class TestForcesAndEquilibrium:
         unpinned = np.zeros(len(dx), dtype=bool)  # the arch's sections follow the axis rule
         R, L = _triads(dx, np.zeros_like(dx), unpinned, unpinned)
         for idx, cell in enumerate(model.cells):
-            props = model.cross_sections[cell.cs_id].properties
+            props = section_properties(model.cross_sections[cell.cs_id].shape)
             mat = model.materials[cell.mat_id]
             total = mat.density * props.A * GRAVITY * 1e-3 * L[idx]  # N, global
             p = forces[idx]
@@ -789,7 +790,7 @@ def dense_reference(model, dm):
         dofs = [6 * a + c for c in range(6)] + [6 * b + c for c in range(6)]
         K6[np.ix_(dofs, dofs)] += k
         # uniform load q: q L / 2 per end, plus fixed-end moments +-L^2/12 ex x q
-        props = model.cross_sections[cell.cs_id].properties
+        props = section_properties(model.cross_sections[cell.cs_id].shape)
         q = model.materials[cell.mat_id].density * props.A * GRAVITY * 1e-3
         dx = coords[b] - coords[a]
         L = np.linalg.norm(dx)
@@ -853,7 +854,7 @@ class TestAssemblyReference:
         s = 1.0 / math.sqrt(2.0)
         stiffness = element_stiffness(model)
         for i, ey, ez in ((0, (1, 0, 0), (0, 1, 0)), (1, (0, -s, -s), (0, s, -s))):
-            props = model.cross_sections[model.cells[i].cs_id].properties
+            props = section_properties(model.cross_sections[model.cells[i].cs_id].shape)
             block = stiffness[i][:3, :3]
             bend = 12.0 * E_STEEL / 1000.0**3
             assert np.allclose(block @ ey, bend * props.Iz * np.array(ey), rtol=1e-12)

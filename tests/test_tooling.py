@@ -1,10 +1,13 @@
-"""The pytest settings in pyproject.toml, run on a probe suite in a subprocess."""
+"""The pytest settings in pyproject.toml, run on a probe suite in a
+subprocess, and the README's code examples, run as written."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.parent / "README.md"
 
 PROBE = '''
 import warnings
@@ -40,3 +43,12 @@ def test_failing_hypothesis_test_is_reported_not_fatal(tmp_path):
     assert proc.returncode == 1
     assert "2 failed, 1 passed" in proc.stdout
     assert "FAILED test_probe.py::test_deprecation_still_fails" in proc.stdout
+
+
+def test_readme_python_examples_run(capsys):
+    # a public name the README still shows cannot be removed unnoticed
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert "cells exceeded" in capsys.readouterr().out
