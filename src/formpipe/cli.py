@@ -34,6 +34,8 @@ EXIT_WARNINGS = 1
 EXIT_DEFECTS = 2
 EXIT_UNREADABLE = 3
 
+SOLVERS = ("direct", "pcg")
+
 # ``check`` lists this many unsupported components, then counts the rest: a
 # line soup floats every segment on its own
 _LISTED_COMPONENTS = 20
@@ -97,7 +99,7 @@ def run_solve_pipeline(model: StructuralModel, *, solver="direct", pcg_tol=DEFAU
     """Assemble, solve (``solver`` is direct or pcg), recover forces and
     post-process into a ResultSet.  Self-weight acts when the model's
     ``self_weight_enabled`` is set."""
-    if solver not in ("direct", "pcg"):
+    if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
     from . import solver as statics  # loads scipy, which no other command needs
     system, dofmap = statics.assemble(model)
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="linear statics plus resistance ratios")
     p_solve.add_argument("input")
     p_solve.add_argument("output", help="legacy VTK results file")
-    p_solve.add_argument("--solver", choices=("direct", "pcg"), default="direct")
+    p_solve.add_argument("--solver", choices=SOLVERS, default="direct")
     p_solve.add_argument("--pcg-tol", type=float, default=DEFAULT_PCG_TOL)
     p_solve.add_argument("--pcg-max-iter", type=int, default=None)
     p_solve.add_argument("--deform-scale", type=float, default=1.0)
