@@ -575,9 +575,10 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     axis code outside -1..-3, E or Ry not positive and finite, nu outside
     -1 < nu <= 0.5, density not finite), duplicate ids, rigid links that
     break the rule of ``rigid_link_findings``, loads whose norm overflows
-    double precision and cell stiffness terms (``stiffness_terms``) that
-    do; those terms are bounded when the points, cells and catalogs show
-    no other defect.  Degenerate cells,
+    double precision and cell stiffness terms (``stiffness_terms``) or,
+    with ``self_weight_enabled``, self-weight load terms that do; those
+    terms are bounded when the points, cells and catalogs show no other
+    defect.  Degenerate cells,
     never-referenced catalog entries and points that no cell or rigid link
     uses, ``orientation_points`` aside, are warnings only.
     """
@@ -640,6 +641,16 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
         defects += _row_findings([(~np.isfinite(terms).all(axis=0), "overflow",
                                    "cell {0} stiffness overflows double precision")],
                                  cells.ids[solvable])
+        if model.self_weight_enabled:
+            # the line load rho A g times L/2 (end forces) and, on beams,
+            # L^2/12 (fixed-end moments), rounded as the solver forms them
+            w = np.where(props.density > 0.0, props.density * props.A, 0.0)
+            q = w * STANDARD_GRAVITY_MM_S2 * KG_MM_S2_TO_N
+            length = lengths[solvable]
+            loads = (q * (length / 2.0), q * np.where(beam, length**2 / 12.0, 0.0))
+            defects += _row_findings([(~np.isfinite(loads).all(axis=0), "overflow",
+                                       "cell {0} self-weight overflows double precision")],
+                                     cells.ids[solvable])
 
     for bc in model.bcs.values():
         if not np.all(np.isfinite(bc.components)):

@@ -21,12 +21,22 @@ nodal forces; the fixed-end actions are subtracted again during force
 recovery.
 
 Supports, the rotations of points reached only by trusses, and rigid links
-(u_s = u_m + theta_m x r) form one sparse transformation T from the 6n nodal
-slots onto [free; fixed] DOFs.  T^T K_6n T holds the reduced stiffness and
-the reaction rows, and T^T F_6n the two load vectors.  This is master-slave
-elimination (Felippa, Introduction to FEM, MultiFreedom Constraints; Cook et
-al., Concepts and Applications of FEA, section 9); it keeps K symmetric
-positive definite, and K stores no exact zeros.
+(u_s = u_m + theta_m x r) define one transformation T from the 6n nodal
+slots onto [free; fixed] DOFs, u_6n = T [u_free; u_fixed].  T is held as
+arrays, never as a matrix: every slot that is not a slave maps onto at most
+one column of its own, and each link's 6x6 coupling ties its slave's slots
+to its master's.  Assembly substitutes the links element by element,
+k_e <- C_e^T k_e C_e with the slave end renumbered to its master, so that
+every element slot maps onto at most one column; one COO to CSR sort and sum
+then gives the reduced stiffness and the reaction rows, and the load vectors
+are T^T of the per-point loads.  This is master-slave elimination (Felippa,
+Introduction to FEM, MultiFreedom Constraints; Cook et al., Concepts and
+Applications of FEA, section 9); it keeps K symmetric positive definite,
+and K stores no exact zeros.
+
+The direct path runs in numpy alone.  Only PCG, whose preconditioner runs
+on SuperLU, and ``LinearSystem.K``, a scipy view of the stiffness, import
+scipy.
 """
 
 from __future__ import annotations
@@ -35,7 +45,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import (
     DEFAULT_PCG_TOL,
@@ -112,23 +121,81 @@ class SolveStats:
 @dataclass
 class DofMap:
     """Equation numbering of the 6n nodal slots and the constraint
-    transformation it defines.  ``state`` marks each slot free (its
-    equation index), fixed, slave or inactive; equations run over the free
-    slots in point order, then DOF order."""
+    transformation T it defines, u_6n = T [u_free; u_fixed], as arrays.
+    ``state`` marks each slot free (its equation index), fixed, slave or
+    inactive; equations run over the free slots in point order, then DOF
+    order.  Link i ties the slots of point row ``links[i, 1]`` (the slave)
+    to those of ``links[i, 0]`` (the master): u_s = coupling[i] u_m."""
 
     point_ids: np.ndarray  # (n,) point id of each row
     state: np.ndarray  # (n, 6) int: >=0 equation index, else _FIXED/_SLAVE/_INACTIVE
     fixed_slot: np.ndarray  # (n, 6) int: >=0 reaction row, -1 otherwise
     n_eq: int
     n_fixed: int
-    # T, (6n, n_eq + n_fixed), u_6n = T [u_free; u_fixed]
-    transformation: sp.csr_matrix
+    links: np.ndarray  # (k, 2) point rows of each link's master and slave
+    coupling: np.ndarray  # (k, 6, 6): identity, with column j of [:3, 3:] e_j x r
+
+    @property
+    def column(self) -> np.ndarray:
+        """(n, 6) column of T each slot maps onto by itself: its equation,
+        n_eq plus its reaction row, or -1 for slave and inactive slots."""
+        fixed = np.where(self.fixed_slot >= 0, self.n_eq + self.fixed_slot, -1)
+        return np.where(self.state >= 0, self.state, fixed)
+
+
+@dataclass
+class CsrArrays:
+    """A sparse matrix as the arrays of compressed sparse rows: row i holds
+    ``data[indptr[i]:indptr[i + 1]]`` at the ascending columns
+    ``indices[indptr[i]:indptr[i + 1]]``, and no stored entry is an exact
+    zero.  The index arrays are int32, so ``as_scipy`` wraps them as they
+    are."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # bincount gives integer zeros when there is no entry at all
+        return np.bincount(self.rows(), self.data * x[self.indices],
+                           self.shape[0]).astype(float, copy=False)
+
+    def as_scipy(self):
+        """This matrix as a scipy.sparse.csr_matrix over the same arrays, no
+        copy; imports scipy.sparse."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape,
+                             copy=False)
+
+
+def _csr(rows, cols, values, shape) -> CsrArrays:
+    """The COO entries (rows, cols, values) as CSR arrays, by one sort and
+    sum: equal positions add up in input order, exact zeros are dropped and
+    the columns of each row ascend."""
+    key = rows.astype(np.int64)
+    key *= shape[1]
+    key += cols
+    key, at = np.unique(key, return_inverse=True)
+    # bincount adds one at a time, in input order; np.add.reduceat would not
+    data = np.bincount(at, values, len(key)).astype(float, copy=False)
+    keep = data != 0.0
+    row, col = np.divmod(key[keep], max(shape[1], 1))
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
+    return CsrArrays(indptr, col.astype(np.int32), data[keep], shape)
 
 
 @dataclass
 class LinearSystem:
     """Reduced symmetric system plus the bookkeeping for reactions.
 
+    ``stiffness`` is K as CSR arrays; ``K`` reads it as a scipy matrix.
     ``reaction_matrix`` holds the fixed-slot rows of the full stiffness
     against the free columns, so reactions follow as K_cf u - f_c once the
     free displacements are known.  ``applied_loads`` keeps the physical
@@ -136,12 +203,18 @@ class LinearSystem:
     before any rigid-link remapping.
     """
 
-    K: sp.csr_matrix
+    stiffness: CsrArrays
     f: np.ndarray
-    reaction_matrix: sp.csr_matrix
+    reaction_matrix: CsrArrays
     reaction_rhs: np.ndarray
     dofmap: DofMap
     applied_loads: np.ndarray  # (n_points, 6)
+
+    @property
+    def K(self):
+        """K as a scipy.sparse.csr_matrix over the arrays of ``stiffness``,
+        no copy; reading it imports scipy.sparse."""
+        return self.stiffness.as_scipy()
 
 
 def _axis_from_code(code: int) -> np.ndarray:
@@ -294,13 +367,13 @@ def element_stiffness(model: StructuralModel) -> np.ndarray:
 
 
 def build_dof_map(model: StructuralModel) -> DofMap:
-    """Number the slots and build T.
+    """Number the slots and give T's link couplings.
 
     Free and fixed slots map onto their own column of T; slave slots onto
     their master's through u_s = u_m + theta_m x r, theta_s = theta_m, with
     r the link's offset or else the slave's position less the master's;
-    inactive slots, those of ``orientation_points`` included, are empty
-    rows.  Raises SolverError for links that break the rigid-link rule.
+    inactive slots, those of ``orientation_points`` included, map onto
+    nothing.  Raises SolverError for links that break the rigid-link rule.
     """
     points, links = model.points, model.rigid_links
     findings = rigid_link_findings(links, points)
@@ -333,19 +406,22 @@ def build_dof_map(model: StructuralModel) -> DofMap:
     fixed_slot = np.full((n, 6), -1, dtype=np.int64)
     fixed_slot[fixed] = np.arange(n_fixed)
 
-    column = np.where(free, state, np.where(fixed, n_eq + fixed_slot, -1)).ravel()
-    own = np.flatnonzero(column >= 0)
     coupling = np.tile(np.eye(6), (len(links), 1, 1))
     # column j of the translation-rotation block is e_j x r
     coupling[:, :3, 3:] = np.cross(np.eye(3), arms[:, None]).transpose(0, 2, 1)
-    link, s_comp, m_comp = np.nonzero(coupling)
-    T = sp.csr_matrix(
-        (np.concatenate([np.ones(len(own)), coupling[link, s_comp, m_comp]]),
-         (np.concatenate([own, 6 * linked[link, 1] + s_comp]),
-          np.concatenate([column[own], column[6 * linked[link, 0] + m_comp]]))),
-        shape=(6 * n, n_eq + n_fixed),
-    )
-    return DofMap(points.ids.copy(), state, fixed_slot, n_eq, n_fixed, T)
+    return DofMap(points.ids.copy(), state, fixed_slot, n_eq, n_fixed, linked, coupling)
+
+
+def _reduce_loads(dm: DofMap, loads: np.ndarray) -> np.ndarray:
+    """T^T of the per-point loads (n, 6): a slave's load moves onto its
+    master through the transposed coupling, then each slot adds into its
+    column.  Returns the vector [f_free; f_fixed]."""
+    loads = loads.copy()
+    master, slave = dm.links.T
+    np.add.at(loads, master, np.einsum("kji,kj->ki", dm.coupling, loads[slave]))
+    column = dm.column.ravel()
+    own = column >= 0
+    return np.bincount(column[own], loads.ravel()[own], dm.n_eq + dm.n_fixed)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, by name
@@ -370,20 +446,39 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
                           f"{worst.point_ids[:5]} with {worst.fixed_dof_count} fixed DOFs")
 
     dm = build_dof_map(model)
-    T = dm.transformation
+    n_eq, n_fixed = dm.n_eq, dm.n_fixed
     n_slots = 6 * len(model.points)
 
     el = _elements(model)
-    m = len(el.ends)
-    dofs = (6 * el.ends[:, :, None] + np.arange(6, dtype=np.int32)).reshape(m, 12)
+    m, ends = len(el.ends), el.ends
+    dofs = (6 * ends[:, :, None] + np.arange(6, dtype=np.int32)).reshape(m, 12)
     f_global = (el.f.reshape(m, 4, 3) @ el.R).reshape(m, 12)
     k_global = _global_stiffness(el)
     del el  # drop each (m, 12, 12) array once used: they dominate assembly memory
-    nonzero = k_global != 0.0
-    rows = np.broadcast_to(dofs[:, :, None], k_global.shape)[nonzero]
-    cols = np.broadcast_to(dofs[:, None, :], k_global.shape)[nonzero]
-    K_slots = sp.csr_matrix((k_global[nonzero], (rows, cols)), shape=(n_slots, n_slots))
-    del k_global, nonzero, rows, cols
+
+    # a slave end moves onto its master: k_e <- C_e^T k_e C_e, where C_e holds
+    # the link's coupling in that end's block and the identity elsewhere
+    link_of = np.full(len(model.points), -1)
+    link_of[dm.links[:, 1]] = np.arange(len(dm.links))
+    end_link = link_of[ends]
+    linked = np.flatnonzero((end_link >= 0).any(axis=1))
+    if len(linked):
+        C = np.tile(np.eye(12), (len(linked), 1, 1))
+        for end in (0, 1):
+            on = end_link[linked, end] >= 0
+            C[on, 6 * end : 6 * end + 6, 6 * end : 6 * end + 6] = \
+                dm.coupling[end_link[linked[on], end]]
+        k_global[linked] = C.transpose(0, 2, 1) @ k_global[linked] @ C
+        ends = np.where(end_link >= 0, dm.links[end_link, 0], ends)
+    column = dm.column[ends].reshape(m, 12)
+    rows = np.broadcast_to(column[:, :, None], k_global.shape)
+    cols = np.broadcast_to(column[:, None, :], k_global.shape)
+    # prescribed values are zero, so only the free columns enter
+    keep = (k_global != 0.0) & (rows >= 0) & (cols >= 0) & (cols < n_eq)
+    entries = rows[keep], cols[keep], k_global[keep]
+    del k_global, rows, cols, keep  # free the (m, 12, 12) arrays before the sort
+    reduced = _csr(*entries, (n_eq + n_fixed, n_eq))
+    del entries
 
     loads = np.zeros((len(model.points), 6))
     loaded = model.points.bc_ids != 0
@@ -396,15 +491,16 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     applied = np.bincount(dofs.ravel(), weights=f_global.ravel(), minlength=n_slots)
     applied = applied.reshape(-1, 6) + loads
 
-    # prescribed values are zero, so only the free columns of T enter
-    reduced = (T.T @ (K_slots @ T[:, : dm.n_eq])).tocsr()
-    rhs = T.T @ applied.ravel()
+    rhs = _reduce_loads(dm, applied)
     if not np.isfinite(_inf_norm(reduced)):
         raise SolverError("stiffness matrix overflows double precision")
     if not np.isfinite(np.linalg.norm(rhs)):
         raise SolverError("load vector overflows double precision")
-    n_eq = dm.n_eq
-    return LinearSystem(reduced[:n_eq], rhs[:n_eq], reduced[n_eq:], rhs[n_eq:], dm, applied), dm
+    at, indptr = reduced.indptr[n_eq], reduced.indptr
+    K = CsrArrays(indptr[: n_eq + 1], reduced.indices[:at], reduced.data[:at], (n_eq, n_eq))
+    reactions = CsrArrays(indptr[n_eq:] - at, reduced.indices[at:], reduced.data[at:],
+                          (n_fixed, n_eq))
+    return LinearSystem(K, rhs[:n_eq], reactions, rhs[n_eq:], dm, applied), dm
 
 
 def _bfs_levels(indptr, indices, start, seen, stamp):
@@ -425,7 +521,7 @@ def _bfs_levels(indptr, indices, start, seen, stamp):
     return levels
 
 
-def _level_sets(K: sp.csr_matrix):
+def _level_sets(K: CsrArrays):
     """Breadth-first level sets of K's graph, one component after another.
 
     Each component is searched from a pseudo-peripheral vertex (Gibbs,
@@ -485,19 +581,41 @@ class _LevelCholesky:
     separate components meet in a zero coupling block.  Raises
     np.linalg.LinAlgError unless K is positive definite to working
     precision.  ``nnz`` counts the stored entries: the dense square
-    L_i^-1 and C_i of every level.
+    L_i^-1 and C_i of every level.  A ``shift`` sigma factors K + sigma I.
     """
 
-    def __init__(self, K: sp.csr_matrix):
+    def __init__(self, K: CsrArrays, shift: float = 0.0):
         levels = _level_sets(K)
         self.perm = np.concatenate(levels)
-        at = np.cumsum([0] + [len(lv) for lv in levels])
-        # K in level order; its dense slices are the diagonal and coupling blocks
-        P = K[self.perm][:, self.perm]
-        self.inv = [P[s:e, s:e].toarray() for s, e in zip(at[:-1], at[1:])]
-        self.coupling = [P[e:f, s:e].toarray() for s, e, f in zip(at[:-2], at[1:-1], at[2:])]
+        width = np.array([len(lv) for lv in levels])
+        n, count = len(self.perm), len(levels)
+        level = np.empty(n, dtype=np.int64)
+        level[self.perm] = np.repeat(np.arange(count), width)
+        local = np.empty(n, dtype=np.int64)
+        local[self.perm] = np.arange(n) - np.repeat(np.cumsum(width) - width, width)
+        # K's entries grouped by the level of their row.  Each block is an
+        # array of its own, which can reuse the memory assembly freed; one
+        # buffer for all of them would be a fresh mapping (in-process peak
+        # RSS 104 against 86 MB on the cleaned 80x8x40 arch)
+        rows = K.rows()
+        by_level = np.argsort(level[rows], kind="stable")
+        bounds = np.searchsorted(level[rows[by_level]], np.arange(count + 1))
+        self.inv, self.coupling = [], []
+        for i, w in enumerate(width):
+            at = by_level[bounds[i] : bounds[i + 1]]
+            r, c, lc, d = local[rows[at]], local[K.indices[at]], level[K.indices[at]], K.data[at]
+            A = np.zeros((w, w))
+            on = lc == i
+            A[r[on], c[on]] = d[on]
+            self.inv.append(A)
+            if i:
+                B = np.zeros((w, width[i - 1]))
+                on = lc == i - 1
+                B[r[on], c[on]] = d[on]
+                self.coupling.append(B)
         self.nnz = sum(block.size for block in self.inv + self.coupling)
         for i, A in enumerate(self.inv):
+            A.flat[:: len(A) + 1] += shift
             if i:
                 C = self.coupling[i - 1]
                 A -= C @ C.T
@@ -530,12 +648,12 @@ def _mechanism(system: LinearSystem) -> MechanismError | None:
     most 1e-12 max diag K shows a null vector, and the DOF that moves most
     in it is named.  An empty K, one with non-finite entries and one whose
     shifted factor fails give None: they have no such diagnosis."""
-    K = system.K
+    K = system.stiffness
     if not (K.shape[0] and np.isfinite(K.data).all()):
         return None
-    scale = float(np.max(np.abs(K.diagonal()))) or 1.0
+    scale = float(np.max(np.abs(K.data[K.rows() == K.indices]), initial=0.0)) or 1.0
     try:
-        factor = _LevelCholesky(K + 1e-10 * scale * sp.identity(K.shape[0], format="csr"))
+        factor = _LevelCholesky(K, 1e-10 * scale)
     except np.linalg.LinAlgError:
         return None
     x = np.ones(K.shape[0])
@@ -561,13 +679,13 @@ def _fail(system: LinearSystem, message: str):
 def _residuals(system: LinearSystem, u: np.ndarray, fnorm: float, knorm: float):
     """(relative residual ||Ku - f|| / ||f||, normwise backward error
     ||Ku - f||_inf / (||K||_inf ||u||_inf + ||f||_inf)) of a solution u."""
-    r = system.K @ u - system.f
+    r = system.stiffness @ u - system.f
     scale = knorm * np.linalg.norm(u, np.inf) + np.linalg.norm(system.f, np.inf)
     return float(np.linalg.norm(r)) / fnorm, float(np.linalg.norm(r, np.inf) / scale)
 
 
-def _inf_norm(K: sp.spmatrix) -> float:
-    return float(abs(K).sum(axis=1).max()) if K.shape[0] else 0.0
+def _inf_norm(K: CsrArrays) -> float:
+    return float(np.bincount(K.rows(), np.abs(K.data)).max(initial=0.0))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan fail the acceptance test
@@ -585,14 +703,15 @@ def solve_direct(system: LinearSystem):
     offending point and DOF.
     """
     t0 = time.perf_counter()
-    n = system.K.shape[0]
+    K = system.stiffness
+    n = K.shape[0]
     ordering = _DIRECT_ORDERING
     if n == 0:
         return np.zeros(0), SolveStats("direct", 0, 0.0, time.perf_counter() - t0,
                                        ordering=ordering)
     fnorm = float(np.linalg.norm(system.f))
     try:
-        chol = _LevelCholesky(system.K)
+        chol = _LevelCholesky(K)
     except np.linalg.LinAlgError as exc:
         _fail(system, f"direct factorization failed: {exc}")
     factor_time = time.perf_counter() - t0
@@ -602,12 +721,12 @@ def solve_direct(system: LinearSystem):
         return np.zeros(n), SolveStats("direct", 0, 0.0, time.perf_counter() - t0, **factor)
     if not np.all(np.isfinite(u)):
         _fail(system, "direct solve gave non-finite displacements")
-    knorm = _inf_norm(system.K)
+    knorm = _inf_norm(K)
     res, eta = _residuals(system, u, fnorm, knorm)
     for _ in range(_MAX_REFINEMENTS):
         if res <= _REFINE_RESIDUAL:
             break
-        refined = u + chol.solve(system.f - system.K @ u)
+        refined = u + chol.solve(system.f - K @ u)
         refined_res, refined_eta = _residuals(system, refined, fnorm, knorm)
         if not refined_eta < eta:
             break
@@ -622,12 +741,14 @@ def solve_direct(system: LinearSystem):
                          backward_error=eta, **factor)
 
 
-def _sgs_preconditioner(K: sp.spmatrix):
+def _sgs_preconditioner(K):
     """The apply r -> M^-1 r of symmetric Gauss-Seidel, and the SuperLU
     factor of tril(K) it runs on: symmetric mode, diagonal pivots, natural
     order, so SuperLU keeps the triangle as it is.  SuperLU raises
     RuntimeError at a zero or missing diagonal entry.  Only PCG uses
-    SuperLU, so only PCG imports scipy.sparse.linalg."""
+    SuperLU, so only PCG imports scipy.sparse.linalg.  K is a
+    scipy.sparse matrix."""
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     lu = spla.splu(sp.tril(K, format="csc"), permc_spec=_SGS_ORDERING, diag_pivot_thresh=0,
@@ -659,7 +780,7 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"PCG iteration limit must be at least 1, got {max_iter}")
     t0 = time.perf_counter()
-    n = system.K.shape[0]
+    n = system.stiffness.shape[0]
     ordering = _SGS_ORDERING
     if max_iter is None:
         max_iter = max(10 * n, 20)
@@ -672,7 +793,7 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
         return np.zeros(n), SolveStats("pcg-sgs", 0, 0.0, time.perf_counter() - t0,
                                        ordering=ordering)
 
-    K = system.K
+    K = system.K  # the scipy view: its compiled matvec runs in the loop
     try:
         precondition, lu = _sgs_preconditioner(K)
     except (RuntimeError, ValueError) as exc:
@@ -708,15 +829,19 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
             f"PCG did not reach tol={tol:g} within {max_iter} iterations "
             f"(residual {relres:.3e})"
         )
-    res, eta = _residuals(system, x, bnorm, _inf_norm(K))
+    res, eta = _residuals(system, x, bnorm, _inf_norm(system.stiffness))
     return x, SolveStats("pcg-sgs", iterations, relres, time.perf_counter() - t0,
                          true_residual=res, backward_error=eta, **factor)
 
 
 def expand_displacements(dm: DofMap, u: np.ndarray) -> np.ndarray:
     """Per-point 6-DOF displacements T [u; 0] from the reduced solution."""
-    full = np.concatenate([np.asarray(u, dtype=float), np.zeros(dm.n_fixed)])
-    return (dm.transformation @ full).reshape(len(dm.point_ids), 6)
+    # fixed slots and, through column -1, slave and inactive slots read zero
+    full = np.concatenate([np.asarray(u, dtype=float), np.zeros(dm.n_fixed + 1)])
+    disp = full[dm.column]
+    master, slave = dm.links.T
+    disp[slave] = np.einsum("kij,kj->ki", dm.coupling, disp[master])
+    return disp
 
 
 def reaction_forces(system: LinearSystem, u: np.ndarray) -> np.ndarray:

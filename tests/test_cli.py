@@ -622,12 +622,12 @@ print(json.dumps(seen))
 
 
 def test_cli_import_leaves_scipy_spatial_out(tmp_path):
-    """Each command loads only the modules it uses: only ``solve`` and the
-    solver API load scipy, only ``solve --solver pcg`` loads
-    scipy.sparse.linalg for SuperLU, only ``gen`` loads casegen, and none
-    loads the networking stdlib.  Importing them costs more than the rest of
-    a ``check``, ``clean`` or ``gen`` run.  The lazy names stay importable
-    from the package, as the same objects."""
+    """Each command loads only the modules it uses: only ``solve --solver
+    pcg`` loads scipy, scipy.sparse.linalg for SuperLU among it; a direct
+    ``solve``, which imports the solver, loads no scipy module; only
+    ``gen`` loads casegen, and none loads the networking stdlib.  Importing
+    them costs more than the rest of a ``check``, ``clean`` or ``gen`` run.
+    The lazy names stay importable from the package, as the same objects."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
 
     def probe(*commands):  # (name, argv) pairs
@@ -642,13 +642,10 @@ def test_cli_import_leaves_scipy_spatial_out(tmp_path):
     seen = probe(("check", ["check", "m.vtp"]), ("clean", ["clean", "m.vtp", "c.vtp"]),
                  ("solve", ["solve", "c.vtp", "r.vtk"]),
                  ("solve --solver pcg", ["solve", "c.vtp", "p.vtk", "--solver", "pcg"]))
-    direct, pcg = seen["solve"].pop("scipy"), seen["solve --solver pcg"].pop("scipy")
-    assert "scipy.sparse" in direct
-    assert "scipy.sparse.linalg" not in direct
-    assert "scipy.sparse.linalg" in pcg
-    solved = {"network": [], "casegen": False}
-    assert seen == {"import": bare, "check": bare, "clean": bare, "solve": solved,
-                    "solve --solver pcg": solved, "same": True, "dir": True}
+    assert "scipy.sparse.linalg" in seen["solve --solver pcg"].pop("scipy")
+    assert seen == {"import": bare, "check": bare, "clean": bare, "solve": bare,
+                    "solve --solver pcg": {"network": [], "casegen": False}, "same": True,
+                    "dir": True}
 
 
 @pytest.mark.parametrize("argv, written", [
@@ -692,10 +689,12 @@ def test_poisson_ratio_out_of_range_is_a_defect(capsys, tmp_path, cantilever_fil
      "stiffness matrix overflows double precision"),
     (" -264.777 ", " 1e308 ", "load 1 overflows double precision",
      "load vector overflows double precision"),
-], ids=["modulus", "load"])
+    (" density 7.85e-06 ", " density 1e305 ", "cell 0 self-weight overflows double precision",
+     "load vector overflows double precision"),
+], ids=["modulus", "load", "density"])
 def test_overflowing_input_is_one_error_line(tmp_path, cantilever_file, old, new, defect,
                                              message):
-    """Finite inputs whose stiffness or load overflows are a defect to
+    """Finite inputs whose stiffness, load or self-weight overflows are a defect to
     ``check`` and end ``solve`` in one named error line, with no numpy
     warning on stderr before either."""
     src = tmp_path / "big.vtp"

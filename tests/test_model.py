@@ -234,6 +234,15 @@ class TestValidate:
         model.cells.truss[0] = True
         assert validate(model).ok
 
+    def test_overflowing_self_weight_blocks(self):
+        # rho A g L / 2 overflows; without self-weight nothing does
+        model = _two_point_model()
+        model.materials[1].density = 1e305
+        messages = [f.message for f in of_kind(validate(model), "overflow")]
+        assert messages == ["cell 0 self-weight overflows double precision"]
+        model.self_weight_enabled = False
+        assert validate(model).ok
+
     def test_overflowing_load_blocks(self):
         model = _two_point_model()
         model.bcs[1] = fp.BoundaryConditionEntry(id=1, components=(1e150, 0, 0, 0, 0, 0))

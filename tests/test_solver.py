@@ -28,6 +28,7 @@ from formpipe.solver import (
     SolverError,
     LinearSystem,
     _LevelCholesky,
+    _csr,
     _fail,
     _level_sets,
     _sgs_preconditioner,
@@ -74,6 +75,27 @@ def arch_50x5x24():
     model, _ = fp.remove_detached_components(model)
     model, _ = fp.prune_dead_arms(model, max_degree=2)
     return model
+
+
+def csr_arrays(A):
+    """The dense matrix A as the solver's CSR arrays."""
+    rows, cols = np.nonzero(A)
+    return _csr(rows, cols, A[rows, cols], A.shape)
+
+
+def transformation(dm):
+    """T as a scipy matrix, (6n, n_eq + n_fixed), from the DOF map's arrays:
+    a slot that is not a slave maps onto its own column, and the slots of a
+    slave onto its master's columns through the link's coupling."""
+    column = dm.column.ravel()
+    own = np.flatnonzero(column >= 0)
+    link, s_comp, m_comp = np.nonzero(dm.coupling)
+    return sp.csr_matrix(
+        (np.concatenate([np.ones(len(own)), dm.coupling[link, s_comp, m_comp]]),
+         (np.concatenate([own, 6 * dm.links[link, 1] + s_comp]),
+          np.concatenate([column[own], column[6 * dm.links[link, 0] + m_comp]]))),
+        shape=(len(column), dm.n_eq + dm.n_fixed),
+    )
 
 
 def collinear_trusses():
@@ -198,7 +220,8 @@ class TestAssembly:
         model.cross_sections[2] = CrossSection(id=2, shape=Rectangle(20.0, 30.0, "z", 2))
         _, dm = assemble(model)
         assert dm.n_eq == 6
-        assert dm.transformation[12:].nnz == 0
+        assert np.all(dm.column[2] == -1)
+        assert len(dm.links) == 0
 
     def test_self_weight_resultant(self):
         model = fp.gen_cantilever()
@@ -266,12 +289,13 @@ class TestDirectSolver:
             fixed_slot=np.array([[-1, 0, 1, 2, 3, 4]]),
             n_eq=1,
             n_fixed=5,
-            transformation=sp.identity(6, format="csr"),
+            links=np.zeros((0, 2), dtype=int),
+            coupling=np.zeros((0, 6, 6)),
         )
         system = LinearSystem(
-            K=sp.csr_matrix(np.array([[2.0]])),
+            stiffness=csr_arrays(np.array([[2.0]])),
             f=np.array([4.0]),
-            reaction_matrix=sp.csr_matrix((5, 1)),
+            reaction_matrix=csr_arrays(np.zeros((5, 1))),
             reaction_rhs=np.zeros(5),
             dofmap=dm,
             applied_loads=np.zeros((1, 6)),
@@ -324,27 +348,26 @@ class TestDirectSolver:
         assert np.abs(u - reference).max() <= 1e-9 * np.abs(reference).max()
         assert stats.true_residual == stats.relative_residual <= 1e-10
         assert stats.backward_error <= 1e-13
-        width = np.array([len(level) for level in _level_sets(system.K)])
+        width = np.array([len(level) for level in _level_sets(system.stiffness)])
         assert stats.factor_nnz == np.sum(width**2) + np.sum(width[1:] * width[:-1])
         again, _ = solve_direct(system)
         assert np.array_equal(u, again)
 
     def test_levels_make_k_block_tridiagonal(self, arch_50x5x24):
-        K = assemble(arch_50x5x24)[0].K
+        K = assemble(arch_50x5x24)[0].stiffness
         levels = _level_sets(K)
         order = np.concatenate(levels)
         assert np.array_equal(np.sort(order), np.arange(K.shape[0]))
         level = np.empty(K.shape[0], dtype=int)
         level[order] = np.repeat(np.arange(len(levels)), [len(lv) for lv in levels])
-        coo = K.tocoo()
-        assert np.abs(level[coo.row] - level[coo.col]).max() == 1
+        assert np.abs(level[K.rows()] - level[K.indices]).max() == 1
 
     def test_level_search_starts_at_a_path_end(self):
         # a path numbered from its middle: from vertex 0 it has 4 levels, from an end 7
         path = [5, 3, 1, 0, 2, 4, 6]
         A = 4.0 * np.eye(7)
         A[path[:-1], path[1:]] = A[path[1:], path[:-1]] = -1.0
-        levels = _level_sets(sp.csr_matrix(A))
+        levels = _level_sets(csr_arrays(A))
         assert [lv.tolist() for lv in levels] in ([[p] for p in path], [[p] for p in path[::-1]])
 
     def test_level_factor_matches_dense_solve_across_components(self):
@@ -358,7 +381,7 @@ class TestDirectSolver:
         A[np.ix_(clique, clique)] = np.triu(rng.uniform(-1, 1, (len(clique),) * 2), 1)
         A += A.T
         A[np.diag_indices(n)] = np.abs(A).sum(axis=1) + 1.0
-        K = sp.csr_matrix(A)
+        K = csr_arrays(A)
         assert len(_level_sets(K)) > 20
         b = rng.standard_normal(n)
         dense = np.linalg.solve(A, b)
@@ -468,12 +491,13 @@ def bare_system(K, f):
         fixed_slot=np.full((points, 6), -1),
         n_eq=n,
         n_fixed=0,
-        transformation=sp.eye(6 * points, n, format="csr"),
+        links=np.zeros((0, 2), dtype=int),
+        coupling=np.zeros((0, 6, 6)),
     )
     return LinearSystem(
-        K=sp.csr_matrix(K),
+        stiffness=csr_arrays(np.asarray(K, dtype=float)),
         f=np.asarray(f, dtype=float),
-        reaction_matrix=sp.csr_matrix((0, n)),
+        reaction_matrix=csr_arrays(np.zeros((0, n))),
         reaction_rhs=np.zeros(0),
         dofmap=dm,
         applied_loads=np.zeros((points, 6)),
@@ -776,6 +800,16 @@ def mixed_model():
     return model
 
 
+def given_offsets_model():
+    """``mixed_model`` with a second slave of point 20, tied by an arm that
+    differs from the positions and holds a negative zero."""
+    model = mixed_model()
+    model.points.append(Point(id=70, coords=(900.0, 0.0, 1000.0)))
+    model.cells.append(Cell(id=7, connectivity=(70, 60), cs_id=1, mat_id=1))
+    model.rigid_links.append(RigidLink(master=20, slave=70, offset=(-0.0, 35.0, -80.0)))
+    return model
+
+
 def dense_reference(model, dm):
     """Element matrices scattered into 6n slots, textbook self-weight loads and
     an explicit master-slave matrix C, with u_6n = C [u_free; u_fixed].
@@ -838,10 +872,11 @@ class TestAssemblyReference:
         assert inactive == {40, 50}
         assert dm.n_fixed == 10 and dm.n_eq == 42 - 10 - 6 - 6  # slots - fixed - slave - inactive
         full, rhs, applied, C = dense_reference(model, dm)
-        assert np.array_equal(dm.transformation.toarray(), C)
+        assert np.array_equal(transformation(dm).toarray(), C)
         ne = dm.n_eq
         scale = np.abs(full).max()
-        for got, want in ((system.K, full[:ne, :ne]), (system.reaction_matrix, full[ne:, :ne])):
+        for got, want in ((system.K, full[:ne, :ne]),
+                          (system.reaction_matrix.as_scipy(), full[ne:, :ne])):
             assert np.abs(got.toarray() - want).max() <= 1e-12 * scale
         fscale = np.abs(rhs).max()
         assert np.abs(system.f - rhs[:ne]).max() <= 1e-12 * fscale
@@ -879,15 +914,74 @@ class TestAssemblyReference:
             build_dof_map(model)
 
     def test_given_offsets_enter_the_transformation(self):
-        # a second slave of point 20, tied by an arm that differs from the
-        # positions, with a negative zero that must not enter T
-        model = mixed_model()
-        model.points.append(Point(id=70, coords=(900.0, 0.0, 1000.0)))
-        model.cells.append(Cell(id=7, connectivity=(70, 60), cs_id=1, mat_id=1))
-        model.rigid_links.append(RigidLink(master=20, slave=70, offset=(-0.0, 35.0, -80.0)))
+        model = given_offsets_model()
         system, dm = assemble(model)
         full, _, _, C = dense_reference(model, dm)
-        assert np.array_equal(dm.transformation.toarray(), C)
-        assert dm.transformation.nnz == np.count_nonzero(C)
+        assert np.array_equal(transformation(dm).toarray(), C)
         ne = dm.n_eq
         assert np.abs(system.K.toarray() - full[:ne, :ne]).max() <= 1e-12 * np.abs(full).max()
+        u = np.random.default_rng(2).standard_normal(ne)
+        want = (C[:, :ne] @ u).reshape(-1, 6)
+        assert np.abs(expand_displacements(dm, u) - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def scipy_reduction(model, dm, applied):
+    """The reduced system as scipy forms it, the reference for the numpy
+    assembly: element matrices summed into K_6n, then T^T K_6n T over the
+    free columns and T^T of the per-point loads."""
+    k = element_stiffness(model)
+    m = len(k)
+    ends = model.points.positions(model.cells.ends)
+    slots = (6 * ends[:, :, None] + np.arange(6)).reshape(m, 12)
+    nonzero = k != 0.0
+    rows = np.broadcast_to(slots[:, :, None], k.shape)[nonzero]
+    cols = np.broadcast_to(slots[:, None, :], k.shape)[nonzero]
+    n_slots = 6 * len(model.points)
+    K6 = sp.csr_matrix((k[nonzero], (rows, cols)), shape=(n_slots, n_slots))
+    T = transformation(dm)
+    reduced = (T.T @ (K6 @ T[:, : dm.n_eq])).tocsr()
+    reduced.sort_indices()
+    return reduced, T.T @ applied.ravel()
+
+
+def closed_mobile():
+    return fp.gen_leonardo(fp.LeonardoSpec(variant="closed_mobile"))
+
+
+class TestAssemblyOracle:
+    """The numpy sort-and-sum assembly against scipy's T^T K_6n T."""
+
+    @pytest.mark.parametrize("build", [fp.gen_cantilever, closed_mobile, given_offsets_model,
+                                       mixed_model, "arch"],
+                             ids=["cantilever", "closed_mobile", "given_offsets",
+                                  "truss_only_points", "arch_50x5x24"])
+    def test_matches_scipy_reduction(self, build, request):
+        model = request.getfixturevalue("arch_50x5x24") if build == "arch" else build()
+        system, dm = assemble(model)
+        reference, rhs = scipy_reduction(model, dm, system.applied_loads)
+        ne = dm.n_eq
+        scale = np.abs(reference.data).max()
+        for got, want in ((system.stiffness, reference[:ne]),
+                          (system.reaction_matrix, reference[ne:])):
+            assert got.shape == want.shape
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.indices, want.indices)
+            assert np.abs(got.data - want.data).max(initial=0.0) <= 1e-14 * scale
+            rows = got.rows()
+            assert np.all((np.diff(got.indices) > 0) | (np.diff(rows) > 0))
+            assert np.all(got.data != 0.0)
+        K = system.K
+        assert abs(K - K.T).max() <= 1e-12 * scale
+        fscale = np.abs(rhs).max()
+        assert np.abs(system.f - rhs[:ne]).max() <= 1e-14 * fscale
+        assert np.abs(system.reaction_rhs - rhs[ne:]).max(initial=0.0) <= 1e-14 * fscale
+
+    def test_k_is_a_scipy_view_of_the_arrays(self):
+        system, _ = assemble(fp.gen_leonardo())
+        K, arrays = system.K, system.stiffness
+        assert isinstance(K, sp.csr_matrix)
+        for view, own in ((K.data, arrays.data), (K.indices, arrays.indices),
+                          (K.indptr, arrays.indptr)):
+            assert np.shares_memory(view, own)
+        x = np.random.default_rng(4).standard_normal(K.shape[0])
+        assert np.abs(arrays @ x - K @ x).max() <= 1e-14 * np.abs(K @ x).max()
