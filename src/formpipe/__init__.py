@@ -39,7 +39,8 @@ from .resistance import ResultSet, build_result_set, classify, deformed_geometry
 __version__ = "0.1.0"
 
 # Names whose modules only some commands need load on first use (PEP 562):
-# the solver loads scipy, the bulk of import time, and only ``gen`` builds cases.
+# only ``solve`` runs the solver, which loads scipy only for PCG, and only
+# ``gen`` builds cases.
 _LAZY = dict.fromkeys((
     "ConvergenceError", "DofMap", "LinearSystem", "MechanismError", "SolveStats", "SolverError",
     "assemble", "element_stiffness", "expand_displacements", "reaction_forces",

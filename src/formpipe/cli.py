@@ -101,7 +101,7 @@ def run_solve_pipeline(model: StructuralModel, *, solver="direct", pcg_tol=DEFAU
     ``self_weight_enabled`` is set."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    from . import solver as statics  # loads scipy, which no other command needs
+    from . import solver as statics  # no other command needs it; scipy loads only for PCG
     system, dofmap = statics.assemble(model)
     if solver == "pcg":
         u, stats = statics.solve_pcg_ichol(system, tol=pcg_tol, max_iter=pcg_max_iter)

@@ -30,7 +30,7 @@ GRAVITY.flags.writeable = False
 DEFAULT_MERGE_TOL = 1e-6
 
 # relative preconditioned residual at which PCG stops; here, not in the
-# solver, so that the CLI can name it without loading scipy
+# solver, so that the CLI can name it without loading the solver
 DEFAULT_PCG_TOL = 1e-10
 
 # built-in steel preset yield stress (MPa); used when a material does not carry Ry
