@@ -924,6 +924,16 @@ class TestAssemblyReference:
         want = (C[:, :ne] @ u).reshape(-1, 6)
         assert np.abs(expand_displacements(dm, u) - want).max() <= 1e-14 * np.abs(want).max()
 
+    def test_cell_between_two_slaves_matches_dense_reference(self):
+        # both ends of the element move onto master 20, through different arms
+        model = given_offsets_model()
+        model.cells.append(Cell(id=8, connectivity=(30, 70), cs_id=1, mat_id=1))
+        system, dm = assemble(model)
+        full, rhs, _, _ = dense_reference(model, dm)
+        ne = dm.n_eq
+        assert np.abs(system.K.toarray() - full[:ne, :ne]).max() <= 1e-12 * np.abs(full).max()
+        assert np.abs(system.f - rhs[:ne]).max() <= 1e-12 * np.abs(rhs).max()
+
 
 def scipy_reduction(model, dm, applied):
     """The reduced system as scipy forms it, the reference for the numpy
