@@ -14,6 +14,8 @@ solver-side setting and is not serialized.
 
 from __future__ import annotations
 
+import re
+import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -50,17 +52,46 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+_INT64 = np.iinfo(np.int64)
+# a sign that no digit follows, which numpy's tokenizer reads as 0 or as the
+# sign of the next token
+_LONE_SIGN = re.compile(r"[+-](?![0-9])")
+
+
+def _int_column(text: str) -> np.ndarray | None:
+    """The integers of ``text`` read by numpy's C tokenizer, or None where it
+    could read them otherwise than ``int`` of each whitespace token does:
+    blank text, a sign that no digit follows, a token it does not read to
+    its end, and a value at the int64 limits, to which it saturates."""
+    if text.isspace() or (("-" in text or "+" in text) and _LONE_SIGN.search(text)):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # older numpy only warns
+        try:
+            values = np.fromstring(text, dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    if values.size and (values.max() == _INT64.max or values.min() == _INT64.min):
+        return None
+    return values
+
+
 def _values(elem, n, dtype, what) -> np.ndarray:
     """The whitespace-separated tokens of an ascii DataArray as an array of
-    ``dtype``; ``n`` is the expected count, None accepts any."""
+    ``dtype``; ``n`` is the expected count, None accepts any.  Integer
+    columns go through ``_int_column`` first, the tokens where it declines."""
     fmt = elem.get("format")
     if fmt != "ascii":
         raise ExchangeFormatError(f"only ascii data arrays are supported, got format={fmt!r}")
-    toks = (elem.text or "").split()
-    if n is not None and len(toks) != n:
-        raise ExchangeFormatError(f"{what}: expected {n} values, got {len(toks)}")
+    text = elem.text or ""
+    values = _int_column(text) if dtype is np.int64 else None
+    items = text.split() if values is None else values
+    if n is not None and len(items) != n:
+        raise ExchangeFormatError(f"{what}: expected {n} values, got {len(items)}")
+    if values is not None:
+        return values
     try:
-        return np.array(toks, dtype=dtype)
+        return np.array(items, dtype=dtype)
     except (ValueError, OverflowError) as exc:
         raise ExchangeFormatError(f"{what}: {exc}") from exc
 

@@ -203,10 +203,13 @@ class PointTable(_Table):
         """Row of each of ``ids`` (the last of equal ids, as a dict from id to
         row would give), -1 where no point has that id."""
         ids, own = np.asarray(ids, dtype=np.int64), self.ids
-        if not len(own):
+        n = len(own)
+        if not n:
             return np.full(ids.shape, -1)
         sort = np.any(own[1:] <= own[:-1])
-        order = np.argsort(own, kind="stable") if sort else np.arange(len(own))
+        if not sort and own[0] == 0 and own[-1] == n - 1:  # ids 0..n-1, as parse_model gives
+            return np.where((ids >= 0) & (ids < n), ids, -1)
+        order = np.argsort(own, kind="stable") if sort else np.arange(n)
         pos = np.searchsorted(own[order], ids, side="right") - 1
         return np.where((pos >= 0) & (own[order[pos]] == ids), order[pos], -1)
 
@@ -484,6 +487,25 @@ class ValidationReport:
     warnings: list
 
 
+def distinct(values) -> np.ndarray:
+    """The sorted distinct values of an integer array, as ``np.unique``
+    gives them.  Its plain form asks ``np.ma.is_masked``, which loads
+    numpy.ma (about 17 ms)."""
+    values = np.sort(np.ravel(values))
+    first = np.ones(values.shape, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def isin(values, test) -> np.ndarray:
+    """``np.isin(values, test)`` of integer arrays by one sort and
+    ``searchsorted``, which loads no numpy.ma."""
+    values, test = np.asarray(values), np.sort(np.ravel(test))
+    if not test.size:
+        return np.zeros(values.shape, dtype=bool)
+    return test[np.searchsorted(test, values).clip(max=test.size - 1)] == values
+
+
 def _repeats(ids: np.ndarray) -> np.ndarray:
     """True where an id already occurred at an earlier position."""
     first = np.zeros(len(ids), dtype=bool)
@@ -504,7 +526,7 @@ def _row_findings(checks, *columns) -> list:
 
 
 def _missing(ids: np.ndarray, catalog: dict) -> np.ndarray:
-    return ~np.isin(ids, np.fromiter(catalog, dtype=np.int64, count=len(catalog)))
+    return ~isin(ids, np.fromiter(catalog, dtype=np.int64, count=len(catalog)))
 
 
 def link_ends(links) -> np.ndarray:
@@ -521,13 +543,13 @@ def point_aims(model: StructuralModel) -> list:
 
 def aim_points(model: StructuralModel) -> np.ndarray:
     """Mask of the points that a Rectangle's point-id ``refNode`` names."""
-    return np.isin(model.points.ids, [cs.shape.ref_code for cs in point_aims(model)])
+    return isin(model.points.ids, [cs.shape.ref_code for cs in point_aims(model)])
 
 
 def used_points(model: StructuralModel) -> np.ndarray:
     """Mask of the points that are the end of a cell or a rigid link."""
     ends = np.concatenate([model.cells.ends.ravel(), link_ends(model.rigid_links).ravel()])
-    return np.isin(model.points.ids, ends)
+    return isin(model.points.ids, ends)
 
 
 def orientation_points(model: StructuralModel) -> np.ndarray:
@@ -551,18 +573,18 @@ def rigid_link_findings(links, points: PointTable) -> list:
     supported = point_ids[points.masks.any(axis=1)]
     bad_offset = [l.offset is not None and not np.all(np.isfinite(l.offset)) for l in links]
     findings = _row_findings([
-        (~np.isin(masters, point_ids), "dangling-reference",
+        (~isin(masters, point_ids), "dangling-reference",
          "rigid link master references missing point {0}"),
-        (~np.isin(slaves, point_ids), "dangling-reference",
+        (~isin(slaves, point_ids), "dangling-reference",
          "rigid link slave references missing point {1}"),
         (masters == slaves, "rigid-link-conflict", "rigid link with master == slave {0}"),
         (_repeats(slaves), "rigid-link-conflict", "point {1} is slave of two links"),
-        (np.isin(slaves, supported), "rigid-link-conflict",
+        (isin(slaves, supported), "rigid-link-conflict",
          "rigid link slave {1} may not carry support constraints"),
         (bad_offset, "non-finite", "rigid link offset for slave {1} not finite"),
     ], masters, slaves)
     return findings + [Finding("rigid-link-conflict", f"point {pid} is both master and slave")
-                       for pid in np.intersect1d(slaves, masters).tolist()]
+                       for pid in distinct(slaves[isin(slaves, masters)]).tolist()]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # what overflows is reported as a finding
@@ -584,7 +606,7 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     """
     points, cells = model.points, model.cells
     pids, ends, bc_ids = points.ids, cells.ends, points.bc_ids
-    no_point = ~np.isin(ends, pids)
+    no_point = ~isin(ends, pids)
     no_cs = _missing(cells.cs_ids, model.cross_sections)
     no_mat = _missing(cells.mat_ids, model.materials)
     no_bc = (bc_ids != 0) & _missing(bc_ids, model.bcs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .model import (DEFAULT_MERGE_TOL, PointTable, RigidLink, StructuralModel, aim_points,
-                    cell_lengths, link_ends, orientation_points, point_aims,
+                    cell_lengths, distinct, isin, link_ends, orientation_points, point_aims,
                     rigid_link_findings)
 
 # peel points with at most two incident cells: the dead arms of lattice-like models
@@ -165,7 +165,9 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
 
     survivor = _lowest(labels, count, ids)[labels]
     moved = survivor != ids
-    report.merged_point_pairs = sorted(zip(survivor[moved].tolist(), ids[moved].tolist()))
+    kept, removed = survivor[moved], ids[moved]
+    order = np.lexsort((removed, kept))  # by survivor, then removed
+    report.merged_point_pairs = list(zip(kept[order].tolist(), removed[order].tolist()))
 
     loads = points.bc_ids
     loaded = loads != 0
@@ -176,7 +178,7 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
         members = labels == labels[clash].min()
         raise TopologyError(
             f"cannot merge points {np.sort(ids[members]).tolist()}: conflicting "
-            f"load ids {np.unique(loads[members & loaded]).tolist()}"
+            f"load ids {distinct(loads[members & loaded]).tolist()}"
         )
     ends = link_ends(model.rigid_links)
     rows = points.positions(ends)
@@ -205,7 +207,7 @@ def _keep(model: StructuralModel, report: RepairReport, points: np.ndarray, cell
     with no end among the points that leave; records the fraction of cells
     removed in ``report``."""
     n_before = len(model.cells)
-    gone = np.isin(link_ends(model.rigid_links), model.points.ids[~points]).any(axis=1)
+    gone = isin(link_ends(model.rigid_links), model.points.ids[~points]).any(axis=1)
     model.rigid_links = [l for l, g in zip(model.rigid_links, gone) if not g]
     model.points = model.points.take(points)
     model.cells = model.cells.take(cells)
@@ -282,7 +284,7 @@ def remove_detached_components(model: StructuralModel):
     aims = aim_points(model) & ~keep
     model.points.bc_ids[aims] = 0
     # links leave with their component, even where both ends are kept aims
-    gone = np.isin(link_ends(model.rigid_links), ids[~keep]).any(axis=1)
+    gone = isin(link_ends(model.rigid_links), ids[~keep]).any(axis=1)
     model.rigid_links = [l for l, g in zip(model.rigid_links, gone) if not g]
     return _keep(model, report, keep | aims, keep[first_ends])
 
@@ -292,7 +294,7 @@ def protected_points(model: StructuralModel) -> np.ndarray:
     loaded ones, rigid-link ends and the ``aim_points``."""
     points = model.points
     return ((points.bc_ids != 0) | points.masks.any(axis=1)
-            | np.isin(points.ids, link_ends(model.rigid_links)) | aim_points(model))
+            | isin(points.ids, link_ends(model.rigid_links)) | aim_points(model))
 
 
 def _peel(n: int, ends: np.ndarray, protected: np.ndarray, max_degree: int):
@@ -320,13 +322,13 @@ def _peel(n: int, ends: np.ndarray, protected: np.ndarray, max_degree: int):
         point_alive[peel] = False
         lengths = run[peel]
         offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        cells = np.unique(incident[np.repeat(start[peel], lengths) + offsets])
+        cells = distinct(incident[np.repeat(start[peel], lengths) + offsets])
         cells = cells[cell_alive[cells]]
         cell_alive[cells] = False
         other = ends[cells].ravel()
         other = other[point_alive[other]]
         np.subtract.at(degree, other, 1)
-        frontier = np.unique(other)
+        frontier = distinct(other)
 
 
 def prune_dead_arms(model: StructuralModel, max_degree: int = DEFAULT_PRUNE_DEGREE):
@@ -367,15 +369,12 @@ def check_support_reachability(model: StructuralModel):
     members = ids[np.lexsort((ids, labels))]
     sizes = np.bincount(labels, minlength=count)
     starts = np.cumsum(sizes) - sizes
-    findings = [
-        UnsupportedComponent(
-            point_ids=members[starts[k] : starts[k] + sizes[k]].tolist(),
-            fixed_dof_count=int(fixed[k]),
-        )
-        for k in np.flatnonzero((fixed < 6) & structure)
-    ]
-    findings.sort(key=lambda f: f.point_ids[0])
-    return findings
+    flagged = np.flatnonzero((fixed < 6) & structure)
+    # by lowest member id; the stable sort keeps label order among equal ids
+    flagged = flagged[np.argsort(members[starts[flagged]], kind="stable")]
+    starts, sizes, members = starts[flagged].tolist(), sizes[flagged].tolist(), members.tolist()
+    return [UnsupportedComponent(members[a : a + k], int(f))
+            for a, k, f in zip(starts, sizes, fixed[flagged].tolist())]
 
 
 def make_rigid_link(model: StructuralModel, master: int, slave: int, offset=None):

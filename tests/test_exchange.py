@@ -488,3 +488,48 @@ class TestDataArrayErrors:
         with pytest.raises(ExchangeFormatError) as err:
             parse_model(text)
         assert str(err.value) == "offsets run past the end of the connectivity array"
+
+
+def _split_parse(body, n):
+    """What the whitespace tokens of an ID_MATERIAL body give under
+    ``np.array(tokens, dtype=np.int64)``: the values or the error message."""
+    tokens = body.split()
+    if len(tokens) != n:
+        return f"ID_MATERIAL: expected {n} values, got {len(tokens)}"
+    try:
+        return np.array(tokens, dtype=np.int64).tolist()
+    except (ValueError, OverflowError) as exc:
+        return f"ID_MATERIAL: {exc}"
+
+
+def _parsed_materials(token):
+    """``parse_model`` of the golden file with ``token`` in place of its
+    first ID_MATERIAL value: the column, or the error message."""
+    head = 'Name="ID_MATERIAL">\n          '
+    text = read_data("golden_mixed.vtp").replace(head + "2", head + token)
+    try:
+        return parse_model(text).cells.mat_ids.tolist()
+    except ExchangeFormatError as exc:
+        return str(exc)
+
+
+class TestIntegerColumns:
+    """Integer columns are read by numpy's C tokenizer where it reads them as
+    the tokens would be read one at a time, and token by token elsewhere:
+    either way a value, or an error message, equals the token path's."""
+
+    REST = "\n          4\n          4\n          2\n        "
+
+    @pytest.mark.parametrize("token", [
+        "+5", "1_000", "-1-2", "1.5", "0x10", "9223372036854775807", "-9223372036854775808",
+        "\t\n7\n\t", "9223372036854775808", "-9223372036854775809", "-", "+", "- 5", "+ 5",
+        "5 -", "007", "-0",
+    ])
+    def test_value_or_message_as_token_by_token(self, token):
+        assert _parsed_materials(token) == _split_parse(token + self.REST, 4)
+
+    @given(token=st.text(alphabet="0123456789+-_.x \t\n", min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_any_token_as_token_by_token(self, token):
+        assert _parsed_materials(token) == _split_parse(token + self.REST, 4)
+

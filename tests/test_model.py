@@ -353,6 +353,38 @@ def test_check_and_clean_build_no_row_objects(monkeypatch):
     assert cleaned.points[-1].id == -1 and made == ["Point", "_Table"]
 
 
+
+def _positions_oracle(ids, query):
+    rows = {pid: row for row, pid in enumerate(ids)}  # the last row of an id wins
+    return [rows.get(q, -1) for q in query]
+
+
+@pytest.mark.parametrize("ids", [
+    [0, 1, 2, 3, 4], [3, 0, 4, 1, 2], [0, 2, 5, 9], [4, 1, 4, 0, 1, 2], [0, 1, 1, 3], [1, 2, 3],
+    [-1, 1, 2], [0], [],
+], ids=["dense", "shuffled", "gapped", "duplicated", "dense-ends-duplicated", "shifted",
+       "negative-first", "single", "empty"])
+def test_positions_match_a_dict_from_id_to_row(ids):
+    """Dense ids 0..n-1 in row order are their own rows; every other table
+    is searched.  Ids outside the table, the int64 limits among them, give
+    -1, and the query's shape is kept."""
+    table = PointTable(ids, np.zeros((len(ids), 3)))
+    limits = np.iinfo(np.int64)
+    query = [*range(-3, max(ids, default=0) + 4), limits.min, limits.max]
+    got = table.positions(np.reshape(query, (-1, 1)))
+    assert got.shape == (len(query), 1)
+    assert got.ravel().tolist() == _positions_oracle(ids, query)
+
+
+@given(ids=st.one_of(st.lists(st.integers(-3, 30), max_size=20),
+                     st.integers(0, 20).map(lambda n: list(range(n)))),
+       query=st.lists(st.integers(-5, 35), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_positions_match_a_dict_on_any_ids(ids, query):
+    table = PointTable(ids, np.zeros((len(ids), 3)))
+    assert table.positions(query).tolist() == _positions_oracle(ids, query)
+
+
 class TestViews:
     def test_attribute_and_mask_writes_reach_the_columns(self):
         model = _two_point_model()

@@ -360,7 +360,7 @@ class TestDirectSolver:
         assert np.array_equal(np.sort(order), np.arange(K.shape[0]))
         level = np.empty(K.shape[0], dtype=int)
         level[order] = np.repeat(np.arange(len(levels)), [len(lv) for lv in levels])
-        assert np.abs(level[K.rows()] - level[K.indices]).max() == 1
+        assert np.abs(level[K.rows] - level[K.indices]).max() == 1
 
     def test_level_search_starts_at_a_path_end(self):
         # a path numbered from its middle: from vertex 0 it has 4 levels, from an end 7
@@ -977,7 +977,7 @@ class TestAssemblyOracle:
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert np.abs(got.data - want.data).max(initial=0.0) <= 1e-14 * scale
-            rows = got.rows()
+            rows = got.rows
             assert np.all((np.diff(got.indices) > 0) | (np.diff(rows) > 0))
             assert np.all(got.data != 0.0)
         K = system.K

@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
+import formpipe as fp
 from formpipe.model import (
     BoundaryConditionEntry,
     Cell,
+    CellTable,
     Circle,
     CrossSection,
     Material,
     Point,
+    PointTable,
     Rectangle,
     RigidLink,
     StructuralModel,
@@ -619,6 +622,62 @@ class TestSupportReachability:
         findings = check_support_reachability(model)
         assert len(findings) == 1
         assert findings[0].fixed_dof_count == 3
+
+
+def lattice_soup(seed):
+    """A small lattice exploded into a line soup: every cell gets its own
+    two endpoints, jittered by at most 1e-3 per axis and carrying its
+    nodes' masks and loads, in shuffled cell order.  The point ids are a
+    shuffled sample with gaps, so row order and id order differ."""
+    rng = np.random.default_rng(seed)
+    lattice = fp.gen_sphere_lattice(fp.LatticeSpec(nx=3, ny=3, nz=3, splash_fraction=0.05,
+                                                   seed=seed))
+    cells, points = lattice.cells, lattice.points
+    order = rng.permutation(len(cells))
+    ends = points.positions(cells.ends[order]).ravel()
+    n = len(ends)
+    ids = rng.permutation(3 * n)[:n]
+    return StructuralModel(
+        comment="soup", cross_sections=lattice.cross_sections, materials=lattice.materials,
+        bcs=lattice.bcs,
+        points=PointTable(ids, points.coords[ends] + rng.uniform(-1e-3, 1e-3, (n, 3)),
+                          points.masks[ends], points.bc_ids[ends]),
+        cells=CellTable(np.arange(n // 2), ids.reshape(-1, 2), cells.cs_ids[order],
+                        cells.mat_ids[order], cells.truss[order]))
+
+
+class TestLineSoupReports:
+    """The repair and support reports on a shuffled line soup, raw and after
+    a merge at a tolerance that joins only some endpoint copies."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("tol", [None, 2e-3, 0.01])
+    def test_reachability_matches_per_component_oracle(self, seed, tol):
+        model = lattice_soup(seed)
+        if tol is not None:
+            model, _ = merge_duplicate_nodes(model, tol=tol)
+        fixed = dict(zip(model.points.ids.tolist(), model.points.masks.sum(axis=1).tolist()))
+        components = [sorted(comp) for comp in bfs_components_oracle(model)]
+        expected = [(comp, sum(fixed[pid] for pid in comp)) for comp in components]
+        expected = sorted(e for e in expected if e[1] < 6)  # by lowest id
+        found = check_support_reachability(model)
+        assert [(f.point_ids, f.fixed_dof_count) for f in found] == expected
+        assert all(type(f.fixed_dof_count) is int for f in found)
+        assert len(expected) < len(components)  # some components are supported
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("tol", [2e-3, 0.01])
+    def test_merged_pairs_are_sorted_survivor_removed_pairs(self, seed, tol):
+        model = lattice_soup(seed)
+        ids = model.points.ids.tolist()
+        clusters = {}
+        for member, low in merge_oracle(model.points.coords, tol).items():
+            clusters.setdefault(low, []).append(ids[member])
+        # the lowest id of each cluster survives
+        survivor, removed = zip(*[(min(c), pid) for c in clusters.values() for pid in c
+                                  if pid != min(c)])
+        _, report = merge_duplicate_nodes(model, tol=tol)
+        assert report.merged_point_pairs == sorted(zip(survivor, removed))
 
 
 def aimed_cantilever():
