@@ -6,10 +6,11 @@ Nodal DOFs are ordered (ux, uy, uz, rx, ry, rz); element vectors stack end A
 then end B.
 
 One array kernel computes every element quantity for all cells at once: end
-point indices, local triads (m, 3, 3), local stiffness (m, 12, 12),
+point indices, local triads (m, 3, 3), the inputs of the local stiffness,
 self-weight fixed-end loads and the section and material values, each
 catalog entry evaluated once.  Assembly, force recovery and the resistance
-ratio read these arrays; rotations act as batched 3x3 block products.
+ratio read these arrays; the 12x12 stiffness matrices are built from them
+in slices of 1024 cells, and rotations act as batched 3x3 block products.
 
 Local axes: x runs along the element.  By default local z is the global Z
 projected perpendicular to the element axis; members within 1e-6 of vertical
@@ -34,9 +35,10 @@ Introduction to FEM, MultiFreedom Constraints; Cook et al., Concepts and
 Applications of FEA, section 9); it keeps K symmetric positive definite,
 and K stores no exact zeros.
 
-The direct path runs in numpy alone.  Only PCG, whose preconditioner runs
-on SuperLU, and ``LinearSystem.K``, a scipy view of the stiffness, import
-scipy.
+The direct path runs in numpy alone, on a block Cholesky factor that keeps
+only the dense inverse of each level's triangular block.  Only PCG, whose
+preconditioner runs on SuperLU, and ``LinearSystem.K``, a scipy view of the
+stiffness, import scipy.
 """
 
 from __future__ import annotations
@@ -114,9 +116,10 @@ class SolveStats:
     true_residual: float = 0.0
     backward_error: float = 0.0
     ordering: str = "none"  # BFS_LEVELS for direct, SuperLU's NATURAL for PCG
-    # stored entries: for direct, the dense blocks L_i^-1 and C_i of every
-    # level; for PCG, what SuperLU stores for L and U, the zeros inside its
-    # supernodes included (lu.L.nnz + lu.U.nnz would copy the factor out)
+    # stored entries: for direct, the dense L_i^-1 of every level, sum w_i^2
+    # over the level widths; for PCG, what SuperLU stores for L and U, the
+    # zeros inside its supernodes included (lu.L.nnz + lu.U.nnz would copy
+    # the factor out)
     factor_nnz: int = 0
     factor_time: float = 0.0
 
@@ -180,15 +183,26 @@ class CsrArrays:
 
 
 def _csr(rows, cols, values, shape) -> CsrArrays:
-    """The COO entries (rows, cols, values) as CSR arrays, by one sort and
-    sum: equal positions add up in input order, exact zeros are dropped and
-    the columns of each row ascend."""
+    """The COO entries (rows, cols, values) as CSR arrays, by one stable sort
+    and sum: equal positions add up in input order, exact zeros are dropped
+    and the columns of each row ascend."""
     key = rows.astype(np.int64)
     key *= shape[1]
     key += cols
-    key, at = np.unique(key, return_inverse=True)
-    # bincount adds one at a time, in input order; np.add.reduceat would not
-    data = np.bincount(at, values, len(key)).astype(float, copy=False)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    values = values[order]
+    del order
+    start = np.empty(len(key), dtype=bool)
+    start[:1] = True
+    np.not_equal(key[1:], key[:-1], out=start[1:])
+    group = np.cumsum(start)
+    group -= 1
+    key = key[start]
+    # bincount adds one at a time, and the stable sort keeps the input order
+    # within a position; np.add.reduceat would not add one at a time
+    data = np.bincount(group, values, len(key)).astype(float, copy=False)
+    del group, values
     keep = data != 0.0
     row, col = np.divmod(key[keep], max(shape[1], 1))
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
@@ -311,14 +325,23 @@ def _local_stiffness(E, G, A, Iy, Iz, J, L):
     return k
 
 
+_SLICE = 1024  # cells per batch of 12x12 stiffness matrices
+
+
 @dataclass
 class _Elements:
-    """Element arrays over m cells, in cell order."""
+    """Element arrays over m cells, in cell order.  The local stiffness is
+    kept as its inputs and built per slice of cells by ``k``, so no
+    (m, 12, 12) array outlives the call that needs it."""
 
     ends: np.ndarray  # (m, 2) int32 point indices
     R: np.ndarray  # (m, 3, 3) local triads, rows ex, ey, ez
-    k: np.ndarray  # (m, 12, 12) local stiffness
+    terms: np.ndarray  # (7, m) E, G, A, Iy, Iz, J, L; a truss has Iy = Iz = J = 0
     f: np.ndarray  # (m, 12) self-weight equivalent nodal loads, local axes
+
+    def k(self, cells: slice = slice(None)) -> np.ndarray:
+        """Local 12x12 stiffness of the given cells."""
+        return _local_stiffness(*self.terms[:, cells])
 
 
 def _elements(model: StructuralModel) -> _Elements:
@@ -332,8 +355,8 @@ def _elements(model: StructuralModel) -> _Elements:
     xa = coords[ends[:, 0]]
     R, L = _triads(coords[ends[:, 1]] - xa, *_section_references(model, cells.cs_ids, xa))
     bending = np.where(beam, 1.0, 0.0)
-    k = _local_stiffness(props.E, props.G, props.A, props.Iy * bending,
-                         props.Iz * bending, props.J * bending, L)
+    terms = np.stack([props.E, props.G, props.A, props.Iy * bending, props.Iz * bending,
+                      props.J * bending, L])
 
     f = np.zeros((len(cells), 12))
     if model.self_weight_enabled:
@@ -349,17 +372,17 @@ def _elements(model: StructuralModel) -> _Elements:
         f[:, 10] = qz * moment
         f[:, 5] = qy * moment
         f[:, 11] = -qy * moment
-    return _Elements(ends=ends, R=R, k=k, f=f)
+    return _Elements(ends=ends, R=R, terms=terms, f=f)
 
 
 def _global_stiffness(el: _Elements) -> np.ndarray:
     """R^T k R for each element, (m, 12, 12), as batched 3x3 block products
-    over slices of 1024 elements, so the intermediate k R stays small."""
-    out = np.empty_like(el.k)
-    for s in range(0, len(out), 1024):
-        R = el.R[s : s + 1024]
+    over slices of 1024 elements, so the local k and k R stay small."""
+    out = np.empty((len(el.ends), 12, 12))
+    for s in range(0, len(out), _SLICE):
+        R = el.R[s : s + _SLICE]
         n = len(R)
-        kR = el.k[s : s + n].reshape(n, 12, 4, 3) @ R[:, None]
+        kR = el.k(slice(s, s + n)).reshape(n, 12, 4, 3) @ R[:, None]
         np.matmul(R.transpose(0, 2, 1)[:, None], kR.reshape(n, 4, 3, 12),
                   out=out[s : s + n].reshape(n, 4, 3, 12))
     return out
@@ -459,7 +482,7 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     dofs = (6 * ends[:, :, None] + np.arange(6, dtype=np.int32)).reshape(m, 12)
     f_global = (el.f.reshape(m, 4, 3) @ el.R).reshape(m, 12)
     k_global = _global_stiffness(el)
-    del el  # drop each (m, 12, 12) array once used: they dominate assembly memory
+    del el  # the sort below sets assembly's peak: hold nothing it does not need
 
     # a slave end moves onto its master: k_e <- C_e^T k_e C_e, where C_e holds
     # the link's coupling in that end's block and the identity elsewhere
@@ -578,33 +601,46 @@ class _LevelCholesky:
 
     In level order K is block tridiagonal with diagonal blocks A_i and
     coupling blocks B_i (level i+1 against level i); L is block lower
-    bidiagonal (George & Liu, Computer Solution of Large Sparse Positive
-    Definite Systems, ch. 4 and 6).  Level by level, L_i is the Cholesky
-    factor of A_i - C_{i-1} C_{i-1}^T and C_i = B_i L_i^-T.  Each level
-    keeps L_i^-1, so both triangular solves are dense matrix-vector
-    products; every flop runs in numpy's LAPACK and BLAS.  Levels of
-    separate components meet in a zero coupling block.  Raises
-    np.linalg.LinAlgError unless K is positive definite to working
-    precision.  ``nnz`` counts the stored entries: the dense square
-    L_i^-1 and C_i of every level.  A ``shift`` sigma factors K + sigma I.
+    bidiagonal, with off-diagonal blocks C_i = B_i L_i^-T (George & Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, ch. 4 and
+    6).  Level by level, L_i is the Cholesky factor of
+    A_i - C_{i-1} C_{i-1}^T; C_{i-1} is formed from a dense B_{i-1} for
+    that product and then dropped.  The factor keeps only the dense square
+    L_i^-1 of each level, and B_i as the (row, column, value) triplets of
+    K's own entries, so the triangular solves apply C_i as B_i L_i^-T: a
+    dense matrix-vector product and one ``np.bincount``.  Every dense flop
+    runs in numpy's LAPACK and BLAS.  Levels of separate components meet in
+    an empty coupling block.  Raises np.linalg.LinAlgError unless K is
+    positive definite to working precision, and a MemoryError naming the
+    factor's size when its blocks do not fit.  ``nnz`` counts the stored
+    entries, sum w_i^2 over the level widths w_i, known before the first
+    block is allocated.  A ``shift`` sigma factors K + sigma I.
     """
 
     def __init__(self, K: CsrArrays, shift: float = 0.0):
         levels = _level_sets(K)
         self.perm = np.concatenate(levels)
         width = np.array([len(lv) for lv in levels])
-        n, count = len(self.perm), len(levels)
+        self.nnz = int(np.sum(width**2))
+        try:
+            self._factor(K, width, shift)
+        except MemoryError:
+            raise MemoryError(f"direct factor needs {8 * self.nnz / 1e9:.2f} GB "
+                              f"({self.nnz} entries)") from None
+
+    def _factor(self, K, width, shift):
+        n, count = len(self.perm), len(width)
         level = np.empty(n, dtype=np.int64)
         level[self.perm] = np.repeat(np.arange(count), width)
         local = np.empty(n, dtype=np.int64)
         local[self.perm] = np.arange(n) - np.repeat(np.cumsum(width) - width, width)
-        # K's entries grouped by the level of their row.  Each block is an
-        # array of its own, which can reuse the memory assembly freed; one
-        # buffer for all of them would be a fresh mapping (in-process peak
-        # RSS 104 against 86 MB on the cleaned 80x8x40 arch)
+        # K's entries grouped by the level of their row.  Each level's block
+        # is an array of its own, which can reuse the memory assembly freed;
+        # one buffer for all of them would be a fresh mapping
         rows = K.rows
         by_level = np.argsort(level[rows], kind="stable")
         bounds = np.searchsorted(level[rows[by_level]], np.arange(count + 1))
+        # self.coupling[i] holds B_i: rows local to level i+1, columns to level i
         self.inv, self.coupling = [], []
         for i, w in enumerate(width):
             at = by_level[bounds[i] : bounds[i + 1]]
@@ -612,33 +648,34 @@ class _LevelCholesky:
             A = np.zeros((w, w))
             on = lc == i
             A[r[on], c[on]] = d[on]
-            self.inv.append(A)
+            A.flat[:: w + 1] += shift
             if i:
-                B = np.zeros((w, width[i - 1]))
                 on = lc == i - 1
+                self.coupling.append((r[on], c[on], d[on]))
+                B = np.zeros((w, width[i - 1]))
                 B[r[on], c[on]] = d[on]
-                self.coupling.append(B)
-        self.nnz = sum(block.size for block in self.inv + self.coupling)
-        for i, A in enumerate(self.inv):
-            A.flat[:: len(A) + 1] += shift
-            if i:
-                C = self.coupling[i - 1]
+                C = B @ self.inv[i - 1].T
                 A -= C @ C.T
-            A[...] = _tril_inverse(np.linalg.cholesky(A))
-            if i < len(self.coupling):
-                self.coupling[i][...] = self.coupling[i] @ A.T
+                del B, C
+            self.inv.append(_tril_inverse(np.linalg.cholesky(A)))
+            del A
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """K^-1 b: forward through the levels, then back."""
-        y = np.split(b[self.perm], np.cumsum([len(A) for A in self.inv])[:-1])
-        for i, Linv in enumerate(self.inv):
+        """K^-1 b: forward y_i = L_i^-1 (b_i - B_{i-1} L_{i-1}^-T y_{i-1}),
+        then back x_i = L_i^-T (y_i - L_i^-1 B_i^T x_{i+1})."""
+        inv = self.inv
+        y = np.split(b[self.perm], np.cumsum([len(Linv) for Linv in inv])[:-1])
+        for i, Linv in enumerate(inv):
             if i:
-                y[i] = y[i] - self.coupling[i - 1] @ y[i - 1]
+                r, c, d = self.coupling[i - 1]
+                t = inv[i - 1].T @ y[i - 1]
+                y[i] = y[i] - np.bincount(r, d * t[c], len(Linv))
             y[i] = Linv @ y[i]
         for i in range(len(y) - 1, -1, -1):
             if i < len(y) - 1:
-                y[i] = y[i] - self.coupling[i].T @ y[i + 1]
-            y[i] = self.inv[i].T @ y[i]
+                r, c, d = self.coupling[i]
+                y[i] = y[i] - inv[i] @ np.bincount(c, d * y[i + 1][r], len(y[i]))
+            y[i] = inv[i].T @ y[i]
         u = np.empty_like(b)
         u[self.perm] = np.concatenate(y)
         return u
@@ -659,7 +696,7 @@ def _mechanism(system: LinearSystem) -> MechanismError | None:
     scale = float(np.max(np.abs(K.data[K.rows == K.indices]), initial=0.0)) or 1.0
     try:
         factor = _LevelCholesky(K, 1e-10 * scale)
-    except np.linalg.LinAlgError:
+    except (np.linalg.LinAlgError, MemoryError):
         return None
     x = np.ones(K.shape[0])
     for _ in range(4):
@@ -719,6 +756,8 @@ def solve_direct(system: LinearSystem):
         chol = _LevelCholesky(K)
     except np.linalg.LinAlgError as exc:
         _fail(system, f"direct factorization failed: {exc}")
+    except MemoryError as exc:
+        raise SolverError(f"{exc}; try --solver pcg") from None
     factor_time = time.perf_counter() - t0
     u = chol.solve(system.f)
     factor = dict(ordering=ordering, factor_nnz=chol.nnz, factor_time=factor_time)
@@ -863,11 +902,15 @@ def recover_end_forces(model: StructuralModel, displacements: np.ndarray) -> np.
     """Element end forces in local axes, (n_cells, 2, 6) as (N, Vy, Vz, T, My, Mz).
 
     Computed as k_local u_local minus the self-weight fixed-end actions, so
-    each element's end forces balance the load applied along it.
+    each element's end forces balance the load applied along it; k_local is
+    built per slice of 1024 cells.
     """
     el = _elements(model)
     m = len(el.ends)
     disp = np.asarray(displacements, dtype=float)
-    u_local = disp[el.ends].reshape(m, 4, 3) @ el.R.transpose(0, 2, 1)
-    p = (el.k @ u_local.reshape(m, 12, 1))[:, :, 0] - el.f
+    u_local = (disp[el.ends].reshape(m, 4, 3) @ el.R.transpose(0, 2, 1)).reshape(m, 12, 1)
+    p = np.empty_like(el.f)
+    for s in range(0, m, _SLICE):
+        cells = slice(s, s + _SLICE)
+        p[cells] = (el.k(cells) @ u_local[cells])[:, :, 0] - el.f[cells]
     return p.reshape(m, 2, 6)

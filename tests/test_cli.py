@@ -441,6 +441,23 @@ class TestSolve:
             assert (code, err) == (0, "")
             assert "max total displacement = 0 mm" in out
 
+    def test_direct_factor_out_of_memory_is_one_error_line(self, capsys, tmp_path,
+                                                            cantilever_file, monkeypatch):
+        _, out, _ = run(capsys, "solve", str(cantilever_file), str(tmp_path / "r.vtk"),
+                        "--format", "structured")
+        entries = int(parse_structured(out)["solver_factor_nnz"])
+
+        def no_memory(a):
+            raise MemoryError
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_memory)
+        dst = tmp_path / "never.vtk"
+        code, out, err = run(capsys, "solve", str(cantilever_file), str(dst))
+        assert (code, out) == (2, "")
+        assert err == (f"error: direct factor needs {8 * entries / 1e9:.2f} GB ({entries} "
+                       "entries); try --solver pcg\n")
+        assert not dst.exists()
+
     def test_unreadable_input(self, capsys, tmp_path):
         src = tmp_path / "junk.vtp"
         src.write_text("not xml at all")

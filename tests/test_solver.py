@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from formpipe.solver import (
     LinearSystem,
     _LevelCholesky,
     _csr,
+    _elements,
     _fail,
     _level_sets,
     _sgs_preconditioner,
@@ -96,6 +98,21 @@ def transformation(dm):
           np.concatenate([column[own], column[6 * dm.links[link, 0] + m_comp]]))),
         shape=(len(column), dm.n_eq + dm.n_fixed),
     )
+
+
+def components_matrix():
+    """A 60x60 SPD matrix whose graph holds a path, a star, a dense clique
+    and lone vertices, interleaved, and a right-hand side."""
+    rng = np.random.default_rng(3)
+    n = 60
+    A = np.zeros((n, n))
+    path, star, clique = np.arange(0, 40, 2), np.arange(1, 30, 2), np.arange(41, 58)
+    A[path[:-1], path[1:]] = rng.uniform(-1, 1, len(path) - 1)
+    A[star[0], star[1:]] = rng.uniform(-1, 1, len(star) - 1)
+    A[np.ix_(clique, clique)] = np.triu(rng.uniform(-1, 1, (len(clique),) * 2), 1)
+    A += A.T
+    A[np.diag_indices(n)] = np.abs(A).sum(axis=1) + 1.0
+    return A, rng.standard_normal(n)
 
 
 def collinear_trusses():
@@ -349,7 +366,7 @@ class TestDirectSolver:
         assert stats.true_residual == stats.relative_residual <= 1e-10
         assert stats.backward_error <= 1e-13
         width = np.array([len(level) for level in _level_sets(system.stiffness)])
-        assert stats.factor_nnz == np.sum(width**2) + np.sum(width[1:] * width[:-1])
+        assert stats.factor_nnz == np.sum(width**2)  # the level inverses alone
         again, _ = solve_direct(system)
         assert np.array_equal(u, again)
 
@@ -371,21 +388,19 @@ class TestDirectSolver:
         assert [lv.tolist() for lv in levels] in ([[p] for p in path], [[p] for p in path[::-1]])
 
     def test_level_factor_matches_dense_solve_across_components(self):
-        # a path, a star, a dense clique and lone vertices, interleaved
-        rng = np.random.default_rng(3)
-        n = 60
-        A = np.zeros((n, n))
-        path, star, clique = np.arange(0, 40, 2), np.arange(1, 30, 2), np.arange(41, 58)
-        A[path[:-1], path[1:]] = rng.uniform(-1, 1, len(path) - 1)
-        A[star[0], star[1:]] = rng.uniform(-1, 1, len(star) - 1)
-        A[np.ix_(clique, clique)] = np.triu(rng.uniform(-1, 1, (len(clique),) * 2), 1)
-        A += A.T
-        A[np.diag_indices(n)] = np.abs(A).sum(axis=1) + 1.0
+        A, b = components_matrix()
         K = csr_arrays(A)
         assert len(_level_sets(K)) > 20
-        b = rng.standard_normal(n)
         dense = np.linalg.solve(A, b)
         assert np.abs(_LevelCholesky(K).solve(b) - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_shifted_level_factor_matches_dense_solve(self):
+        # the mechanism probe's path: K + sigma I, factored level by level
+        A, b = components_matrix()
+        shift = 0.75
+        dense = np.linalg.solve(A + shift * np.eye(len(A)), b)
+        solved = _LevelCholesky(csr_arrays(A), shift).solve(b)
+        assert np.abs(solved - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_separate_structures_solve_as_each_alone(self):
         a = fp.gen_sphere_lattice(fp.LatticeSpec(nx=4, ny=3, nz=3))
@@ -414,6 +429,18 @@ class TestDirectSolver:
         system = bare_system(np.array([[np.inf, 1.0], [1.0, 2.0]]), [1.0, 0.0])
         with pytest.raises(SolverError, match="^no diagnosis$") as err:
             _fail(system, "no diagnosis")
+        assert type(err.value) is SolverError
+
+    def test_probe_out_of_memory_leaves_the_message(self, monkeypatch):
+        # a probe that cannot allocate its factor gives no diagnosis
+        system, _ = assemble(collinear_trusses())
+
+        def no_memory(a):
+            raise MemoryError
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_memory)
+        with pytest.raises(SolverError, match="^PCG failed$") as err:
+            _fail(system, "PCG failed")
         assert type(err.value) is SolverError
 
     @pytest.mark.parametrize("method", ["direct", "pcg"])
@@ -631,6 +658,18 @@ class TestForcesAndEquilibrium:
             residual = force_sum_local + R[idx] @ total
             scale = max(np.abs(p[:, :3]).max(), np.abs(R[idx] @ total).max())
             assert np.abs(residual).max() <= 1e-8 * scale
+
+    def test_sliced_end_forces_match_the_whole_array(self, arch_50x5x24):
+        # slices of 1024 cells: two boundaries fall inside the 2,859 cells
+        model = arch_50x5x24
+        system, dm = assemble(model)
+        disp = expand_displacements(dm, solve_direct(system)[0])
+        el = _elements(model)
+        m = len(el.ends)
+        assert m > 2048
+        u_local = disp[el.ends].reshape(m, 4, 3) @ el.R.transpose(0, 2, 1)
+        whole = (el.k() @ u_local.reshape(m, 12, 1))[:, :, 0] - el.f
+        assert np.array_equal(recover_end_forces(model, disp), whole.reshape(m, 2, 6))
 
     def test_global_equilibrium(self):
         for model in (fp.gen_cantilever(fp.CantileverSpec(n_elements=4)),
@@ -995,3 +1034,33 @@ class TestAssemblyOracle:
             assert np.shares_memory(view, own)
         x = np.random.default_rng(4).standard_normal(K.shape[0])
         assert np.abs(arrays @ x - K @ x).max() <= 1e-14 * np.abs(K @ x).max()
+
+
+def traced_peak(call, *args):
+    """Peak bytes that tracemalloc sees allocated during call(*args)."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryGates:
+    """Traced peaks on the cleaned 50x5x24 arch, with room for 1.5x growth
+    of the pieces they bound."""
+
+    def test_level_factor_holds_little_beyond_its_inverses(self, arch_50x5x24):
+        # sum w_i^2 doubles as the stored entries: storing C_i as well as
+        # L_i^-1 would take about twice this
+        K = assemble(arch_50x5x24)[0].stiffness
+        width = np.array([len(level) for level in _level_sets(K)])
+        assert traced_peak(_LevelCholesky, K) <= 1.6 * 8 * np.sum(width**2)
+
+    def test_force_recovery_grows_with_its_output(self, arch_50x5x24):
+        # 2 MB for slices of 1024 12x12 matrices, then 700 bytes per cell:
+        # less than the 1,152 one more (m, 12, 12) array of doubles would need
+        system, dm = assemble(arch_50x5x24)
+        disp = expand_displacements(dm, solve_direct(system)[0])
+        m = len(arch_50x5x24.cells)
+        assert traced_peak(recover_end_forces, arch_50x5x24, disp) <= 2e6 + 700 * m
