@@ -51,7 +51,7 @@ class CommandError(Exception):
 
 def _read_model(path: str) -> StructuralModel:
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, "rb") as handle:
             return parse_model(handle.read())
     except (OSError, ExchangeFormatError) as exc:
         raise CommandError(exc, EXIT_UNREADABLE) from exc

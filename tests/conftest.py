@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,18 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 def reference_cantilever_text():
     with open(os.path.join(DATA_DIR, "reference_cantilever.vtp"), encoding="utf-8") as fh:
         return fh.read()
+
+
+def traced_peak(call, *args):
+    """Peak bytes that tracemalloc sees allocated during call(*args)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def assert_models_equal(a: StructuralModel, b: StructuralModel):

@@ -80,6 +80,21 @@ class TestCheck:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ID_CROSS-SECTION: ")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.replace(b"</PolyData>", b"</PolyData>\xff\xfe"),
+         r"not well-formed \(invalid token\): line \d+, column \d+"),
+        (lambda doc: b'<?xml version="1.0" encoding="no-such-codec"?>\n' + doc,
+         "unknown encoding: no-such-codec"),
+        (lambda doc: b'<?xml version="1.0" encoding="shift_jis"?>\n' + doc,
+         "multi-byte encodings are not supported"),
+    ], ids=["invalid-utf8", "unknown-encoding", "multi-byte-encoding"])
+    def test_undecodable_file_unreadable(self, capsys, tmp_path, cantilever_file, edit, message):
+        path = tmp_path / "undecodable.vtp"
+        path.write_bytes(edit(cantilever_file.read_bytes()))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (3, "")
+        assert re.fullmatch(f"error: malformed document: {message}\n", err)
+
     def test_floating_component_blocks(self, capsys, tmp_path):
         model = fp.gen_cantilever()
         model.points.append(fp.Point(id=2, coords=(0, 500.0, 0)))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import formpipe as fp
 from formpipe.exchange import (
     ExchangeFormatError,
+    _column,
     escape,
     parse_model,
     write_model,
@@ -17,11 +18,13 @@ from formpipe.model import (
     TRUSS_LINE,
     BoundaryConditionEntry,
     Cell,
+    CellTable,
     Circle,
     CrossSection,
     GenericSection,
     Material,
     Point,
+    PointTable,
     Rectangle,
     RigidLink,
     StructuralModel,
@@ -29,7 +32,7 @@ from formpipe.model import (
 )
 from formpipe.resistance import ResultSet, build_result_set
 
-from conftest import DATA_DIR, assert_models_equal, random_model
+from conftest import DATA_DIR, assert_models_equal, random_model, traced_peak
 
 
 class TestParseReferenceDocument:
@@ -490,16 +493,17 @@ class TestDataArrayErrors:
         assert str(err.value) == "offsets run past the end of the connectivity array"
 
 
-def _split_parse(body, n):
-    """What the whitespace tokens of an ID_MATERIAL body give under
-    ``np.array(tokens, dtype=np.int64)``: the values or the error message."""
+def _split_parse(body, n, what="ID_MATERIAL", dtype=np.int64):
+    """What the whitespace tokens of a DataArray body give under
+    ``np.array(tokens, dtype=dtype)``: the values (floats as the int64 of
+    their bits) or the error message."""
     tokens = body.split()
     if len(tokens) != n:
-        return f"ID_MATERIAL: expected {n} values, got {len(tokens)}"
+        return f"{what}: expected {n} values, got {len(tokens)}"
     try:
-        return np.array(tokens, dtype=np.int64).tolist()
+        return np.array(tokens, dtype=dtype).view(np.int64).tolist()
     except (ValueError, OverflowError) as exc:
-        return f"ID_MATERIAL: {exc}"
+        return f"{what}: {exc}"
 
 
 def _parsed_materials(token):
@@ -533,3 +537,151 @@ class TestIntegerColumns:
     def test_any_token_as_token_by_token(self, token):
         assert _parsed_materials(token) == _split_parse(token + self.REST, 4)
 
+
+
+# the body of the golden file's Points DataArray
+_POINTS_HEAD = 'format="ascii">'
+_COORDINATES = read_data("golden_mixed.vtp").split(_POINTS_HEAD)[1].split("</DataArray>")[0]
+
+
+def _parsed_coordinates(token):
+    """``parse_model`` of the golden file with ``token`` in place of its
+    first coordinate: the coordinates as the int64 of their bits, or the
+    error message."""
+    body = _COORDINATES.replace("0.0", token, 1)
+    text = read_data("golden_mixed.vtp").replace(_POINTS_HEAD + _COORDINATES, _POINTS_HEAD + body)
+    try:
+        return parse_model(text).points.coords.ravel().view(np.int64).tolist()
+    except ExchangeFormatError as exc:
+        return str(exc)
+
+
+class TestFloatColumns:
+    """Float columns are read by numpy's C tokenizer where it reads them as
+    the tokens would be read one at a time, and token by token elsewhere:
+    either way the bits of every value, or the error message, equal the
+    token path's."""
+
+    @staticmethod
+    def token_path(token):
+        return _split_parse(_COORDINATES.replace("0.0", token, 1), 15, "point coordinates",
+                            float)
+
+    @pytest.mark.parametrize("token", [
+        "-0.0", "nan", "NaN", "-nan", "+nan", "inf", "-inf", "+Infinity", "1e999", "-1e999",
+        "1e-999", "-1e-999", "4.9e-324", "2.5e-324", ".5", "-.5", "5.", "1E5", "nan(123)",
+        "-nan(1)", "nan(", "1_000", "\u0661\u0662", "1\xa02", "1\xa0", "- 5", "-", "+", "1.5-2",
+        "1e", "0x10", "1,5", "infinit", "nanx", "1d5", "\t\n7\n\t",
+    ])
+    def test_value_or_message_as_token_by_token(self, token):
+        assert _parsed_coordinates(token) == self.token_path(token)
+
+    @given(token=st.one_of(
+        st.floats().map(repr),
+        st.text(alphabet="0123456789+-_.eEnaifNIty() \t\n\xa0\u0661", min_size=1,
+                max_size=12)))
+    @settings(max_examples=300, deadline=None)
+    def test_any_token_as_token_by_token(self, token):
+        assert _parsed_coordinates(token) == self.token_path(token)
+
+    @pytest.mark.parametrize("text", [
+        "  ", "\n\t ",  # the tokenizer reads blank text as [-1.]
+        "nan(123)", "1 nan(abc) 2",  # the tokenizer accepts a NaN payload
+        "-nan", "1 -nan",  # the tokenizer drops the sign of nan
+        "1_000", "\u0661\u0662", "1\xa02",  # only float() accepts these
+    ])
+    def test_known_divergences_decline(self, text):
+        assert _column(text, float) is None
+
+
+# documents whose first failure, or whose success, must not depend on how
+# far the parser had read when a DataArray failed to convert
+_PAD = " " * 100_000  # whitespace past the first slices the parser takes
+
+
+class TestStreamingPrecedence:
+    """The streaming parse reports the same first failure as a parse of the
+    whole tree: malformed markup wins over any value, values are read in
+    the order the checks reach them, and unknown arrays are never read."""
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("0.0 0.0 0.0", "0.0 x 0.0" + _PAD, None),
+        ('<DataArray format="ascii" type="Int32" Name="ID_BOUNDARY_CONDITION">\n          0',
+         '<DataArray format="binary" type="Int32" Name="ID_BOUNDARY_CONDITION">\n          0',
+         "only ascii data arrays are supported, got format='binary'"),
+        ("\n          7\n", "\n", "ID_BOUNDARY_CONDITION: expected 5 values, got 4"),
+        ("1000.0 120.0 250.0", "1000.0 120.0 250.0 1.0",
+         "point coordinates: expected 15 values, got 16"),
+        ("0.0 0.0 0.0", "0.0 x 0.0", "point coordinates: could not convert string to float: 'x'"),
+        ("1000.0 120.0 250.0", "1000.0 120.0 250.0" + _PAD + "2.0",
+         "point coordinates: expected 15 values, got 16"),
+    ], ids=["bad-value-then-markup", "binary", "count", "count-floats", "bad-value",
+            "count-past-a-slice"])
+    def test_first_failure(self, old, new, message):
+        text = read_data("golden_mixed.vtp")
+        assert old in text
+        text = text.replace(old, new, 1)
+        if message is None:  # the markup breaks after the bad value
+            text = text.replace("</CellData>", "</CellDatum>")
+            message = "malformed document: mismatched tag: line 62, column 8"
+        with pytest.raises(ExchangeFormatError) as err:
+            parse_model(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind", ["Verts", "Polys", "Strips"])
+    def test_other_cell_kinds(self, kind):
+        array = '<DataArray format="ascii" type="Int32" Name="connectivity"> 0 x </DataArray>'
+        text = read_data("golden_mixed.vtp").replace(
+            "      <Lines>", f"      <{kind}>{array}</{kind}>\n      <Lines>")
+        with pytest.raises(ExchangeFormatError) as err:
+            parse_model(text)
+        assert str(err.value) == f"unknown cell kind: {kind} geometry is not supported"
+
+    @pytest.mark.parametrize("body", ["1.5 x 2.5e", "1 2 3", _PAD + "1 2"])
+    def test_unknown_named_array_is_ignored(self, body):
+        text = read_data("golden_mixed.vtp")
+        array = f'<DataArray format="ascii" type="Float32" Name="Temperature">{body}</DataArray>'
+        patched = text.replace("      </PointData>", f"        {array}\n      </PointData>")
+        assert patched != text
+        assert write_model(parse_model(patched)) == text
+
+    def test_declared_encoding_is_honoured_for_bytes(self):
+        text = write_model(StructuralModel(comment="fa\xe7ade"))
+        latin = ('<?xml version="1.0" encoding="ISO-8859-1"?>\n' + text).encode("latin-1")
+        assert parse_model(latin).comment == parse_model(text.encode()).comment == "fa\xe7ade"
+
+
+def soup_document(n, seed=0):
+    """An n x n x n lattice exploded as the benchmark's line soup is: every
+    cell gets its own two endpoints, jittered by at most 1e-3 mm, 100
+    reversed copies of cells and 100 zero-length cells are added, and the
+    cells are shuffled."""
+    rng = np.random.default_rng(seed)
+    lattice = fp.gen_sphere_lattice(fp.LatticeSpec(nx=n, ny=n, nz=n, splash_fraction=0.01,
+                                                   seed=seed))
+    cells, points = lattice.cells, lattice.points
+    pick = rng.choice(len(cells), size=100, replace=False)
+    nodes = rng.choice(len(points), size=100, replace=False)
+    rows = np.concatenate([np.arange(len(cells)), pick, np.zeros(100, dtype=np.int64)])
+    ends = np.concatenate([points.positions(cells.ends), points.positions(cells.ends[pick, ::-1]),
+                           np.column_stack([nodes, nodes])])
+    order = rng.permutation(len(rows))
+    rows, ends = rows[order], ends[order].ravel()
+    m = len(ends)
+    soup = StructuralModel(
+        comment="line soup", cross_sections=lattice.cross_sections,
+        materials=lattice.materials, bcs=lattice.bcs,
+        points=PointTable(np.arange(m), points.coords[ends] + rng.uniform(-1e-3, 1e-3, (m, 3)),
+                          points.masks[ends], points.bc_ids[ends]),
+        cells=CellTable(np.arange(len(rows)), np.arange(m).reshape(-1, 2), cells.cs_ids[rows],
+                        cells.mat_ids[rows], cells.truss[rows]))
+    return write_model(soup)
+
+
+def test_parse_holds_no_whole_tree_text():
+    """The 8x8x8 soup (3.1k points, 0.41 MB): the parse's traced peak is 1.7
+    times the document's length; holding the whole tree's text and every
+    token of a column at once took 4.9 times."""
+    text = soup_document(8)
+    assert 3000 < len(parse_model(text).points) < 3300
+    assert traced_peak(parse_model, text) <= 2 * len(text)

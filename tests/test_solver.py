@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +43,8 @@ from formpipe.solver import (
     solve_direct,
     solve_pcg_ichol,
 )
+
+from conftest import traced_peak
 
 E_STEEL = 210.0e3
 D20_I = math.pi * 20.0**4 / 64.0
@@ -1034,18 +1035,6 @@ class TestAssemblyOracle:
             assert np.shares_memory(view, own)
         x = np.random.default_rng(4).standard_normal(K.shape[0])
         assert np.abs(arrays @ x - K @ x).max() <= 1e-14 * np.abs(K @ x).max()
-
-
-def traced_peak(call, *args):
-    """Peak bytes that tracemalloc sees allocated during call(*args)."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        call(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class TestMemoryGates:
