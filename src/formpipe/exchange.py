@@ -125,7 +125,8 @@ def _parse_tree(document):
     """The root element of ``document`` and, by element, what ``_column``
     read from each ascii DataArray of a ``_COLUMN_DTYPES`` section when the
     parser reached its end tag.  Such an element's text is dropped once
-    read, so no two column texts are held at once."""
+    read, so the parse holds the text of one column at a time, and of any
+    that ``_column`` declined."""
     parser = ET.XMLPullParser(("start", "end"))
     path, arrays = [], {}
     for event, elem in _events(parser, document):
@@ -363,10 +364,10 @@ def parse_model(document: str | bytes) -> StructuralModel:
     (1 = fixed), nodal-load references from ID_BOUNDARY_CONDITION.  Unknown
     named data arrays are ignored.
     """
-    try:
-        root, arrays = _parse_tree(document)
     # expat raises ParseError; a declared encoding that Python does not know
     # raises LookupError, and one that expat cannot take ValueError
+    try:
+        root, arrays = _parse_tree(document)
     except (ET.ParseError, LookupError, ValueError) as exc:
         raise ExchangeFormatError(f"malformed document: {exc}") from exc
 
