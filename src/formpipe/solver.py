@@ -35,10 +35,10 @@ Introduction to FEM, MultiFreedom Constraints; Cook et al., Concepts and
 Applications of FEA, section 9); it keeps K symmetric positive definite,
 and K stores no exact zeros.
 
-The direct path runs in numpy alone, on a block Cholesky factor that keeps
-only the dense inverse of each level's triangular block.  Only PCG, whose
-preconditioner runs on SuperLU, and ``LinearSystem.K``, a scipy view of the
-stiffness, import scipy.
+Both solvers run in numpy alone: the direct one on a block Cholesky factor
+that keeps only the dense inverse of each level's triangular block, PCG on
+the inverse diagonal of K.  Only ``LinearSystem.K`` and
+``CsrArrays.as_scipy``, scipy views of the stiffness, import scipy.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ _REFINE_RESIDUAL = 1e-10
 _DIRECT_BACKWARD_TOL = 1e-13
 _MAX_REFINEMENTS = 5
 _DIRECT_ORDERING = "BFS_LEVELS"
-_SGS_ORDERING = "NATURAL"  # tril(K) is already triangular
+_PCG_ORDERING = "NATURAL"  # a diagonal preconditioner permutes nothing
 
 _FIXED = -1
 _SLAVE = -2
@@ -106,8 +106,8 @@ class SolveStats:
     ``true_residual`` is ||K u - f|| / ||f|| for both, ``backward_error``
     the normwise ||K u - f||_inf / (||K||_inf ||u||_inf + ||f||_inf).  The factor entries
     describe the factor a solve runs on: for direct, the level-set block
-    Cholesky factor of K (``_LevelCholesky``); for PCG, the SuperLU factor
-    of tril(K)."""
+    Cholesky factor of K (``_LevelCholesky``); for PCG, the inverse
+    diagonal of K."""
 
     method: str
     iterations: int
@@ -115,11 +115,9 @@ class SolveStats:
     wall_time: float
     true_residual: float = 0.0
     backward_error: float = 0.0
-    ordering: str = "none"  # BFS_LEVELS for direct, SuperLU's NATURAL for PCG
+    ordering: str = "none"  # BFS_LEVELS for direct, NATURAL for PCG
     # stored entries: for direct, the dense L_i^-1 of every level, sum w_i^2
-    # over the level widths; for PCG, what SuperLU stores for L and U, the
-    # zeros inside its supernodes included (lu.L.nnz + lu.U.nnz would copy
-    # the factor out)
+    # over the level widths; for PCG, the n_eq entries of the inverse diagonal
     factor_nnz: int = 0
     factor_time: float = 0.0
 
@@ -167,15 +165,34 @@ class CsrArrays:
         """The row of each stored entry, int32 as ``indices``; built once."""
         return np.repeat(np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr))
 
+    @cached_property
+    def _gather(self):
+        """``indices`` as intp, which ``take`` reads without converting, the
+        rows that hold entries and where each of them starts; built once."""
+        filled = np.flatnonzero(np.diff(self.indptr))
+        return self.indices.astype(np.intp), filled, self.indptr[filled]
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        product = x[self.indices].astype(float, copy=False)
+        columns, filled, starts = self._gather
+        product = x.take(columns).astype(float, copy=False)
         product *= self.data  # in place: one temporary of nnz entries, not two
-        # bincount gives integer zeros when there is no entry at all
-        return np.bincount(self.rows, product, self.shape[0]).astype(float, copy=False)
+        # reduceat sums each row's run; an empty run would read the next
+        # row's first entry, so empty rows stay out and read zero
+        if len(filled) == self.shape[0]:
+            return np.add.reduceat(product, starts)
+        out = np.zeros(self.shape[0])
+        out[filled] = np.add.reduceat(product, starts)
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal, zero where no entry is stored."""
+        d, on = np.zeros(min(self.shape)), self.rows == self.indices
+        d[self.rows[on]] = self.data[on]
+        return d
 
     def as_scipy(self):
         """This matrix as a scipy.sparse.csr_matrix over the same arrays, no
-        copy; imports scipy.sparse."""
+        copy; needs scipy, and imports scipy.sparse."""
         import scipy.sparse as sp
 
         return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape,
@@ -232,7 +249,7 @@ class LinearSystem:
     @property
     def K(self):
         """K as a scipy.sparse.csr_matrix over the arrays of ``stiffness``,
-        no copy; reading it imports scipy.sparse."""
+        no copy; needs scipy, and reading it imports scipy.sparse."""
         return self.stiffness.as_scipy()
 
 
@@ -693,7 +710,7 @@ def _mechanism(system: LinearSystem) -> MechanismError | None:
     K = system.stiffness
     if not (K.shape[0] and np.isfinite(K.data).all()):
         return None
-    scale = float(np.max(np.abs(K.data[K.rows == K.indices]), initial=0.0)) or 1.0
+    scale = float(np.max(np.abs(K.diagonal()), initial=0.0)) or 1.0
     try:
         factor = _LevelCholesky(K, 1e-10 * scale)
     except (np.linalg.LinAlgError, MemoryError):
@@ -785,47 +802,29 @@ def solve_direct(system: LinearSystem):
                          backward_error=eta, **factor)
 
 
-def _sgs_preconditioner(K):
-    """The apply r -> M^-1 r of symmetric Gauss-Seidel, and the SuperLU
-    factor of tril(K) it runs on: symmetric mode, diagonal pivots, natural
-    order, so SuperLU keeps the triangle as it is.  SuperLU raises
-    RuntimeError at a zero or missing diagonal entry.  Only PCG uses
-    SuperLU, so only PCG imports scipy.sparse.linalg.  K is a
-    scipy.sparse matrix."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    lu = spla.splu(sp.tril(K, format="csc"), permc_spec=_SGS_ORDERING, diag_pivot_thresh=0,
-                   options={"SymmetricMode": True})
-    d = K.diagonal()
-    return (lambda r: lu.solve(d * lu.solve(r), trans="T")), lu
-
-
 def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
                     max_iter: int | None = None):
-    """Conjugate gradients preconditioned by symmetric Gauss-Seidel.
+    """Conjugate gradients preconditioned by the diagonal of K (Jacobi).
 
-    M = (D + L) D^-1 (D + L)^T, with D + L = tril(K) and D = diag(K), is
-    SSOR at omega = 1 (Saad, Iterative Methods for Sparse Linear Systems,
-    section 10.2).  It needs no factorization: tril(K) is handed to SuperLU
-    once, in its natural order, so each application of
-    M^-1 = (D + L)^-T D (D + L)^-1 is two compiled triangular solves.  For
-    SPD K, D > 0 and M is SPD, so it cannot break down; a zero or missing
-    diagonal entry makes SuperLU refuse tril(K), and the solve fails as a
-    direct one does.  Converges on the relative preconditioned residual
+    M = D = diag(K), so each application of M^-1 is one product with the
+    stored inverse diagonal, and each iteration's one product with K runs
+    in ``CsrArrays @`` (Saad, Iterative Methods for Sparse Linear Systems,
+    section 10.2).  For SPD K, D > 0 and M is SPD; a zero, missing or
+    negative diagonal entry fails the solve at once, as a failed direct
+    factor does.  Converges on the relative preconditioned residual
     sqrt(r' M^-1 r) measured against the initial one; raises
     ConvergenceError if max_iter (default 10 * n_eq) is exhausted.  The
-    name is kept from the incomplete Cholesky preconditioner this replaced:
-    the acceptance tests, ``perfbench/spans.py`` and the benchmark metric
-    ``solver.solve_pcg_ichol_s`` call the function by it.
+    name is kept from the incomplete Cholesky preconditioner PCG once ran
+    on: the acceptance tests, ``perfbench/spans.py`` and the benchmark
+    metric ``solver.solve_pcg_ichol_s`` call the function by it.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"PCG tolerance must lie in (0, 1), got {tol:g}")
     if max_iter is not None and max_iter < 1:
         raise ValueError(f"PCG iteration limit must be at least 1, got {max_iter}")
     t0 = time.perf_counter()
-    n = system.stiffness.shape[0]
-    ordering = _SGS_ORDERING
+    K = system.stiffness
+    n = K.shape[0]
     if max_iter is None:
         max_iter = max(10 * n, 20)
     b = system.f
@@ -834,19 +833,20 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
         mechanism = _mechanism(system)  # u = 0 is then one solution of many
         if mechanism is not None:
             raise mechanism
-        return np.zeros(n), SolveStats("pcg-sgs", 0, 0.0, time.perf_counter() - t0,
-                                       ordering=ordering)
+        return np.zeros(n), SolveStats("pcg-jacobi", 0, 0.0, time.perf_counter() - t0,
+                                       ordering=_PCG_ORDERING)
 
-    K = system.K  # the scipy view: its compiled matvec runs in the loop
-    try:
-        precondition, lu = _sgs_preconditioner(K)
-    except (RuntimeError, ValueError) as exc:
-        _fail(system, f"symmetric Gauss-Seidel preconditioner failed: {exc}")
-    factor = dict(ordering=ordering, factor_nnz=lu.nnz, factor_time=time.perf_counter() - t0)
+    d = K.diagonal()
+    if not np.all(d > 0.0):
+        eq = int(np.argmin(d > 0.0))
+        _fail(system, f"Jacobi preconditioner needs a positive diagonal, "
+              f"K[{eq}, {eq}] = {d[eq]:g}")
+    inverse = 1.0 / d
+    factor = dict(ordering=_PCG_ORDERING, factor_nnz=n, factor_time=time.perf_counter() - t0)
 
     x = np.zeros(n)
     r = b.copy()
-    z = precondition(r)
+    z = r * inverse
     p = z.copy()
     rz = float(r @ z)
     denom = np.sqrt(abs(rz)) or 1.0
@@ -860,7 +860,7 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = precondition(r)
+        np.multiply(r, inverse, out=z)
         rz_new = float(r @ z)
         relres = float(np.sqrt(max(rz_new, 0.0)) / denom)
         iterations = k
@@ -873,8 +873,8 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
             f"PCG did not reach tol={tol:g} within {max_iter} iterations "
             f"(residual {relres:.3e})"
         )
-    res, eta = _residuals(system, x, bnorm, _inf_norm(system.stiffness))
-    return x, SolveStats("pcg-sgs", iterations, relres, time.perf_counter() - t0,
+    res, eta = _residuals(system, x, bnorm, _inf_norm(K))
+    return x, SolveStats("pcg-jacobi", iterations, relres, time.perf_counter() - t0,
                          true_residual=res, backward_error=eta, **factor)
 
 

@@ -30,7 +30,7 @@ def parse_structured(text):
 
 
 def is_plain_value(value):
-    """An int, a float or a bare token such as ``pcg-sgs``."""
+    """An int, a float or a bare token such as ``pcg-jacobi``."""
     if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.\-]*", value):
         return True
     try:
@@ -397,7 +397,7 @@ class TestSolve:
         rec_d = parse_structured(text_d)
         rec_p = parse_structured(text_p)
         assert float(rec_p["max_u_el"]) == pytest.approx(float(rec_d["max_u_el"]), rel=1e-6)
-        assert rec_p["solver_method"] == "pcg-sgs"
+        assert rec_p["solver_method"] == "pcg-jacobi"
 
     def test_text_report_shows_solver_diagnostics(self, capsys, tmp_path, cantilever_file):
         for solver, ordering in (("direct", "BFS_LEVELS"), ("pcg", "NATURAL")):
@@ -409,6 +409,9 @@ class TestSolve:
             assert f"{ordering} ordering, " in out
 
     def test_mechanism_exit_code_and_no_partial_output(self, capsys, tmp_path):
+        """Collinear trusses leave the middle point free across them: K has
+        no diagonal entry there, and both solvers end in one line naming
+        that point and DOF (PCG before its first iteration)."""
         model = fp.StructuralModel(self_weight_enabled=False)
         model.points = [
             fp.Point(id=0, coords=(0, 0, 0)),
@@ -428,10 +431,13 @@ class TestSolve:
         src = tmp_path / "mechanism.vtp"
         dst = tmp_path / "never.vtk"
         src.write_text(fp.write_model(model))
-        code, _, err = run(capsys, "solve", str(src), str(dst), "--no-self-weight")
-        assert code == 2
-        assert "mechanism" in err
-        assert not dst.exists()
+        for solver in ("direct", "pcg"):
+            code, out, err = run(capsys, "solve", str(src), str(dst), "--no-self-weight",
+                                 "--solver", solver)
+            assert (code, out) == (2, "")
+            assert err == ("error: singular stiffness matrix, null vector largest at point 1 "
+                           "dof uy: kinematic mechanism\n")
+            assert not dst.exists()
 
     @pytest.mark.parametrize("solver", ["direct", "pcg"])
     @pytest.mark.parametrize("mechanism", [True, False], ids=["mechanism", "sound"])
@@ -654,13 +660,12 @@ print(json.dumps(seen))
 
 
 def test_cli_import_leaves_scipy_spatial_out(tmp_path):
-    """Each command loads only the modules it uses: only ``solve --solver
-    pcg`` loads scipy, scipy.sparse.linalg for SuperLU among it; a direct
-    ``solve``, which imports the solver, loads no scipy module; only
-    ``gen`` loads casegen, and none loads the networking stdlib.  Importing
-    them costs more than the rest of a ``check``, ``clean`` or ``gen`` run.
-    No command but PCG's, where scipy needs it, loads numpy.ma (about 17 ms).
-    The lazy names stay importable from the package, as the same objects."""
+    """Each command loads only the modules it uses: no command loads scipy
+    or numpy.ma, not even ``solve`` with either solver; only ``gen`` loads
+    casegen, and none loads the networking stdlib.  Importing them costs
+    more than the rest of a ``check``, ``clean`` or ``gen`` run: scipy's
+    sparse solvers alone take about 0.33 s and 29 MB.  The lazy names stay
+    importable from the package, as the same objects."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
 
     def probe(*commands):  # (name, argv) pairs
@@ -675,11 +680,8 @@ def test_cli_import_leaves_scipy_spatial_out(tmp_path):
     seen = probe(("check", ["check", "m.vtp"]), ("clean", ["clean", "m.vtp", "c.vtp"]),
                  ("solve", ["solve", "c.vtp", "r.vtk"]),
                  ("solve --solver pcg", ["solve", "c.vtp", "p.vtk", "--solver", "pcg"]))
-    assert "scipy.sparse.linalg" in seen["solve --solver pcg"].pop("scipy")
     assert seen == {"import": bare, "check": bare, "clean": bare, "solve": bare,
-                    "solve --solver pcg": {"network": [], "casegen": False, "numpy.ma": True},
-                    "same": True,
-                    "dir": True}
+                    "solve --solver pcg": bare, "same": True, "dir": True}
 
 
 @pytest.mark.parametrize("argv, written", [

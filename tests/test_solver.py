@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.sparse.linalg as spla
 
 import formpipe as fp
@@ -32,7 +34,6 @@ from formpipe.solver import (
     _elements,
     _fail,
     _level_sets,
-    _sgs_preconditioner,
     _triads,
     assemble,
     build_dof_map,
@@ -550,7 +551,7 @@ class TestPcgSolver:
         up, stats = solve_pcg_ichol(system, tol=1e-10)
         assert np.linalg.norm(up - ud) / np.linalg.norm(ud) <= 1e-8
         assert stats.relative_residual <= 1e-10
-        assert stats.method == "pcg-sgs"
+        assert stats.method == "pcg-jacobi"
 
     def test_matches_direct_on_frame_and_lattice(self):
         for model in (fp.gen_leonardo(),
@@ -578,21 +579,35 @@ class TestPcgSolver:
         true = np.linalg.norm(system.K @ u - system.f) / np.linalg.norm(system.f)
         assert stats.true_residual == pytest.approx(true, rel=1e-12)
         assert stats.ordering == "NATURAL"
-        assert stats.factor_nnz >= system.K.shape[0]
+        assert stats.factor_nnz == system.K.shape[0]
         assert 0.0 < stats.factor_time <= stats.wall_time
 
     @pytest.mark.parametrize("case", ["lattice", "shifted-kershaw"])
-    def test_superlu_apply_equals_dense_solve(self, case):
+    def test_jacobi_pcg_equals_dense_reference(self, case):
+        # the same iteration on dense arrays, M^-1 r as np.linalg.solve with
+        # M = diag(K): equal iteration counts and solutions
         if case == "lattice":
-            K = assemble(fp.gen_sphere_lattice(fp.LatticeSpec(nx=4, ny=3, nz=3)))[0].K
+            system = assemble(fp.gen_sphere_lattice(fp.LatticeSpec(nx=4, ny=3, nz=3)))[0]
         else:
-            K = sp.csr_matrix(KERSHAW + 0.45 * np.eye(4))
-        apply, _ = _sgs_preconditioner(K)
-        DL = np.tril(K.toarray())
-        M = DL @ np.diag(1.0 / K.diagonal()) @ DL.T
-        r = np.random.default_rng(1).standard_normal(K.shape[0])
-        dense = np.linalg.solve(M, r)
-        assert np.linalg.norm(apply(r) - dense) <= 1e-12 * np.linalg.norm(dense)
+            f = np.random.default_rng(1).standard_normal(4)
+            system = bare_system(KERSHAW + 0.45 * np.eye(4), f)
+        K, f = system.K.toarray(), system.f
+        M = np.diag(np.diag(K))
+        x, r = np.zeros_like(f), f.copy()
+        z = np.linalg.solve(M, r)
+        p, rz = z.copy(), r @ z
+        denom = np.sqrt(rz)
+        for k in range(1, 1000):
+            Ap = K @ p
+            alpha = rz / (p @ Ap)
+            x, r = x + alpha * p, r - alpha * Ap
+            z = np.linalg.solve(M, r)
+            if np.sqrt(r @ z) / denom <= 1e-10:
+                break
+            p, rz = z + (r @ z) / rz * p, r @ z
+        u, stats = solve_pcg_ichol(system, tol=1e-10)
+        assert stats.iterations == k
+        assert np.linalg.norm(u - x) <= 1e-12 * np.linalg.norm(x)
 
     def test_kershaw_solves_without_shift(self):
         assert np.linalg.eigvalsh(KERSHAW).min() > 0
@@ -604,13 +619,24 @@ class TestPcgSolver:
 
     def test_missing_diagonal_gives_up_at_once(self):
         # K stores no zeros, so the collinear trusses' free uy and uz have
-        # no diagonal entry, and SuperLU refuses tril(K)
+        # no diagonal entry: PCG stops before its first iteration and the
+        # probe names the mechanism
         system, _ = assemble(collinear_trusses())
-        assert np.any(system.K.diagonal() == 0.0)
-        with pytest.raises(RuntimeError):
-            _sgs_preconditioner(system.K)
-        with pytest.raises(MechanismError):
+        assert np.any(system.stiffness.diagonal() == 0.0)
+        with pytest.raises(MechanismError) as info:
             solve_pcg_ichol(system)
+        assert info.value.point_id == 1 and info.value.dof in ("uy", "uz")
+
+    def test_negative_diagonal_is_named(self):
+        # no mechanism behind it, so the probe finds none and the message
+        # names the entry; the probe's own failure is not chained to it
+        system = bare_system(np.array([[4.0, 1.0], [1.0, -3.0]]), [1.0, 2.0])
+        with pytest.raises(SolverError) as info:
+            solve_pcg_ichol(system)
+        assert type(info.value) is SolverError
+        assert str(info.value) == ("Jacobi preconditioner needs a positive diagonal, "
+                                   "K[1, 1] = -3")
+        assert info.value.__cause__ is None and info.value.__context__ is None
 
 
 class TestForcesAndEquilibrium:
@@ -1035,6 +1061,71 @@ class TestAssemblyOracle:
             assert np.shares_memory(view, own)
         x = np.random.default_rng(4).standard_normal(K.shape[0])
         assert np.abs(arrays @ x - K @ x).max() <= 1e-14 * np.abs(K @ x).max()
+
+
+def random_csr(rng, shape, density, empty=()):
+    """A random CSR matrix of the given shape and density, with no entry in
+    the rows ``empty``."""
+    A = rng.standard_normal(shape) * (rng.random(shape) < density)
+    A[list(empty)] = 0.0
+    return csr_arrays(A)
+
+
+def hub_csr(rng):
+    """50 x 2100 with row 7 a hub of 2,000 entries, as a rigid-link master
+    tied to many slaves gives, and up to three entries in the other rows."""
+    rows = [np.full(2000, 7)]
+    cols = [rng.permutation(2100)[:2000]]
+    for i in range(50):
+        if i != 7:
+            rows.append(np.full(3, i))
+            cols.append(rng.permutation(2100)[:3])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    return _csr(rows, cols, rng.standard_normal(len(rows)), (50, 2100))
+
+
+def assert_product_matches_scipy(A, x):
+    """A @ x against scipy's CSR product, within 1e-15 of each row's sum of
+    |a_ij x_j|, the scale of its rounding; a repeat product is bit-identical."""
+    got = A @ x
+    reference = A.as_scipy() @ x
+    assert got.dtype == np.float64 and got.shape == (A.shape[0],)
+    scale = abs(A.as_scipy()) @ np.abs(x)
+    assert np.all(np.abs(got - reference) <= 1e-15 * scale)
+    assert (A @ x).tobytes() == got.tobytes()
+
+
+class TestCsrProduct:
+    """``CsrArrays @`` against scipy's CSR product."""
+
+    @pytest.mark.parametrize("case", ["empty-first", "empty-middle", "empty-last", "all-empty",
+                                      "0xn", "nx0", "reactions", "hub"])
+    def test_matches_scipy(self, case):
+        rng = np.random.default_rng(7)
+        A = {
+            "empty-first": lambda: random_csr(rng, (6, 9), 0.5, empty=[0]),
+            "empty-middle": lambda: random_csr(rng, (6, 9), 0.5, empty=[2, 3]),
+            "empty-last": lambda: random_csr(rng, (6, 9), 0.5, empty=[5]),
+            "all-empty": lambda: csr_arrays(np.zeros((4, 3))),
+            "0xn": lambda: csr_arrays(np.zeros((0, 5))),
+            "nx0": lambda: csr_arrays(np.zeros((5, 0))),
+            "reactions": lambda: assemble(fp.gen_leonardo())[0].reaction_matrix,
+            "hub": lambda: hub_csr(rng),
+        }[case]()
+        if case == "all-empty":
+            assert A.data.size == 0
+        assert_product_matches_scipy(A, rng.standard_normal(A.shape[1]))
+
+    def test_empty_rows_read_zero(self):
+        A = random_csr(np.random.default_rng(3), (7, 5), 0.6, empty=[0, 3, 6])
+        assert np.all((A @ np.ones(5))[[0, 3, 6]] == 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_random_matrices_match_scipy(self, n_rows, n_cols, density, seed):
+        rng = np.random.default_rng(seed)
+        assert_product_matches_scipy(random_csr(rng, (n_rows, n_cols), density),
+                                     rng.standard_normal(n_cols))
 
 
 class TestMemoryGates:
