@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import scipy.sparse.linalg as spla
 
 import formpipe as fp
 from formpipe.model import (
