@@ -664,7 +664,7 @@ def test_cli_import_leaves_scipy_spatial_out(tmp_path):
     or numpy.ma, not even ``solve`` with either solver; only ``gen`` loads
     casegen, and none loads the networking stdlib.  Importing them costs
     more than the rest of a ``check``, ``clean`` or ``gen`` run: scipy's
-    sparse solvers alone take about 0.33 s and 29 MB.  The lazy names stay
+    sparse solvers alone take about 0.4 s and 30 MB.  The lazy names stay
     importable from the package, as the same objects."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
 
