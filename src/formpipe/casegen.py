@@ -2,9 +2,9 @@
 a self-supporting interleaved-beam timber arch, and a sphere-packing lattice
 homogenized into a beam grid.
 
-All generators emit models that validate cleanly and are deterministic for a
-given spec (the lattice additionally takes a seed for its injected-defect
-placement).
+All generators emit models that validate without defects, or raise
+ValueError naming the first, and are deterministic for a given spec (the
+lattice additionally takes a seed for its injected-defect placement).
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from .model import (
     PointTable,
     Rectangle,
     StructuralModel,
+    raise_first,
+    validate,
 )
 from .topology import _component_labels, _peel
 
@@ -69,6 +71,7 @@ def gen_cantilever(spec: CantileverSpec = CantileverSpec()) -> StructuralModel:
             id=1, components=(0.0, 0.0, -spec.tip_force, 0.0, 0.0, 0.0)
         )
         model.points[n].bc_id = 1
+    raise_first(validate(model).defects, ValueError)  # finite specs can still overflow
     return model
 
 
@@ -151,6 +154,7 @@ def gen_leonardo(spec: LeonardoSpec = LeonardoSpec()) -> StructuralModel:
         model.bcs[1] = BoundaryConditionEntry(id=1, components=(0.0, 0.0, -load, 0.0, 0.0, 0.0))
         for j in range(2, n_sta - 2, 2):  # top-chord stations, supports excluded
             model.points[j].bc_id = 1
+    raise_first(validate(model).defects, ValueError)  # finite specs can still overflow
     return model
 
 
@@ -357,4 +361,5 @@ def gen_sphere_lattice(spec: LatticeSpec = LatticeSpec()) -> StructuralModel:
         ),
     )
     model.materials[1] = Material(id=1, E=spec.E, nu=spec.nu, density=spec.density, Ry=spec.Ry)
+    raise_first(validate(model).defects, ValueError)  # finite specs can still overflow
     return model

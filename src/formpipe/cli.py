@@ -290,6 +290,8 @@ def cmd_gen(args) -> int:
                 splash_fraction=args.splash_fraction, seed=args.seed))
     except ValueError as exc:
         raise CommandError(exc) from exc
+    except MemoryError as exc:
+        raise CommandError(f"out of memory: {exc}") from exc
     atomic_write(args.output, write_model(model))
     _emit([f"wrote {args.case} model: {len(model.points)} points, {len(model.cells)} cells"])
     return EXIT_OK

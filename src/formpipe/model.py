@@ -300,8 +300,18 @@ def _rectangle_torsion(width, height):
 def section_properties(shape) -> SectionProperties:
     """Derive area, second moments, torsion constant and section moduli of a
     section shape.  Raises ValueError for dimensions that are not positive
-    (NaN included).
+    (NaN included) and for properties that overflow, to inf or OverflowError.
     """
+    try:
+        props = _shape_properties(shape)
+        if all(math.isfinite(v) for v in astuple(props)):
+            return props
+    except OverflowError:  # a power of a huge dimension raises it; a product gives inf
+        pass
+    raise ValueError("section properties must be finite")
+
+
+def _shape_properties(shape) -> SectionProperties:
     if isinstance(shape, Circle):
         d = shape.diameter
         if not d > 0:
@@ -487,6 +497,12 @@ class ValidationReport:
     warnings: list
 
 
+def raise_first(findings, error) -> None:
+    """Raise ``error`` with the message of the first of ``findings``, if any."""
+    if findings:
+        raise error(findings[0].message)
+
+
 def distinct(values) -> np.ndarray:
     """The sorted distinct values of an integer array, as ``np.unique``
     gives them.  Its plain form asks ``np.ma.is_masked``, which loads
@@ -634,9 +650,7 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     for cs_id in sorted(model.cross_sections):
         shape = model.cross_sections[cs_id].shape
         try:
-            props = section_properties(shape)
-            if not all(math.isfinite(v) for v in astuple(props)):
-                raise ValueError("section properties must be finite")
+            section_properties(shape)
         except ValueError as exc:
             defects.append(Finding("invalid-catalog", f"cross-section {cs_id}: {exc}"))
         if isinstance(shape, Rectangle) and shape.ref_axis is not None:

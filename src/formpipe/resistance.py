@@ -85,12 +85,18 @@ def equilibrium_residual(model: StructuralModel, results: ResultSet) -> float:
     return float(residual / reference) if reference else float(residual)
 
 
+@np.errstate(over="ignore")  # an overflow is refused below, by name
 def deformed_geometry(model: StructuralModel, displacements, scale: float) -> np.ndarray:
-    """Point coordinates displaced by scale times the translation field."""
+    """Point coordinates displaced by scale times the translation field.
+    Raises ValueError unless the scale is finite and non-negative and the
+    displaced coordinates are finite."""
     if not 0 <= scale < np.inf:
         raise ValueError(f"deformation scale must be finite and non-negative, got {scale:g}")
     disp = np.asarray(displacements, dtype=float)
     coords = model.points.coords
     if disp.shape != (coords.shape[0], 6):
         raise ValueError("displacement array does not match the point count")
-    return coords + scale * disp[:, :3]
+    deformed = coords + scale * disp[:, :3]
+    if not np.isfinite(deformed).all():
+        raise ValueError(f"deformation scale {scale:g} moves points to non-finite coordinates")
+    return deformed

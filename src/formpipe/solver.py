@@ -62,6 +62,7 @@ from .model import (
     isin,
     link_ends,
     orientation_points,
+    raise_first,
     rigid_link_findings,
     stiffness_terms,
     validate,
@@ -76,10 +77,6 @@ _DIRECT_BACKWARD_TOL = 1e-13
 _MAX_REFINEMENTS = 5
 _DIRECT_ORDERING = "BFS_LEVELS"
 _PCG_ORDERING = "NATURAL"  # a diagonal preconditioner permutes nothing
-
-_FIXED = -1
-_SLAVE = -2
-_INACTIVE = -3
 
 
 class SolverError(RuntimeError):
@@ -126,25 +123,19 @@ class SolveStats:
 class DofMap:
     """Equation numbering of the 6n nodal slots and the constraint
     transformation T it defines, u_6n = T [u_free; u_fixed], as arrays.
-    ``state`` marks each slot free (its equation index), fixed, slave or
-    inactive; equations run over the free slots in point order, then DOF
-    order.  Link i ties the slots of point row ``links[i, 1]`` (the slave)
-    to those of ``links[i, 0]`` (the master): u_s = coupling[i] u_m."""
+    ``column`` is the column of T each slot maps onto by itself: a free slot
+    holds its equation, 0 to n_eq - 1 in point order, then DOF order; a
+    fixed slot holds n_eq plus its reaction row, in the same order; slave
+    and inactive slots hold -1.  Link i ties the slots of point row
+    ``links[i, 1]`` (the slave) to those of ``links[i, 0]`` (the master):
+    u_s = coupling[i] u_m."""
 
     point_ids: np.ndarray  # (n,) point id of each row
-    state: np.ndarray  # (n, 6) int: >=0 equation index, else _FIXED/_SLAVE/_INACTIVE
-    fixed_slot: np.ndarray  # (n, 6) int: >=0 reaction row, -1 otherwise
+    column: np.ndarray  # (n, 6) int64: equation, n_eq + reaction row, or -1
     n_eq: int
     n_fixed: int
     links: np.ndarray  # (k, 2) point rows of each link's master and slave
     coupling: np.ndarray  # (k, 6, 6): identity, with column j of [:3, 3:] e_j x r
-
-    @property
-    def column(self) -> np.ndarray:
-        """(n, 6) column of T each slot maps onto by itself: its equation,
-        n_eq plus its reaction row, or -1 for slave and inactive slots."""
-        fixed = np.where(self.fixed_slot >= 0, self.n_eq + self.fixed_slot, -1)
-        return np.where(self.state >= 0, self.state, fixed)
 
 
 @dataclass
@@ -421,9 +412,7 @@ def build_dof_map(model: StructuralModel) -> DofMap:
     nothing.  Raises SolverError for links that break the rigid-link rule.
     """
     points, links = model.points, model.rigid_links
-    findings = rigid_link_findings(links, points)
-    if findings:
-        raise SolverError(findings[0].message)
+    raise_first(rigid_link_findings(links, points), SolverError)
     n = len(points)
     # (k, 2) point rows of each link's master and slave, and its arm r
     linked = points.positions(link_ends(links))
@@ -434,27 +423,20 @@ def build_dof_map(model: StructuralModel) -> DofMap:
     # rotations are active at beam ends and at rigid-link ends
     rotates = isin(points.ids, model.cells.ends[~model.cells.truss])
     rotates[linked.ravel()] = True
-    slave = np.zeros(n, dtype=bool)
-    slave[linked[:, 1]] = True
-    active = np.ones((n, 6), dtype=bool)
-    active[:, 3:] = rotates[:, None]
-    active[orientation_points(model)] = False
     fixed = points.masks  # the rule leaves slaves without supports
-    free = active & ~fixed & ~slave[:, None]
-    n_eq = int(free.sum())
-    n_fixed = int(fixed.sum())
-
-    state = np.full((n, 6), _INACTIVE, dtype=np.int64)
-    state[slave] = _SLAVE
-    state[fixed] = _FIXED
-    state[free] = np.arange(n_eq)
-    fixed_slot = np.full((n, 6), -1, dtype=np.int64)
-    fixed_slot[fixed] = np.arange(n_fixed)
+    free = ~fixed
+    free[:, 3:] &= rotates[:, None]
+    free[orientation_points(model)] = False
+    free[linked[:, 1]] = False  # slaves
+    n_eq, n_fixed = int(free.sum()), int(fixed.sum())
+    column = np.full((n, 6), -1, dtype=np.int64)
+    column[free] = np.arange(n_eq)
+    column[fixed] = np.arange(n_eq, n_eq + n_fixed)
 
     coupling = np.tile(np.eye(6), (len(links), 1, 1))
     # column j of the translation-rotation block is e_j x r
     coupling[:, :3, 3:] = np.cross(np.eye(3), arms[:, None]).transpose(0, 2, 1)
-    return DofMap(points.ids.copy(), state, fixed_slot, n_eq, n_fixed, linked, coupling)
+    return DofMap(points.ids.copy(), column, n_eq, n_fixed, linked, coupling)
 
 
 def _reduce_loads(dm: DofMap, loads: np.ndarray) -> np.ndarray:
@@ -469,7 +451,7 @@ def _reduce_loads(dm: DofMap, loads: np.ndarray) -> np.ndarray:
     return np.bincount(column[own], loads.ravel()[own], dm.n_eq + dm.n_fixed)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow is refused below, by name
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # refused below, by name
 def assemble(model: StructuralModel, *, check_supports: bool = True):
     """Assemble the reduced stiffness and load vector.
 
@@ -528,7 +510,9 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     loads = np.zeros((len(model.points), 6))
     loaded = model.points.bc_ids != 0
     loads[loaded] = per_id(model.points.bc_ids[loaded], lambda i: model.bcs[i].components, 6)
-    bad = np.argwhere((loads != 0.0) & (dm.state == _INACTIVE))
+    inactive = dm.column < 0
+    inactive[dm.links[:, 1]] = False
+    bad = np.argwhere((loads != 0.0) & inactive)
     if len(bad):
         i, comp = bad[0]
         raise SolverError(f"moment load on rotation-free point {dm.point_ids[i]} "
@@ -698,7 +682,7 @@ class _LevelCholesky:
         return u
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # nan shows no null vector
 def _mechanism(system: LinearSystem) -> MechanismError | None:
     """The mechanism of K as a MechanismError naming its point and DOF,
     whatever the model size, or None.  Four steps of inverse iteration run
@@ -722,9 +706,9 @@ def _mechanism(system: LinearSystem) -> MechanismError | None:
     if not float(x @ (K @ x)) <= 1e-12 * scale:
         return None
     dm = system.dofmap
-    point, comp = np.nonzero(dm.state >= 0)  # per equation, in equation order
     eq = int(np.argmax(np.abs(x)))
-    pid, dof = int(dm.point_ids[point[eq]]), DOF_NAMES[comp[eq]]
+    point, comp = np.argwhere(dm.column == eq)[0]
+    pid, dof = int(dm.point_ids[point]), DOF_NAMES[comp]
     return MechanismError(f"singular stiffness matrix, null vector largest at point {pid} dof "
                           f"{dof}: kinematic mechanism", point_id=pid, dof=dof)
 
@@ -892,10 +876,8 @@ def reaction_forces(system: LinearSystem, u: np.ndarray) -> np.ndarray:
     """Per-point reaction resultants at fixed slots, zero elsewhere."""
     dm = system.dofmap
     r = system.reaction_matrix @ u - system.reaction_rhs
-    out = np.zeros((len(dm.point_ids), 6))
-    fixed = dm.fixed_slot >= 0
-    out[fixed] = r[dm.fixed_slot[fixed]]
-    return out
+    # free slots read the leading zeros; slave and inactive ones, through -1, the last
+    return np.concatenate([np.zeros(dm.n_eq), r, [0.0]])[dm.column]
 
 
 def recover_end_forces(model: StructuralModel, displacements: np.ndarray) -> np.ndarray:

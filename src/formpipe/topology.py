@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import (DEFAULT_MERGE_TOL, PointTable, RigidLink, StructuralModel, aim_points,
                     cell_lengths, distinct, isin, link_ends, orientation_points, point_aims,
-                    rigid_link_findings)
+                    raise_first, rigid_link_findings)
 
 # peel points with at most two incident cells: the dead arms of lattice-like models
 DEFAULT_PRUNE_DEGREE = 2
@@ -129,13 +129,6 @@ def _lowest(labels: np.ndarray, count: int, values: np.ndarray) -> np.ndarray:
     return low
 
 
-def _raise_broken_links(links, points: PointTable):
-    """Raise TopologyError with the first break of the rigid-link rule."""
-    findings = rigid_link_findings(links, points)
-    if findings:
-        raise TopologyError(findings[0].message)
-
-
 def _end_rows(model: StructuralModel) -> np.ndarray:
     """(m, 2) point rows of the cell ends; raises TopologyError for an end
     that names no point."""
@@ -190,7 +183,7 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
     np.logical_or.at(masks, labels, points.masks)
     kept = labels[~moved]
     merged = PointTable(ids[~moved], points.coords[~moved], masks[kept], cluster_load[kept])
-    _raise_broken_links(links, merged)
+    raise_first(rigid_link_findings(links, merged), TopologyError)
 
     model.cells.ends[:] = survivor[_end_rows(model)]
     for cs in point_aims(model):
@@ -386,6 +379,6 @@ def make_rigid_link(model: StructuralModel, master: int, slave: int, offset=None
     rigid-link rule (``rigid_link_findings``).
     """
     link = RigidLink(master=master, slave=slave, offset=offset)
-    _raise_broken_links(model.rigid_links + [link], model.points)
+    raise_first(rigid_link_findings(model.rigid_links + [link], model.points), TopologyError)
     model.rigid_links.append(link)
     return model

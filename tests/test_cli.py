@@ -3,10 +3,11 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import formpipe as fp
@@ -513,6 +514,24 @@ class TestGen:
         assert err == "error: spec values must be finite\n"
         assert not dst.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["cantilever", "--length", "1e308", "--n-elements", "3"],
+         "point 2 has non-finite coordinates"),
+        (["leonardo", "--span", "1e308"], "point 2 has non-finite coordinates"),
+        (["cantilever", "--diameter", "1e77"],
+         "cross-section 2: section properties must be finite"),
+        (["cantilever", "--tip-force", "1e308"], "load 1 overflows double precision"),
+        # numpy refuses this block before it allocates anything
+        (["lattice", "--nx", "100000", "--ny", "100000", "--nz", "100000"],
+         "out of memory: Unable to allocate "),
+    ], ids=["length", "span", "diameter", "tip-force", "lattice-size"])
+    def test_spec_that_overflows_is_one_error_line(self, capsys, tmp_path, argv, message):
+        dst = tmp_path / "never.vtp"
+        code, out, err = run(capsys, "gen", argv[0], str(dst), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+        assert not dst.exists()
+
     def test_bad_spec_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "gen", "leonardo", str(tmp_path / "x.vtp"),
                            "--n-segments", "2")
@@ -614,12 +633,14 @@ class TestBadOptions:
          "deformation scale must be finite and non-negative, got inf"),
         ("solve", ["--deform-scale", "-2"],
          "deformation scale must be finite and non-negative, got -2"),
+        ("solve", ["--deform-scale", "1e308"],
+         "deformation scale 1e+308 moves points to non-finite coordinates"),
         ("solve", ["--solver", "pcg", "--pcg-max-iter", "-5"],
          "PCG iteration limit must be at least 1, got -5"),
         ("solve", ["--solver", "pcg", "--pcg-max-iter", "0"],
          "PCG iteration limit must be at least 1, got 0"),
     ], ids=["merge-tol-inf", "merge-tol-nan", "deform-scale-inf", "deform-scale-negative",
-            "pcg-max-iter-negative", "pcg-max-iter-zero"])
+            "deform-scale-overflow", "pcg-max-iter-negative", "pcg-max-iter-zero"])
     def test_value_checked_where_used(self, capsys, tmp_path, cantilever_file, command, options,
                                       message):
         # the function that uses the value checks it: exit 2, one error line, no file
@@ -720,19 +741,29 @@ def test_poisson_ratio_out_of_range_is_a_defect(capsys, tmp_path, cantilever_fil
     assert err == f"error: model does not validate (1 defects; first: {message})\n"
 
 
+_HUGE_SECTION = "cross-section 2: section properties must be finite"
+
+
 @pytest.mark.parametrize("old, new, defect, message", [
-    (" E 210000.0 ", " E 1e308 ", "cell 0 stiffness overflows double precision",
+    (" E 210000.0 ", " E 1e308 ", "[overflow]: cell 0 stiffness overflows double precision",
      "stiffness matrix overflows double precision"),
-    (" -264.777 ", " 1e308 ", "load 1 overflows double precision",
+    (" -264.777 ", " 1e308 ", "[overflow]: load 1 overflows double precision",
      "load vector overflows double precision"),
-    (" density 7.85e-06 ", " density 1e305 ", "cell 0 self-weight overflows double precision",
+    (" density 7.85e-06 ", " density 1e305 ",
+     "[overflow]: cell 0 self-weight overflows double precision",
      "load vector overflows double precision"),
-], ids=["modulus", "load", "density"])
+    # d**4 and h**3 raise OverflowError where a product would give inf
+    (" Circle width 20.0 ", " Circle width 1.2e77 ", f"[invalid-catalog]: {_HUGE_SECTION}",
+     f"model does not validate (1 defects; first: {_HUGE_SECTION})"),
+    (" Circle width 20.0 ", " Rectangle width 1.0 height 5.7e102 ",
+     f"[invalid-catalog]: {_HUGE_SECTION}",
+     f"model does not validate (1 defects; first: {_HUGE_SECTION})"),
+], ids=["modulus", "load", "density", "circle", "rectangle"])
 def test_overflowing_input_is_one_error_line(tmp_path, cantilever_file, old, new, defect,
                                              message):
-    """Finite inputs whose stiffness, load or self-weight overflows are a defect to
-    ``check`` and end ``solve`` in one named error line, with no numpy
-    warning on stderr before either."""
+    """Finite inputs whose stiffness, load, self-weight or section properties
+    overflow are a defect to ``check`` and end ``solve`` in one named error
+    line, with no numpy warning or traceback on stderr before either."""
     src = tmp_path / "big.vtp"
     text = cantilever_file.read_text()
     assert old in text
@@ -740,7 +771,7 @@ def test_overflowing_input_is_one_error_line(tmp_path, cantilever_file, old, new
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
     proc = subprocess.run([sys.executable, "-m", "formpipe.cli", "check", str(src)], env=env,
                           capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, f"defect [overflow]: {defect}\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, f"defect {defect}\n", "")
     proc = subprocess.run([sys.executable, "-m", "formpipe.cli", "solve", str(src),
                            str(tmp_path / "r.vtk")], env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
@@ -830,3 +861,35 @@ def _displacements(path):
     n = int(next(line for line in lines if line.startswith("POINT_DATA")).split()[1])
     start = lines.index("VECTORS displacement float") + 1
     return np.loadtxt(lines[start : start + n])
+
+
+_SPEC_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(case=st.one_of(
+    st.tuples(st.just("cantilever"), st.fixed_dictionaries({
+        "--length": _SPEC_FLOATS, "--diameter": _SPEC_FLOATS, "--tip-force": _SPEC_FLOATS,
+        "--n-elements": st.integers(1, 3)})),
+    st.tuples(st.just("leonardo"), st.fixed_dictionaries({
+        "--span": _SPEC_FLOATS, "--height": _SPEC_FLOATS, "--n-segments": st.integers(3, 5)}))))
+@example(case=("cantilever", {"--length": 1e308, "--n-elements": 3}))
+@example(case=("cantilever", {"--diameter": 1e77}))
+@example(case=("cantilever", {"--tip-force": 1e308}))
+@example(case=("leonardo", {"--span": 1e308}))
+@example(case=("cantilever", {"--length": 1e-120}))  # L^3 is zero: once a divide-by-zero warning
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is read per run
+def test_what_gen_writes_check_and_solve_take(capsys, case):
+    """Any finite spec: gen writes a model or refuses it in one line, and
+    check and solve end on what it wrote with a documented code and at most
+    one error line; a warning fails the test through the suite's filters."""
+    kind, options = case
+    argv = [f"{key}={value!r}" for key, value in options.items()]  # "=" takes "-1e+16"
+    with tempfile.TemporaryDirectory() as tmp:
+        model, results = os.path.join(tmp, "m.vtp"), os.path.join(tmp, "r.vtk")
+        for command, allowed in ((["gen", kind, model, *argv], (0, 2)),
+                                 (["check", model], (0, 1)), (["solve", model, results], (0, 2))):
+            code, _, err = run(capsys, *command)
+            assert code in allowed and len(err.splitlines()) <= 1, (command, code, err)
+            if not os.path.exists(model):
+                break

@@ -194,6 +194,11 @@ class TestValidate:
             (Circle(diameter=math.nan), "cross-section 1: circle diameter must be positive"),
             (Rectangle(width=-1.0, height=2.0),
              "cross-section 1: rectangle dimensions must be positive"),
+            # d**4 and h**3 overflow; a product of huge dimensions gives inf
+            (Circle(diameter=1.2e77), "cross-section 1: section properties must be finite"),
+            (Circle(diameter=1e77), "cross-section 1: section properties must be finite"),
+            (Rectangle(width=1.0, height=5.7e102),
+             "cross-section 1: section properties must be finite"),
         ],
     )
     def test_unusable_section_blocks(self, shape, message):

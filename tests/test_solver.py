@@ -304,8 +304,7 @@ class TestDirectSolver:
 
         dm = DofMap(
             point_ids=np.array([0]),
-            state=np.array([[0, -1, -1, -1, -1, -1]]),
-            fixed_slot=np.array([[-1, 0, 1, 2, 3, 4]]),
+            column=np.array([[0, 1, 2, 3, 4, 5]]),
             n_eq=1,
             n_fixed=5,
             links=np.zeros((0, 2), dtype=int),
@@ -512,12 +511,11 @@ def bare_system(K, f):
     its DOF map numbers the equations over the slots of the first points."""
     n = K.shape[0]
     points = -(-n // 6)
-    state = np.full(6 * points, -3)
-    state[:n] = np.arange(n)
+    column = np.full(6 * points, -1)
+    column[:n] = np.arange(n)
     dm = DofMap(
         point_ids=np.arange(points),
-        state=state.reshape(points, 6),
-        fixed_slot=np.full((points, 6), -1),
+        column=column.reshape(points, 6),
         n_eq=n,
         n_fixed=0,
         links=np.zeros((0, 2), dtype=int),
@@ -906,11 +904,7 @@ def dense_reference(model, dm):
 
     slaves = {link.slave: link for link in model.rigid_links}
     C = np.zeros((6 * n, dm.n_eq + dm.n_fixed))
-
-    def column(i, comp):
-        s = dm.state[i, comp]
-        return s if s >= 0 else dm.n_eq + dm.fixed_slot[i, comp]
-
+    column = dm.column
     for i, p in enumerate(model.points):
         if p.id in slaves:
             link = slaves[p.id]
@@ -918,14 +912,14 @@ def dense_reference(model, dm):
             r = coords[i] - coords[mi] if link.offset is None else link.offset
             arm = np.cross(np.eye(3), r).T  # column j: e_j x r
             for comp in range(6):
-                C[6 * i + comp, column(mi, comp)] = 1.0
+                C[6 * i + comp, column[mi, comp]] = 1.0
                 if comp < 3:
                     for j in range(3):
-                        C[6 * i + comp, column(mi, 3 + j)] += arm[comp, j]
+                        C[6 * i + comp, column[mi, 3 + j]] += arm[comp, j]
         else:
             for comp in range(6):
-                if p.constraint_mask[comp] or dm.state[i, comp] >= 0:
-                    C[6 * i + comp, column(i, comp)] = 1.0
+                if p.constraint_mask[comp] or 0 <= column[i, comp] < dm.n_eq:
+                    C[6 * i + comp, column[i, comp]] = 1.0
     return C.T @ K6 @ C, C.T @ F6, F6.reshape(n, 6), C
 
 
@@ -934,7 +928,9 @@ class TestAssemblyReference:
         model = mixed_model()
         system, dm = assemble(model)
         # rotations exist exactly at beam ends and linked points
-        inactive = {dm.point_ids[i] for i in np.nonzero((dm.state == -3).any(axis=1))[0]}
+        unmapped = (dm.column < 0).any(axis=1)
+        unmapped[dm.links[:, 1]] = False
+        inactive = set(dm.point_ids[unmapped].tolist())
         assert inactive == {40, 50}
         assert dm.n_fixed == 10 and dm.n_eq == 42 - 10 - 6 - 6  # slots - fixed - slave - inactive
         full, rhs, applied, C = dense_reference(model, dm)
@@ -999,6 +995,61 @@ class TestAssemblyReference:
         ne = dm.n_eq
         assert np.abs(system.K.toarray() - full[:ne, :ne]).max() <= 1e-12 * np.abs(full).max()
         assert np.abs(system.f - rhs[:ne]).max() <= 1e-12 * np.abs(rhs).max()
+
+
+def aimed_cantilever():
+    """The default cantilever with its section aimed at an unsupported
+    point that nothing else uses: an orientation point."""
+    model = fp.gen_cantilever()
+    model.points.append(Point(id=2, coords=(0.0, 0.0, 1000.0)))
+    model.cross_sections[2] = CrossSection(id=2, shape=Rectangle(20.0, 30.0, "z", 2))
+    return model
+
+
+def expected_columns(model):
+    """The column of T each slot maps onto by itself, (n, 6), derived from
+    the model alone.  A slot is fixed when its support mask says so.  A
+    slave's slots, the rotations of a point that no beam or link end
+    reaches, and every slot of an unloaded point that only aims a section
+    map onto nothing (-1).  Free slots take 0..n_eq-1 and fixed slots
+    n_eq..n_eq+n_fixed-1, each in point order, then DOF order."""
+    slaves = {link.slave for link in model.rigid_links}
+    linked = slaves | {link.master for link in model.rigid_links}
+    cell_ends = {pid for cell in model.cells for pid in cell.connectivity}
+    beam_ends = {pid for cell in model.cells if cell.kind != TRUSS_LINE
+                 for pid in cell.connectivity}
+    aims = {cs.shape.ref_code for cs in model.cross_sections.values()
+            if isinstance(cs.shape, Rectangle) and cs.shape.ref_axis is not None
+            and cs.shape.ref_code >= 0}
+    free, fixed = [], []
+    for i, p in enumerate(model.points):
+        aims_only = p.id in aims and p.id not in cell_ends | linked and not p.bc_id
+        rotates = p.id in beam_ends | linked
+        for comp in range(6):
+            if p.constraint_mask[comp]:
+                fixed.append((i, comp))
+            elif not (p.id in slaves or aims_only or (comp >= 3 and not rotates)):
+                free.append((i, comp))
+    column = np.full((len(model.points), 6), -1)
+    for col, slot in enumerate(free + fixed):
+        column[slot] = col
+    return column, len(free), len(fixed)
+
+
+@pytest.mark.parametrize("make", [mixed_model, given_offsets_model, aimed_cantilever])
+def test_numbering_follows_the_model(make):
+    # the oracle reads the model, not the map, so a consistent renumbering fails
+    model = make()
+    system, dm = assemble(model)
+    column, n_eq, n_fixed = expected_columns(model)
+    assert (dm.n_eq, dm.n_fixed) == (n_eq, n_fixed)
+    assert np.array_equal(dm.column, column)
+    u = np.random.default_rng(5).standard_normal(n_eq)
+    rows = system.reaction_matrix @ u - system.reaction_rhs
+    reactions = reaction_forces(system, u)
+    fixed = column >= n_eq
+    assert np.array_equal(reactions[fixed], rows[column[fixed] - n_eq])
+    assert not reactions[~fixed].any()
 
 
 def scipy_reduction(model, dm, applied):
