@@ -234,10 +234,7 @@ class TestAssembly:
         assert dm.n_eq == 6
 
     def test_orientation_point_gets_no_equations(self):
-        model = fp.gen_cantilever()
-        model.points.append(Point(id=2, coords=(0.0, 0.0, 1000.0)))
-        model.cross_sections[2] = CrossSection(id=2, shape=Rectangle(20.0, 30.0, "z", 2))
-        _, dm = assemble(model)
+        _, dm = assemble(aimed_cantilever())
         assert dm.n_eq == 6
         assert np.all(dm.column[2] == -1)
         assert len(dm.links) == 0
