@@ -15,7 +15,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .exchange import ExchangeFormatError, parse_model, write_model, write_results_vtk
+from .exchange import ExchangeFormatError, read_model, write_model, write_results_vtk
 from .model import DEFAULT_MERGE_TOL, DEFAULT_PCG_TOL, StructuralModel, validate
 from .resistance import build_result_set, equilibrium_residual
 from .topology import (
@@ -52,7 +52,7 @@ class CommandError(Exception):
 def _read_model(path: str) -> StructuralModel:
     try:
         with open(path, "rb") as handle:
-            return parse_model(handle.read())
+            return read_model(handle)
     except (OSError, ExchangeFormatError) as exc:
         raise CommandError(exc, EXIT_UNREADABLE) from exc
 
@@ -297,8 +297,16 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose every error, its subcommands' included, is
+    one ``error:`` line on stderr and exit 2, without the usage block."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="formpipe",
         description="Structural exchange-file pipeline (units: mm, N, MPa).",
     )

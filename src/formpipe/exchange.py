@@ -112,24 +112,24 @@ _COLUMN_DTYPES = {"Points": float, "Lines": np.int64, "PointData": np.int64,
 _FEED = 1 << 14
 
 
-def _events(parser, document):
-    """The events of an ``ET.XMLPullParser`` fed ``document`` in slices."""
-    for start in range(0, len(document), _FEED):
-        parser.feed(document[start:start + _FEED])
+def _events(parser, pieces):
+    """The events of an ``ET.XMLPullParser`` fed the slices ``pieces``."""
+    for piece in pieces:
+        parser.feed(piece)
         yield from parser.read_events()
     parser.close()
     yield from parser.read_events()
 
 
-def _parse_tree(document):
-    """The root element of ``document`` and, by element, what ``_column``
-    read from each ascii DataArray of a ``_COLUMN_DTYPES`` section when the
-    parser reached its end tag.  Such an element's text is dropped once
-    read, so the parse holds the text of one column at a time, and of any
-    that ``_column`` declined."""
+def _parse_tree(pieces):
+    """The root element of the document fed as the slices ``pieces`` and,
+    by element, what ``_column`` read from each ascii DataArray of a
+    ``_COLUMN_DTYPES`` section when the parser reached its end tag.  Such
+    an element's text is dropped once read, so the parse holds the text of
+    one column at a time, and of any that ``_column`` declined."""
     parser = ET.XMLPullParser(("start", "end"))
     path, arrays = [], {}
-    for event, elem in _events(parser, document):
+    for event, elem in _events(parser, pieces):
         if event == "start":
             path.append(elem)
             continue
@@ -364,10 +364,22 @@ def parse_model(document: str | bytes) -> StructuralModel:
     (1 = fixed), nodal-load references from ID_BOUNDARY_CONDITION.  Unknown
     named data arrays are ignored.
     """
+    return _model(document[start:start + _FEED] for start in range(0, len(document), _FEED))
+
+
+def read_model(handle) -> StructuralModel:
+    """Parse the exchange document of the open binary file ``handle``, read
+    ``_FEED`` bytes at a time, as ``parse_model`` parses the same bytes;
+    the file is never held whole."""
+    return _model(iter(lambda: handle.read(_FEED), b""))
+
+
+def _model(pieces) -> StructuralModel:
+    """The StructuralModel of the document fed as the slices ``pieces``."""
     # expat raises ParseError; a declared encoding that Python does not know
     # raises LookupError, and one that expat cannot take ValueError
     try:
-        root, arrays = _parse_tree(document)
+        root, arrays = _parse_tree(pieces)
     except (ET.ParseError, LookupError, ValueError) as exc:
         raise ExchangeFormatError(f"malformed document: {exc}") from exc
 

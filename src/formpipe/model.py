@@ -603,7 +603,8 @@ def rigid_link_findings(links, points: PointTable) -> list:
                        for pid in distinct(slaves[isin(slaves, masters)]).tolist()]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # what overflows is reported as a finding
+# what overflows, or divides by an L^3 that underflows, is reported as a finding
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> ValidationReport:
     """Consistency check; reports findings without mutating the model.
 
@@ -615,8 +616,8 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     break the rule of ``rigid_link_findings``, loads whose norm overflows
     double precision and cell stiffness terms (``stiffness_terms``) or,
     with ``self_weight_enabled``, self-weight load terms that do; those
-    terms are bounded when the points, cells and catalogs show no other
-    defect.  Degenerate cells,
+    terms are bounded, for every cell of nonzero length, when the points,
+    cells and catalogs show no other defect.  Degenerate cells,
     never-referenced catalog entries and points that no cell or rigid link
     uses, ``orientation_points`` aside, are warnings only.
     """
@@ -670,7 +671,8 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
         elif not -1.0 < mat.nu <= 0.5:  # else G = E / (2 (1 + nu)) is not positive
             defects.append(Finding("invalid-catalog", f"material {mat_id} needs -1 < nu <= 0.5"))
     if not defects:  # the terms need every reference and catalog value sound
-        solvable = lengths > tol
+        # a cell shorter than tol is still assembled when no clean removes it
+        solvable = lengths > 0.0
         props, beam = cell_properties(model, solvable), ~cells.truss[solvable]
         terms = stiffness_terms(props.E, props.G, props.A, props.Iy * beam, props.Iz * beam,
                                 props.J * beam, lengths[solvable])

@@ -36,9 +36,10 @@ Applications of FEA, section 9); it keeps K symmetric positive definite,
 and K stores no exact zeros.
 
 Both solvers run in numpy alone: the direct one on a block Cholesky factor
-that keeps only the dense inverse of each level's triangular block, PCG on
-the inverse diagonal of K.  Only ``LinearSystem.K`` and
-``CsrArrays.as_scipy``, scipy views of the stiffness, import scipy.
+that keeps only the inverse of each level's triangular block, as dense row
+stripes of its lower triangle, PCG on the inverse diagonal of K.  Only
+``LinearSystem.K`` and ``CsrArrays.as_scipy``, scipy views of the
+stiffness, import scipy.
 """
 
 from __future__ import annotations
@@ -113,8 +114,9 @@ class SolveStats:
     true_residual: float = 0.0
     backward_error: float = 0.0
     ordering: str = "none"  # BFS_LEVELS for direct, NATURAL for PCG
-    # stored entries: for direct, the dense L_i^-1 of every level, sum w_i^2
-    # over the level widths; for PCG, the n_eq entries of the inverse diagonal
+    # stored entries: for direct, the row stripes of every level's L_i^-1
+    # (``_striped_size`` of the level widths); for PCG, the n_eq entries of
+    # the inverse diagonal
     factor_nnz: int = 0
     factor_time: float = 0.0
 
@@ -532,6 +534,15 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     return LinearSystem(K, rhs[:n_eq], reactions, rhs[n_eq:], dm, applied), dm
 
 
+def _entries(indptr, rows):
+    """The positions of the stored entries of ``rows`` in a CSR matrix with
+    row pointers ``indptr``, row by row, and each row's count of them."""
+    begin = indptr[rows]
+    count = indptr[rows + 1] - begin
+    ends = np.cumsum(count)
+    return np.arange(ends[-1]) + np.repeat(begin - ends + count, count), count
+
+
 def _bfs_levels(indptr, indices, start, seen, stamp):
     """Breadth-first level sets of the graph (indptr, indices) from
     ``start``, each an ascending index array.  ``seen`` marks the visited
@@ -541,10 +552,7 @@ def _bfs_levels(indptr, indices, start, seen, stamp):
     levels = []
     while front.size:
         levels.append(front)
-        begin = indptr[front]
-        count = indptr[front + 1] - begin
-        ends = np.cumsum(count)
-        nbrs = indices[np.arange(ends[-1]) + np.repeat(begin - ends + count, count)]
+        nbrs = indices[_entries(indptr, front)[0]]
         front = distinct(nbrs[seen[nbrs] != stamp])
         seen[front] = stamp
     return levels
@@ -597,6 +605,45 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
     return out
 
 
+# Rows per stored stripe of a level inverse.  Stripe j keeps the rectangle
+# of L_i^-1 left of and on the diagonal in its rows, so the zeros above the
+# diagonal shrink with the height, while a solve pays one matrix-vector
+# product per stripe: on arch_direct 32 stores 1.59M of the square's 2.58M
+# entries for about 4 ms more per solve, 64 stores 1.88M
+_STRIPE = 32
+
+
+def _striped_size(width) -> np.ndarray:
+    """Entries of the row stripes of level inverses of the given widths:
+    s^2 q (q + 1) / 2 + r w for q, r = divmod(w, s) and stripe height s."""
+    width = np.asarray(width, dtype=np.int64)
+    q, r = np.divmod(width, _STRIPE)
+    return _STRIPE**2 * q * (q + 1) // 2 + r * width
+
+
+def _stripes(inv: np.ndarray) -> list:
+    """The lower triangular ``inv`` as row stripes of ``_STRIPE`` rows, each
+    a copy of ``inv[a:b, :b]`` for its rows a to b."""
+    return [inv[a : a + _STRIPE, : a + _STRIPE].copy() for a in range(0, len(inv), _STRIPE)]
+
+
+def _lower(stripes: list, v: np.ndarray, out: np.ndarray) -> None:
+    """out = L^-1 v, from the row stripes of L^-1."""
+    for S in stripes:
+        b = S.shape[1]
+        np.dot(S, v[:b], out=out[b - len(S) : b])
+
+
+def _upper(stripes: list, v: np.ndarray, out: np.ndarray) -> None:
+    """out = L^-T v, from the row stripes of L^-1; the last stripe spans
+    every column and sets out, the others add into its leading entries."""
+    last = stripes[-1]
+    np.dot(v[len(v) - len(last) :], last, out=out)
+    for S in stripes[:-1]:
+        b = S.shape[1]
+        out[:b] += v[b - len(S) : b] @ S
+
+
 class _LevelCholesky:
     """Block Cholesky factor K = L L^T over breadth-first level sets.
 
@@ -605,47 +652,48 @@ class _LevelCholesky:
     bidiagonal, with off-diagonal blocks C_i = B_i L_i^-T (George & Liu,
     Computer Solution of Large Sparse Positive Definite Systems, ch. 4 and
     6).  Level by level, L_i is the Cholesky factor of
-    A_i - C_{i-1} C_{i-1}^T; C_{i-1} is formed from a dense B_{i-1} for
-    that product and then dropped.  The factor keeps only the dense square
-    L_i^-1 of each level, and B_i as the (row, column, value) triplets of
-    K's own entries, so the triangular solves apply C_i as B_i L_i^-T: a
-    dense matrix-vector product and one ``np.bincount``.  Every dense flop
-    runs in numpy's LAPACK and BLAS.  Levels of separate components meet in
-    an empty coupling block.  Raises np.linalg.LinAlgError unless K is
-    positive definite to working precision, and a MemoryError naming the
-    factor's size when its blocks do not fit.  ``nnz`` counts the stored
-    entries, sum w_i^2 over the level widths w_i, known before the first
-    block is allocated.  A ``shift`` sigma factors K + sigma I.
+    A_i - C_{i-1} C_{i-1}^T; C_{i-1} is formed from a dense B_{i-1} and the
+    dense square L_{i-1}^-1 for that product, and then dropped.  The factor
+    keeps L_i^-1 as row stripes of ``_STRIPE`` rows, each the rectangle on
+    and left of the diagonal, and B_i as the (row, column, value) triplets
+    of K's own entries, so the triangular solves apply C_i as B_i L_i^-T:
+    one matrix-vector product per stripe and one ``np.bincount``.  Every
+    dense flop runs in numpy's LAPACK and BLAS.  Levels of separate
+    components meet in an empty coupling block.  Raises
+    np.linalg.LinAlgError unless K is positive definite to working
+    precision, and a MemoryError naming the factor's size when its blocks do
+    not fit.  ``nnz`` counts the stored stripe entries (``_striped_size``),
+    known before the first block is allocated.  A ``shift`` sigma factors
+    K + sigma I.
     """
 
     def __init__(self, K: CsrArrays, shift: float = 0.0):
         levels = _level_sets(K)
         self.perm = np.concatenate(levels)
-        width = np.array([len(lv) for lv in levels])
-        self.nnz = int(np.sum(width**2))
+        self.width = np.array([len(lv) for lv in levels])
+        self.nnz = int(np.sum(_striped_size(self.width)))
         try:
-            self._factor(K, width, shift)
+            self._factor(K, shift)
         except MemoryError:
             raise MemoryError(f"direct factor needs {8 * self.nnz / 1e9:.2f} GB "
                               f"({self.nnz} entries)") from None
 
-    def _factor(self, K, width, shift):
-        n, count = len(self.perm), len(width)
+    def _factor(self, K, shift):
+        width = self.width
+        n = len(self.perm)
         level = np.empty(n, dtype=np.int64)
-        level[self.perm] = np.repeat(np.arange(count), width)
+        level[self.perm] = np.repeat(np.arange(len(width)), width)
         local = np.empty(n, dtype=np.int64)
         local[self.perm] = np.arange(n) - np.repeat(np.cumsum(width) - width, width)
-        # K's entries grouped by the level of their row.  Each level's block
-        # is an array of its own, which can reuse the memory assembly freed;
-        # one buffer for all of them would be a fresh mapping
-        rows = K.rows
-        by_level = np.argsort(level[rows], kind="stable")
-        bounds = np.searchsorted(level[rows[by_level]], np.arange(count + 1))
-        # self.coupling[i] holds B_i: rows local to level i+1, columns to level i
-        self.inv, self.coupling = [], []
-        for i, w in enumerate(width):
-            at = by_level[bounds[i] : bounds[i + 1]]
-            r, c, lc, d = local[rows[at]], local[K.indices[at]], level[K.indices[at]], K.data[at]
+        # Each level's block is an array of its own, which can reuse the
+        # memory assembly freed; one buffer for all of them would be a fresh
+        # mapping.  self.coupling[i] holds B_i: rows local to level i+1,
+        # columns to level i
+        self.stripes, self.coupling = [], []
+        for i, (w, end) in enumerate(zip(width, np.cumsum(width))):
+            at, count = _entries(K.indptr, self.perm[end - w : end])
+            r = np.repeat(np.arange(w), count)
+            c, lc, d = local[K.indices[at]], level[K.indices[at]], K.data[at]
             A = np.zeros((w, w))
             on = lc == i
             A[r[on], c[on]] = d[on]
@@ -655,30 +703,43 @@ class _LevelCholesky:
                 self.coupling.append((r[on], c[on], d[on]))
                 B = np.zeros((w, width[i - 1]))
                 B[r[on], c[on]] = d[on]
-                C = B @ self.inv[i - 1].T
+                C = B @ inv.T
+                del B
+                # the square of level i-1 has served its one product
+                self.stripes.append(_stripes(inv))
+                del inv
                 A -= C @ C.T
-                del B, C
-            self.inv.append(_tril_inverse(np.linalg.cholesky(A)))
+                del C
+            L = np.linalg.cholesky(A)
             del A
+            inv = _tril_inverse(L)
+            del L
+        self.stripes.append(_stripes(inv))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """K^-1 b: forward y_i = L_i^-1 (b_i - B_{i-1} L_{i-1}^-T y_{i-1}),
-        then back x_i = L_i^-T (y_i - L_i^-1 B_i^T x_{i+1})."""
-        inv = self.inv
-        y = np.split(b[self.perm], np.cumsum([len(Linv) for Linv in inv])[:-1])
-        for i, Linv in enumerate(inv):
+        then back x_i = L_i^-T (y_i - L_i^-1 B_i^T x_{i+1}), each level
+        written into its slice of one array."""
+        x = b[self.perm]  # b_i, then x_i
+        y = np.empty_like(x)
+        t = np.empty(int(self.width.max()))
+        w = self.width.tolist()
+        end = np.cumsum(self.width).tolist()
+        at = [slice(e - wi, e) for e, wi in zip(end, w)]
+        for i, stripes in enumerate(self.stripes):
             if i:
                 r, c, d = self.coupling[i - 1]
-                t = inv[i - 1].T @ y[i - 1]
-                y[i] = y[i] - np.bincount(r, d * t[c], len(Linv))
-            y[i] = Linv @ y[i]
-        for i in range(len(y) - 1, -1, -1):
-            if i < len(y) - 1:
+                _upper(self.stripes[i - 1], y[at[i - 1]], t[: w[i - 1]])
+                x[at[i]] -= np.bincount(r, d * t[c], w[i])
+            _lower(stripes, x[at[i]], y[at[i]])
+        for i in range(len(w) - 1, -1, -1):
+            if i + 1 < len(w):
                 r, c, d = self.coupling[i]
-                y[i] = y[i] - inv[i] @ np.bincount(c, d * y[i + 1][r], len(y[i]))
-            y[i] = inv[i].T @ y[i]
+                _lower(self.stripes[i], np.bincount(c, d * x[at[i + 1]][r], w[i]), t[: w[i]])
+                y[at[i]] -= t[: w[i]]
+            _upper(self.stripes[i], y[at[i]], x[at[i]])
         u = np.empty_like(b)
-        u[self.perm] = np.concatenate(y)
+        u[self.perm] = x
         return u
 
 

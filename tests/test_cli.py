@@ -464,17 +464,23 @@ class TestSolve:
             assert "max total displacement = 0 mm" in out
 
     def test_direct_factor_out_of_memory_is_one_error_line(self, capsys, tmp_path,
-                                                            cantilever_file, monkeypatch):
-        _, out, _ = run(capsys, "solve", str(cantilever_file), str(tmp_path / "r.vtk"),
+                                                            monkeypatch):
+        # the 4x4x4 lattice has levels up to 66 equations wide, more than one
+        # stripe of the factor: it stores 11,088 entries, not the 14,384 of
+        # its squared level widths
+        src = tmp_path / "lattice.vtp"
+        run(capsys, "gen", "lattice", str(src), "--nx", "4", "--ny", "4", "--nz", "4")
+        _, out, _ = run(capsys, "solve", str(src), str(tmp_path / "r.vtk"),
                         "--format", "structured")
         entries = int(parse_structured(out)["solver_factor_nnz"])
+        assert entries == 11088
 
         def no_memory(a):
             raise MemoryError
 
         monkeypatch.setattr(np.linalg, "cholesky", no_memory)
         dst = tmp_path / "never.vtk"
-        code, out, err = run(capsys, "solve", str(cantilever_file), str(dst))
+        code, out, err = run(capsys, "solve", str(src), str(dst))
         assert (code, out) == (2, "")
         assert err == (f"error: direct factor needs {8 * entries / 1e9:.2f} GB ({entries} "
                        "entries); try --solver pcg\n")
@@ -521,10 +527,12 @@ class TestGen:
         (["cantilever", "--diameter", "1e77"],
          "cross-section 2: section properties must be finite"),
         (["cantilever", "--tip-force", "1e308"], "load 1 overflows double precision"),
+        # shorter than the merge tolerance, and its 12EI/L^3 overflows
+        (["cantilever", "--length", "1e-120"], "cell 0 stiffness overflows double precision"),
         # numpy refuses this block before it allocates anything
         (["lattice", "--nx", "100000", "--ny", "100000", "--nz", "100000"],
          "out of memory: Unable to allocate "),
-    ], ids=["length", "span", "diameter", "tip-force", "lattice-size"])
+    ], ids=["length", "span", "diameter", "tip-force", "sub-tolerance-length", "lattice-size"])
     def test_spec_that_overflows_is_one_error_line(self, capsys, tmp_path, argv, message):
         dst = tmp_path / "never.vtp"
         code, out, err = run(capsys, "gen", argv[0], str(dst), *argv[1:])
@@ -648,6 +656,25 @@ class TestBadOptions:
         code, out, err = run(capsys, command, str(cantilever_file), str(dst), *options)
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not dst.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "m.vtp", "r.vtk", "--solver", "bogus"],
+         "error: argument --solver: invalid choice: "),
+        # argparse takes -1e+16 for an option; --tip-force=-1e+16 is read as a value
+        (["gen", "cantilever", "m.vtp", "--tip-force", "-1e+16"],
+         "error: argument --tip-force: expected one argument"),
+        (["gen", "cantilever", "m.vtp", "--length", "long"],
+         "error: argument --length: invalid float value: 'long'"),
+        ([], "error: the following arguments are required: command"),
+    ], ids=["bad-choice", "exponent-negative", "bad-float", "no-command"])
+    def test_argument_error_is_one_line(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exit_.value.code, out) == (2, "")
+        assert err.startswith(message) and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_merge_tol_accepted(self, capsys, tmp_path, cantilever_file):
         dst = tmp_path / "exact.vtp"

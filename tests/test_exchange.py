@@ -1,3 +1,4 @@
+import io
 import os
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 import formpipe as fp
 from formpipe.exchange import (
+    _FEED,
     ExchangeFormatError,
     _column,
     escape,
     parse_model,
+    read_model,
     write_model,
     write_results_vtk,
 )
@@ -647,6 +650,16 @@ class TestStreamingPrecedence:
         text = write_model(StructuralModel(comment="fa\xe7ade"))
         latin = ('<?xml version="1.0" encoding="ISO-8859-1"?>\n' + text).encode("latin-1")
         assert parse_model(latin).comment == parse_model(text.encode()).comment == "fa\xe7ade"
+        assert read_model(io.BytesIO(latin)).comment == "fa\xe7ade"
+
+    def test_character_split_across_slices_is_read_whole(self):
+        # the two UTF-8 bytes of the comment's last character straddle the
+        # end of a slice of the file
+        at = write_model(StructuralModel(comment="\xe7")).encode().index("\xe7".encode())
+        pad = -(at + 1) % _FEED
+        data = write_model(StructuralModel(comment="a" * pad + "\xe7")).encode()
+        assert data.index("\xe7".encode()) % _FEED == _FEED - 1
+        assert read_model(io.BytesIO(data)).comment == parse_model(data).comment == "a" * pad + "\xe7"
 
 
 def soup_document(n, seed=0):
@@ -683,3 +696,19 @@ def test_parse_holds_no_whole_tree_text():
     text = soup_document(8)
     assert 3000 < len(parse_model(text).points) < 3300
     assert traced_peak(parse_model, text) <= 2 * len(text)
+
+
+def test_reading_a_file_holds_no_whole_document(tmp_path):
+    """The same soup read from its file in slices: the traced peak is 1.75
+    times the file's length, as parsing the text already in memory; reading
+    the file's bytes whole first took 2.75 times."""
+    path = tmp_path / "soup.vtp"
+    path.write_text(soup_document(8))
+    size = path.stat().st_size
+
+    def read():
+        with open(path, "rb") as handle:
+            return read_model(handle)
+
+    assert_models_equal(read(), parse_model(path.read_text()))
+    assert traced_peak(read) <= 2 * size

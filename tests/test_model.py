@@ -239,6 +239,18 @@ class TestValidate:
         model.cells.truss[0] = True
         assert validate(model).ok
 
+    def test_sub_tolerance_cell_stiffness_is_bounded(self):
+        # 12 E I / L^3 of a cell 1e-120 mm long overflows: shorter than the
+        # merge tolerance, it is also degenerate, but a solve assembles it
+        model = _two_point_model()
+        model.points[1].coords[:] = (1e-120, 0.0, 0.0)
+        report = validate(model)
+        assert [f.message for f in of_kind(report, "overflow")] == [
+            "cell 0 stiffness overflows double precision"]
+        assert [f.kind for f in report.warnings] == ["degenerate-cell"]
+        model.points[1].coords[:] = (1e-3, 0.0, 0.0)
+        assert validate(model).defects == []
+
     def test_overflowing_self_weight_blocks(self):
         # rho A g L / 2 overflows; without self-weight nothing does
         model = _two_point_model()

@@ -117,6 +117,27 @@ def components_matrix():
     return A, rng.standard_normal(n)
 
 
+def striped_size(width, height=32):
+    """Entries of the row stripes of level inverses of the given widths:
+    full stripe j holds height x (j + 1) height, a last partial one r x w."""
+    q, r = np.divmod(np.asarray(width), height)
+    return height**2 * q * (q + 1) // 2 + r * width
+
+
+def two_cliques(w, seed=5):
+    """A (2w + 1)-square SPD matrix whose levels are 1, w and w wide: a
+    vertex tied to a clique of w, every vertex of which is tied to a
+    second clique of w; and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    n = 2 * w + 1
+    A = np.zeros((n, n))
+    A[0, 1 : w + 1] = rng.uniform(-1, 1, w)
+    A[1:, 1:] = np.triu(rng.uniform(-1, 1, (n - 1, n - 1)), 1)
+    A += A.T
+    A[np.diag_indices(n)] = np.abs(A).sum(axis=1) + 1.0
+    return A, rng.standard_normal(n)
+
+
 def collinear_trusses():
     """Two collinear trusses between fixed ends: the middle point 1 can
     translate transversely, so its uy and uz carry no stiffness at all."""
@@ -364,7 +385,7 @@ class TestDirectSolver:
         assert stats.true_residual == stats.relative_residual <= 1e-10
         assert stats.backward_error <= 1e-13
         width = np.array([len(level) for level in _level_sets(system.stiffness)])
-        assert stats.factor_nnz == np.sum(width**2)  # the level inverses alone
+        assert stats.factor_nnz == np.sum(striped_size(width))  # the level inverses alone
         again, _ = solve_direct(system)
         assert np.array_equal(u, again)
 
@@ -399,6 +420,25 @@ class TestDirectSolver:
         dense = np.linalg.solve(A + shift * np.eye(len(A)), b)
         solved = _LevelCholesky(csr_arrays(A), shift).solve(b)
         assert np.abs(solved - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("shift", [0.0, 0.75])
+    @pytest.mark.parametrize("width", [1, 31, 32, 33, 64, 65, 177])
+    def test_striped_factor_matches_dense_solve(self, width, shift):
+        # levels below, at and across the stripe height of 32 rows
+        A, b = two_cliques(width)
+        K = csr_arrays(A)
+        assert [len(lv) for lv in _level_sets(K)] == [1, width, width]
+        dense = np.linalg.solve(A + shift * np.eye(len(A)), b)
+        solved = _LevelCholesky(K, shift).solve(b)
+        assert np.abs(solved - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_factor_size_is_the_stored_stripes(self, arch_50x5x24):
+        K = assemble(arch_50x5x24)[0].stiffness
+        width = np.array([len(level) for level in _level_sets(K)])
+        assert width.max() > 32
+        factor = _LevelCholesky(K)
+        stored = sum(stripe.size for level in factor.stripes for stripe in level)
+        assert factor.nnz == stored == np.sum(striped_size(width)) < np.sum(width**2)
 
     def test_separate_structures_solve_as_each_alone(self):
         a = fp.gen_sphere_lattice(fp.LatticeSpec(nx=4, ny=3, nz=3))
@@ -1182,11 +1222,12 @@ class TestMemoryGates:
     (m, 12, 12) stiffness."""
 
     def test_level_factor_holds_little_beyond_its_inverses(self, arch_50x5x24):
-        # the inverses take 8 sum w_i^2 bytes and the peak is 1.40 times
-        # that; a factor that also stores each C_i reaches about 2.3
+        # the stripes of the inverses take 8 nnz bytes and the peak is 1.35
+        # times that; square inverses reach 1.80, and a factor that also
+        # stores each C_i more
         K = assemble(arch_50x5x24)[0].stiffness
         width = np.array([len(level) for level in _level_sets(K)])
-        assert traced_peak(_LevelCholesky, K) <= 1.6 * 8 * np.sum(width**2)
+        assert traced_peak(_LevelCholesky, K) <= 1.5 * 8 * np.sum(striped_size(width))
 
     def test_force_recovery_grows_with_its_output(self, arch_50x5x24):
         # 2 MB for slices of 1024 12x12 matrices, then 700 bytes per cell:
