@@ -23,7 +23,7 @@ from .model import (
     section_properties,
     validate,
 )
-from .exchange import ExchangeFormatError, parse_model, write_model, write_results_vtk
+from .exchange import ExchangeFormatError, parse_model, read_model, write_model, write_results_vtk
 from .topology import (
     RepairReport,
     TopologyError,

@@ -114,9 +114,8 @@ class SolveStats:
     true_residual: float = 0.0
     backward_error: float = 0.0
     ordering: str = "none"  # BFS_LEVELS for direct, NATURAL for PCG
-    # stored entries: for direct, the row stripes of every level's L_i^-1
-    # (``_striped_size`` of the level widths); for PCG, the n_eq entries of
-    # the inverse diagonal
+    # stored entries: for direct, the row stripes of every level's L_i^-1;
+    # for PCG, the n_eq entries of the inverse diagonal
     factor_nnz: int = 0
     factor_time: float = 0.0
 
@@ -606,19 +605,12 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
 
 
 # Rows per stored stripe of a level inverse.  Stripe j keeps the rectangle
-# of L_i^-1 left of and on the diagonal in its rows, so the zeros above the
-# diagonal shrink with the height, while a solve pays one matrix-vector
-# product per stripe: on arch_direct 32 stores 1.59M of the square's 2.58M
-# entries for about 4 ms more per solve, 64 stores 1.88M
+# of L_i^-1 left of and on the diagonal in its rows, so the zeros stored
+# above the diagonal shrink with the height, while a solve pays one
+# matrix-vector product per stripe.  On the 80x8x40 arch (2-core Xeon) 32
+# stores 1.59M of the square's 2.58M entries, and a forward and back solve
+# takes 10.7 against 8.4 ms; 64 stores 1.88M
 _STRIPE = 32
-
-
-def _striped_size(width) -> np.ndarray:
-    """Entries of the row stripes of level inverses of the given widths:
-    s^2 q (q + 1) / 2 + r w for q, r = divmod(w, s) and stripe height s."""
-    width = np.asarray(width, dtype=np.int64)
-    q, r = np.divmod(width, _STRIPE)
-    return _STRIPE**2 * q * (q + 1) // 2 + r * width
 
 
 def _stripes(inv: np.ndarray) -> list:
@@ -662,16 +654,17 @@ class _LevelCholesky:
     components meet in an empty coupling block.  Raises
     np.linalg.LinAlgError unless K is positive definite to working
     precision, and a MemoryError naming the factor's size when its blocks do
-    not fit.  ``nnz`` counts the stored stripe entries (``_striped_size``),
-    known before the first block is allocated.  A ``shift`` sigma factors
-    K + sigma I.
+    not fit.  ``nnz`` counts the stored stripe entries, known before the
+    first block is allocated.  A ``shift`` sigma factors K + sigma I.
     """
 
     def __init__(self, K: CsrArrays, shift: float = 0.0):
         levels = _level_sets(K)
         self.perm = np.concatenate(levels)
         self.width = np.array([len(lv) for lv in levels])
-        self.nnz = int(np.sum(_striped_size(self.width)))
+        # q full stripes of s rows hold s^2 q (q + 1) / 2 entries, r more rows r w
+        q, r = np.divmod(self.width, _STRIPE)
+        self.nnz = int(np.sum(_STRIPE**2 * q * (q + 1) // 2 + r * self.width))
         try:
             self._factor(K, shift)
         except MemoryError:

@@ -656,10 +656,10 @@ class TestStreamingPrecedence:
         # the two UTF-8 bytes of the comment's last character straddle the
         # end of a slice of the file
         at = write_model(StructuralModel(comment="\xe7")).encode().index("\xe7".encode())
-        pad = -(at + 1) % _FEED
-        data = write_model(StructuralModel(comment="a" * pad + "\xe7")).encode()
+        comment = "a" * (-(at + 1) % _FEED) + "\xe7"
+        data = write_model(StructuralModel(comment=comment)).encode()
         assert data.index("\xe7".encode()) % _FEED == _FEED - 1
-        assert read_model(io.BytesIO(data)).comment == parse_model(data).comment == "a" * pad + "\xe7"
+        assert read_model(io.BytesIO(data)).comment == parse_model(data).comment == comment
 
 
 def soup_document(n, seed=0):
