@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import tempfile
 
@@ -299,7 +300,13 @@ def cmd_gen(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose every error, its subcommands' included, is
-    one ``error:`` line on stderr and exit 2, without the usage block."""
+    one ``error:`` line on stderr and exit 2, without the usage block.  An
+    argument that reads as a negative number, exponent form included
+    (``-1e+16``, ``-1.5e3``, ``-.5``), is a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

@@ -10,7 +10,8 @@ point indices, local triads (m, 3, 3), the inputs of the local stiffness,
 self-weight fixed-end loads and the section and material values, each
 catalog entry evaluated once.  Assembly, force recovery and the resistance
 ratio read these arrays; the 12x12 stiffness matrices are built from them
-in slices of 1024 cells, and rotations act as batched 3x3 block products.
+in slices of ``_SLICE`` cells, and rotations act as batched 3x3 block
+products.
 
 Local axes: x runs along the element.  By default local z is the global Z
 projected perpendicular to the element axis; members within 1e-6 of vertical
@@ -28,12 +29,13 @@ arrays, never as a matrix: every slot that is not a slave maps onto at most
 one column of its own, and each link's 6x6 coupling ties its slave's slots
 to its master's.  Assembly substitutes the links element by element,
 k_e <- C_e^T k_e C_e with the slave end renumbered to its master, so that
-every element slot maps onto at most one column; one COO to CSR sort and sum
-then gives the reduced stiffness and the reaction rows, and the load vectors
-are T^T of the per-point loads.  This is master-slave elimination (Felippa,
-Introduction to FEM, MultiFreedom Constraints; Cook et al., Concepts and
-Applications of FEA, section 9); it keeps K symmetric positive definite,
-and K stores no exact zeros.
+every element slot maps onto at most one column.  It then adds each cell's
+four 6x6 point-pair blocks into one array of the distinct blocks, in cell
+order, and sorts the entries of those blocks into the reduced stiffness and
+the reaction rows; the load vectors are T^T of the per-point loads.  This
+is master-slave elimination (Felippa, Introduction to FEM, MultiFreedom
+Constraints; Cook et al., Concepts and Applications of FEA, section 9); it
+keeps K symmetric positive definite, and K stores no exact zeros.
 
 Both solvers run in numpy alone: the direct one on a block Cholesky factor
 that keeps only the inverse of each level's triangular block, as dense row
@@ -191,34 +193,6 @@ class CsrArrays:
                              copy=False)
 
 
-def _csr(rows, cols, values, shape) -> CsrArrays:
-    """The COO entries (rows, cols, values) as CSR arrays, by one stable sort
-    and sum: equal positions add up in input order, exact zeros are dropped
-    and the columns of each row ascend."""
-    key = rows.astype(np.int64)
-    key *= shape[1]
-    key += cols
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    values = values[order]
-    del order
-    start = np.empty(len(key), dtype=bool)
-    start[:1] = True
-    np.not_equal(key[1:], key[:-1], out=start[1:])
-    group = np.cumsum(start)
-    group -= 1
-    key = key[start]
-    # bincount adds one at a time, and the stable sort keeps the input order
-    # within a position; np.add.reduceat would not add one at a time
-    data = np.bincount(group, values, len(key)).astype(float, copy=False)
-    del group, values
-    keep = data != 0.0
-    row, col = np.divmod(key[keep], max(shape[1], 1))
-    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row, minlength=shape[0]), out=indptr[1:])
-    return CsrArrays(indptr, col.astype(np.int32), data[keep], shape)
-
-
 @dataclass
 class LinearSystem:
     """Reduced symmetric system plus the bookkeeping for reactions.
@@ -334,7 +308,18 @@ def _local_stiffness(E, G, A, Iy, Iz, J, L):
     return k
 
 
-_SLICE = 1024  # cells per batch of 12x12 stiffness matrices
+# Cells per slice of 12x12 stiffness matrices, in assembly and in force
+# recovery.  Each slice holds about four arrays of 1,152 bytes a cell, on top
+# of the blocks assembly adds into.  On the cleaned 50x5x24 arch (2-core
+# Xeon) assembly's traced peak is 3.7 MB at 128, where the slices no longer
+# set it, 4.3 MB at 256 and 7.8 MB at 1,024; assembly takes the same time
+# at each height, to within the spread between runs
+_SLICE = 128
+
+# Entry (i, j) of a cell's 12x12 matrix lies in its block _BLOCK[i, j] of
+# (a, a), (a, b), (b, a), (b, b), at _OFFSET[i, j] of that block's 36
+_BLOCK = 2 * (np.arange(12)[:, None] // 6) + np.arange(12) // 6
+_OFFSET = 6 * (np.arange(12)[:, None] % 6) + np.arange(12) % 6
 
 
 @dataclass
@@ -384,23 +369,23 @@ def _elements(model: StructuralModel) -> _Elements:
     return _Elements(ends=ends, R=R, terms=terms, f=f)
 
 
-def _global_stiffness(el: _Elements) -> np.ndarray:
-    """R^T k R for each element, (m, 12, 12), as batched 3x3 block products
-    over slices of 1024 elements, so the local k and k R stay small."""
-    out = np.empty((len(el.ends), 12, 12))
-    for s in range(0, len(out), _SLICE):
-        R = el.R[s : s + _SLICE]
-        n = len(R)
-        kR = el.k(slice(s, s + n)).reshape(n, 12, 4, 3) @ R[:, None]
-        np.matmul(R.transpose(0, 2, 1)[:, None], kR.reshape(n, 4, 3, 12),
-                  out=out[s : s + n].reshape(n, 4, 3, 12))
-    return out
+def _slice_stiffness(el: _Elements, cells: slice) -> np.ndarray:
+    """R^T k R of the given cells, (n, 12, 12), as batched 3x3 block
+    products."""
+    R = el.R[cells]
+    n = len(R)
+    kR = el.k(cells).reshape(n, 12, 4, 3) @ R[:, None]
+    return (R.transpose(0, 2, 1)[:, None] @ kR.reshape(n, 4, 3, 12)).reshape(n, 12, 12)
 
 
 def element_stiffness(model: StructuralModel) -> np.ndarray:
     """Global 12x12 stiffness of every cell, (m, 12, 12) in cell order; the
     rotational rows and columns of a truss are zero."""
-    return _global_stiffness(_elements(model))
+    el = _elements(model)
+    out = np.empty((len(el.ends), 12, 12))
+    for s in range(0, len(out), _SLICE):
+        out[s : s + _SLICE] = _slice_stiffness(el, slice(s, s + _SLICE))
+    return out
 
 
 def build_dof_map(model: StructuralModel) -> DofMap:
@@ -452,6 +437,21 @@ def _reduce_loads(dm: DofMap, loads: np.ndarray) -> np.ndarray:
     return np.bincount(column[own], loads.ravel()[own], dm.n_eq + dm.n_fixed)
 
 
+def _coupled(k: np.ndarray, dm: DofMap, end_link: np.ndarray) -> np.ndarray:
+    """k_e <- C_e^T k_e C_e, in place, for the cells of k with a slave end;
+    C_e holds the link's coupling in that end's block and the identity
+    elsewhere.  ``end_link`` gives the link of each cell end, or -1."""
+    linked = np.flatnonzero((end_link >= 0).any(axis=1))
+    if len(linked):
+        C = np.tile(np.eye(12), (len(linked), 1, 1))
+        for end in (0, 1):
+            on = end_link[linked, end] >= 0
+            C[on, 6 * end : 6 * end + 6, 6 * end : 6 * end + 6] = \
+                dm.coupling[end_link[linked[on], end]]
+        k[linked] = C.transpose(0, 2, 1) @ k[linked] @ C
+    return k
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # refused below, by name
 def assemble(model: StructuralModel, *, check_supports: bool = True):
     """Assemble the reduced stiffness and load vector.
@@ -475,38 +475,12 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
 
     dm = build_dof_map(model)
     n_eq, n_fixed = dm.n_eq, dm.n_fixed
-    n_slots = 6 * len(model.points)
+    n = len(model.points)
 
     el = _elements(model)
     m, ends = len(el.ends), el.ends
     dofs = (6 * ends[:, :, None] + np.arange(6, dtype=np.int32)).reshape(m, 12)
     f_global = (el.f.reshape(m, 4, 3) @ el.R).reshape(m, 12)
-    k_global = _global_stiffness(el)
-    del el  # the sort below sets assembly's peak: hold nothing it does not need
-
-    # a slave end moves onto its master: k_e <- C_e^T k_e C_e, where C_e holds
-    # the link's coupling in that end's block and the identity elsewhere
-    link_of = np.full(len(model.points), -1)
-    link_of[dm.links[:, 1]] = np.arange(len(dm.links))
-    end_link = link_of[ends]
-    linked = np.flatnonzero((end_link >= 0).any(axis=1))
-    if len(linked):
-        C = np.tile(np.eye(12), (len(linked), 1, 1))
-        for end in (0, 1):
-            on = end_link[linked, end] >= 0
-            C[on, 6 * end : 6 * end + 6, 6 * end : 6 * end + 6] = \
-                dm.coupling[end_link[linked[on], end]]
-        k_global[linked] = C.transpose(0, 2, 1) @ k_global[linked] @ C
-        ends = np.where(end_link >= 0, dm.links[end_link, 0], ends)
-    column = dm.column[ends].reshape(m, 12)
-    rows = np.broadcast_to(column[:, :, None], k_global.shape)
-    cols = np.broadcast_to(column[:, None, :], k_global.shape)
-    # prescribed values are zero, so only the free columns enter
-    keep = (k_global != 0.0) & (rows >= 0) & (cols >= 0) & (cols < n_eq)
-    entries = rows[keep], cols[keep], k_global[keep]
-    del k_global, rows, cols, keep  # free the (m, 12, 12) arrays before the sort
-    reduced = _csr(*entries, (n_eq + n_fixed, n_eq))
-    del entries
 
     loads = np.zeros((len(model.points), 6))
     loaded = model.points.bc_ids != 0
@@ -518,8 +492,54 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
         i, comp = bad[0]
         raise SolverError(f"moment load on rotation-free point {dm.point_ids[i]} "
                           f"({DOF_NAMES[comp]})")
-    applied = np.bincount(dofs.ravel(), weights=f_global.ravel(), minlength=n_slots)
+    applied = np.bincount(dofs.ravel(), weights=f_global.ravel(), minlength=6 * n)
     applied = applied.reshape(-1, 6) + loads
+    del dofs, f_global
+
+    # Number the point-pair blocks: a slave end moves onto its master, and
+    # each cell adds into the blocks (a, a), (a, b), (b, a) and (b, b) of its
+    # ends a and b
+    link_of = np.full(n, -1)
+    link_of[dm.links[:, 1]] = np.arange(len(dm.links))
+    end_link = link_of[ends]
+    owner = np.arange(n)
+    owner[dm.links[:, 1]] = dm.links[:, 0]
+    a, b = owner[ends].T
+    keys, slot = np.unique(np.stack([a * n + a, a * n + b, b * n + a, b * n + b], axis=1),
+                           return_inverse=True)
+    slot = slot.reshape(m, 4)
+
+    # Add the values slice by slice.  np.add.at adds one term at a time in
+    # index order, here the order of the cells and of their 12x12 entries,
+    # so every entry sums its terms as a stable sort of them would.  A flat
+    # index per entry keeps add.at on its fast path
+    blocks = np.zeros((len(keys), 6, 6))
+    for s in range(0, m, _SLICE):
+        cells = slice(s, s + _SLICE)
+        np.add.at(blocks.reshape(-1), (36 * slot[cells][:, _BLOCK] + _OFFSET).ravel(),
+                  _coupled(_slice_stiffness(el, cells), dm, end_link[cells]).ravel())
+    del el, slot
+
+    # Keep the nonzero entries with a row and a free column: prescribed
+    # values are zero, so only the free columns enter.  No two blocks share
+    # a (row, column), so one sort of the entries gives CSR
+    row = dm.column[keys // n]
+    column = dm.column[keys % n].astype(np.int32)
+    column[column >= n_eq] = -1
+    keep = (blocks != 0.0) & (row >= 0)[:, :, None] & (column >= 0)[:, None, :]
+    data = blocks[keep]
+    del blocks
+    rows = np.broadcast_to(row[:, :, None], keep.shape)[keep]
+    cols = np.broadcast_to(column[:, None, :], keep.shape)[keep]
+    del keep
+    indptr = np.zeros(n_eq + n_fixed + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n_eq + n_fixed), out=indptr[1:])
+    rows *= n_eq
+    rows += cols
+    order = np.argsort(rows)
+    del rows
+    reduced = CsrArrays(indptr, cols[order], data[order], (n_eq + n_fixed, n_eq))
+    del order, cols, data
 
     rhs = _reduce_loads(dm, applied)
     if not np.isfinite(_inf_norm(reduced)):
@@ -676,7 +696,8 @@ class _LevelCholesky:
         n = len(self.perm)
         level = np.empty(n, dtype=np.int64)
         level[self.perm] = np.repeat(np.arange(len(width)), width)
-        local = np.empty(n, dtype=np.int64)
+        # int32 local indices: the stored coupling triplets take half the room
+        local = np.empty(n, dtype=np.int32)
         local[self.perm] = np.arange(n) - np.repeat(np.cumsum(width) - width, width)
         # Each level's block is an array of its own, which can reuse the
         # memory assembly freed; one buffer for all of them would be a fresh
@@ -685,7 +706,7 @@ class _LevelCholesky:
         self.stripes, self.coupling = [], []
         for i, (w, end) in enumerate(zip(width, np.cumsum(width))):
             at, count = _entries(K.indptr, self.perm[end - w : end])
-            r = np.repeat(np.arange(w), count)
+            r = np.repeat(np.arange(w, dtype=np.int32), count)
             c, lc, d = local[K.indices[at]], level[K.indices[at]], K.data[at]
             A = np.zeros((w, w))
             on = lc == i
@@ -782,7 +803,10 @@ def _residuals(system: LinearSystem, u: np.ndarray, fnorm: float, knorm: float):
 
 
 def _inf_norm(K: CsrArrays) -> float:
-    return float(np.bincount(K.rows, np.abs(K.data)).max(initial=0.0))
+    """max_i sum_j |K_ij|; reduceat sums the runs of the rows that hold
+    entries, since an empty run would read the next row's first entry."""
+    starts = K.indptr[:-1][np.diff(K.indptr) > 0]
+    return float(np.add.reduceat(np.abs(K.data), starts).max(initial=0.0))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan fail the acceptance test
@@ -939,7 +963,7 @@ def recover_end_forces(model: StructuralModel, displacements: np.ndarray) -> np.
 
     Computed as k_local u_local minus the self-weight fixed-end actions, so
     each element's end forces balance the load applied along it; k_local is
-    built per slice of 1024 cells.
+    built per slice of ``_SLICE`` cells.
     """
     el = _elements(model)
     m = len(el.ends)

@@ -28,11 +28,12 @@ from formpipe.solver import (
     DofMap,
     MechanismError,
     SolverError,
+    CsrArrays,
     LinearSystem,
     _LevelCholesky,
-    _csr,
     _elements,
     _fail,
+    _inf_norm,
     _level_sets,
     _triads,
     assemble,
@@ -82,9 +83,12 @@ def arch_50x5x24():
 
 
 def csr_arrays(A):
-    """The dense matrix A as the solver's CSR arrays."""
-    rows, cols = np.nonzero(A)
-    return _csr(rows, cols, A[rows, cols], A.shape)
+    """A dense matrix or a scipy sparse matrix as the solver's CSR arrays:
+    ascending columns in each row, no stored zero, int32 indices."""
+    A = sp.csr_matrix(A)
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return CsrArrays(A.indptr.astype(np.int32), A.indices.astype(np.int32), A.data, A.shape)
 
 
 def transformation(dm):
@@ -722,7 +726,7 @@ class TestForcesAndEquilibrium:
             assert np.abs(residual).max() <= 1e-8 * scale
 
     def test_sliced_end_forces_match_the_whole_array(self, arch_50x5x24):
-        # slices of 1024 cells: two boundaries fall inside the 2,859 cells
+        # slices of 128 cells: 22 boundaries fall inside the 2,859 cells
         model = arch_50x5x24
         system, dm = assemble(model)
         disp = expand_displacements(dm, solve_direct(system)[0])
@@ -1108,17 +1112,81 @@ def scipy_reduction(model, dm, applied):
     return reduced, T.T @ applied.ravel()
 
 
+def sorted_assembly(model, dm):
+    """The reduced system as a stable sort and sum of every cell's 12x12
+    entries, the reference for the block assembly's bits.  The entries come
+    in the order of the cells and of their rows and columns; a stable sort
+    by (row, column) keeps that order within a position, and np.bincount
+    adds its terms one at a time.  Returns the CSR arrays (indptr, indices,
+    data) of [K; reaction rows], [f; reaction_rhs] and the per-point loads."""
+    n, n_eq, n_fixed = len(model.points), dm.n_eq, dm.n_fixed
+    el = _elements(model)
+    m, ends = len(el.ends), el.ends
+    k = element_stiffness(model)
+    link_of = np.full(n, -1)
+    link_of[dm.links[:, 1]] = np.arange(len(dm.links))
+    end_link = link_of[ends]
+    linked = np.flatnonzero((end_link >= 0).any(axis=1))
+    if len(linked):
+        C = np.tile(np.eye(12), (len(linked), 1, 1))
+        for end in (0, 1):
+            on = end_link[linked, end] >= 0
+            C[on, 6 * end : 6 * end + 6, 6 * end : 6 * end + 6] = \
+                dm.coupling[end_link[linked[on], end]]
+        k[linked] = C.transpose(0, 2, 1) @ k[linked] @ C
+    owner = np.arange(n)
+    owner[dm.links[:, 1]] = dm.links[:, 0]
+    column = dm.column[owner[ends]].reshape(m, 12)
+    rows = np.broadcast_to(column[:, :, None], k.shape)
+    cols = np.broadcast_to(column[:, None, :], k.shape)
+    keep = (k != 0.0) & (rows >= 0) & (cols >= 0) & (cols < n_eq)
+    key = rows[keep] * n_eq + cols[keep]
+    order = np.argsort(key, kind="stable")
+    key, values = key[order], k[keep][order]
+    first = np.concatenate([[True], key[1:] != key[:-1]])
+    data = np.bincount(np.cumsum(first) - 1, values, int(first.sum()))
+    key = key[first][data != 0.0]
+    row, col = np.divmod(key, max(n_eq, 1))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n_eq + n_fixed))])
+
+    loads = np.zeros((n, 6))
+    for i, p in enumerate(model.points):
+        if p.bc_id:
+            loads[i] = model.bcs[p.bc_id].components
+    slots = (6 * ends[:, :, None] + np.arange(6)).ravel()
+    f_global = (el.f.reshape(m, 4, 3) @ el.R).ravel()
+    applied = np.bincount(slots, f_global, 6 * n).reshape(n, 6) + loads
+    moved = applied.copy()
+    np.add.at(moved, dm.links[:, 0], np.einsum("kji,kj->ki", dm.coupling, moved[dm.links[:, 1]]))
+    own = dm.column.ravel() >= 0
+    rhs = np.bincount(dm.column.ravel()[own], moved.ravel()[own], n_eq + n_fixed)
+    return (indptr, col, data[data != 0.0]), rhs, applied
+
+
 def closed_mobile():
     return fp.gen_leonardo(fp.LeonardoSpec(variant="closed_mobile"))
 
 
-class TestAssemblyOracle:
-    """The numpy sort-and-sum assembly against scipy's T^T K_6n T."""
+def self_linked_model():
+    """``mixed_model`` with a beam from the link master 20 to its own slave
+    30: all four of its point-pair blocks land on the master's."""
+    model = mixed_model()
+    model.cells.append(Cell(id=7, connectivity=(20, 30), cs_id=1, mat_id=1))
+    return model
 
-    @pytest.mark.parametrize("build", [fp.gen_cantilever, closed_mobile, given_offsets_model,
-                                       mixed_model, "arch"],
-                             ids=["cantilever", "closed_mobile", "given_offsets",
-                                  "truss_only_points", "arch_50x5x24"])
+
+ORACLE_MODELS = pytest.mark.parametrize(
+    "build", [fp.gen_cantilever, closed_mobile, given_offsets_model, mixed_model,
+              self_linked_model, "arch"],
+    ids=["cantilever", "closed_mobile", "given_offsets", "truss_only_points", "self_linked",
+         "arch_50x5x24"])
+
+
+class TestAssemblyOracle:
+    """The block assembly against scipy's T^T K_6n T, and bit for bit
+    against the stable sort and sum of the cells' entries."""
+
+    @ORACLE_MODELS
     def test_matches_scipy_reduction(self, build, request):
         model = request.getfixturevalue("arch_50x5x24") if build == "arch" else build()
         system, dm = assemble(model)
@@ -1139,6 +1207,22 @@ class TestAssemblyOracle:
         fscale = np.abs(rhs).max()
         assert np.abs(system.f - rhs[:ne]).max() <= 1e-14 * fscale
         assert np.abs(system.reaction_rhs - rhs[ne:]).max(initial=0.0) <= 1e-14 * fscale
+
+    @ORACLE_MODELS
+    def test_bits_match_sorted_assembly(self, build, request):
+        model = request.getfixturevalue("arch_50x5x24") if build == "arch" else build()
+        system, dm = assemble(model)
+        (indptr, indices, data), rhs, applied = sorted_assembly(model, dm)
+        ne, at = dm.n_eq, indptr[dm.n_eq]
+        for got, want in ((system.stiffness, (indptr[: ne + 1], indices[:at], data[:at])),
+                          (system.reaction_matrix, (indptr[ne:] - at, indices[at:], data[at:]))):
+            assert got.indptr.dtype == got.indices.dtype == np.int32
+            assert np.array_equal(got.indptr, want[0])
+            assert np.array_equal(got.indices, want[1])
+            assert got.data.tobytes() == want[2].tobytes()
+        assert system.f.tobytes() == rhs[:ne].tobytes()
+        assert system.reaction_rhs.tobytes() == rhs[ne:].tobytes()
+        assert system.applied_loads.tobytes() == applied.tobytes()
 
     def test_k_is_a_scipy_view_of_the_arrays(self):
         system, _ = assemble(fp.gen_leonardo())
@@ -1169,7 +1253,8 @@ def hub_csr(rng):
             rows.append(np.full(3, i))
             cols.append(rng.permutation(2100)[:3])
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    return _csr(rows, cols, rng.standard_normal(len(rows)), (50, 2100))
+    return csr_arrays(sp.coo_matrix((rng.standard_normal(len(rows)), (rows, cols)),
+                                    shape=(50, 2100)))
 
 
 def assert_product_matches_scipy(A, x):
@@ -1184,7 +1269,8 @@ def assert_product_matches_scipy(A, x):
 
 
 class TestCsrProduct:
-    """``CsrArrays @`` against scipy's CSR product."""
+    """``CsrArrays @`` against scipy's CSR product, and the infinity norm
+    against scipy's row sums."""
 
     @pytest.mark.parametrize("case", ["empty-first", "empty-middle", "empty-last", "all-empty",
                                       "0xn", "nx0", "reactions", "hub"])
@@ -1215,11 +1301,25 @@ class TestCsrProduct:
         assert_product_matches_scipy(random_csr(rng, (n_rows, n_cols), density),
                                      rng.standard_normal(n_cols))
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_inf_norm_matches_scipy(self, n_rows, n_cols, density, seed):
+        # rows sum in another order than scipy's, so the last bits may differ
+        A = random_csr(np.random.default_rng(seed), (n_rows, n_cols), density)
+        want = np.asarray(abs(A.as_scipy()).sum(axis=1)).max(initial=0.0)
+        assert abs(_inf_norm(A) - want) <= 1e-14 * want
+
 
 class TestMemoryGates:
     """Traced peaks on the cleaned 50x5x24 arch: the direct factor holds
-    little beyond its level inverses, and force recovery holds no whole
-    (m, 12, 12) stiffness."""
+    little beyond its level inverses, and neither assembly nor force
+    recovery holds a whole (m, 12, 12) stiffness."""
+
+    def test_assembly_holds_blocks_not_triplets(self, arch_50x5x24):
+        # 3.7 MB: the 6x6 blocks take 2.0 MB and the peak holds no more than
+        # a slice of cells beside them; a sort of every cell's (row, column,
+        # value) triplets after an (m, 12, 12) stack peaked at 8.0 MB
+        assert traced_peak(assemble, arch_50x5x24) <= 5.5e6
 
     def test_level_factor_holds_little_beyond_its_inverses(self, arch_50x5x24):
         # the stripes of the inverses take 8 nnz bytes and the peak is 1.35
@@ -1230,9 +1330,9 @@ class TestMemoryGates:
         assert traced_peak(_LevelCholesky, K) <= 1.5 * 8 * np.sum(striped_size(width))
 
     def test_force_recovery_grows_with_its_output(self, arch_50x5x24):
-        # 2 MB for slices of 1024 12x12 matrices, then 700 bytes per cell:
-        # less than the 1,152 that one (m, 12, 12) array of doubles needs.
-        # The peak is 2.5 MB of the 4.0 MB bound here
+        # 2 MB for slices of 12x12 matrices, then 700 bytes per cell: less
+        # than the 1,152 that one (m, 12, 12) array of doubles needs.  The
+        # peak is 1.4 MB of the 4.0 MB bound here
         system, dm = assemble(arch_50x5x24)
         disp = expand_displacements(dm, solve_direct(system)[0])
         m = len(arch_50x5x24.cells)
