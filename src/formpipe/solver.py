@@ -312,8 +312,9 @@ def _local_stiffness(E, G, A, Iy, Iz, J, L):
 # recovery.  Each slice holds about four arrays of 1,152 bytes a cell, on top
 # of the blocks assembly adds into.  On the cleaned 50x5x24 arch (2-core
 # Xeon) assembly's traced peak is 3.7 MB at 128, where the slices no longer
-# set it, 4.3 MB at 256 and 7.8 MB at 1,024; assembly takes the same time
-# at each height, to within the spread between runs
+# set it, 4.3 MB at 256 and 7.8 MB at 1,024, in about the same time; force
+# recovery peaks at 1.4 against 2.5 MB at 1,024 and takes 1-4 ms longer on
+# the 80x8x40 arch
 _SLICE = 128
 
 # Entry (i, j) of a cell's 12x12 matrix lies in its block _BLOCK[i, j] of
@@ -696,7 +697,7 @@ class _LevelCholesky:
         n = len(self.perm)
         level = np.empty(n, dtype=np.int64)
         level[self.perm] = np.repeat(np.arange(len(width)), width)
-        # int32 local indices: the stored coupling triplets take half the room
+        # int32 local indices: a stored coupling triplet takes 16 bytes, not 24
         local = np.empty(n, dtype=np.int32)
         local[self.perm] = np.arange(n) - np.repeat(np.cumsum(width) - width, width)
         # Each level's block is an array of its own, which can reuse the

@@ -25,10 +25,10 @@ from formpipe.model import (
 )
 from formpipe.solver import (
     ConvergenceError,
+    CsrArrays,
     DofMap,
     MechanismError,
     SolverError,
-    CsrArrays,
     LinearSystem,
     _LevelCholesky,
     _elements,
