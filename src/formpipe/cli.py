@@ -21,11 +21,11 @@ from .model import DEFAULT_MERGE_TOL, DEFAULT_PCG_TOL, StructuralModel, validate
 from .resistance import build_result_set, equilibrium_residual
 from .topology import (
     DEFAULT_PRUNE_DEGREE,
-    check_support_reachability,
     merge_duplicate_nodes,
     prune_dead_arms,
     remove_degenerate_cells,
     remove_detached_components,
+    unsupported_components,
 )
 
 REPORT_VERSION = 1
@@ -163,7 +163,7 @@ def _clean_text(reports, cells_before, cells_after):
     for name, rep in reports:
         sizes = ", ".join(str(n) for n, _ in rep.removed_components)
         parts = [text.format(len(getattr(rep, attr)), sizes=sizes)
-                 for attr, _, text in _REPAIRS if getattr(rep, attr)]
+                 for attr, _, text in _REPAIRS if len(getattr(rep, attr))]
         lines.append(f"{name}: " + ("; ".join(parts) or "no changes"))
     lines.append(f"cells: {cells_before} -> {cells_after}")
     return lines
@@ -173,15 +173,20 @@ def cmd_check(args) -> int:
     model = _read_model(args.input)
 
     report = validate(model)
-    unsupported = check_support_reachability(model) if report.ok else []
     lines = [f"defect [{f.kind}]: {f.message}" for f in report.defects]
     lines += [f"warning [{f.kind}]: {f.message}" for f in report.warnings]
-    for comp in unsupported[:_LISTED_COMPONENTS]:
-        lines.append(f"defect [unsupported-component]: points {comp.point_ids[:8]} carry "
-                     f"{comp.fixed_dof_count} fixed DOFs (< 6)")
-    if len(unsupported) > _LISTED_COMPONENTS:
-        lines.append(f"defect [unsupported-component]: {len(unsupported) - _LISTED_COMPONENTS} "
-                     "more component(s) carry fewer than 6 fixed DOFs")
+    unsupported = 0
+    if report.ok:
+        starts, sizes, members, fixed = unsupported_components(model)
+        unsupported = len(starts)
+        listed = slice(_LISTED_COMPONENTS)
+        for a, k, f in zip(starts[listed].tolist(), sizes[listed].tolist(),
+                           fixed[listed].tolist()):
+            lines.append(f"defect [unsupported-component]: points "
+                         f"{members[a : a + k][:8].tolist()} carry {f} fixed DOFs (< 6)")
+        if unsupported > _LISTED_COMPONENTS:
+            lines.append(f"defect [unsupported-component]: {unsupported - _LISTED_COMPONENTS} "
+                         "more component(s) carry fewer than 6 fixed DOFs")
     if not lines:
         lines.append("model is clean")
     _emit(lines)

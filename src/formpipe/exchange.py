@@ -18,6 +18,7 @@ import re
 import warnings
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from xml.parsers import expat
 
 import numpy as np
 
@@ -110,37 +111,144 @@ _COLUMN_DTYPES = {"Points": float, "Lines": np.int64, "PointData": np.int64,
 # slice raises the peak: on a 0.41 MB document it is 2.5 times the length at
 # 64 KiB and 1.7 times at 16 KiB, for the same parse time
 _FEED = 1 << 14
+# characters of a column's text that one ``_column`` call reads at most,
+# and the most that expat gathers into one call of the data handler
+_BATCH = 1 << 16
+# the ASCII whitespace that numpy's tokenizer skips between numbers
+_SPACE = " \n\t\r\v\f"
 
 
-def _events(parser, pieces):
-    """The events of an ``ET.XMLPullParser`` fed the slices ``pieces``."""
-    for piece in pieces:
-        parser.feed(piece)
-        yield from parser.read_events()
-    parser.close()
-    yield from parser.read_events()
+class _Decline(Exception):
+    """A streamed column whose text ``_column`` may read otherwise than
+    whole: the parse starts again on the whole-text path."""
 
 
-def _parse_tree(pieces):
-    """The root element of the document fed as the slices ``pieces`` and,
-    by element, what ``_column`` read from each ascii DataArray of a
-    ``_COLUMN_DTYPES`` section when the parser reached its end tag.  Such
-    an element's text is dropped once read, so the parse holds the text of
-    one column at a time, and of any that ``_column`` declined."""
-    parser = ET.XMLPullParser(("start", "end"))
-    path, arrays = [], {}
-    for event, elem in _events(parser, pieces):
-        if event == "start":
-            path.append(elem)
-            continue
-        path.pop()
-        dtype = _COLUMN_DTYPES.get(path[-1].tag) if path else None
-        if dtype is not None and elem.tag == "DataArray" and elem.get("format") == "ascii":
+def _qualified(name: str) -> str:
+    """ElementTree's form ``{uri}local`` of expat's ``uri}local``."""
+    return "{" + name if "}" in name else name
+
+
+class _Builder:
+    """expat handlers that build the element tree of a document, as
+    ElementTree's parser does, and read each ascii DataArray of a
+    ``_COLUMN_DTYPES`` section with ``_column`` into ``arrays``, by element.
+
+    With ``stream``, a column's text is read in batches of about ``_BATCH``
+    characters as it arrives, each cut at its last whitespace, so the parse
+    holds one batch of text at a time.  A batch that ``_column`` declines,
+    or an element inside a column, raises ``_Decline``.  Without it, a
+    column is read whole at its end tag, and one that ``_column`` declines
+    keeps its text for the token path of ``_values``."""
+
+    def __init__(self, stream: bool):
+        self.stream = stream
+        self.tree = ET.TreeBuilder()
+        self.open = []  # the elements whose end tag has not arrived
+        self.arrays = {}
+        self.column = None  # the DataArray being streamed, and its dtype
+        self.dtype = None
+        self.parts = []  # what its text read as so far
+        self.text = []  # its text not yet read, and that text's length
+        self.size = 0
+
+    def parse(self, pieces):
+        """The root element of the document fed as the slices ``pieces``,
+        and ``arrays``."""
+        parser = self.parser = expat.ParserCreate(None, "}")
+        parser.buffer_text = True
+        parser.buffer_size = _BATCH
+        parser.ordered_attributes = True
+        parser.StartElementHandler = self.start
+        parser.EndElementHandler = self.end
+        parser.CharacterDataHandler = self.data
+        parser.DefaultHandlerExpand = self.default
+        try:
+            for piece in pieces:
+                parser.Parse(piece, False)
+            parser.Parse(b"", True)
+        finally:
+            del self.parser  # its handlers refer to this builder
+        return self.tree.close(), self.arrays
+
+    def _dtype(self, elem):
+        """The dtype of ``elem``, a child of the innermost open element,
+        where it is a column."""
+        if elem.tag == "DataArray" and elem.get("format") == "ascii" and self.open:
+            return _COLUMN_DTYPES.get(self.open[-1].tag)
+        return None
+
+    def start(self, tag, attributes):
+        if self.column is not None:
+            raise _Decline  # the whole-text path reads only the text before it
+        names = map(_qualified, attributes[::2])
+        elem = self.tree.start(_qualified(tag), dict(zip(names, attributes[1::2])))
+        dtype = self._dtype(elem) if self.stream else None
+        if dtype is not None:
+            self.column, self.dtype = elem, dtype
+        self.open.append(elem)
+
+    def data(self, text):
+        if self.column is None:
+            self.tree.data(text)
+            return
+        self.text.append(text)
+        self.size += len(text)
+        if self.size >= _BATCH:
+            cut = -1  # the last whitespace of this piece
+            for space in _SPACE:
+                cut = max(cut, text.rfind(space, cut + 1))
+            if cut >= 0:  # else it may end inside a token: wait for the next
+                self.text[-1] = text[:cut]
+                self._read("".join(self.text))
+                self.text, self.size = [text[cut:]], len(text) - cut
+
+    def _read(self, text):
+        if text.isspace() and text.isascii():
+            return  # whitespace between tokens reads as nothing on either path
+        values = _column(text, self.dtype)
+        if values is None:
+            raise _Decline
+        self.parts.append(values)
+
+    def end(self, tag):
+        if self.column is not None:
+            self._read("".join(self.text))
+            parts = self.parts or [np.zeros(0, dtype=self.dtype)]
+            self.arrays[self.column] = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            self.column, self.parts, self.text, self.size = None, [], [], 0
+        elem = self.tree.end(_qualified(tag))
+        self.open.pop()
+        dtype = None if self.stream else self._dtype(elem)
+        if dtype is not None:
             values = _column(elem.text or "", dtype)
             if values is not None:
-                arrays[elem] = values
+                self.arrays[elem] = values
                 elem.text = None
-    return elem, arrays  # the root ends last
+
+    def default(self, text):
+        """expat passes here an entity reference that no declaration it
+        read defines; ElementTree's parser refuses it with this message."""
+        if text.startswith("&"):
+            raise expat.ExpatError(f"undefined entity {text}: line "
+                                   f"{self.parser.ErrorLineNumber}, column "
+                                   f"{self.parser.ErrorColumnNumber}")
+
+
+def _tree(pieces, stream: bool = True):
+    """The root element of a document and, by element, the arrays that
+    ``_Builder`` read from its columns; ``pieces()`` gives the document's
+    slices from its start.  A streamed parse that a column declines starts
+    again from a fresh ``pieces()`` without streaming, which reads every
+    value, and raises every message in the order, of a whole-text parse."""
+    # expat raises ExpatError; a declared encoding that Python does not know
+    # raises LookupError, and one that expat cannot take ValueError
+    try:
+        try:
+            return _Builder(stream).parse(pieces())
+        except _Decline:
+            return _Builder(False).parse(pieces())
+    except (expat.ExpatError, LookupError, ValueError) as exc:
+        raise ExchangeFormatError(f"malformed document: {exc}") from exc
 
 
 class _ItemReader:
@@ -364,25 +472,27 @@ def parse_model(document: str | bytes) -> StructuralModel:
     (1 = fixed), nodal-load references from ID_BOUNDARY_CONDITION.  Unknown
     named data arrays are ignored.
     """
-    return _model(document[start:start + _FEED] for start in range(0, len(document), _FEED))
+    return _model(*_tree(lambda: (document[start:start + _FEED]
+                                  for start in range(0, len(document), _FEED))))
 
 
 def read_model(handle) -> StructuralModel:
     """Parse the exchange document of the open binary file ``handle``, read
     ``_FEED`` bytes at a time, as ``parse_model`` parses the same bytes;
-    the file is never held whole."""
-    return _model(iter(lambda: handle.read(_FEED), b""))
+    the file is never held whole.  A parse that starts again seeks back to
+    where the handle stood."""
+    start = handle.tell()
+
+    def pieces():
+        handle.seek(start)
+        return iter(lambda: handle.read(_FEED), b"")
+
+    return _model(*_tree(pieces))
 
 
-def _model(pieces) -> StructuralModel:
-    """The StructuralModel of the document fed as the slices ``pieces``."""
-    # expat raises ParseError; a declared encoding that Python does not know
-    # raises LookupError, and one that expat cannot take ValueError
-    try:
-        root, arrays = _parse_tree(pieces)
-    except (ET.ParseError, LookupError, ValueError) as exc:
-        raise ExchangeFormatError(f"malformed document: {exc}") from exc
-
+def _model(root, arrays) -> StructuralModel:
+    """The StructuralModel of the element tree ``root`` and the arrays read
+    from its columns."""
     if root.tag != "VTKFile":
         raise ExchangeFormatError(f"not a VTKFile document (root {root.tag!r})")
     if root.get("type") != "PolyData":

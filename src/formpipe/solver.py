@@ -70,7 +70,7 @@ from .model import (
     stiffness_terms,
     validate,
 )
-from .topology import check_support_reachability
+from .topology import unsupported_components
 
 _VERTICAL_TOL = 1e-6
 # Direct solves refine towards the residual target and are accepted on the
@@ -468,11 +468,12 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     if defects:
         first = defects[0].message
         raise SolverError(f"model does not validate ({len(defects)} defects; first: {first})")
-    unsupported = check_support_reachability(model) if check_supports else []
-    if unsupported:
-        worst = unsupported[0]
-        raise SolverError(f"{len(unsupported)} component(s) lack supports; e.g. points "
-                          f"{worst.point_ids[:5]} with {worst.fixed_dof_count} fixed DOFs")
+    if check_supports:
+        starts, sizes, members, fixed = unsupported_components(model)
+        if len(starts):
+            worst = members[starts[0] : starts[0] + sizes[0]][:5].tolist()
+            raise SolverError(f"{len(starts)} component(s) lack supports; e.g. points "
+                              f"{worst} with {fixed[0]} fixed DOFs")
 
     dm = build_dof_map(model)
     n_eq, n_fixed = dm.n_eq, dm.n_fixed

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,12 +30,20 @@ class TopologyError(ValueError):
 class RepairReport:
     """Per-operation record of what a repair removed or merged."""
 
-    merged_point_pairs: list = field(default_factory=list)  # (survivor, removed)
+    # (k, 2) int64 rows (survivor, removed)
+    merged_point_pairs: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), np.int64))
     removed_degenerate_cells: list = field(default_factory=list)
     removed_duplicate_cells: list = field(default_factory=list)
     removed_components: list = field(default_factory=list)  # (cell count, representative point)
     pruned_arm_points: list = field(default_factory=list)
     element_removal_fraction: float = 0.0
+
+    def __eq__(self, other):
+        """Field by field, the merged pairs by value."""
+        if not isinstance(other, RepairReport):
+            return NotImplemented
+        mine, theirs = (dict(vars(report), merged_point_pairs=None) for report in (self, other))
+        return mine == theirs and np.array_equal(self.merged_point_pairs, other.merged_point_pairs)
 
 
 @dataclass
@@ -46,6 +55,12 @@ class UnsupportedComponent:
 # Sweep axis: one fixed unit vector normal to no lattice plane, so grid-like
 # models do not project many points onto one value.
 _SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
+# sweep candidates tested at a time: each takes about 100 bytes of temporaries
+_CHUNK = 1 << 14
+# close pairs per point that the sweep keeps before it replaces them with a
+# spanning forest; a forest pass at 1 per point raises the merge's traced
+# peak on the 20x20x20 line soup (2.4 pairs per point) from 6.9 to 8.9 MB
+_PAIRS_PER_POINT = 4
 
 
 def _close_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
@@ -79,12 +94,16 @@ def _exact_copies(coords: np.ndarray) -> np.ndarray:
 
 
 def _swept_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
-    """(m, 2) index pairs i != j with squared distance <= tol**2.
+    """(m, 2) index pairs i != j with squared distance <= tol**2, or, once
+    there are more than ``_PAIRS_PER_POINT`` such pairs per point, a
+    spanning forest of them (``_forest``): either way the same connected
+    components.
 
     Sort-and-sweep along ``_SWEEP_AXIS``: since |d . axis| <= |d|, every close
     pair lies within ``tol`` in projection.  The window is widened by a few
     ulps of the largest coordinate so that rounding in the projections never
-    drops a pair; the distance test then decides exactly.
+    drops a pair; the distance test then decides exactly.  The windows are
+    tested in chunks of about ``_CHUNK`` candidates, cut between points.
     """
     n = len(coords)
     if n < 2:
@@ -96,14 +115,43 @@ def _swept_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
     scale = np.max(np.abs(coords), where=np.isfinite(coords), initial=0.0)
     reach = tol + 32.0 * np.spacing(scale)
     width = np.searchsorted(swept, swept + reach, side="right") - np.arange(1, n + 1)
-    first = np.repeat(np.arange(n), width)
+    total = np.cumsum(width)
+    # point boundaries about _CHUNK candidates apart
+    cuts = distinct(np.concatenate([[0], np.searchsorted(
+        total, np.arange(_CHUNK, total[-1], _CHUNK), side="right"), [n]]))
+    found, size = [], 0
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        found.append(_window_pairs(coords, order, width, lo, hi, tol))
+        size += len(found[-1])
+        if size > _PAIRS_PER_POINT * n:
+            found = [_forest(n, np.concatenate(found))]
+            size = len(found[0])
+    return np.concatenate(found)
+
+
+def _window_pairs(coords, order, width, lo, hi, tol) -> np.ndarray:
+    """The close pairs among the candidates of the sorted points lo..hi-1:
+    each with the ``width`` points after it in ``order``."""
+    run = width[lo:hi]
+    first = np.repeat(np.arange(lo, hi), run)
     # offset of each candidate inside its point's window, 1-based
-    step = np.arange(1, len(first) + 1) - np.repeat(np.cumsum(width) - width, width)
+    step = np.arange(1, len(first) + 1) - np.repeat(np.cumsum(run) - run, run)
     i, j = order[first], order[first + step]
     d = coords[i]
     d -= coords[j]
     close = np.einsum("ij,ij->i", d, d) <= tol * tol
     return np.stack([i[close], j[close]], axis=1)
+
+
+def _forest(n: int, edges: np.ndarray) -> np.ndarray:
+    """(k, 2) pairs that join each of ``n`` points to the lowest index of its
+    connected component under ``edges``: the same components from at most
+    n - 1 edges, whatever the order of ``edges``."""
+    count, labels = _component_labels(n, edges)
+    points = np.arange(n)
+    lowest = _lowest(labels, count, points)[labels]
+    joined = lowest != points
+    return np.stack([lowest[joined], points[joined]], axis=1)
 
 
 def _component_labels(n: int, edges: np.ndarray):
@@ -160,7 +208,7 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
     moved = survivor != ids
     kept, removed = survivor[moved], ids[moved]
     order = np.lexsort((removed, kept))  # by survivor, then removed
-    report.merged_point_pairs = list(zip(kept[order].tolist(), removed[order].tolist()))
+    report.merged_point_pairs = np.stack([kept[order], removed[order]], axis=1).astype(np.int64)
 
     loads = points.bc_ids
     loaded = loads != 0
@@ -348,13 +396,21 @@ def prune_dead_arms(model: StructuralModel, max_degree: int = DEFAULT_PRUNE_DEGR
     return _keep(model, report, point_alive, cell_alive)
 
 
-def check_support_reachability(model: StructuralModel):
-    """Flag connected components whose fixed-DOF total cannot restrain a rigid
-    body (fewer than 6 fixed DOFs, which covers fully unsupported ones).
+class Unsupported(NamedTuple):
+    """Connected components that cannot restrain a rigid body, ordered by
+    lowest member id: the ids of component k are
+    ``members[starts[k]:starts[k] + sizes[k]]``, ascending."""
 
-    Genuine local mechanisms beyond this count survive until factorization,
-    which reports the offending DOF.  ``orientation_points`` are exempt.
-    """
+    starts: np.ndarray
+    sizes: np.ndarray
+    members: np.ndarray
+    fixed_dof_counts: np.ndarray
+
+
+def unsupported_components(model: StructuralModel) -> Unsupported:
+    """The connected components whose fixed-DOF total cannot restrain a
+    rigid body (fewer than 6 fixed DOFs, which covers fully unsupported
+    ones), as arrays.  ``orientation_points`` are exempt."""
     count, labels, _, structure = _components(model)
     ids = model.points.ids
     fixed = np.bincount(labels, weights=model.points.masks.sum(axis=1), minlength=count)
@@ -365,9 +421,21 @@ def check_support_reachability(model: StructuralModel):
     flagged = np.flatnonzero((fixed < 6) & structure)
     # by lowest member id; the stable sort keeps label order among equal ids
     flagged = flagged[np.argsort(members[starts[flagged]], kind="stable")]
-    starts, sizes, members = starts[flagged].tolist(), sizes[flagged].tolist(), members.tolist()
-    return [UnsupportedComponent(members[a : a + k], int(f))
-            for a, k, f in zip(starts, sizes, fixed[flagged].tolist())]
+    return Unsupported(starts[flagged], sizes[flagged], members,
+                       fixed[flagged].astype(np.int64))
+
+
+def check_support_reachability(model: StructuralModel):
+    """``unsupported_components`` as a list of UnsupportedComponent.
+
+    Genuine local mechanisms beyond this count survive until factorization,
+    which reports the offending DOF.
+    """
+    found = unsupported_components(model)
+    members = found.members.tolist()
+    return [UnsupportedComponent(members[a : a + k], f)
+            for a, k, f in zip(found.starts.tolist(), found.sizes.tolist(),
+                               found.fixed_dof_counts.tolist())]
 
 
 def make_rigid_link(model: StructuralModel, master: int, slave: int, offset=None):

@@ -4,16 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import formpipe as fp
 from formpipe.model import (
     BEAM_LINE,
     TRUSS_LINE,
     BoundaryConditionEntry,
     Cell,
+    CellTable,
     Circle,
     CrossSection,
     GenericSection,
     Material,
     Point,
+    PointTable,
     Rectangle,
     StructuralModel,
 )
@@ -147,3 +150,30 @@ def random_model(rng: np.random.Generator, n_points: int = 12, with_extras: bool
         )
         cid += 1
     return model
+
+
+def soup_document(n, seed=0):
+    """An n x n x n lattice exploded as the benchmark's line soup is: every
+    cell gets its own two endpoints, jittered by at most 1e-3 mm, 100
+    reversed copies of cells and 100 zero-length cells are added, and the
+    cells are shuffled."""
+    rng = np.random.default_rng(seed)
+    lattice = fp.gen_sphere_lattice(fp.LatticeSpec(nx=n, ny=n, nz=n, splash_fraction=0.01,
+                                                   seed=seed))
+    cells, points = lattice.cells, lattice.points
+    pick = rng.choice(len(cells), size=100, replace=False)
+    nodes = rng.choice(len(points), size=100, replace=False)
+    rows = np.concatenate([np.arange(len(cells)), pick, np.zeros(100, dtype=np.int64)])
+    ends = np.concatenate([points.positions(cells.ends), points.positions(cells.ends[pick, ::-1]),
+                           np.column_stack([nodes, nodes])])
+    order = rng.permutation(len(rows))
+    rows, ends = rows[order], ends[order].ravel()
+    m = len(ends)
+    soup = StructuralModel(
+        comment="line soup", cross_sections=lattice.cross_sections,
+        materials=lattice.materials, bcs=lattice.bcs,
+        points=PointTable(np.arange(m), points.coords[ends] + rng.uniform(-1e-3, 1e-3, (m, 3)),
+                          points.masks[ends], points.bc_ids[ends]),
+        cells=CellTable(np.arange(len(rows)), np.arange(m).reshape(-1, 2), cells.cs_ids[rows],
+                        cells.mat_ids[rows], cells.truss[rows]))
+    return fp.write_model(soup)

@@ -125,6 +125,26 @@ class TestCheck:
         assert lines[20] == ("defect [unsupported-component]: 5 more component(s) carry "
                              "fewer than 6 fixed DOFs")
 
+    def test_long_components_list_their_first_eight_points(self, capsys, tmp_path):
+        # two floating chains of 10 points, one pinned by 3 DOFs
+        model = fp.gen_cantilever()
+        for k in range(2):
+            ids = [2 + 10 * k + i for i in range(10)]
+            for i, pid in enumerate(ids):
+                model.points.append(fp.Point(id=pid, coords=(100.0 * i, 500.0 * (k + 1), 0.0)))
+            for a, b in zip(ids, ids[1:]):
+                model.cells.append(fp.Cell(id=a, connectivity=(a, b), cs_id=2, mat_id=1))
+        model.points[-1].constraint_mask[:3] = True
+        path = tmp_path / "chains.vtp"
+        path.write_text(fp.write_model(model))
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 2
+        assert out.splitlines() == [
+            "defect [unsupported-component]: points [2, 3, 4, 5, 6, 7, 8, 9] carry 0 fixed "
+            "DOFs (< 6)",
+            "defect [unsupported-component]: points [12, 13, 14, 15, 16, 17, 18, 19] carry 3 "
+            "fixed DOFs (< 6)"]
+
     def test_non_finite_section_blocks(self, capsys, tmp_path):
         model = fp.gen_cantilever()
         model.cross_sections[2] = fp.CrossSection(id=2, shape=fp.Circle(diameter=float("inf")))

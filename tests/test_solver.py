@@ -278,6 +278,20 @@ class TestAssembly:
         with pytest.raises(SolverError, match="support"):
             assemble(model)
 
+    def test_unsupported_components_counted_and_the_first_named(self):
+        model = bar_model()
+        for k in range(2):  # two floating chains of 7 points
+            ids = [2 + 7 * k + i for i in range(7)]
+            for i, pid in enumerate(ids):
+                model.points.append(Point(id=pid, coords=(100.0 * i, 50.0 * (k + 1), 0.0)))
+            for a, b in zip(ids, ids[1:]):
+                model.cells.append(Cell(id=a, connectivity=(a, b), cs_id=1, mat_id=1))
+        model.points[3].constraint_mask[:2] = True
+        with pytest.raises(SolverError) as err:
+            assemble(model)
+        assert str(err.value) == ("2 component(s) lack supports; e.g. points [2, 3, 4, 5, 6] "
+                                  "with 2 fixed DOFs")
+
     def test_invalid_model_refused(self):
         model = bar_model()
         model.cells[0].connectivity = (0, 99)

@@ -27,19 +27,22 @@ from formpipe.model import (
     orientation_points,
     validate,
 )
+from formpipe import topology
 from formpipe.topology import (
     RepairReport,
     TopologyError,
     _component_labels,
+    _swept_pairs,
     check_support_reachability,
     make_rigid_link,
     merge_duplicate_nodes,
     prune_dead_arms,
     remove_degenerate_cells,
     remove_detached_components,
+    unsupported_components,
 )
 
-from conftest import random_model
+from conftest import random_model, soup_document, traced_peak
 
 
 def simple_model(coords, cells, masks=None, bc_points=()):
@@ -108,7 +111,7 @@ class TestMergeDuplicateNodes:
                              masks={0: [True] * 6})
         model.cross_sections[1] = CrossSection(id=1, shape=Rectangle(20.0, 30.0, "z", 3))
         model, report = merge_duplicate_nodes(model)
-        assert report.merged_point_pairs == [(2, 3)]
+        assert report.merged_point_pairs.tolist() == [[2, 3]]
         assert model.cross_sections[1].shape == Rectangle(20.0, 30.0, "z", 2)
 
     def test_basic_merge(self):
@@ -116,7 +119,7 @@ class TestMergeDuplicateNodes:
             [(0, 0, 0), (0, 0, 1e-9), (1000, 0, 0)], [(1, 2)], masks={0: [True] * 6}
         )
         model, report = merge_duplicate_nodes(model, tol=1e-6)
-        assert report.merged_point_pairs == [(0, 1)]
+        assert report.merged_point_pairs.tolist() == [[0, 1]]
         assert [p.id for p in model.points] == [0, 2]
         assert model.cells[0].connectivity == (0, 2)
         # constraint masks OR-combine onto the survivor
@@ -188,7 +191,7 @@ class TestMergeDuplicateNodes:
         expected_survivors = sorted(set(expected.values()))
         merged, report = merge_duplicate_nodes(model, tol=tol)
         assert [p.id for p in merged.points] == expected_survivors
-        for survivor, removed in report.merged_point_pairs:
+        for survivor, removed in report.merged_point_pairs.tolist():
             assert expected[removed] == survivor
 
     def test_zero_tolerance_merges_exact_coincidence_only(self):
@@ -197,7 +200,7 @@ class TestMergeDuplicateNodes:
             [(0, 0, 0), (0, 0, 0), (0, 0, 1e-12), (9, 0, 0)], [(0, 3), (1, 3), (2, 3)]
         )
         model, report = merge_duplicate_nodes(model, tol=0.0)
-        assert report.merged_point_pairs == [(0, 1)]
+        assert report.merged_point_pairs.tolist() == [[0, 1]]
         assert [p.id for p in model.points] == [0, 2, 3]
 
     # sort-and-sweep edge cases: the sweep projects on (1, sqrt 2, sqrt 3)/sqrt 6
@@ -209,8 +212,8 @@ class TestMergeDuplicateNodes:
         model = simple_model(coords, [])
         merged, report = merge_duplicate_nodes(model, tol=tol)
         assert [p.id for p in merged.points] == sorted(set(expected.values()))
-        assert report.merged_point_pairs == sorted(
-            (survivor, member) for member, survivor in expected.items() if member != survivor
+        assert report.merged_point_pairs.tolist() == sorted(
+            [survivor, member] for member, survivor in expected.items() if member != survivor
         )
         return report
 
@@ -225,7 +228,7 @@ class TestMergeDuplicateNodes:
         proj = coords @ self.AXIS
         assert np.ptp(proj) < 1e-12
         report = self.assert_matches_oracle(coords, 0.45)
-        assert report.merged_point_pairs
+        assert len(report.merged_point_pairs)
 
     def test_zero_tolerance_with_shared_projections(self):
         rng = np.random.default_rng(8)
@@ -250,7 +253,7 @@ class TestMergeDuplicateNodes:
         coords = [(0, 0, 0), (np.nan, 0, 0), (0, 0, 1e-9), (np.inf, 0, 0), (np.inf, 0, 0)]
         with np.errstate(invalid="ignore"):  # inf - inf
             report = self.assert_matches_oracle(coords, 1e-6)
-        assert report.merged_point_pairs == [(0, 2)]
+        assert report.merged_point_pairs.tolist() == [[0, 2]]
 
     def test_result_independent_of_point_ordering(self):
         rng = np.random.default_rng(11)
@@ -270,7 +273,7 @@ class TestMergeDuplicateNodes:
         assert len(pairs) == 1999  # not 2000 * 1999 / 2
         model, report = merge_duplicate_nodes(simple_model(coords, []), tol=0.01)
         assert [p.id for p in model.points] == [0]
-        assert report.merged_point_pairs == [(0, i) for i in range(1, 2000)]
+        assert report.merged_point_pairs.tolist() == [[0, i] for i in range(1, 2000)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_duplicates_mixed_with_near_points(self, seed):
@@ -286,6 +289,36 @@ class TestMergeDuplicateNodes:
         assert len(np.unique(coords, axis=0)) < len(coords)
         self.assert_matches_oracle(coords, tol)
         self.assert_matches_oracle(coords, 0.0)
+
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
+    def test_sweep_in_chunks_gives_the_same_pairs(self, monkeypatch, chunk):
+        # 400 points in a 10 mm cube: about 40 close pairs, so no forest
+        coords = np.random.default_rng(3).uniform(0.0, 10.0, (400, 3))
+        whole = _swept_pairs(coords, 0.5)
+        assert 0 < len(whole) <= 400
+        monkeypatch.setattr(topology, "_CHUNK", chunk)
+        assert np.array_equal(_swept_pairs(coords, 0.5), whole)
+
+    @pytest.mark.parametrize("chunk", [1, 50, 1 << 14])
+    def test_many_close_pairs_keep_a_spanning_forest(self, monkeypatch, chunk):
+        # a tight cluster of 150 points has 11,175 close pairs, far more than
+        # the sweep keeps; the clusters still match the oracle's
+        monkeypatch.setattr(topology, "_CHUNK", chunk)
+        rng = np.random.default_rng(4)
+        coords = np.concatenate([rng.uniform(0.0, 0.1, (150, 3)), rng.uniform(5.0, 50.0, (60, 3))])
+        coords = coords[rng.permutation(len(coords))]
+        assert len(_swept_pairs(coords, 0.2)) <= topology._PAIRS_PER_POINT * 210 + 150
+        report = self.assert_matches_oracle(coords, 0.2)
+        assert len(report.merged_point_pairs) >= 149
+
+    def test_merged_pairs_are_an_int64_array(self):
+        model = simple_model([(0, 0, 0), (0, 0, 0), (5, 0, 0)], [(0, 2), (1, 2)])
+        model, report = merge_duplicate_nodes(model)
+        assert report.merged_point_pairs.dtype == np.int64
+        assert report.merged_point_pairs.tolist() == [[0, 1]]
+        assert RepairReport().merged_point_pairs.shape == (0, 2)
+        assert report != RepairReport() and RepairReport() == RepairReport()
 
 
 # ------------------------------------------------------- degenerate removal
@@ -677,7 +710,7 @@ class TestLineSoupReports:
         survivor, removed = zip(*[(min(c), pid) for c in clusters.values() for pid in c
                                   if pid != min(c)])
         _, report = merge_duplicate_nodes(model, tol=tol)
-        assert report.merged_point_pairs == sorted(zip(survivor, removed))
+        assert report.merged_point_pairs.tolist() == sorted(map(list, zip(survivor, removed)))
 
 
 def aimed_cantilever():
@@ -862,3 +895,30 @@ class TestPipelineProperties:
             model = random_model(rng, n_points=40)
             model, _ = remove_detached_components(model)
             assert len(bfs_components_oracle(model)) == 1
+
+
+class TestMemoryGates:
+    """Traced peaks of the repairs and the support check on the 8x8x8 line
+    soup (3,120 points, 8,154 sweep candidates), and of a merge that joins
+    every point of a lattice into one."""
+
+    @pytest.fixture(scope="class")
+    def soup(self):
+        return fp.parse_model(soup_document(8))
+
+    def test_merge_of_the_soup(self, soup):
+        # 0.95 MB; the sweep tests its candidates in chunks of 16k
+        assert traced_peak(merge_duplicate_nodes, soup.copy(), 0.01) <= 1.1e6
+
+    def test_support_check_as_arrays(self, soup):
+        # 0.27 MB for 1,362 flagged components; the list of
+        # UnsupportedComponent objects peaks at 0.48 MB
+        assert len(unsupported_components(soup).starts) == 1362
+        assert traced_peak(unsupported_components, soup) <= 0.35e6
+
+    def test_huge_tolerance_keeps_few_pairs(self):
+        # 12x12x12 lattice, 1,728 points and 1.5M candidate pairs, all close:
+        # 1.7 MB, where holding every close pair took 133 MB
+        lattice = fp.gen_sphere_lattice(fp.LatticeSpec(nx=12, ny=12, nz=12))
+        assert traced_peak(merge_duplicate_nodes, lattice, 1e300) <= 4e6
+        assert len(lattice.points) == 1
