@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .exchange import ExchangeFormatError, read_model, write_model, write_results_vtk
+from .exchange import ExchangeFormatError, model_pieces, read_model, results_pieces
 from .model import DEFAULT_MERGE_TOL, DEFAULT_PCG_TOL, StructuralModel, validate
 from .resistance import build_result_set, equilibrium_residual
 from .topology import (
@@ -58,10 +58,12 @@ def _read_model(path: str) -> StructuralModel:
         raise CommandError(exc, EXIT_UNREADABLE) from exc
 
 
-def atomic_write(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so failures leave nothing.
-    The file gets the mode ``open`` would give it under the umask.  Raises
-    CommandError, naming the path, when the file cannot be written."""
+def atomic_write(path: str, pieces) -> None:
+    """Write the text ``pieces``, an iterable of str, each as it is made, to
+    a sibling temp file and rename it to ``path``, so failures, in the
+    pieces too, leave nothing.  The file gets the mode ``open`` would give
+    it under the umask.  Raises CommandError, naming the path, when the file
+    cannot be written."""
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
     os.umask(umask)
@@ -70,7 +72,7 @@ def atomic_write(path: str, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".formpipe-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             os.fchmod(fd, 0o666 & ~umask)
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except OSError as exc:
         raise CommandError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -109,11 +111,11 @@ def run_solve_pipeline(model: StructuralModel, *, solver="direct", pcg_tol=DEFAU
     else:
         u, stats = statics.solve_direct(system)
     disp = statics.expand_displacements(dofmap, u)
+    reactions, applied_loads = statics.reaction_forces(system, u), system.applied_loads
+    del system  # K goes before force recovery builds its per-cell arrays
     forces = statics.recover_end_forces(model, disp)
-    reactions = statics.reaction_forces(system, u)
-    results = build_result_set(
-        model, disp, forces, reactions=reactions, applied_loads=system.applied_loads
-    )
+    results = build_result_set(model, disp, forces, reactions=reactions,
+                               applied_loads=applied_loads)
     return results, stats
 
 
@@ -204,11 +206,11 @@ def cmd_clean(args) -> int:
     try:
         model, reports = run_clean_pipeline(model, merge_tol=args.merge_tol,
                                             prune_degree=args.prune_degree)
-        text = write_model(model)
+        pieces = model_pieces(model)
     except ValueError as exc:
         raise CommandError(exc) from exc
     cells_after = len(model.cells)
-    atomic_write(args.output, text)
+    atomic_write(args.output, pieces)
 
     if args.format == "structured":
         lines = _structured(_clean_records(reports, cells_before, cells_after))
@@ -216,7 +218,7 @@ def cmd_clean(args) -> int:
         lines = _clean_text(reports, cells_before, cells_after)
     _emit(lines)
     if args.report:
-        atomic_write(args.report, "\n".join(lines) + "\n")
+        atomic_write(args.report, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
@@ -248,10 +250,10 @@ def cmd_solve(args) -> int:
     try:
         results, stats = run_solve_pipeline(model, solver=args.solver, pcg_tol=args.pcg_tol,
                                             pcg_max_iter=args.pcg_max_iter)
-        text = write_results_vtk(model, results, args.deform_scale)
+        pieces = results_pieces(model, results, args.deform_scale)
     except (ValueError, SolverError) as exc:
         raise CommandError(exc) from exc
-    atomic_write(args.output, text)
+    atomic_write(args.output, pieces)
 
     equilibrium = equilibrium_residual(model, results)
     if args.format == "structured":
@@ -272,7 +274,7 @@ def cmd_solve(args) -> int:
         ]
     _emit(lines)
     if args.report:
-        atomic_write(args.report, "\n".join(lines) + "\n")
+        atomic_write(args.report, ["\n".join(lines) + "\n"])
     return EXIT_OK
 
 
@@ -298,7 +300,7 @@ def cmd_gen(args) -> int:
         raise CommandError(exc) from exc
     except MemoryError as exc:
         raise CommandError(f"out of memory: {exc}") from exc
-    atomic_write(args.output, write_model(model))
+    atomic_write(args.output, model_pieces(model))
     _emit([f"wrote {args.case} model: {len(model.points)} points, {len(model.cells)} cells"])
     return EXIT_OK
 

@@ -62,36 +62,37 @@ _LONE_SIGNS = tuple((sign, re.compile(re.escape(sign) + "(?![0-9])")) for sign i
 
 
 def _column(text: str, dtype) -> np.ndarray | None:
-    """The numbers of ``text`` as ``dtype`` (float or np.int64) read by
-    numpy's C tokenizer, or None where it could read them otherwise than
-    ``dtype`` of each whitespace token does: blank or non-ASCII text, a sign
-    that no digit follows, a NaN payload ``nan(...)``, a token it does not
-    read to its end, and an integer at the int64 limits, to which it
-    saturates."""
+    """The numbers of ``text`` as ``dtype`` (float or np.int64, or bool for
+    the nonzero mask of np.int64 values) read by numpy's C tokenizer, or
+    None where it could read them otherwise than ``dtype`` of each
+    whitespace token does: blank or non-ASCII text, a sign that no digit
+    follows, a NaN payload ``nan(...)``, a token it does not read to its
+    end, and an integer at the int64 limits, to which it saturates."""
     if (text.isspace() or not text.isascii() or "(" in text
             or any(sign in text and lone.search(text) for sign, lone in _LONE_SIGNS)):
         return None
+    read = np.int64 if dtype is bool else dtype
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)  # older numpy only warns
         try:
-            values = np.fromstring(text, dtype=dtype, sep=" ")
+            values = np.fromstring(text, dtype=read, sep=" ")
         except (ValueError, DeprecationWarning):
             return None
-    if (dtype is np.int64 and values.size
+    if (read is np.int64 and values.size
             and (values.max() == _INT64.max or values.min() == _INT64.min)):
         return None
-    return values
+    return values != 0 if dtype is bool else values
 
 
 def _values(elem, n, dtype, what, arrays) -> np.ndarray:
     """The whitespace-separated tokens of an ascii DataArray as an array of
     ``dtype``; ``n`` is the expected count, None accepts any.  ``arrays``
-    holds what ``_column`` read while the document was parsed; where it
-    declined, the tokens are read one by one."""
+    holds what ``_column`` read while the document was parsed, which this
+    takes out of it; where it declined, the tokens are read one by one."""
     fmt = elem.get("format")
     if fmt != "ascii":
         raise ExchangeFormatError(f"only ascii data arrays are supported, got format={fmt!r}")
-    values = arrays.get(elem)
+    values = arrays.pop(elem, None)
     items = (elem.text or "").split() if values is None else values
     if n is not None and len(items) != n:
         raise ExchangeFormatError(f"{what}: expected {n} values, got {len(items)}")
@@ -174,7 +175,10 @@ class _Builder:
         """The dtype of ``elem``, a child of the innermost open element,
         where it is a column."""
         if elem.tag == "DataArray" and elem.get("format") == "ascii" and self.open:
-            return _COLUMN_DTYPES.get(self.open[-1].tag)
+            section = self.open[-1].tag
+            if section == "PointData" and elem.get("Name") == "Boundary_Conditions":
+                return bool  # only its nonzero flags are kept: 1 byte a value, not 8
+            return _COLUMN_DTYPES.get(section)
         return None
 
     def start(self, tag, attributes):
@@ -548,7 +552,7 @@ def _model(root, arrays) -> StructuralModel:
             if count != 6:
                 raise ExchangeFormatError("Boundary_Conditions must carry 6 components")
             masks = _values(da, 6 * n_points, np.int64, "Boundary_Conditions",
-                            arrays).reshape(-1, 6) != 0
+                            arrays).reshape(-1, 6).astype(bool, copy=False)
         elif name == "ID_BOUNDARY_CONDITION":
             bc_ids = _values(da, n_points, np.int64, "ID_BOUNDARY_CONDITION", arrays)
 
@@ -589,20 +593,27 @@ def _model(root, arrays) -> StructuralModel:
     return model
 
 
-def _rows(values, indent: str = "") -> list:
+# rows of a column that one text piece of a writer holds at most
+_ROWS = 1 << 10
+
+
+def _rows(values, indent: str = ""):
     """The text rows of a 1-D array, one per entry, or of a 2-D array, one per
-    row with single spaces between values, as one block in a list (empty for
-    no rows); floats in ``_fmt`` form, since %r of a Python float is repr."""
+    row with single spaces between values, each ending in a newline, in
+    pieces of at most ``_ROWS`` rows (none for no rows); floats in ``_fmt``
+    form, since %r of a Python float is repr."""
     values = np.asarray(values)
-    if not values.size:
-        return []
-    width = values.shape[1] if values.ndim == 2 else 1
-    row = indent + " ".join(["%r" if values.dtype.kind == "f" else "%d"] * width)
-    return ["\n".join([row] * (values.size // width)) % tuple(values.ravel().tolist())]
+    values = values.reshape(-1, values.shape[1] if values.ndim == 2 else 1)
+    row = indent + " ".join(["%r" if values.dtype.kind == "f" else "%d"] * values.shape[1]) + "\n"
+    for start in range(0, len(values), _ROWS):
+        block = values[start:start + _ROWS]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
-def _data_array(attrs: str, values) -> list:
-    return [f"        <DataArray {attrs}>", *_rows(values, " " * 10), "        </DataArray>"]
+def _data_array(attrs: str, values):
+    yield f"        <DataArray {attrs}>\n"
+    yield from _rows(values, " " * 10)
+    yield "        </DataArray>\n"
 
 
 def _wire(points: PointTable, ids, message) -> np.ndarray:
@@ -646,35 +657,44 @@ def _wire_catalogs(model: StructuralModel, points: PointTable) -> dict:
             "rigid_links": links}
 
 
-def write_model(model: StructuralModel) -> str:
-    """Serialize a model to the exchange dialect.
+def model_pieces(model: StructuralModel):
+    """The exchange document of ``model`` as an iterator of text pieces,
+    made one at a time: a few lines, or at most ``_ROWS`` rows of a column.
 
     Ordering is deterministic (points, cells and catalog items ascending by
     id), so identical models produce byte-identical documents.  Floats use
-    the shortest round-tripping decimal form.
+    the shortest round-tripping decimal form.  A cell, rigid link or
+    Rectangle ``refNode`` that names a missing point raises ValueError here,
+    before the first piece.
     """
     _, cell_order, points, ends = _ordered(model)
-    cells = model.cells.take(cell_order)
     catalogs = _wire_catalogs(model, points)
-    array = 'format="ascii" type="Int32" Name='
+    return _document(model, points, cell_order, ends, catalogs)
 
-    out = ['<VTKFile type="PolyData" version="0.1" byte_order="LittleEndian">', "  <PolyData>",
-           f'    <Piece NumberOfPoints="{len(points)}" NumberOfLines="{len(cells)}">',
-           "      <Points>"]
-    out += _data_array('type="Float32" NumberOfComponents="3" format="ascii"', points.coords)
-    out += ["      </Points>", "      <Lines>"]
-    out += _data_array(array + '"connectivity"', ends)
-    out += _data_array(array + '"offsets"', np.arange(2, 2 * len(cells) + 1, 2))
-    out += ["      </Lines>", "      <PointData>"]
-    out += _data_array(array + '"Boundary_Conditions" NumOfComp="6"', points.masks.view(np.int8))
-    out += _data_array(array + '"ID_BOUNDARY_CONDITION"', points.bc_ids)
-    out += ["      </PointData>", "      <CellData>"]
-    out += _data_array(array + '"ID_CROSS-SECTION"', cells.cs_ids)
-    out += _data_array(array + '"ID_MATERIAL"', cells.mat_ids)
+
+def _document(model, points, cell_order, ends, catalogs):
+    """The pieces of ``model_pieces``: ``points`` is the table in wire
+    order, and each cell column is put in wire order as it is written."""
+    cells = model.cells
+    array = 'format="ascii" type="Int32" Name='
+    yield ('<VTKFile type="PolyData" version="0.1" byte_order="LittleEndian">\n  <PolyData>\n'
+           f'    <Piece NumberOfPoints="{len(points)}" NumberOfLines="{len(cells)}">\n'
+           "      <Points>\n")
+    yield from _data_array('type="Float32" NumberOfComponents="3" format="ascii"', points.coords)
+    yield "      </Points>\n      <Lines>\n"
+    yield from _data_array(array + '"connectivity"', ends)
+    yield from _data_array(array + '"offsets"', np.arange(2, 2 * len(cells) + 1, 2))
+    yield "      </Lines>\n      <PointData>\n"
+    yield from _data_array(array + '"Boundary_Conditions" NumOfComp="6"',
+                           points.masks.view(np.int8))
+    yield from _data_array(array + '"ID_BOUNDARY_CONDITION"', points.bc_ids)
+    yield "      </PointData>\n      <CellData>\n"
+    yield from _data_array(array + '"ID_CROSS-SECTION"', cells.cs_ids[cell_order])
+    yield from _data_array(array + '"ID_MATERIAL"', cells.mat_ids[cell_order])
     if cells.truss.any():
-        out += _data_array(array + '"ELEMENT_TYPE"', cells.truss.view(np.int8))
-    out += ["      </CellData>", "    </Piece>", "  </PolyData>", "  <AppendedData>", "    _"]
-    out.append("    <Characteristics>")
+        yield from _data_array(array + '"ELEMENT_TYPE"', cells.truss[cell_order].view(np.int8))
+    out = ["      </CellData>", "    </Piece>", "  </PolyData>", "  <AppendedData>", "    _",
+           "    <Characteristics>"]
     comment = escape(" ".join(model.comment.split()))
     out.append(f"      <COMMENT> <item> {comment} </item> </COMMENT>")
     for tag, attr, _, write in _CATALOGS:
@@ -693,29 +713,45 @@ def write_model(model: StructuralModel) -> str:
             out.append(f"        <item> {escape(' '.join(parts))} </item>")
         out.append(f"      </{tag}>")
     out += ["    </Characteristics>", "  </AppendedData>", "</VTKFile>"]
-    return "\n".join(out) + "\n"
+    yield "\n".join(out) + "\n"
 
 
-def write_results_vtk(model: StructuralModel, results, deform_scale: float = 1.0) -> str:
+def write_model(model: StructuralModel) -> str:
+    """Serialize a model to the exchange dialect: ``model_pieces`` joined."""
+    return "".join(model_pieces(model))
+
+
+def results_pieces(model: StructuralModel, results, deform_scale: float = 1.0):
     """Legacy ASCII VTK POLYDATA with deformed geometry, nodal displacement
-    vectors, per-cell resistance ratios and the binary exceeded flag."""
-    n = len(model.points)
+    vectors, per-cell resistance ratios and the binary exceeded flag, as an
+    iterator of text pieces.  Result arrays that do not match the model, or
+    a deformed geometry that overflows, raise ValueError here, before the
+    first piece."""
     m = len(model.cells)
     disp = np.asarray(results.displacements, dtype=float)
     deformed = deformed_geometry(model, disp, deform_scale)
     if len(results.u_el) != m or len(results.exceeded) != m:
         raise ValueError("per-cell result arrays do not match the cell count")
     point_order, cell_order, _, ends = _ordered(model)
+    return _results(model, results, disp, deformed, point_order, cell_order, ends)
 
-    out = ["# vtk DataFile Version 3.0", " ".join(model.comment.split()) or "formpipe results",
-           "ASCII", "DATASET POLYDATA", f"POINTS {n} float"]
-    out += _rows(deformed[point_order])
-    out.append(f"LINES {m} {3 * m}")
-    out += _rows(np.column_stack([np.full(m, 2), ends]))
-    out += [f"POINT_DATA {n}", "VECTORS displacement float"]
-    out += _rows(disp[point_order, :3])
-    out += [f"CELL_DATA {m}", "SCALARS resistance_ratio float 1", "LOOKUP_TABLE default"]
-    out += _rows(np.asarray(results.u_el, dtype=float)[cell_order])
-    out += ["SCALARS exceeded int 1", "LOOKUP_TABLE default"]
-    out += _rows(np.asarray(results.exceeded, dtype=bool)[cell_order].astype(np.int8))
-    return "\n".join(out) + "\n"
+
+def _results(model, results, disp, deformed, point_order, cell_order, ends):
+    """The pieces of ``results_pieces``, each column in wire order."""
+    n, m = len(point_order), len(cell_order)
+    title = " ".join(model.comment.split()) or "formpipe results"
+    yield f"# vtk DataFile Version 3.0\n{title}\nASCII\nDATASET POLYDATA\nPOINTS {n} float\n"
+    yield from _rows(deformed[point_order])
+    yield f"LINES {m} {3 * m}\n"
+    yield from _rows(np.column_stack([np.full(m, 2), ends]))
+    yield f"POINT_DATA {n}\nVECTORS displacement float\n"
+    yield from _rows(disp[point_order, :3])
+    yield f"CELL_DATA {m}\nSCALARS resistance_ratio float 1\nLOOKUP_TABLE default\n"
+    yield from _rows(np.asarray(results.u_el, dtype=float)[cell_order])
+    yield "SCALARS exceeded int 1\nLOOKUP_TABLE default\n"
+    yield from _rows(np.asarray(results.exceeded, dtype=bool)[cell_order].astype(np.int8))
+
+
+def write_results_vtk(model: StructuralModel, results, deform_scale: float = 1.0) -> str:
+    """``results_pieces`` joined."""
+    return "".join(results_pieces(model, results, deform_scale))

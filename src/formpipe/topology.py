@@ -57,81 +57,78 @@ class UnsupportedComponent:
 _SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
 # sweep candidates tested at a time: each takes about 100 bytes of temporaries
 _CHUNK = 1 << 14
-# close pairs per point that the sweep keeps before it replaces them with a
-# spanning forest; a forest pass at 1 per point raises the merge's traced
-# peak on the 20x20x20 line soup (2.4 pairs per point) from 6.9 to 8.9 MB
-_PAIRS_PER_POINT = 4
 
 
 def _close_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
-    """(m, 2) index pairs within ``tol`` of each other, enough to join every
-    cluster of such points into one connected component.
-
-    Exact duplicate coordinates are collapsed first: each copy pairs with
-    the first point at its position only, so m grows linearly with the
-    number of copies.  The distinct positions go through the sweep.
-    """
-    if len(coords) < 2:
-        return np.zeros((0, 2), dtype=np.intp)
-    copies = _exact_copies(coords)
-    distinct = np.ones(len(coords), dtype=bool)
-    distinct[copies[:, 1]] = False
-    distinct = np.flatnonzero(distinct)
-    return np.concatenate([copies, distinct[_swept_pairs(coords[distinct], tol)]])
-
-
-def _exact_copies(coords: np.ndarray) -> np.ndarray:
-    """(k, 2) pairs (first, copy) from one lexsort: every point whose finite
-    coordinates equal those of an earlier point in sorted order, paired with
-    the first point at that position.  NaN and inf rows never repeat."""
-    n = len(coords)
-    order = np.lexsort(coords.T[::-1])
-    ranked = coords[order]
-    copy = np.zeros(n, dtype=bool)
-    copy[1:] = (ranked[1:] == ranked[:-1]).all(axis=1) & np.isfinite(ranked[1:]).all(axis=1)
-    first = order[np.maximum.accumulate(np.where(copy, 0, np.arange(n)))]
-    return np.stack([first[copy], order[copy]], axis=1)
-
-
-def _swept_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
-    """(m, 2) index pairs i != j with squared distance <= tol**2, or, once
-    there are more than ``_PAIRS_PER_POINT`` such pairs per point, a
-    spanning forest of them (``_forest``): either way the same connected
-    components.
+    """(k, 2) pairs (lowest, i) that join each point i to the lowest index
+    of its cluster: the points linked by chains of pairs within ``tol`` of
+    each other (squared distance <= tol**2).  A spanning forest, so k < n.
 
     Sort-and-sweep along ``_SWEEP_AXIS``: since |d . axis| <= |d|, every close
-    pair lies within ``tol`` in projection.  The window is widened by a few
-    ulps of the largest coordinate so that rounding in the projections never
-    drops a pair; the distance test then decides exactly.  The windows are
-    tested in chunks of about ``_CHUNK`` candidates, cut between points.
+    pair lies within ``tol`` in projection.  Exact copies, found among the
+    points of equal projection, join the first point at their position
+    (``_exact_copies``) and stay out of the sweep, so the candidates grow
+    linearly with the number of copies.  The window of the other points is
+    widened by a few ulps of the largest coordinate so that rounding in the
+    projections never drops a pair; the distance test then decides exactly.
+    The windows are tested in chunks of about ``_CHUNK`` candidates, cut
+    between points, and each chunk's close pairs are hooked into one parent
+    array (``_hook``) before the next chunk is tested.
     """
     n = len(coords)
     if n < 2:
         return np.zeros((0, 2), dtype=np.intp)
-    proj = coords @ _SWEEP_AXIS
+    # the same rounding for every point, so equal coordinates project equal
+    proj = coords[:, 0] * _SWEEP_AXIS[0]
+    proj += coords[:, 1] * _SWEEP_AXIS[1]
+    proj += coords[:, 2] * _SWEEP_AXIS[2]
     order = np.argsort(proj, kind="stable")
     swept = proj[order]
+    del proj
+    copies = _exact_copies(coords, order, swept)
+    parent = np.arange(n)
+    parent[order[copies]] = order[copies - 1]  # a chain from the first at each position
+    parent = _jump(parent)
+    order, swept = np.delete(order, copies), np.delete(swept, copies)
+    m = len(order)
     # non-finite coordinates sort to the ends and must not widen every window
     scale = np.max(np.abs(coords), where=np.isfinite(coords), initial=0.0)
     reach = tol + 32.0 * np.spacing(scale)
-    width = np.searchsorted(swept, swept + reach, side="right") - np.arange(1, n + 1)
+    width = np.searchsorted(swept, swept + reach, side="right") - np.arange(1, m + 1)
+    del swept
     total = np.cumsum(width)
     # point boundaries about _CHUNK candidates apart
     cuts = distinct(np.concatenate([[0], np.searchsorted(
-        total, np.arange(_CHUNK, total[-1], _CHUNK), side="right"), [n]]))
-    found, size = [], 0
+        total, np.arange(_CHUNK, total[-1], _CHUNK), side="right"), [m]]))
     for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        found.append(_window_pairs(coords, order, width, lo, hi, tol))
-        size += len(found[-1])
-        if size > _PAIRS_PER_POINT * n:
-            found = [_forest(n, np.concatenate(found))]
-            size = len(found[0])
-    return np.concatenate(found)
+        parent = _hook(parent, *_window_pairs(coords, order, width, lo, hi, tol))
+    joined = np.flatnonzero(parent != np.arange(n))
+    return np.stack([parent[joined], joined], axis=1)
 
 
-def _window_pairs(coords, order, width, lo, hi, tol) -> np.ndarray:
-    """The close pairs among the candidates of the sorted points lo..hi-1:
-    each with the ``width`` points after it in ``order``."""
+def _exact_copies(coords: np.ndarray, order: np.ndarray, swept: np.ndarray) -> np.ndarray:
+    """Sort the points of each run of equal projection ``swept`` in
+    ``order``, in place, by their coordinates, the lowest index first among
+    equal ones, and return the positions in ``order`` of the points whose
+    finite coordinates equal those of the point before them.  NaN and inf
+    rows never repeat; points of distinct projections never compare."""
+    tied = np.flatnonzero(swept[1:] == swept[:-1])
+    if not tied.size:
+        return tied
+    at = distinct(np.concatenate([tied, tied + 1]))
+    points = order[at]
+    # by projection first, so each run keeps its positions; stable, so the
+    # lowest index leads among equal points
+    points = points[np.lexsort((*coords[points].T[::-1], swept[at]))]
+    order[at] = points
+    ranked = coords[points]
+    copy = (ranked[1:] == ranked[:-1]).all(axis=1) & np.isfinite(ranked[1:]).all(axis=1)
+    return at[1:][copy]
+
+
+def _window_pairs(coords, order, width, lo, hi, tol):
+    """The close pairs (i, j) among the candidates of the sorted points
+    lo..hi-1: each with the ``width`` points after it in ``order``."""
     run = width[lo:hi]
     first = np.repeat(np.arange(lo, hi), run)
     # offset of each candidate inside its point's window, 1-based
@@ -140,33 +137,34 @@ def _window_pairs(coords, order, width, lo, hi, tol) -> np.ndarray:
     d = coords[i]
     d -= coords[j]
     close = np.einsum("ij,ij->i", d, d) <= tol * tol
-    return np.stack([i[close], j[close]], axis=1)
+    return i[close], j[close]
 
 
-def _forest(n: int, edges: np.ndarray) -> np.ndarray:
-    """(k, 2) pairs that join each of ``n`` points to the lowest index of its
-    connected component under ``edges``: the same components from at most
-    n - 1 edges, whatever the order of ``edges``."""
-    count, labels = _component_labels(n, edges)
-    points = np.arange(n)
-    lowest = _lowest(labels, count, points)[labels]
-    joined = lowest != points
-    return np.stack([lowest[joined], points[joined]], axis=1)
+def _hook(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``parent`` with the points a[k] and b[k] joined, for every k: min-label
+    hooking with full pointer jumping (Shiloach & Vishkin 1982).  Given a
+    ``parent`` in which every point names the lowest point of its tree, as
+    ``np.arange`` does, the result is one too."""
+    while (joins := parent[a] != parent[b]).any():
+        ra, rb = parent[a[joins]], parent[b[joins]]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        parent = _jump(parent)
+    return parent
+
+
+def _jump(parent: np.ndarray) -> np.ndarray:
+    """``parent`` with every point naming the root of its tree."""
+    while not np.array_equal(jumped := parent[parent], parent):
+        parent = jumped
+    return parent
 
 
 def _component_labels(n: int, edges: np.ndarray):
     """(count, labels) of the connected components of ``n`` points joined by
     an (m, 2) edge array of point indices.  Labels number the components in
-    the order of their lowest point index: min-label hooking with full pointer
-    jumping (Shiloach & Vishkin 1982) makes each root its tree's lowest index."""
-    parent = np.arange(n)
-    a, b = edges.T
-    while (joins := parent[a] != parent[b]).any():
-        ra, rb = parent[a[joins]], parent[b[joins]]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        while not np.array_equal(jumped := parent[parent], parent):
-            parent = jumped
-    roots, labels = np.unique(parent, return_inverse=True)
+    the order of their lowest point index (``_hook`` makes each root its
+    tree's lowest index)."""
+    roots, labels = np.unique(_hook(np.arange(n), *edges.T), return_inverse=True)
     return len(roots), labels
 
 

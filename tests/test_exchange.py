@@ -17,8 +17,10 @@ from formpipe.exchange import (
     _model,
     _tree,
     escape,
+    model_pieces,
     parse_model,
     read_model,
+    results_pieces,
     write_model,
     write_results_vtk,
 )
@@ -36,6 +38,7 @@ from formpipe.model import (
     StructuralModel,
     validate,
 )
+from formpipe.cli import atomic_write
 from formpipe.resistance import ResultSet, build_result_set
 
 from conftest import DATA_DIR, assert_models_equal, random_model, soup_document, traced_peak
@@ -254,6 +257,21 @@ class TestWriter:
         assert_models_equal(model, again)
         assert write_model(again) == text
 
+    def test_pieces_are_whole_lines_of_the_document(self, monkeypatch):
+        model = parse_model(soup_document(5))
+        text = write_model(model)
+        monkeypatch.setattr(exchange, "_ROWS", 7)
+        pieces = list(model_pieces(model))
+        assert all(type(piece) is str and piece.endswith("\n") for piece in pieces)
+        assert "".join(pieces) == text
+        assert len(pieces) > 3 * len(model.points) // 7  # three point columns in 7-row pieces
+
+    def test_missing_point_is_refused_before_the_first_piece(self):
+        model = golden_model()
+        model.points = [p for p in model.points if p.id != 22]  # the refNode and a link slave
+        with pytest.raises(ValueError, match="rigid links reference points"):
+            model_pieces(model)
+
     def test_markup_characters_round_trip(self):
         model = StructuralModel(comment="a & b < c > d &amp; e")
         model.cross_sections[1] = CrossSection(id=1, shape=Circle(diameter=10.0),
@@ -451,6 +469,15 @@ class TestGoldenFiles:
         model = golden_model()
         text = write_results_vtk(model, golden_results(model), deform_scale=2.5)
         assert text == read_data("golden_mixed_results.vtk")
+
+    @pytest.mark.parametrize("rows", [1, 3, 1 << 10])
+    def test_files_in_pieces_of_any_rows(self, monkeypatch, rows):
+        monkeypatch.setattr(exchange, "_ROWS", rows)
+        model = golden_model()
+        pieces = list(results_pieces(model, golden_results(model), deform_scale=2.5))
+        assert all(type(piece) is str for piece in pieces)
+        assert "".join(pieces) == read_data("golden_mixed_results.vtk")
+        assert write_model(model) == read_data("golden_mixed.vtp")
 
     def test_model_file_is_a_fixed_point(self):
         text = read_data("golden_mixed.vtp")
@@ -692,6 +719,25 @@ def test_reading_a_file_holds_no_whole_document(tmp_path):
     assert traced_peak(read) <= 1.6 * size
 
 
+def test_parse_holds_support_masks_as_bools():
+    """The 12x12x12 soup (10.5k points, 1.29 MB): the parse's traced peak
+    is 1.04 times the document's length.  Reading Boundary_Conditions as
+    int64, 8 bytes a value where its mask takes 1, and keeping every column
+    in the parse's arrays until the model was built took 1.41 times."""
+    text = soup_document(12)
+    assert traced_peak(parse_model, text) <= 1.15 * len(text)
+
+
+def test_streamed_write_holds_no_whole_document(tmp_path):
+    """Writing the 8x8x8 soup (0.41 MB) piece by piece traces 0.39 MB: the
+    model's tables in wire order and one piece of at most ``_ROWS`` rows.
+    Formatting the whole document before writing it took 1.47 MB."""
+    soup = parse_model(soup_document(8))
+    path = tmp_path / "soup.vtp"
+    assert traced_peak(lambda: atomic_write(str(path), model_pieces(soup))) <= 0.5e6
+    assert path.read_text() == write_model(soup)
+
+
 def _both_paths(document, feed=_FEED, batch=exchange._BATCH):
     """The model, or the error message, of ``document`` fed in slices of
     ``feed`` with columns streamed in batches of ``batch`` characters, and
@@ -832,3 +878,33 @@ class TestStreamingParity:
                     read_model(handle)
             assert str(err.value) == ("point coordinates: could not convert string to "
                                       f"float: {bad!r}")
+
+
+_SUPPORTS_HEAD = 'Name="Boundary_Conditions" NumOfComp="6">'
+_SUPPORTS = _GOLDEN.split(_SUPPORTS_HEAD)[1].split("</DataArray>")[0]
+
+
+class TestSupportMasks:
+    """Boundary_Conditions is read as the nonzero flag of each value, one
+    byte a value, on the streamed and the whole-text path: the masks, or
+    the message, are those of the int64 tokens read one by one."""
+
+    @given(values=st.lists(st.sampled_from(["0", "1", "-0", "+2", "007", "-1",
+                                            "9223372036854775807", "-9223372036854775808"]),
+                           min_size=29, max_size=31),
+           bad=st.one_of(st.none(), st.tuples(st.integers(0, 28), _TOKENS)),
+           gaps=st.lists(st.text(alphabet=" \t\n\r", min_size=1, max_size=3),
+                         min_size=32, max_size=32),
+           feed=st.integers(1, 64), batch=st.integers(1, 48))
+    @settings(max_examples=200, deadline=None)
+    def test_masks_as_token_by_token(self, values, bad, gaps, feed, batch):
+        if bad is not None:
+            values[bad[0]] = bad[1]
+        body = _column_text(values, gaps)
+        document = _GOLDEN.replace(_SUPPORTS_HEAD + _SUPPORTS, _SUPPORTS_HEAD + body)
+        expected = _split_parse(body, 30, "Boundary_Conditions")
+        if not isinstance(expected, str):
+            expected = (np.array(expected) != 0).reshape(-1, 6).tolist()
+        for outcome in _both_paths(document, feed=feed, batch=batch):
+            masks = outcome if isinstance(outcome, str) else outcome.points.masks.tolist()
+            assert masks == expected

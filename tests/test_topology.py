@@ -31,8 +31,8 @@ from formpipe import topology
 from formpipe.topology import (
     RepairReport,
     TopologyError,
+    _close_pairs,
     _component_labels,
-    _swept_pairs,
     check_support_reachability,
     make_rigid_link,
     merge_duplicate_nodes,
@@ -275,6 +275,28 @@ class TestMergeDuplicateNodes:
         assert [p.id for p in model.points] == [0]
         assert report.merged_point_pairs.tolist() == [[0, i] for i in range(1, 2000)]
 
+    def test_exact_copies_stay_out_of_the_sweep(self, monkeypatch):
+        # a point on the x axis and one on the y axis whose projections
+        # round to the same value, and copies of each, interleaved: the two
+        # runs of copies sort apart inside the tie, and only the two
+        # distinct points reach the sweep's windows
+        axis, x = topology._SWEEP_AXIS, np.sqrt(2.0)
+        on_y = 0.0 * axis[0] + axis[1] + 0.0 * axis[2]
+        for _ in range(8):
+            if x * axis[0] + 0.0 * axis[1] + 0.0 * axis[2] == on_y:
+                break
+            x = np.nextafter(x, np.inf)
+        else:
+            pytest.fail("no equal projection near sqrt 2")
+        a, b = (x, 0.0, 0.0), (0.0, 1.0, 0.0)
+        coords = np.array([b, a, b, a, a, b])
+        swept = []
+        window = topology._window_pairs
+        monkeypatch.setattr(topology, "_window_pairs", lambda coords, order, *rest: (
+            swept.append(len(order)) or window(coords, order, *rest)))
+        assert _close_pairs(coords, 0.0).tolist() == [[0, 2], [1, 3], [1, 4], [0, 5]]
+        assert swept == [2]
+
     @pytest.mark.parametrize("seed", range(6))
     def test_duplicates_mixed_with_near_points(self, seed):
         # exact copies of some points, others moved by less than tol, and
@@ -293,22 +315,22 @@ class TestMergeDuplicateNodes:
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 14])
     def test_sweep_in_chunks_gives_the_same_pairs(self, monkeypatch, chunk):
-        # 400 points in a 10 mm cube: about 40 close pairs, so no forest
+        # 400 points in a 10 mm cube: about 40 close pairs
         coords = np.random.default_rng(3).uniform(0.0, 10.0, (400, 3))
-        whole = _swept_pairs(coords, 0.5)
+        whole = _close_pairs(coords, 0.5)
         assert 0 < len(whole) <= 400
         monkeypatch.setattr(topology, "_CHUNK", chunk)
-        assert np.array_equal(_swept_pairs(coords, 0.5), whole)
+        assert np.array_equal(_close_pairs(coords, 0.5), whole)
 
     @pytest.mark.parametrize("chunk", [1, 50, 1 << 14])
     def test_many_close_pairs_keep_a_spanning_forest(self, monkeypatch, chunk):
-        # a tight cluster of 150 points has 11,175 close pairs, far more than
-        # the sweep keeps; the clusters still match the oracle's
+        # a tight cluster of 150 points has 11,175 close pairs, of which the
+        # sweep keeps a spanning forest; the clusters still match the oracle's
         monkeypatch.setattr(topology, "_CHUNK", chunk)
         rng = np.random.default_rng(4)
         coords = np.concatenate([rng.uniform(0.0, 0.1, (150, 3)), rng.uniform(5.0, 50.0, (60, 3))])
         coords = coords[rng.permutation(len(coords))]
-        assert len(_swept_pairs(coords, 0.2)) <= topology._PAIRS_PER_POINT * 210 + 150
+        assert len(_close_pairs(coords, 0.2)) <= 210 - 1
         report = self.assert_matches_oracle(coords, 0.2)
         assert len(report.merged_point_pairs) >= 149
 
@@ -907,8 +929,10 @@ class TestMemoryGates:
         return fp.parse_model(soup_document(8))
 
     def test_merge_of_the_soup(self, soup):
-        # 0.95 MB; the sweep tests its candidates in chunks of 16k
-        assert traced_peak(merge_duplicate_nodes, soup.copy(), 0.01) <= 1.1e6
+        # 0.76 MB; the sweep tests its candidates in chunks of 16k and hooks
+        # each chunk's close pairs into one parent array (0.95 MB when it
+        # gathered them, and a lexsort found the exact copies)
+        assert traced_peak(merge_duplicate_nodes, soup.copy(), 0.01) <= 0.85e6
 
     def test_support_check_as_arrays(self, soup):
         # 0.27 MB for 1,362 flagged components; the list of
@@ -918,7 +942,8 @@ class TestMemoryGates:
 
     def test_huge_tolerance_keeps_few_pairs(self):
         # 12x12x12 lattice, 1,728 points and 1.5M candidate pairs, all close:
-        # 1.7 MB, where holding every close pair took 133 MB
+        # 1.49 MB (1.74 MB with a forest pass over the gathered pairs), where
+        # holding every close pair took 133 MB
         lattice = fp.gen_sphere_lattice(fp.LatticeSpec(nx=12, ny=12, nz=12))
-        assert traced_peak(merge_duplicate_nodes, lattice, 1e300) <= 4e6
+        assert traced_peak(merge_duplicate_nodes, lattice, 1e300) <= 1.65e6
         assert len(lattice.points) == 1
