@@ -87,21 +87,24 @@ def _column(text: str, dtype) -> np.ndarray | None:
 def _values(elem, n, dtype, what, arrays) -> np.ndarray:
     """The whitespace-separated tokens of an ascii DataArray as an array of
     ``dtype``; ``n`` is the expected count, None accepts any.  ``arrays``
-    holds what ``_column`` read while the document was parsed, which this
-    takes out of it; where it declined, the tokens are read one by one."""
+    holds, by element, the parts ``_Builder`` read the column's text in,
+    which this takes out of it: arrays that ``_column`` read, and the
+    tokens of the batches it declined, read here one by one."""
     fmt = elem.get("format")
     if fmt != "ascii":
         raise ExchangeFormatError(f"only ascii data arrays are supported, got format={fmt!r}")
-    values = arrays.pop(elem, None)
-    items = (elem.text or "").split() if values is None else values
-    if n is not None and len(items) != n:
-        raise ExchangeFormatError(f"{what}: expected {n} values, got {len(items)}")
-    if values is not None:
-        return values
+    parts = arrays.pop(elem)
+    count = sum(map(len, parts))
+    if n is not None and count != n:
+        raise ExchangeFormatError(f"{what}: expected {n} values, got {count}")
     try:
-        return np.array(items, dtype=dtype)
+        parts = [np.array(part, dtype=dtype) if isinstance(part, list) else part
+                 for part in parts]
     except (ValueError, OverflowError) as exc:
         raise ExchangeFormatError(f"{what}: {exc}") from exc
+    if not parts:
+        return np.zeros(0, dtype=dtype)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # the sections of a Piece whose DataArrays are numeric columns, and their dtype
@@ -119,11 +122,6 @@ _BATCH = 1 << 16
 _SPACE = " \n\t\r\v\f"
 
 
-class _Decline(Exception):
-    """A streamed column whose text ``_column`` may read otherwise than
-    whole: the parse starts again on the whole-text path."""
-
-
 def _qualified(name: str) -> str:
     """ElementTree's form ``{uri}local`` of expat's ``uri}local``."""
     return "{" + name if "}" in name else name
@@ -131,22 +129,24 @@ def _qualified(name: str) -> str:
 
 class _Builder:
     """expat handlers that build the element tree of a document, as
-    ElementTree's parser does, and read each ascii DataArray of a
-    ``_COLUMN_DTYPES`` section with ``_column`` into ``arrays``, by element.
+    ElementTree's parser does, and read the text of each ascii DataArray of
+    a ``_COLUMN_DTYPES`` section, a column, into ``arrays``, by element.
+    Every ascii DataArray that ``_model`` reads is such a column, so it
+    finds the values of each in ``arrays`` and none in the tree.
 
-    With ``stream``, a column's text is read in batches of about ``_BATCH``
-    characters as it arrives, each cut at its last whitespace, so the parse
-    holds one batch of text at a time.  A batch that ``_column`` declines,
-    or an element inside a column, raises ``_Decline``.  Without it, a
-    column is read whole at its end tag, and one that ``_column`` declines
-    keeps its text for the token path of ``_values``."""
+    A column's text is read in batches of about ``_BATCH`` characters as it
+    arrives, each cut at its last whitespace, so the parse holds one batch
+    of text at a time.  A batch that ``_column`` reads is kept as its array,
+    one that it declines as its tokens, which ``_values`` reads one by one
+    once the parse is done; so malformed markup anywhere in the document is
+    reported before any value.  A column's text ends at its end tag or at
+    its first child element, where ElementTree's ``.text`` ends."""
 
-    def __init__(self, stream: bool):
-        self.stream = stream
+    def __init__(self):
         self.tree = ET.TreeBuilder()
         self.open = []  # the elements whose end tag has not arrived
         self.arrays = {}
-        self.column = None  # the DataArray being streamed, and its dtype
+        self.column = None  # the column being read, and its dtype
         self.dtype = None
         self.parts = []  # what its text read as so far
         self.text = []  # its text not yet read, and that text's length
@@ -182,11 +182,10 @@ class _Builder:
         return None
 
     def start(self, tag, attributes):
-        if self.column is not None:
-            raise _Decline  # the whole-text path reads only the text before it
+        self._close()
         names = map(_qualified, attributes[::2])
         elem = self.tree.start(_qualified(tag), dict(zip(names, attributes[1::2])))
-        dtype = self._dtype(elem) if self.stream else None
+        dtype = self._dtype(elem)
         if dtype is not None:
             self.column, self.dtype = elem, dtype
         self.open.append(elem)
@@ -208,26 +207,21 @@ class _Builder:
 
     def _read(self, text):
         if text.isspace() and text.isascii():
-            return  # whitespace between tokens reads as nothing on either path
+            return  # whitespace between tokens reads as nothing
         values = _column(text, self.dtype)
-        if values is None:
-            raise _Decline
-        self.parts.append(values)
+        self.parts.append(text.split() if values is None else values)
 
-    def end(self, tag):
+    def _close(self):
+        """End the column being read, if any, with the text not yet read."""
         if self.column is not None:
             self._read("".join(self.text))
-            parts = self.parts or [np.zeros(0, dtype=self.dtype)]
-            self.arrays[self.column] = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            self.arrays[self.column] = self.parts
             self.column, self.parts, self.text, self.size = None, [], [], 0
-        elem = self.tree.end(_qualified(tag))
+
+    def end(self, tag):
+        self._close()
+        self.tree.end(_qualified(tag))
         self.open.pop()
-        dtype = None if self.stream else self._dtype(elem)
-        if dtype is not None:
-            values = _column(elem.text or "", dtype)
-            if values is not None:
-                self.arrays[elem] = values
-                elem.text = None
 
     def default(self, text):
         """expat passes here an entity reference that no declaration it
@@ -238,19 +232,13 @@ class _Builder:
                                    f"{self.parser.ErrorColumnNumber}")
 
 
-def _tree(pieces, stream: bool = True):
-    """The root element of a document and, by element, the arrays that
-    ``_Builder`` read from its columns; ``pieces()`` gives the document's
-    slices from its start.  A streamed parse that a column declines starts
-    again from a fresh ``pieces()`` without streaming, which reads every
-    value, and raises every message in the order, of a whole-text parse."""
+def _tree(pieces):
+    """The root element of the document fed as the slices ``pieces`` and, by
+    element, the parts that ``_Builder`` read its columns in."""
     # expat raises ExpatError; a declared encoding that Python does not know
     # raises LookupError, and one that expat cannot take ValueError
     try:
-        try:
-            return _Builder(stream).parse(pieces())
-        except _Decline:
-            return _Builder(False).parse(pieces())
+        return _Builder().parse(pieces)
     except (expat.ExpatError, LookupError, ValueError) as exc:
         raise ExchangeFormatError(f"malformed document: {exc}") from exc
 
@@ -476,22 +464,15 @@ def parse_model(document: str | bytes) -> StructuralModel:
     (1 = fixed), nodal-load references from ID_BOUNDARY_CONDITION.  Unknown
     named data arrays are ignored.
     """
-    return _model(*_tree(lambda: (document[start:start + _FEED]
-                                  for start in range(0, len(document), _FEED))))
+    return _model(*_tree(document[start:start + _FEED]
+                         for start in range(0, len(document), _FEED)))
 
 
 def read_model(handle) -> StructuralModel:
-    """Parse the exchange document of the open binary file ``handle``, read
-    ``_FEED`` bytes at a time, as ``parse_model`` parses the same bytes;
-    the file is never held whole.  A parse that starts again seeks back to
-    where the handle stood."""
-    start = handle.tell()
-
-    def pieces():
-        handle.seek(start)
-        return iter(lambda: handle.read(_FEED), b"")
-
-    return _model(*_tree(pieces))
+    """Parse the exchange document of the open binary file ``handle``, a
+    pipe too, from where it stands, read ``_FEED`` bytes at a time, as
+    ``parse_model`` parses the same bytes; the file is never held whole."""
+    return _model(*_tree(iter(lambda: handle.read(_FEED), b"")))
 
 
 def _model(root, arrays) -> StructuralModel:

@@ -436,10 +436,13 @@ def cell_lengths(model: StructuralModel) -> np.ndarray:
     (the same rounding as ``np.linalg.norm`` of each end difference).  A
     cell with a missing end point gets NaN, which no tolerance test passes."""
     ends = model.points.positions(model.cells.ends)
-    # row -1 picks the appended NaN row
-    coords = np.concatenate([model.points.coords, np.full((1, 3), np.nan)])
-    d = coords[ends[:, 0]] - coords[ends[:, 1]]
-    return np.sqrt(np.vecdot(d, d))
+    named = np.flatnonzero((ends >= 0).all(axis=1))
+    coords = model.points.coords
+    d = coords[ends[named, 0]]
+    d -= coords[ends[named, 1]]
+    lengths = np.full(len(ends), np.nan)
+    lengths[named] = np.sqrt(np.vecdot(d, d))
+    return lengths
 
 
 class CellProperties(NamedTuple):

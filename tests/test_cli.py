@@ -858,6 +858,16 @@ def test_overflowing_input_is_one_error_line(tmp_path, cantilever_file, old, new
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
+def test_check_reads_a_pipe(cantilever_file):
+    """``cat m.vtp | formpipe check /dev/stdin``: the model is read from the
+    pipe in one pass, which needs no seek."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "formpipe.cli", "check", "/dev/stdin"],
+                          env=env, input=cantilever_file.read_bytes(), capture_output=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"model is clean\n", b"")
+
+
 class TestClosedStdout:
     """A reader that closes its end of the pipe early (``formpipe ... | head``)
     must not turn a finished command into a traceback."""

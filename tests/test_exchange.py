@@ -1,6 +1,8 @@
 import io
 import os
 import re
+import threading
+import xml.etree.ElementTree as ET
 from unittest import mock
 
 import numpy as np
@@ -738,36 +740,84 @@ def test_streamed_write_holds_no_whole_document(tmp_path):
     assert path.read_text() == write_model(soup)
 
 
-def _both_paths(document, feed=_FEED, batch=exchange._BATCH):
-    """The model, or the error message, of ``document`` fed in slices of
-    ``feed`` with columns streamed in batches of ``batch`` characters, and
-    the same of the whole-text path."""
-    def pieces():
-        return (document[start:start + feed] for start in range(0, len(document), feed))
+def _with_token(text, token):
+    """The soup document ``text`` with ``token`` in place of the first
+    coordinate that follows its first three batches."""
+    line = text.index("\n", text.index(_POINTS_HEAD) + 3 * exchange._BATCH)
+    found = re.compile(r"\S+").search(text, line)
+    return text[:found.start()] + token + text[found.end():]
 
-    def parsed(stream):
+
+def test_declined_column_holds_one_batch_of_tokens():
+    """The 12x12x12 soup with a ``-nan`` coordinate, which ``_column``
+    declines, past its first three batches: the parse's traced peak is 1.04
+    times the document's length, as for the clean soup, since only that
+    batch is kept as tokens.  Parsing the whole input again, with each
+    column's text held whole, took 2.70 times."""
+    text = _with_token(soup_document(12), "-nan")
+    assert traced_peak(parse_model, text) <= 1.15 * len(text)
+
+
+def _read_from_pipe(data: bytes):
+    """``read_model`` of the read end of a pipe that another thread writes
+    ``data`` into."""
+    read_end, write_end = os.pipe()
+
+    def write():
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    with open(read_end, "rb") as pipe:
+        assert not pipe.seekable()
+        model = read_model(pipe)
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    return model
+
+
+@pytest.mark.parametrize("token", [None, "-nan"], ids=["clean", "declined"])
+def test_reading_a_pipe(token):
+    """The 8x8x8 soup read from a pipe, which cannot seek, is the model that
+    ``parse_model`` gives, also with a coordinate past its first batches
+    that ``_column`` declines."""
+    text = soup_document(8)
+    if token is not None:
+        text = _with_token(text, token)
+    piped, parsed = _read_from_pipe(text.encode()), parse_model(text)
+    assert write_model(piped) == write_model(parsed)
+    assert np.array_equal(piped.points.coords.view(np.int64),
+                          parsed.points.coords.view(np.int64))
+
+
+def _parsed(document, feed=_FEED, batch=exchange._BATCH):
+    """The model, or the error message, of ``document`` fed to the reader in
+    slices of ``feed``, with its columns read in batches of ``batch``
+    characters."""
+    slices = (document[start:start + feed] for start in range(0, len(document), feed))
+    with mock.patch.object(exchange, "_BATCH", batch):
         try:
-            return _model(*_tree(pieces, stream))
+            return _model(*_tree(slices))
         except ExchangeFormatError as exc:
             return str(exc)
 
-    with mock.patch.object(exchange, "_BATCH", batch):
-        return parsed(True), parsed(False)
 
-
-def assert_same_outcome(document, **slicing):
-    streamed, whole = _both_paths(document, **slicing)
-    if isinstance(whole, str):
-        assert streamed == whole
-    else:
-        assert_models_equal(streamed, whole)
-        assert write_model(streamed) == write_model(whole)
-    return whole
+def _etree_column(document, path, n, what, dtype=np.int64):
+    """``_split_parse`` of the text that ElementTree's parse of ``document``
+    gives the DataArray at ``path``, or None where it refuses the document."""
+    try:
+        root = ET.fromstring(document)
+    except ET.ParseError:
+        return None
+    return _split_parse(root.find(path).text or "", n, what, dtype)
 
 
 _GOLDEN = read_data("golden_mixed.vtp")
 _MATERIALS_HEAD = 'Name="ID_MATERIAL">'
 _MATERIALS = _GOLDEN.split(_MATERIALS_HEAD)[1].split("</DataArray>")[0]
+_POINTS_PATH = "PolyData/Piece/Points/DataArray"
+_MATERIALS_PATH = "PolyData/Piece/CellData/DataArray[@Name='ID_MATERIAL']"
 
 # tokens where numpy's tokenizer and the token path may part: signs,
 # exponents, NaN spellings and payloads, lone signs, the int64 limits and
@@ -792,9 +842,10 @@ def _column_text(tokens, gaps):
 
 
 class TestStreamingParity:
-    """A column streamed in batches, cut at whitespace as the parser hands
-    its text over, gives the model or the message of the whole-text path,
-    wherever the slices of the document and the batches fall."""
+    """A column read in batches, cut at whitespace as the parser hands its
+    text over, gives the values or the message that the tokens of its text,
+    as ElementTree gives it, give one by one, wherever the slices of the
+    document and the batches fall."""
 
     @given(tokens=st.lists(_TOKENS, min_size=1, max_size=20),
            gaps=st.lists(_GAPS, min_size=21, max_size=21),
@@ -804,36 +855,58 @@ class TestStreamingParity:
         body = _column_text(tokens, gaps)
         if float_column:
             document = _GOLDEN.replace(_POINTS_HEAD + _COORDINATES, _POINTS_HEAD + body)
+            reference = (_POINTS_PATH, 15, "point coordinates", float)
+
+            def column(model):
+                return model.points.coords.ravel().view(np.int64).tolist()
         else:
             document = _GOLDEN.replace(_MATERIALS_HEAD + _MATERIALS, _MATERIALS_HEAD + body)
-        assert_same_outcome(document, feed=feed, batch=batch)
-        assert_same_outcome(document.encode("utf-8"), feed=feed, batch=batch)
+            reference = (_MATERIALS_PATH, 4, "ID_MATERIAL")
+
+            def column(model):
+                return model.cells.mat_ids.tolist()
+        for data in (document, document.encode("utf-8")):
+            outcome = _parsed(data, feed=feed, batch=batch)
+            expected = _etree_column(data, *reference)
+            if expected is None:
+                assert isinstance(outcome, str)
+                assert outcome.startswith("malformed document: ")
+            elif isinstance(expected, str):
+                assert outcome == expected
+            else:
+                assert column(outcome) == expected
 
     @given(feed=st.integers(100, 1 << 15), batch=st.integers(1, 1 << 17))
     @settings(max_examples=20, deadline=None)
     def test_soup_across_slices_and_batches(self, feed, batch):
-        text = _SMALL_SOUP
-        model = assert_same_outcome(text, feed=feed, batch=batch)
-        assert write_model(model) == text
+        assert write_model(_parsed(_SMALL_SOUP, feed=feed, batch=batch)) == _SMALL_SOUP
 
-    @pytest.mark.parametrize("edit", [
-        (_POINTS_HEAD, '_POINTS_HEAD'),  # no change
-        ("<VTKFile ", '<VTKFile xmlns="urn:formpipe" '),
-        ("0.0 0.0 0.0", "0.0 &undefined; 0.0"),
-        ("0.0 0.0 0.0", "0.0 <!-- a comment -->0.0 0.0"),
-        ("0.0 0.0 0.0", "0.0 <![CDATA[0.0]]> 0.0"),
-        ("0.0 0.0 0.0", "0.0&#32;0.0&#x9;0.0"),
-        ("0.0 0.0 0.0", "0.0 0.0 0.0<b>1</b>"),  # the column's text ends at the child
-        (_COORDINATES + "</DataArray>", _COORDINATES.rstrip() + "<b>7</b></DataArray>"),
-        (_MATERIALS_HEAD + _MATERIALS, _MATERIALS_HEAD + "\n  \t  "),
-        (_MATERIALS_HEAD + _MATERIALS, _MATERIALS_HEAD),
+    @pytest.mark.parametrize("edit, outcome", [
+        ((_POINTS_HEAD, _POINTS_HEAD), None),  # no change
+        (("<VTKFile ", '<VTKFile xmlns="urn:formpipe" '),
+         "not a VTKFile document (root '{urn:formpipe}VTKFile')"),
+        (("0.0 0.0 0.0", "0.0 &undefined; 0.0"),
+         "malformed document: undefined entity: line 6, column 14"),
+        (("0.0 0.0 0.0", "0.0 <!-- a comment -->0.0 0.0"), None),
+        (("0.0 0.0 0.0", "0.0 <![CDATA[0.0]]> 0.0"), None),
+        (("0.0 0.0 0.0", "0.0&#32;0.0&#x9;0.0"), None),
+        # the column's text ends at the child, after the first point
+        (("0.0 0.0 0.0", "0.0 0.0 0.0<b>1</b>"), "point coordinates: expected 15 values, got 3"),
+        ((_COORDINATES + "</DataArray>", _COORDINATES.rstrip() + "<b>7</b></DataArray>"), None),
+        ((_MATERIALS_HEAD + _MATERIALS, _MATERIALS_HEAD + "\n  \t  "),
+         "ID_MATERIAL: expected 4 values, got 0"),
+        ((_MATERIALS_HEAD + _MATERIALS, _MATERIALS_HEAD), "ID_MATERIAL: expected 4 values, got 0"),
     ], ids=["golden", "namespaced-root", "undefined-entity", "comment", "cdata", "char-refs",
             "child-element", "child-after-the-values", "blank-column", "empty-column"])
-    def test_fixed_documents(self, edit):
-        old, new = edit
-        document = _GOLDEN.replace(old, new, 1)
+    def test_fixed_documents(self, edit, outcome):
+        """The golden model where ``outcome`` is None, else its message."""
+        document = _GOLDEN.replace(*edit, 1)
         for batch in (1, 5, exchange._BATCH):
-            assert_same_outcome(document, batch=batch)
+            parsed = _parsed(document, batch=batch)
+            if outcome is None:
+                assert write_model(parsed) == _GOLDEN
+            else:
+                assert parsed == outcome
 
     def test_namespaced_root_is_refused_by_its_qualified_tag(self):
         document = _GOLDEN.replace("<VTKFile ", '<VTKFile xmlns="urn:formpipe" ', 1)
@@ -854,40 +927,46 @@ class TestStreamingParity:
                                   "line 7, column 14")
 
     def test_declared_latin_1_column_document(self):
-        document = ('<?xml version="1.0" encoding="ISO-8859-1"?>\n'
-                    + _GOLDEN.replace("<item> ", "<item> fa\xe7ade ", 1)).encode("latin-1")
-        streamed, whole = _both_paths(document, batch=3)
-        assert_models_equal(streamed, whole)
-        assert "fa\xe7ade" in streamed.comment + str(streamed.cross_sections)
+        text = _GOLDEN.replace("<item> ", "<item> fa\xe7ade ", 1)
+        document = ('<?xml version="1.0" encoding="ISO-8859-1"?>\n' + text).encode("latin-1")
+        model = _parsed(document, batch=3)
+        assert_models_equal(model, parse_model(text))
+        assert "fa\xe7ade" in model.comment + str(model.cross_sections)
 
-    def test_declining_column_restarts_from_the_file(self, tmp_path):
-        """A NaN payload past the first batches of the soup's coordinates
-        is read on the whole-text path, from where the handle stood when
-        the parse began: here after a header that is not the document's."""
-        text = soup_document(8)
-        line = text.index("\n", text.index(_POINTS_HEAD) + 3 * exchange._BATCH)
-        token = re.compile(r"\S+").search(text, line)
+    def test_declined_column_is_read_in_one_pass(self):
+        """A NaN payload or a lone sign past the first batches of the soup's
+        coordinates raises its message after one pass over the input, read
+        from where the handle stood: here after a header that is not the
+        document's, through a handle that can only read."""
         header = b"not the document\n"
-        path = tmp_path / "payload.vtp"
         for bad in ("nan(7)", "-"):
-            body = text[:token.start()] + bad + text[token.end():]
-            path.write_bytes(header + body.encode())
-            with open(path, "rb") as handle:
-                handle.read(len(header))
-                with pytest.raises(ExchangeFormatError) as err:
-                    read_model(handle)
+            body = _with_token(soup_document(8), bad).encode()
+            handle = io.BytesIO(header + body)
+            handle.read(len(header))
+            read = []
+
+            class Reader:
+                @staticmethod
+                def read(size):
+                    read.append(handle.read(size))
+                    return read[-1]
+
+            with pytest.raises(ExchangeFormatError) as err:
+                read_model(Reader())
             assert str(err.value) == ("point coordinates: could not convert string to "
                                       f"float: {bad!r}")
+            assert b"".join(read) == body
 
 
 _SUPPORTS_HEAD = 'Name="Boundary_Conditions" NumOfComp="6">'
 _SUPPORTS = _GOLDEN.split(_SUPPORTS_HEAD)[1].split("</DataArray>")[0]
+_SUPPORTS_PATH = "PolyData/Piece/PointData/DataArray[@Name='Boundary_Conditions']"
 
 
 class TestSupportMasks:
     """Boundary_Conditions is read as the nonzero flag of each value, one
-    byte a value, on the streamed and the whole-text path: the masks, or
-    the message, are those of the int64 tokens read one by one."""
+    byte a value: the masks, or the message, are those of the int64 tokens
+    of its text, as ElementTree gives it, read one by one."""
 
     @given(values=st.lists(st.sampled_from(["0", "1", "-0", "+2", "007", "-1",
                                             "9223372036854775807", "-9223372036854775808"]),
@@ -902,9 +981,9 @@ class TestSupportMasks:
             values[bad[0]] = bad[1]
         body = _column_text(values, gaps)
         document = _GOLDEN.replace(_SUPPORTS_HEAD + _SUPPORTS, _SUPPORTS_HEAD + body)
-        expected = _split_parse(body, 30, "Boundary_Conditions")
+        expected = _etree_column(document, _SUPPORTS_PATH, 30, "Boundary_Conditions")
         if not isinstance(expected, str):
             expected = (np.array(expected) != 0).reshape(-1, 6).tolist()
-        for outcome in _both_paths(document, feed=feed, batch=batch):
-            masks = outcome if isinstance(outcome, str) else outcome.points.masks.tolist()
-            assert masks == expected
+        outcome = _parsed(document, feed=feed, batch=batch)
+        masks = outcome if isinstance(outcome, str) else outcome.points.masks.tolist()
+        assert masks == expected
