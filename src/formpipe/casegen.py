@@ -2,9 +2,9 @@
 a self-supporting interleaved-beam timber arch, and a sphere-packing lattice
 homogenized into a beam grid.
 
-All generators emit models that validate without defects, or raise
-ValueError naming the first, and are deterministic for a given spec (the
-lattice additionally takes a seed for its injected-defect placement).
+All generators emit models that validate without defects, the cantilever
+and the arch also without ``solvability_findings``, or raise ValueError
+naming the first; each is deterministic for its spec, the lattice's seed too.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .model import (
     raise_first,
     validate,
 )
-from .topology import _component_labels, _peel
+from .topology import _component_labels, _peel, solvability_findings
 
 STEEL = dict(E=210.0e3, nu=0.2, tAlpha=1.2e-5, density=7850.0e-9, Ry=300.0)
 TIMBER = dict(E=11.0e3, nu=0.3, tAlpha=5.0e-6, density=500.0e-9, Ry=24.0)
@@ -71,7 +71,7 @@ def gen_cantilever(spec: CantileverSpec = CantileverSpec()) -> StructuralModel:
             id=1, components=(0.0, 0.0, -spec.tip_force, 0.0, 0.0, 0.0)
         )
         model.points[n].bc_id = 1
-    raise_first(validate(model).defects, ValueError)  # finite specs can still overflow
+    raise_first(validate(model).defects or solvability_findings(model), ValueError)
     return model
 
 
@@ -154,7 +154,7 @@ def gen_leonardo(spec: LeonardoSpec = LeonardoSpec()) -> StructuralModel:
         model.bcs[1] = BoundaryConditionEntry(id=1, components=(0.0, 0.0, -load, 0.0, 0.0, 0.0))
         for j in range(2, n_sta - 2, 2):  # top-chord stations, supports excluded
             model.points[j].bc_id = 1
-    raise_first(validate(model).defects, ValueError)  # finite specs can still overflow
+    raise_first(validate(model).defects or solvability_findings(model), ValueError)
     return model
 
 

@@ -10,6 +10,7 @@ Units are mm / N / MPa throughout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
@@ -25,7 +26,7 @@ from .topology import (
     prune_dead_arms,
     remove_degenerate_cells,
     remove_detached_components,
-    unsupported_components,
+    solvability_findings,
 )
 
 REPORT_VERSION = 1
@@ -36,10 +37,6 @@ EXIT_DEFECTS = 2
 EXIT_UNREADABLE = 3
 
 SOLVERS = ("direct", "pcg")
-
-# ``check`` lists this many unsupported components, then counts the rest: a
-# line soup floats every segment on its own
-_LISTED_COMPONENTS = 20
 
 
 class CommandError(Exception):
@@ -175,24 +172,14 @@ def cmd_check(args) -> int:
     model = _read_model(args.input)
 
     report = validate(model)
+    unsolvable = solvability_findings(model) if report.ok else []
     lines = [f"defect [{f.kind}]: {f.message}" for f in report.defects]
     lines += [f"warning [{f.kind}]: {f.message}" for f in report.warnings]
-    unsupported = 0
-    if report.ok:
-        starts, sizes, members, fixed = unsupported_components(model)
-        unsupported = len(starts)
-        listed = slice(_LISTED_COMPONENTS)
-        for a, k, f in zip(starts[listed].tolist(), sizes[listed].tolist(),
-                           fixed[listed].tolist()):
-            lines.append(f"defect [unsupported-component]: points "
-                         f"{members[a : a + k][:8].tolist()} carry {f} fixed DOFs (< 6)")
-        if unsupported > _LISTED_COMPONENTS:
-            lines.append(f"defect [unsupported-component]: {unsupported - _LISTED_COMPONENTS} "
-                         "more component(s) carry fewer than 6 fixed DOFs")
+    lines += [f"defect [{f.kind}]: {f.message}" for f in unsolvable]
     if not lines:
         lines.append("model is clean")
     _emit(lines)
-    if report.defects or unsupported:
+    if report.defects or unsolvable:
         return EXIT_DEFECTS
     if report.warnings:
         return EXIT_WARNINGS
@@ -281,21 +268,18 @@ def cmd_solve(args) -> int:
 def cmd_gen(args) -> int:
     from .casegen import (CantileverSpec, LatticeSpec, LeonardoSpec, arch_occupancy,
                           gen_cantilever, gen_leonardo, gen_sphere_lattice)
+    spec_type, generate = {"cantilever": (CantileverSpec, gen_cantilever),
+                           "leonardo": (LeonardoSpec, gen_leonardo),
+                           "lattice": (LatticeSpec, gen_sphere_lattice)}[args.case]
+    given = vars(args)  # the options given: a spec gives the others their defaults
     try:
-        if args.case == "cantilever":
-            model = gen_cantilever(CantileverSpec(length=args.length, diameter=args.diameter,
-                                                  tip_force=args.tip_force,
-                                                  n_elements=args.n_elements))
-        elif args.case == "leonardo":
-            model = gen_leonardo(LeonardoSpec(span=args.span, height=args.height,
-                                              n_segments=args.n_segments, variant=args.variant))
-        else:
-            occupancy = None
-            if args.shape == "arch":
-                occupancy = arch_occupancy(args.nx, args.ny, args.nz, thickness=args.thickness)
-            model = gen_sphere_lattice(LatticeSpec(
-                occupancy=occupancy, nx=args.nx, ny=args.ny, nz=args.nz,
-                splash_fraction=args.splash_fraction, seed=args.seed))
+        spec = spec_type(**{f.name: given[f.name] for f in dataclasses.fields(spec_type)
+                            if f.name in given})
+        if args.case == "lattice" and given.get("shape") == "arch":
+            thickness = {"thickness": args.thickness} if "thickness" in given else {}
+            spec = dataclasses.replace(spec, occupancy=arch_occupancy(
+                spec.nx, spec.ny, spec.nz, **thickness))
+        model = generate(spec)
     except ValueError as exc:
         raise CommandError(exc) from exc
     except MemoryError as exc:
@@ -327,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"formpipe {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="parse, validate and check supports")
+    p_check = sub.add_parser("check", help="parse, validate and check solvability")
     p_check.add_argument("input")
     p_check.set_defaults(func=cmd_check)
 
@@ -354,24 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--format", choices=("text", "structured"), default="text")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_gen = sub.add_parser("gen", help="generate a benchmark model")
+    p_gen = sub.add_parser("gen", help="generate a benchmark model",
+                           argument_default=argparse.SUPPRESS)
     p_gen.add_argument("case", choices=("cantilever", "leonardo", "lattice"))
     p_gen.add_argument("output")
-    p_gen.add_argument("--length", type=float, default=1000.0)
-    p_gen.add_argument("--diameter", type=float, default=20.0)
-    p_gen.add_argument("--tip-force", type=float, default=264.777)
-    p_gen.add_argument("--n-elements", type=int, default=1)
-    p_gen.add_argument("--span", type=float, default=35000.0)
-    p_gen.add_argument("--height", type=float, default=13000.0)
-    p_gen.add_argument("--n-segments", type=int, default=7)
-    p_gen.add_argument("--variant", choices=("open", "closed", "closed_mobile"), default="closed")
-    p_gen.add_argument("--nx", type=int, default=5)
-    p_gen.add_argument("--ny", type=int, default=5)
-    p_gen.add_argument("--nz", type=int, default=5)
-    p_gen.add_argument("--shape", choices=("full", "arch"), default="full")
-    p_gen.add_argument("--thickness", type=float, default=3.0)
-    p_gen.add_argument("--splash-fraction", type=float, default=0.0)
-    p_gen.add_argument("--seed", type=int, default=0)
+    for option in ("--length", "--diameter", "--tip-force", "--span", "--height", "--thickness",
+                   "--splash-fraction"):
+        p_gen.add_argument(option, type=float)
+    for option in ("--n-elements", "--n-segments", "--nx", "--ny", "--nz", "--seed"):
+        p_gen.add_argument(option, type=int)
+    p_gen.add_argument("--variant")
+    p_gen.add_argument("--shape", choices=("full", "arch"))
     p_gen.set_defaults(func=cmd_gen)
     return parser
 

@@ -469,10 +469,10 @@ def parse_model(document: str | bytes) -> StructuralModel:
 
 
 def read_model(handle) -> StructuralModel:
-    """Parse the exchange document of the open binary file ``handle``, a
-    pipe too, from where it stands, read ``_FEED`` bytes at a time, as
-    ``parse_model`` parses the same bytes; the file is never held whole."""
-    return _model(*_tree(iter(lambda: handle.read(_FEED), b"")))
+    """Parse the exchange document of the open file ``handle``, binary or
+    text, a pipe too, from where it stands, read ``_FEED`` units at a time
+    to an empty read, as ``parse_model`` parses it; never held whole."""
+    return _model(*_tree(iter(lambda: handle.read(_FEED) or None, None)))
 
 
 def _model(root, arrays) -> StructuralModel:

@@ -431,9 +431,15 @@ class StructuralModel:
         return StructuralModel(self.comment, points, cells, *catalogs, self.self_weight_enabled)
 
 
+def _lengths(d: np.ndarray) -> np.ndarray:
+    """The cell length, formed here alone: the row lengths of the end differences
+    ``d``, rounded as ``np.linalg.norm(d, axis=1)``, with no copy of ``d``; squares ``d``."""
+    d *= d
+    return np.sqrt(d.sum(axis=1))
+
+
 def cell_lengths(model: StructuralModel) -> np.ndarray:
-    """Length of every cell, in table order, from one batched dot product
-    (the same rounding as ``np.linalg.norm`` of each end difference).  A
+    """Length of every cell, in table order, as the solver forms it.  A
     cell with a missing end point gets NaN, which no tolerance test passes."""
     ends = model.points.positions(model.cells.ends)
     named = np.flatnonzero((ends >= 0).all(axis=1))
@@ -441,8 +447,57 @@ def cell_lengths(model: StructuralModel) -> np.ndarray:
     d = coords[ends[named, 0]]
     d -= coords[ends[named, 1]]
     lengths = np.full(len(ends), np.nan)
-    lengths[named] = np.sqrt(np.vecdot(d, d))
+    lengths[named] = _lengths(d)
     return lengths
+
+
+@np.errstate(invalid="ignore", divide="ignore")  # in the cells it reports
+def cell_frames(model: StructuralModel, rows=slice(None)):
+    """Local triads (k, 3, 3), rows [ex, ey, ez], lengths and the findings of
+    the cell ``rows``, whose ends must name points: a missing reference
+    point, a zero length, a reference direction zero or parallel to the cell.
+
+    Local x runs along the cell; local z is global Z projected perpendicular
+    to it, global X within 1e-6 of vertical, unless a Rectangle's reference
+    direction pins the local axis it names.
+    """
+    points, cells = model.points, model.cells
+    ends, cs_ids = points.positions(cells.ends[rows]), cells.cs_ids[rows]
+    xa = points.coords[ends[:, 0]]
+    dx = points.coords[ends[:, 1]] - xa
+    L = _lengths(dx.copy())
+    ex = dx / L[:, None]
+    vertical = np.linalg.norm(np.cross(ex, [0.0, 0.0, 1.0]), axis=1) < 1e-6
+    ref = np.where(vertical[:, None], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    pinned, pins_y = np.zeros((2, len(cs_ids)), dtype=bool)
+    missing = []
+    for cs_id in distinct(cs_ids).tolist():
+        shape = model.cross_sections[cs_id].shape
+        if isinstance(shape, Rectangle) and shape.ref_axis is not None:
+            sel, code = cs_ids == cs_id, shape.ref_code
+            if code < 0:  # -1..-3 by validate: the negative global axis
+                ref[sel] = np.where(np.arange(3) == -code - 1, -1.0, 0.0)
+            elif (row := points.positions([code])[0]) >= 0:
+                ref[sel] = points.coords[row] - xa[sel]
+            else:
+                missing.append(Finding("unorientable-cell",
+                                       f"section reference point {code} does not exist"))
+            pinned[sel], pins_y[sel] = True, shape.ref_axis == "y"
+    norm = np.linalg.norm(ref, axis=1)
+    ref /= np.where(pinned, norm, 1.0)[:, None]
+    proj = ref - np.einsum("ij,ij->i", ref, ex)[:, None] * ex
+    proj_norm = np.linalg.norm(proj, axis=1)
+    axis = proj / proj_norm[:, None]
+    ey = np.where(pins_y[:, None], axis, np.cross(axis, ex))
+    ez = np.where(pins_y[:, None], np.cross(ex, axis), axis)
+    # a zero length or reference leaves NaN, never a parallel finding
+    return np.stack([ex, ey, ez], axis=1), L, missing + _row_findings([
+        (L == 0.0, "zero-length-cell", "zero-length cell {0}"),
+        (pinned & (norm == 0.0), "unorientable-cell",
+         "cell {0}: zero reference direction for element orientation"),
+        (proj_norm < 1e-12, "unorientable-cell",
+         "cell {0}: reference direction is parallel to the element axis"),
+    ], cells.ids[rows])
 
 
 class CellProperties(NamedTuple):
@@ -485,6 +540,12 @@ def stiffness_terms(E, G, A, Iy, Iz, J, L) -> tuple:
     bending = [(12.0 * E * I / L**3, 6.0 * E * I / L**2, 4.0 * E * I / L, 2.0 * E * I / L)
                for I in (Iz, Iy)]
     return (E * A / L, G * J / L, *bending[0], *bending[1])
+
+
+def self_weight_levers(props: CellProperties, beam: np.ndarray, L: np.ndarray) -> tuple:
+    """Each cell's line mass rho A (kg/mm), its end-force lever L/2 and beam moment lever L^2/12."""
+    return (np.where(props.density > 0.0, props.density * props.A, 0.0), L / 2.0,
+            np.where(beam, L**2 / 12.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -581,6 +642,19 @@ def orientation_points(model: StructuralModel) -> np.ndarray:
     return aims & ~used_points(model) & (model.points.bc_ids == 0)
 
 
+def inactive_slots(model: StructuralModel) -> np.ndarray:
+    """The rotation rule, written here alone: mask (n, 6) of the unsupported
+    slots without an equation, the rotations of points that no beam and no
+    rigid link (slaves too) ends at and every slot of ``orientation_points``."""
+    points = model.points
+    rotates = isin(points.ids, model.cells.ends[~model.cells.truss])
+    rotates |= isin(points.ids, link_ends(model.rigid_links))
+    inactive = np.zeros((len(points), 6), dtype=bool)
+    inactive[:, 3:] = ~rotates[:, None]
+    inactive[orientation_points(model)] = True
+    return inactive & ~points.masks
+
+
 def rigid_link_findings(links, points: PointTable) -> list:
     """The rigid-link rule, the one place it is written: each link joins two
     distinct points of ``points``, an offset it carries is finite, no point
@@ -606,10 +680,10 @@ def rigid_link_findings(links, points: PointTable) -> list:
                        for pid in distinct(slaves[isin(slaves, masters)]).tolist()]
 
 
-# cells whose stiffness and self-weight terms ``validate`` forms at a time;
-# ``solve``'s per-cell arrays reuse the heap a whole-model pass frees, and
-# slices of 1,024 cells raised its peak RSS on the 50x5x24 arch (2.9k
-# cells) by 0.35 MB
+# cells whose stiffness and self-weight terms ``validate``, and whose frames
+# ``frame_findings``, form at a time; ``solve``'s per-cell
+# arrays reuse the heap a whole-model pass frees, and slices of 1,024 cells
+# raised its peak RSS on the 50x5x24 arch (2.9k cells) by 0.35 MB
 _CELL_SLICE = 1 << 12
 
 
@@ -626,14 +700,17 @@ def _overflowing_cells(model: StructuralModel, lengths: np.ndarray):
                                 props.J * beam, length)
         stiff.append(rows[~np.isfinite(terms).all(axis=0)])
         if model.self_weight_enabled:
-            # the line load rho A g times L/2 (end forces) and, on beams,
-            # L^2/12 (fixed-end moments), rounded as the solver forms them
-            w = np.where(props.density > 0.0, props.density * props.A, 0.0)
+            w, half, moment = self_weight_levers(props, beam, length)
             q = w * STANDARD_GRAVITY_MM_S2 * KG_MM_S2_TO_N
-            loads = (q * (length / 2.0), q * np.where(beam, length**2 / 12.0, 0.0))
-            heavy.append(rows[~np.isfinite(loads).all(axis=0)])
+            heavy.append(rows[~(np.isfinite(q * half) & np.isfinite(q * moment))])
     empty = np.zeros(0, dtype=np.int64)
     return np.concatenate([empty, *stiff]), np.concatenate([empty, *heavy])
+
+
+def frame_findings(model: StructuralModel) -> list:
+    """The ``cell_frames`` findings of every cell, ``_CELL_SLICE`` cells at a time."""
+    return [f for start in range(0, len(model.cells), _CELL_SLICE)
+            for f in cell_frames(model, slice(start, start + _CELL_SLICE))[2]]
 
 
 # what overflows, or divides by an L^3 that underflows, is reported as a finding

@@ -13,10 +13,9 @@ ratio read these arrays; the 12x12 stiffness matrices are built from them
 in slices of ``_SLICE`` cells, and rotations act as batched 3x3 block
 products.
 
-Local axes: x runs along the element.  By default local z is the global Z
-projected perpendicular to the element axis; members within 1e-6 of vertical
-fall back to global X as reference.  Rectangle sections may override the rule
-through their reference direction, which then pins the named local axis.
+Local axes, the cell lengths, the self-weight levers and the rotations that
+get equations follow the rules of ``model``: ``cell_frames``,
+``self_weight_levers`` and ``inactive_slots``.
 
 Self-weight enters as a uniform line load rho*g*A with consistent equivalent
 nodal forces; the fixed-end actions are subtracted again during force
@@ -57,22 +56,21 @@ from .model import (
     DOF_NAMES,
     GRAVITY,
     KG_MM_S2_TO_N,
-    Rectangle,
     StructuralModel,
     per_id,
+    cell_frames,
     cell_properties,
     distinct,
-    isin,
+    inactive_slots,
     link_ends,
-    orientation_points,
     raise_first,
     rigid_link_findings,
+    self_weight_levers,
     stiffness_terms,
     validate,
 )
-from .topology import unsupported_components
+from .topology import solvability_findings
 
-_VERTICAL_TOL = 1e-6
 # Direct solves refine towards the residual target and are accepted on the
 # backward error, 3e-18 to 8e-18 on arches of 6.8k to 37.7k equations.
 _REFINE_RESIDUAL = 1e-10
@@ -219,68 +217,6 @@ class LinearSystem:
         return self.stiffness.as_scipy()
 
 
-def _axis_from_code(code: int) -> np.ndarray:
-    axis = abs(code) - 1
-    if axis not in (0, 1, 2):
-        raise SolverError(f"bad global axis code {code} in section orientation")
-    e = np.zeros(3)
-    e[axis] = 1.0 if code > 0 else -1.0
-    return e
-
-
-def _section_references(model, cs_ids, xa):
-    """Per-cell reference directions pinned by rectangle orientation specs.
-
-    Returns (ref (m, 3), pinned (m,), pins_y (m,)); unpinned cells follow
-    the default axis rule.
-    """
-    m = len(cs_ids)
-    ref = np.zeros((m, 3))
-    pinned = np.zeros(m, dtype=bool)
-    pins_y = np.zeros(m, dtype=bool)
-    for cs_id in distinct(cs_ids).tolist():
-        shape = model.cross_sections[cs_id].shape
-        if not isinstance(shape, Rectangle) or shape.ref_axis is None:
-            continue
-        sel = cs_ids == cs_id
-        code = shape.ref_code
-        if code < 0:
-            ref[sel] = _axis_from_code(code)
-        elif (row := model.points.positions([code])[0]) >= 0:
-            ref[sel] = model.points.coords[row] - xa[sel]
-        else:
-            raise SolverError(f"section reference point {code} does not exist")
-        pinned[sel] = True
-        pins_y[sel] = shape.ref_axis == "y"
-    return ref, pinned, pins_y
-
-
-def _triads(dx, ref, pinned, pins_y):
-    """Local triads (m, 3, 3), rows [ex, ey, ez], and lengths of elements dx.
-
-    Unpinned elements follow the default axis rule; pinned ones project
-    ``ref`` onto local y where ``pins_y`` is set, else onto local z.
-    """
-    L = np.linalg.norm(dx, axis=1)
-    if np.any(L == 0.0):
-        raise SolverError("zero-length cell")
-    ex = dx / L[:, None]
-    vertical = np.linalg.norm(np.cross(ex, [0.0, 0.0, 1.0]), axis=1) < _VERTICAL_TOL
-    default = np.where(vertical[:, None], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-    norm = np.linalg.norm(ref, axis=1)
-    if np.any(pinned & (norm == 0.0)):
-        raise SolverError("zero reference direction for element orientation")
-    ref = np.where(pinned[:, None], ref / np.where(pinned, norm, 1.0)[:, None], default)
-    proj = ref - np.einsum("ij,ij->i", ref, ex)[:, None] * ex
-    norm = np.linalg.norm(proj, axis=1)
-    if np.any(norm < 1e-12):
-        raise SolverError("reference direction is parallel to the element axis")
-    axis = proj / norm[:, None]
-    ey = np.where(pins_y[:, None], axis, np.cross(axis, ex))
-    ez = np.where(pins_y[:, None], np.cross(ex, axis), axis)
-    return np.stack([ex, ey, ez], axis=1), L
-
-
 def _local_stiffness(E, G, A, Iy, Iz, J, L):
     """Local 12x12 stiffness of each element; trusses pass Iy = Iz = J = 0."""
     k = np.zeros(np.shape(L) + (12, 12))
@@ -340,29 +276,27 @@ class _Elements:
 
 
 def _elements(model: StructuralModel) -> _Elements:
-    """Element arrays of every cell in one pass."""
-    cells, coords = model.cells, model.points.coords
+    """Element arrays of every cell in one pass; a cell that ``cell_frames`` refuses raises."""
+    cells = model.cells
     ends = model.points.positions(cells.ends).astype(np.int32)
     if np.any(ends < 0):
         raise SolverError("cells reference points that are not in the model")
+    R, L, findings = cell_frames(model)
+    raise_first(findings, SolverError)
     beam = ~cells.truss
     props = cell_properties(model)
-    xa = coords[ends[:, 0]]
-    R, L = _triads(coords[ends[:, 1]] - xa, *_section_references(model, cells.cs_ids, xa))
     bending = np.where(beam, 1.0, 0.0)
     terms = np.stack([props.E, props.G, props.A, props.Iy * bending, props.Iz * bending,
                       props.J * bending, L])
 
     f = np.zeros((len(cells), 12))
     if model.self_weight_enabled:
-        w = np.where(props.density > 0.0, props.density * props.A, 0.0)
+        w, half, moment = self_weight_levers(props, beam, L)
         q_global = w[:, None] * GRAVITY * KG_MM_S2_TO_N  # N/mm
         qx, qy, qz = (R @ q_global[:, :, None])[:, :, 0].T
-        half = L / 2.0
         f[:, 0] = f[:, 6] = qx * half
         f[:, 1] = f[:, 7] = qy * half
         f[:, 2] = f[:, 8] = qz * half
-        moment = np.where(beam, L**2 / 12.0, 0.0)
         f[:, 4] = -qz * moment
         f[:, 10] = qz * moment
         f[:, 5] = qy * moment
@@ -395,8 +329,8 @@ def build_dof_map(model: StructuralModel) -> DofMap:
     Free and fixed slots map onto their own column of T; slave slots onto
     their master's through u_s = u_m + theta_m x r, theta_s = theta_m, with
     r the link's offset or else the slave's position less the master's;
-    inactive slots, those of ``orientation_points`` included, map onto
-    nothing.  Raises SolverError for links that break the rigid-link rule.
+    ``inactive_slots`` map onto nothing.  Raises SolverError for links that
+    break the rigid-link rule.
     """
     points, links = model.points, model.rigid_links
     raise_first(rigid_link_findings(links, points), SolverError)
@@ -407,13 +341,8 @@ def build_dof_map(model: StructuralModel) -> DofMap:
     given = np.array([l.offset is not None for l in links], dtype=bool)
     arms[given] = np.reshape([l.offset for l in links if l.offset is not None], (-1, 3))
 
-    # rotations are active at beam ends and at rigid-link ends
-    rotates = isin(points.ids, model.cells.ends[~model.cells.truss])
-    rotates[linked.ravel()] = True
     fixed = points.masks  # the rule leaves slaves without supports
-    free = ~fixed
-    free[:, 3:] &= rotates[:, None]
-    free[orientation_points(model)] = False
+    free = ~fixed & ~inactive_slots(model)
     free[linked[:, 1]] = False  # slaves
     n_eq, n_fixed = int(free.sum()), int(fixed.sum())
     column = np.full((n, 6), -1, dtype=np.int64)
@@ -457,8 +386,9 @@ def _coupled(k: np.ndarray, dm: DofMap, end_link: np.ndarray) -> np.ndarray:
 def assemble(model: StructuralModel, *, check_supports: bool = True):
     """Assemble the reduced stiffness and load vector.
 
-    Requires a model that validates cleanly; with ``check_supports`` every
-    connected component must also carry at least six fixed DOFs.  The
+    Requires a model that validates cleanly and then shows none of the
+    ``solvability_findings``, of which it raises the first as SolverError;
+    without ``check_supports`` components that lack supports pass.  The
     ``overflow`` findings of ``validate`` are left to the check here, which
     also sees the sums of assembly: a stiffness or load vector whose norm
     is not finite raises SolverError naming it.  Returns
@@ -468,12 +398,8 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     if defects:
         first = defects[0].message
         raise SolverError(f"model does not validate ({len(defects)} defects; first: {first})")
-    if check_supports:
-        starts, sizes, members, fixed = unsupported_components(model)
-        if len(starts):
-            worst = members[starts[0] : starts[0] + sizes[0]][:5].tolist()
-            raise SolverError(f"{len(starts)} component(s) lack supports; e.g. points "
-                              f"{worst} with {fixed[0]} fixed DOFs")
+    raise_first([f for f in solvability_findings(model)
+                 if check_supports or f.kind != "unsupported-component"], SolverError)
 
     dm = build_dof_map(model)
     n_eq, n_fixed = dm.n_eq, dm.n_fixed
@@ -487,13 +413,6 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     loads = np.zeros((len(model.points), 6))
     loaded = model.points.bc_ids != 0
     loads[loaded] = per_id(model.points.bc_ids[loaded], lambda i: model.bcs[i].components, 6)
-    inactive = dm.column < 0
-    inactive[dm.links[:, 1]] = False
-    bad = np.argwhere((loads != 0.0) & inactive)
-    if len(bad):
-        i, comp = bad[0]
-        raise SolverError(f"moment load on rotation-free point {dm.point_ids[i]} "
-                          f"({DOF_NAMES[comp]})")
     applied = np.bincount(dofs.ravel(), weights=f_global.ravel(), minlength=6 * n)
     applied = applied.reshape(-1, 6) + loads
     del dofs, f_global

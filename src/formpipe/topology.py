@@ -1,6 +1,6 @@
 """Topological connectivity and the repair suite: duplicate-node merging,
 degenerate/duplicate cell removal, detached-component elimination, dead-arm
-pruning, support reachability and rigid-link registration.
+pruning, support reachability, solvability findings and rigid-link registration.
 
 Repair operations mutate the model in place and return ``(model, report)``;
 they keep original entity ids so the reports stay traceable.
@@ -14,12 +14,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (DEFAULT_MERGE_TOL, PointTable, RigidLink, StructuralModel, aim_points,
-                    cell_lengths, distinct, isin, link_ends, orientation_points, point_aims,
+from .model import (DEFAULT_MERGE_TOL, DOF_NAMES, Finding, PointTable, RigidLink,
+                    StructuralModel, aim_points, cell_lengths, distinct, frame_findings,
+                    inactive_slots, isin, link_ends, orientation_points, per_id, point_aims,
                     raise_first, rigid_link_findings)
 
 # peel points with at most two incident cells: the dead arms of lattice-like models
 DEFAULT_PRUNE_DEGREE = 2
+
+# unsupported components listed before the rest are counted: a soup floats every segment
+_LISTED_COMPONENTS = 20
 
 
 class TopologyError(ValueError):
@@ -434,6 +438,29 @@ def check_support_reachability(model: StructuralModel):
     return [UnsupportedComponent(members[a : a + k], f)
             for a, k, f in zip(found.starts.tolist(), found.sizes.tolist(),
                                found.fixed_dof_counts.tolist())]
+
+
+def solvability_findings(model: StructuralModel) -> list:
+    """What keeps a model that ``validate`` passes from being solved, decided
+    here alone, in the order assembly meets it: ``unsupported_components``
+    (the first 20, then a count of the rest), the ``frame_findings`` and
+    nonzero loads on ``inactive_slots``."""
+    starts, sizes, members, fixed = unsupported_components(model)
+    listed = (v[:_LISTED_COMPONENTS].tolist() for v in (starts, sizes, fixed))
+    findings = [Finding("unsupported-component",
+                        f"points {members[a : a + k][:8].tolist()} carry {f} fixed DOFs (< 6)")
+                for a, k, f in zip(*listed)]
+    if (more := len(starts) - _LISTED_COMPONENTS) > 0:
+        findings.append(Finding("unsupported-component",
+                                f"{more} more component(s) carry fewer than 6 fixed DOFs"))
+    findings += frame_findings(model)
+    points = model.points
+    loaded = np.flatnonzero(points.bc_ids != 0)
+    loads = per_id(points.bc_ids[loaded], lambda i: model.bcs[i].components, 6)
+    rows, dofs = np.nonzero((loads != 0.0) & inactive_slots(model)[loaded])
+    return findings + [Finding("rotation-free-moment",
+                               f"moment load on rotation-free point {pid} ({DOF_NAMES[dof]})")
+                       for pid, dof in zip(points.ids[loaded[rows]].tolist(), dofs.tolist())]
 
 
 def make_rigid_link(model: StructuralModel, master: int, slave: int, offset=None):

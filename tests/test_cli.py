@@ -96,6 +96,35 @@ class TestCheck:
         assert (code, out) == (3, "")
         assert re.fullmatch(f"error: malformed document: {message}\n", err)
 
+    @pytest.mark.parametrize("case, words", [
+        ("truss-moment", "moment load on rotation-free point 2 (rx)"),
+        ("parallel-reference", "reference direction is parallel to the element axis"),
+        ("zero-reference", "zero reference direction for element orientation"),
+        ("zero-length", "zero-length cell"),
+    ], ids=["truss-moment", "parallel-reference", "zero-reference", "zero-length"])
+    def test_unsolvable_model_blocks_check_and_solve_alike(self, capsys, tmp_path, case, words):
+        """A model that validates but that no solve can take: check exits 2
+        with a defect line, and solve exits 2 with the first of them."""
+        model = fp.gen_cantilever(fp.CantileverSpec(n_elements=2))
+        if case == "truss-moment":
+            for cell in model.cells:
+                cell.kind = fp.TRUSS_LINE
+            model.bcs[1].components = np.array([0.0, 0.0, -1.0, 5.0, 0.0, 0.0])
+        elif case == "zero-length":
+            model.points[2].coords = model.points[1].coords
+        else:  # refNode z -1 runs along the cantilever, refNode z 0 aims at its first end
+            shape = fp.Rectangle(20.0, 30.0, "z", -1 if case == "parallel-reference" else 0)
+            model.cross_sections[2] = fp.CrossSection(id=2, shape=shape)
+        path = tmp_path / f"{case}.vtp"
+        path.write_text(fp.write_model(model))
+        code, out, err = run(capsys, "check", str(path))
+        defects = [line for line in out.splitlines() if line.startswith("defect [")]
+        assert (code, err) == (2, "")
+        assert words in defects[0]
+        code, out, err = run(capsys, "solve", str(path), str(tmp_path / "never.vtk"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {defects[0].partition(']: ')[2]}\n"
+
     def test_floating_component_blocks(self, capsys, tmp_path):
         model = fp.gen_cantilever()
         model.points.append(fp.Point(id=2, coords=(0, 500.0, 0)))
@@ -520,6 +549,28 @@ class TestSolve:
 
 
 class TestGen:
+    @pytest.mark.parametrize("case, options, expected", [
+        ("cantilever", [], fp.gen_cantilever),
+        ("leonardo", [], fp.gen_leonardo),
+        ("lattice", [], fp.gen_sphere_lattice),
+        ("lattice", ["--shape", "arch"],
+         lambda: fp.gen_sphere_lattice(fp.LatticeSpec(occupancy=fp.arch_occupancy(5, 5, 5)))),
+        ("cantilever", ["--shape", "arch", "--span", "3", "--nx", "2"], fp.gen_cantilever),
+    ], ids=["cantilever", "leonardo", "lattice", "arch", "other-cases-options"])
+    def test_defaults_are_the_specs(self, capsys, tmp_path, case, options, expected):
+        """With no option given, gen writes the model of the library's
+        default spec, and ``--shape arch`` the default ``arch_occupancy``;
+        the options of other cases change nothing."""
+        path = tmp_path / "default.vtp"
+        assert run(capsys, "gen", case, str(path), *options)[0] == 0
+        assert path.read_text() == fp.write_model(expected())
+
+    def test_unknown_variant_is_the_specs_error(self, capsys, tmp_path):
+        path = tmp_path / "never.vtp"
+        code, _, err = run(capsys, "gen", "leonardo", str(path), "--variant", "ajar")
+        assert (code, err) == (2, "error: unknown variant 'ajar'\n")
+        assert not path.exists()
+
     def test_lattice_counts(self, capsys, tmp_path):
         path = tmp_path / "lat.vtp"
         code, out, _ = run(capsys, "gen", "lattice", str(path),
@@ -558,7 +609,11 @@ class TestGen:
         # numpy refuses this block before it allocates anything
         (["lattice", "--nx", "100000", "--ny", "100000", "--nz", "100000"],
          "out of memory: Unable to allocate "),
-    ], ids=["length", "span", "diameter", "tip-force", "sub-tolerance-length", "lattice-size"])
+        # two stations on one point: a cell that check would report and no solve takes
+        (["leonardo", "--span", "9.210557363759072e-267", "--height", "1", "--n-segments", "3"],
+         "zero-length cell 1\n"),
+    ], ids=["length", "span", "diameter", "tip-force", "sub-tolerance-length", "lattice-size",
+            "collapsed-cell"])
     def test_spec_that_overflows_is_one_error_line(self, capsys, tmp_path, argv, message):
         dst = tmp_path / "never.vtp"
         code, out, err = run(capsys, "gen", argv[0], str(dst), *argv[1:])
@@ -745,7 +800,8 @@ def loaded():
     return {"scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
             "network": [m for m in ("urllib.request", "http.client", "email.parser", "ssl")
                         if m in sys.modules],
-            "casegen": "formpipe.casegen" in sys.modules, "numpy.ma": "numpy.ma" in sys.modules}
+            "casegen": "formpipe.casegen" in sys.modules, "numpy.ma": "numpy.ma" in sys.modules,
+            "solver": "formpipe.solver" in sys.modules}
 import formpipe.cli
 seen = {"import": loaded()}
 for name, argv in json.loads(sys.argv[2]):
@@ -764,8 +820,10 @@ print(json.dumps(seen))
 def test_cli_import_leaves_scipy_spatial_out(tmp_path):
     """Each command loads only the modules it uses: no command loads scipy
     or numpy.ma, not even ``solve`` with either solver; only ``gen`` loads
-    casegen, and none loads the networking stdlib.  Importing them costs
-    more than the rest of a ``check``, ``clean`` or ``gen`` run: scipy's
+    casegen, only ``solve`` the solver, so the rules that ``check`` shares
+    with it live outside the solver, and none loads the networking stdlib.
+    Importing them costs more than the rest of a ``check``, ``clean`` or
+    ``gen`` run: scipy's
     sparse solvers alone take about 0.4 s and 30 MB.  The lazy names stay
     importable from the package, as the same objects."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
@@ -776,14 +834,15 @@ def test_cli_import_leaves_scipy_spatial_out(tmp_path):
                              check=True).stdout
         return json.loads(out.strip().splitlines()[-1])
 
-    bare = {"scipy": [], "network": [], "casegen": False, "numpy.ma": False}
+    bare = {"scipy": [], "network": [], "casegen": False, "numpy.ma": False, "solver": False}
     seen = probe(("gen", ["gen", "lattice", "m.vtp", "--nx", "4", "--ny", "3", "--nz", "3"]))
     assert seen == {"import": bare, "gen": dict(bare, casegen=True), "same": True, "dir": True}
+    solving = dict(bare, solver=True)
     seen = probe(("check", ["check", "m.vtp"]), ("clean", ["clean", "m.vtp", "c.vtp"]),
                  ("solve", ["solve", "c.vtp", "r.vtk"]),
                  ("solve --solver pcg", ["solve", "c.vtp", "p.vtk", "--solver", "pcg"]))
-    assert seen == {"import": bare, "check": bare, "clean": bare, "solve": bare,
-                    "solve --solver pcg": bare, "same": True, "dir": True}
+    assert seen == {"import": bare, "check": bare, "clean": bare, "solve": solving,
+                    "solve --solver pcg": solving, "same": True, "dir": True}
 
 
 @pytest.mark.parametrize("argv, written", [
@@ -968,6 +1027,8 @@ _SPEC_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 @example(case=("cantilever", {"--tip-force": 1e308}))
 @example(case=("leonardo", {"--span": 1e308}))
 @example(case=("cantilever", {"--length": 1e-120}))  # L^3 is zero: once a divide-by-zero warning
+@example(case=("leonardo", {"--span": 9.210557363759072e-267, "--height": 1.0,
+                            "--n-segments": 3}))  # two stations on one point: gen refuses the cell
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])  # capsys is read per run
 def test_what_gen_writes_check_and_solve_take(capsys, case):

@@ -791,6 +791,28 @@ def test_reading_a_pipe(token):
                           parsed.points.coords.view(np.int64))
 
 
+def _read_within(handle, seconds=60):
+    """``read_model(handle)`` on a thread that must return within ``seconds``."""
+    models = []
+    reader = threading.Thread(target=lambda: models.append(read_model(handle)), daemon=True)
+    reader.start()
+    reader.join(timeout=seconds)
+    assert not reader.is_alive(), "read_model did not return"
+    return models[0]
+
+
+def test_reading_a_text_handle(tmp_path):
+    """A text file and a StringIO end at their first empty read, as a
+    binary file does, and give the model that ``parse_model`` gives."""
+    text = soup_document(8)
+    path = tmp_path / "soup.vtp"
+    path.write_text(text)
+    parsed = write_model(parse_model(text))
+    with open(path) as handle:
+        assert write_model(_read_within(handle)) == parsed
+    assert write_model(_read_within(io.StringIO(text))) == parsed
+
+
 def _parsed(document, feed=_FEED, batch=exchange._BATCH):
     """The model, or the error message, of ``document`` fed to the reader in
     slices of ``feed``, with its columns read in batches of ``batch``

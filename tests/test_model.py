@@ -437,14 +437,15 @@ def test_positions_match_a_dict_on_any_ids(ids, query):
 @pytest.mark.parametrize("ids", [[0, 1, 2], [7, 2, 5], []], ids=["dense", "searched", "empty"])
 def test_cell_lengths_are_nan_only_for_missing_ends(ids):
     """Each cell whose ends name points has the ``np.linalg.norm`` of their
-    difference as its length, bit for bit, and every other cell NaN, also
-    where the point table is empty."""
+    difference along its row as its length, bit for bit, as the solver's
+    triads have it, and every other cell NaN, also where the point table
+    is empty."""
     coords = np.sqrt(np.arange(3.0 * len(ids)).reshape(-1, 3)) * [1.0, -3.7, 11.0]
     ends = [[a, b] for a in [*ids, 9] for b in [*ids, 9]]
     model = StructuralModel(points=PointTable(ids, coords),
                             cells=CellTable(np.arange(len(ends)), ends))
     rows = {pid: row for row, pid in enumerate(ids)}
-    expected = [np.linalg.norm(coords[rows[a]] - coords[rows[b]])
+    expected = [np.linalg.norm([coords[rows[a]] - coords[rows[b]]], axis=1)[0]
                 if a in rows and b in rows else np.nan for a, b in ends]
     got = model_module.cell_lengths(model)
     assert np.array_equal(got, expected, equal_nan=True)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import formpipe as fp
 from formpipe.model import (
+    BEAM_LINE,
     GRAVITY,
     TRUSS_LINE,
     BoundaryConditionEntry,
@@ -21,6 +22,7 @@ from formpipe.model import (
     Rectangle,
     RigidLink,
     StructuralModel,
+    cell_frames,
     section_properties,
 )
 from formpipe.solver import (
@@ -35,7 +37,6 @@ from formpipe.solver import (
     _fail,
     _inf_norm,
     _level_sets,
-    _triads,
     assemble,
     build_dof_map,
     element_stiffness,
@@ -275,7 +276,7 @@ class TestAssembly:
     def test_unsupported_model_refused(self):
         model = bar_model()
         model.points[0].constraint_mask[:] = False
-        with pytest.raises(SolverError, match="support"):
+        with pytest.raises(SolverError, match=r"^points \[0, 1\] carry 2 fixed DOFs \(< 6\)$"):
             assemble(model)
 
     def test_unsupported_components_counted_and_the_first_named(self):
@@ -289,8 +290,7 @@ class TestAssembly:
         model.points[3].constraint_mask[:2] = True
         with pytest.raises(SolverError) as err:
             assemble(model)
-        assert str(err.value) == ("2 component(s) lack supports; e.g. points [2, 3, 4, 5, 6] "
-                                  "with 2 fixed DOFs")
+        assert str(err.value) == "points [2, 3, 4, 5, 6, 7, 8] carry 2 fixed DOFs (< 6)"
 
     def test_invalid_model_refused(self):
         model = bar_model()
@@ -309,6 +309,30 @@ class TestAssembly:
         model.bcs[1] = BoundaryConditionEntry(id=1, components=(0, 0, 0, 100.0, 0, 0))
         with pytest.raises(SolverError, match="rotation-free"):
             assemble(model)
+
+    def test_moment_load_refused_without_the_support_check(self):
+        # the supports go too: only the support findings are left out
+        model = bar_model(kind=TRUSS_LINE)
+        model.points.masks[:] = False
+        model.bcs[1] = BoundaryConditionEntry(id=1, components=(0, 0, 0, 100.0, 0, 0))
+        with pytest.raises(SolverError, match=r"^moment load on rotation-free point 1 \(rx\)$"):
+            assemble(model, check_supports=False)
+
+    @pytest.mark.parametrize("case", ["zero-length", "parallel-reference", "missing-reference"])
+    def test_element_stiffness_refuses_a_cell_without_a_frame(self, case):
+        # no validation runs here: the guard is the solver's own
+        model = bar_model(kind=BEAM_LINE)
+        if case == "zero-length":
+            model.points[1].coords[:] = 0.0
+            message = r"^zero-length cell 0$"
+        elif case == "parallel-reference":  # a reference along -x, and the bar runs along +x
+            model.cross_sections[1] = CrossSection(id=1, shape=Rectangle(20.0, 30.0, "z", -1))
+            message = r"^cell 0: reference direction is parallel to the element axis$"
+        else:
+            model.cross_sections[1] = CrossSection(id=1, shape=Rectangle(20.0, 30.0, "z", 9))
+            message = r"^section reference point 9 does not exist$"
+        with pytest.raises(SolverError, match=message):
+            element_stiffness(model)
 
     def test_stiffness_symmetry(self):
         for model in (fp.gen_cantilever(fp.CantileverSpec(n_elements=4)),
@@ -725,10 +749,7 @@ class TestForcesAndEquilibrium:
         model = fp.gen_leonardo()
         _, _, _, disp, _ = solve_model(model)
         forces = recover_end_forces(model, disp)
-        coords, ends = model.points.coords, model.points.positions(model.cells.ends)
-        dx = coords[ends[:, 1]] - coords[ends[:, 0]]
-        unpinned = np.zeros(len(dx), dtype=bool)  # the arch's sections follow the axis rule
-        R, L = _triads(dx, np.zeros_like(dx), unpinned, unpinned)
+        R, L, _ = cell_frames(model)
         for idx, cell in enumerate(model.cells):
             props = section_properties(model.cross_sections[cell.cs_id].shape)
             mat = model.materials[cell.mat_id]
