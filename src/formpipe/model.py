@@ -642,17 +642,17 @@ def orientation_points(model: StructuralModel) -> np.ndarray:
     return aims & ~used_points(model) & (model.points.bc_ids == 0)
 
 
-def inactive_slots(model: StructuralModel) -> np.ndarray:
-    """The rotation rule, written here alone: mask (n, 6) of the unsupported
-    slots without an equation, the rotations of points that no beam and no
-    rigid link (slaves too) ends at and every slot of ``orientation_points``."""
+def unreached_slots(model: StructuralModel) -> np.ndarray:
+    """The rotation rule, written here alone: mask (n, 6) of the slots that
+    no stiffness reaches, the rotations of points that no beam and no rigid
+    link (slaves too) ends at and every slot of ``orientation_points``."""
     points = model.points
     rotates = isin(points.ids, model.cells.ends[~model.cells.truss])
     rotates |= isin(points.ids, link_ends(model.rigid_links))
-    inactive = np.zeros((len(points), 6), dtype=bool)
-    inactive[:, 3:] = ~rotates[:, None]
-    inactive[orientation_points(model)] = True
-    return inactive & ~points.masks
+    unreached = np.zeros((len(points), 6), dtype=bool)
+    unreached[:, 3:] = ~rotates[:, None]
+    unreached[orientation_points(model)] = True
+    return unreached
 
 
 def rigid_link_findings(links, points: PointTable) -> list:

@@ -15,7 +15,7 @@ products.
 
 Local axes, the cell lengths, the self-weight levers and the rotations that
 get equations follow the rules of ``model``: ``cell_frames``,
-``self_weight_levers`` and ``inactive_slots``.
+``self_weight_levers`` and ``unreached_slots``.
 
 Self-weight enters as a uniform line load rho*g*A with consistent equivalent
 nodal forces; the fixed-end actions are subtracted again during force
@@ -61,12 +61,12 @@ from .model import (
     cell_frames,
     cell_properties,
     distinct,
-    inactive_slots,
     link_ends,
     raise_first,
     rigid_link_findings,
     self_weight_levers,
     stiffness_terms,
+    unreached_slots,
     validate,
 )
 from .topology import solvability_findings
@@ -329,8 +329,8 @@ def build_dof_map(model: StructuralModel) -> DofMap:
     Free and fixed slots map onto their own column of T; slave slots onto
     their master's through u_s = u_m + theta_m x r, theta_s = theta_m, with
     r the link's offset or else the slave's position less the master's;
-    ``inactive_slots`` map onto nothing.  Raises SolverError for links that
-    break the rigid-link rule.
+    the other ``unreached_slots`` map onto nothing.  Raises SolverError for
+    links that break the rigid-link rule.
     """
     points, links = model.points, model.rigid_links
     raise_first(rigid_link_findings(links, points), SolverError)
@@ -342,7 +342,7 @@ def build_dof_map(model: StructuralModel) -> DofMap:
     arms[given] = np.reshape([l.offset for l in links if l.offset is not None], (-1, 3))
 
     fixed = points.masks  # the rule leaves slaves without supports
-    free = ~fixed & ~inactive_slots(model)
+    free = ~fixed & ~unreached_slots(model)
     free[linked[:, 1]] = False  # slaves
     n_eq, n_fixed = int(free.sum()), int(fixed.sum())
     column = np.full((n, 6), -1, dtype=np.int64)

@@ -1,6 +1,8 @@
 """Topological connectivity and the repair suite: duplicate-node merging,
 degenerate/duplicate cell removal, detached-component elimination, dead-arm
-pruning, support reachability, solvability findings and rigid-link registration.
+pruning, rigid-link registration and the solvability findings, whose support
+rule flags a component with a rigid motion (about its centroid, the arms in
+RMS radii) that moves a slot that stiffness reaches and no restrained slot.
 
 Repair operations mutate the model in place and return ``(model, report)``;
 they keep original entity ids so the reports stay traceable.
@@ -16,8 +18,8 @@ import numpy as np
 
 from .model import (DEFAULT_MERGE_TOL, DOF_NAMES, Finding, PointTable, RigidLink,
                     StructuralModel, aim_points, cell_lengths, distinct, frame_findings,
-                    inactive_slots, isin, link_ends, orientation_points, per_id, point_aims,
-                    raise_first, rigid_link_findings)
+                    isin, link_ends, orientation_points, per_id, point_aims,
+                    raise_first, rigid_link_findings, unreached_slots)
 
 # peel points with at most two incident cells: the dead arms of lattice-like models
 DEFAULT_PRUNE_DEGREE = 2
@@ -48,12 +50,6 @@ class RepairReport:
             return NotImplemented
         mine, theirs = (dict(vars(report), merged_point_pairs=None) for report in (self, other))
         return mine == theirs and np.array_equal(self.merged_point_pairs, other.merged_point_pairs)
-
-
-@dataclass
-class UnsupportedComponent:
-    point_ids: list
-    fixed_dof_count: int
 
 
 # Sweep axis: one fixed unit vector normal to no lattice plane, so grid-like
@@ -399,65 +395,107 @@ def prune_dead_arms(model: StructuralModel, max_degree: int = DEFAULT_PRUNE_DEGR
 
 
 class Unsupported(NamedTuple):
-    """Connected components that cannot restrain a rigid body, ordered by
-    lowest member id: the ids of component k are
-    ``members[starts[k]:starts[k] + sizes[k]]``, ascending."""
+    """Connected components that their supports do not hold, by lowest member
+    id: component k has the ids ``members[starts[k]:starts[k] + sizes[k]]``,
+    ascending, and in its free motion ``point_ids[k]`` moves most, along ``dofs[k]``."""
 
     starts: np.ndarray
     sizes: np.ndarray
     members: np.ndarray
-    fixed_dof_counts: np.ndarray
+    point_ids: np.ndarray
+    dofs: np.ndarray
+
+
+def _gram(lever: np.ndarray, slots: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """(k, 6, 6) Gram matrices of the moves of the ``slots`` (n, 6) of the runs
+    of points from ``first`` under a rigid motion: (t + lever theta, theta)."""
+    moved = lever * slots[:, :3, None]
+    gram = np.zeros((len(first), 6, 6))
+    gram[:, range(6), range(6)] = np.add.reduceat(slots, first, dtype=float)
+    gram[:, :3, 3:] = np.add.reduceat(moved, first)
+    gram[:, 3:, :3] = gram[:, :3, 3:].transpose(0, 2, 1)
+    gram[:, 3:, 3:] += np.add.reduceat(lever.transpose(0, 2, 1) @ moved, first)
+    return gram
+
+
+def _free_motions(coords, reached, held, sizes):
+    """The components, runs of ``sizes`` points, whose ``held`` slots hold fewer rigid
+    motions than their ``reached`` ones make (ranks count ``_gram`` eigenvalues above 1e-10
+    of the reached largest), and the row and slot of each that move most in a free motion."""
+    first, group = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
+    arms = coords - (np.add.reduceat(coords, first) / sizes[:, None])[group]
+    radius = np.sqrt(np.add.reduceat(np.einsum("ij,ij->i", arms, arms), first) / sizes)
+    radius[radius == 0.0] = 1.0
+    # column j of lever is e_j x r, so that lever theta = theta x r
+    lever = np.cross(np.eye(3), (arms / radius[group, None])[:, None]).transpose(0, 2, 1)
+    reach = np.linalg.eigvalsh(_gram(lever, reached, first))
+    tol = 1e-10 * reach[:, -1:]
+    lam, vec = np.linalg.eigh(_gram(lever, held, first))
+    free = np.flatnonzero((lam > tol).sum(axis=1) < (reach > tol).sum(axis=1))
+    # each reached slot's largest move in a unit motion that no held slot
+    # makes (one that no reached slot makes moves none), rotations in radians
+    # as in K's null vector; the first within rounding of the largest is named
+    t, theta = np.split(vec * (lam <= tol)[:, None], 2, axis=1)
+    moved = np.concatenate([t[group] + lever @ theta[group],
+                            theta[group] / radius[group, None, None]], axis=1)
+    moved = reached * np.linalg.norm(moved, axis=2)
+    near = moved >= (1.0 - 1e-9) * np.maximum.reduceat(moved.max(axis=1), first)[group, None]
+    hit = np.lexsort((~near.ravel(), np.repeat(group, 6)))[6 * first[free]]
+    return free, hit // 6, hit % 6
 
 
 def unsupported_components(model: StructuralModel) -> Unsupported:
-    """The connected components whose fixed-DOF total cannot restrain a
-    rigid body (fewer than 6 fixed DOFs, which covers fully unsupported
-    ones), as arrays.  ``orientation_points`` are exempt."""
+    """The components, as arrays, with a rigid motion that moves a slot that stiffness reaches
+    and no restrained one (``_free_motions``), except ``orientation_points``; one with no
+    restrained slot is named at its lowest point, along ux, without an eigenvalue."""
     count, labels, _, structure = _components(model)
-    ids = model.points.ids
-    fixed = np.bincount(labels, weights=model.points.masks.sum(axis=1), minlength=count)
-    # members of each component as one run of ascending ids
-    members = ids[np.lexsort((ids, labels))]
+    points, unreached = model.points, unreached_slots(model)
+    held = points.masks & ~unreached
+    restrained = np.bincount(labels, held.any(axis=1), minlength=count) > 0
+    # a point that holds its six slots holds every motion: no eigenvalue needed
+    ranked = restrained & (np.bincount(labels, held.all(axis=1), minlength=count) == 0)
+    # the rows of the components to rank, each as one run of ascending ids
+    rows = np.flatnonzero(ranked[labels])
+    rows = rows[np.lexsort((points.ids[rows], labels[rows]))]
+    k = np.flatnonzero(ranked)
+    free, row, slot = _free_motions(points.coords[rows], ~unreached[rows], held[rows],
+                                    np.bincount(labels[rows], minlength=count)[k])
     sizes = np.bincount(labels, minlength=count)
-    starts = np.cumsum(sizes) - sizes
-    flagged = np.flatnonzero((fixed < 6) & structure)
+    starts, order = np.cumsum(sizes) - sizes, np.lexsort((points.ids, labels))
+    named = np.stack([order[starts], np.zeros(count, dtype=np.int64)], axis=1)
+    named[k[free]] = np.stack([rows[row], slot], axis=1)
+    flagged = distinct(np.concatenate([np.flatnonzero(structure & ~restrained), k[free]]))
+    members = points.ids[order]
     # by lowest member id; the stable sort keeps label order among equal ids
     flagged = flagged[np.argsort(members[starts[flagged]], kind="stable")]
     return Unsupported(starts[flagged], sizes[flagged], members,
-                       fixed[flagged].astype(np.int64))
+                       points.ids[named[flagged, 0]], named[flagged, 1])
 
 
-def check_support_reachability(model: StructuralModel):
-    """``unsupported_components`` as a list of UnsupportedComponent.
-
-    Genuine local mechanisms beyond this count survive until factorization,
-    which reports the offending DOF.
-    """
-    found = unsupported_components(model)
-    members = found.members.tolist()
-    return [UnsupportedComponent(members[a : a + k], f)
-            for a, k, f in zip(found.starts.tolist(), found.sizes.tolist(),
-                               found.fixed_dof_counts.tolist())]
+def check_support_reachability(model: StructuralModel) -> list:
+    """The support findings of ``solvability_findings``: the first 20
+    ``unsupported_components``, then a count of the rest."""
+    starts, sizes, members, point_ids, dofs = unsupported_components(model)
+    listed = (v[:_LISTED_COMPONENTS].tolist() for v in (starts, sizes, point_ids, dofs))
+    findings = [Finding("unsupported-component",
+                        f"points {members[a : a + k][:8].tolist()} have a free rigid motion, "
+                        f"largest at point {pid} dof {DOF_NAMES[dof]}")
+                for a, k, pid, dof in zip(*listed)]
+    more = len(starts) - _LISTED_COMPONENTS
+    return findings + [Finding("unsupported-component",
+                               f"{more} more component(s) have a free rigid motion")] * (more > 0)
 
 
 def solvability_findings(model: StructuralModel) -> list:
     """What keeps a model that ``validate`` passes from being solved, decided
-    here alone, in the order assembly meets it: ``unsupported_components``
-    (the first 20, then a count of the rest), the ``frame_findings`` and
-    nonzero loads on ``inactive_slots``."""
-    starts, sizes, members, fixed = unsupported_components(model)
-    listed = (v[:_LISTED_COMPONENTS].tolist() for v in (starts, sizes, fixed))
-    findings = [Finding("unsupported-component",
-                        f"points {members[a : a + k][:8].tolist()} carry {f} fixed DOFs (< 6)")
-                for a, k, f in zip(*listed)]
-    if (more := len(starts) - _LISTED_COMPONENTS) > 0:
-        findings.append(Finding("unsupported-component",
-                                f"{more} more component(s) carry fewer than 6 fixed DOFs"))
-    findings += frame_findings(model)
+    here alone, in the order assembly meets it: the support findings
+    (``check_support_reachability``), the ``frame_findings`` and nonzero
+    loads on the unsupported ``unreached_slots``."""
+    findings = check_support_reachability(model) + frame_findings(model)
     points = model.points
     loaded = np.flatnonzero(points.bc_ids != 0)
     loads = per_id(points.bc_ids[loaded], lambda i: model.bcs[i].components, 6)
-    rows, dofs = np.nonzero((loads != 0.0) & inactive_slots(model)[loaded])
+    rows, dofs = np.nonzero((loads != 0.0) & (unreached_slots(model) & ~points.masks)[loaded])
     return findings + [Finding("rotation-free-moment",
                                f"moment load on rotation-free point {pid} ({DOF_NAMES[dof]})")
                        for pid, dof in zip(points.ids[loaded[rows]].tolist(), dofs.tolist())]

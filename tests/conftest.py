@@ -87,6 +87,75 @@ def assert_models_equal(a: StructuralModel, b: StructuralModel):
             assert np.array_equal(la.offset, lb.offset)
 
 
+E_STEEL = 210.0e3
+
+
+def bar_model(kind=TRUSS_LINE, length=1000.0, force=(1000.0, 0.0, 0.0)):
+    model = StructuralModel(self_weight_enabled=False)
+    model.points = [Point(id=0, coords=(0, 0, 0)), Point(id=1, coords=(length, 0, 0))]
+    model.points[0].constraint_mask[:] = True
+    if kind == TRUSS_LINE:
+        # roller: a lone truss bar has no transverse stiffness
+        model.points[1].constraint_mask[1] = True
+        model.points[1].constraint_mask[2] = True
+    model.cells = [Cell(id=0, connectivity=(0, 1), cs_id=1, mat_id=1, kind=kind)]
+    model.cross_sections[1] = CrossSection(id=1, shape=Circle(diameter=20.0))
+    model.materials[1] = Material(id=1, E=E_STEEL, nu=0.2, density=7850e-9)
+    model.bcs[1] = BoundaryConditionEntry(id=1, components=tuple(force) + (0.0, 0.0, 0.0))
+    model.points[1].bc_id = 1
+    return model
+
+
+def collinear_trusses():
+    """Two collinear trusses between fixed ends: the middle point 1 can
+    translate transversely, so its uy and uz carry no stiffness at all."""
+    model = StructuralModel(self_weight_enabled=False)
+    model.points = [
+        Point(id=0, coords=(0, 0, 0)),
+        Point(id=1, coords=(1000, 0, 0)),
+        Point(id=2, coords=(2000, 0, 0)),
+    ]
+    model.points[0].constraint_mask[:] = True
+    model.points[2].constraint_mask[:] = True
+    for i in range(2):
+        model.cells.append(
+            Cell(id=i, connectivity=(i, i + 1), cs_id=1, mat_id=1, kind=TRUSS_LINE)
+        )
+    model.cross_sections[1] = CrossSection(id=1, shape=Circle(diameter=20.0))
+    model.materials[1] = Material(id=1, E=E_STEEL, nu=0.2)
+    model.bcs[1] = BoundaryConditionEntry(id=1, components=(1000.0, 0, 0, 0, 0, 0))
+    model.points[1].bc_id = 1
+    return model
+
+
+def line_pinned_lattice():
+    """40x3x3 lattice whose only supports pin the translations of the points
+    on the x axis, so it can spin about that line; 2,040 equations."""
+    model = fp.gen_sphere_lattice(fp.LatticeSpec(nx=40, ny=3, nz=3))
+    on_line = set()
+    for p in model.points:
+        p.constraint_mask[:] = False
+        if p.coords[1] == 0.0 and p.coords[2] == 0.0:
+            p.constraint_mask[:3] = True
+            on_line.add(p.id)
+    return model, on_line
+
+
+def floating_chains():
+    """The default cantilever and two straight chains of 10 beam points
+    beside it, the first free, the second pinned by the translations of its
+    last point, so that it can still turn about that point."""
+    model = fp.gen_cantilever()
+    for k in range(2):
+        ids = [2 + 10 * k + i for i in range(10)]
+        for i, pid in enumerate(ids):
+            model.points.append(Point(id=pid, coords=(100.0 * i, 500.0 * (k + 1), 0.0)))
+        for a, b in zip(ids, ids[1:]):
+            model.cells.append(Cell(id=a, connectivity=(a, b), cs_id=2, mat_id=1))
+    model.points[-1].constraint_mask[:3] = True
+    return model
+
+
 def random_model(rng: np.random.Generator, n_points: int = 12, with_extras: bool = False,
                  with_trusses: bool = True, span: float = 1000.0) -> StructuralModel:
     """Random valid model with dense ids, mixed catalogs and loads."""

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import formpipe as fp
 from formpipe.cli import main, run_clean_pipeline, run_solve_pipeline
 
-from conftest import random_model
+from conftest import floating_chains, line_pinned_lattice, random_model
 
 
 def run(capsys, *argv):
@@ -109,6 +109,7 @@ class TestCheck:
         if case == "truss-moment":
             for cell in model.cells:
                 cell.kind = fp.TRUSS_LINE
+            model.points[2].constraint_mask[1:3] = True  # with the fixed end, all 5 motions held
             model.bcs[1].components = np.array([0.0, 0.0, -1.0, 5.0, 0.0, 0.0])
         elif case == "zero-length":
             model.points[2].coords = model.points[1].coords
@@ -149,30 +150,39 @@ class TestCheck:
         assert code == 2
         lines = [l for l in out.splitlines() if "unsupported-component" in l]
         assert len(lines) == 21
-        assert lines[0].startswith("defect [unsupported-component]: points [2, 3] carry 0")
-        assert lines[19].startswith("defect [unsupported-component]: points [40, 41] carry 0")
-        assert lines[20] == ("defect [unsupported-component]: 5 more component(s) carry "
-                             "fewer than 6 fixed DOFs")
+        assert lines[0] == ("defect [unsupported-component]: points [2, 3] have a free rigid "
+                            "motion, largest at point 2 dof ux")
+        assert lines[19] == ("defect [unsupported-component]: points [40, 41] have a free rigid "
+                             "motion, largest at point 40 dof ux")
+        assert lines[20] == ("defect [unsupported-component]: 5 more component(s) have a free "
+                             "rigid motion")
 
     def test_long_components_list_their_first_eight_points(self, capsys, tmp_path):
-        # two floating chains of 10 points, one pinned by 3 DOFs
-        model = fp.gen_cantilever()
-        for k in range(2):
-            ids = [2 + 10 * k + i for i in range(10)]
-            for i, pid in enumerate(ids):
-                model.points.append(fp.Point(id=pid, coords=(100.0 * i, 500.0 * (k + 1), 0.0)))
-            for a, b in zip(ids, ids[1:]):
-                model.cells.append(fp.Cell(id=a, connectivity=(a, b), cs_id=2, mat_id=1))
-        model.points[-1].constraint_mask[:3] = True
         path = tmp_path / "chains.vtp"
-        path.write_text(fp.write_model(model))
+        path.write_text(fp.write_model(floating_chains()))
         code, out, _ = run(capsys, "check", str(path))
         assert code == 2
         assert out.splitlines() == [
-            "defect [unsupported-component]: points [2, 3, 4, 5, 6, 7, 8, 9] carry 0 fixed "
-            "DOFs (< 6)",
-            "defect [unsupported-component]: points [12, 13, 14, 15, 16, 17, 18, 19] carry 3 "
-            "fixed DOFs (< 6)"]
+            "defect [unsupported-component]: points [2, 3, 4, 5, 6, 7, 8, 9] have a free rigid "
+            "motion, largest at point 2 dof ux",
+            "defect [unsupported-component]: points [12, 13, 14, 15, 16, 17, 18, 19] have a free "
+            "rigid motion, largest at point 12 dof uy"]
+
+    def test_line_pinned_lattice_blocks_check_and_solve_alike(self, capsys, tmp_path):
+        # pinned along the x axis, the lattice can spin about it
+        model, on_line = line_pinned_lattice()
+        path = tmp_path / "line-pinned.vtp"
+        path.write_text(fp.write_model(model))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, err) == (2, "")
+        assert out.splitlines() == [
+            "defect [unsupported-component]: points [0, 1, 2, 3, 4, 5, 6, 7] have a free rigid "
+            "motion, largest at point 2 dof uy"]
+        assert 2 not in on_line
+        code, out, err = run(capsys, "solve", str(path), str(tmp_path / "never.vtk"))
+        assert (code, out) == (2, "")
+        assert err == ("error: points [0, 1, 2, 3, 4, 5, 6, 7] have a free rigid motion, "
+                       "largest at point 2 dof uy\n")
 
     def test_non_finite_section_blocks(self, capsys, tmp_path):
         model = fp.gen_cantilever()

@@ -13,6 +13,9 @@ from scipy.sparse.csgraph import connected_components
 
 import formpipe as fp
 from formpipe.model import (
+    BEAM_LINE,
+    DOF_NAMES,
+    TRUSS_LINE,
     BoundaryConditionEntry,
     Cell,
     CellTable,
@@ -42,7 +45,8 @@ from formpipe.topology import (
     unsupported_components,
 )
 
-from conftest import random_model, soup_document, traced_peak
+from conftest import (collinear_trusses, line_pinned_lattice, random_model, soup_document,
+                      traced_peak)
 
 
 def simple_model(coords, cells, masks=None, bc_points=()):
@@ -411,6 +415,60 @@ def bfs_components_oracle(model):
     return comps
 
 
+def rotating_points(model):
+    """The ids of the points whose rotations stiffness reaches: beam and
+    rigid-link ends."""
+    rotates = {pid for c in model.cells if c.kind == BEAM_LINE for pid in c.connectivity}
+    return rotates | {pid for l in model.rigid_links for pid in (l.master, l.slave)}
+
+
+def support_oracle(model, components):
+    """The components, as sorted id lists, whose restrained slots hold fewer
+    rigid motions than the slots stiffness reaches make.  The rigid-motion
+    rows are built point by point: a translation slot d moves by
+    t_d + (theta x r)_d, a rotation slot d by theta_d, with r the arm from
+    the component's centroid in units of its RMS radius; a rotation is
+    reached at a beam or rigid-link end.  ``np.linalg.matrix_rank`` ranks
+    them, singular values above 1e-5 of the reached rows' largest."""
+    point, rotates = {p.id: p for p in model.points}, rotating_points(model)
+    flagged = []
+    for comp in components:
+        comp = sorted(comp)
+        xyz = np.array([point[pid].coords for pid in comp])
+        arms = xyz - xyz.mean(axis=0)
+        arms /= math.sqrt((arms**2).sum() / len(comp)) or 1.0
+        reached, held = [], []
+        for pid, r in zip(comp, arms):
+            for d in range(6):
+                if d < 3:
+                    row = [float(j == d) for j in range(3)]
+                    row += [float(np.cross(np.eye(3)[j], r)[d]) for j in range(3)]
+                elif pid in rotates:
+                    row = [0.0] * 3 + [float(j == d - 3) for j in range(3)]
+                else:
+                    continue
+                reached.append(row)
+                if point[pid].constraint_mask[d]:
+                    held.append(row)
+        tol = 1e-5 * np.linalg.norm(reached, 2)
+        if np.linalg.matrix_rank(np.array(held + [[0.0] * 6]), tol) < \
+                np.linalg.matrix_rank(np.array(reached), tol):
+            flagged.append(comp)
+    return sorted(flagged)
+
+
+def found_components(model):
+    """``unsupported_components`` as sorted id lists; each named point is
+    a member, and each named slot gets stiffness."""
+    found = unsupported_components(model)
+    comps = [found.members[a : a + k].tolist() for a, k in zip(found.starts, found.sizes)]
+    rotates = rotating_points(model)
+    for comp, pid, dof in zip(comps, found.point_ids.tolist(), found.dofs.tolist()):
+        assert pid in comp
+        assert dof < 3 or pid in rotates
+    return comps
+
+
 def _path(order):
     return np.stack([order[:-1], order[1:]], axis=1)
 
@@ -540,15 +598,12 @@ class TestComponentsWithRigidLinks:
     @settings(max_examples=30, deadline=None)
     def test_support_reachability_matches_bfs_oracle(self, seed):
         model, linked = linked_random_model(np.random.default_rng(seed))
-        index, masks = model.point_index(), model.points.masks
-        expected = []
-        for comp in bfs_components_oracle(linked):
-            fixed = sum(int(masks[index[pid]].sum()) for pid in comp)
-            if fixed < 6:
-                expected.append((sorted(comp), fixed))
-        expected.sort()
-        found = check_support_reachability(model)
-        assert [(f.point_ids, f.fixed_dof_count) for f in found] == expected
+        expected = support_oracle(model, bfs_components_oracle(linked))
+        assert found_components(model) == expected
+        listed = [f"points {comp[:8]}" for comp in expected[:20]]
+        listed += [f"{len(expected) - 20} more component(s)"] * (len(expected) > 20)
+        findings = check_support_reachability(model)
+        assert [f.message.partition(" have")[0] for f in findings] == listed
 
 
 # ------------------------------------------------------------- arm pruning
@@ -657,6 +712,16 @@ class TestPruneDeadArms:
 # ------------------------------------------------------------ reachability
 
 
+def truss_bar(fixed):
+    """A truss bar along x, its two points restrained in the ``fixed`` slots."""
+    model = simple_model([(0, 0, 0), (1000, 0, 0)], [(0, 1)], masks={0: fixed, 1: fixed})
+    model.cells[0].kind = TRUSS_LINE
+    return model
+
+
+PIN = [True, True, True, False, False, False]
+
+
 class TestSupportReachability:
     def test_fixed_cantilever_clean(self):
         model = simple_model([(0, 0, 0), (1000, 0, 0)], [(0, 1)], masks={0: [True] * 6})
@@ -664,19 +729,37 @@ class TestSupportReachability:
 
     def test_free_floating_line_flagged(self):
         model = simple_model([(0, 0, 0), (1000, 0, 0)], [(0, 1)])
-        findings = check_support_reachability(model)
-        assert len(findings) == 1
-        assert findings[0].fixed_dof_count == 0
+        assert [f.message for f in check_support_reachability(model)] == [
+            "points [0, 1] have a free rigid motion, largest at point 0 dof ux"]
 
     def test_single_pin_flagged(self):
-        model = simple_model(
-            [(0, 0, 0), (1000, 0, 0)],
-            [(0, 1)],
-            masks={0: [True, True, True, False, False, False]},
-        )
-        findings = check_support_reachability(model)
-        assert len(findings) == 1
-        assert findings[0].fixed_dof_count == 3
+        # the beam turns about the pin; its far end moves most
+        model = simple_model([(0, 0, 0), (1000, 0, 0)], [(0, 1)], masks={0: PIN})
+        assert [f.message for f in check_support_reachability(model)] == [
+            "points [0, 1] have a free rigid motion, largest at point 1 dof uy"]
+
+    def test_line_pinned_lattice_flagged(self):
+        # 120 fixed slots on one line leave the spin about it free
+        model, on_line = line_pinned_lattice()
+        found = unsupported_components(model)
+        assert found.sizes.tolist() == [len(model.points)]
+        assert found.point_ids[0] not in on_line
+        assert DOF_NAMES[found.dofs[0]] in ("uy", "uz")
+
+    def test_rotations_at_truss_points_hold_nothing(self):
+        model = truss_bar([False] * 3 + [True] * 3)
+        assert [f.message for f in check_support_reachability(model)] == [
+            "points [0, 1] have a free rigid motion, largest at point 0 dof ux"]
+
+    @pytest.mark.parametrize("build", [
+        lambda: truss_bar(PIN),
+        collinear_trusses,
+        lambda: simple_model([(0, 0, 0)], [], masks={0: PIN}),
+    ], ids=["pinned-truss-bar", "collinear-trusses", "lone-pinned-point"])
+    def test_every_motion_it_can_make_held(self, build):
+        # 5 motions for the trusses: a turn about their line moves no slot
+        # with stiffness; 3 for a point whose rotations nothing reaches
+        assert check_support_reachability(build()) == []
 
 
 def lattice_soup(seed):
@@ -711,13 +794,9 @@ class TestLineSoupReports:
         model = lattice_soup(seed)
         if tol is not None:
             model, _ = merge_duplicate_nodes(model, tol=tol)
-        fixed = dict(zip(model.points.ids.tolist(), model.points.masks.sum(axis=1).tolist()))
-        components = [sorted(comp) for comp in bfs_components_oracle(model)]
-        expected = [(comp, sum(fixed[pid] for pid in comp)) for comp in components]
-        expected = sorted(e for e in expected if e[1] < 6)  # by lowest id
-        found = check_support_reachability(model)
-        assert [(f.point_ids, f.fixed_dof_count) for f in found] == expected
-        assert all(type(f.fixed_dof_count) is int for f in found)
+        components = bfs_components_oracle(model)
+        expected = support_oracle(model, components)
+        assert found_components(model) == expected
         assert len(expected) < len(components)  # some components are supported
 
     @pytest.mark.parametrize("seed", range(3))
@@ -775,7 +854,7 @@ class TestOrientationPoints:
         model = aimed_cantilever()
         warnings = [f.message for f in validate(model).warnings]
         assert warnings == ["point 3 referenced by no cell"]
-        assert [f.point_ids for f in check_support_reachability(model)] == [[3]]
+        assert found_components(model) == [[3]]
         model, report = remove_detached_components(model)
         assert report.removed_components == [(0, 3)]
         assert model.points.ids.tolist() == [0, 1, 2]
