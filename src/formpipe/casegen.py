@@ -210,14 +210,15 @@ class LatticeSpec:
 _FACE_DIRS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
 
-def _resolve_occupancy(spec: LatticeSpec) -> set:
+def _resolve_occupancy(spec: LatticeSpec) -> np.ndarray:
+    """(n, 3) int64 indices of the occupied voxels, sorted lexicographically."""
     if spec.occupancy is None:
         occ = full_block_occupancy(spec.nx, spec.ny, spec.nz)
     else:
         occ = np.asarray(spec.occupancy, dtype=bool)
     if occ.ndim != 3:
         raise ValueError(f"occupancy must be a 3-D boolean array, got {occ.ndim} dimension(s)")
-    return set(map(tuple, np.argwhere(occ).tolist()))
+    return np.argwhere(occ)
 
 
 def _neighbors(voxel):
@@ -239,36 +240,37 @@ def _face_pairs(order: np.ndarray) -> np.ndarray:
     return np.stack([row, nb[row, step]], axis=1)
 
 
-def _largest_component(voxels: set) -> set:
-    """The face-connected component with the most voxels; ties go to the
-    component holding the smallest voxel."""
-    if not voxels:
-        return set()
-    order = np.array(sorted(voxels))
+def _largest_component(order: np.ndarray) -> np.ndarray:
+    """The rows of the sorted (n, 3) voxel array ``order`` in its face-connected
+    component with the most voxels, still sorted; ties go to the component
+    holding the smallest voxel."""
+    if not len(order):
+        return order
     count, labels = _component_labels(len(order), _face_pairs(order))
-    best = np.argmax(np.bincount(labels, minlength=count))
-    return set(map(tuple, order[labels == best].tolist()))
+    return order[labels == np.argmax(np.bincount(labels, minlength=count))]
 
 
-def _peel_stable_body(voxels: set, k_base: int) -> set:
-    """Remove voxels the dead-arm peel would take, so injected arms are the
-    only pendant material.  Base-plane voxels are protected like supports."""
-    order = np.array(sorted(voxels))
+def _peel_stable_body(order: np.ndarray, k_base: int) -> np.ndarray:
+    """The rows of the sorted (n, 3) voxel array ``order`` that the dead-arm
+    peel keeps, still sorted, so injected arms are the only pendant material.
+    Base-plane voxels are protected like supports."""
     alive, _ = _peel(len(order), _face_pairs(order), order[:, 2] == k_base, 2)
-    return set(map(tuple, order[alive].tolist()))
+    return order[alive]
 
 
-def _inject_defects(body: set, spec: LatticeSpec, rng) -> set:
-    """Grow pendant arm chains off the body and detached splash chains until
-    the junk reaches splash_fraction of all elements.  Every junk voxel
-    touches only its chain predecessor, so removal recovers exactly."""
-    occupied = set(body)
+def _inject_defects(body: np.ndarray, spec: LatticeSpec, rng) -> np.ndarray:
+    """The sorted (n, 3) voxel array ``body`` with pendant arm chains grown
+    off it and detached splash chains, as one sorted array, once the junk
+    reaches splash_fraction of all elements.  Every junk voxel touches only
+    its chain predecessor, so removal recovers exactly."""
+    body_list = list(map(tuple, body.tolist()))  # tuples: ``admissible`` compares them
+    occupied = set(body_list)
+    junk = []
     junk_cells = 0
-    body_cells = len(_face_pairs(np.array(sorted(body))))
-    k_min = min(v[2] for v in body)
-    body_list = sorted(body)
-    lo = np.array(body_list).min(axis=0) - 5
-    hi = np.array(body_list).max(axis=0) + 5
+    body_cells = len(_face_pairs(body))
+    k_min = int(body[:, 2].min())
+    lo = body.min(axis=0) - 5
+    hi = body.max(axis=0) + 5
     target = spec.splash_fraction
 
     def admissible(candidate, predecessor):
@@ -294,7 +296,7 @@ def _inject_defects(body: set, spec: LatticeSpec, rng) -> set:
         return chain
 
     if target * body_cells < 0.5:  # too small to round to a single element
-        return occupied
+        return body
     make_arm = True
     attempts = 0
     while junk_cells < target * (body_cells + junk_cells) and attempts < 20000:
@@ -304,6 +306,7 @@ def _inject_defects(body: set, spec: LatticeSpec, rng) -> set:
             anchor = body_list[int(rng.integers(len(body_list)))]
             chain = grow_chain(anchor, int(rng.integers(2, 6)))
             if chain:
+                junk += chain
                 junk_cells += len(chain)  # anchor link plus chain-internal links
                 make_arm = False
         else:
@@ -315,29 +318,23 @@ def _inject_defects(body: set, spec: LatticeSpec, rng) -> set:
             if not chain:  # lone voxel would carry no cells; drop it
                 occupied.discard(start)
                 continue
+            junk += [start] + chain
             junk_cells += len(chain)
             make_arm = True
-    return occupied
+    voxels = np.concatenate([body, np.array(junk, dtype=np.int64).reshape(-1, 3)])
+    return voxels[np.lexsort(voxels.T[::-1])]
 
 
 def gen_sphere_lattice(spec: LatticeSpec = LatticeSpec()) -> StructuralModel:
-    voxels = _resolve_occupancy(spec)
-    if not voxels:
+    order = _resolve_occupancy(spec)
+    if not len(order):
         raise ValueError("lattice occupancy is empty")
-
     if spec.splash_fraction > 0.0:
-        body = _largest_component(voxels)
-        body = _peel_stable_body(body, min(v[2] for v in body))
-        body = _largest_component(body)
-        if not body:
-            raise ValueError("lattice body vanished while stabilising it")
-        rng = np.random.default_rng(spec.seed)
-        voxels = _inject_defects(body, spec, rng)
-        k_base = min(v[2] for v in body)
-    else:
-        k_base = min(v[2] for v in voxels)
+        body = _largest_component(order)
+        body = _largest_component(_peel_stable_body(body, body[:, 2].min()))
+        order = _inject_defects(body, spec, np.random.default_rng(spec.seed))
+    k_base = order[:, 2].min()  # junk lies above the body's lowest plane
 
-    order = np.array(sorted(voxels))
     ends = _face_pairs(order)
     d = spec.ball_diameter
     base = np.repeat(order[:, 2:] == k_base, 6, axis=1)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,16 @@ class TestLatticeGenerator:
         with pytest.raises(ValueError):
             fp.LatticeSpec(splash_fraction=0.2)
 
+    def test_non_positive_ball_diameter_rejected(self):
+        with pytest.raises(ValueError, match="^ball diameter must be positive$"):
+            fp.LatticeSpec(ball_diameter=0.0)
+
+    def test_two_dimensional_occupancy_rejected(self):
+        spec = fp.LatticeSpec(occupancy=np.ones((3, 3), dtype=bool))
+        with pytest.raises(ValueError, match=r"^occupancy must be a 3-D boolean array, "
+                                             r"got 2 dimension\(s\)$"):
+            fp.gen_sphere_lattice(spec)
+
     def test_generated_models_validate(self):
         for model in (
             fp.gen_sphere_lattice(fp.LatticeSpec(nx=4, ny=2, nz=3)),
@@ -181,6 +193,26 @@ class TestLatticeGenerator:
             ),
         ):
             assert validate(model).ok
+
+
+@pytest.mark.parametrize("shape, thickness, digest", [
+    ((80, 8, 40), 3.5, "08c82a0d19751ade83892836e1d8042a0b8b80ac067887efd1c5b5ddc93adaad"),
+    ((50, 5, 24), 3.5, "ca283cdfc3b2530f527711c5aa65a3694c3b7d7baa11b22d7b2d5abe6a3ebd0c"),
+    ((20, 20, 20), None, "3113dc92132dd024304c2baf717f1eebf902287bfcb84dfceec4ac3ed0656afd"),
+], ids=["arch-80x8x40", "arch-50x5x24", "block-20"])
+def test_benchmark_lattices_are_pinned(shape, thickness, digest):
+    """The benchmark's input models, as ``gen lattice`` writes them at seed 0:
+    a generator or writer change that moves them fails here."""
+    occupancy = None if thickness is None else fp.arch_occupancy(*shape, thickness=thickness)
+    nx, ny, nz = shape
+    spec = fp.LatticeSpec(occupancy=occupancy, nx=nx, ny=ny, nz=nz, splash_fraction=0.01, seed=0)
+    text = fp.write_model(fp.gen_sphere_lattice(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def as_array(voxels):
+    """The voxel set as the sorted (n, 3) int64 array the helpers take."""
+    return np.array(sorted(voxels), dtype=np.int64).reshape(-1, 3)
 
 
 def largest_component_oracle(voxels):
@@ -211,9 +243,10 @@ class TestLargestComponent:
         ell = {(3, 0, 0), (4, 0, 0), (4, 1, 0)}
         diagonal = {(9, 9, 9), (10, 10, 10), (11, 11, 11)}  # edge-only contacts: 3 singletons
         voxels = rod | ell | diagonal
-        assert _largest_component(voxels) == rod == largest_component_oracle(voxels)
-        assert _largest_component(ell | diagonal) == ell
-        assert _largest_component(set()) == set()
+        assert np.array_equal(_largest_component(as_array(voxels)), as_array(rod))
+        assert rod == largest_component_oracle(voxels)
+        assert np.array_equal(_largest_component(as_array(ell | diagonal)), as_array(ell))
+        assert np.array_equal(_largest_component(as_array(set())), as_array(set()))
 
     def test_matches_bfs_oracle_on_random_voxel_sets(self):
         rng = np.random.default_rng(4)
@@ -223,7 +256,8 @@ class TestLargestComponent:
                 tuple(int(v) for v in rng.integers(-extent, extent, size=3))
                 for _ in range(int(rng.integers(1, 40)))
             }
-            assert _largest_component(voxels) == largest_component_oracle(voxels)
+            assert np.array_equal(_largest_component(as_array(voxels)),
+                                  as_array(largest_component_oracle(voxels)))
 
 
 def peel_stable_body_oracle(voxels, k_base, max_degree=2):
@@ -248,4 +282,5 @@ def test_peel_stable_body_matches_sweep_oracle():
     for _ in range(200):
         voxels = set(map(tuple, rng.integers(0, 5, size=(int(rng.integers(1, 90)), 3)).tolist()))
         k_base = min(v[2] for v in voxels)
-        assert _peel_stable_body(voxels, k_base) == peel_stable_body_oracle(voxels, k_base)
+        assert np.array_equal(_peel_stable_body(as_array(voxels), k_base),
+                              as_array(peel_stable_body_oracle(voxels, k_base)))

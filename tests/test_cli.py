@@ -96,6 +96,63 @@ class TestCheck:
         assert (code, out) == (3, "")
         assert re.fullmatch(f"error: malformed document: {message}\n", err)
 
+    @pytest.mark.parametrize("old, new, message", [
+        (" Circle width 20.0 ", " Rectangle width 1.0 height 2.0 refNode x 0 ",
+         "unparseable catalog item (cross-section): refNode axis 'x'"),
+        (" Circle width 20.0 ", " Circle ", "unparseable catalog item (cross-section): "
+         "Circle needs width"),
+        (" Circle width 20.0 ", " Rectangle width 1.0 ",
+         "unparseable catalog item (cross-section): Rectangle needs width and height"),
+        (" Circle width 20.0 ", " Generic A 1.0 Iz 2.0 ", "unparseable catalog item "
+         "(cross-section): Generic missing ['Iy', 'J', 'Wt', 'Wy', 'Wz']"),
+        (" Circle width 20.0 ", " Hexagon width 20.0 ",
+         "unparseable catalog item (cross-section): kind 'Hexagon'"),
+        (" IsoLinEl ", " Orthotropic ", "unparseable catalog item (material): kind 'Orthotropic'"),
+        (" nu 0.2 ", " ", "unparseable catalog item (material): needs E and nu"),
+        (" NodalLoad ", " PointLoad ",
+         "unparseable catalog item (boundary condition): kind 'PointLoad'"),
+        (" components 6 ", " values 6 ",
+         "unparseable catalog item (boundary condition): expected 'components'"),
+        (" components 6 ", " components 3 ",
+         "unparseable catalog item (boundary condition): expected 6 components, got 3"),
+        (" 0 RigidLink master 0 slave 1 ", " 0 Spring master 0 slave 1 ",
+         "unparseable catalog item (rigid link): kind 'Spring'"),
+        (" 0 RigidLink master 0 slave 1 ", " 0 RigidLink master 0 slave 1 stiffness 5 ",
+         "unparseable catalog item (rigid link): key 'stiffness'"),
+        (" 0 RigidLink master 0 slave 1 ", " 0 RigidLink master 0 ",
+         "unparseable catalog item (rigid link): needs master and slave"),
+        ('<CROSS-SECTIONS Number="1">', '<CROSS-SECTIONS Number="one">',
+         "CROSS-SECTIONS: bad Number attribute 'one'"),
+        ('"connectivity">\n          0 1\n', '"connectivity">\n          0 1 1\n',
+         "connectivity length 3 does not match final offset 2"),
+        ("Piece", "Part", "missing PolyData/Piece element"),
+        ('NumberOfPoints="2"', 'NumberOfPoints="two"',
+         "bad Piece counts: invalid literal for int() with base 10: 'two'"),
+        ('NumberOfLines="1"', 'NumberOfLines="-1"', "Piece counts must be non-negative"),
+        ("Points>", "Nodes>", "point coordinates: expected 2 points, got 0"),
+        ('"offsets">\n          2\n', '"offsets">\n          2 4\n',
+         "offsets: expected 1 entries, got 2"),
+        ("CellData", "CellInfo", "missing CellData with ID_CROSS-SECTION / ID_MATERIAL"),
+        ('"connectivity">\n          0 1\n', '"connectivity">\n          0 5\n',
+         "cell 0 references point outside 0..1"),
+    ], ids=["ref-node-axis", "circle-width", "rectangle-height", "generic-missing",
+            "section-kind", "material-kind", "material-nu", "load-kind", "load-components",
+            "load-count", "link-kind", "link-key", "link-slave", "catalog-number",
+            "connectivity-length", "piece", "piece-counts", "negative-count", "point-count",
+            "offset-count", "cell-data", "point-outside"])
+    def test_refused_document_is_one_error_line(self, capsys, tmp_path, cantilever_file, old,
+                                                new, message):
+        """Each refusal of the exchange reader ends ``check`` with exit 3 and
+        one ``error:`` line; the rigid-link cases add a link catalog first."""
+        text = cantilever_file.read_text().replace(
+            "</BOUNDARY_CONDITIONS>", "</BOUNDARY_CONDITIONS>\n      <RIGID_LINKS Number=\"1\">"
+            " <item> 0 RigidLink master 0 slave 1 </item> </RIGID_LINKS>")
+        assert fp.parse_model(text).rigid_links and old in text
+        path = tmp_path / "refused.vtp"
+        path.write_text(text.replace(old, new))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("case, words", [
         ("truss-moment", "moment load on rotation-free point 2 (rx)"),
         ("parallel-reference", "reference direction is parallel to the element axis"),
@@ -622,8 +679,11 @@ class TestGen:
         # two stations on one point: a cell that check would report and no solve takes
         (["leonardo", "--span", "9.210557363759072e-267", "--height", "1", "--n-segments", "3"],
          "zero-length cell 1\n"),
+        # a negative wall thickness leaves the arch no voxel
+        (["lattice", "--nx", "5", "--ny", "2", "--nz", "3", "--shape", "arch",
+          "--thickness", "-1"], "lattice occupancy is empty\n"),
     ], ids=["length", "span", "diameter", "tip-force", "sub-tolerance-length", "lattice-size",
-            "collapsed-cell"])
+            "collapsed-cell", "empty-lattice"])
     def test_spec_that_overflows_is_one_error_line(self, capsys, tmp_path, argv, message):
         dst = tmp_path / "never.vtp"
         code, out, err = run(capsys, "gen", argv[0], str(dst), *argv[1:])
@@ -908,12 +968,15 @@ _HUGE_SECTION = "cross-section 2: section properties must be finite"
     (" Circle width 20.0 ", " Rectangle width 1.0 height 5.7e102 ",
      f"[invalid-catalog]: {_HUGE_SECTION}",
      f"model does not validate (1 defects; first: {_HUGE_SECTION})"),
-], ids=["modulus", "load", "density", "circle", "rectangle"])
+    (" -264.777 ", " nan ", "[non-finite]: load 1 has non-finite components",
+     "model does not validate (1 defects; first: load 1 has non-finite components)"),
+], ids=["modulus", "load", "density", "circle", "rectangle", "nan-load"])
 def test_overflowing_input_is_one_error_line(tmp_path, cantilever_file, old, new, defect,
                                              message):
     """Finite inputs whose stiffness, load, self-weight or section properties
-    overflow are a defect to ``check`` and end ``solve`` in one named error
-    line, with no numpy warning or traceback on stderr before either."""
+    overflow, and a load that reads nan, are a defect to ``check`` and end
+    ``solve`` in one named error line, with no numpy warning or traceback on
+    stderr before either."""
     src = tmp_path / "big.vtp"
     text = cantilever_file.read_text()
     assert old in text
