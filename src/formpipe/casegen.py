@@ -205,6 +205,10 @@ class LatticeSpec:
             raise ValueError("splash_fraction must lie in [0, 0.1]")
         if self.ball_diameter <= 0:
             raise ValueError("ball diameter must be positive")
+        if min(self.nx, self.ny, self.nz) < 1:
+            raise ValueError("lattice nx, ny and nz must be at least 1")
+        if self.seed < 0:
+            raise ValueError("lattice seed must be non-negative")
 
 
 _FACE_DIRS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))

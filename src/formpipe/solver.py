@@ -386,20 +386,15 @@ def _coupled(k: np.ndarray, dm: DofMap, end_link: np.ndarray) -> np.ndarray:
 def assemble(model: StructuralModel, *, check_supports: bool = True):
     """Assemble the reduced stiffness and load vector.
 
-    Requires a model that validates cleanly and then shows none of the
-    ``solvability_findings``, of which it raises the first as SolverError;
-    without ``check_supports`` components that lack supports pass.  The
-    ``overflow`` findings of ``validate`` are left to the check here, which
-    also sees the sums of assembly: a stiffness or load vector whose norm
-    is not finite raises SolverError naming it.  Returns
-    ``(LinearSystem, DofMap)``.
+    Raises SolverError with the message of the first defect that ``check``
+    reports: the first of ``validate``'s defects, else of the
+    ``solvability_findings``; without ``check_supports`` components that
+    lack supports pass.  A model whose every term is finite can still sum to
+    a stiffness or load vector whose norm is not: that raises SolverError
+    naming it.  Returns ``(LinearSystem, DofMap)``.
     """
-    defects = [f for f in validate(model).defects if f.kind != "overflow"]
-    if defects:
-        first = defects[0].message
-        raise SolverError(f"model does not validate ({len(defects)} defects; first: {first})")
-    raise_first([f for f in solvability_findings(model)
-                 if check_supports or f.kind != "unsupported-component"], SolverError)
+    raise_first(validate(model).defects or [f for f in solvability_findings(model) if
+                check_supports or f.kind != "unsupported-component"], SolverError)
 
     dm = build_dof_map(model)
     n_eq, n_fixed = dm.n_eq, dm.n_fixed
@@ -710,8 +705,9 @@ def _mechanism(system: LinearSystem) -> MechanismError | None:
 
 
 def _fail(system: LinearSystem, message: str):
-    """The one exit of a failed solve: the MechanismError of ``_mechanism``
-    when K has a mechanism, else SolverError(message)."""
+    """The exit of a failed solve: the MechanismError of ``_mechanism`` when
+    K has a mechanism, else SolverError(message).  PCG's iteration limit
+    asks ``_mechanism`` the same way before its ConvergenceError."""
     raise _mechanism(system) or SolverError(message)
 
 
@@ -796,10 +792,11 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
     negative diagonal entry fails the solve at once, as a failed direct
     factor does.  Converges on the relative preconditioned residual
     sqrt(r' M^-1 r) measured against the initial one; raises
-    ConvergenceError if max_iter (default 10 * n_eq) is exhausted.  The
-    name is kept from the incomplete Cholesky preconditioner PCG once ran
-    on: the acceptance tests, ``perfbench/spans.py`` and the benchmark
-    metric ``solver.solve_pcg_ichol_s`` call the function by it.
+    ConvergenceError if max_iter (default 10 * n_eq) is exhausted and K
+    shows no mechanism.  The name is kept from the incomplete Cholesky
+    preconditioner PCG once ran on: the acceptance tests,
+    ``perfbench/spans.py`` and the benchmark metric
+    ``solver.solve_pcg_ichol_s`` call the function by it.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"PCG tolerance must lie in (0, 1), got {tol:g}")
@@ -852,7 +849,7 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
         p = z + (rz_new / rz) * p
         rz = rz_new
     else:
-        raise ConvergenceError(
+        raise _mechanism(system) or ConvergenceError(
             f"PCG did not reach tol={tol:g} within {max_iter} iterations "
             f"(residual {relres:.3e})"
         )

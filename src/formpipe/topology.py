@@ -306,8 +306,6 @@ def remove_detached_components(model: StructuralModel):
     Ties break towards the component containing the lowest point id.  The
     report lists removed components as (cell count, representative point).
     """
-    if not len(model.points):
-        raise TopologyError("cannot locate the main body of an empty model")
     count, labels, first_ends, structure = _components(model)
     report = RepairReport()
     if np.count_nonzero(structure) <= 1:

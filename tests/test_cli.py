@@ -251,7 +251,7 @@ class TestCheck:
         assert "defect [invalid-catalog]: cross-section 2: section properties must be finite" in out
         code, _, err = run(capsys, "solve", str(path), str(tmp_path / "never.vtk"))
         assert code == 2
-        assert err.startswith("error: model does not validate") and "Warning" not in err
+        assert err == "error: cross-section 2: section properties must be finite\n"
 
     @pytest.mark.parametrize("ref, line", [
         ("500", "defect [dangling-reference]: cross-section 2 references missing point 500"),
@@ -267,7 +267,7 @@ class TestCheck:
         assert line in out.splitlines()
         code, _, err = run(capsys, "solve", str(path), str(tmp_path / "never.vtk"))
         assert code == 2
-        assert err.startswith("error: model does not validate")
+        assert err == f"error: {line.partition(']: ')[2]}\n"
         if "missing point" in line:
             # clean's streamed writer refuses the model before it makes a file
             dst = tmp_path / "never.vtp"
@@ -286,7 +286,7 @@ class TestCheck:
         assert run(capsys, "check", str(path)) == (2, f"defect [rigid-link-conflict]: {line}\n", "")
         code, _, err = run(capsys, "solve", str(path), str(tmp_path / "never.vtk"))
         assert code == 2
-        assert err == f"error: model does not validate (1 defects; first: {line})\n"
+        assert err == f"error: {line}\n"
 
 
 def aimed_frame(case):
@@ -682,8 +682,14 @@ class TestGen:
         # a negative wall thickness leaves the arch no voxel
         (["lattice", "--nx", "5", "--ny", "2", "--nz", "3", "--shape", "arch",
           "--thickness", "-1"], "lattice occupancy is empty\n"),
+        (["lattice", "--nx", "-2"], "lattice nx, ny and nz must be at least 1\n"),
+        (["lattice", "--nx", "-2", "--shape", "arch"],
+         "lattice nx, ny and nz must be at least 1\n"),
+        (["lattice", "--seed", "-1", "--splash-fraction", "0.05"],
+         "lattice seed must be non-negative\n"),
     ], ids=["length", "span", "diameter", "tip-force", "sub-tolerance-length", "lattice-size",
-            "collapsed-cell", "empty-lattice"])
+            "collapsed-cell", "empty-lattice", "negative-size", "negative-arch-size",
+            "negative-seed"])
     def test_spec_that_overflows_is_one_error_line(self, capsys, tmp_path, argv, message):
         dst = tmp_path / "never.vtp"
         code, out, err = run(capsys, "gen", argv[0], str(dst), *argv[1:])
@@ -757,6 +763,18 @@ class TestComposition:
         assert code == 0
         assert err == ""
         assert out
+
+    def test_every_command_takes_the_empty_model(self, capsys, tmp_path):
+        src = tmp_path / "empty.vtp"
+        src.write_text(fp.write_model(fp.StructuralModel()))
+        assert run(capsys, "check", str(src)) == (0, "model is clean\n", "")
+        code, _, err = run(capsys, "clean", str(src), str(tmp_path / "clean.vtp"))
+        assert (code, err) == (0, "")
+        assert (tmp_path / "clean.vtp").read_bytes() == src.read_bytes()
+        for solver in ("direct", "pcg"):
+            code, _, err = run(capsys, "solve", str(src), str(tmp_path / "r.vtk"),
+                               "--solver", solver)
+            assert (code, err) == (0, "")
 
     def test_solve_pipeline_reads_self_weight_from_the_model(self):
         weightless = fp.gen_cantilever()
@@ -948,35 +966,28 @@ def test_poisson_ratio_out_of_range_is_a_defect(capsys, tmp_path, cantilever_fil
     assert (code, out) == (2, f"defect [invalid-catalog]: {message}\n")
     code, out, err = run(capsys, "solve", str(src), str(tmp_path / "r.vtk"))
     assert (code, out) == (2, "")
-    assert err == f"error: model does not validate (1 defects; first: {message})\n"
+    assert err == f"error: {message}\n"
 
 
 _HUGE_SECTION = "cross-section 2: section properties must be finite"
 
 
-@pytest.mark.parametrize("old, new, defect, message", [
-    (" E 210000.0 ", " E 1e308 ", "[overflow]: cell 0 stiffness overflows double precision",
-     "stiffness matrix overflows double precision"),
-    (" -264.777 ", " 1e308 ", "[overflow]: load 1 overflows double precision",
-     "load vector overflows double precision"),
+@pytest.mark.parametrize("old, new, defect", [
+    (" E 210000.0 ", " E 1e308 ", "[overflow]: cell 0 stiffness overflows double precision"),
+    (" -264.777 ", " 1e308 ", "[overflow]: load 1 overflows double precision"),
     (" density 7.85e-06 ", " density 1e305 ",
-     "[overflow]: cell 0 self-weight overflows double precision",
-     "load vector overflows double precision"),
+     "[overflow]: cell 0 self-weight overflows double precision"),
     # d**4 and h**3 raise OverflowError where a product would give inf
-    (" Circle width 20.0 ", " Circle width 1.2e77 ", f"[invalid-catalog]: {_HUGE_SECTION}",
-     f"model does not validate (1 defects; first: {_HUGE_SECTION})"),
+    (" Circle width 20.0 ", " Circle width 1.2e77 ", f"[invalid-catalog]: {_HUGE_SECTION}"),
     (" Circle width 20.0 ", " Rectangle width 1.0 height 5.7e102 ",
-     f"[invalid-catalog]: {_HUGE_SECTION}",
-     f"model does not validate (1 defects; first: {_HUGE_SECTION})"),
-    (" -264.777 ", " nan ", "[non-finite]: load 1 has non-finite components",
-     "model does not validate (1 defects; first: load 1 has non-finite components)"),
+     f"[invalid-catalog]: {_HUGE_SECTION}"),
+    (" -264.777 ", " nan ", "[non-finite]: load 1 has non-finite components"),
 ], ids=["modulus", "load", "density", "circle", "rectangle", "nan-load"])
-def test_overflowing_input_is_one_error_line(tmp_path, cantilever_file, old, new, defect,
-                                             message):
+def test_overflowing_input_is_one_error_line(tmp_path, cantilever_file, old, new, defect):
     """Finite inputs whose stiffness, load, self-weight or section properties
     overflow, and a load that reads nan, are a defect to ``check`` and end
-    ``solve`` in one named error line, with no numpy warning or traceback on
-    stderr before either."""
+    ``solve`` in one error line with the defect's message, with no numpy
+    warning or traceback on stderr before either."""
     src = tmp_path / "big.vtp"
     text = cantilever_file.read_text()
     assert old in text
@@ -987,7 +998,42 @@ def test_overflowing_input_is_one_error_line(tmp_path, cantilever_file, old, new
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, f"defect {defect}\n", "")
     proc = subprocess.run([sys.executable, "-m", "formpipe.cli", "solve", str(src),
                            str(tmp_path / "r.vtk")], env=env, capture_output=True, text=True)
+    message = defect.partition("]: ")[2]
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def _sum_overflows(case):
+    """A two-beam cantilever whose every term is finite and whose assembled
+    sum is not: the middle point's two 12EI/L^3 terms, each about 1e308, or
+    the loads of 1e154 on points 1 and 2 in the load vector's 2-norm."""
+    if case == "stiffness":
+        model = fp.gen_cantilever(fp.CantileverSpec(n_elements=2, length=0.928))
+        model.materials[1].E = 1.06e302
+    else:
+        model = fp.gen_cantilever(fp.CantileverSpec(n_elements=2, tip_force=1e154))
+        model.points[1].bc_id = 1
+    return model
+
+
+@pytest.mark.parametrize("case, message", [
+    ("stiffness", "stiffness matrix overflows double precision"),
+    ("load", "load vector overflows double precision"),
+])
+def test_overflowing_sum_is_one_error_line(tmp_path, case, message):
+    """``check`` passes a model whose sums alone overflow; ``solve`` names
+    the sum in one error line under both solvers, with nothing else on
+    stderr."""
+    src = tmp_path / "sum.vtp"
+    src.write_text(fp.write_model(_sum_overflows(case)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fp.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "formpipe.cli", "check", str(src)], env=env,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "model is clean\n", "")
+    for solver in ("direct", "pcg"):
+        proc = subprocess.run([sys.executable, "-m", "formpipe.cli", "solve", str(src),
+                               str(tmp_path / "r.vtk"), "--solver", solver],
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
 
 def test_check_reads_a_pipe(cantilever_file):

@@ -259,7 +259,7 @@ class TestAssembly:
     def test_invalid_model_refused(self):
         model = bar_model()
         model.cells[0].connectivity = (0, 99)
-        with pytest.raises(SolverError, match="validate"):
+        with pytest.raises(SolverError, match="^cell 0 references missing point 99$"):
             assemble(model)
 
     def test_zero_length_cell_refused(self):
@@ -489,11 +489,14 @@ class TestDirectSolver:
 
     @pytest.mark.parametrize("method", ["direct", "pcg"])
     def test_mechanism_names_offending_dof(self, method):
-        system, _ = assemble(collinear_trusses())
-        with pytest.raises(MechanismError, match="mechanism") as err:
-            solve_direct(system) if method == "direct" else solve_pcg_ichol(system)
-        assert err.value.point_id == 1
-        assert err.value.dof in ("uy", "uz")
+        # PCG meets the swinging tie's mechanism at its iteration limit
+        for model, point, dofs in [(collinear_trusses(), 1, ("uy", "uz")),
+                                   (swinging_tie(), 9, ("uy",))]:
+            system, _ = assemble(model)
+            with pytest.raises(MechanismError, match="mechanism") as err:
+                solve_direct(system) if method == "direct" else solve_pcg_ichol(system)
+            assert err.value.point_id == point
+            assert err.value.dof in dofs
 
 
 class TestMechanismLocation:
@@ -535,6 +538,21 @@ class TestGlobalMechanism:
         with pytest.raises(SolverError, match="^no mechanism here$") as err:
             _fail(system, "no mechanism here")
         assert type(err.value) is SolverError
+
+
+def swinging_tie():
+    """The two-beam cantilever without self-weight and a loaded point 9 tied
+    by trusses to its points 1 and 2: point 9 can swing about the line
+    through them, while the clamp holds every rigid motion, so ``check``
+    passes the model."""
+    model = fp.gen_cantilever(fp.CantileverSpec(n_elements=2))
+    model.self_weight_enabled = False
+    model.points.append(Point(id=9, coords=(750.0, 300.0, 400.0), bc_id=2))
+    model.bcs[2] = BoundaryConditionEntry(id=2, components=(100.0, 100.0, 100.0, 0, 0, 0))
+    for cid, end in ((2, 1), (3, 2)):
+        model.cells.append(Cell(id=cid, connectivity=(end, 9), cs_id=2, mat_id=1,
+                                kind=TRUSS_LINE))
+    return model
 
 
 def bare_system(K, f):

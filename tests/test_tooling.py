@@ -1,6 +1,6 @@
 """The pytest settings in pyproject.toml, run on a probe suite in a
-subprocess, the README's code examples, run as written, and the support
-findings of ``check`` against the errors of ``solve`` on the fixture models."""
+subprocess, the README's code examples, run as written, and the defects of
+``check`` against the errors of ``solve`` on the fixture models."""
 
 import re
 import subprocess
@@ -93,3 +93,69 @@ def test_check_and_solve_agree_on_supports(case, tmp_path, capsys):
         assert (code, err) == (2, f"error: {support[0]}\n")
     else:
         assert "rigid motion" not in err
+
+
+def edited_cantilever(edit=lambda model: None, old="", new=""):
+    """A builder of the default cantilever that ``edit`` changes in place and
+    whose file text then has ``old`` replaced by ``new``."""
+    def build():
+        model = fp.gen_cantilever()
+        edit(model)
+        text = fp.write_model(model)
+        assert old in text
+        return text.replace(old, new)
+    return build
+
+
+def aimed_section(model):
+    model.cross_sections[2] = fp.CrossSection(id=2, shape=fp.Rectangle(20.0, 30.0, "z", -3))
+
+
+def infinite_section(model):
+    model.cross_sections[2] = fp.CrossSection(id=2, shape=fp.Circle(diameter=float("inf")))
+
+
+def supported_slave(model):
+    model.points.append(fp.Point(id=2, coords=(1000.0, 50.0, 0.0)))
+    model.rigid_links.append(fp.RigidLink(master=1, slave=2))
+    model.points[2].constraint_mask[0] = True
+
+
+# files that check refuses for a defect of validate's
+REFUSED_CASES = {
+    **{f"nu{nu}": edited_cantilever(old=" nu 0.2 ", new=f" nu {nu} ")
+       for nu in ("-1.0", "-1.5", "0.6")},
+    **{f"refNode{ref}": edited_cantilever(aimed_section, "refNode z -3", f"refNode z {ref}")
+       for ref in ("500", "-4")},
+    "infinite-section": edited_cantilever(infinite_section),
+    "supported-slave": edited_cantilever(supported_slave),
+    "modulus-overflow": edited_cantilever(old=" E 210000.0 ", new=" E 1e308 "),
+    "load-overflow": edited_cantilever(old=" -264.777 ", new=" 1e308 "),
+    "density-overflow": edited_cantilever(old=" density 7.85e-06 ", new=" density 1e305 "),
+    "circle-overflow": edited_cantilever(old=" Circle width 20.0 ", new=" Circle width 1.2e77 "),
+    "rectangle-overflow": edited_cantilever(old=" Circle width 20.0 ",
+                                            new=" Rectangle width 1.0 height 5.7e102 "),
+    "nan-load": edited_cantilever(old=" -264.777 ", new=" nan "),
+}
+
+
+@pytest.mark.parametrize("case", list(SUPPORT_CASES) + list(REFUSED_CASES))
+def test_solve_refuses_with_checks_first_defect(case, tmp_path, capsys):
+    """Wherever ``check`` exits 2, ``solve`` exits 2 under both solvers with
+    ``error: M``, where ``defect [kind]: M`` is the first defect line of
+    ``check``."""
+    path = tmp_path / "model.vtp"
+    if case in SUPPORT_CASES:
+        path.write_text(fp.write_model(SUPPORT_CASES[case][0]()))
+    else:
+        path.write_text(REFUSED_CASES[case]())
+    code = main(["check", str(path)])
+    defects = [line.partition("]: ")[2] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("defect [")]
+    assert (code == 2) == bool(defects)
+    assert code == 2 or case in SUPPORT_CASES
+    if code != 2:
+        return
+    for solver in ("direct", "pcg"):
+        code = main(["solve", str(path), str(tmp_path / "results.vtk"), "--solver", solver])
+        assert (code, capsys.readouterr().err) == (2, f"error: {defects[0]}\n")

@@ -534,9 +534,10 @@ class TestRemoveDetachedComponents:
         assert not report.removed_components
         assert len(model.points) == before
 
-    def test_empty_model_rejected(self):
-        with pytest.raises(TopologyError):
-            remove_detached_components(StructuralModel())
+    def test_empty_model_passes_through(self):
+        model, report = remove_detached_components(StructuralModel())
+        assert not report.removed_components
+        assert len(model.points) == len(model.cells) == 0
 
     @given(seed=st.integers(min_value=0, max_value=5000))
     @settings(max_examples=30, deadline=None)
