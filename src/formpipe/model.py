@@ -188,6 +188,12 @@ def _column(k, doc):
     return property(lambda self: self._cols[k][: self._n], doc=doc)
 
 
+# Ascending point ids are looked up in a table over their span while it
+# holds at most this many entries per point and id looked up; beyond that a
+# binary search costs less than filling the table
+_DENSE_SPAN = 4
+
+
 class PointTable(_Table):
     """Point columns: ids (n,), coords (n, 3), support masks (n, 6) and load ids (n,)."""
 
@@ -201,7 +207,10 @@ class PointTable(_Table):
 
     def positions(self, ids) -> np.ndarray:
         """Row of each of ``ids`` (the last of equal ids, as a dict from id to
-        row would give), -1 where no point has that id."""
+        row would give), -1 where no point has that id.  Ascending ids over a
+        span of at most ``_DENSE_SPAN`` times n plus the ids looked up, as
+        every repair leaves them, are read from a table over that span; any
+        other ids are searched."""
         ids, own = np.asarray(ids, dtype=np.int64), self.ids
         n = len(own)
         if not n:
@@ -209,6 +218,12 @@ class PointTable(_Table):
         sort = np.any(own[1:] <= own[:-1])
         if not sort and own[0] == 0 and own[-1] == n - 1:  # ids 0..n-1, as parse_model gives
             return np.where((ids >= 0) & (ids < n), ids, -1)
+        low, span = own[0], int(own[-1]) - int(own[0]) + 1
+        if not sort and span <= _DENSE_SPAN * (n + ids.size):
+            table = np.full(span, -1)
+            table[own - low] = np.arange(n)
+            inside = (ids >= low) & (ids <= own[-1])
+            return np.where(inside, table[np.where(inside, ids - low, 0)], -1)
         order = np.argsort(own, kind="stable") if sort else np.arange(n)
         pos = np.searchsorted(own[order], ids, side="right") - 1
         return np.where((pos >= 0) & (own[order[pos]] == ids), order[pos], -1)

@@ -139,13 +139,23 @@ class DofMap:
     coupling: np.ndarray  # (k, 6, 6): identity, with column j of [:3, 3:] e_j x r
 
 
+# Stored entries per run of whole rows in ``CsrArrays`` products and row
+# sums: a run's temporaries take about 8 bytes an entry each, so no product
+# allocates anything nnz-sized.  On the 80x8x40 arch (2-core Xeon, 221k
+# entries, intp indices) a product takes 0.42 ms in runs of 2^15 against
+# 0.46-0.49 ms in one run
+_RUN = 2**15
+
+
 @dataclass
 class CsrArrays:
     """A sparse matrix as the arrays of compressed sparse rows: row i holds
     ``data[indptr[i]:indptr[i + 1]]`` at the ascending columns
     ``indices[indptr[i]:indptr[i + 1]]``, and no stored entry is an exact
     zero.  The index arrays are int32, so ``as_scipy`` wraps them as they
-    are.  The arrays are not changed after construction."""
+    are.  The arrays are not changed after construction.  Products and row
+    sums walk runs of whole rows, so they allocate nothing of the arrays'
+    size."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -153,33 +163,49 @@ class CsrArrays:
     shape: tuple
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        """The row of each stored entry, int32 as ``indices``; built once."""
-        return np.repeat(np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr))
+    def _runs(self) -> list:
+        """The run plan, the one thing built once: runs of whole rows of
+        about ``_RUN`` stored entries, each as (rows, lo, hi, starts).  Its
+        entries are lo to hi; ``rows`` is the slice of its rows, or the
+        rows that hold entries when one of them is empty, as reduceat would
+        read an empty row's run from the next row; ``starts`` is where each
+        of those rows starts, counted from lo."""
+        indptr, n = self.indptr, self.shape[0]
+        cuts = np.searchsorted(indptr, np.arange(_RUN, indptr[-1], _RUN))
+        bounds = distinct(np.concatenate([[0], cuts, [n]])).tolist()
+        runs = []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            lo, hi = int(indptr[a]), int(indptr[b])
+            filled = np.flatnonzero(np.diff(indptr[a : b + 1])) + a
+            rows = slice(a, b) if len(filled) == b - a else filled
+            if len(filled):
+                runs.append((rows, lo, hi, (indptr[filled] - lo).astype(np.intp)))
+        return runs
 
-    @cached_property
-    def _gather(self):
-        """``indices`` as intp, which ``take`` reads without converting, the
-        rows that hold entries and where each of them starts; built once."""
-        filled = np.flatnonzero(np.diff(self.indptr))
-        return self.indices.astype(np.intp), filled, self.indptr[filled]
+    def _row_sums(self, terms) -> np.ndarray:
+        """Each row's sum of ``terms(lo, hi)``, the terms of the entries lo
+        to hi, taken run by run; each row sums in one reduceat run, and an
+        empty row reads zero."""
+        out = np.zeros(self.shape[0])
+        for rows, lo, hi, starts in self._runs:
+            out[rows] = np.add.reduceat(terms(lo, hi), starts)
+        return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        columns, filled, starts = self._gather
-        product = x.take(columns).astype(float, copy=False)
-        product *= self.data  # in place: one temporary of nnz entries, not two
-        # reduceat sums each row's run; an empty run would read the next
-        # row's first entry, so empty rows stay out and read zero
-        if len(filled) == self.shape[0]:
-            return np.add.reduceat(product, starts)
-        out = np.zeros(self.shape[0])
-        out[filled] = np.add.reduceat(product, starts)
-        return out
+        def terms(lo, hi):
+            product = x.take(self.indices[lo:hi]).astype(float, copy=False)
+            product *= self.data[lo:hi]  # in place: one temporary, not two
+            return product
+
+        return self._row_sums(terms)
 
     def diagonal(self) -> np.ndarray:
         """The main diagonal, zero where no entry is stored."""
-        d, on = np.zeros(min(self.shape)), self.rows == self.indices
-        d[self.rows[on]] = self.data[on]
+        d, ids = np.zeros(min(self.shape)), np.arange(self.shape[0])
+        for rows, lo, hi, starts in self._runs:
+            row = np.repeat(ids[rows], np.diff(starts, append=hi - lo))
+            on = row == self.indices[lo:hi]
+            d[row[on]] = self.data[lo:hi][on]
         return d
 
     def as_scipy(self):
@@ -543,10 +569,11 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
 # Rows per stored stripe of a level inverse.  Stripe j keeps the rectangle
 # of L_i^-1 left of and on the diagonal in its rows, so the zeros stored
 # above the diagonal shrink with the height, while a solve pays one
-# matrix-vector product per stripe.  On the 80x8x40 arch (2-core Xeon) 32
-# stores 1.59M of the square's 2.58M entries, and a forward and back solve
-# takes 10.7 against 8.4 ms; 64 stores 1.88M
-_STRIPE = 32
+# matrix-vector product per stripe.  On the 80x8x40 arch (2-core Xeon) 16
+# stores 1.44M of the square's 2.58M entries in 1,299 stripes, and a forward
+# and back solve takes 8.8 ms; 32 stores 1.59M in 689 stripes, in 6.7 ms,
+# and 64 stores 1.88M
+_STRIPE = 16
 
 
 def _stripes(inv: np.ndarray) -> list:
@@ -557,19 +584,22 @@ def _stripes(inv: np.ndarray) -> list:
 
 def _lower(stripes: list, v: np.ndarray, out: np.ndarray) -> None:
     """out = L^-1 v, from the row stripes of L^-1."""
+    b = 0
     for S in stripes:
-        b = S.shape[1]
-        np.dot(S, v[:b], out=out[b - len(S) : b])
+        a, b = b, b + len(S)
+        np.dot(S, v[:b], out[a:b])
 
 
 def _upper(stripes: list, v: np.ndarray, out: np.ndarray) -> None:
     """out = L^-T v, from the row stripes of L^-1; the last stripe spans
     every column and sets out, the others add into its leading entries."""
     last = stripes[-1]
-    np.dot(v[len(v) - len(last) :], last, out=out)
+    np.dot(v[len(v) - len(last) :], last, out)
+    b = 0
     for S in stripes[:-1]:
-        b = S.shape[1]
-        out[:b] += v[b - len(S) : b] @ S
+        a, b = b, b + len(S)
+        lead = out[:b]
+        np.add(lead, np.dot(v[a:b], S), lead)
 
 
 class _LevelCholesky:
@@ -612,8 +642,10 @@ class _LevelCholesky:
         n = len(self.perm)
         level = np.empty(n, dtype=np.int64)
         level[self.perm] = np.repeat(np.arange(len(width)), width)
-        # int32 local indices: a stored coupling triplet takes 16 bytes, not 24
-        local = np.empty(n, dtype=np.int32)
+        # local indices as int16 wherever they fit: a stored coupling triplet
+        # then takes 12 bytes, not 16 as with int32 or 24 as with int64
+        local = np.empty(n, dtype=np.int16 if width.max() <= np.iinfo(np.int16).max
+                         else np.int32)
         local[self.perm] = np.arange(n) - np.repeat(np.cumsum(width) - width, width)
         # Each level's block is an array of its own, which can reuse the
         # memory assembly freed; one buffer for all of them would be a fresh
@@ -622,8 +654,9 @@ class _LevelCholesky:
         self.stripes, self.coupling = [], []
         for i, (w, end) in enumerate(zip(width, np.cumsum(width))):
             at, count = _entries(K.indptr, self.perm[end - w : end])
-            r = np.repeat(np.arange(w, dtype=np.int32), count)
-            c, lc, d = local[K.indices[at]], level[K.indices[at]], K.data[at]
+            r = np.repeat(np.arange(w, dtype=local.dtype), count)
+            columns = K.indices[at]
+            c, lc, d = local[columns], level[columns], K.data[at]
             A = np.zeros((w, w))
             on = lc == i
             A[r[on], c[on]] = d[on]
@@ -720,10 +753,8 @@ def _residuals(system: LinearSystem, u: np.ndarray, fnorm: float, knorm: float):
 
 
 def _inf_norm(K: CsrArrays) -> float:
-    """max_i sum_j |K_ij|; reduceat sums the runs of the rows that hold
-    entries, since an empty run would read the next row's first entry."""
-    starts = K.indptr[:-1][np.diff(K.indptr) > 0]
-    return float(np.add.reduceat(np.abs(K.data), starts).max(initial=0.0))
+    """max_i sum_j |K_ij|, the row sums taken run by run."""
+    return float(K._row_sums(lambda lo, hi: np.abs(K.data[lo:hi])).max(initial=0.0))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan fail the acceptance test
@@ -822,6 +853,9 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
         _fail(system, f"Jacobi preconditioner needs a positive diagonal, "
               f"K[{eq}, {eq}] = {d[eq]:g}")
     inverse = 1.0 / d
+    # K over the same indptr and data with intp indices, made once: take
+    # would widen int32 indices to intp on every product
+    Kp = CsrArrays(K.indptr, K.indices.astype(np.intp), K.data, K.shape)
     factor = dict(ordering=_PCG_ORDERING, factor_nnz=n, factor_time=time.perf_counter() - t0)
 
     x = np.zeros(n)
@@ -833,7 +867,7 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
     relres = 1.0
     iterations = 0
     for k in range(1, max_iter + 1):
-        Ap = K @ p
+        Ap = Kp @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0 or not np.isfinite(pAp):
             _fail(system, "PCG breakdown: matrix is not positive definite")
@@ -846,7 +880,8 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
         iterations = k
         if relres <= tol:
             break
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     else:
         raise _mechanism(system) or ConvergenceError(

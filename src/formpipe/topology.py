@@ -442,12 +442,14 @@ def _free_motions(coords, reached, held, sizes):
     return free, hit // 6, hit % 6
 
 
-def unsupported_components(model: StructuralModel) -> Unsupported:
+def unsupported_components(model: StructuralModel, unreached=None) -> Unsupported:
     """The components, as arrays, with a rigid motion that moves a slot that stiffness reaches
     and no restrained one (``_free_motions``), except ``orientation_points``; one with no
-    restrained slot is named at its lowest point, along ux, without an eigenvalue."""
+    restrained slot is named at its lowest point, along ux, without an eigenvalue.
+    ``unreached`` is the model's ``unreached_slots`` where the caller has formed them."""
     count, labels, _, structure = _components(model)
-    points, unreached = model.points, unreached_slots(model)
+    points = model.points
+    unreached = unreached_slots(model) if unreached is None else unreached
     held = points.masks & ~unreached
     restrained = np.bincount(labels, held.any(axis=1), minlength=count) > 0
     # a point that holds its six slots holds every motion: no eigenvalue needed
@@ -470,10 +472,10 @@ def unsupported_components(model: StructuralModel) -> Unsupported:
                        points.ids[named[flagged, 0]], named[flagged, 1])
 
 
-def check_support_reachability(model: StructuralModel) -> list:
+def check_support_reachability(model: StructuralModel, unreached=None) -> list:
     """The support findings of ``solvability_findings``: the first 20
     ``unsupported_components``, then a count of the rest."""
-    starts, sizes, members, point_ids, dofs = unsupported_components(model)
+    starts, sizes, members, point_ids, dofs = unsupported_components(model, unreached)
     listed = (v[:_LISTED_COMPONENTS].tolist() for v in (starts, sizes, point_ids, dofs))
     findings = [Finding("unsupported-component",
                         f"points {members[a : a + k][:8].tolist()} have a free rigid motion, "
@@ -489,11 +491,12 @@ def solvability_findings(model: StructuralModel) -> list:
     here alone, in the order assembly meets it: the support findings
     (``check_support_reachability``), the ``frame_findings`` and nonzero
     loads on the unsupported ``unreached_slots``."""
-    findings = check_support_reachability(model) + frame_findings(model)
+    unreached = unreached_slots(model)
+    findings = check_support_reachability(model, unreached) + frame_findings(model)
     points = model.points
     loaded = np.flatnonzero(points.bc_ids != 0)
     loads = per_id(points.bc_ids[loaded], lambda i: model.bcs[i].components, 6)
-    rows, dofs = np.nonzero((loads != 0.0) & (unreached_slots(model) & ~points.masks)[loaded])
+    rows, dofs = np.nonzero((loads != 0.0) & (unreached & ~points.masks)[loaded])
     return findings + [Finding("rotation-free-moment",
                                f"moment load on rotation-free point {pid} ({DOF_NAMES[dof]})")
                        for pid, dof in zip(points.ids[loaded[rows]].tolist(), dofs.tolist())]

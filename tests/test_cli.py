@@ -588,14 +588,18 @@ class TestSolve:
     def test_direct_factor_out_of_memory_is_one_error_line(self, capsys, tmp_path,
                                                             monkeypatch):
         # the 4x4x4 lattice has levels up to 66 equations wide, more than one
-        # stripe of the factor: it stores 11,088 entries, not the 14,384 of
+        # stripe of the factor: a level of width w stores s^2 q (q + 1) / 2 +
+        # r w entries, q, r = divmod(w, s) at the stripe height s, so the
+        # factor stores 9,296 at 16 rows and 11,088 at 32, not the 14,384 of
         # its squared level widths
         src = tmp_path / "lattice.vtp"
         run(capsys, "gen", "lattice", str(src), "--nx", "4", "--ny", "4", "--nz", "4")
         _, out, _ = run(capsys, "solve", str(src), str(tmp_path / "r.vtk"),
                         "--format", "structured")
         entries = int(parse_structured(out)["solver_factor_nnz"])
-        assert entries == 11088
+        width, s = np.array([1, 6, 21, 44, 66, 66, 51, 24, 9]), fp.solver._STRIPE
+        q, r = np.divmod(width, s)
+        assert entries == np.sum(s**2 * q * (q + 1) // 2 + r * width)
 
         def no_memory(a):
             raise MemoryError

@@ -434,6 +434,31 @@ def test_positions_match_a_dict_on_any_ids(ids, query):
     assert table.positions(query).tolist() == _positions_oracle(ids, query)
 
 
+_EXTREMES = st.sampled_from([int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)])
+
+
+@given(ids=st.one_of(st.lists(st.one_of(st.integers(-40, 40), _EXTREMES), max_size=20),
+                     st.lists(st.one_of(st.integers(-40, 40), _EXTREMES), max_size=20,
+                              unique=True).map(sorted)),
+       query=st.lists(st.one_of(st.integers(-50, 50), _EXTREMES), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_dense_lookup_matches_the_search(ids, query):
+    """Ascending ids with gaps, as repairs leave them, read from a table over
+    their span give what the binary search gives, the last of equal ids and
+    -1 for a missing one included; so do shuffled, duplicated and empty
+    tables, which are always searched.  A span limit of 0 turns the table
+    off."""
+    table = PointTable(ids, np.zeros((len(ids), 3)))
+    got = table.positions(query)
+    span = model_module._DENSE_SPAN
+    try:
+        model_module._DENSE_SPAN = 0
+        searched = table.positions(query)
+    finally:
+        model_module._DENSE_SPAN = span
+    assert got.tolist() == searched.tolist() == _positions_oracle(ids, query)
+
+
 @pytest.mark.parametrize("ids", [[0, 1, 2], [7, 2, 5], []], ids=["dense", "searched", "empty"])
 def test_cell_lengths_are_nan_only_for_missing_ends(ids):
     """Each cell whose ends name points has the ``np.linalg.norm`` of their

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import formpipe as fp
+from formpipe import solver
 from formpipe.model import (
     BEAM_LINE,
     GRAVITY,
@@ -105,9 +106,11 @@ def components_matrix():
     return A, rng.standard_normal(n)
 
 
-def striped_size(width, height=32):
+def striped_size(width, height=None):
     """Entries of the row stripes of level inverses of the given widths:
-    full stripe j holds height x (j + 1) height, a last partial one r x w."""
+    full stripe j holds height x (j + 1) height, a last partial one r x w;
+    the height is the solver's ``_STRIPE`` unless given."""
+    height = solver._STRIPE if height is None else height
     q, r = np.divmod(np.asarray(width), height)
     return height**2 * q * (q + 1) // 2 + r * width
 
@@ -402,7 +405,8 @@ class TestDirectSolver:
         assert np.array_equal(np.sort(order), np.arange(K.shape[0]))
         level = np.empty(K.shape[0], dtype=int)
         level[order] = np.repeat(np.arange(len(levels)), [len(lv) for lv in levels])
-        assert np.abs(level[K.rows] - level[K.indices]).max() == 1
+        rows = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+        assert np.abs(level[rows] - level[K.indices]).max() == 1
 
     def test_level_search_starts_at_a_path_end(self):
         # a path numbered from its middle: from vertex 0 it has 4 levels, from an end 7
@@ -428,9 +432,9 @@ class TestDirectSolver:
         assert np.abs(solved - dense).max() <= 1e-12 * np.abs(dense).max()
 
     @pytest.mark.parametrize("shift", [0.0, 0.75])
-    @pytest.mark.parametrize("width", [1, 31, 32, 33, 64, 65, 177])
+    @pytest.mark.parametrize("width", [1, 15, 16, 17, 31, 32, 33, 64, 65, 177])
     def test_striped_factor_matches_dense_solve(self, width, shift):
-        # levels below, at and across the stripe height of 32 rows
+        # levels below, at and across stripe heights of 16 and 32 rows
         A, b = two_cliques(width)
         K = csr_arrays(A)
         assert [len(lv) for lv in _level_sets(K)] == [1, width, width]
@@ -1204,7 +1208,7 @@ class TestAssemblyOracle:
             assert np.array_equal(got.indptr, want.indptr)
             assert np.array_equal(got.indices, want.indices)
             assert np.abs(got.data - want.data).max(initial=0.0) <= 1e-14 * scale
-            rows = got.rows
+            rows = np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
             assert np.all((np.diff(got.indices) > 0) | (np.diff(rows) > 0))
             assert np.all(got.data != 0.0)
         K = system.K
@@ -1273,6 +1277,16 @@ def assert_product_matches_scipy(A, x):
     assert (A @ x).tobytes() == got.tobytes()
 
 
+def arrays_in(value):
+    """The numpy arrays in ``value``, itself one or nested lists and tuples
+    of them."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in arrays_in(v)]
+    return []
+
+
 class TestCsrProduct:
     """``CsrArrays @`` against scipy's CSR product, and the infinity norm
     against scipy's row sums."""
@@ -1306,6 +1320,32 @@ class TestCsrProduct:
         assert_product_matches_scipy(random_csr(rng, (n_rows, n_cols), density),
                                      rng.standard_normal(n_cols))
 
+    @pytest.mark.parametrize("run", [1, 4, 13])
+    @pytest.mark.parametrize("case", ["empty-rows", "hub", "reactions"])
+    def test_runs_of_a_few_entries_match_one_run(self, case, run, monkeypatch):
+        # runs of a few entries put run edges next to and between empty rows
+        # and cut the rest into many runs; a hub row longer than a run is a
+        # run of its own.  Each row still sums in one reduceat run, so the
+        # bytes are those of a single run
+        rng = np.random.default_rng(11)
+        A = {
+            "empty-rows": lambda: random_csr(rng, (40, 30), 0.3,
+                                             empty=[0, 1, 5, 6, 7, 12, 20, 21, 38, 39]),
+            "hub": lambda: hub_csr(rng),
+            "reactions": lambda: assemble(fp.gen_leonardo())[0].reaction_matrix,
+        }[case]()
+        x = rng.standard_normal(A.shape[1])
+        one = (A @ x).tobytes(), _inf_norm(A), A.diagonal().tobytes()
+        monkeypatch.setattr(solver, "_RUN", run)
+        short = CsrArrays(A.indptr, A.indices, A.data, A.shape)
+        assert len(short._runs) > 4
+        assert (short @ x).tobytes() == one[0]
+        assert _inf_norm(short) == one[1]
+        assert short.diagonal().tobytes() == one[2]
+        assert_product_matches_scipy(short, x)
+        want = np.asarray(abs(A.as_scipy()).sum(axis=1)).max(initial=0.0)
+        assert abs(_inf_norm(short) - want) <= 1e-14 * want
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 12), st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
     def test_inf_norm_matches_scipy(self, n_rows, n_cols, density, seed):
@@ -1333,6 +1373,30 @@ class TestMemoryGates:
         K = assemble(arch_50x5x24)[0].stiffness
         width = np.array([len(level) for level in _level_sets(K)])
         assert traced_peak(_LevelCholesky, K) <= 1.5 * 8 * np.sum(striped_size(width))
+
+    def test_product_holds_one_run_beside_its_output(self, arch_50x5x24):
+        # after a warm-up product the matrix keeps only its run plan, a few
+        # numbers a row.  A product then holds a run's gathered terms and
+        # take's intp copy of its indices, 8 bytes an entry each, and its n
+        # doubles of output: 0.58 MB here, where a first product that also
+        # cached an intp copy of every index took 1.13 MB
+        K = assemble(arch_50x5x24)[0].stiffness
+        x = np.ones(K.shape[0])
+        K @ x
+        n, nnz = K.shape[0], len(K.data)
+        assert traced_peak(K.__matmul__, x) <= 3 * 8 * solver._RUN + 8 * n
+        cached = arrays_in([v for k, v in vars(K).items() if k not in ("indptr", "indices", "data")])
+        assert all(a.size < nnz for a in cached)
+        assert sum(a.size for a in cached) <= 2 * n
+
+    def test_direct_solve_holds_its_factor_and_little_more(self, arch_50x5x24):
+        # beside the factor's stripes, coupling triplets and order, the solve
+        # holds vectors of n and one run of a product at a time: 0.8 MB here
+        system = assemble(arch_50x5x24)[0]
+        factor = _LevelCholesky(system.stiffness)
+        held = sum(a.nbytes for a in arrays_in([factor.stripes, factor.coupling, factor.perm]))
+        del factor
+        assert traced_peak(solve_direct, system) <= held + 1e6
 
     def test_force_recovery_grows_with_its_output(self, arch_50x5x24):
         # 2 MB for slices of 12x12 matrices, then 700 bytes per cell: less
