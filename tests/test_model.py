@@ -414,9 +414,10 @@ def _positions_oracle(ids, query):
 ], ids=["dense", "shuffled", "gapped", "duplicated", "dense-ends-duplicated", "shifted",
        "negative-first", "single", "empty"])
 def test_positions_match_a_dict_from_id_to_row(ids):
-    """Dense ids 0..n-1 in row order are their own rows; every other table
-    is searched.  Ids outside the table, the int64 limits among them, give
-    -1, and the query's shape is kept."""
+    """Dense ids 0..n-1 in row order are their own rows, other ascending ids
+    are read from a table over their span, and every other table is
+    searched.  Ids outside the table, the int64 limits among them, give -1,
+    and the query's shape is kept."""
     table = PointTable(ids, np.zeros((len(ids), 3)))
     limits = np.iinfo(np.int64)
     query = [*range(-3, max(ids, default=0) + 4), limits.min, limits.max]
