@@ -244,34 +244,39 @@ def _face_pairs(order: np.ndarray) -> np.ndarray:
     return np.stack([row, nb[row, step]], axis=1)
 
 
-def _largest_component(order: np.ndarray) -> np.ndarray:
-    """The rows of the sorted (n, 3) voxel array ``order`` in its face-connected
-    component with the most voxels, still sorted; ties go to the component
+def _kept(order: np.ndarray, pairs: np.ndarray, keep: np.ndarray):
+    """The rows ``keep`` of the sorted voxel array ``order`` and, renumbered,
+    its face ``pairs`` among them: the ``_face_pairs`` of those rows."""
+    return order[keep], (np.cumsum(keep) - 1)[pairs[keep[pairs].all(axis=1)]]
+
+
+def _largest_component(order: np.ndarray, pairs: np.ndarray):
+    """``_kept`` of the sorted (n, 3) voxels ``order`` and their face pairs:
+    the face-connected component with the most voxels, ties going to the one
     holding the smallest voxel."""
     if not len(order):
-        return order
-    count, labels = _component_labels(len(order), _face_pairs(order))
-    return order[labels == np.argmax(np.bincount(labels, minlength=count))]
+        return order, pairs
+    count, labels = _component_labels(len(order), pairs)
+    return _kept(order, pairs, labels == np.argmax(np.bincount(labels, minlength=count)))
 
 
-def _peel_stable_body(order: np.ndarray, k_base: int) -> np.ndarray:
-    """The rows of the sorted (n, 3) voxel array ``order`` that the dead-arm
-    peel keeps, still sorted, so injected arms are the only pendant material.
-    Base-plane voxels are protected like supports."""
-    alive, _ = _peel(len(order), _face_pairs(order), order[:, 2] == k_base, 2)
-    return order[alive]
+def _peel_stable_body(order: np.ndarray, pairs: np.ndarray, k_base: int):
+    """``_kept`` of the sorted (n, 3) voxels ``order`` and their face pairs:
+    the voxels the dead-arm peel keeps, so injected arms are the only
+    pendant material.  Base-plane voxels are protected like supports."""
+    alive, _ = _peel(len(order), pairs, order[:, 2] == k_base, 2)
+    return _kept(order, pairs, alive)  # a pair survives with both its voxels
 
 
-def _inject_defects(body: np.ndarray, spec: LatticeSpec, rng) -> np.ndarray:
-    """The sorted (n, 3) voxel array ``body`` with pendant arm chains grown
-    off it and detached splash chains, as one sorted array, once the junk
-    reaches splash_fraction of all elements.  Every junk voxel touches only
-    its chain predecessor, so removal recovers exactly."""
+def _inject_defects(body: np.ndarray, body_cells: int, spec: LatticeSpec, rng) -> np.ndarray:
+    """The sorted (n, 3) voxels ``body``, of ``body_cells`` face pairs, with
+    pendant arm chains grown off it and detached splash chains, as one sorted
+    array, once the junk reaches splash_fraction of all elements.  Every junk
+    voxel touches only its chain predecessor, so removal recovers exactly."""
     body_list = list(map(tuple, body.tolist()))  # tuples: ``admissible`` compares them
     occupied = set(body_list)
     junk = []
     junk_cells = 0
-    body_cells = len(_face_pairs(body))
     k_min = int(body[:, 2].min())
     lo = body.min(axis=0) - 5
     hi = body.max(axis=0) + 5
@@ -334,9 +339,9 @@ def gen_sphere_lattice(spec: LatticeSpec = LatticeSpec()) -> StructuralModel:
     if not len(order):
         raise ValueError("lattice occupancy is empty")
     if spec.splash_fraction > 0.0:
-        body = _largest_component(order)
-        body = _largest_component(_peel_stable_body(body, body[:, 2].min()))
-        order = _inject_defects(body, spec, np.random.default_rng(spec.seed))
+        body, pairs = _largest_component(order, _face_pairs(order))
+        body, pairs = _largest_component(*_peel_stable_body(body, pairs, body[:, 2].min()))
+        order = _inject_defects(body, len(pairs), spec, np.random.default_rng(spec.seed))
     k_base = order[:, 2].min()  # junk lies above the body's lowest plane
 
     ends = _face_pairs(order)

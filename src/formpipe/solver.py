@@ -28,13 +28,14 @@ arrays, never as a matrix: every slot that is not a slave maps onto at most
 one column of its own, and each link's 6x6 coupling ties its slave's slots
 to its master's.  Assembly substitutes the links element by element,
 k_e <- C_e^T k_e C_e with the slave end renumbered to its master, so that
-every element slot maps onto at most one column.  It then adds each cell's
-four 6x6 point-pair blocks into one array of the distinct blocks, in cell
-order, and sorts the entries of those blocks into the reduced stiffness and
-the reaction rows; the load vectors are T^T of the per-point loads.  This
-is master-slave elimination (Felippa, Introduction to FEM, MultiFreedom
-Constraints; Cook et al., Concepts and Applications of FEA, section 9); it
-keeps K symmetric positive definite, and K stores no exact zeros.
+every element slot maps onto at most one column.  Chunk by chunk of row
+points, each cell end adds the six rows it owns into the chunk's 6x6
+point-pair blocks, in cell order, whose entries are sorted into its rows of
+the reduced stiffness and the reaction rows; the load vectors are T^T of
+the per-point loads.  This is master-slave elimination (Felippa,
+Introduction to FEM, MultiFreedom Constraints; Cook et al., Concepts and
+Applications of FEA, section 9); it keeps K symmetric positive definite,
+and K stores no exact zeros.
 
 Both solvers run in numpy alone: the direct one on a block Cholesky factor
 that keeps only the inverse of each level's triangular block, as dense row
@@ -140,10 +141,11 @@ class DofMap:
 
 
 # Stored entries per run of whole rows in ``CsrArrays`` products and row
-# sums: a run's temporaries take about 8 bytes an entry each, so no product
-# allocates anything nnz-sized.  On the 80x8x40 arch (2-core Xeon, 221k
-# entries, intp indices) a product takes 0.42 ms in runs of 2^15 against
-# 0.46-0.49 ms in one run
+# sums: a run's temporaries, its gathered terms and take's intp copy of its
+# int32 indices, take 8 bytes an entry each, so no product allocates
+# anything nnz-sized.  On the cleaned 80x8x40 arch (2-core Xeon, 195k
+# entries of K) a product takes 0.48 ms in runs of 2^15 against 1.33 ms in
+# one run, and 0.43 ms over an intp copy of the indices
 _RUN = 2**15
 
 
@@ -155,7 +157,7 @@ class CsrArrays:
     zero.  The index arrays are int32, so ``as_scipy`` wraps them as they
     are.  The arrays are not changed after construction.  Products and row
     sums walk runs of whole rows, so they allocate nothing of the arrays'
-    size."""
+    size: a product widens the indices to intp one run at a time."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -270,19 +272,24 @@ def _local_stiffness(E, G, A, Iy, Iz, J, L):
     return k
 
 
-# Cells per slice of 12x12 stiffness matrices, in assembly and in force
-# recovery.  Each slice holds about four arrays of 1,152 bytes a cell, on top
-# of the blocks assembly adds into.  On the cleaned 50x5x24 arch (2-core
-# Xeon) assembly's traced peak is 3.7 MB at 128, where the slices no longer
-# set it, 4.3 MB at 256 and 7.8 MB at 1,024, in about the same time; force
-# recovery peaks at 1.4 against 2.5 MB at 1,024 and takes 1-4 ms longer on
-# the 80x8x40 arch
+# Cells per slice of 12x12 matrices in force recovery, and half the cell
+# ends per slice of their six rows in assembly.  On the cleaned 50x5x24 arch
+# (2-core Xeon) force recovery's traced peak is 1.4 MB at 128 against 2.5 MB
+# at 1,024, which takes 1-4 ms longer on the 80x8x40 arch
 _SLICE = 128
 
-# Entry (i, j) of a cell's 12x12 matrix lies in its block _BLOCK[i, j] of
-# (a, a), (a, b), (b, a), (b, b), at _OFFSET[i, j] of that block's 36
-_BLOCK = 2 * (np.arange(12)[:, None] // 6) + np.arange(12) // 6
-_OFFSET = 6 * (np.arange(12)[:, None] % 6) + np.arange(12) % 6
+# Row points per chunk of assembly, whose 6x6 blocks alone are held at a
+# time.  On the cleaned 50x5x24 arch, 80x8x40 arch and 20x20x20 block
+# (2-core Xeon) assembly's traced peak is 2.48, 5.93 and 14.08 MB at 128,
+# 3.73, 6.69 and 14.95 MB at 512 and 6.43, 12.9 and 21.8 MB at 2,048, in
+# about the same time
+_CHUNK = 128
+
+# Entry (i, j) of the six rows a cell end owns in its cell's 12x12 matrix
+# lies in its block _BLOCK[j] of (p, a) and (p, b), at _OFFSET[i, j] of
+# that block's 36
+_BLOCK = np.arange(12) // 6
+_OFFSET = 6 * np.arange(6)[:, None] + np.arange(12) % 6
 
 
 @dataclass
@@ -330,13 +337,17 @@ def _elements(model: StructuralModel) -> _Elements:
     return _Elements(ends=ends, R=R, terms=terms, f=f)
 
 
-def _slice_stiffness(el: _Elements, cells: slice) -> np.ndarray:
-    """R^T k R of the given cells, (n, 12, 12), as batched 3x3 block
-    products."""
+def _slice_stiffness(el: _Elements, cells, end=None) -> np.ndarray:
+    """R^T k R of the given cells, (s, 12, 12), as batched 3x3 block
+    products; given the ``end``, 0 or 1, of each cell, only the six rows
+    that end owns, (s, 6, 12)."""
     R = el.R[cells]
-    n = len(R)
-    kR = el.k(cells).reshape(n, 12, 4, 3) @ R[:, None]
-    return (R.transpose(0, 2, 1)[:, None] @ kR.reshape(n, 4, 3, 12)).reshape(n, 12, 12)
+    s = len(R)
+    k = el.k(cells)
+    if end is not None:
+        k = k.reshape(s, 2, 6, 12)[np.arange(s), end]
+    kR = k.reshape(s, -1, 4, 3) @ R[:, None]
+    return (R.transpose(0, 2, 1)[:, None] @ kR.reshape(s, -1, 3, 12)).reshape(k.shape)
 
 
 def element_stiffness(model: StructuralModel) -> np.ndarray:
@@ -393,18 +404,20 @@ def _reduce_loads(dm: DofMap, loads: np.ndarray) -> np.ndarray:
     return np.bincount(column[own], loads.ravel()[own], dm.n_eq + dm.n_fixed)
 
 
-def _coupled(k: np.ndarray, dm: DofMap, end_link: np.ndarray) -> np.ndarray:
-    """k_e <- C_e^T k_e C_e, in place, for the cells of k with a slave end;
-    C_e holds the link's coupling in that end's block and the identity
-    elsewhere.  ``end_link`` gives the link of each cell end, or -1."""
+def _coupled(k: np.ndarray, dm: DofMap, end_link: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """k_e <- C_e^T k_e C_e, in place, for the cells of k with a slave end,
+    k holding the six rows each cell's ``end`` owns; C_e holds the link's
+    coupling in a slave end's block and the identity elsewhere.
+    ``end_link`` gives the link of each cell end, or -1."""
     linked = np.flatnonzero((end_link >= 0).any(axis=1))
     if len(linked):
         C = np.tile(np.eye(12), (len(linked), 1, 1))
-        for end in (0, 1):
-            on = end_link[linked, end] >= 0
-            C[on, 6 * end : 6 * end + 6, 6 * end : 6 * end + 6] = \
-                dm.coupling[end_link[linked[on], end]]
-        k[linked] = C.transpose(0, 2, 1) @ k[linked] @ C
+        for e in (0, 1):
+            on = end_link[linked, e] >= 0
+            C[on, 6 * e : 6 * e + 6, 6 * e : 6 * e + 6] = dm.coupling[end_link[linked[on], e]]
+        # rows 6e to 6e + 6 of C_e^T meet only those rows of k_e
+        own = C.reshape(-1, 2, 6, 2, 6)[np.arange(len(linked)), end[linked], :, end[linked]]
+        k[linked] = own.transpose(0, 2, 1) @ k[linked] @ C
     return k
 
 
@@ -430,6 +443,7 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     m, ends = len(el.ends), el.ends
     dofs = (6 * ends[:, :, None] + np.arange(6, dtype=np.int32)).reshape(m, 12)
     f_global = (el.f.reshape(m, 4, 3) @ el.R).reshape(m, 12)
+    el.f = None  # only the loads need it
 
     loads = np.zeros((len(model.points), 6))
     loaded = model.points.bc_ids != 0
@@ -438,61 +452,74 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     applied = applied.reshape(-1, 6) + loads
     del dofs, f_global
 
-    # Number the point-pair blocks: a slave end moves onto its master, and
-    # each cell adds into the blocks (a, a), (a, b), (b, a) and (b, b) of its
-    # ends a and b
+    # Each cell end owns six rows of its cell's matrix, which add into the
+    # blocks (p, a) and (p, b) of its point p and the cell's points a and b,
+    # a slave end moved onto its master.  Blocks are keyed p n + q, so the
+    # ends whose point lies in one chunk of _CHUNK points own a run of them;
+    # a stable sort by chunk keeps each chunk's ends in cell order
     link_of = np.full(n, -1)
     link_of[dm.links[:, 1]] = np.arange(len(dm.links))
     end_link = link_of[ends]
     owner = np.arange(n)
     owner[dm.links[:, 1]] = dm.links[:, 0]
-    a, b = owner[ends].T
-    keys, slot = np.unique(np.stack([a * n + a, a * n + b, b * n + a, b * n + b], axis=1),
-                           return_inverse=True)
-    slot = slot.reshape(m, 4)
+    point = owner[ends]
+    visit = np.argsort(point.ravel() // _CHUNK, kind="stable")  # cell ends as 2 cell + end
+    bounds = np.cumsum(np.bincount(point.ravel() // _CHUNK, minlength=1)).tolist()
 
-    # Add the values slice by slice.  np.add.at adds one term at a time in
-    # index order, here the order of the cells and of their 12x12 entries,
-    # so every entry sums its terms as a stable sort of them would.  A flat
-    # index per entry keeps add.at on its fast path
-    blocks = np.zeros((len(keys), 6, 6))
-    for s in range(0, m, _SLICE):
-        cells = slice(s, s + _SLICE)
-        np.add.at(blocks.reshape(-1), (36 * slot[cells][:, _BLOCK] + _OFFSET).ravel(),
-                  _coupled(_slice_stiffness(el, cells), dm, end_link[cells]).ravel())
-    del el, slot
-
-    # Keep the nonzero entries with a row and a free column: prescribed
-    # values are zero, so only the free columns enter.  No two blocks share
-    # a (row, column), so one sort of the entries gives CSR
-    row = dm.column[keys // n]
-    column = dm.column[keys % n].astype(np.int32)
-    column[column >= n_eq] = -1
-    keep = (blocks != 0.0) & (row >= 0)[:, :, None] & (column >= 0)[:, None, :]
-    data = blocks[keep]
-    del blocks
-    rows = np.broadcast_to(row[:, :, None], keep.shape)[keep]
-    cols = np.broadcast_to(column[:, None, :], keep.shape)[keep]
-    del keep
     indptr = np.zeros(n_eq + n_fixed + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n_eq + n_fixed), out=indptr[1:])
-    rows *= n_eq
-    rows += cols
-    order = np.argsort(rows)
-    del rows
-    reduced = CsrArrays(indptr, cols[order], data[order], (n_eq + n_fixed, n_eq))
-    del order, cols, data
+    parts = [], [], [], []  # K's indices and data, then the reaction rows'
+    for lo, hi in zip([0] + bounds[:-1], bounds):
+        cell, end = np.divmod(visit[lo:hi], 2)
+        keys, slot = np.unique(point[cell, end][:, None] * n + point[cell],
+                               return_inverse=True)
+        slot = slot.reshape(-1, 2)
+        # np.add.at adds one term at a time in index order, here the order
+        # of the ends and of their entries, so every entry sums its terms
+        # as a stable sort of every cell's 12x12 entries would.  A flat
+        # index per entry keeps add.at on its fast path
+        blocks = np.zeros((len(keys), 6, 6))
+        for s in range(0, hi - lo, 2 * _SLICE):
+            at = slice(s, s + 2 * _SLICE)
+            k = _coupled(_slice_stiffness(el, cell[at], end[at]), dm, end_link[cell[at]], end[at])
+            np.add.at(blocks.reshape(-1), (36 * slot[at][:, None, _BLOCK] + _OFFSET).ravel(),
+                      k.ravel())
+
+        # Keep the nonzero entries with a row and a free column: prescribed
+        # values are zero, so only the free columns enter.  No two blocks
+        # share a (row, column), so one sort gives the chunk's rows in CSR
+        # order, K's before the reaction rows
+        row = dm.column[keys // n]
+        column = dm.column[keys % n].astype(np.int32)
+        column[column >= n_eq] = -1
+        keep = (blocks != 0.0) & (row >= 0)[:, :, None] & (column >= 0)[:, None, :]
+        rows = np.broadcast_to(row[:, :, None], keep.shape)[keep]
+        cols = np.broadcast_to(column[:, None, :], keep.shape)[keep]
+        np.add.at(indptr[1:], rows, np.int32(1))  # a Python 1 takes add.at's slow path
+        order = np.argsort(rows * n_eq + cols)
+        cut = np.count_nonzero(rows < n_eq)
+        data, cols = blocks[keep][order], cols[order]
+        for part, values in zip(parts, (cols[:cut], data[:cut], cols[cut:], data[cut:])):
+            part.append(values)
+    del el, visit, point
+    np.cumsum(indptr, out=indptr)
+    at = int(indptr[n_eq])
+    K = CsrArrays(indptr[: n_eq + 1], *map(_joined, parts[:2]), (n_eq, n_eq))
+    reactions = CsrArrays(indptr[n_eq:] - at, *map(_joined, parts[2:]), (n_fixed, n_eq))
 
     rhs = _reduce_loads(dm, applied)
-    if not np.isfinite(_inf_norm(reduced)):
+    if not np.isfinite(max(_inf_norm(K), _inf_norm(reactions))):
         raise SolverError("stiffness matrix overflows double precision")
     if not np.isfinite(np.linalg.norm(rhs)):
         raise SolverError("load vector overflows double precision")
-    at, indptr = reduced.indptr[n_eq], reduced.indptr
-    K = CsrArrays(indptr[: n_eq + 1], reduced.indices[:at], reduced.data[:at], (n_eq, n_eq))
-    reactions = CsrArrays(indptr[n_eq:] - at, reduced.indices[at:], reduced.data[at:],
-                          (n_fixed, n_eq))
     return LinearSystem(K, rhs[:n_eq], reactions, rhs[n_eq:], dm, applied), dm
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The arrays of ``parts`` as one, the list emptied so that no part
+    outlives the join."""
+    out = np.concatenate(parts)
+    parts.clear()
+    return out
 
 
 def _entries(indptr, rows):
@@ -853,9 +880,6 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
         _fail(system, f"Jacobi preconditioner needs a positive diagonal, "
               f"K[{eq}, {eq}] = {d[eq]:g}")
     inverse = 1.0 / d
-    # K over the same indptr and data with intp indices, made once: take
-    # would widen int32 indices to intp on every product
-    Kp = CsrArrays(K.indptr, K.indices.astype(np.intp), K.data, K.shape)
     factor = dict(ordering=_PCG_ORDERING, factor_nnz=n, factor_time=time.perf_counter() - t0)
 
     x = np.zeros(n)
@@ -867,7 +891,7 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
     relres = 1.0
     iterations = 0
     for k in range(1, max_iter + 1):
-        Ap = Kp @ p
+        Ap = K @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0 or not np.isfinite(pAp):
             _fail(system, "PCG breakdown: matrix is not positive definite")

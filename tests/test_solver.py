@@ -1219,7 +1219,22 @@ class TestAssemblyOracle:
 
     @ORACLE_MODELS
     def test_bits_match_sorted_assembly(self, build, request):
+        self.assert_bits_match_sorted_assembly(
+            request.getfixturevalue("arch_50x5x24") if build == "arch" else build())
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @ORACLE_MODELS
+    def test_bits_match_sorted_assembly_in_small_chunks(self, build, chunk, request,
+                                                         monkeypatch):
+        # chunks of one and of seven row points put a chunk edge between
+        # most ends of a cell and between a point and its neighbours; the
+        # default chunk of 128 holds the smaller models whole
         model = request.getfixturevalue("arch_50x5x24") if build == "arch" else build()
+        monkeypatch.setattr(solver, "_CHUNK", chunk)
+        self.assert_bits_match_sorted_assembly(model)
+
+    @staticmethod
+    def assert_bits_match_sorted_assembly(model):
         system, dm = assemble(model)
         (indptr, indices, data), rhs, applied = sorted_assembly(model, dm)
         ne, at = dm.n_eq, indptr[dm.n_eq]
@@ -1365,6 +1380,20 @@ class TestMemoryGates:
         # a slice of cells beside them; a sort of every cell's (row, column,
         # value) triplets after an (m, 12, 12) stack peaked at 8.0 MB
         assert traced_peak(assemble, arch_50x5x24) <= 5.5e6
+
+    def test_assembly_holds_one_chunk_of_blocks(self, arch_50x5x24):
+        # 2.5 MB: the returned system takes 1.0 MB, and beside it the peak
+        # holds the element arrays and one chunk's blocks; filling every
+        # point-pair block before keeping any took 3.7 MB
+        assert traced_peak(assemble, arch_50x5x24) <= 2.9e6
+
+    def test_pcg_holds_nothing_nnz_sized_beside_k(self, arch_50x5x24):
+        # PCG holds about ten vectors of n and one run of a product at a
+        # time: 0.97 MB here, where an intp copy of K's indices, 8 bytes an
+        # entry, took 1.61 MB
+        system = assemble(arch_50x5x24)[0]
+        n = system.stiffness.shape[0]
+        assert traced_peak(solve_pcg_ichol, system) <= 3 * 8 * solver._RUN + 10 * 8 * n
 
     def test_level_factor_holds_little_beyond_its_inverses(self, arch_50x5x24):
         # the stripes of the inverses take 8 nnz bytes and the peak is 1.35
