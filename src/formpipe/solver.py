@@ -346,7 +346,7 @@ def _slice_stiffness(el: _Elements, cells, end=None) -> np.ndarray:
     k = el.k(cells)
     if end is not None:
         k = k.reshape(s, 2, 6, 12)[np.arange(s), end]
-    kR = k.reshape(s, -1, 4, 3) @ R[:, None]
+    kR = k.reshape(s, -1, 3) @ R  # one product per cell, not per row and block
     return (R.transpose(0, 2, 1)[:, None] @ kR.reshape(s, -1, 3, 12)).reshape(k.shape)
 
 
