@@ -507,7 +507,7 @@ def assemble(model: StructuralModel, *, check_supports: bool = True):
     reactions = CsrArrays(indptr[n_eq:] - at, *map(_joined, parts[2:]), (n_fixed, n_eq))
 
     rhs = _reduce_loads(dm, applied)
-    if not np.isfinite(max(_inf_norm(K), _inf_norm(reactions))):
+    if not np.isfinite([_inf_norm(K), _inf_norm(reactions)]).all():
         raise SolverError("stiffness matrix overflows double precision")
     if not np.isfinite(np.linalg.norm(rhs)):
         raise SolverError("load vector overflows double precision")

@@ -1372,8 +1372,9 @@ class TestCsrProduct:
 
 class TestMemoryGates:
     """Traced peaks on the cleaned 50x5x24 arch: the direct factor holds
-    little beyond its level inverses, and neither assembly nor force
-    recovery holds a whole (m, 12, 12) stiffness."""
+    little beyond its level inverses, PCG nothing nnz-sized beside K,
+    assembly one chunk of blocks, and neither assembly nor force recovery a
+    whole (m, 12, 12) stiffness."""
 
     def test_assembly_holds_blocks_not_triplets(self, arch_50x5x24):
         # 3.7 MB: the 6x6 blocks take 2.0 MB and the peak holds no more than
