@@ -280,7 +280,7 @@ _SLICE = 128
 
 # Row points per chunk of assembly, whose 6x6 blocks alone are held at a
 # time.  On the cleaned 50x5x24 arch, 80x8x40 arch and 20x20x20 block
-# (2-core Xeon) assembly's traced peak is 2.48, 5.93 and 14.08 MB at 128,
+# (2-core Xeon) assembly's traced peak is 2.54, 5.94 and 14.10 MB at 128,
 # 3.73, 6.69 and 14.95 MB at 512 and 6.43, 12.9 and 21.8 MB at 2,048, in
 # about the same time
 _CHUNK = 128
