@@ -539,8 +539,9 @@ def _model(root, arrays) -> StructuralModel:
 
     if n_lines > 0 and piece.find("CellData") is None:
         raise ExchangeFormatError("missing CellData with ID_CROSS-SECTION / ID_MATERIAL")
-    columns = dict.fromkeys(("ID_CROSS-SECTION", "ID_MATERIAL", "ELEMENT_TYPE"),
-                            np.zeros(n_lines, dtype=np.int64))
+    # one array per column: the cell table keeps each as given
+    columns = {name: np.zeros(n_lines, dtype=np.int64)
+               for name in ("ID_CROSS-SECTION", "ID_MATERIAL", "ELEMENT_TYPE")}
     for name, da in _named_arrays(piece, "CellData"):
         if name in columns:
             columns[name] = _values(da, n_lines, np.int64, name, arrays)

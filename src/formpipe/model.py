@@ -135,7 +135,12 @@ class _Table:
     """Equal-length columns, the storage behind a model's points or cells.
     ``table[i]`` is a row view: its attribute writes, and in-place writes to
     its arrays, land in the columns until the table grows.  ``append`` copies
-    a view's row in, amortised O(1), and rebinds the view to it."""
+    a view's row in, amortised O(1), and rebinds the view to it.
+
+    A column given as an ndarray of the column's dtype is kept as given, not
+    copied, so the table owns it from then on: hand it an array that no one
+    else holds or writes.  Any other value (a list, an array of another
+    dtype) is converted into a new array."""
 
     __slots__ = ("_n", "_cols")
     _COLUMNS = ()  # (dtype, row shape) per column; columns left out are zero
@@ -144,7 +149,7 @@ class _Table:
         n = len(columns[0])
         self._cols, self._n = [], n
         for value, (dtype, shape) in itertools.zip_longest(columns, self._COLUMNS):
-            col = np.zeros((n,) + shape, dtype) if value is None else np.array(value, dtype)
+            col = np.zeros((n,) + shape, dtype) if value is None else np.asarray(value, dtype)
             if col.shape != (n,) + shape:
                 raise ValueError(f"column of shape {col.shape}, expected {(n,) + shape}")
             self._cols.append(col)
@@ -453,10 +458,11 @@ def _lengths(d: np.ndarray) -> np.ndarray:
     return np.sqrt(d.sum(axis=1))
 
 
-def cell_lengths(model: StructuralModel) -> np.ndarray:
-    """Length of every cell, in table order, as the solver forms it.  A
-    cell with a missing end point gets NaN, which no tolerance test passes."""
-    ends = model.points.positions(model.cells.ends)
+def cell_lengths(model: StructuralModel, rows=slice(None)) -> np.ndarray:
+    """Length of every cell, or of the cell ``rows``, in table order, as the
+    solver forms it.  A cell with a missing end point gets NaN, which no
+    tolerance test passes."""
+    ends = model.points.positions(model.cells.ends[rows])
     named = np.flatnonzero((ends >= 0).all(axis=1))
     coords = model.points.coords
     d = coords[ends[named, 0]]
@@ -602,10 +608,13 @@ def isin(values, test) -> np.ndarray:
 
 
 def _repeats(ids: np.ndarray) -> np.ndarray:
-    """True where an id already occurred at an earlier position."""
-    first = np.zeros(len(ids), dtype=bool)
-    first[np.unique(ids, return_index=True)[1]] = True
-    return ~first
+    """True where an id already occurred at an earlier position: a stable
+    sort puts each id's first position first among its equals."""
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    repeat = np.zeros(len(ids), dtype=bool)
+    repeat[order[1:]] = ranked[1:] == ranked[:-1]
+    return repeat
 
 
 def _row_findings(checks, *columns) -> list:
@@ -695,31 +704,40 @@ def rigid_link_findings(links, points: PointTable) -> list:
                        for pid in distinct(slaves[isin(slaves, masters)]).tolist()]
 
 
-# cells whose stiffness and self-weight terms ``validate``, and whose frames
-# ``frame_findings``, form at a time; ``solve``'s per-cell
+# cells whose lengths, stiffness and self-weight terms ``validate``, and
+# whose frames ``frame_findings``, form at a time; ``solve``'s per-cell
 # arrays reuse the heap a whole-model pass frees, and slices of 1,024 cells
 # raised its peak RSS on the 50x5x24 arch (2.9k cells) by 0.35 MB
 _CELL_SLICE = 1 << 12
 
 
-def _overflowing_cells(model: StructuralModel, lengths: np.ndarray):
-    """Rows of the cells of nonzero length whose ``stiffness_terms`` and,
-    with ``self_weight_enabled``, whose self-weight load terms are not all
-    finite, ascending; the terms are formed ``_CELL_SLICE`` cells at a time."""
-    stiff, heavy = [], []
-    for start in range(0, len(lengths), _CELL_SLICE):
+def _cell_checks(model: StructuralModel, tol: float, overflow: bool):
+    """Rows of the cells no longer than ``tol`` and, with ``overflow``, of the
+    cells of nonzero length whose ``stiffness_terms`` and, with
+    ``self_weight_enabled``, whose self-weight load terms are not all
+    finite, each ascending; lengths and terms are formed ``_CELL_SLICE``
+    cells at a time."""
+    short, stiff, heavy = [], [], []
+    for start in range(0, len(model.cells), _CELL_SLICE):
+        lengths = cell_lengths(model, slice(start, start + _CELL_SLICE))
+        short.append(start + np.flatnonzero(lengths <= tol))
+        if not overflow:
+            continue
         # a cell shorter than tol is still assembled when no clean removes it
-        rows = start + np.flatnonzero(lengths[start:start + _CELL_SLICE] > 0.0)
-        props, beam, length = cell_properties(model, rows), ~model.cells.truss[rows], lengths[rows]
-        terms = stiffness_terms(props.E, props.G, props.A, props.Iy * beam, props.Iz * beam,
-                                props.J * beam, length)
-        stiff.append(rows[~np.isfinite(terms).all(axis=0)])
+        at = np.flatnonzero(lengths > 0.0)
+        rows, length = start + at, lengths[at]
+        props, beam = cell_properties(model, rows), ~model.cells.truss[rows]
+        values = stiffness_terms(props.E, props.G, props.A, props.Iy * beam, props.Iz * beam,
+                                 props.J * beam, length)
+        stiff.append(rows[~np.all([np.isfinite(v) for v in values], axis=0)])
+        del values
         if model.self_weight_enabled:
             w, half, moment = self_weight_levers(props, beam, length)
             q = w * STANDARD_GRAVITY_MM_S2 * KG_MM_S2_TO_N
             heavy.append(rows[~(np.isfinite(q * half) & np.isfinite(q * moment))])
     empty = np.zeros(0, dtype=np.int64)
-    return np.concatenate([empty, *stiff]), np.concatenate([empty, *heavy])
+    return (np.concatenate([empty, *short]), np.concatenate([empty, *stiff]),
+            np.concatenate([empty, *heavy]))
 
 
 def frame_findings(model: StructuralModel) -> list:
@@ -764,9 +782,6 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
         (no_cs, "dangling-reference", "cell {0} references missing cross-section {3}"),
         (no_mat, "dangling-reference", "cell {0} references missing material {4}"),
     ], cells.ids, ends, cells.cs_ids, cells.mat_ids)
-    lengths = cell_lengths(model)
-    warnings = _row_findings(
-        [(lengths <= tol, "degenerate-cell", "cell {0} shorter than merge tolerance")], cells.ids)
     defects += _row_findings(
         [(no_bc, "dangling-reference", "point {0} references missing load {1}")], pids, bc_ids)
     used_cs = set(cells.cs_ids[~no_cs].tolist())
@@ -795,12 +810,14 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
             defects.append(Finding("invalid-catalog", f"material {mat_id} needs positive E and Ry"))
         elif not -1.0 < mat.nu <= 0.5:  # else G = E / (2 (1 + nu)) is not positive
             defects.append(Finding("invalid-catalog", f"material {mat_id} needs -1 < nu <= 0.5"))
-    if not defects:  # the terms need every reference and catalog value sound
-        stiff, heavy = _overflowing_cells(model, lengths)
-        defects += [Finding("overflow", f"cell {i} stiffness overflows double precision")
-                    for i in cells.ids[stiff].tolist()]
-        defects += [Finding("overflow", f"cell {i} self-weight overflows double precision")
-                    for i in cells.ids[heavy].tolist()]
+    # the terms need every reference and catalog value sound
+    short, stiff, heavy = _cell_checks(model, tol, overflow=not defects)
+    warnings = [Finding("degenerate-cell", f"cell {i} shorter than merge tolerance")
+                for i in cells.ids[short].tolist()]
+    defects += [Finding("overflow", f"cell {i} stiffness overflows double precision")
+                for i in cells.ids[stiff].tolist()]
+    defects += [Finding("overflow", f"cell {i} self-weight overflows double precision")
+                for i in cells.ids[heavy].tolist()]
 
     for bc in model.bcs.values():
         if not np.all(np.isfinite(bc.components)):

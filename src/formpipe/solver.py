@@ -245,30 +245,30 @@ class LinearSystem:
         return self.stiffness.as_scipy()
 
 
-def _local_stiffness(E, G, A, Iy, Iz, J, L):
-    """Local 12x12 stiffness of each element; trusses pass Iy = Iz = J = 0."""
-    k = np.zeros(np.shape(L) + (12, 12))
-    ea, gj, *bending = stiffness_terms(E, G, A, Iy, Iz, J, L)
-    k[..., 0, 0] = k[..., 6, 6] = ea
-    k[..., 0, 6] = k[..., 6, 0] = -ea
-    k[..., 3, 3] = k[..., 9, 9] = gj
-    k[..., 3, 9] = k[..., 9, 3] = -gj
+def _local_rows(terms: tuple, end) -> np.ndarray:
+    """The six rows of each local 12x12 stiffness that the cell's ``end``,
+    0 or 1, owns, (s, 6, 12), from its ``stiffness_terms``; a truss has
+    zero bending and torsion terms.  End b's rows mirror end a's through
+    S = diag(-1, 1, 1, 1, -1, -1): k_ba = S k_ab S and k_bb = S k_aa S.  So
+    rows 0-3 change sign with the end, and rows 4 and 5 swap 4EI/L and 2EI/L
+    between the blocks; every entry is a term or its negation, exactly."""
+    ea, gj, az, bz, cz, dz, ay, by, cy, dy = terms
+    end = np.asarray(end)
+    sign = 1.0 - 2.0 * end  # +1 at end a, -1 at end b
+    flip, own = -sign, end == 0
+    k = np.zeros(np.shape(ea) + (6, 12))
+    k[..., 0, 0], k[..., 0, 6] = sign * ea, flip * ea
+    k[..., 3, 3], k[..., 3, 9] = sign * gj, flip * gj
     # bending in the x-y plane (v along local y, rotation rz)
-    a, b, c, d = bending[:4]
-    k[..., 1, 1] = k[..., 7, 7] = a
-    k[..., 1, 7] = k[..., 7, 1] = -a
-    k[..., 1, 5] = k[..., 5, 1] = k[..., 1, 11] = k[..., 11, 1] = b
-    k[..., 5, 7] = k[..., 7, 5] = k[..., 7, 11] = k[..., 11, 7] = -b
-    k[..., 5, 5] = k[..., 11, 11] = c
-    k[..., 5, 11] = k[..., 11, 5] = d
+    k[..., 1, 1], k[..., 1, 7] = sign * az, flip * az
+    k[..., 1, 5] = k[..., 1, 11] = sign * bz
+    k[..., 5, 1], k[..., 5, 7] = bz, -bz
+    k[..., 5, 5], k[..., 5, 11] = np.where(own, cz, dz), np.where(own, dz, cz)
     # bending in the x-z plane (w along local z, rotation ry = -w')
-    a, b, c, d = bending[4:]
-    k[..., 2, 2] = k[..., 8, 8] = a
-    k[..., 2, 8] = k[..., 8, 2] = -a
-    k[..., 2, 4] = k[..., 4, 2] = k[..., 2, 10] = k[..., 10, 2] = -b
-    k[..., 4, 8] = k[..., 8, 4] = k[..., 8, 10] = k[..., 10, 8] = b
-    k[..., 4, 4] = k[..., 10, 10] = c
-    k[..., 4, 10] = k[..., 10, 4] = d
+    k[..., 2, 2], k[..., 2, 8] = sign * ay, flip * ay
+    k[..., 2, 4] = k[..., 2, 10] = flip * by
+    k[..., 4, 2], k[..., 4, 8] = -by, by
+    k[..., 4, 4], k[..., 4, 10] = np.where(own, cy, dy), np.where(own, dy, cy)
     return k
 
 
@@ -303,9 +303,13 @@ class _Elements:
     terms: np.ndarray  # (7, m) E, G, A, Iy, Iz, J, L; a truss has Iy = Iz = J = 0
     f: np.ndarray  # (m, 12) self-weight equivalent nodal loads, local axes
 
-    def k(self, cells: slice = slice(None)) -> np.ndarray:
-        """Local 12x12 stiffness of the given cells."""
-        return _local_stiffness(*self.terms[:, cells])
+    def k(self, cells: slice = slice(None), end=None) -> np.ndarray:
+        """Local 12x12 stiffness of the given cells; given the ``end``, 0
+        or 1, of each cell, only the six rows that end owns, (s, 6, 12)."""
+        terms = stiffness_terms(*self.terms[:, cells])
+        if end is None:
+            return np.concatenate([_local_rows(terms, 0), _local_rows(terms, 1)], axis=1)
+        return _local_rows(terms, end)
 
 
 def _elements(model: StructuralModel) -> _Elements:
@@ -343,9 +347,7 @@ def _slice_stiffness(el: _Elements, cells, end=None) -> np.ndarray:
     that end owns, (s, 6, 12)."""
     R = el.R[cells]
     s = len(R)
-    k = el.k(cells)
-    if end is not None:
-        k = k.reshape(s, 2, 6, 12)[np.arange(s), end]
+    k = el.k(cells, end)
     kR = k.reshape(s, -1, 3) @ R  # one product per cell, not per row and block
     return (R.transpose(0, 2, 1)[:, None] @ kR.reshape(s, -1, 3, 12)).reshape(k.shape)
 

@@ -55,14 +55,15 @@ class RepairReport:
 # Sweep axis: one fixed unit vector normal to no lattice plane, so grid-like
 # models do not project many points onto one value.
 _SWEEP_AXIS = np.array([1.0, math.sqrt(2.0), math.sqrt(3.0)]) / math.sqrt(6.0)
-# sweep candidates tested at a time: each takes about 100 bytes of temporaries
-_CHUNK = 1 << 14
+# sweep candidates tested at a time: each takes about 100 bytes of
+# temporaries, so a chunk takes about 0.4 MB
+_CHUNK = 1 << 12
 
 
-def _close_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
-    """(k, 2) pairs (lowest, i) that join each point i to the lowest index
-    of its cluster: the points linked by chains of pairs within ``tol`` of
-    each other (squared distance <= tol**2).  A spanning forest, so k < n.
+def _clusters(coords: np.ndarray, tol: float) -> np.ndarray:
+    """The parent array of the clusters of ``coords``: each point names the
+    lowest index of its cluster, the points linked by chains of pairs within
+    ``tol`` of each other (squared distance <= tol**2).
 
     Sort-and-sweep along ``_SWEEP_AXIS``: since |d . axis| <= |d|, every close
     pair lies within ``tol`` in projection.  Exact copies, found among the
@@ -72,12 +73,13 @@ def _close_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
     widened by a few ulps of the largest coordinate so that rounding in the
     projections never drops a pair; the distance test then decides exactly.
     The windows are tested in chunks of about ``_CHUNK`` candidates, cut
-    between points, and each chunk's close pairs are hooked into one parent
+    between points, and each chunk's close pairs are hooked into the parent
     array (``_hook``) before the next chunk is tested.
     """
     n = len(coords)
+    parent = np.arange(n)
     if n < 2:
-        return np.zeros((0, 2), dtype=np.intp)
+        return parent
     # the same rounding for every point, so equal coordinates project equal
     proj = coords[:, 0] * _SWEEP_AXIS[0]
     proj += coords[:, 1] * _SWEEP_AXIS[1]
@@ -86,24 +88,29 @@ def _close_pairs(coords: np.ndarray, tol: float) -> np.ndarray:
     swept = proj[order]
     del proj
     copies = _exact_copies(coords, order, swept)
-    parent = np.arange(n)
     parent[order[copies]] = order[copies - 1]  # a chain from the first at each position
     parent = _jump(parent)
-    order, swept = np.delete(order, copies), np.delete(swept, copies)
+    order = np.delete(order, copies)
+    swept = np.delete(swept, copies)
     m = len(order)
-    # non-finite coordinates sort to the ends and must not widen every window
-    scale = np.max(np.abs(coords), where=np.isfinite(coords), initial=0.0)
+    # non-finite coordinates sort to the ends and must not widen every
+    # window; the largest finite |x|, with no (n, 3) temporary of them
+    finite = np.isfinite(coords)
+    scale = max(np.max(coords, where=finite, initial=0.0),
+                -np.min(coords, where=finite, initial=0.0))
+    del finite
     reach = tol + 32.0 * np.spacing(scale)
-    width = np.searchsorted(swept, swept + reach, side="right") - np.arange(1, m + 1)
+    width = np.searchsorted(swept, swept + reach, side="right")
     del swept
+    width -= np.arange(1, m + 1)
     total = np.cumsum(width)
     # point boundaries about _CHUNK candidates apart
     cuts = distinct(np.concatenate([[0], np.searchsorted(
         total, np.arange(_CHUNK, total[-1], _CHUNK), side="right"), [m]]))
+    del total
     for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         parent = _hook(parent, *_window_pairs(coords, order, width, lo, hi, tol))
-    joined = np.flatnonzero(parent != np.arange(n))
-    return np.stack([parent[joined], joined], axis=1)
+    return _jump(parent)
 
 
 def _exact_copies(coords: np.ndarray, order: np.ndarray, swept: np.ndarray) -> np.ndarray:
@@ -141,15 +148,29 @@ def _window_pairs(coords, order, width, lo, hi, tol):
 
 
 def _hook(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``parent`` with the points a[k] and b[k] joined, for every k: min-label
-    hooking with full pointer jumping (Shiloach & Vishkin 1982).  Given a
-    ``parent`` in which every point names the lowest point of its tree, as
-    ``np.arange`` does, the result is one too."""
-    while (joins := parent[a] != parent[b]).any():
-        ra, rb = parent[a[joins]], parent[b[joins]]
+    """``parent``, in place, with the points a[k] and b[k] joined, for every
+    k: min-label hooking of their roots (Shiloach & Vishkin 1982).  Given a
+    ``parent`` in which every point names a lower point of its tree or, at
+    the root, itself, as ``np.arange`` does, the result is one too, so each
+    root is its tree's lowest point.  Only the roots of ``a`` and ``b`` are
+    looked up, and those points then name them, so a call costs by its
+    pairs, not by all the points; ``_jump`` makes every point name its root."""
+    while True:
+        ra, rb = _roots(parent, a), _roots(parent, b)
+        parent[a], parent[b] = ra, rb
+        joins = ra != rb
+        if not joins.any():
+            return parent
+        ra, rb = ra[joins], rb[joins]
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-        parent = _jump(parent)
-    return parent
+
+
+def _roots(parent: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The root of each of ``points``, followed one step at a time."""
+    roots = parent[points]
+    while not np.array_equal(up := parent[roots], roots):
+        roots = up
+    return roots
 
 
 def _jump(parent: np.ndarray) -> np.ndarray:
@@ -161,11 +182,18 @@ def _jump(parent: np.ndarray) -> np.ndarray:
 
 def _component_labels(n: int, edges: np.ndarray):
     """(count, labels) of the connected components of ``n`` points joined by
-    an (m, 2) edge array of point indices.  Labels number the components in
-    the order of their lowest point index (``_hook`` makes each root its
-    tree's lowest index)."""
-    roots, labels = np.unique(_hook(np.arange(n), *edges.T), return_inverse=True)
-    return len(roots), labels
+    an (m, 2) edge array of point indices (``_labels``)."""
+    return _labels(_jump(_hook(np.arange(n), *edges.T)))
+
+
+def _labels(parent: np.ndarray):
+    """(count, labels) of the trees of a ``parent`` array in which every
+    point names its tree's lowest index, as ``_jump`` leaves it.  A running
+    count of the roots numbers the trees in the order of their lowest
+    index, as ``np.unique(parent)`` would, with no sort."""
+    rank = np.cumsum(parent == np.arange(len(parent)))
+    rank -= 1
+    return (int(rank[-1]) + 1 if len(rank) else 0), rank[parent]
 
 
 def _lowest(labels: np.ndarray, count: int, values: np.ndarray) -> np.ndarray:
@@ -197,16 +225,16 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
         raise ValueError(f"merge tolerance must be finite and non-negative, got {tol:g}")
     points = model.points
     ids = points.ids
-    count, labels = _component_labels(len(ids), _close_pairs(points.coords, tol))
+    count, labels = _labels(_clusters(points.coords, tol))
     report = RepairReport()
     if count == len(ids):
         return model, report
 
     survivor = _lowest(labels, count, ids)[labels]
     moved = survivor != ids
-    kept, removed = survivor[moved], ids[moved]
-    order = np.lexsort((removed, kept))  # by survivor, then removed
-    report.merged_point_pairs = np.stack([kept[order], removed[order]], axis=1).astype(np.int64)
+    pairs = np.stack([survivor[moved], ids[moved]], axis=1)
+    report.merged_point_pairs = pairs[np.lexsort(pairs.T[::-1])]  # by survivor, then removed
+    del pairs
 
     loads = points.bc_ids
     loaded = loads != 0
@@ -228,6 +256,7 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
     masks = np.zeros((count, 6), dtype=bool)
     np.logical_or.at(masks, labels, points.masks)
     kept = labels[~moved]
+    del labels
     merged = PointTable(ids[~moved], points.coords[~moved], masks[kept], cluster_load[kept])
     raise_first(rigid_link_findings(links, merged), TopologyError)
 
@@ -284,17 +313,16 @@ def remove_degenerate_cells(model: StructuralModel, tol: float = DEFAULT_MERGE_T
 
 
 def _components(model: StructuralModel):
-    """Component count and label per point, the first-end point row of every
-    cell, and the mask of the components that are structure.  Rigid links
-    count as connections, isolated points form their own component, and an
-    ``orientation_points`` one is not structure."""
-    ends = _end_rows(model)
+    """Component count and label per point, and the mask of the components
+    that are structure.  Rigid links count as connections, isolated points
+    form their own component, and an ``orientation_points`` one is not
+    structure."""
     links = model.points.positions(link_ends(model.rigid_links))
-    edges = np.concatenate([ends, links[(links >= 0).all(axis=1)]])
-    count, labels = _component_labels(len(model.points), edges)
+    parent = _hook(np.arange(len(model.points)), *_end_rows(model).T)
+    count, labels = _labels(_jump(_hook(parent, *links[(links >= 0).all(axis=1)].T)))
     structure = np.ones(count, dtype=bool)
     structure[labels[orientation_points(model)]] = False
-    return count, labels, ends[:, 0], structure
+    return count, labels, structure
 
 
 def remove_detached_components(model: StructuralModel):
@@ -306,12 +334,13 @@ def remove_detached_components(model: StructuralModel):
     Ties break towards the component containing the lowest point id.  The
     report lists removed components as (cell count, representative point).
     """
-    count, labels, first_ends, structure = _components(model)
+    count, labels, structure = _components(model)
     report = RepairReport()
     if np.count_nonzero(structure) <= 1:
         return model, report
 
     ids = model.points.ids
+    first_ends = model.points.positions(model.cells.ends[:, 0])
     cells_in = np.bincount(labels[first_ends], minlength=count)
     lowest_id = _lowest(labels, count, ids)
     main = np.lexsort((lowest_id, -cells_in, ~structure))[0]
@@ -447,29 +476,36 @@ def unsupported_components(model: StructuralModel, unreached=None) -> Unsupporte
     and no restrained one (``_free_motions``), except ``orientation_points``; one with no
     restrained slot is named at its lowest point, along ux, without an eigenvalue.
     ``unreached`` is the model's ``unreached_slots`` where the caller has formed them."""
-    count, labels, _, structure = _components(model)
+    count, labels, structure = _components(model)
     points = model.points
     unreached = unreached_slots(model) if unreached is None else unreached
     held = points.masks & ~unreached
     restrained = np.bincount(labels, held.any(axis=1), minlength=count) > 0
     # a point that holds its six slots holds every motion: no eigenvalue needed
     ranked = restrained & (np.bincount(labels, held.all(axis=1), minlength=count) == 0)
-    # the rows of the components to rank, each as one run of ascending ids
-    rows = np.flatnonzero(ranked[labels])
-    rows = rows[np.lexsort((points.ids[rows], labels[rows]))]
-    k = np.flatnonzero(ranked)
-    free, row, slot = _free_motions(points.coords[rows], ~unreached[rows], held[rows],
-                                    np.bincount(labels[rows], minlength=count)[k])
     sizes = np.bincount(labels, minlength=count)
-    starts, order = np.cumsum(sizes) - sizes, np.lexsort((points.ids, labels))
-    named = np.stack([order[starts], np.zeros(count, dtype=np.int64)], axis=1)
-    named[k[free]] = np.stack([rows[row], slot], axis=1)
-    flagged = distinct(np.concatenate([np.flatnonzero(structure & ~restrained), k[free]]))
+    # every component as one run of ascending ids, by label
+    order = np.lexsort((points.ids, labels))
+    rows = order[ranked[labels][order]]
+    del labels
     members = points.ids[order]
+    del order
+    k = np.flatnonzero(ranked)
+    free, row, slot = _free_motions(points.coords[rows], ~unreached[rows], held[rows], sizes[k])
+    del held, unreached
+    flagged = distinct(np.concatenate([np.flatnonzero(structure & ~restrained), k[free]]))
+    starts = (np.cumsum(sizes) - sizes)[flagged]
     # by lowest member id; the stable sort keeps label order among equal ids
-    flagged = flagged[np.argsort(members[starts[flagged]], kind="stable")]
-    return Unsupported(starts[flagged], sizes[flagged], members,
-                       points.ids[named[flagged, 0]], named[flagged, 1])
+    by_id = np.argsort(members[starts], kind="stable")
+    flagged, starts = flagged[by_id], starts[by_id]
+    del by_id
+    # a component with no restrained slot is named at its lowest point, along
+    # ux; a ranked one, flagged only when free, where it moves most
+    point_ids, dofs = members[starts], np.zeros(len(flagged), dtype=np.int64)
+    at = np.flatnonzero(ranked[flagged])
+    named = np.searchsorted(k[free], flagged[at])
+    point_ids[at], dofs[at] = points.ids[rows[row[named]]], slot[named]
+    return Unsupported(starts, sizes[flagged], members, point_ids, dofs)
 
 
 def check_support_reachability(model: StructuralModel, unreached=None) -> list:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from formpipe.model import (
     validate,
 )
 
-from conftest import random_model, soup_document, traced_peak
+from conftest import assert_models_equal, random_model, soup_document, traced_peak
 
 
 class TestSectionProperties:
@@ -475,6 +477,46 @@ def test_cell_lengths_are_nan_only_for_missing_ends(ids):
                 if a in rows and b in rows else np.nan for a, b in ends]
     got = model_module.cell_lengths(model)
     assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_models_own_their_columns():
+    """No two columns of a parsed model, its copy, a merged model and a
+    generated lattice share memory, nor any of them with an array the
+    caller still holds: the point table the merge replaced, the lattice's
+    occupancy.  A parse that reads no section or material ids gives each
+    its own zeros.  So a write through one model's row view shows in that
+    model alone."""
+    document = soup_document(5)
+    parsed = fp.parse_model(document)
+    copied = parsed.copy()
+    merged = parsed.copy()
+    replaced = merged.points
+    merged, _ = fp.merge_duplicate_nodes(merged, tol=0.01)
+    occupancy = fp.arch_occupancy(6, 2, 4, thickness=1.5)
+    lattice = fp.gen_sphere_lattice(fp.LatticeSpec(occupancy=occupancy))
+    bare = fp.parse_model(re.sub(r'\s*<DataArray [^>]*Name="ID_(CROSS-SECTION|MATERIAL)">.*?'
+                                 r"</DataArray>", "", document, flags=re.S))
+    assert not bare.cells.cs_ids.any() and not bare.cells.mat_ids.any()
+    models = [parsed, copied, merged, lattice, bare]
+    held = [*replaced._cols, occupancy]
+    columns = [col for model in models for table in (model.points, model.cells)
+               for col in table._cols] + held
+    for a, b in itertools.combinations(columns, 2):
+        assert not np.shares_memory(a, b)
+
+    before = [model.copy() for model in models]
+    for model in models:
+        model.points[0].coords[:] = -1.0
+        model.points[0].constraint_mask[:] = True
+        model.points[0].bc_id = 5
+        model.cells[0].connectivity = (0, 0)
+        model.cells[0].cs_id = 7
+        model.cells[0].kind = TRUSS_LINE
+        assert model.cells[0].mat_id == 0 if model is bare else 1
+        for other, old in zip(models, before):
+            if other is not model:
+                assert_models_equal(other, old)
+        before = [other.copy() for other in models]
 
 
 class TestViews:

@@ -25,6 +25,7 @@ from formpipe.model import (
     StructuralModel,
     cell_frames,
     section_properties,
+    stiffness_terms,
 )
 from formpipe.solver import (
     ConvergenceError,
@@ -136,6 +137,39 @@ def solve_model(model, method="direct", **kw):
     )
     disp = expand_displacements(dm, u)
     return system, dm, u, disp, stats
+
+
+def textbook_local_stiffness(ea, gj, az, bz, cz, dz, ay, by, cy, dy):
+    """The local 12x12 Euler-Bernoulli stiffness of one element, entry by
+    entry, from its ``stiffness_terms``: the symmetric upper triangle, then
+    its mirror."""
+    k = np.zeros((12, 12))
+    upper = {(0, 0): ea, (0, 6): -ea, (6, 6): ea, (3, 3): gj, (3, 9): -gj, (9, 9): gj,
+             (1, 1): az, (1, 7): -az, (7, 7): az, (1, 5): bz, (1, 11): bz, (5, 7): -bz,
+             (7, 11): -bz, (5, 5): cz, (11, 11): cz, (5, 11): dz,
+             (2, 2): ay, (2, 8): -ay, (8, 8): ay, (2, 4): -by, (2, 10): -by, (4, 8): by,
+             (8, 10): by, (4, 4): cy, (10, 10): cy, (4, 10): dy}
+    for (i, j), value in upper.items():
+        k[i, j] = k[j, i] = value
+    return k
+
+
+@pytest.mark.parametrize("truss", [False, True], ids=["beam", "truss"])
+def test_six_rows_of_each_end_are_the_textbook_rows(truss):
+    """Each cell end's six rows, formed alone from the mirror symmetry of
+    the two ends, are the rows of the textbook matrix that end owns, bit
+    for bit and zero signs included, and ``k`` stacks both ends' rows."""
+    rng = np.random.default_rng(5)
+    m = 40
+    terms = rng.uniform(1.0, 1e5, (7, m))
+    if truss:
+        terms[3:6] = 0.0  # a truss has no bending or torsion terms
+    el = solver._Elements(ends=None, R=None, terms=terms, f=None)
+    end = rng.integers(0, 2, m)
+    want = np.stack([textbook_local_stiffness(*t) for t in zip(*stiffness_terms(*terms))])
+    assert el.k().tobytes() == want.tobytes()
+    rows = want.reshape(m, 2, 6, 12)[np.arange(m), end]
+    assert el.k(slice(None), end).tobytes() == rows.tobytes()
 
 
 class TestElementStiffness:

@@ -30,11 +30,11 @@ from formpipe.model import (
     orientation_points,
     validate,
 )
-from formpipe import topology
+from formpipe import exchange, topology
 from formpipe.topology import (
     RepairReport,
     TopologyError,
-    _close_pairs,
+    _clusters,
     _component_labels,
     check_support_reachability,
     make_rigid_link,
@@ -47,6 +47,14 @@ from formpipe.topology import (
 
 from conftest import (collinear_trusses, line_pinned_lattice, random_model, soup_document,
                       traced_peak)
+
+
+def _close_pairs(coords, tol):
+    """The sweep's clusters as (k, 2) pairs (lowest, i) that join each point
+    i to the lowest index of its cluster: a spanning forest, so k < n."""
+    parent = _clusters(coords, tol)
+    joined = np.flatnonzero(parent != np.arange(len(parent)))
+    return np.stack([parent[joined], joined], axis=1)
 
 
 def simple_model(coords, cells, masks=None, bc_points=()):
@@ -270,8 +278,6 @@ class TestMergeDuplicateNodes:
         assert sorted(p.id for p in merged_a.points) == sorted(p.id for p in merged_b.points)
 
     def test_coincident_points_give_linearly_many_pairs(self):
-        from formpipe.topology import _close_pairs
-
         coords = np.tile([[120.0, -3.5, 7.25]], (2000, 1))
         pairs = _close_pairs(coords, 0.01)
         assert len(pairs) == 1999  # not 2000 * 1999 / 2
@@ -1000,30 +1006,60 @@ class TestPipelineProperties:
 
 
 class TestMemoryGates:
-    """Traced peaks of the repairs and the support check on the 8x8x8 line
-    soup (3,120 points, 8,154 sweep candidates), and of a merge that joins
-    every point of a lattice into one."""
+    """Traced peaks of the read, the repairs, the support check and
+    ``validate`` on the 8x8x8 line soup (3,120 points, 1,660 cells, 8,154
+    sweep candidates), and of a merge that joins every point of a lattice
+    into one."""
 
     @pytest.fixture(scope="class")
-    def soup(self):
-        return fp.parse_model(soup_document(8))
+    def document(self):
+        return soup_document(8)
+
+    @pytest.fixture(scope="class")
+    def soup(self, document):
+        return fp.parse_model(document)
+
+    def test_parse_holds_each_column_once(self, document):
+        # the model's columns take 0.21 MB; beside the arrays the parse
+        # read, building the model peaks at 0.13 MB: the ids and the join of
+        # each column's batches.  Tables that copied every column took 0.31 MB
+        root, arrays = exchange._tree([document])
+        assert traced_peak(exchange._model, root, arrays) <= 0.16e6
+
+    def test_component_labels_hold_no_sort(self, soup):
+        # 0.09 MB: a running count of the roots numbers the components;
+        # np.unique's sort of the parent array and its inverse took 0.17 MB
+        edges = soup.points.positions(soup.cells.ends)
+        assert traced_peak(_component_labels, len(soup.points), edges) <= 0.11e6
 
     def test_merge_of_the_soup(self, soup):
-        # 0.76 MB; the sweep tests its candidates in chunks of 16k and hooks
-        # each chunk's close pairs into one parent array (0.95 MB when it
-        # gathered them, and a lexsort found the exact copies)
-        assert traced_peak(merge_duplicate_nodes, soup.copy(), 0.01) <= 0.85e6
+        # 0.41 MB; the sweep tests its candidates in chunks of 4k and hooks
+        # each chunk's close pairs into one parent array, which labels the
+        # clusters (0.76 MB when its spanning forest was hooked again to
+        # label them, with chunks of 16k; 0.95 MB when it gathered the
+        # pairs, and a lexsort found the exact copies)
+        assert traced_peak(merge_duplicate_nodes, soup.copy(), 0.01) <= 0.5e6
 
     def test_support_check_as_arrays(self, soup):
-        # 0.27 MB for 1,362 flagged components; the list of
-        # UnsupportedComponent objects peaks at 0.48 MB
+        # 0.12 MB for 1,362 flagged components, ordered before they are
+        # named, after one sort of the points; 0.26 MB when every component
+        # was named and the ranked rows sorted apart, and the list of
+        # UnsupportedComponent objects peaked at 0.48 MB
         assert len(unsupported_components(soup).starts) == 1362
-        assert traced_peak(unsupported_components, soup) <= 0.35e6
+        assert traced_peak(unsupported_components, soup) <= 0.15e6
+
+    def test_validate_of_the_soup(self, soup):
+        # 0.38 MB: lengths and overflow terms by slices of cells, their
+        # finiteness tested term by term, and the duplicate ids found by a
+        # stable argsort; 0.46 MB with the terms stacked and np.unique's
+        # first positions
+        assert traced_peak(validate, soup) <= 0.42e6
 
     def test_huge_tolerance_keeps_few_pairs(self):
         # 12x12x12 lattice, 1,728 points and 1.5M candidate pairs, all close:
-        # 1.49 MB (1.74 MB with a forest pass over the gathered pairs), where
-        # holding every close pair took 133 MB
+        # 0.51 MB (1.49 MB with chunks of 16k candidates, 1.74 MB with a
+        # forest pass over the gathered pairs), where holding every close
+        # pair took 133 MB
         lattice = fp.gen_sphere_lattice(fp.LatticeSpec(nx=12, ny=12, nz=12))
-        assert traced_peak(merge_duplicate_nodes, lattice, 1e300) <= 1.65e6
+        assert traced_peak(merge_duplicate_nodes, lattice, 1e300) <= 0.65e6
         assert len(lattice.points) == 1
