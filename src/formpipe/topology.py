@@ -152,9 +152,10 @@ def _hook(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     k: min-label hooking of their roots (Shiloach & Vishkin 1982).  Given a
     ``parent`` in which every point names a lower point of its tree or, at
     the root, itself, as ``np.arange`` does, the result is one too, so each
-    root is its tree's lowest point.  Only the roots of ``a`` and ``b`` are
-    looked up, and those points then name them, so a call costs by its
-    pairs, not by all the points; ``_jump`` makes every point name its root."""
+    root is its tree's lowest point.  Only the points of ``a`` and ``b`` and
+    their roots are looked up and rewritten, and those points name their
+    roots on return, so a call costs by its pairs, not by all the points;
+    ``_jump`` makes every point name its root."""
     while True:
         ra, rb = _roots(parent, a), _roots(parent, b)
         parent[a], parent[b] = ra, rb
@@ -162,7 +163,13 @@ def _hook(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if not joins.any():
             return parent
         ra, rb = ra[joins], rb[joins]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        high = np.maximum(ra, rb)
+        np.minimum.at(parent, high, np.minimum(ra, rb))
+        del ra, rb
+        # the hooked roots name lower roots, hooked or not: pointer jumping
+        # over them reaches the new roots in a few rounds, however long the chain
+        while not np.array_equal(up := parent[parent[high]], parent[high]):
+            parent[high] = up
 
 
 def _roots(parent: np.ndarray, points: np.ndarray) -> np.ndarray:

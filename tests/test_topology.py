@@ -285,6 +285,15 @@ class TestMergeDuplicateNodes:
         assert [p.id for p in model.points] == [0]
         assert report.merged_point_pairs.tolist() == [[0, i] for i in range(1, 2000)]
 
+    def test_a_chain_along_the_sweep_merges_into_its_first_point(self):
+        # 5,000 points along the sweep axis, each within tol of the next but
+        # two: chunks hook long chains of roots, in order and shuffled
+        axis = topology._SWEEP_AXIS
+        coords = np.arange(5000)[:, None] * 0.4 * axis
+        for order in (np.arange(5000), np.random.default_rng(6).permutation(5000)):
+            parent = _clusters(coords[order], 1.0)
+            assert parent.tolist() == [0] * 5000
+
     def test_exact_copies_stay_out_of_the_sweep(self, monkeypatch):
         # a point on the x axis and one on the y axis whose projections
         # round to the same value, and copies of each, interleaved: the two
