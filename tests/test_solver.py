@@ -1424,8 +1424,8 @@ class TestMemoryGates:
 
     def test_pcg_holds_nothing_nnz_sized_beside_k(self, arch_50x5x24):
         # PCG holds about ten vectors of n and one run of a product at a
-        # time: 0.97 MB here, where an intp copy of K's indices, 8 bytes an
-        # entry, took 1.61 MB
+        # time: 0.57 MB here in runs of 2^13 (0.97 MB in runs of 2^15),
+        # where an intp copy of K's indices, 8 bytes an entry, took 1.61 MB
         system = assemble(arch_50x5x24)[0]
         n = system.stiffness.shape[0]
         assert traced_peak(solve_pcg_ichol, system) <= 3 * 8 * solver._RUN + 10 * 8 * n
@@ -1442,8 +1442,9 @@ class TestMemoryGates:
         # after a warm-up product the matrix keeps only its run plan, a few
         # numbers a row.  A product then holds a run's gathered terms and
         # take's intp copy of its indices, 8 bytes an entry each, and its n
-        # doubles of output: 0.58 MB here, where a first product that also
-        # cached an intp copy of every index took 1.13 MB
+        # doubles of output: 0.19 MB here in runs of 2^13 (0.58 MB in runs
+        # of 2^15), where a first product that also cached an intp copy of
+        # every index took 1.13 MB
         K = assemble(arch_50x5x24)[0].stiffness
         x = np.ones(K.shape[0])
         K @ x
