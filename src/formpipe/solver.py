@@ -143,14 +143,15 @@ class DofMap:
 # Stored entries per run of whole rows in ``CsrArrays`` products and row
 # sums: a run's temporaries, its gathered terms and take's intp copy of its
 # int32 indices, take 8 bytes an entry each, so no product allocates
-# anything nnz-sized.  At 2^13 entries each stays below glibc's 128 KiB
-# mmap threshold, so it comes from the heap whatever the process freed
-# before: with runs of 2^15, PCG on the cleaned 50x5x24 arch took 0.13
-# instead of 0.06 s in processes where no earlier free had raised that
-# threshold, each run's 256 KiB being mapped and faulted in afresh.  On the
-# cleaned 80x8x40 arch (2-core Xeon, 195k entries of K) a warm product
-# takes 0.54 ms in runs of 2^13 or 2^15, against 1.33 ms in one run
-_RUN = 2**13
+# anything nnz-sized.  Each stays just below glibc's 128 KiB mmap
+# threshold, so it comes from the heap whatever the process freed before:
+# with runs of 2^15, PCG on the cleaned 50x5x24 arch took 0.13 instead of
+# 0.06 s in processes where no earlier free had raised that threshold, each
+# run's 256 KiB being mapped and faulted in afresh.  On the cleaned 80x8x40
+# arch (2-core Xeon, 195k entries of K) a warm product takes 0.54 ms in
+# runs of 2^13 or 2^15, against 1.33 ms in one run; runs of 2^13 raised
+# `solve`'s peak RSS there by 1.1 MB, runs of this size by none
+_RUN = 2**14 - 2**8
 
 
 @dataclass

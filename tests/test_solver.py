@@ -1424,7 +1424,7 @@ class TestMemoryGates:
 
     def test_pcg_holds_nothing_nnz_sized_beside_k(self, arch_50x5x24):
         # PCG holds about ten vectors of n and one run of a product at a
-        # time: 0.57 MB here in runs of 2^13 (0.97 MB in runs of 2^15),
+        # time: 0.70 MB here in runs of 16k (0.97 MB in runs of 2^15),
         # where an intp copy of K's indices, 8 bytes an entry, took 1.61 MB
         system = assemble(arch_50x5x24)[0]
         n = system.stiffness.shape[0]
@@ -1442,7 +1442,7 @@ class TestMemoryGates:
         # after a warm-up product the matrix keeps only its run plan, a few
         # numbers a row.  A product then holds a run's gathered terms and
         # take's intp copy of its indices, 8 bytes an entry each, and its n
-        # doubles of output: 0.19 MB here in runs of 2^13 (0.58 MB in runs
+        # doubles of output: 0.31 MB here in runs of 16k (0.58 MB in runs
         # of 2^15), where a first product that also cached an intp copy of
         # every index took 1.13 MB
         K = assemble(arch_50x5x24)[0].stiffness
