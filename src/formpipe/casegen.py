@@ -29,7 +29,7 @@ from .model import (
     raise_first,
     validate,
 )
-from .topology import _component_labels, _peel, solvability_findings
+from .topology import _hook, _jump, _labels, _peel, solvability_findings
 
 STEEL = dict(E=210.0e3, nu=0.2, tAlpha=1.2e-5, density=7850.0e-9, Ry=300.0)
 TIMBER = dict(E=11.0e3, nu=0.3, tAlpha=5.0e-6, density=500.0e-9, Ry=24.0)
@@ -256,7 +256,7 @@ def _largest_component(order: np.ndarray, pairs: np.ndarray):
     holding the smallest voxel."""
     if not len(order):
         return order, pairs
-    count, labels = _component_labels(len(order), pairs)
+    count, labels = _labels(_jump(_hook(np.arange(len(order)), *pairs.T)))
     return _kept(order, pairs, labels == np.argmax(np.bincount(labels, minlength=count)))
 
 
@@ -291,10 +291,9 @@ def _inject_defects(body: np.ndarray, body_cells: int, spec: LatticeSpec, rng) -
         chain = []
         cur = start
         for _ in range(length):
-            dirs = list(_FACE_DIRS)
-            rng.shuffle(dirs)
-            for d in dirs:
-                nxt = (cur[0] + d[0], cur[1] + d[1], cur[2] + d[2])
+            steps = list(_neighbors(cur))
+            rng.shuffle(steps)
+            for nxt in steps:
                 if admissible(nxt, cur):
                     occupied.add(nxt)
                     chain.append(nxt)

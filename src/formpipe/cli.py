@@ -18,7 +18,8 @@ import tempfile
 
 from . import __version__
 from .exchange import ExchangeFormatError, model_pieces, read_model, results_pieces
-from .model import DEFAULT_MERGE_TOL, DEFAULT_PCG_TOL, StructuralModel, validate
+from .model import (DEFAULT_MERGE_TOL, DEFAULT_PCG_TOL, StructuralModel, check_pcg_options,
+                    validate)
 from .resistance import build_result_set, equilibrium_residual
 from .topology import (
     DEFAULT_PRUNE_DEGREE,
@@ -98,9 +99,11 @@ def run_solve_pipeline(model: StructuralModel, *, solver="direct", pcg_tol=DEFAU
                        pcg_max_iter=None):
     """Assemble, solve (``solver`` is direct or pcg), recover forces and
     post-process into a ResultSet.  Self-weight acts when the model's
-    ``self_weight_enabled`` is set."""
+    ``self_weight_enabled`` is set.  The PCG options are checked before
+    assembly, whichever the solver."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
+    check_pcg_options(pcg_tol, pcg_max_iter)
     from . import solver as statics  # no other command needs it
     system, dofmap = statics.assemble(model)
     if solver == "pcg":
@@ -130,10 +133,17 @@ def _emit(lines):
         os.close(devnull)
 
 
-def _structured(records) -> list:
-    out = [f"formpipe_report_version {REPORT_VERSION}"]
-    out.extend(f"{key} {value}" for key, value in records)
-    return out
+def _report(args, records, text) -> int:
+    """Print the report as ``args.format`` asks, the (key, value) ``records``
+    or the ``text`` lines, and write it to ``args.report`` where given."""
+    lines = text
+    if args.format == "structured":
+        lines = [f"formpipe_report_version {REPORT_VERSION}"]
+        lines += [f"{key} {value}" for key, value in records]
+    _emit(lines)
+    if args.report:
+        atomic_write(args.report, ["\n".join(lines) + "\n"])
+    return EXIT_OK
 
 
 # Per repair report list: structured record key and text summary
@@ -151,10 +161,10 @@ def _clean_records(reports, cells_before, cells_after):
     records = []
     for name, rep in reports:
         records += [(f"{name}.{key}", len(getattr(rep, attr))) for attr, key, _ in _REPAIRS]
-        records.append((f"{name}.element_removal_fraction", repr(rep.element_removal_fraction)))
+        records.append((f"{name}.element_removal_fraction", rep.element_removal_fraction))
     total = (cells_before - cells_after) / cells_before if cells_before else 0.0
     return records + [("cells_before", cells_before), ("cells_after", cells_after),
-                      ("total_element_removal_fraction", repr(total))]
+                      ("total_element_removal_fraction", total)]
 
 
 def _clean_text(reports, cells_before, cells_after):
@@ -198,35 +208,44 @@ def cmd_clean(args) -> int:
         raise CommandError(exc) from exc
     cells_after = len(model.cells)
     atomic_write(args.output, pieces)
-
-    if args.format == "structured":
-        lines = _structured(_clean_records(reports, cells_before, cells_after))
-    else:
-        lines = _clean_text(reports, cells_before, cells_after)
-    _emit(lines)
-    if args.report:
-        atomic_write(args.report, ["\n".join(lines) + "\n"])
-    return EXIT_OK
+    return _report(args, _clean_records(reports, cells_before, cells_after),
+                   _clean_text(reports, cells_before, cells_after))
 
 
-def _solve_records(model, results, stats, equilibrium):
-    return [
-        ("solver_method", stats.method),
-        ("solver_iterations", stats.iterations),
-        ("solver_relative_residual", repr(stats.relative_residual)),
-        ("solver_wall_time_s", repr(stats.wall_time)),
-        ("solver_true_residual", repr(stats.true_residual)),
-        ("solver_backward_error", repr(stats.backward_error)),
-        ("solver_equilibrium_residual", repr(equilibrium)),
-        ("solver_ordering", stats.ordering),
-        ("solver_factor_nnz", stats.factor_nnz),
-        ("solver_factor_time_s", repr(stats.factor_time)),
-        ("self_weight", int(model.self_weight_enabled)),
-        ("max_u_el", repr(results.max_u_el)),
-        ("max_total_displacement_mm", repr(results.max_total_displacement)),
-        ("exceeded_count", int(results.exceeded.sum())),
-        ("cell_count", len(results.u_el)),
-    ]
+def _solve_values(model, results, stats, equilibrium) -> dict:
+    """The values of both solve report formats by record key, in record order."""
+    return {
+        "solver_method": stats.method,
+        "solver_iterations": stats.iterations,
+        "solver_relative_residual": stats.relative_residual,
+        "solver_wall_time_s": stats.wall_time,
+        "solver_true_residual": stats.true_residual,
+        "solver_backward_error": stats.backward_error,
+        "solver_equilibrium_residual": equilibrium,
+        "solver_ordering": stats.ordering,
+        "solver_factor_nnz": stats.factor_nnz,
+        "solver_factor_time_s": stats.factor_time,
+        "self_weight": int(model.self_weight_enabled),
+        "max_u_el": results.max_u_el,
+        "max_total_displacement_mm": results.max_total_displacement,
+        "exceeded_count": int(results.exceeded.sum()),
+        "cell_count": len(results.u_el),
+    }
+
+
+# the text solve report, a line per entry, formatted from ``_solve_values``
+_SOLVE_TEXT = (
+    "solved with {solver_method}: {solver_iterations} iteration(s), "
+    "residual {solver_relative_residual:.3e}, {solver_wall_time_s:.3f} s",
+    "true residual |Ku-f|/|f| = {solver_true_residual:.3e}",
+    "backward error |Ku-f|/(|K||u|+|f|) = {solver_backward_error:.3e}",
+    "equilibrium residual (reactions + loads) = {solver_equilibrium_residual:.3e}",
+    "factor: {solver_factor_nnz} entries, {solver_ordering} ordering, "
+    "{solver_factor_time_s:.3f} s",
+    "max resistance ratio u_el = {max_u_el:.6g}",
+    "max total displacement = {max_total_displacement_mm:.6g} mm",
+    "elements above the elastic limit: {exceeded_count} of {cell_count}",
+)
 
 
 def cmd_solve(args) -> int:
@@ -242,27 +261,8 @@ def cmd_solve(args) -> int:
         raise CommandError(exc) from exc
     atomic_write(args.output, pieces)
 
-    equilibrium = equilibrium_residual(model, results)
-    if args.format == "structured":
-        lines = _structured(_solve_records(model, results, stats, equilibrium))
-    else:
-        lines = [
-            f"solved with {stats.method}: {stats.iterations} iteration(s), "
-            f"residual {stats.relative_residual:.3e}, {stats.wall_time:.3f} s",
-            f"true residual |Ku-f|/|f| = {stats.true_residual:.3e}",
-            f"backward error |Ku-f|/(|K||u|+|f|) = {stats.backward_error:.3e}",
-            f"equilibrium residual (reactions + loads) = {equilibrium:.3e}",
-            f"factor: {stats.factor_nnz} entries, {stats.ordering} ordering, "
-            f"{stats.factor_time:.3f} s",
-            f"max resistance ratio u_el = {results.max_u_el:.6g}",
-            f"max total displacement = {results.max_total_displacement:.6g} mm",
-            f"elements above the elastic limit: {int(results.exceeded.sum())} "
-            f"of {len(results.u_el)}",
-        ]
-    _emit(lines)
-    if args.report:
-        atomic_write(args.report, ["\n".join(lines) + "\n"])
-    return EXIT_OK
+    values = _solve_values(model, results, stats, equilibrium_residual(model, results))
+    return _report(args, values.items(), [line.format(**values) for line in _SOLVE_TEXT])
 
 
 def cmd_gen(args) -> int:

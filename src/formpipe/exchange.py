@@ -34,6 +34,7 @@ from .model import (
     RigidLink,
     StructuralModel,
     link_ends,
+    point_aims,
 )
 from .resistance import deformed_geometry
 
@@ -263,6 +264,13 @@ class _ItemReader:
         self.pos += 1
         return self.toks[self.pos - 1]
 
+    def kind(self, *known):
+        """The next token, the item's kind, which must be one of ``known``."""
+        kind = self.take()
+        if kind not in known:
+            raise self.error(f"kind {kind!r}")
+        return kind
+
     def take_as(self, kind):
         """The next token as an int or a float."""
         tok = self.take()
@@ -300,7 +308,7 @@ _MATERIAL_KEYS = ("E", "nu", "tAlpha", "density", "Ry")
 def _parse_cross_section(text):
     reader = _ItemReader(text, "cross-section")
     cs_id = reader.take_as(int)
-    kind = reader.take()
+    kind = reader.kind("Circle", "Rectangle", "Generic")
     if kind == "Circle":
         values, extra = reader.keyed({"width"})
         if "width" not in values:
@@ -312,23 +320,19 @@ def _parse_cross_section(text):
             raise reader.error("Rectangle needs width and height")
         ref_axis, ref_code = values.get("refNode", (None, None))
         shape = Rectangle(values["width"], values["height"], ref_axis, ref_code)
-    elif kind == "Generic":
+    else:
         values, extra = reader.keyed(_GENERIC_KEYS)
         missing = set(_GENERIC_KEYS) - values.keys()
         if missing:
             raise reader.error(f"Generic missing {sorted(missing)}")
         shape = GenericSection(**values)
-    else:
-        raise reader.error(f"kind {kind!r}")
     return CrossSection(id=cs_id, shape=shape, extra=extra)
 
 
 def _parse_material(text):
     reader = _ItemReader(text, "material")
     mat_id = reader.take_as(int)
-    kind = reader.take()
-    if kind != "IsoLinEl":
-        raise reader.error(f"kind {kind!r}")
+    reader.kind("IsoLinEl")
     values, extra = reader.keyed(_MATERIAL_KEYS)
     if "E" not in values or "nu" not in values:
         raise reader.error("needs E and nu")
@@ -338,9 +342,7 @@ def _parse_material(text):
 def _parse_bc(text):
     reader = _ItemReader(text, "boundary condition")
     bc_id = reader.take_as(int)
-    kind = reader.take()
-    if kind != "NodalLoad":
-        raise reader.error(f"kind {kind!r}")
+    reader.kind("NodalLoad")
     if reader.take() != "components":
         raise reader.error("expected 'components'")
     count = reader.take_as(int)
@@ -354,9 +356,7 @@ def _parse_bc(text):
 def _parse_rigid_link(text):
     reader = _ItemReader(text, "rigid link")
     reader.take_as(int)  # ordinal, ignored
-    kind = reader.take()
-    if kind != "RigidLink":
-        raise reader.error(f"kind {kind!r}")
+    reader.kind("RigidLink")
     ends = {}
     offset = None
     while not reader.exhausted():
@@ -629,12 +629,10 @@ def _wire_catalogs(model: StructuralModel, points: PointTable) -> dict:
                      "rigid links reference points that are not in the model")
         links = [replace(link, master=m, slave=s) for link, (m, s) in zip(links, ends.tolist())]
     sections = dict(model.cross_sections)
-    for key, cs in model.cross_sections.items():
-        shape = cs.shape
-        if isinstance(shape, Rectangle) and shape.ref_axis is not None and shape.ref_code >= 0:
-            code = _wire(points, shape.ref_code, f"cross-section {cs.id} references "
-                         f"point {shape.ref_code}, which is not in the model")
-            sections[key] = replace(cs, shape=replace(shape, ref_code=int(code)))
+    for key, cs in point_aims(model).items():
+        code = _wire(points, cs.shape.ref_code, f"cross-section {cs.id} references "
+                     f"point {cs.shape.ref_code}, which is not in the model")
+        sections[key] = replace(cs, shape=replace(cs.shape, ref_code=int(code)))
     return {"cross_sections": sections, "materials": model.materials, "bcs": model.bcs,
             "rigid_links": links}
 

@@ -33,6 +33,15 @@ DEFAULT_MERGE_TOL = 1e-6
 # solver, so that the CLI can name it without loading the solver
 DEFAULT_PCG_TOL = 1e-10
 
+
+def check_pcg_options(tol: float, max_iter: int | None) -> None:
+    """Raise ValueError unless ``tol`` lies in (0, 1) and ``max_iter`` is None or at least 1."""
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"PCG tolerance must lie in (0, 1), got {tol:g}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"PCG iteration limit must be at least 1, got {max_iter}")
+
+
 # built-in steel preset yield stress (MPa); used when a material does not carry Ry
 DEFAULT_YIELD_STRESS = 300.0
 
@@ -375,7 +384,6 @@ class Material:
     tAlpha: float = 0.0  # 1/K
     density: float = 0.0  # kg/mm^3
     Ry: float = DEFAULT_YIELD_STRESS  # MPa
-    kind: str = "IsoLinEl"
     extra: tuple = ()
 
     @property
@@ -389,7 +397,6 @@ class BoundaryConditionEntry:
 
     id: int
     components: np.ndarray
-    kind: str = "NodalLoad"
     extra: tuple = ()
 
     def __post_init__(self):
@@ -577,9 +584,13 @@ class Finding:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     defects: list
     warnings: list
+
+    @property
+    def ok(self) -> bool:
+        """True when there are no blocking defects."""
+        return not self.defects
 
 
 def raise_first(findings, error) -> None:
@@ -590,8 +601,9 @@ def raise_first(findings, error) -> None:
 
 def distinct(values) -> np.ndarray:
     """The sorted distinct values of an integer array, as ``np.unique``
-    gives them.  Its plain form asks ``np.ma.is_masked``, which loads
-    numpy.ma (about 17 ms)."""
+    gives them.  On numpy 2.4 plain ``np.unique`` loads numpy.ma (10-16 ms,
+    1.9 MB); its ``return_index`` form does not, but on the soup's 46k
+    point ids it peaks at 1.91 MB against 0.79 MB here."""
     values = np.sort(np.ravel(values))
     first = np.ones(values.shape, dtype=bool)
     first[1:] = values[1:] != values[:-1]
@@ -600,11 +612,21 @@ def distinct(values) -> np.ndarray:
 
 def isin(values, test) -> np.ndarray:
     """``np.isin(values, test)`` of integer arrays by one sort and
-    ``searchsorted``, which loads no numpy.ma."""
+    ``searchsorted``, which loads no numpy.ma; np.isin on numpy 2.4 loads it
+    through plain ``np.unique`` when ``test`` spans over six entries per value."""
     values, test = np.asarray(values), np.sort(np.ravel(test))
     if not test.size:
         return np.zeros(values.shape, dtype=bool)
     return test[np.searchsorted(test, values).clip(max=test.size - 1)] == values
+
+
+def _entries(indptr, rows):
+    """The positions of the stored entries of ``rows`` in a CSR matrix with
+    row pointers ``indptr``, row by row, and each row's count of them."""
+    begin = indptr[rows]
+    count = indptr[rows + 1] - begin
+    ends = np.cumsum(count)
+    return np.arange(ends[-1]) + np.repeat(begin - ends + count, count), count
 
 
 def _repeats(ids: np.ndarray) -> np.ndarray:
@@ -629,31 +651,27 @@ def _row_findings(checks, *columns) -> list:
             for (_, kind, message), hit in zip(checks, failed[:, row]) if hit]
 
 
-def _missing(ids: np.ndarray, catalog: dict) -> np.ndarray:
-    return ~isin(ids, np.fromiter(catalog, dtype=np.int64, count=len(catalog)))
-
-
 def link_ends(links) -> np.ndarray:
     """(k, 2) master and slave point ids of rigid links."""
     return np.array([(l.master, l.slave) for l in links], dtype=np.int64).reshape(-1, 2)
 
 
-def point_aims(model: StructuralModel) -> list:
-    """The cross-sections whose Rectangle ``refNode`` names a point id."""
-    return [cs for cs in model.cross_sections.values()
+def point_aims(model: StructuralModel) -> dict:
+    """The cross-sections, by catalog key, whose Rectangle ``refNode`` names a point id."""
+    return {key: cs for key, cs in model.cross_sections.items()
             if isinstance(cs.shape, Rectangle) and cs.shape.ref_axis is not None
-            and cs.shape.ref_code >= 0]
+            and cs.shape.ref_code >= 0}
 
 
 def aim_points(model: StructuralModel) -> np.ndarray:
     """Mask of the points that a Rectangle's point-id ``refNode`` names."""
-    return isin(model.points.ids, [cs.shape.ref_code for cs in point_aims(model)])
+    return isin(model.points.ids, [cs.shape.ref_code for cs in point_aims(model).values()])
 
 
 def used_points(model: StructuralModel) -> np.ndarray:
     """Mask of the points that are the end of a cell or a rigid link."""
-    ends = np.concatenate([model.cells.ends.ravel(), link_ends(model.rigid_links).ravel()])
-    return isin(model.points.ids, ends)
+    ids = model.points.ids
+    return isin(ids, model.cells.ends) | isin(ids, link_ends(model.rigid_links))
 
 
 def orientation_points(model: StructuralModel) -> np.ndarray:
@@ -711,19 +729,19 @@ def rigid_link_findings(links, points: PointTable) -> list:
 _CELL_SLICE = 1 << 12
 
 
-def _cell_checks(model: StructuralModel, tol: float, overflow: bool):
-    """Rows of the cells no longer than ``tol`` and, with ``overflow``, of the
-    cells of nonzero length whose ``stiffness_terms`` and, with
-    ``self_weight_enabled``, whose self-weight load terms are not all
-    finite, each ascending; lengths and terms are formed ``_CELL_SLICE``
+def _cell_checks(model: StructuralModel, overflow: bool):
+    """Rows of the cells no longer than ``DEFAULT_MERGE_TOL`` and, with
+    ``overflow``, of the cells of nonzero length whose ``stiffness_terms``
+    and, with ``self_weight_enabled``, whose self-weight load terms are not
+    all finite, each ascending; lengths and terms are formed ``_CELL_SLICE``
     cells at a time."""
     short, stiff, heavy = [], [], []
     for start in range(0, len(model.cells), _CELL_SLICE):
         lengths = cell_lengths(model, slice(start, start + _CELL_SLICE))
-        short.append(start + np.flatnonzero(lengths <= tol))
+        short.append(start + np.flatnonzero(lengths <= DEFAULT_MERGE_TOL))
         if not overflow:
             continue
-        # a cell shorter than tol is still assembled when no clean removes it
+        # a cell shorter than the tolerance is still assembled when no clean removes it
         at = np.flatnonzero(lengths > 0.0)
         rows, length = start + at, lengths[at]
         props, beam = cell_properties(model, rows), ~model.cells.truss[rows]
@@ -748,7 +766,7 @@ def frame_findings(model: StructuralModel) -> list:
 
 # what overflows, or divides by an L^3 that underflows, is reported as a finding
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> ValidationReport:
+def validate(model: StructuralModel) -> ValidationReport:
     """Consistency check; reports findings without mutating the model.
 
     Blocking defects (``ok=False``): dangling id references, non-finite
@@ -760,16 +778,17 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
     double precision and cell stiffness terms (``stiffness_terms``) or,
     with ``self_weight_enabled``, self-weight load terms that do; those
     terms are bounded, for every cell of nonzero length, when the points,
-    cells and catalogs show no other defect.  Degenerate cells,
-    never-referenced catalog entries and points that no cell or rigid link
-    uses, ``orientation_points`` aside, are warnings only.
+    cells and catalogs show no other defect.  Degenerate cells, no longer
+    than ``DEFAULT_MERGE_TOL``, never-referenced catalog entries and points
+    that no cell or rigid link uses, ``orientation_points`` aside, are
+    warnings only.
     """
     points, cells = model.points, model.cells
     pids, ends, bc_ids = points.ids, cells.ends, points.bc_ids
     no_point = ~isin(ends, pids)
-    no_cs = _missing(cells.cs_ids, model.cross_sections)
-    no_mat = _missing(cells.mat_ids, model.materials)
-    no_bc = (bc_ids != 0) & _missing(bc_ids, model.bcs)
+    no_cs = ~isin(cells.cs_ids, list(model.cross_sections))
+    no_mat = ~isin(cells.mat_ids, list(model.materials))
+    no_bc = (bc_ids != 0) & ~isin(bc_ids, list(model.bcs))
     defects = _row_findings([
         (_repeats(pids), "duplicate-id", "duplicate point id {0}"),
         (~np.isfinite(points.coords).all(axis=1), "non-finite",
@@ -811,7 +830,7 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
         elif not -1.0 < mat.nu <= 0.5:  # else G = E / (2 (1 + nu)) is not positive
             defects.append(Finding("invalid-catalog", f"material {mat_id} needs -1 < nu <= 0.5"))
     # the terms need every reference and catalog value sound
-    short, stiff, heavy = _cell_checks(model, tol, overflow=not defects)
+    short, stiff, heavy = _cell_checks(model, overflow=not defects)
     warnings = [Finding("degenerate-cell", f"cell {i} shorter than merge tolerance")
                 for i in cells.ids[short].tolist()]
     defects += [Finding("overflow", f"cell {i} stiffness overflows double precision")
@@ -834,4 +853,4 @@ def validate(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL) -> Validati
                      for key in sorted(catalog) if key not in used]
     unused = ~used_points(model) & ~orientation_points(model)
     warnings += _row_findings([(unused, "unused-point", "point {0} referenced by no cell")], pids)
-    return ValidationReport(ok=not defects, defects=defects, warnings=warnings)
+    return ValidationReport(defects, warnings)

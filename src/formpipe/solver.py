@@ -58,8 +58,10 @@ from .model import (
     GRAVITY,
     KG_MM_S2_TO_N,
     StructuralModel,
+    _entries,
     per_id,
     cell_frames,
+    check_pcg_options,
     cell_properties,
     distinct,
     link_ends,
@@ -529,15 +531,6 @@ def _joined(parts: list) -> np.ndarray:
     return out
 
 
-def _entries(indptr, rows):
-    """The positions of the stored entries of ``rows`` in a CSR matrix with
-    row pointers ``indptr``, row by row, and each row's count of them."""
-    begin = indptr[rows]
-    count = indptr[rows + 1] - begin
-    ends = np.cumsum(count)
-    return np.arange(ends[-1]) + np.repeat(begin - ends + count, count), count
-
-
 def _bfs_levels(indptr, indices, start, seen, stamp):
     """Breadth-first level sets of the graph (indptr, indices) from
     ``start``, each an ascending index array.  ``seen`` marks the visited
@@ -863,10 +856,7 @@ def solve_pcg_ichol(system: LinearSystem, tol: float = DEFAULT_PCG_TOL,
     ``perfbench/spans.py`` and the benchmark metric
     ``solver.solve_pcg_ichol_s`` call the function by it.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"PCG tolerance must lie in (0, 1), got {tol:g}")
-    if max_iter is not None and max_iter < 1:
-        raise ValueError(f"PCG iteration limit must be at least 1, got {max_iter}")
+    check_pcg_options(tol, max_iter)
     t0 = time.perf_counter()
     K = system.stiffness
     n = K.shape[0]

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (DEFAULT_MERGE_TOL, DOF_NAMES, Finding, PointTable, RigidLink,
-                    StructuralModel, aim_points, cell_lengths, distinct, frame_findings,
+                    StructuralModel, _entries, aim_points, cell_lengths, distinct, frame_findings,
                     isin, link_ends, orientation_points, per_id, point_aims,
                     raise_first, rigid_link_findings, unreached_slots)
 
@@ -187,12 +187,6 @@ def _jump(parent: np.ndarray) -> np.ndarray:
     return parent
 
 
-def _component_labels(n: int, edges: np.ndarray):
-    """(count, labels) of the connected components of ``n`` points joined by
-    an (m, 2) edge array of point indices (``_labels``)."""
-    return _labels(_jump(_hook(np.arange(n), *edges.T)))
-
-
 def _labels(parent: np.ndarray):
     """(count, labels) of the trees of a ``parent`` array in which every
     point names its tree's lowest index, as ``_jump`` leaves it.  A running
@@ -268,7 +262,7 @@ def merge_duplicate_nodes(model: StructuralModel, tol: float = DEFAULT_MERGE_TOL
     raise_first(rigid_link_findings(links, merged), TopologyError)
 
     model.cells.ends[:] = survivor[_end_rows(model)]
-    for cs in point_aims(model):
+    for cs in point_aims(model).values():
         row = points.positions([cs.shape.ref_code])[0]
         if row >= 0:
             cs.shape = replace(cs.shape, ref_code=int(survivor[row]))
@@ -362,14 +356,6 @@ def remove_detached_components(model: StructuralModel):
     return _keep(model, report, keep | aims, keep[first_ends])
 
 
-def protected_points(model: StructuralModel) -> np.ndarray:
-    """Mask of the points that pruning must never remove: supported or
-    loaded ones, rigid-link ends and the ``aim_points``."""
-    points = model.points
-    return ((points.bc_ids != 0) | points.masks.any(axis=1)
-            | isin(points.ids, link_ends(model.rigid_links)) | aim_points(model))
-
-
 def _peel(n: int, ends: np.ndarray, protected: np.ndarray, max_degree: int):
     """Surviving points and cells after peeling: rounds that delete every
     unprotected point with at most ``max_degree`` live incident cells, with
@@ -378,12 +364,11 @@ def _peel(n: int, ends: np.ndarray, protected: np.ndarray, max_degree: int):
     m = len(ends)
     a, b = ends.T
     loop = a == b
-    # the incident cells of each point as one run of ``incident``
+    # the incident cells of each point as one CSR row of ``incident``
     at = np.concatenate([a, b[~loop]])
     incident = np.concatenate([np.arange(m), np.flatnonzero(~loop)])[np.argsort(at, kind="stable")]
-    run = np.bincount(at, minlength=n)
-    start = np.cumsum(run) - run
-    degree = run.copy()
+    degree = np.bincount(at, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(degree)])
     point_alive = np.ones(n, dtype=bool)
     cell_alive = np.ones(m, dtype=bool)
     frontier = np.arange(n)
@@ -393,9 +378,7 @@ def _peel(n: int, ends: np.ndarray, protected: np.ndarray, max_degree: int):
         if not peel.size:
             return point_alive, cell_alive
         point_alive[peel] = False
-        lengths = run[peel]
-        offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        cells = distinct(incident[np.repeat(start[peel], lengths) + offsets])
+        cells = distinct(incident[_entries(indptr, peel)[0]])
         cells = cells[cell_alive[cells]]
         cell_alive[cells] = False
         other = ends[cells].ravel()
@@ -407,7 +390,8 @@ def _peel(n: int, ends: np.ndarray, protected: np.ndarray, max_degree: int):
 def prune_dead_arms(model: StructuralModel, max_degree: int = DEFAULT_PRUNE_DEGREE):
     """Peel away thin arms: repeatedly delete points with at most
     ``max_degree`` incident cells, together with those cells, to a fixpoint.
-    The ``protected_points`` stay; one whose cells all go stays on its own.
+    Supported or loaded points, rigid-link ends and the ``aim_points``
+    stay; one whose cells all go stays on its own.
 
     The fixpoint is order-independent (degrees only drop as points go), so
     peeling in rounds gives the same survivors as one point at a time.
@@ -415,8 +399,10 @@ def prune_dead_arms(model: StructuralModel, max_degree: int = DEFAULT_PRUNE_DEGR
     """
     if max_degree < 1:
         raise ValueError("max_degree must be at least 1")
-    ids = model.points.ids
-    protected = protected_points(model)
+    points = model.points
+    ids = points.ids
+    protected = ((points.bc_ids != 0) | points.masks.any(axis=1)
+                 | isin(ids, link_ends(model.rigid_links)) | aim_points(model))
     point_alive, cell_alive = _peel(len(ids), _end_rows(model), protected, max_degree)
 
     report = RepairReport()
@@ -478,14 +464,13 @@ def _free_motions(coords, reached, held, sizes):
     return free, hit // 6, hit % 6
 
 
-def unsupported_components(model: StructuralModel, unreached=None) -> Unsupported:
+def unsupported_components(model: StructuralModel) -> Unsupported:
     """The components, as arrays, with a rigid motion that moves a slot that stiffness reaches
     and no restrained one (``_free_motions``), except ``orientation_points``; one with no
-    restrained slot is named at its lowest point, along ux, without an eigenvalue.
-    ``unreached`` is the model's ``unreached_slots`` where the caller has formed them."""
+    restrained slot is named at its lowest point, along ux, without an eigenvalue."""
     count, labels, structure = _components(model)
     points = model.points
-    unreached = unreached_slots(model) if unreached is None else unreached
+    unreached = unreached_slots(model)
     held = points.masks & ~unreached
     restrained = np.bincount(labels, held.any(axis=1), minlength=count) > 0
     # a point that holds its six slots holds every motion: no eigenvalue needed
@@ -515,10 +500,10 @@ def unsupported_components(model: StructuralModel, unreached=None) -> Unsupporte
     return Unsupported(starts, sizes[flagged], members, point_ids, dofs)
 
 
-def check_support_reachability(model: StructuralModel, unreached=None) -> list:
+def check_support_reachability(model: StructuralModel) -> list:
     """The support findings of ``solvability_findings``: the first 20
     ``unsupported_components``, then a count of the rest."""
-    starts, sizes, members, point_ids, dofs = unsupported_components(model, unreached)
+    starts, sizes, members, point_ids, dofs = unsupported_components(model)
     listed = (v[:_LISTED_COMPONENTS].tolist() for v in (starts, sizes, point_ids, dofs))
     findings = [Finding("unsupported-component",
                         f"points {members[a : a + k][:8].tolist()} have a free rigid motion, "
@@ -534,12 +519,13 @@ def solvability_findings(model: StructuralModel) -> list:
     here alone, in the order assembly meets it: the support findings
     (``check_support_reachability``), the ``frame_findings`` and nonzero
     loads on the unsupported ``unreached_slots``."""
-    unreached = unreached_slots(model)
-    findings = check_support_reachability(model, unreached) + frame_findings(model)
+    findings = check_support_reachability(model) + frame_findings(model)
     points = model.points
     loaded = np.flatnonzero(points.bc_ids != 0)
+    if not loaded.size:  # no moment finding, and no second ``unreached_slots``
+        return findings
     loads = per_id(points.bc_ids[loaded], lambda i: model.bcs[i].components, 6)
-    rows, dofs = np.nonzero((loads != 0.0) & (unreached & ~points.masks)[loaded])
+    rows, dofs = np.nonzero((loads != 0.0) & (unreached_slots(model) & ~points.masks)[loaded])
     return findings + [Finding("rotation-free-moment",
                                f"moment load on rotation-free point {pid} ({DOF_NAMES[dof]})")
                        for pid, dof in zip(points.ids[loaded[rows]].tolist(), dofs.tolist())]

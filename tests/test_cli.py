@@ -819,6 +819,30 @@ class TestStructuredReport:
             assert int(records["solver_factor_nnz"]) > 0
             assert float(records["solver_factor_time_s"]) > 0.0
 
+    @pytest.mark.parametrize("solver", ["direct", "pcg"])
+    def test_text_report_agrees_with_records(self, capsys, tmp_path, cantilever_file, solver):
+        # both formats of a solve: each number of the text, in text order, is
+        # a later structured record rounded to the digits the text prints;
+        # the times in seconds differ from run to run and are left out
+        reports = {}
+        for form in ("text", "structured"):
+            code, reports[form], _ = run(capsys, "solve", str(cantilever_file),
+                                         str(tmp_path / "r.vtk"), "--solver", solver,
+                                         "--format", form)
+            assert code == 0
+        records = parse_structured(reports["structured"])
+        rest = (value for key, value in records.items() if not key.endswith("_s"))
+        shown = list(re.finditer(r"(?<![\w.])-?\d+(?:\.(\d+))?(?:e([+-]\d+))?(?![\w.]| s$)",
+                                 reports["text"], re.M))
+        assert len(shown) == 10
+        for number in shown:
+            decimals, exponent = number.group(1) or "", number.group(2) or "0"
+            half = 0.5 * 10.0 ** (int(exponent) - len(decimals)) * (1 + 1e-9)
+            # the records up to the first that matches are used up
+            assert any(re.fullmatch(r"-?[\d.]+(e[+-]\d+)?", value)
+                       and abs(float(value) - float(number.group())) <= half
+                       for value in rest), number.group()
+
 
 class TestBadOptions:
     def test_negative_merge_tol(self, capsys, tmp_path, cantilever_file):
@@ -851,11 +875,15 @@ class TestBadOptions:
          "PCG iteration limit must be at least 1, got -5"),
         ("solve", ["--solver", "pcg", "--pcg-max-iter", "0"],
          "PCG iteration limit must be at least 1, got 0"),
+        ("solve", ["--pcg-tol", "-1"], "PCG tolerance must lie in (0, 1), got -1"),
+        ("solve", ["--pcg-max-iter", "0"], "PCG iteration limit must be at least 1, got 0"),
     ], ids=["merge-tol-inf", "merge-tol-nan", "deform-scale-inf", "deform-scale-negative",
-            "deform-scale-overflow", "pcg-max-iter-negative", "pcg-max-iter-zero"])
+            "deform-scale-overflow", "pcg-max-iter-negative", "pcg-max-iter-zero",
+            "pcg-tol-negative-direct", "pcg-max-iter-zero-direct"])
     def test_value_checked_where_used(self, capsys, tmp_path, cantilever_file, command, options,
                                       message):
-        # the function that uses the value checks it: exit 2, one error line, no file
+        # the function that uses the value checks it: exit 2, one error line,
+        # no file; the PCG options are checked under the direct solver too
         dst = tmp_path / "never"
         code, out, err = run(capsys, command, str(cantilever_file), str(dst), *options)
         assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -935,6 +963,17 @@ def test_cli_import_leaves_scipy_spatial_out(tmp_path):
                  ("solve --solver pcg", ["solve", "c.vtp", "p.vtk", "--solver", "pcg"]))
     assert seen == {"import": bare, "check": bare, "clean": bare, "solve": solving,
                     "solve --solver pcg": solving, "same": True, "dir": True}
+    # ids that span far more than six entries per value, section ids 1 and
+    # 10**12 and supports at both ends, which np.isin would sort through
+    # plain np.unique, and so load numpy.ma
+    beam = fp.gen_cantilever(fp.CantileverSpec(n_elements=20))
+    beam.cross_sections[10**12] = fp.CrossSection(id=10**12, shape=fp.Circle(diameter=30.0))
+    beam.cells.cs_ids[::2] = 10**12
+    beam.points[-1].constraint_mask[:] = True
+    (tmp_path / "ids.vtp").write_text(fp.write_model(beam))
+    seen = probe(("check", ["check", "ids.vtp"]), ("solve", ["solve", "ids.vtp", "i.vtk"]))
+    assert seen == {"import": bare, "check": bare, "solve": solving, "same": True, "dir": True}
+    assert (tmp_path / "i.vtk").exists()
 
 
 @pytest.mark.parametrize("argv, written", [

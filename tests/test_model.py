@@ -186,7 +186,7 @@ class TestValidate:
         model = _two_point_model()
         model.points.append(Point(id=2, coords=(1000, 50, 0)))
         model.rigid_links = [fp.RigidLink(1, 2)]
-        assert validate(model) == ValidationReport(ok=True, defects=[], warnings=[])
+        assert validate(model) == ValidationReport(defects=[], warnings=[])
         model.points[2].constraint_mask[0] = True
         assert [(f.kind, f.message) for f in validate(model).defects] == [
             ("rigid-link-conflict", "rigid link slave 2 may not carry support constraints")]
@@ -462,6 +462,20 @@ def test_dense_lookup_matches_the_search(ids, query):
     assert got.tolist() == searched.tolist() == _positions_oracle(ids, query)
 
 
+@given(values=st.lists(st.one_of(st.integers(-40, 40), _EXTREMES), max_size=30),
+       test=st.lists(st.one_of(st.integers(-40, 40), _EXTREMES), max_size=30),
+       scale=st.sampled_from([1, 10**6]))
+@settings(max_examples=200, deadline=None)
+def test_isin_matches_numpy(values, test, scale):
+    """``isin``'s sorted search gives np.isin's answer over a small span and
+    a wide one (scaled, or reaching the int64 limits), for one- and
+    two-dimensional values alike."""
+    values = np.array([v if abs(v) > 40 else v * scale for v in values], dtype=np.int64)
+    test = np.array([v if abs(v) > 40 else v * scale for v in test], dtype=np.int64)
+    for shaped in (values, values.reshape(-1, 1)):
+        assert np.array_equal(model_module.isin(shaped, test), np.isin(shaped, test))
+
+
 @pytest.mark.parametrize("ids", [[0, 1, 2], [7, 2, 5], []], ids=["dense", "searched", "empty"])
 def test_cell_lengths_are_nan_only_for_missing_ends(ids):
     """Each cell whose ends name points has the ``np.linalg.norm`` of their
@@ -656,7 +670,10 @@ def test_validate_matches_one_object_at_a_time_oracle(seed):
         model.cells[int(rng.integers(m))].cs_id = int(rng.integers(1, 7))
         model.cells[int(rng.integers(m))].mat_id = int(rng.integers(1, 4))
         model.points.append(Point(id=n + 10, coords=model.points[0].coords + 1e-7))
-    report = validate(model, tol=0.5)
-    defects, warnings = row_findings_oracle(model, 0.5)
+        # a cell shorter than the merge tolerance, a degenerate-cell warning
+        model.cells.append(Cell(id=m + 10, connectivity=(model.points[0].id, n + 10), cs_id=1,
+                                mat_id=1))
+    report = validate(model)
+    defects, warnings = row_findings_oracle(model, model_module.DEFAULT_MERGE_TOL)
     assert [f.message for f in report.defects] == defects
     assert [f.message for f in report.warnings if f.kind != "unreferenced-catalog"] == warnings

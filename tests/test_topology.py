@@ -31,11 +31,12 @@ from formpipe.model import (
     validate,
 )
 from formpipe import exchange, topology
+from formpipe.casegen import _largest_component
 from formpipe.topology import (
     RepairReport,
     TopologyError,
     _clusters,
-    _component_labels,
+    _components,
     check_support_reachability,
     make_rigid_link,
     merge_duplicate_nodes,
@@ -522,15 +523,23 @@ _GRAPHS = {
 
 @pytest.mark.parametrize("graph", list(_GRAPHS))
 def test_component_labels_match_csgraph(graph):
-    """Counts and labels (components numbered by their lowest index) equal
-    those of ``scipy.sparse.csgraph.connected_components``."""
+    """The components of ``n`` points joined by the cells ``edges`` equal
+    those of ``scipy.sparse.csgraph.connected_components``: the count and
+    labels (numbered by their lowest index) of ``_components``, and the
+    largest component, ties to the lowest, that ``casegen``'s lattice keeps."""
     n = 2001
     edges = _GRAPHS[graph](np.random.default_rng(7), n)
     matrix = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
-    count, labels = _component_labels(n, edges)
     expect_count, expect_labels = connected_components(matrix, directed=False)
+    model = StructuralModel(points=PointTable(np.arange(n), np.zeros((n, 3))),
+                            cells=CellTable(np.arange(len(edges)), edges))
+    count, labels, _ = _components(model)
     assert count == expect_count
     assert np.array_equal(labels, expect_labels)
+    kept, pairs = _largest_component(np.arange(n), edges)
+    largest = np.argmax(np.bincount(expect_labels))
+    assert np.array_equal(kept, np.flatnonzero(expect_labels == largest))
+    assert np.array_equal(kept[pairs], edges[expect_labels[edges[:, 0]] == largest])
 
 
 class TestRemoveDetachedComponents:
@@ -1036,10 +1045,11 @@ class TestMemoryGates:
         assert traced_peak(exchange._model, root, arrays) <= 0.16e6
 
     def test_component_labels_hold_no_sort(self, soup):
-        # 0.09 MB: a running count of the roots numbers the components;
-        # np.unique's sort of the parent array and its inverse took 0.17 MB
+        # 0.09 MB, the kept points and pairs included: a running count of
+        # the roots numbers the components; np.unique's sort of the parent
+        # array and its inverse took 0.17 MB
         edges = soup.points.positions(soup.cells.ends)
-        assert traced_peak(_component_labels, len(soup.points), edges) <= 0.11e6
+        assert traced_peak(_largest_component, np.arange(len(soup.points)), edges) <= 0.11e6
 
     def test_merge_of_the_soup(self, soup):
         # 0.41 MB; the sweep tests its candidates in chunks of 4k and hooks
